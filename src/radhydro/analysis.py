@@ -33,6 +33,7 @@ __all__ = [
     "PerturbationShapes",
     "default_perturbation_shapes",
     "error_fields",
+    "error_squares",
     "energy",
     "well_prepared_init",
     "hypothesis_deviation",
@@ -70,6 +71,19 @@ class EnergyRecord:
     fluid_energy: float
     full_energy: float
     gamma: float
+
+    @classmethod
+    def from_squares(
+        cls, time: float, fluid_sq: float, rad_sq: float, eps: float
+    ) -> "EnergyRecord":
+        """Record from the squared norms returned by error_squares."""
+        full_sq = fluid_sq + eps * rad_sq
+        return cls(
+            time=time,
+            fluid_energy=math.sqrt(fluid_sq),
+            full_energy=math.sqrt(full_sq),
+            gamma=full_sq,
+        )
 
 
 @dataclass(frozen=True)
@@ -154,21 +168,24 @@ def error_fields(eps_state: EpsState, limit_state: LimitState) -> ErrorFields:
     )
 
 
-def energy(err: ErrorFields, s: int, eps: float) -> EnergyRecord:
-    """Sobolev energies of the error fields at index s."""
+def error_squares(err: ErrorFields, s: int) -> tuple[float, float]:
+    """Squared H^s norms of the fluid and of the radiation differences.
+
+    fluid: ||drho||_s^2 + ||du||_s^2 + ||dtheta||_s^2;
+    radiation: ||dI0||_s^2 + ||dI1||_s^2.
+    """
     fluid_sq = (
         sobolev_norm(err.rho, s) ** 2
         + sobolev_norm(err.u, s) ** 2
         + sobolev_norm(err.theta, s) ** 2
     )
     rad_sq = sobolev_norm(err.I0, s) ** 2 + sobolev_norm(err.I1, s) ** 2
-    full_sq = fluid_sq + eps * rad_sq
-    return EnergyRecord(
-        time=err.time,
-        fluid_energy=math.sqrt(fluid_sq),
-        full_energy=math.sqrt(full_sq),
-        gamma=full_sq,
-    )
+    return fluid_sq, rad_sq
+
+
+def energy(err: ErrorFields, s: int, eps: float) -> EnergyRecord:
+    """Sobolev energies of the error fields at index s."""
+    return EnergyRecord.from_squares(err.time, *error_squares(err, s), eps)
 
 
 def well_prepared_init(
@@ -223,14 +240,8 @@ def hypothesis_deviation(
     ||fluid differences||_s + sqrt(eps) * ||radiation differences||_s,
     the quantity that must be O(eps) for the convergence theory to apply.
     """
-    err = error_fields(eps_init, limit_init)
-    fluid = math.sqrt(
-        sobolev_norm(err.rho, s) ** 2
-        + sobolev_norm(err.u, s) ** 2
-        + sobolev_norm(err.theta, s) ** 2
-    )
-    rad = math.sqrt(sobolev_norm(err.I0, s) ** 2 + sobolev_norm(err.I1, s) ** 2)
-    return fluid + math.sqrt(eps) * rad
+    fluid_sq, rad_sq = error_squares(error_fields(eps_init, limit_init), s)
+    return math.sqrt(fluid_sq) + math.sqrt(eps) * math.sqrt(rad_sq)
 
 
 def fit_rate(pairs) -> RateFit:

@@ -9,6 +9,7 @@ constant background, which keeps runs deterministic and diffable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,12 +116,24 @@ def _check_keys(d: dict, allowed: set, context: str) -> None:
             raise ValidationError(f"unknown field '{key}' in {context}")
 
 
+def _is_finite_number(value) -> bool:
+    """A JSON number other than NaN and +-Infinity (which json accepts)."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
 def _number(d: dict, key: str, default, context: str, positive=False):
     value = d.get(key, default)
     if value is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(f"{context}.{key}" if context else key, f"expected a number, got {value!r}")
+    if not _is_finite_number(value):
+        _fail(
+            f"{context}.{key}" if context else key,
+            f"expected a finite number, got {value!r}",
+        )
     value = float(value)
     if positive and value <= 0.0:
         _fail(f"{context}.{key}" if context else key, f"must be positive, got {value}")
@@ -230,9 +243,9 @@ def _validate_bounds(raw) -> dict:
             if not (
                 isinstance(value, list)
                 and len(value) == 2
-                and all(isinstance(v, (int, float)) for v in value)
+                and all(_is_finite_number(v) for v in value)
             ):
-                _fail(f"bounds.{key}", "expected [low, high]")
+                _fail(f"bounds.{key}", "expected [low, high] of finite numbers")
             bounds[key] = [float(value[0]), float(value[1])]
         else:
             limit = _number({key: value}, key, None, "bounds")
@@ -295,9 +308,9 @@ def parse_config(raw: dict, mode: str | None = None) -> RunConfig:
     if eps_list_raw is not None:
         if not (
             isinstance(eps_list_raw, list)
-            and all(isinstance(v, (int, float)) and v > 0 for v in eps_list_raw)
+            and all(_is_finite_number(v) and v > 0 for v in eps_list_raw)
         ):
-            _fail("eps_list", "expected a list of positive numbers")
+            _fail("eps_list", "expected a list of positive finite numbers")
         eps_list = tuple(float(v) for v in eps_list_raw)
 
     if cfg_mode == "convergence-study":
@@ -361,11 +374,11 @@ def parse_config(raw: dict, mode: str | None = None) -> RunConfig:
         and sigma_raw
         and all(
             isinstance(p, list) and len(p) == 2
-            and all(isinstance(v, (int, float)) for v in p)
+            and all(_is_finite_number(v) for v in p)
             for p in sigma_raw
         )
     ):
-        _fail("sigma_pairs", "expected a list of [sigma_a, sigma_s] pairs")
+        _fail("sigma_pairs", "expected a list of [sigma_a, sigma_s] pairs of finite numbers")
     sigma_pairs = tuple((float(a), float(s)) for a, s in sigma_raw)
 
     bounds = _validate_bounds(raw.get("bounds"))

@@ -18,7 +18,8 @@ class BlowUp(RadHydroError):
 
 
 class TimeMismatch(RadHydroError):
-    """Two states that must be simultaneous carry different times."""
+    """Two states that must be simultaneous carry different times, or a
+    run did not land on the output time it was stepped to."""
 
 
 class DegenerateFit(RadHydroError):

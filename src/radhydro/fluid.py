@@ -11,14 +11,23 @@ Divisions by rho are pointwise in physical space (there is no spectral
 symbol for a quotient) and are guarded by a positivity floor: the
 relevant solution regime stays near a positive background, so an
 approach to vacuum signals a broken run rather than physics.
+
+The right-hand sides are one array kernel over the stacked state
+(rho, u_1..u_n, theta) and half-spectrum transforms batched over fields
+(see ``radhydro.spectral``); every product and quotient is dealiased by
+the 2/3 rule. ``strain``, ``viscous_stress`` and ``dissipation`` give the
+same quantities as fields, for analysis and tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import NonPositiveState
-from .radiation import RadiationMoments, emission
+from .radiation import RadiationMoments
 from .spectral import (
     Grid,
     SpectralField,
@@ -26,7 +35,7 @@ from .spectral import (
     dealias,
     div,
     grad,
-    laplacian,
+    unstack,
 )
 
 __all__ = [
@@ -89,6 +98,21 @@ class FluidState:
     def is_finite(self) -> bool:
         return self.rho.is_finite() and self.u.is_finite() and self.theta.is_finite()
 
+    @classmethod
+    def from_stacked(cls, grid: Grid, y: np.ndarray) -> "FluidState":
+        """State viewing the rows (rho, u_1..u_n, theta) of y, without a copy."""
+        rows = unstack(grid, y)
+        state = cls(rho=rows[0], u=VectorField(rows[1:-1]), theta=rows[-1])
+        state.__dict__["stacked"] = y  # seeds the cached_property below
+        return state
+
+    @cached_property
+    def stacked(self) -> np.ndarray:
+        """Read-only (n+2, *shape) array of rho, the u components and theta."""
+        y = np.stack([self.rho.values, *(c.values for c in self.u), self.theta.values])
+        y.setflags(write=False)
+        return y
+
 
 def require_positive(state: FluidState) -> None:
     """Hard positivity guard on rho and theta."""
@@ -147,45 +171,87 @@ def dissipation(u: VectorField, p: FluidParams) -> SpectralField:
     return dealias(total)
 
 
-def _stress_divergence(psi: list[list[SpectralField]]) -> VectorField:
-    # (div Psi)_i = sum_j d_j Psi_ij; Psi is symmetric so rows equal columns.
-    return VectorField([div(VectorField(row)) for row in psi])
-
-
-def _advect(u: VectorField, f: SpectralField) -> SpectralField:
-    """(u . grad) f, dealiased."""
-    df = grad(f)
-    return dealias(u.dot(df))
-
-
 def _rhs_common(
     f: FluidState,
     p: FluidParams,
-    momentum_source: VectorField | None,
-    heat_source: SpectralField,
-) -> tuple[SpectralField, VectorField, SpectralField]:
-    """Shared assembly; couplings differ only in the two source arguments."""
+    rad: RadiationMoments | None = None,
+    eps: float = 0.0,
+    q0: VectorField | None = None,
+) -> np.ndarray:
+    """Tendencies of (rho, u, theta) as one (n+2, *shape) array.
+
+    The eps coupling passes rad (momentum source eps*I1, heat source
+    I0 - theta^4); the limit coupling passes q0 (heat source -div q0).
+
+    Six batched half-spectrum transforms, each over a stack of fields:
+    (1) spectra of u, theta (and q0); (2) grad u and grad theta; (3) the
+    products rho*u, rho*theta, the dissipation (and theta^4), dealiased
+    together; (4) the numerators div Psi(u) - grad(rho theta) and
+    kappa*Lap theta + dissipation (- theta^4 or - div q0), each summed in
+    Fourier space; (5) the quotients by rho minus the advection terms,
+    dealiased together; (6) the tendencies. Dealiasing is linear, so
+    dealiasing a sum equals summing the dealiased terms.
+    """
     require_positive(f)
-    p.validate_for(f.grid.n_dims)
-    rho, u, theta = f.rho, f.u, f.theta
+    grid = f.grid
+    n = grid.n_dims
+    p.validate_for(n)
+    ik, k_sq, mask = grid.half_ik, grid.half_k_squared, grid.half_dealias_mask
+    half = grid.half_shape
+    y = f.stacked
+    rho, u, theta = y[0], y[1:-1], y[-1]
 
-    mass_flux = VectorField([dealias(rho * c) for c in u])
-    d_rho = -div(mass_flux)
+    first = y[1:] if q0 is None else np.concatenate([y[1:], np.stack([c.values for c in q0])])
+    spec = grid.forward(first)
+    u_hat, theta_hat = spec[:n], spec[n]
 
-    pressure = dealias(rho * theta)
-    grad_p = grad(pressure)
-    div_psi = _stress_divergence(viscous_stress(u, p))
-    d_u_comps = []
-    for j, uj in enumerate(u):
-        numer = div_psi[j] - grad_p[j]
-        if momentum_source is not None:
-            numer = numer + momentum_source[j]
-        d_u_comps.append(-_advect(u, uj) + dealias(numer / rho))
-    d_u = VectorField(d_u_comps)
+    grads = np.empty((n * n + n, *half), dtype=complex)
+    np.multiply(ik, u_hat[:, None], out=grads[: n * n].reshape(n, n, *half))
+    np.multiply(ik, theta_hat, out=grads[n * n :])
+    grads = grid.inverse(grads)
+    grad_u = grads[: n * n].reshape(n, n, *grid.shape)  # [i, j] = d_j u_i
+    grad_theta = grads[n * n :]
 
-    heat = laplacian(theta) * p.kappa + dissipation(u, p) + heat_source
-    d_theta = -_advect(u, theta) - dealias(theta * div(u)) + dealias(heat / rho)
-    return d_rho, d_u, d_theta
+    div_u = np.trace(grad_u)
+    strain = (grad_u + grad_u.swapaxes(0, 1)) * 0.5
+    products = np.empty((n + 2 + (rad is not None), *grid.shape))
+    np.multiply(rho, u, out=products[:n])
+    np.multiply(rho, theta, out=products[n])
+    shear_heating = np.sum(strain * strain, axis=(0, 1)) * (2.0 * p.mu)
+    products[n + 1] = shear_heating + div_u * div_u * p.lam
+    if rad is not None:
+        products[n + 2] = theta**4
+    prod_hat = grid.forward(products)
+    prod_hat *= mask
+
+    # div Psi(u) = mu Lap u + (mu + lam) grad div u, a linear symbol.
+    div_u_hat = np.sum(ik * u_hat, axis=0)
+    numer = np.empty((n + 1, *half), dtype=complex)
+    numer[:n] = -p.mu * k_sq * u_hat + ik * ((p.mu + p.lam) * div_u_hat - prod_hat[n])
+    numer[n] = -p.kappa * k_sq * theta_hat + prod_hat[n + 1]
+    if rad is not None:
+        numer[n] -= prod_hat[n + 2]
+    else:
+        numer[n] -= np.sum(ik * spec[n + 1 :], axis=0)
+    numer = grid.inverse(numer)
+    if rad is not None:
+        numer[:n] += np.stack([c.values for c in rad.I1]) * eps
+        numer[n] += rad.I0.values
+
+    quotients = numer / rho
+    quotients[:n] -= np.sum(u * grad_u, axis=1)
+    quotients[n] -= np.sum(u * grad_theta, axis=0) + theta * div_u
+    quot_hat = grid.forward(quotients)
+
+    tend = np.empty((n + 2, *half), dtype=complex)
+    tend[0] = -np.sum(ik * prod_hat[:n], axis=0)
+    np.multiply(quot_hat, mask, out=tend[1:])
+    return grid.inverse(tend)
+
+
+def _tendency_fields(grid: Grid, tend: np.ndarray):
+    rows = unstack(grid, tend)
+    return rows[0], VectorField(rows[1:-1]), rows[-1]
 
 
 def fluid_rhs_eps(
@@ -204,9 +270,7 @@ def fluid_rhs_eps(
         raise ValueError(f"eps must be positive, got {eps}")
     if rad.grid != f.grid:
         raise ValueError("radiation and fluid grids differ")
-    momentum_source = rad.I1 * eps
-    heat_source = rad.I0 - emission(f.theta)
-    return _rhs_common(f, p, momentum_source, heat_source)
+    return _tendency_fields(f.grid, _rhs_common(f, p, rad=rad, eps=eps))
 
 
 def fluid_rhs_limit(
@@ -219,5 +283,4 @@ def fluid_rhs_limit(
     """
     if q0.grid != f.grid:
         raise ValueError("flux and fluid grids differ")
-    heat_source = -div(q0)
-    return _rhs_common(f, p, None, heat_source)
+    return _tendency_fields(f.grid, _rhs_common(f, p, q0=q0))

@@ -16,6 +16,9 @@ identically).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .spectral import (
     Grid,
@@ -26,6 +29,7 @@ from .spectral import (
     grad,
     helmholtz_inverse,
     sobolev_norm,
+    unstack,
 )
 
 __all__ = [
@@ -55,6 +59,27 @@ class RadiationMoments:
 
     def is_finite(self) -> bool:
         return self.I0.is_finite() and self.I1.is_finite()
+
+    @classmethod
+    def from_half_spectrum(cls, grid: Grid, coeffs: np.ndarray) -> "RadiationMoments":
+        """Moments from stacked half-spectrum coefficients of (I0, I1_1..I1_n).
+
+        The coefficients are kept, so a later substep starts from them
+        without another forward transform.
+        """
+        rows = unstack(grid, grid.inverse(coeffs))
+        rad = cls(I0=rows[0], I1=VectorField(rows[1:]))
+        coeffs.setflags(write=False)
+        rad.__dict__["half_spectrum"] = coeffs  # seeds the cached_property below
+        return rad
+
+    @cached_property
+    def half_spectrum(self) -> np.ndarray:
+        """Read-only (1+n, *half_shape) rfftn coefficients of I0 and I1."""
+        values = np.stack([self.I0.values, *(c.values for c in self.I1)])
+        coeffs = self.grid.forward(values)
+        coeffs.setflags(write=False)
+        return coeffs
 
 
 def emission(theta: SpectralField) -> SpectralField:

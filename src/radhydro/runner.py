@@ -22,15 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (
-    energy,
+    EnergyRecord,
     error_fields,
+    error_squares,
     fit_rate,
     gamma_bound_check,
     hypothesis_deviation,
     well_prepared_init,
 )
 from .config import RunConfig, build_limit_initial, build_shapes
-from .errors import DegenerateFit
+from .errors import DegenerateFit, TimeMismatch
 from .kinetic import KineticField, make_ordinates, moment_system_check, p1_projection_residual
 from .radiation import RadiationMoments, limit_I0, limit_closure_residual, limit_q
 from .spectral import grad, sobolev_norm
@@ -103,7 +104,11 @@ def _advance(state, stepper, params, config: RunConfig, t_target: float, eps=Non
         remaining = t_target - state.time
         n_sub = max(1, math.ceil(remaining / dt_stable - 1e-9))
         state = stepper(state, remaining / n_sub)
-    assert abs(state.time - t_target) < 1e-9
+    if abs(state.time - t_target) >= 1e-9:
+        run_name = "limit run" if eps is None else f"eps = {eps:g}"
+        raise TimeMismatch(
+            f"{run_name}: stepping to t = {t_target!r} reached t = {state.time!r}"
+        )
     return dataclasses.replace(state, time=t_target)
 
 
@@ -187,18 +192,14 @@ def _error_rows(eps_states, limit_states, config: RunConfig, eps: float):
         err = error_fields(es, ls)
         row = [err.time]
         for s in config.sobolev_indices:
-            fluid = math.sqrt(
-                sobolev_norm(err.rho, s) ** 2
-                + sobolev_norm(err.u, s) ** 2
-                + sobolev_norm(err.theta, s) ** 2
-            )
-            rad = math.sqrt(
-                sobolev_norm(err.I0, s) ** 2 + sobolev_norm(err.I1, s) ** 2
-            )
+            squares = error_squares(err, s)
+            if s == s_acc:
+                acc_squares = squares
+            fluid, rad = (math.sqrt(v) for v in squares)
             sup[f"fluid_s{s}"] = max(sup[f"fluid_s{s}"], fluid)
             sup[f"radiation_s{s}"] = max(sup[f"radiation_s{s}"], rad)
             row += [fluid, rad]
-        record = energy(err, s_acc, eps)
+        record = EnergyRecord.from_squares(err.time, *acc_squares, eps)
         records.append(record)
         rows.append(row + [record.fluid_energy, record.full_energy, record.gamma])
     return rows, records, sup

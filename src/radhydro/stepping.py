@@ -16,7 +16,11 @@ Per mode k the radiation subsystem splits into a longitudinal 2x2 block
 (the zeroth moment and the component of the first moment along k), whose
 matrix exponential is a damped rotation exp(-dt/eps) *
 rot(|k| dt / eps), and transverse first-moment components that decay as
-exp(-dt/eps). No linear solves appear anywhere.
+exp(-dt/eps). No linear solves appear anywhere. The substep works on
+the stacked half-spectrum coefficients of (I0, I1); the moments it
+returns keep them (``RadiationMoments.half_spectrum``), so the second
+half substep starts from them without another forward transform. RK4
+runs as axpy operations on the stacked (n+2, *shape) fluid state.
 
 Viscous and heat terms ride inside the explicit RK4 stage with the
 diffusive CFL bound; at desk-scale grids and mu, kappa <= 0.05 the dt
@@ -33,8 +37,8 @@ import numpy as np
 
 from .errors import BlowUp
 from .fluid import FluidParams, FluidState, fluid_rhs_eps, fluid_rhs_limit
-from .radiation import RadiationMoments, emission, limit_q
-from .spectral import SpectralField, VectorField
+from .radiation import RadiationMoments, limit_q
+from .spectral import SpectralField
 
 __all__ = [
     "EpsState",
@@ -99,7 +103,7 @@ def radiation_exact_substep(
 ) -> RadiationMoments:
     """Advance the radiation moments exactly over [0, dt], theta frozen.
 
-    Solves, per mode k with source t = coefficients of theta^4,
+    Solves, per mode k with source t = coefficients of theta^4 (dealiased),
 
         eps d(I0)/dt = t - I0 - i k . I1
         eps d(I1)/dt = -I1 - i k I0
@@ -114,18 +118,16 @@ def radiation_exact_substep(
     if dt < 0.0:
         raise ValueError(f"dt must be nonnegative, got {dt}")
     grid = rad.grid
-    source = emission(theta_frozen).coefficients
-    ksq = grid.k_squared
-    kappa = np.sqrt(ksq)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        khat = [np.where(kappa > 0.0, k / kappa, 0.0) for k in grid.wavenumbers]
-
-    i0 = rad.I0.coefficients
-    i1 = [c.coefficients for c in rad.I1.components]
+    source = grid.forward(theta_frozen.values**4)
+    source *= grid.half_dealias_mask
+    coeffs = rad.half_spectrum
+    i0, i1 = coeffs[0], coeffs[1:]
+    kappa = grid.half_k_abs
+    khat = grid.half_k_unit
 
     # Longitudinal component of I1 and the steady state of the 2x2 block.
-    along = sum(h * c for h, c in zip(khat, i1))
-    i0_star = source / (1.0 + ksq)
+    along = np.sum(khat * i1, axis=0)
+    i0_star = source * grid.half_helmholtz
     along_star = -1j * kappa * i0_star
 
     tau = dt / eps
@@ -135,40 +137,27 @@ def radiation_exact_substep(
 
     d0 = i0 - i0_star
     da = along - along_star
-    i0_new = i0_star + decay * (cos_r * d0 - 1j * sin_r * da)
+    out = np.empty_like(coeffs)
+    out[0] = i0_star + decay * (cos_r * d0 - 1j * sin_r * da)
     along_new = along_star + decay * (-1j * sin_r * d0 + cos_r * da)
-
-    i1_new = [
-        SpectralField.from_coefficients(
-            grid, along_new * h + decay * (c - along * h)
-        )
-        for h, c in zip(khat, i1)
-    ]
-    return RadiationMoments(
-        SpectralField.from_coefficients(grid, i0_new), VectorField(i1_new)
-    )
+    out[1:] = along_new * khat + decay * (i1 - along * khat)
+    return RadiationMoments.from_half_spectrum(grid, out)
 
 
-def _shifted(f: FluidState, tend, scale: float) -> FluidState:
+def _stacked(tend) -> np.ndarray:
     d_rho, d_u, d_theta = tend
-    return FluidState(
-        rho=f.rho + d_rho * scale,
-        u=f.u + d_u * scale,
-        theta=f.theta + d_theta * scale,
-    )
+    return np.stack([d_rho.values, *(c.values for c in d_u), d_theta.values])
 
 
 def _rk4(f: FluidState, rhs, dt: float) -> FluidState:
-    k1 = rhs(f)
-    k2 = rhs(_shifted(f, k1, 0.5 * dt))
-    k3 = rhs(_shifted(f, k2, 0.5 * dt))
-    k4 = rhs(_shifted(f, k3, dt))
-    combo = (
-        k1[0] + (k2[0] + k3[0]) * 2.0 + k4[0],
-        k1[1] + (k2[1] + k3[1]) * 2.0 + k4[1],
-        k1[2] + (k2[2] + k3[2]) * 2.0 + k4[2],
-    )
-    return _shifted(f, combo, dt / 6.0)
+    """Classical RK4 as axpy operations on the stacked (n+2, *shape) state."""
+    grid = f.grid
+    y = f.stacked
+    k1 = _stacked(rhs(f))
+    k2 = _stacked(rhs(FluidState.from_stacked(grid, y + k1 * (0.5 * dt))))
+    k3 = _stacked(rhs(FluidState.from_stacked(grid, y + k2 * (0.5 * dt))))
+    k4 = _stacked(rhs(FluidState.from_stacked(grid, y + k3 * dt)))
+    return FluidState.from_stacked(grid, y + (k1 + (k2 + k3) * 2.0 + k4) * (dt / 6.0))
 
 
 def _check_finite(fluid: FluidState, time: float, extra_finite: bool = True) -> None:

@@ -1,6 +1,7 @@
 """Config loading: strict schema, defaults, profile construction."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -138,3 +139,42 @@ class TestProfiles:
         )
         shapes = build_shapes(cfg)
         assert sobolev_norm(shapes.rho, 0) == pytest.approx(1.0, rel=1e-12)
+
+
+_NAN, _INF = float("nan"), float("inf")
+_BAD_MODE = {"amplitude": _NAN, "wavenumber": [1], "kind": "sin"}
+
+
+class TestNonFiniteNumbers:
+    # Checked with parse_config only: a config that slipped through with
+    # t_end = Infinity would never finish.
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            ({"t_end": _INF}, "t_end"),
+            ({"t_end": _NAN}, "t_end"),
+            ({"mode": "simulate-eps", "eps": _NAN}, "eps"),
+            ({"dt_max": _NAN}, "dt_max"),
+            ({"output_interval": _NAN}, "output_interval"),
+            ({"eps_list": [_INF, 0.1, 0.05]}, "eps_list"),
+            ({"mode": "closure-check", "sigma_pairs": [[1.0, _NAN]]}, "sigma_pairs"),
+            ({"profiles": {"rho": {"base": _INF, "modes": []}}}, "profiles.rho.base"),
+            (
+                {"profiles": {"theta": {"base": 1.0, "modes": [_BAD_MODE]}}},
+                "profiles.theta.modes[0].amplitude",
+            ),
+            ({"fluid": {"mu": _NAN}}, "fluid.mu"),
+            ({"bounds": {"gamma_limit": _INF}}, "bounds.gamma_limit"),
+            ({"bounds": {"fluid_slope": [0.9, _INF]}}, "bounds.fluid_slope"),
+        ],
+    )
+    def test_rejected_and_named(self, overrides, field):
+        payload = {"mode": "convergence-study", **overrides}
+        with pytest.raises(ValidationError, match=re.escape(f"'{field}'")):
+            parse_config(payload)
+
+    def test_json_literals_rejected_by_load_config(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text('{"mode": "simulate-limit", "t_end": Infinity}', encoding="utf-8")
+        with pytest.raises(ValidationError, match="finite"):
+            load_config(path)

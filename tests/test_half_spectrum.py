@@ -1,0 +1,242 @@
+"""Half-spectrum (rfftn) operators and the array fluid kernel.
+
+The solver's hot path uses the grid-cached half-spectrum symbols on
+stacked real arrays. These tests hold them against the full-complex
+SpectralField operators, the new right-hand sides against an assembly
+from the public operators, and pin the transform budget.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from radhydro.fluid import FluidParams, FluidState, fluid_rhs_eps, fluid_rhs_limit
+from radhydro.radiation import RadiationMoments, limit_q
+from radhydro.spectral import (
+    Grid,
+    SpectralField,
+    VectorField,
+    dealias,
+    div,
+    grad,
+    helmholtz_inverse,
+    laplacian,
+    sobolev_norm,
+)
+from radhydro.stepping import EpsState, step_eps
+
+from conftest import smooth_field, smooth_vector
+
+GRIDS = [(n_dims, n) for n_dims in (1, 2) for n in (8, 64, 128)]
+TOL = 1e-12
+
+
+def _random(grid, rng):
+    """White-noise real field: every mode populated, Nyquist included."""
+    return SpectralField.from_values(grid, rng.standard_normal(grid.shape))
+
+
+def _close(got, want):
+    scale = max(np.abs(want).max(), 1.0)
+    return np.abs(got - want).max() <= TOL * scale
+
+
+def _half(grid, full):
+    """Half-spectrum part of a full coefficient array."""
+    return full[..., : grid.points_per_dim // 2 + 1]
+
+
+@pytest.mark.parametrize("n_dims,n", GRIDS)
+class TestOperatorsAgainstFullSpectrum:
+    def test_layout_is_half_of_full(self, n_dims, n):
+        grid = Grid(n_dims, n)
+        f = _random(grid, np.random.default_rng(1))
+        half = grid.forward(f.values)
+        assert half.shape == grid.half_shape
+        assert _close(half, _half(grid, f.coefficients))
+        assert _close(grid.inverse(half), f.values)
+
+    def test_grad(self, n_dims, n):
+        grid = Grid(n_dims, n)
+        f = _random(grid, np.random.default_rng(2))
+        got = grid.inverse(grid.half_ik * grid.forward(f.values))
+        for j, comp in enumerate(grad(f)):
+            assert _close(got[j], comp.values), j
+
+    def test_div(self, n_dims, n):
+        grid = Grid(n_dims, n)
+        rng = np.random.default_rng(3)
+        v = VectorField([_random(grid, rng) for _ in range(n_dims)])
+        stack = np.stack([c.values for c in v])
+        got = grid.inverse(np.sum(grid.half_ik * grid.forward(stack), axis=0))
+        assert _close(got, div(v).values)
+
+    def test_laplacian(self, n_dims, n):
+        grid = Grid(n_dims, n)
+        f = _random(grid, np.random.default_rng(4))
+        half = -grid.half_k_squared * grid.forward(f.values)
+        want = laplacian(f)
+        assert _close(half, _half(grid, want.coefficients))
+        assert _close(grid.inverse(half), want.values)
+
+    def test_helmholtz_inverse(self, n_dims, n):
+        grid = Grid(n_dims, n)
+        f = _random(grid, np.random.default_rng(5))
+        half = grid.half_helmholtz * grid.forward(f.values)
+        want = helmholtz_inverse(f)
+        assert _close(half, _half(grid, want.coefficients))
+        assert _close(grid.inverse(half), want.values)
+
+    def test_dealias_mask(self, n_dims, n):
+        grid = Grid(n_dims, n)
+        f = _random(grid, np.random.default_rng(6))
+        half = grid.half_dealias_mask * grid.forward(f.values)
+        want = dealias(f)
+        assert _close(half, _half(grid, want.coefficients))
+        assert _close(grid.inverse(half), want.values)
+
+    @pytest.mark.parametrize("s", [0, 1, 4])
+    def test_sobolev_norm_matches_full_sum(self, n_dims, n, s):
+        grid = Grid(n_dims, n)
+        f = _random(grid, np.random.default_rng(7))
+        weight = (1.0 + grid.k_squared) ** s
+        full = np.sqrt(np.sum(weight * np.abs(f.coefficients) ** 2) * grid.volume)
+        assert sobolev_norm(f, s) == pytest.approx(full, rel=TOL)
+
+    def test_hermitian_multiplicity(self, n_dims, n):
+        # Parseval on the half spectrum: interior last-axis columns stand
+        # for two modes, the k_last = 0 and Nyquist columns for one.
+        grid = Grid(n_dims, n)
+        f = _random(grid, np.random.default_rng(8))
+        half = grid.forward(f.values)
+        weighted = np.sum(grid.half_multiplicity * np.abs(half) ** 2)
+        assert weighted == pytest.approx(np.sum(np.abs(f.coefficients) ** 2), rel=TOL)
+        assert np.all(grid.half_multiplicity[..., 0] == 1.0)
+        assert np.all(grid.half_multiplicity[..., -1] == 1.0)
+        assert np.all(grid.half_multiplicity[..., 1:-1] == 2.0)
+
+
+def _oracle_rhs(f, p, momentum_source, heat_source):
+    """Field-by-field assembly from the public operators.
+
+    Every product and quotient is dealiased on its own; the stress
+    divergence is mu*Lap u + (mu + lam)*grad div u.
+    """
+    rho, u, theta = f.rho, f.u, f.theta
+    d_rho = -div(VectorField([dealias(rho * c) for c in u]))
+    grad_p = grad(dealias(rho * theta))
+    div_u = div(u)
+    grad_div_u = grad(div_u)
+    grads = [grad(c) for c in u]  # grads[i][j] = d_j u_i
+    n = len(u)
+    strain_sq = SpectralField.zeros(f.grid)
+    for i in range(n):
+        for j in range(n):
+            d_ij = (grads[i][j] + grads[j][i]) * 0.5
+            strain_sq = strain_sq + d_ij * d_ij
+    dissipated = dealias(strain_sq * (2.0 * p.mu) + div_u * div_u * p.lam)
+    d_u = []
+    for i in range(n):
+        numer = laplacian(u[i]) * p.mu + grad_div_u[i] * (p.mu + p.lam) - grad_p[i]
+        if momentum_source is not None:
+            numer = numer + momentum_source[i]
+        d_u.append(dealias(numer / rho) - dealias(u.dot(grads[i])))
+    heat = laplacian(theta) * p.kappa + dissipated + heat_source
+    d_theta = dealias(heat / rho) - dealias(u.dot(grad(theta))) - dealias(theta * div_u)
+    return d_rho, VectorField(d_u), d_theta
+
+
+def _assert_rhs_close(got, want):
+    pairs = [(got[0], want[0]), *zip(got[1], want[1]), (got[2], want[2])]
+    for g, w in pairs:
+        scale = np.abs(w.values).max()
+        assert np.abs(g.values - w.values).max() <= TOL * scale
+
+
+def _wavy_fluid(grid, rng):
+    one = SpectralField.constant(grid, 1.0)
+    return FluidState(
+        rho=one + smooth_field(grid, rng),
+        u=smooth_vector(grid, rng),
+        theta=one + smooth_field(grid, rng),
+    )
+
+
+PARAMS = FluidParams(mu=0.05, lam=0.02, kappa=0.03)
+
+
+@pytest.mark.parametrize("n_dims,n", [(1, 64), (2, 32)])
+class TestRhsAgainstOperatorAssembly:
+    def test_eps_form(self, n_dims, n):
+        grid = Grid(n_dims, n)
+        rng = np.random.default_rng(11)
+        f = _wavy_fluid(grid, rng)
+        rad = RadiationMoments(
+            I0=SpectralField.constant(grid, 1.0) + smooth_field(grid, rng),
+            I1=smooth_vector(grid, rng),
+        )
+        eps = 0.3
+        want = _oracle_rhs(f, PARAMS, rad.I1 * eps, rad.I0 - dealias(f.theta**4))
+        _assert_rhs_close(fluid_rhs_eps(f, rad, eps, PARAMS), want)
+
+    def test_limit_form(self, n_dims, n):
+        grid = Grid(n_dims, n)
+        rng = np.random.default_rng(12)
+        f = _wavy_fluid(grid, rng)
+        q0 = limit_q(f.theta) + smooth_vector(grid, rng)
+        want = _oracle_rhs(f, PARAMS, None, -div(q0))
+        _assert_rhs_close(fluid_rhs_limit(f, q0, PARAMS), want)
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Count calls of every numpy.fft transform entry point."""
+    calls = Counter()
+    for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
+                 "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn",
+                 "hfft", "ihfft"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n_dims", [1, 2])
+class TestTransformBudget:
+    # Exact counts, so that per-field transforms cannot come back unseen.
+    def _state(self, n_dims):
+        grid = Grid(n_dims, 16)
+        rng = np.random.default_rng(21)
+        fluid = _wavy_fluid(grid, rng)
+        rad = RadiationMoments(
+            I0=SpectralField.constant(grid, 1.0) + smooth_field(grid, rng),
+            I1=smooth_vector(grid, rng, amp=0.02),
+        )
+        return EpsState(fluid=fluid, rad=rad, time=0.0)
+
+    def test_fluid_rhs_eps(self, n_dims, fft_calls):
+        s = self._state(n_dims)
+        fluid_rhs_eps(s.fluid, s.rad, 0.1, PARAMS)
+        assert fft_calls == Counter(rfftn=3, irfftn=3)
+
+    def test_fluid_rhs_limit(self, n_dims, fft_calls):
+        s = self._state(n_dims)
+        q0 = VectorField([SpectralField.from_values(s.grid, c.values) for c in s.rad.I1])
+        fluid_rhs_limit(s.fluid, q0, PARAMS)
+        assert fft_calls == Counter(rfftn=3, irfftn=3)
+
+    def test_step_eps(self, n_dims, fft_calls):
+        # Four right-hand sides (6 each) plus two half substeps (theta^4
+        # forward and moments inverse each). The first substep also
+        # transforms the moments once; the moments a step returns keep
+        # their spectrum, so the next step starts without that transform.
+        s = step_eps(self._state(n_dims), PARAMS, 0.1, 0.01)
+        assert fft_calls == Counter(rfftn=12 + 3, irfftn=12 + 2)
+        fft_calls.clear()
+        step_eps(s, PARAMS, 0.1, 0.01)
+        assert fft_calls == Counter(rfftn=12 + 2, irfftn=12 + 2)

@@ -1,13 +1,17 @@
 """Run orchestration, emitters, CLI surface, determinism."""
 
+import dataclasses
 import filecmp
 import json
 import os
 
 import numpy as np
+import pytest
 
+import radhydro.runner
 from radhydro.cli import main
 from radhydro.config import parse_config
+from radhydro.errors import TimeMismatch
 from radhydro.runner import emit_series, run
 
 
@@ -79,6 +83,32 @@ class TestSimulateModes:
         data = np.genfromtxt(tmp_path / "limit_series.csv", delimiter=",", names=True)
         assert np.atleast_1d(data["closure_residual"]).max() < 1e-10
         assert (tmp_path / "summary.json").exists()
+
+
+    def test_overshooting_stepper_raises_time_mismatch(self, tmp_path, monkeypatch):
+        # A stepper that jumps one time unit past the step it was asked
+        # for misses the output time; the run must fail loudly (also under
+        # python -O) and name the eps value, the target and the time reached.
+        step = radhydro.runner.step_eps
+
+        def overshoot(state, p, eps, dt):
+            out = step(state, p, eps, dt)
+            return dataclasses.replace(out, time=state.time + dt + 1.0)
+
+        monkeypatch.setattr(radhydro.runner, "step_eps", overshoot)
+        cfg = parse_config(
+            {
+                "mode": "simulate-eps",
+                "eps": 0.1,
+                "grid": {"n_dims": 1, "points": 8},
+                "t_end": 0.05,
+                "output_interval": 0.05,
+                "out_dir": str(tmp_path),
+            }
+        )
+        message = r"eps = 0\.1: stepping to t = 0\.05 reached t = 1\.00"
+        with pytest.raises(TimeMismatch, match=message):
+            run(cfg)
 
 
 class TestConvergenceStudy:
