@@ -22,9 +22,9 @@ import numpy as np
 
 from .errors import DegenerateFit, PositivityLost, TimeMismatch
 from .fluid import POSITIVITY_FLOOR, FluidState
-from .radiation import RadiationMoments, limit_I0
+from .radiation import RadiationMoments, limit_I0, limit_spectrum
 from .spectral import Grid, SpectralField, VectorField, grad, sobolev_norm
-from .stepping import EpsState, LimitState
+from .stepping import EpsBatch, EpsState, LimitState
 
 __all__ = [
     "ErrorFields",
@@ -34,6 +34,7 @@ __all__ = [
     "default_perturbation_shapes",
     "error_fields",
     "error_squares",
+    "batch_error_squares",
     "energy",
     "well_prepared_init",
     "hypothesis_deviation",
@@ -181,6 +182,41 @@ def error_squares(err: ErrorFields, s: int) -> tuple[float, float]:
     )
     rad_sq = sobolev_norm(err.I0, s) ** 2 + sobolev_norm(err.I1, s) ** 2
     return fluid_sq, rad_sq
+
+
+def batch_error_squares(batch: EpsBatch, limit_state: LimitState, indices) -> np.ndarray:
+    """error_squares of every member of a batch, at every index in indices.
+
+    Returns an array of shape (len(indices), 2, E): the squared H^s norms
+    of the fluid and of the radiation differences. The limit references
+    are computed once for all members, and the stacked (2n+3, E, *shape)
+    differences take one forward transform; the norms sum the half
+    spectrum with Hermitian weights, as ``sobolev_norm`` does.
+
+    Raises:
+        TimeMismatch: if the batch and the limit state differ in time by
+            more than 1e-12.
+    """
+    grid = batch.grid
+    if abs(batch.time - limit_state.time) > 1e-12:
+        raise TimeMismatch(f"state times differ: {batch.time!r} vs {limit_state.time!r}")
+    limit_rad = grid.inverse(limit_spectrum(grid, limit_state.fluid.theta.values))
+    diff = np.concatenate([batch.fluid, grid.inverse(batch.rad)])
+    diff -= np.concatenate([limit_state.fluid.stacked, limit_rad])[:, None]
+    spec = grid.forward(diff)
+    del diff
+    power = np.square(spec.real)
+    power += np.square(spec.imag)
+    del spec
+    power = power.reshape(*power.shape[:2], -1)  # (field, member, mode)
+    n_fluid = grid.n_dims + 2
+    out = np.empty((len(indices), 2, len(batch.eps)))
+    for i, s in enumerate(indices):
+        weight = grid.half_multiplicity * (1.0 + grid.half_k_squared) ** s
+        per_field = power @ weight.ravel() * grid.volume
+        out[i, 0] = per_field[:n_fluid].sum(axis=0)
+        out[i, 1] = per_field[n_fluid:].sum(axis=0)
+    return out
 
 
 def energy(err: ErrorFields, s: int, eps: float) -> EnergyRecord:

@@ -1,13 +1,15 @@
 """Command-line entry point.
 
 Usage:
-    radhydro <mode> --config PATH [--out DIR] [--threads N] [--strict | --no-strict]
+    radhydro <mode> --config PATH [--out DIR] [--strict | --no-strict]
 
 where <mode> is one of simulate-eps, simulate-limit, convergence-study,
 closure-check. The RADHYDRO_OUT environment variable, when set,
 overrides --out. With --strict (the default) the process exits nonzero
 when any configured acceptance bound fails; --no-strict always exits 0
-for completed runs but still reports the misses.
+for completed runs but still reports the misses. --threads N is still
+accepted but ignored (with a note on stderr): the members of an eps
+sweep advance in lockstep in one thread.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(mode, help=f"run a {mode} job")
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
+        p.add_argument("--threads", type=int, default=None, help="ignored (deprecated)")
         p.add_argument(
             "--strict",
             action=argparse.BooleanOptionalAction,
@@ -49,9 +51,14 @@ def main(argv=None) -> int:
         print(f"radhydro: {exc}", file=sys.stderr)
         return 2
 
+    if args.threads is not None:
+        print(
+            "radhydro: note: --threads is ignored; eps sweeps run in lockstep",
+            file=sys.stderr,
+        )
     out_dir = os.environ.get("RADHYDRO_OUT") or args.out
     try:
-        summary = run(config, out_dir=out_dir, threads=max(1, args.threads))
+        summary = run(config, out_dir=out_dir)
     except RadHydroError as exc:
         print(f"radhydro: run failed: {exc}", file=sys.stderr)
         return 3

@@ -26,6 +26,12 @@ MODES = ("simulate-eps", "simulate-limit", "convergence-study", "closure-check")
 
 DEFAULT_EPS_SWEEP = (0.1, 0.05, 0.025, 0.0125)
 
+# Work budget checked at parse time, so that no accepted config asks for
+# an effectively endless run: output samples (t_end / output_interval)
+# and capped time steps (t_end / dt_max).
+MAX_SAMPLES = 1e6
+MAX_STEPS = 1e7
+
 DEFAULT_BOUNDS = {
     "fluid_slope": [0.9, 1.3],
     "radiation_slope": [0.45, 1.3],
@@ -332,6 +338,12 @@ def parse_config(raw: dict, mode: str | None = None) -> RunConfig:
     dt_max = _number(raw, "dt_max", None, "", positive=True)
     if dt_max is None:
         dt_max = output_interval / 10.0
+    for name, step, budget, unit in (
+        ("output_interval", output_interval, MAX_SAMPLES, "output samples"),
+        ("dt_max", dt_max, MAX_STEPS, "time steps"),
+    ):
+        if t_end / step > budget:
+            _fail(name, f"t_end/{name} = {t_end / step:.3g} {unit} exceeds the budget of {budget:g}")
     cfl_advective = _number(raw, "cfl_advective", 0.4, "", positive=True)
     cfl_diffusive = _number(raw, "cfl_diffusive", 0.4, "", positive=True)
     for name, value in (("cfl_advective", cfl_advective), ("cfl_diffusive", cfl_diffusive)):

@@ -5,15 +5,46 @@ class RadHydroError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NonPositiveState(RadHydroError):
-    """Density or temperature fell to (or below) the positivity floor."""
+class SolverFailure(RadHydroError):
+    """A numerical failure during time integration.
+
+    When the solver raises it, it names where: ``eps`` of the failing
+    sweep member (None for the limit system), ``time`` (None when the
+    caller did not say) and ``field`` ("rho", "u", "theta", "I0" or
+    "I1").
+    """
+
+    def __init__(self, message: str, *, eps=None, time=None, field=None):
+        super().__init__(message)
+        self.eps = eps
+        self.time = time
+        self.field = field
+
+
+def located(eps, time) -> str:
+    """'eps = ..., t = ...' (or 'limit system') for a failure message."""
+    where = "limit system" if eps is None else f"eps = {eps:g}"
+    return where if time is None else f"{where}, t = {time:.6g}"
+
+
+class NonPositiveState(SolverFailure):
+    """Density or temperature fell to (or below) the positivity floor.
+
+    ``minimum`` is the field's smallest value and ``margin`` its distance
+    above the floor (negative: how far below it).
+    """
+
+    def __init__(self, message: str, *, minimum=None, floor=None, **where):
+        super().__init__(message, **where)
+        self.minimum = minimum
+        self.margin = None if minimum is None else minimum - floor
 
 
 class PositivityLost(NonPositiveState):
     """Constructed initial data violated positivity of rho or theta."""
 
 
-class BlowUp(RadHydroError):
+class BlowUp(SolverFailure):
     """Non-finite values detected during time integration."""
 
 

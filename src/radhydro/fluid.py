@@ -13,10 +13,12 @@ relevant solution regime stays near a positive background, so an
 approach to vacuum signals a broken run rather than physics.
 
 The right-hand sides are one array kernel over the stacked state
-(rho, u_1..u_n, theta) and half-spectrum transforms batched over fields
-(see ``radhydro.spectral``); every product and quotient is dealiased by
-the 2/3 rule. ``strain``, ``viscous_stress`` and ``dissipation`` give the
-same quantities as fields, for analysis and tests.
+(rho, u_1..u_n, theta) of E members at once, shape (n+2, E, *shape), and
+half-spectrum transforms batched over fields and members (see
+``radhydro.spectral``); every product and quotient is dealiased by the
+2/3 rule. The public right-hand sides are its E = 1 calls. ``strain``,
+``viscous_stress`` and ``dissipation`` give the same quantities as
+fields, for analysis and tests.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NonPositiveState
+from .errors import NonPositiveState, located
 from .radiation import RadiationMoments
 from .spectral import (
     Grid,
@@ -114,13 +116,32 @@ class FluidState:
         return y
 
 
-def require_positive(state: FluidState) -> None:
-    """Hard positivity guard on rho and theta."""
-    rho_min = state.rho.min_value
-    theta_min = state.theta.min_value
-    if rho_min < POSITIVITY_FLOOR or theta_min < POSITIVITY_FLOOR:
+def require_positive(y: np.ndarray, eps=None, time=None) -> None:
+    """Hard positivity guard on rho and theta of a (n+2, E, *shape) stack.
+
+    eps holds the E members' eps values (None for the limit system).
+    Raises NonPositiveState naming the first failing member, the time
+    when known, the field and its minimum. NaN compares false and is
+    left to the finiteness check.
+    """
+    if y[0].min() >= POSITIVITY_FLOOR and y[-1].min() >= POSITIVITY_FLOOR:
+        return
+    spatial = tuple(range(1, y.ndim - 1))
+    lows = np.stack([y[0].min(axis=spatial), y[-1].min(axis=spatial)])
+    failing = np.flatnonzero((lows < POSITIVITY_FLOOR).any(axis=0))
+    if failing.size:
+        e = failing[0]
+        row = 0 if lows[0, e] < POSITIVITY_FLOOR else 1
+        field, low = ("rho", "theta")[row], float(lows[row, e])
+        member = None if eps is None else float(eps[e])
         raise NonPositiveState(
-            f"positivity lost: min rho = {rho_min:.3e}, min theta = {theta_min:.3e}"
+            f"positivity lost ({located(member, time)}): min {field} = {low:.3e}"
+            f" is below the floor {POSITIVITY_FLOOR:g}",
+            eps=member,
+            time=time,
+            field=field,
+            minimum=low,
+            floor=POSITIVITY_FLOOR,
         )
 
 
@@ -172,49 +193,56 @@ def dissipation(u: VectorField, p: FluidParams) -> SpectralField:
 
 
 def _rhs_common(
-    f: FluidState,
+    grid: Grid,
+    y: np.ndarray,
     p: FluidParams,
-    rad: RadiationMoments | None = None,
-    eps: float = 0.0,
-    q0: VectorField | None = None,
+    rad: np.ndarray | None = None,
+    eps: np.ndarray | None = None,
+    q0: np.ndarray | None = None,
+    q0_hat: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Tendencies of (rho, u, theta) as one (n+2, *shape) array.
+    """Tendencies of E stacked states, as one (n+2, E, *shape) array.
 
-    The eps coupling passes rad (momentum source eps*I1, heat source
-    I0 - theta^4); the limit coupling passes q0 (heat source -div q0).
+    y is (n+2, E, *shape): the field axis first, then the member axis,
+    then space; every transform below batches fields and members. The
+    eps coupling passes rad, the (1+n, E, *shape) values of (I0, I1), and
+    eps, an (E, 1, ...) array (momentum source eps*I1, heat source
+    I0 - theta^4). The limit coupling passes the flux as values q0 or as
+    its half spectrum q0_hat, (n, E, ...) either way (heat source
+    -div q0). The caller checks positivity.
 
-    Six batched half-spectrum transforms, each over a stack of fields:
-    (1) spectra of u, theta (and q0); (2) grad u and grad theta; (3) the
-    products rho*u, rho*theta, the dissipation (and theta^4), dealiased
-    together; (4) the numerators div Psi(u) - grad(rho theta) and
-    kappa*Lap theta + dissipation (- theta^4 or - div q0), each summed in
-    Fourier space; (5) the quotients by rho minus the advection terms,
-    dealiased together; (6) the tendencies. Dealiasing is linear, so
-    dealiasing a sum equals summing the dealiased terms.
+    Six batched half-spectrum transforms: (1) spectra of u, theta (and
+    q0 values); (2) grad u and grad theta; (3) the products rho*u,
+    rho*theta, the dissipation (and theta^4), dealiased together; (4) the
+    numerators div Psi(u) - grad(rho theta) and kappa*Lap theta +
+    dissipation (- theta^4 or - div q0), each summed in Fourier space;
+    (5) the quotients by rho minus the advection terms, dealiased
+    together; (6) the tendencies. Dealiasing is linear, so dealiasing a
+    sum equals summing the dealiased terms.
     """
-    require_positive(f)
-    grid = f.grid
     n = grid.n_dims
     p.validate_for(n)
-    ik, k_sq, mask = grid.half_ik, grid.half_k_squared, grid.half_dealias_mask
-    half = grid.half_shape
-    y = f.stacked
+    ik = grid.half_ik[:, None]  # (n, 1, *half): broadcasts over members
+    k_sq, mask = grid.half_k_squared, grid.half_dealias_mask
+    members = y.shape[1]
+    half = (members, *grid.half_shape)
     rho, u, theta = y[0], y[1:-1], y[-1]
 
-    first = y[1:] if q0 is None else np.concatenate([y[1:], np.stack([c.values for c in q0])])
-    spec = grid.forward(first)
+    spec = grid.forward(y[1:] if q0 is None else np.concatenate([y[1:], q0]))
     u_hat, theta_hat = spec[:n], spec[n]
+    if q0 is not None:
+        q0_hat = spec[n + 1 :]
 
     grads = np.empty((n * n + n, *half), dtype=complex)
-    np.multiply(ik, u_hat[:, None], out=grads[: n * n].reshape(n, n, *half))
+    np.multiply(ik[None], u_hat[:, None], out=grads[: n * n].reshape(n, n, *half))
     np.multiply(ik, theta_hat, out=grads[n * n :])
     grads = grid.inverse(grads)
-    grad_u = grads[: n * n].reshape(n, n, *grid.shape)  # [i, j] = d_j u_i
+    grad_u = grads[: n * n].reshape(n, n, *rho.shape)  # [i, j] = d_j u_i
     grad_theta = grads[n * n :]
 
     div_u = np.trace(grad_u)
     strain = (grad_u + grad_u.swapaxes(0, 1)) * 0.5
-    products = np.empty((n + 2 + (rad is not None), *grid.shape))
+    products = np.empty((n + 2 + (rad is not None), *rho.shape))
     np.multiply(rho, u, out=products[:n])
     np.multiply(rho, theta, out=products[n])
     shear_heating = np.sum(strain * strain, axis=(0, 1)) * (2.0 * p.mu)
@@ -232,11 +260,11 @@ def _rhs_common(
     if rad is not None:
         numer[n] -= prod_hat[n + 2]
     else:
-        numer[n] -= np.sum(ik * spec[n + 1 :], axis=0)
+        numer[n] -= np.sum(ik * q0_hat, axis=0)
     numer = grid.inverse(numer)
     if rad is not None:
-        numer[:n] += np.stack([c.values for c in rad.I1]) * eps
-        numer[n] += rad.I0.values
+        numer[:n] += rad[1:] * eps
+        numer[n] += rad[0]
 
     quotients = numer / rho
     quotients[:n] -= np.sum(u * grad_u, axis=1)
@@ -250,8 +278,15 @@ def _rhs_common(
 
 
 def _tendency_fields(grid: Grid, tend: np.ndarray):
-    rows = unstack(grid, tend)
+    rows = unstack(grid, tend[:, 0])
     return rows[0], VectorField(rows[1:-1]), rows[-1]
+
+
+def _one_member(f: FluidState) -> np.ndarray:
+    """The state as a (n+2, 1, *shape) stack, positivity checked."""
+    y = f.stacked[:, None]
+    require_positive(y)
+    return y
 
 
 def fluid_rhs_eps(
@@ -270,7 +305,11 @@ def fluid_rhs_eps(
         raise ValueError(f"eps must be positive, got {eps}")
     if rad.grid != f.grid:
         raise ValueError("radiation and fluid grids differ")
-    return _tendency_fields(f.grid, _rhs_common(f, p, rad=rad, eps=eps))
+    grid = f.grid
+    moments = np.stack([rad.I0.values, *(c.values for c in rad.I1)])[:, None]
+    eps_member = np.full((1,) * (grid.n_dims + 1), float(eps))
+    tend = _rhs_common(grid, _one_member(f), p, rad=moments, eps=eps_member)
+    return _tendency_fields(grid, tend)
 
 
 def fluid_rhs_limit(
@@ -279,8 +318,17 @@ def fluid_rhs_limit(
     """Fluid tendencies of the limit system.
 
     Identical to the finite-eps form except the radiation coupling: no
-    momentum source, and the temperature source is -div q0.
+    momentum source, and the temperature source is -div q0. A flux whose
+    components carry their half spectrum (as ``limit_q`` returns it) is
+    not transformed again.
     """
     if q0.grid != f.grid:
         raise ValueError("flux and fluid grids differ")
-    return _tendency_fields(f.grid, _rhs_common(f, p, q0=q0))
+    grid = f.grid
+    y = _one_member(f)
+    halves = [c._half for c in q0]
+    if any(h is None for h in halves):
+        tend = _rhs_common(grid, y, p, q0=np.stack([c.values for c in q0])[:, None])
+    else:
+        tend = _rhs_common(grid, y, p, q0_hat=np.stack(halves)[:, None])
+    return _tendency_fields(grid, tend)

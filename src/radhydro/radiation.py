@@ -35,6 +35,8 @@ from .spectral import (
 __all__ = [
     "RadiationMoments",
     "emission",
+    "emission_spectrum",
+    "limit_spectrum",
     "radiation_rhs",
     "limit_I0",
     "limit_q",
@@ -56,9 +58,6 @@ class RadiationMoments:
     @property
     def grid(self) -> Grid:
         return self.I0.grid
-
-    def is_finite(self) -> bool:
-        return self.I0.is_finite() and self.I1.is_finite()
 
     @classmethod
     def from_half_spectrum(cls, grid: Grid, coeffs: np.ndarray) -> "RadiationMoments":
@@ -111,13 +110,36 @@ def limit_I0(theta: SpectralField) -> SpectralField:
     return helmholtz_inverse(emission(theta))
 
 
+def emission_spectrum(grid: Grid, theta: np.ndarray) -> np.ndarray:
+    """Dealiased half spectrum of theta^4 for a stack of temperatures.
+
+    theta has shape (..., *grid.shape); the result (..., *half_shape).
+    """
+    source = grid.forward(theta**4)
+    source *= grid.half_dealias_mask
+    return source
+
+
+def limit_spectrum(grid: Grid, theta: np.ndarray) -> np.ndarray:
+    """Half spectrum of the limit pair (I0, q) of one temperature field.
+
+    I0 = (I - Laplacian)^(-1) theta^4 (dealiased) and q = -grad I0, as
+    a (1+n, *half_shape) stack.
+    """
+    i0 = emission_spectrum(grid, theta) * grid.half_helmholtz
+    return np.concatenate([i0[None], -grid.half_ik * i0])
+
+
 def limit_q(theta: SpectralField) -> VectorField:
     """Limit radiative flux, -grad of the equilibrium intensity.
 
     Equivalently -grad (I - Laplacian)^(-1) theta^4; a gradient field, so
-    it is curl-free by construction.
+    it is curl-free by construction. One forward and one inverse
+    half-spectrum transform; the components keep their half spectrum.
     """
-    return -grad(limit_I0(theta))
+    grid = theta.grid
+    q_hat = limit_spectrum(grid, theta.values)[1:]
+    return VectorField(unstack(grid, grid.inverse(q_hat), half=q_hat))
 
 
 def limit_closure_residual(theta: SpectralField, q: VectorField) -> float:

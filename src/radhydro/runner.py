@@ -2,7 +2,10 @@
 
 One process drives one of four run kinds: a single finite-eps
 simulation, a single limit simulation, an eps-sweep convergence study,
-or a kinetic closure check. Time series go to CSV (one column per
+or a kinetic closure check. The members of a sweep advance in lockstep
+as one ``EpsBatch`` with the smallest stable dt of any member; at each
+output time their error rows come from one batched transform, and the
+states are not kept. Time series go to CSV (one column per
 tracked quantity, 17 significant digits), run summaries to JSON with
 sorted keys. Identical configurations produce byte-identical files;
 wall time is therefore reported on the console only, never written to
@@ -16,15 +19,13 @@ import json
 import math
 import os
 import time as _time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import (
     EnergyRecord,
-    error_fields,
-    error_squares,
+    batch_error_squares,
     fit_rate,
     gamma_bound_check,
     hypothesis_deviation,
@@ -35,7 +36,7 @@ from .errors import DegenerateFit, TimeMismatch
 from .kinetic import KineticField, make_ordinates, moment_system_check, p1_projection_residual
 from .radiation import RadiationMoments, limit_I0, limit_closure_residual, limit_q
 from .spectral import grad, sobolev_norm
-from .stepping import StepControl, cfl_dt, step_eps, step_limit
+from .stepping import EpsBatch, StepControl, cfl_dt, step_batch, step_eps, step_limit
 
 __all__ = ["RunSummary", "run", "emit_series", "emit_summary"]
 
@@ -91,45 +92,52 @@ def _sample_times(t_end: float, interval: float) -> list[float]:
     return times
 
 
-def _advance(state, stepper, params, config: RunConfig, t_target: float, eps=None):
-    """March to t_target landing exactly, obeying the CFL bounds."""
-    while t_target - state.time > _LAND_TOL:
-        control = StepControl(
-            t_end=t_target,
-            dt=config.dt_max,
-            cfl_advective=config.cfl_advective,
-            cfl_diffusive=config.cfl_diffusive,
-        )
-        dt_stable = cfl_dt(state, params, control, eps)
-        remaining = t_target - state.time
-        n_sub = max(1, math.ceil(remaining / dt_stable - 1e-9))
-        state = stepper(state, remaining / n_sub)
-    if abs(state.time - t_target) >= 1e-9:
-        run_name = "limit run" if eps is None else f"eps = {eps:g}"
-        raise TimeMismatch(
-            f"{run_name}: stepping to t = {t_target!r} reached t = {state.time!r}"
-        )
-    return dataclasses.replace(state, time=t_target)
+def _sampled(state, stepper, params, config: RunConfig, name: str):
+    """The states at every output time, including t = 0, one at a time.
+
+    Between output times the run steps with the largest dt the CFL
+    bounds allow, spread evenly so that it lands on the output time.
+    """
+    yield state
+    for t_target in _sample_times(config.t_end, config.output_interval)[1:]:
+        while t_target - state.time > _LAND_TOL:
+            control = StepControl(
+                t_end=t_target,
+                dt=config.dt_max,
+                cfl_advective=config.cfl_advective,
+                cfl_diffusive=config.cfl_diffusive,
+            )
+            dt_stable = cfl_dt(state, params, control)
+            remaining = t_target - state.time
+            n_sub = max(1, math.ceil(remaining / dt_stable - 1e-9))
+            state = stepper(state, remaining / n_sub)
+        if abs(state.time - t_target) >= 1e-9:
+            raise TimeMismatch(
+                f"{name}: stepping to t = {t_target!r} reached t = {state.time!r}"
+            )
+        state = dataclasses.replace(state, time=t_target)
+        yield state
 
 
-def _integrate_sampled(initial, stepper, params, config: RunConfig, eps=None):
-    """States at every output time, including t = 0."""
-    times = _sample_times(config.t_end, config.output_interval)
-    states = [initial]
-    state = initial
-    for t in times[1:]:
-        state = _advance(state, stepper, params, config, t, eps)
-        states.append(state)
-    return states
+def _mass(rho: np.ndarray, grid) -> np.ndarray:
+    """Total mass; rho is one field or a (E, *shape) stack of members."""
+    return rho.mean(axis=grid.axes) * grid.volume
 
 
-def _mass(state) -> float:
-    return state.fluid.rho.mean * state.grid.volume
+def _relative_drift(masses):
+    m = np.asarray(masses)
+    return np.abs(m - m[0]).max(axis=0) / np.abs(m[0])
 
 
-def _relative_drift(states) -> float:
-    start = _mass(states[0])
-    return max(abs(_mass(s) - start) for s in states) / abs(start)
+def _limit_run(base, config: RunConfig):
+    """States of the limit run from base at every output time."""
+    params = config.params
+    stepper = lambda st, dt: step_limit(st, params, dt)
+    return list(_sampled(base, stepper, params, config, "limit run"))
+
+
+def _limit_drift(states) -> float:
+    return float(_relative_drift([_mass(s.fluid.rho.values, s.grid) for s in states]))
 
 
 def _state_norm_header(config: RunConfig, with_radiation: bool, extra=()) -> list[str]:
@@ -181,28 +189,45 @@ def _error_header(config: RunConfig) -> list[str]:
     return header + ["fluid_energy", "full_energy", "gamma"]
 
 
-def _error_rows(eps_states, limit_states, config: RunConfig, eps: float):
-    """Error-norm rows plus the per-family sup-in-time and energy records."""
-    s_acc = config.acceptance_index
-    rows = []
-    records = []
-    sup = {f"fluid_s{s}": 0.0 for s in config.sobolev_indices}
-    sup.update({f"radiation_s{s}": 0.0 for s in config.sobolev_indices})
-    for es, ls in zip(eps_states, limit_states):
-        err = error_fields(es, ls)
-        row = [err.time]
-        for s in config.sobolev_indices:
-            squares = error_squares(err, s)
-            if s == s_acc:
-                acc_squares = squares
-            fluid, rad = (math.sqrt(v) for v in squares)
-            sup[f"fluid_s{s}"] = max(sup[f"fluid_s{s}"], fluid)
-            sup[f"radiation_s{s}"] = max(sup[f"radiation_s{s}"], rad)
-            row += [fluid, rad]
-        record = EnergyRecord.from_squares(err.time, *acc_squares, eps)
-        records.append(record)
-        rows.append(row + [record.fluid_energy, record.full_energy, record.gamma])
-    return rows, records, sup
+def _error_series(eps_values, batches, limit_states, config: RunConfig) -> list[dict]:
+    """Error rows, sup norms, energy records and mass drift per member.
+
+    batches yields an EpsBatch of the members eps_values at every output
+    time, in step with limit_states; the batches are not kept.
+    """
+    indices = config.sobolev_indices
+    acc = indices.index(config.acceptance_index)
+    rows = [[] for _ in eps_values]
+    records = [[] for _ in eps_values]
+    masses, sup = [], 0.0
+    for b, ls in zip(batches, limit_states):
+        squares = batch_error_squares(b, ls, indices)  # (index, fluid/rad, member)
+        norms = np.sqrt(squares)
+        sup = np.maximum(sup, norms)
+        masses.append(_mass(b.fluid[0], b.grid))
+        for e, eps in enumerate(eps_values):
+            record = EnergyRecord.from_squares(b.time, *squares[acc, :, e].tolist(), eps)
+            records[e].append(record)
+            rows[e].append(
+                [b.time, *norms[:, :, e].ravel(), record.fluid_energy, record.full_energy, record.gamma]
+            )
+        del b  # the next batch is computed while this one would still be held
+    drift = _relative_drift(masses)
+    families = ("fluid", "radiation")
+    return [
+        {
+            "eps": eps,
+            "rows": rows[e],
+            "records": records[e],
+            "sup": {
+                f"{family}_s{s}": float(sup[i, f, e])
+                for i, s in enumerate(indices)
+                for f, family in enumerate(families)
+            },
+            "mass_drift": float(drift[e]),
+        }
+        for e, eps in enumerate(eps_values)
+    ]
 
 
 def _spread(values) -> float:
@@ -238,15 +263,13 @@ def _eps_tag(eps: float) -> str:
     return format(eps, "g")
 
 
-def _run_convergence(config: RunConfig, out_dir: str, threads: int):
+def _run_convergence(config: RunConfig, out_dir: str):
     params = config.params
     base = build_limit_initial(config)
     shapes = build_shapes(config)
     s_acc = config.acceptance_index
 
-    limit_states = _integrate_sampled(
-        base, lambda st, dt: step_limit(st, params, dt), params, config
-    )
+    limit_states = _limit_run(base, config)
     limit_rows, closure_residuals = _limit_rows(limit_states, config)
     emit_series(
         os.path.join(out_dir, "limit_series.csv"),
@@ -254,41 +277,28 @@ def _run_convergence(config: RunConfig, out_dir: str, threads: int):
         limit_rows,
     )
 
-    def one_eps(eps: float):
-        eps_init, _ = well_prepared_init(base, eps, config.perturbation_amp, shapes)
-        lhs = hypothesis_deviation(eps_init, base, s_acc, eps)
-        eps_states = _integrate_sampled(
-            eps_init,
-            lambda st, dt: step_eps(st, params, eps, dt),
-            params,
-            config,
-            eps=eps,
-        )
-        rows, records, sup = _error_rows(eps_states, limit_states, config, eps)
-        gamma_worst, gamma_pass = gamma_bound_check(
-            records, eps, config.bounds["gamma_limit"]
-        )
-        return {
-            "eps": eps,
-            "rows": rows,
-            "sup": sup,
-            "hypothesis_lhs_over_eps": lhs / eps,
-            "gamma_over_eps2": gamma_worst,
-            "gamma_pass": gamma_pass,
-            "mass_drift": _relative_drift(eps_states),
-        }
-
-    sweep = list(config.eps_list)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_eps, sweep))
-    else:
-        results = [one_eps(eps) for eps in sweep]
-    results.sort(key=lambda r: -r["eps"])
-
-    for r in results:
+    # All members advance in lockstep with the smallest stable dt of any
+    # member: the exact radiation substep makes the bound eps-independent.
+    sweep = config.eps_list  # strictly decreasing
+    inits = [well_prepared_init(base, eps, config.perturbation_amp, shapes)[0] for eps in sweep]
+    lhs = [hypothesis_deviation(s, base, s_acc, eps) / eps for s, eps in zip(inits, sweep)]
+    batches = _sampled(
+        EpsBatch.from_states(inits, sweep),
+        lambda b, dt: step_batch(b, params, dt),
+        params,
+        config,
+        "eps sweep",
+    )
+    del inits
+    results = _error_series(sweep, batches, limit_states, config)
+    for r, lhs_over_eps in zip(results, lhs):
+        eps = r["eps"]
+        r["hypothesis_lhs_over_eps"] = lhs_over_eps
+        r["gamma_over_eps2"] = gamma_bound_check(
+            r["records"], eps, config.bounds["gamma_limit"]
+        )[0]
         emit_series(
-            os.path.join(out_dir, f"errors_eps_{_eps_tag(r['eps'])}.csv"),
+            os.path.join(out_dir, f"errors_eps_{_eps_tag(eps)}.csv"),
             _error_header(config),
             r["rows"],
         )
@@ -325,7 +335,7 @@ def _run_convergence(config: RunConfig, out_dir: str, threads: int):
     }
     conservation = {
         "per_eps": {_eps_tag(r["eps"]): r["mass_drift"] for r in results},
-        "limit_run": _relative_drift(limit_states),
+        "limit_run": _limit_drift(limit_states),
     }
 
     b = config.bounds
@@ -371,11 +381,15 @@ def _run_simulate_eps(config: RunConfig, out_dir: str):
     shapes = build_shapes(config)
     eps_init, _ = well_prepared_init(base, eps, config.perturbation_amp, shapes)
 
-    limit_states = _integrate_sampled(
-        base, lambda st, dt: step_limit(st, params, dt), params, config
-    )
-    eps_states = _integrate_sampled(
-        eps_init, lambda st, dt: step_eps(st, params, eps, dt), params, config, eps=eps
+    limit_states = _limit_run(base, config)
+    eps_states = list(
+        _sampled(
+            eps_init,
+            lambda st, dt: step_eps(st, params, eps, dt),
+            params,
+            config,
+            f"eps = {eps:g}",
+        )
     )
 
     emit_series(
@@ -383,11 +397,12 @@ def _run_simulate_eps(config: RunConfig, out_dir: str):
         _state_norm_header(config, with_radiation=True),
         _eps_state_rows(eps_states, config),
     )
-    rows, records, sup = _error_rows(eps_states, limit_states, config, eps)
-    emit_series(os.path.join(out_dir, "errors_series.csv"), _error_header(config), rows)
+    batches = (EpsBatch.from_states([s], (eps,)) for s in eps_states)
+    (series,) = _error_series((eps,), batches, limit_states, config)
+    emit_series(os.path.join(out_dir, "errors_series.csv"), _error_header(config), series["rows"])
 
-    gamma_worst, gamma_pass = gamma_bound_check(records, eps, config.bounds["gamma_limit"])
-    drift = _relative_drift(eps_states)
+    gamma_worst, _ = gamma_bound_check(series["records"], eps, config.bounds["gamma_limit"])
+    drift = series["mass_drift"]
     gamma = {"per_eps": {_eps_tag(eps): gamma_worst}, "limit": config.bounds["gamma_limit"]}
     conservation = {"per_eps": {_eps_tag(eps): drift}}
     bounds_report = [
@@ -398,18 +413,14 @@ def _run_simulate_eps(config: RunConfig, out_dir: str):
 
 
 def _run_simulate_limit(config: RunConfig, out_dir: str):
-    params = config.params
-    base = build_limit_initial(config)
-    states = _integrate_sampled(
-        base, lambda st, dt: step_limit(st, params, dt), params, config
-    )
+    states = _limit_run(build_limit_initial(config), config)
     rows, residuals = _limit_rows(states, config)
     emit_series(
         os.path.join(out_dir, "limit_series.csv"),
         _state_norm_header(config, with_radiation=False, extra=("closure_residual",)),
         rows,
     )
-    drift = _relative_drift(states)
+    drift = _limit_drift(states)
     conservation = {"limit_run": drift}
     bounds_report = [
         _bound("closure_residual", max(residuals), [0.0, config.bounds["closure_residual_max"]]),
@@ -463,14 +474,15 @@ def run(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> RunS
     """Execute a run and write its outputs under out_dir.
 
     Returns the summary; the caller decides how exit_status maps to a
-    process exit code (strict mode).
+    process exit code (strict mode). threads is accepted and ignored:
+    the members of an eps sweep advance in lockstep in one thread.
     """
     out_dir = out_dir if out_dir is not None else config.out_dir
     os.makedirs(out_dir, exist_ok=True)
     started = _time.perf_counter()
 
     if config.mode == "convergence-study":
-        parts = _run_convergence(config, out_dir, threads)
+        parts = _run_convergence(config, out_dir)
     elif config.mode == "simulate-eps":
         parts = _run_simulate_eps(config, out_dir)
     elif config.mode == "simulate-limit":

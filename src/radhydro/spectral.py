@@ -222,14 +222,21 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def unstack(grid: Grid, stack: np.ndarray) -> list["SpectralField"]:
+def unstack(grid: Grid, stack: np.ndarray, half=None) -> list["SpectralField"]:
     """Fields viewing the rows of a (m, *grid.shape) array, without a copy.
 
     The array is marked read-only; the caller hands it over and must not
-    write to it through another reference afterwards.
+    write to it through another reference afterwards. ``half``, when
+    given, is the (m, *grid.half_shape) rfftn spectrum of the rows; the
+    fields keep it as their ``half_coefficients``.
     """
     _read_only(stack)
-    return [SpectralField(grid, values=row) for row in stack]
+    fields = [SpectralField(grid, values=row) for row in stack]
+    if half is not None:
+        _read_only(half)
+        for f, coeffs in zip(fields, half):
+            f._half = coeffs
+    return fields
 
 
 class SpectralField:
@@ -303,10 +310,6 @@ class SpectralField:
     @property
     def min_value(self) -> float:
         return float(self.values.min())
-
-    @property
-    def max_value(self) -> float:
-        return float(self.values.max())
 
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.values)))
@@ -427,11 +430,6 @@ class VectorField:
         for a, b in zip(self.components[1:], other.components[1:]):
             out = out + a * b
         return out
-
-    def max_magnitude(self) -> float:
-        """Largest pointwise Euclidean norm over the grid."""
-        sq = sum(c.values**2 for c in self.components)
-        return float(np.sqrt(sq.max()))
 
     def is_finite(self) -> bool:
         return all(c.is_finite() for c in self.components)

@@ -178,3 +178,17 @@ class TestNonFiniteNumbers:
         path.write_text('{"mode": "simulate-limit", "t_end": Infinity}', encoding="utf-8")
         with pytest.raises(ValidationError, match="finite"):
             load_config(path)
+
+
+class TestWorkBudget:
+    def test_sample_count_rejected_and_named(self):
+        with pytest.raises(ValidationError, match=r"output_interval.*5e\+299 output samples"):
+            parse_config({"mode": "simulate-limit", "output_interval": 1e-300})
+
+    def test_step_count_rejected_and_named(self):
+        with pytest.raises(ValidationError, match=r"dt_max.*1e\+08 time steps"):
+            parse_config({"mode": "simulate-limit", "t_end": 1.0, "dt_max": 1e-8})
+
+    def test_large_but_bounded_run_accepted(self):
+        cfg = parse_config({"mode": "simulate-limit", "t_end": 1.0, "output_interval": 2e-6})
+        assert cfg.t_end / cfg.dt_max == pytest.approx(5e6)

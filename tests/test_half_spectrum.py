@@ -24,7 +24,7 @@ from radhydro.spectral import (
     laplacian,
     sobolev_norm,
 )
-from radhydro.stepping import EpsState, step_eps
+from radhydro.stepping import EpsBatch, EpsState, LimitState, step_batch, step_eps, step_limit
 
 from conftest import smooth_field, smooth_vector
 
@@ -240,3 +240,58 @@ class TestTransformBudget:
         fft_calls.clear()
         step_eps(s, PARAMS, 0.1, 0.01)
         assert fft_calls == Counter(rfftn=12 + 2, irfftn=12 + 2)
+
+    def test_step_limit(self, n_dims, fft_calls):
+        # Per stage: limit_q (one forward, one inverse) and a right-hand
+        # side that reads the flux spectrum limit_q keeps (3 + 3).
+        s = self._state(n_dims)
+        step_limit(LimitState(fluid=s.fluid, time=0.0), PARAMS, 0.01)
+        assert fft_calls == Counter(rfftn=16, irfftn=16)
+
+    def test_fluid_rhs_limit_reads_the_kept_flux_spectrum(self, n_dims, monkeypatch):
+        # Forward-transformed fields: (u, theta), then the n + 2 products,
+        # then the n + 1 quotients; the flux is not among them.
+        s = self._state(n_dims)
+        q0 = limit_q(s.fluid.theta)
+        fields = []
+        rfftn = np.fft.rfftn
+
+        def counted(a, *args, **kwargs):
+            fields.append(a.shape[0])
+            return rfftn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfftn", counted)
+        fluid_rhs_limit(s.fluid, q0, PARAMS)
+        assert fields == [n_dims + 1, n_dims + 2, n_dims + 1]
+
+    @pytest.mark.parametrize("members", [1, 4])
+    def test_lockstep_step(self, n_dims, members, fft_calls):
+        # Four right-hand sides over all members (6 calls each), one
+        # inverse of the half-substepped moments and one theta^4 forward
+        # transform; the theta^4 spectrum of the step before is reused.
+        eps = (0.1, 0.05, 0.025, 0.0125)[:members]
+        batch = EpsBatch.from_states([self._state(n_dims)] * members, eps)
+        batch = step_batch(batch, PARAMS, 0.01)
+        fft_calls.clear()
+        step_batch(batch, PARAMS, 0.01)
+        assert fft_calls == Counter(rfftn=12 + 1, irfftn=12 + 1)
+
+
+@pytest.mark.parametrize("n_dims,n", GRIDS)
+def test_limit_q_matches_full_spectrum_formula(n_dims, n):
+    grid = Grid(n_dims, n)
+    theta = SpectralField.constant(grid, 1.0) + _random(grid, np.random.default_rng(13)) * 0.1
+    want = -grad(helmholtz_inverse(dealias(theta**4)))
+    got = limit_q(theta)
+    for g, w in zip(got, want):
+        assert _close(g.values, w.values)
+        assert _close(g.half_coefficients, grid.forward(w.values))
+
+
+@pytest.mark.parametrize("n_dims,n", [(1, 64), (2, 32)])
+def test_limit_rhs_same_with_kept_or_fresh_flux_spectrum(n_dims, n):
+    grid = Grid(n_dims, n)
+    f = _wavy_fluid(grid, np.random.default_rng(14))
+    kept = limit_q(f.theta)
+    fresh = VectorField([SpectralField.from_values(grid, c.values) for c in kept])
+    _assert_rhs_close(fluid_rhs_limit(f, kept, PARAMS), fluid_rhs_limit(f, fresh, PARAMS))

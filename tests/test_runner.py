@@ -176,6 +176,25 @@ class TestCli:
         cfg_path.write_text('{"mode": "simulate-limit", "junk": 1}', encoding="utf-8")
         assert main(["simulate-limit", "--config", str(cfg_path)]) == 2
 
+    def test_unbounded_sample_count_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("RADHYDRO_OUT", raising=False)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"output_interval": 1e-300}', encoding="utf-8")
+        assert main(["convergence-study", "--config", str(cfg_path)]) == 2
+        assert "output_interval" in capsys.readouterr().err
+
+    def test_threads_flag_is_accepted_with_one_note(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("RADHYDRO_OUT", raising=False)
+        config = {"mode": "simulate-limit", "t_end": 0.05, "output_interval": 0.05}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        out = str(tmp_path / "out")
+        assert main(["simulate-limit", "--config", str(cfg_path), "--out", out, "--threads", "2"]) == 0
+        err = capsys.readouterr().err
+        assert err.count("--threads is ignored") == 1
+        main(["simulate-limit", "--config", str(cfg_path), "--out", out])
+        assert "--threads" not in capsys.readouterr().err
+
     def test_strict_exit_reflects_bound_miss(self, tmp_path, monkeypatch):
         monkeypatch.delenv("RADHYDRO_OUT", raising=False)
         config = {
