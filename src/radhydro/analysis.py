@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DegenerateFit, PositivityLost, TimeMismatch
 from .fluid import POSITIVITY_FLOOR, FluidState
 from .radiation import RadiationMoments, limit_I0, limit_spectrum
-from .spectral import Grid, SpectralField, VectorField, grad, sobolev_norm
+from .spectral import Grid, SpectralField, VectorField, grad, sobolev_norm, sobolev_squares
 from .stepping import EpsBatch, EpsState, LimitState
 
 __all__ = [
@@ -190,8 +190,8 @@ def batch_error_squares(batch: EpsBatch, limit_state: LimitState, indices) -> np
     Returns an array of shape (len(indices), 2, E): the squared H^s norms
     of the fluid and of the radiation differences. The limit references
     are computed once for all members, and the stacked (2n+3, E, *shape)
-    differences take one forward transform; the norms sum the half
-    spectrum with Hermitian weights, as ``sobolev_norm`` does.
+    differences take one forward transform; the norms are the
+    ``sobolev_squares`` of its half spectrum, as in ``sobolev_norm``.
 
     Raises:
         TimeMismatch: if the batch and the limit state differ in time by
@@ -205,18 +205,8 @@ def batch_error_squares(batch: EpsBatch, limit_state: LimitState, indices) -> np
     diff -= np.concatenate([limit_state.fluid.stacked, limit_rad])[:, None]
     spec = grid.forward(diff)
     del diff
-    power = np.square(spec.real)
-    power += np.square(spec.imag)
-    del spec
-    power = power.reshape(*power.shape[:2], -1)  # (field, member, mode)
-    n_fluid = grid.n_dims + 2
-    out = np.empty((len(indices), 2, len(batch.eps)))
-    for i, s in enumerate(indices):
-        weight = grid.half_multiplicity * (1.0 + grid.half_k_squared) ** s
-        per_field = power @ weight.ravel() * grid.volume
-        out[i, 0] = per_field[:n_fluid].sum(axis=0)
-        out[i, 1] = per_field[n_fluid:].sum(axis=0)
-    return out
+    per_field = sobolev_squares(grid, spec, indices)  # (index, field, member)
+    return np.add.reduceat(per_field, [0, grid.n_dims + 2], axis=1)
 
 
 def energy(err: ErrorFields, s: int, eps: float) -> EnergyRecord:

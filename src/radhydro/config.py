@@ -18,7 +18,7 @@ from .analysis import PerturbationShapes, default_perturbation_shapes
 from .errors import ParseError, ValidationError
 from .fluid import FluidParams, FluidState
 from .spectral import Grid, SpectralField, VectorField, sobolev_norm
-from .stepping import LimitState
+from .stepping import LimitState, StepControl, cfl_bounds
 
 __all__ = ["RunConfig", "load_config", "build_limit_initial", "build_shapes"]
 
@@ -28,7 +28,8 @@ DEFAULT_EPS_SWEEP = (0.1, 0.05, 0.025, 0.0125)
 
 # Work budget checked at parse time, so that no accepted config asks for
 # an effectively endless run: output samples (t_end / output_interval)
-# and capped time steps (t_end / dt_max).
+# and time steps (t_end / dt_max, and t_end over the CFL bound of the
+# initial profiles).
 MAX_SAMPLES = 1e6
 MAX_STEPS = 1e7
 
@@ -64,7 +65,6 @@ _TOP_KEYS = {
     "perturbation_shapes",
     "sobolev_indices",
     "out_dir",
-    "seed",
     "ordinates",
     "sigma_pairs",
     "bounds",
@@ -91,7 +91,6 @@ class RunConfig:
     perturbation_shapes: dict | None
     sobolev_indices: tuple[int, ...]
     out_dir: str
-    seed: int
     ordinates: int
     sigma_pairs: tuple[tuple[float, float], ...]
     bounds: dict
@@ -261,6 +260,26 @@ def _validate_bounds(raw) -> dict:
     return bounds
 
 
+def _check_cfl_steps(grid: Grid, profiles: dict, params: FluidParams, control: StepControl):
+    """Reject a run whose CFL bounds (those of ``cfl_dt``) on the initial
+    profile values imply more than MAX_STEPS time steps.
+
+    Profiles that are not positive are left to ``build_limit_initial``.
+    """
+    rows = [profiles["rho"], *profiles["u"], profiles["theta"]]
+    y = np.stack([_profile_values(grid, spec) for spec in rows])[:, None]
+    if y[0].min() <= 0.0 or y[-1].min() <= 0.0:
+        return
+    bounds = cfl_bounds(grid, y, params, control)
+    for name, field_name, dt in zip(("advective", "diffusive"), ("profiles", "fluid"), bounds):
+        if control.t_end / dt > MAX_STEPS:
+            _fail(
+                field_name,
+                f"the {name} CFL bound dt = {dt:.3g} on the initial profiles implies"
+                f" {control.t_end / dt:.3g} time steps, over the budget of {MAX_STEPS:g}",
+            )
+
+
 def parse_config(raw: dict, mode: str | None = None) -> RunConfig:
     """Validate a parsed JSON object and fill defaults.
 
@@ -351,6 +370,8 @@ def parse_config(raw: dict, mode: str | None = None) -> RunConfig:
             _fail(name, f"must lie in (0, 1], got {value}")
 
     profiles = _validate_profiles(raw.get("profiles"), n_dims)
+    control = StepControl(t_end, dt_max, cfl_advective, cfl_diffusive)
+    _check_cfl_steps(Grid(n_dims, points), profiles, params, control)
     perturbation_amp = _number(raw, "perturbation_amp", 0.0, "")
     if perturbation_amp < 0.0:
         _fail("perturbation_amp", "must be nonnegative")
@@ -373,9 +394,6 @@ def parse_config(raw: dict, mode: str | None = None) -> RunConfig:
     out_dir = raw.get("out_dir", "out")
     if not isinstance(out_dir, str):
         _fail("out_dir", "expected a string")
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        _fail("seed", "expected an integer")
 
     ordinates = raw.get("ordinates", 8)
     if not isinstance(ordinates, int) or ordinates < 4 or ordinates % 2 != 0:
@@ -411,7 +429,6 @@ def parse_config(raw: dict, mode: str | None = None) -> RunConfig:
         "perturbation_shapes": shapes,
         "sobolev_indices": list(sobolev_indices),
         "out_dir": out_dir,
-        "seed": seed,
         "ordinates": ordinates,
         "sigma_pairs": [list(p) for p in sigma_pairs],
         "bounds": bounds,
@@ -433,7 +450,6 @@ def parse_config(raw: dict, mode: str | None = None) -> RunConfig:
         perturbation_shapes=shapes,
         sobolev_indices=sobolev_indices,
         out_dir=out_dir,
-        seed=seed,
         ordinates=ordinates,
         sigma_pairs=sigma_pairs,
         bounds=bounds,

@@ -16,9 +16,12 @@ The right-hand sides are one array kernel over the stacked state
 (rho, u_1..u_n, theta) of E members at once, shape (n+2, E, *shape), and
 half-spectrum transforms batched over fields and members (see
 ``radhydro.spectral``); every product and quotient is dealiased by the
-2/3 rule. The public right-hand sides are its E = 1 calls. ``strain``,
-``viscous_stress`` and ``dissipation`` give the same quantities as
-fields, for analysis and tests.
+2/3 rule. The public right-hand sides are its E = 1 calls; the limit
+stepper calls it without a coupling argument, and the kernel then forms
+the limit flux divergence from the theta^4 row of its own product batch,
+so a limit right-hand side costs the same six transform calls as an eps
+one. ``strain``, ``viscous_stress`` and ``dissipation`` give the same
+quantities as fields, for analysis and tests.
 """
 
 from __future__ import annotations
@@ -199,7 +202,6 @@ def _rhs_common(
     rad: np.ndarray | None = None,
     eps: np.ndarray | None = None,
     q0: np.ndarray | None = None,
-    q0_hat: np.ndarray | None = None,
 ) -> np.ndarray:
     """Tendencies of E stacked states, as one (n+2, E, *shape) array.
 
@@ -207,18 +209,20 @@ def _rhs_common(
     then space; every transform below batches fields and members. The
     eps coupling passes rad, the (1+n, E, *shape) values of (I0, I1), and
     eps, an (E, 1, ...) array (momentum source eps*I1, heat source
-    I0 - theta^4). The limit coupling passes the flux as values q0 or as
-    its half spectrum q0_hat, (n, E, ...) either way (heat source
-    -div q0). The caller checks positivity.
+    I0 - theta^4). An arbitrary flux q0 passes its (n, E, *shape) values
+    (heat source -div q0). With neither, the heat source is that of the
+    limit flux q0 = -grad (I - Lap)^(-1) theta^4, formed from the
+    dealiased theta^4 spectrum: -div q0 = -|k|^2 (1 + |k|^2)^(-1) theta^4.
+    The caller checks positivity.
 
     Six batched half-spectrum transforms: (1) spectra of u, theta (and
     q0 values); (2) grad u and grad theta; (3) the products rho*u,
-    rho*theta, the dissipation (and theta^4), dealiased together; (4) the
-    numerators div Psi(u) - grad(rho theta) and kappa*Lap theta +
-    dissipation (- theta^4 or - div q0), each summed in Fourier space;
-    (5) the quotients by rho minus the advection terms, dealiased
-    together; (6) the tendencies. Dealiasing is linear, so dealiasing a
-    sum equals summing the dealiased terms.
+    rho*theta, the dissipation (and theta^4 unless q0 is given),
+    dealiased together; (4) the numerators div Psi(u) - grad(rho theta)
+    and kappa*Lap theta + dissipation + heat source, each summed in
+    Fourier space; (5) the quotients by rho minus the advection terms,
+    dealiased together; (6) the tendencies. Dealiasing is linear, so
+    dealiasing a sum equals summing the dealiased terms.
     """
     n = grid.n_dims
     p.validate_for(n)
@@ -230,8 +234,6 @@ def _rhs_common(
 
     spec = grid.forward(y[1:] if q0 is None else np.concatenate([y[1:], q0]))
     u_hat, theta_hat = spec[:n], spec[n]
-    if q0 is not None:
-        q0_hat = spec[n + 1 :]
 
     grads = np.empty((n * n + n, *half), dtype=complex)
     np.multiply(ik[None], u_hat[:, None], out=grads[: n * n].reshape(n, n, *half))
@@ -242,12 +244,12 @@ def _rhs_common(
 
     div_u = np.trace(grad_u)
     strain = (grad_u + grad_u.swapaxes(0, 1)) * 0.5
-    products = np.empty((n + 2 + (rad is not None), *rho.shape))
+    products = np.empty((n + 2 + (q0 is None), *rho.shape))
     np.multiply(rho, u, out=products[:n])
     np.multiply(rho, theta, out=products[n])
     shear_heating = np.sum(strain * strain, axis=(0, 1)) * (2.0 * p.mu)
     products[n + 1] = shear_heating + div_u * div_u * p.lam
-    if rad is not None:
+    if q0 is None:
         products[n + 2] = theta**4
     prod_hat = grid.forward(products)
     prod_hat *= mask
@@ -259,8 +261,10 @@ def _rhs_common(
     numer[n] = -p.kappa * k_sq * theta_hat + prod_hat[n + 1]
     if rad is not None:
         numer[n] -= prod_hat[n + 2]
+    elif q0 is None:
+        numer[n] -= k_sq * grid.half_helmholtz * prod_hat[n + 2]
     else:
-        numer[n] -= np.sum(ik * q0_hat, axis=0)
+        numer[n] -= np.sum(ik * spec[n + 1 :], axis=0)
     numer = grid.inverse(numer)
     if rad is not None:
         numer[:n] += rad[1:] * eps
@@ -315,20 +319,16 @@ def fluid_rhs_eps(
 def fluid_rhs_limit(
     f: FluidState, q0: VectorField, p: FluidParams
 ) -> tuple[SpectralField, VectorField, SpectralField]:
-    """Fluid tendencies of the limit system.
+    """Fluid tendencies of the limit system with a given flux q0.
 
     Identical to the finite-eps form except the radiation coupling: no
-    momentum source, and the temperature source is -div q0. A flux whose
-    components carry their half spectrum (as ``limit_q`` returns it) is
-    not transformed again.
+    momentum source, and the temperature source is -div q0. The flux
+    values are transformed with u and theta. The limit stepper forms the
+    flux of its own temperature inside the kernel instead (see
+    ``_rhs_common``).
     """
     if q0.grid != f.grid:
         raise ValueError("flux and fluid grids differ")
     grid = f.grid
-    y = _one_member(f)
-    halves = [c._half for c in q0]
-    if any(h is None for h in halves):
-        tend = _rhs_common(grid, y, p, q0=np.stack([c.values for c in q0])[:, None])
-    else:
-        tend = _rhs_common(grid, y, p, q0_hat=np.stack(halves)[:, None])
-    return _tendency_fields(grid, tend)
+    q0_values = np.stack([c.values for c in q0])[:, None]
+    return _tendency_fields(grid, _rhs_common(grid, _one_member(f), p, q0=q0_values))

@@ -131,9 +131,6 @@ class KineticField:
         vals.setflags(write=False)
         return cls(f.grid, ords, vals)
 
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.intensity)))
-
 
 def _directional_derivative(grid: Grid, slab: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """omega . grad of one ordinate slab, spectrally."""

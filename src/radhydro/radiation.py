@@ -135,11 +135,10 @@ def limit_q(theta: SpectralField) -> VectorField:
 
     Equivalently -grad (I - Laplacian)^(-1) theta^4; a gradient field, so
     it is curl-free by construction. One forward and one inverse
-    half-spectrum transform; the components keep their half spectrum.
+    half-spectrum transform.
     """
     grid = theta.grid
-    q_hat = limit_spectrum(grid, theta.values)[1:]
-    return VectorField(unstack(grid, grid.inverse(q_hat), half=q_hat))
+    return VectorField(unstack(grid, grid.inverse(limit_spectrum(grid, theta.values)[1:])))
 
 
 def limit_closure_residual(theta: SpectralField, q: VectorField) -> float:

@@ -2,14 +2,19 @@
 
 One process drives one of four run kinds: a single finite-eps
 simulation, a single limit simulation, an eps-sweep convergence study,
-or a kinetic closure check. The members of a sweep advance in lockstep
-as one ``EpsBatch`` with the smallest stable dt of any member; at each
-output time their error rows come from one batched transform, and the
-states are not kept. Time series go to CSV (one column per
-tracked quantity, 17 significant digits), run summaries to JSON with
-sorted keys. Identical configurations produce byte-identical files;
-wall time is therefore reported on the console only, never written to
-the output files.
+or a kinetic closure check. ``run`` looks the mode up in one table; each
+mode's function writes its series and returns, by name, the
+``RunSummary`` fields it fills. The eps runs are ``EpsBatch`` marches
+through one sampling loop: the members of a sweep advance in lockstep
+with the smallest stable dt of any member, a simulate-eps run is the
+one-member case, and at each output time the error rows of all members
+come from one batched transform; the eps states are not kept. One
+routine gives every state-norm row (limit and eps), from one transform
+of the stacked state. Time series go to CSV (one column per tracked
+quantity, 17 significant digits), run summaries to JSON with sorted
+keys. Identical configurations produce byte-identical files; wall time
+is therefore reported on the console only, never written to the output
+files.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import json
 import math
 import os
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,7 +40,7 @@ from .config import RunConfig, build_limit_initial, build_shapes
 from .errors import DegenerateFit, TimeMismatch
 from .kinetic import KineticField, make_ordinates, moment_system_check, p1_projection_residual
 from .radiation import RadiationMoments, limit_I0, limit_closure_residual, limit_q
-from .spectral import grad, sobolev_norm
+from .spectral import grad, sobolev_squares
 from .stepping import EpsBatch, StepControl, cfl_dt, step_batch, step_eps, step_limit
 
 __all__ = ["RunSummary", "run", "emit_series", "emit_summary"]
@@ -54,13 +59,13 @@ class RunSummary:
     mode: str
     config: dict
     wall_time_s: float
-    rate_fits: dict
-    gamma: dict
-    hypothesis: dict
-    conservation: dict
-    closure: dict | None
     bounds_report: list[dict]
     exit_status: int
+    rate_fits: dict = field(default_factory=dict)
+    gamma: dict = field(default_factory=dict)
+    hypothesis: dict = field(default_factory=dict)
+    conservation: dict = field(default_factory=dict)
+    closure: dict | None = None
 
     def to_json_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -136,10 +141,6 @@ def _limit_run(base, config: RunConfig):
     return list(_sampled(base, stepper, params, config, "limit run"))
 
 
-def _limit_drift(states) -> float:
-    return float(_relative_drift([_mass(s.fluid.rho.values, s.grid) for s in states]))
-
-
 def _state_norm_header(config: RunConfig, with_radiation: bool, extra=()) -> list[str]:
     header = ["time"]
     for s in config.sobolev_indices:
@@ -149,37 +150,33 @@ def _state_norm_header(config: RunConfig, with_radiation: bool, extra=()) -> lis
     return header + list(extra)
 
 
-def _limit_rows(states, config: RunConfig):
-    rows = []
-    residuals = []
-    for st in states:
-        row = [st.time]
-        for s in config.sobolev_indices:
-            row += [
-                sobolev_norm(st.fluid.rho, s),
-                sobolev_norm(st.fluid.u, s),
-                sobolev_norm(st.fluid.theta, s),
-            ]
-        res = limit_closure_residual(st.fluid.theta, limit_q(st.fluid.theta))
-        residuals.append(res)
-        rows.append(row + [res])
-    return rows, residuals
+def _state_row(grid, time: float, values: np.ndarray, indices) -> list:
+    """time, then per index s the H^s norms of rho, u, theta (, I0, I1).
+
+    values stacks one state's fields: (n+2, *shape) for the limit system
+    or (2n+3, *shape) with the moments; one forward transform.
+    """
+    n = grid.n_dims
+    squares = sobolev_squares(grid, grid.forward(values), indices)  # (index, field)
+    starts = [i for i in (0, 1, n + 1, n + 2, n + 3) if i < len(values)]
+    return [time, *np.sqrt(np.add.reduceat(squares, starts, axis=1)).ravel()]
 
 
-def _eps_state_rows(states, config: RunConfig):
-    rows = []
-    for st in states:
-        row = [st.time]
-        for s in config.sobolev_indices:
-            row += [
-                sobolev_norm(st.fluid.rho, s),
-                sobolev_norm(st.fluid.u, s),
-                sobolev_norm(st.fluid.theta, s),
-                sobolev_norm(st.rad.I0, s),
-                sobolev_norm(st.rad.I1, s),
-            ]
-        rows.append(row)
-    return rows
+def _emit_limit_series(states, config: RunConfig, out_dir: str) -> tuple[float, float]:
+    """Write limit_series.csv; returns the largest closure residual and
+    the relative mass drift of the limit run."""
+    rows = [
+        _state_row(st.grid, st.time, st.fluid.stacked, config.sobolev_indices)
+        + [limit_closure_residual(st.fluid.theta, limit_q(st.fluid.theta))]
+        for st in states
+    ]
+    emit_series(
+        os.path.join(out_dir, "limit_series.csv"),
+        _state_norm_header(config, with_radiation=False, extra=("closure_residual",)),
+        rows,
+    )
+    drift = _relative_drift([_mass(s.fluid.rho.values, s.grid) for s in states])
+    return max(row[-1] for row in rows), float(drift)
 
 
 def _error_header(config: RunConfig) -> list[str]:
@@ -270,12 +267,7 @@ def _run_convergence(config: RunConfig, out_dir: str):
     s_acc = config.acceptance_index
 
     limit_states = _limit_run(base, config)
-    limit_rows, closure_residuals = _limit_rows(limit_states, config)
-    emit_series(
-        os.path.join(out_dir, "limit_series.csv"),
-        _state_norm_header(config, with_radiation=False, extra=("closure_residual",)),
-        limit_rows,
-    )
+    closure_residual, limit_drift = _emit_limit_series(limit_states, config, out_dir)
 
     # All members advance in lockstep with the smallest stable dt of any
     # member: the exact radiation substep makes the bound eps-independent.
@@ -319,48 +311,41 @@ def _run_convergence(config: RunConfig, out_dir: str):
             except DegenerateFit as exc:
                 rate_fits[f"{family}_s{s}"] = {"error": str(exc)}
 
+    b = config.bounds
+    per_eps = lambda key: {_eps_tag(r["eps"]): r[key] for r in results}
+    gammas = [r["gamma_over_eps2"] for r in results]
     gamma = {
-        "per_eps": {
-            _eps_tag(r["eps"]): r["gamma_over_eps2"] for r in results
-        },
-        "max_halving_ratio": _halving_ratio([r["gamma_over_eps2"] for r in results]),
-        "limit": config.bounds["gamma_limit"],
+        "per_eps": per_eps("gamma_over_eps2"),
+        "max_halving_ratio": _halving_ratio(gammas),
+        "limit": b["gamma_limit"],
     }
     hypothesis = {
-        "per_eps": {
-            _eps_tag(r["eps"]): r["hypothesis_lhs_over_eps"] for r in results
-        },
+        "per_eps": per_eps("hypothesis_lhs_over_eps"),
         "spread": _spread([r["hypothesis_lhs_over_eps"] for r in results]),
         "amp": config.perturbation_amp,
     }
-    conservation = {
-        "per_eps": {_eps_tag(r["eps"]): r["mass_drift"] for r in results},
-        "limit_run": _limit_drift(limit_states),
-    }
+    conservation = {"per_eps": per_eps("mass_drift"), "limit_run": limit_drift}
 
-    b = config.bounds
-    acc = f"_s{s_acc}"
-    fluid_fit = rate_fits["fluid" + acc]
-    rad_fit = rate_fits["radiation" + acc]
+    fluid_fit = rate_fits[f"fluid_s{s_acc}"]
+    rad_fit = rate_fits[f"radiation_s{s_acc}"]
     bounds_report = [
         _bound("fluid_slope", fluid_fit.get("slope"), b["fluid_slope"]),
         _bound("fluid_r_squared", fluid_fit.get("r_squared"), [b["r_squared_min"], math.inf]),
         _bound("radiation_slope", rad_fit.get("slope"), b["radiation_slope"]),
-        _bound(
-            "gamma_over_eps2_max",
-            max(r["gamma_over_eps2"] for r in results),
-            [0.0, b["gamma_limit"]],
-        ),
+        _bound("gamma_over_eps2_max", max(gammas), [0.0, b["gamma_limit"]]),
         _bound("gamma_halving_ratio", gamma["max_halving_ratio"], [0.0, b["gamma_spread_max"]]),
         _bound("hypothesis_spread", hypothesis["spread"], [0.0, b["hypothesis_spread_max"]]),
-        _bound("closure_residual", max(closure_residuals), [0.0, b["closure_residual_max"]]),
+        _bound("closure_residual", closure_residual, [0.0, b["closure_residual_max"]]),
         _bound(
             "mass_drift",
-            max(max(r["mass_drift"] for r in results), conservation["limit_run"]),
+            max(*conservation["per_eps"].values(), limit_drift),
             [0.0, b["mass_drift_max"]],
         ),
     ]
-    return rate_fits, gamma, hypothesis, conservation, None, bounds_report
+    return dict(
+        rate_fits=rate_fits, gamma=gamma, hypothesis=hypothesis,
+        conservation=conservation, bounds_report=bounds_report,
+    )
 
 
 def _bound(name: str, value, window) -> dict:
@@ -380,53 +365,49 @@ def _run_simulate_eps(config: RunConfig, out_dir: str):
     base = build_limit_initial(config)
     shapes = build_shapes(config)
     eps_init, _ = well_prepared_init(base, eps, config.perturbation_amp, shapes)
-
     limit_states = _limit_run(base, config)
-    eps_states = list(
-        _sampled(
-            eps_init,
-            lambda st, dt: step_eps(st, params, eps, dt),
-            params,
-            config,
-            f"eps = {eps:g}",
-        )
-    )
 
+    state_rows = []
+
+    def batches():
+        # One member, through the binding step_batch calls per chunk.
+        stepper = lambda b, dt: step_eps(b, params, b.eps, dt)
+        init = EpsBatch.from_states([eps_init], (eps,))
+        for b in _sampled(init, stepper, params, config, f"eps = {eps:g}"):
+            values = np.concatenate([b.fluid[:, 0], b.grid.inverse(b.rad[:, 0])])
+            state_rows.append(_state_row(b.grid, b.time, values, config.sobolev_indices))
+            yield b
+
+    (series,) = _error_series((eps,), batches(), limit_states, config)
     emit_series(
         os.path.join(out_dir, "eps_series.csv"),
         _state_norm_header(config, with_radiation=True),
-        _eps_state_rows(eps_states, config),
+        state_rows,
     )
-    batches = (EpsBatch.from_states([s], (eps,)) for s in eps_states)
-    (series,) = _error_series((eps,), batches, limit_states, config)
     emit_series(os.path.join(out_dir, "errors_series.csv"), _error_header(config), series["rows"])
 
     gamma_worst, _ = gamma_bound_check(series["records"], eps, config.bounds["gamma_limit"])
     drift = series["mass_drift"]
-    gamma = {"per_eps": {_eps_tag(eps): gamma_worst}, "limit": config.bounds["gamma_limit"]}
-    conservation = {"per_eps": {_eps_tag(eps): drift}}
-    bounds_report = [
-        _bound("gamma_over_eps2_max", gamma_worst, [0.0, config.bounds["gamma_limit"]]),
-        _bound("mass_drift", drift, [0.0, config.bounds["mass_drift_max"]]),
-    ]
-    return {}, gamma, {}, conservation, None, bounds_report
+    return dict(
+        gamma={"per_eps": {_eps_tag(eps): gamma_worst}, "limit": config.bounds["gamma_limit"]},
+        conservation={"per_eps": {_eps_tag(eps): drift}},
+        bounds_report=[
+            _bound("gamma_over_eps2_max", gamma_worst, [0.0, config.bounds["gamma_limit"]]),
+            _bound("mass_drift", drift, [0.0, config.bounds["mass_drift_max"]]),
+        ],
+    )
 
 
 def _run_simulate_limit(config: RunConfig, out_dir: str):
     states = _limit_run(build_limit_initial(config), config)
-    rows, residuals = _limit_rows(states, config)
-    emit_series(
-        os.path.join(out_dir, "limit_series.csv"),
-        _state_norm_header(config, with_radiation=False, extra=("closure_residual",)),
-        rows,
+    residual, drift = _emit_limit_series(states, config, out_dir)
+    return dict(
+        conservation={"limit_run": drift},
+        bounds_report=[
+            _bound("closure_residual", residual, [0.0, config.bounds["closure_residual_max"]]),
+            _bound("mass_drift", drift, [0.0, config.bounds["mass_drift_max"]]),
+        ],
     )
-    drift = _limit_drift(states)
-    conservation = {"limit_run": drift}
-    bounds_report = [
-        _bound("closure_residual", max(residuals), [0.0, config.bounds["closure_residual_max"]]),
-        _bound("mass_drift", drift, [0.0, config.bounds["mass_drift_max"]]),
-    ]
-    return {}, {}, {}, conservation, None, bounds_report
 
 
 def _run_closure_check(config: RunConfig, out_dir: str):
@@ -467,7 +448,17 @@ def _run_closure_check(config: RunConfig, out_dir: str):
         _bound("moment_residual", worst, [0.0, config.bounds["moment_residual_max"]]),
         _bound("quadrature_defect", max(weight_defect, odd_defect, second_defect), [0.0, 1e-12]),
     ]
-    return {}, {}, {}, {}, closure, bounds_report
+    return dict(closure=closure, bounds_report=bounds_report)
+
+
+# Each mode's run writes its series and returns the RunSummary fields it
+# fills, by name; the others keep their defaults.
+_MODES = {
+    "convergence-study": _run_convergence,
+    "simulate-eps": _run_simulate_eps,
+    "simulate-limit": _run_simulate_limit,
+    "closure-check": _run_closure_check,
+}
 
 
 def run(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> RunSummary:
@@ -481,30 +472,13 @@ def run(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> RunS
     os.makedirs(out_dir, exist_ok=True)
     started = _time.perf_counter()
 
-    if config.mode == "convergence-study":
-        parts = _run_convergence(config, out_dir)
-    elif config.mode == "simulate-eps":
-        parts = _run_simulate_eps(config, out_dir)
-    elif config.mode == "simulate-limit":
-        parts = _run_simulate_limit(config, out_dir)
-    elif config.mode == "closure-check":
-        parts = _run_closure_check(config, out_dir)
-    else:  # pragma: no cover - parse_config rejects unknown modes
-        raise ValueError(f"unknown mode {config.mode!r}")
-
-    rate_fits, gamma, hypothesis, conservation, closure, bounds_report = parts
-    exit_status = 0 if all(b["passed"] for b in bounds_report) else 1
+    parts = _MODES[config.mode](config, out_dir)
     summary = RunSummary(
         mode=config.mode,
         config=config.echo,
         wall_time_s=_time.perf_counter() - started,
-        rate_fits=rate_fits,
-        gamma=gamma,
-        hypothesis=hypothesis,
-        conservation=conservation,
-        closure=closure,
-        bounds_report=bounds_report,
-        exit_status=exit_status,
+        exit_status=0 if all(b["passed"] for b in parts["bounds_report"]) else 1,
+        **parts,
     )
     emit_summary(summary, os.path.join(out_dir, "summary.json"))
     return summary

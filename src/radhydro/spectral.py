@@ -9,6 +9,7 @@ multiplications:
 - ``helmholtz_inverse``: multiplication by 1/(1 + |k|^2), the exact inverse
   of (I - Laplacian) on the grid
 - ``sobolev_norm``: Parseval-exact H^s norm with the (2pi)^n measure
+  (``sobolev_squares`` gives the squares of a whole stack of half spectra)
 - ``dealias``: 2/3-rule truncation applied after nonlinear products
 
 The forward transform divides by the total point count, so the k = 0
@@ -63,6 +64,7 @@ __all__ = [
     "laplacian",
     "helmholtz_inverse",
     "sobolev_norm",
+    "sobolev_squares",
     "dealias",
     "l2_inner",
     "unstack",
@@ -222,21 +224,14 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def unstack(grid: Grid, stack: np.ndarray, half=None) -> list["SpectralField"]:
+def unstack(grid: Grid, stack: np.ndarray) -> list["SpectralField"]:
     """Fields viewing the rows of a (m, *grid.shape) array, without a copy.
 
     The array is marked read-only; the caller hands it over and must not
-    write to it through another reference afterwards. ``half``, when
-    given, is the (m, *grid.half_shape) rfftn spectrum of the rows; the
-    fields keep it as their ``half_coefficients``.
+    write to it through another reference afterwards.
     """
     _read_only(stack)
-    fields = [SpectralField(grid, values=row) for row in stack]
-    if half is not None:
-        _read_only(half)
-        for f, coeffs in zip(fields, half):
-            f._half = coeffs
-    return fields
+    return [SpectralField(grid, values=row) for row in stack]
 
 
 class SpectralField:
@@ -492,10 +487,25 @@ def sobolev_norm(x, s: int) -> float:
         raise ValueError(f"Sobolev index must be an integer in [0, {MAX_SOBOLEV_INDEX}]")
     if isinstance(x, VectorField):
         return float(np.sqrt(sum(sobolev_norm(c, s) ** 2 for c in x.components)))
-    g = x.grid
-    weight = g.half_multiplicity * (1.0 + g.half_k_squared) ** s
-    total = np.sum(weight * np.abs(x.half_coefficients) ** 2) * g.volume
-    return float(np.sqrt(total))
+    return float(np.sqrt(sobolev_squares(x.grid, x.half_coefficients, (s,))[0]))
+
+
+def sobolev_squares(grid: Grid, coeffs: np.ndarray, indices) -> np.ndarray:
+    """Squared H^s norms of a stack of half spectra, at every s in indices.
+
+    coeffs is (..., *grid.half_shape) rfftn coefficients; the result is
+    (len(indices), ...). Each entry is the power sum over the half
+    spectrum weighted by the Hermitian multiplicity and (1 + |k|^2)^s,
+    times the (2pi)^n measure.
+    """
+    power = np.square(coeffs.real)
+    power += np.square(coeffs.imag)
+    power = power.reshape(*power.shape[: power.ndim - grid.n_dims], -1)
+    out = np.empty((len(indices), *power.shape[:-1]))
+    for i, s in enumerate(indices):
+        weight = grid.half_multiplicity * (1.0 + grid.half_k_squared) ** s
+        out[i] = power @ weight.ravel() * grid.volume
+    return out
 
 
 def l2_inner(a, b) -> float:

@@ -33,6 +33,10 @@ the exact substep), one dt serves all members of an eps sweep. The
 dealiased theta^4 spectrum that closes one step also opens the next.
 ``step_eps`` advances one state, or one chunk of members, through this
 kernel; ``step_batch`` splits a batch into chunks (LOCKSTEP_CELLS).
+The limit system has no moments: ``step_limit`` is the same RK4 on its
+(n+2, 1, *shape) stack, and the right-hand-side kernel forms the limit
+flux of each stage's temperature from the theta^4 row of its own
+product batch (six transform calls per stage, as for the eps system).
 
 Viscous and heat terms ride inside the explicit RK4 stage with the
 diffusive CFL bound; at desk-scale grids and mu, kappa <= 0.05 the dt
@@ -48,8 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUp, located
-from .fluid import FluidParams, FluidState, _rhs_common, fluid_rhs_limit, require_positive
-from .radiation import RadiationMoments, emission_spectrum, limit_q
+from .fluid import FluidParams, FluidState, _rhs_common, require_positive
+from .radiation import RadiationMoments, emission_spectrum
 from .spectral import Grid, SpectralField
 
 __all__ = [
@@ -61,6 +65,7 @@ __all__ = [
     "step_batch",
     "step_eps",
     "step_limit",
+    "cfl_bounds",
     "cfl_dt",
 ]
 
@@ -184,11 +189,6 @@ def _substep(grid, coeffs: np.ndarray, source: np.ndarray, eps: np.ndarray, dt: 
     along_new = along_star + decay * (-1j * sin_r * d0 + cos_r * da)
     out[1:] = along_new * khat + decay * (i1 - along * khat)
     return out
-
-
-def _stacked(tend) -> np.ndarray:
-    d_rho, d_u, d_theta = tend
-    return np.stack([d_rho.values, *(c.values for c in d_u), d_theta.values])
 
 
 def _rk4(y: np.ndarray, rhs, dt: float, eps, time: float) -> np.ndarray:
@@ -339,39 +339,44 @@ def step_eps(s, p: FluidParams, eps, dt: float):
 def step_limit(s: LimitState, p: FluidParams, dt: float) -> LimitState:
     """One RK4 step of the limit system.
 
-    The flux is recomputed from the stage temperature at every stage, so
-    the limit flux equation holds to solver precision throughout.
+    The flux is formed from the stage temperature inside every stage's
+    right-hand side, so the limit flux equation holds to solver precision
+    throughout.
     """
     grid = s.grid
-
-    def rhs(y):
-        f = FluidState.from_stacked(grid, y[:, 0])
-        return _stacked(fluid_rhs_limit(f, limit_q(f.theta), p))[:, None]
-
+    rhs = lambda y: _rhs_common(grid, y, p)
     fluid = _rk4(s.fluid.stacked[:, None], rhs, dt, None, s.time)
     time = s.time + dt
     _require_finite(fluid, None, None, time)
     return LimitState(fluid=FluidState.from_stacked(grid, fluid[:, 0]), time=time)
 
 
+def cfl_bounds(grid: Grid, y: np.ndarray, p: FluidParams, c: StepControl) -> tuple[float, float]:
+    """Advective and diffusive step bounds of a (n+2, E, *shape) stack.
+
+    advective = cfl_adv * h / (max|u| + sqrt(max theta)),
+    diffusive = cfl_diff * h^2 * min(rho) / max(mu, kappa),
+
+    each the minimum over the E members. sqrt(theta) is the isothermal
+    sound-speed proxy (unit gas constant). Pointwise maxima and minima
+    only, no transforms.
+    """
+    spatial = tuple(range(1, y.ndim - 1))
+    h = grid.spacing
+    u_max = np.sqrt(np.sum(y[1:-1] ** 2, axis=0).max(axis=spatial))
+    speed = u_max + np.sqrt(y[-1].max(axis=spatial))
+    advective = c.cfl_advective * h / speed
+    diffusive = c.cfl_diffusive * h**2 * y[0].min(axis=spatial) / max(p.mu, p.kappa)
+    return float(advective.min()), float(diffusive.min())
+
+
 def cfl_dt(s, p: FluidParams, c: StepControl, eps: float | None = None) -> float:
-    """Stable time step from the advective and diffusive bounds.
+    """Stable time step: the smaller ``cfl_bounds``, the dt cap or the
+    time remaining.
 
-    dt = min( cfl_adv * h / (max|u| + sqrt(max theta)),
-              cfl_diff * h^2 * min(rho) / max(mu, kappa),
-              dt cap, time remaining ).
-
-    sqrt(theta) is the isothermal sound-speed proxy (unit gas constant).
     The stiff radiation scale imposes no restriction (the substep is
     exact), so the result is independent of eps. For an EpsBatch it is
     the minimum over the members.
     """
     y = s.fluid if isinstance(s, EpsBatch) else s.fluid.stacked[:, None]
-    spatial = tuple(range(1, y.ndim - 1))
-    h = s.grid.spacing
-    u_max = np.sqrt(np.sum(y[1:-1] ** 2, axis=0).max(axis=spatial))
-    speed = u_max + np.sqrt(y[-1].max(axis=spatial))
-    advective = c.cfl_advective * h / speed
-    diffusive = c.cfl_diffusive * h**2 * y[0].min(axis=spatial) / max(p.mu, p.kappa)
-    remaining = c.t_end - s.time
-    return float(min(advective.min(), diffusive.min(), c.dt, remaining))
+    return min(*cfl_bounds(s.grid, y, p, c), c.dt, c.t_end - s.time)

@@ -6,7 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from radhydro.config import build_limit_initial, build_shapes, load_config, parse_config
+import radhydro.cli
+from radhydro.cli import main
+from radhydro.config import MODES, build_limit_initial, build_shapes, load_config, parse_config
 from radhydro.errors import ParseError, ValidationError
 from radhydro.spectral import sobolev_norm
 
@@ -192,3 +194,43 @@ class TestWorkBudget:
     def test_large_but_bounded_run_accepted(self):
         cfg = parse_config({"mode": "simulate-limit", "t_end": 1.0, "output_interval": 2e-6})
         assert cfg.t_end / cfg.dt_max == pytest.approx(5e6)
+
+    # fluid.kappa = 1e6 on a 2D/128 grid: the diffusive bound of cfl_dt on
+    # the default profiles is 8.7e-10, about 5.8e8 steps to t_end = 0.5.
+    STIFF = {
+        "mode": "convergence-study",
+        "grid": {"n_dims": 2, "points": 128},
+        "fluid": {"kappa": 1e6},
+    }
+
+    def test_cfl_limited_step_count_rejected_and_named(self):
+        message = r"'fluid'.*diffusive CFL bound dt = 8\.67e-10.*5\.76e\+08 time steps"
+        with pytest.raises(ValidationError, match=message):
+            parse_config(self.STIFF)
+
+    def test_advective_step_count_rejected_and_named(self):
+        fast = {"mode": "simulate-limit", "profiles": {"u": [{"base": 1e7, "modes": []}]}}
+        with pytest.raises(ValidationError, match=r"'profiles'.*advective CFL bound.*time steps"):
+            parse_config(fast)
+
+    def test_cfl_limited_step_count_exits_2(self, tmp_path, monkeypatch, capsys):
+        # Should the check ever be lost, fail at once instead of starting
+        # the 5.8e8-step run.
+        monkeypatch.setattr(radhydro.cli, "run", lambda *a, **k: pytest.fail("run started"))
+        path = _write(tmp_path, self.STIFF)
+        assert main(["convergence-study", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "diffusive CFL bound" in err and "5.76e+08 time steps" in err
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n_dims,points", [(1, 8), (1, 128), (2, 8), (2, 128)])
+    def test_default_configs_accepted(self, mode, n_dims, points):
+        parse_config({"mode": mode, "grid": {"n_dims": n_dims, "points": points}})
+
+
+def test_seed_key_is_rejected():
+    # The key was reserved and changed nothing; it is no longer part of
+    # the schema.
+    with pytest.raises(ValidationError, match="unknown field 'seed'"):
+        parse_config({"mode": "convergence-study", "seed": 0})
+    assert "seed" not in parse_config({"mode": "convergence-study"}).echo

@@ -11,7 +11,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from radhydro.fluid import FluidParams, FluidState, fluid_rhs_eps, fluid_rhs_limit
+from radhydro.fluid import (
+    FluidParams,
+    FluidState,
+    _rhs_common,
+    _tendency_fields,
+    fluid_rhs_eps,
+    fluid_rhs_limit,
+)
 from radhydro.radiation import RadiationMoments, limit_q
 from radhydro.spectral import (
     Grid,
@@ -242,17 +249,18 @@ class TestTransformBudget:
         assert fft_calls == Counter(rfftn=12 + 2, irfftn=12 + 2)
 
     def test_step_limit(self, n_dims, fft_calls):
-        # Per stage: limit_q (one forward, one inverse) and a right-hand
-        # side that reads the flux spectrum limit_q keeps (3 + 3).
+        # Four right-hand sides (3 + 3 each); the flux is formed inside
+        # each one, with no transform of its own.
         s = self._state(n_dims)
         step_limit(LimitState(fluid=s.fluid, time=0.0), PARAMS, 0.01)
-        assert fft_calls == Counter(rfftn=16, irfftn=16)
+        assert fft_calls == Counter(rfftn=12, irfftn=12)
 
-    def test_fluid_rhs_limit_reads_the_kept_flux_spectrum(self, n_dims, monkeypatch):
-        # Forward-transformed fields: (u, theta), then the n + 2 products,
-        # then the n + 1 quotients; the flux is not among them.
+    def test_limit_rhs_forward_batches(self, n_dims, monkeypatch):
+        # Forward-transformed fields per limit right-hand side in a step:
+        # (u, theta), then the products rho*u, rho*theta, dissipation and
+        # theta^4, then the n + 1 quotients. A given flux instead rides
+        # in the first batch, and no theta^4 row is formed.
         s = self._state(n_dims)
-        q0 = limit_q(s.fluid.theta)
         fields = []
         rfftn = np.fft.rfftn
 
@@ -261,8 +269,11 @@ class TestTransformBudget:
             return rfftn(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "rfftn", counted)
-        fluid_rhs_limit(s.fluid, q0, PARAMS)
-        assert fields == [n_dims + 1, n_dims + 2, n_dims + 1]
+        step_limit(LimitState(fluid=s.fluid, time=0.0), PARAMS, 0.01)
+        assert fields == [n_dims + 1, n_dims + 3, n_dims + 1] * 4
+        fields.clear()
+        fluid_rhs_limit(s.fluid, s.rad.I1, PARAMS)
+        assert fields == [2 * n_dims + 1, n_dims + 2, n_dims + 1]
 
     @pytest.mark.parametrize("members", [1, 4])
     def test_lockstep_step(self, n_dims, members, fft_calls):
@@ -288,10 +299,11 @@ def test_limit_q_matches_full_spectrum_formula(n_dims, n):
         assert _close(g.half_coefficients, grid.forward(w.values))
 
 
-@pytest.mark.parametrize("n_dims,n", [(1, 64), (2, 32)])
-def test_limit_rhs_same_with_kept_or_fresh_flux_spectrum(n_dims, n):
+@pytest.mark.parametrize("n_dims,n", GRIDS)
+def test_in_kernel_limit_rhs_matches_limit_q_flux(n_dims, n):
+    # The kernel without a coupling argument forms -div q0 of the limit
+    # flux from its own theta^4 row; the public form takes limit_q's flux.
     grid = Grid(n_dims, n)
     f = _wavy_fluid(grid, np.random.default_rng(14))
-    kept = limit_q(f.theta)
-    fresh = VectorField([SpectralField.from_values(grid, c.values) for c in kept])
-    _assert_rhs_close(fluid_rhs_limit(f, kept, PARAMS), fluid_rhs_limit(f, fresh, PARAMS))
+    got = _tendency_fields(grid, _rhs_common(grid, f.stacked[:, None], PARAMS))
+    _assert_rhs_close(got, fluid_rhs_limit(f, limit_q(f.theta), PARAMS))

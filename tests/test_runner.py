@@ -12,7 +12,8 @@ import radhydro.runner
 from radhydro.cli import main
 from radhydro.config import parse_config
 from radhydro.errors import TimeMismatch
-from radhydro.runner import emit_series, run
+from radhydro.runner import _state_row, emit_series, run
+from radhydro.spectral import Grid, VectorField, sobolev_norm, unstack
 
 
 def _fast_study(**overrides):
@@ -210,13 +211,45 @@ class TestCli:
         assert main(["simulate-limit", "--config", str(cfg_path), "--no-strict"]) == 0
 
 
+_SHORT = {"t_end": 0.1, "output_interval": 0.05}
+_MODE_CONFIGS = {
+    "convergence-study": {"eps_list": [0.1, 0.05, 0.025], **_SHORT},
+    "simulate-eps": {"perturbation_amp": 0.5, **_SHORT},
+    "simulate-limit": _SHORT,
+    "closure-check": {"ordinates": 8},
+}
+
+
 class TestDeterminism:
-    def test_repeat_runs_are_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("mode", sorted(_MODE_CONFIGS))
+    def test_repeat_runs_are_byte_identical(self, tmp_path, mode):
         dir_a = tmp_path / "a"
         dir_b = tmp_path / "b"
-        run(_fast_study(), out_dir=str(dir_a))
-        run(_fast_study(), out_dir=str(dir_b))
+        cfg = parse_config({"mode": mode, **_MODE_CONFIGS[mode]})
+        run(cfg, out_dir=str(dir_a))
+        run(cfg, out_dir=str(dir_b))
         names = sorted(os.listdir(dir_a))
         assert names == sorted(os.listdir(dir_b))
         for name in names:
             assert filecmp.cmp(dir_a / name, dir_b / name, shallow=False), name
+
+
+@pytest.mark.parametrize("n_dims,n", [(1, 8), (1, 64), (2, 8), (2, 32)])
+@pytest.mark.parametrize("with_radiation", [False, True])
+def test_state_row_matches_per_field_sobolev_norms(n_dims, n, with_radiation):
+    grid = Grid(n_dims, n)
+    rng = np.random.default_rng(5)
+    groups = [1, n_dims, 1] + ([1, n_dims] if with_radiation else [])
+    values = rng.standard_normal((sum(groups), *grid.shape))
+    indices = (0, 2, 4)
+    row = _state_row(grid, 0.25, values, indices)
+    fields = unstack(grid, values.copy())
+    starts = np.cumsum([0] + groups[:-1])
+    want = [0.25]
+    for s in indices:
+        for a, size in zip(starts, groups):
+            x = fields[a] if size == 1 else VectorField(fields[a : a + size])
+            want.append(sobolev_norm(x, s))
+    assert len(row) == len(want)
+    assert row[0] == 0.25
+    np.testing.assert_allclose(row[1:], want[1:], rtol=1e-12, atol=0)
