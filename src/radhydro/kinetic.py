@@ -18,6 +18,10 @@ measure of the unit sphere). Absorbing 1/n, |S| and the emission constant
 into unity recovers the unit-coefficient moment system the fluid solver
 couples to; the check must run with the factors in place or its residual
 is spuriously nonzero.
+
+The transport term omega . grad I is taken per ordinate on the half
+spectrum of ``spectral`` (``Grid.forward``/``Grid.inverse`` with the
+symbol omega . ``half_ik``).
 """
 
 from __future__ import annotations
@@ -133,10 +137,10 @@ class KineticField:
 
 
 def _directional_derivative(grid: Grid, slab: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """omega . grad of one ordinate slab, spectrally."""
-    c = np.fft.fftn(slab, norm="forward")
-    symbol = sum(1j * w * k for w, k in zip(omega, grid.wavenumbers))
-    return np.fft.ifftn(symbol * c, norm="forward").real
+    """omega . grad of one ordinate slab, spectrally (one half-spectrum
+    transform pair per slab, so memory stays at one slab's spectrum)."""
+    symbol = np.tensordot(omega, grid.half_ik, axes=1)
+    return grid.inverse(symbol * grid.forward(slab))
 
 
 def kinetic_rhs(

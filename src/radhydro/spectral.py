@@ -12,31 +12,28 @@ multiplications:
   (``sobolev_squares`` gives the squares of a whole stack of half spectra)
 - ``dealias``: 2/3-rule truncation applied after nonlinear products
 
-The forward transform divides by the total point count, so the k = 0
-coefficient of a field equals its mean and symbols read off directly.
-Fields are immutable: every operation returns a new field, and value /
-coefficient arrays are marked read-only so they can be shared freely
-across threads.
+The coefficient layout is the rfftn half spectrum, the only one in the
+package. ``Grid.forward`` is ``numpy.fft.rfftn`` over the trailing spatial
+axes, so a stack of shape ``(m, *grid.shape)`` becomes
+``(m, *grid.half_shape)`` with the last axis holding only the wavenumbers
+0..N/2; the negative last-axis wavenumbers are implied by Hermitian
+symmetry, c(-k) = conj(c(k)). ``Grid.inverse`` (``irfftn``) maps back. The
+leading axis batches many fields into one transform call. The forward
+transform divides by the total point count, so the k = 0 coefficient of a
+field equals its mean and symbols read off directly.
+``SpectralField.coefficients`` is the half spectrum of one field. Fields
+are immutable: every operation returns a new field, and value /
+coefficient arrays are marked read-only so they can be shared freely.
 
-Two coefficient layouts exist. ``SpectralField.coefficients`` is the full
-complex spectrum of ``numpy.fft.fftn``, shape ``grid.shape``; the public
-operators above act on it. The solver's hot path instead works on stacks
-of real fields and their half spectra: ``Grid.forward`` is
-``numpy.fft.rfftn`` over the trailing spatial axes, so a stack of shape
-``(m, *grid.shape)`` becomes ``(m, *grid.half_shape)`` with the last axis
-holding only the wavenumbers 0..N/2; the negative last-axis wavenumbers are
-implied by Hermitian symmetry, c(-k) = conj(c(k)). ``Grid.inverse``
-(``irfftn``) maps back. The leading axis batches many fields into one
-transform call. The half-spectrum symbols are cached lazily on the grid:
+The symbols are cached lazily on the grid:
 
 - ``half_ik``: i*k_j with every entry where |k_j| = N/2 set to zero. The
   Nyquist mode of a real field cannot carry an odd symbol (k and -k are
-  the same mode there), and the full-spectrum ``grad`` likewise loses that
-  mode when its values are taken, so both layouts give the same values.
+  the same mode there), so a real field's derivative has no Nyquist part.
 - ``half_k_squared``, ``half_helmholtz`` (1/(1 + |k|^2)), ``half_k_abs``
   and ``half_k_unit`` (k/|k|, zero at k = 0) are even in k and keep the
   Nyquist entries.
-- ``half_dealias_mask``: the 2/3 rule on the half spectrum.
+- ``half_dealias_mask``: the 2/3 rule.
 - ``half_multiplicity``: each half-spectrum entry stands for 2 modes of
   the full spectrum, except the k_last = 0 and k_last = N/2 columns, which
   stand for 1; Parseval sums over the half spectrum use these weights.
@@ -118,32 +115,6 @@ class Grid:
         x = np.arange(self.points_per_dim) * self.spacing
         axes = np.meshgrid(*([x] * self.n_dims), indexing="ij")
         return list(axes)
-
-    @cached_property
-    def wavenumbers(self) -> list[np.ndarray]:
-        """Integer wavenumber meshes, one full-shape array per axis."""
-        n = self.points_per_dim
-        k = np.fft.fftfreq(n, d=1.0 / n)
-        meshes = np.meshgrid(*([k] * self.n_dims), indexing="ij")
-        for m in meshes:
-            m.setflags(write=False)
-        return list(meshes)
-
-    @cached_property
-    def k_squared(self) -> np.ndarray:
-        ksq = sum(k**2 for k in self.wavenumbers)
-        ksq.setflags(write=False)
-        return ksq
-
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """Boolean keep-mask for the 2/3 rule: any |k_j| > N/3 is dropped."""
-        cutoff = self.points_per_dim / 3.0
-        keep = np.ones(self.shape, dtype=bool)
-        for k in self.wavenumbers:
-            keep &= np.abs(k) <= cutoff
-        keep.setflags(write=False)
-        return keep
 
     @property
     def axes(self) -> tuple[int, ...]:
@@ -242,7 +213,7 @@ class SpectralField:
     computed on first access and cached; instances are immutable.
     """
 
-    __slots__ = ("grid", "_values", "_coefficients", "_half")
+    __slots__ = ("grid", "_values", "_coefficients")
 
     def __init__(self, grid: Grid, values=None, coefficients=None):
         if (values is None) == (coefficients is None):
@@ -250,7 +221,6 @@ class SpectralField:
         self.grid = grid
         self._values = values
         self._coefficients = coefficients
-        self._half = None
 
     @classmethod
     def from_values(cls, grid: Grid, values) -> "SpectralField":
@@ -262,9 +232,9 @@ class SpectralField:
     @classmethod
     def from_coefficients(cls, grid: Grid, coefficients) -> "SpectralField":
         arr = np.array(coefficients, dtype=complex)
-        if arr.shape != grid.shape:
+        if arr.shape != grid.half_shape:
             raise ValueError(
-                f"coefficients shape {arr.shape} != grid shape {grid.shape}"
+                f"coefficients shape {arr.shape} != half-spectrum shape {grid.half_shape}"
             )
         return cls(grid, coefficients=_read_only(arr))
 
@@ -280,23 +250,16 @@ class SpectralField:
     def values(self) -> np.ndarray:
         """Physical-space samples (read-only array)."""
         if self._values is None:
-            vals = np.fft.ifftn(self._coefficients, norm="forward").real
-            self._values = _read_only(vals)
+            self._values = _read_only(self.grid.inverse(self._coefficients))
         return self._values
 
     @property
     def coefficients(self) -> np.ndarray:
-        """Fourier coefficients; the k = 0 entry is the field mean."""
+        """Half-spectrum (rfftn) coefficients, shape ``grid.half_shape``;
+        the k = 0 entry is the field mean."""
         if self._coefficients is None:
-            self._coefficients = _read_only(np.fft.fftn(self._values, norm="forward"))
+            self._coefficients = _read_only(self.grid.forward(self._values))
         return self._coefficients
-
-    @property
-    def half_coefficients(self) -> np.ndarray:
-        """Half-spectrum (rfftn) coefficients of the values."""
-        if self._half is None:
-            self._half = _read_only(self.grid.forward(self.values))
-        return self._half
 
     @property
     def mean(self) -> float:
@@ -433,31 +396,28 @@ class VectorField:
 def grad(f: SpectralField) -> VectorField:
     """Spectral gradient: component j has coefficients i*k_j*fhat(k)."""
     g = f.grid
-    c = f.coefficients
     return VectorField(
-        [SpectralField.from_coefficients(g, 1j * k * c) for k in g.wavenumbers]
+        [SpectralField.from_coefficients(g, c) for c in g.half_ik * f.coefficients]
     )
 
 
 def div(v: VectorField) -> SpectralField:
     """Spectral divergence: coefficients sum_j i*k_j*vhat_j(k)."""
     g = v.grid
-    out = np.zeros(g.shape, dtype=complex)
-    for k, comp in zip(g.wavenumbers, v.components):
-        out += 1j * k * comp.coefficients
+    out = sum(ik * comp.coefficients for ik, comp in zip(g.half_ik, v.components))
     return SpectralField.from_coefficients(g, out)
 
 
 def laplacian(f: SpectralField) -> SpectralField:
     """Spectral Laplacian: coefficients -|k|^2 * fhat(k)."""
     g = f.grid
-    return SpectralField.from_coefficients(g, -g.k_squared * f.coefficients)
+    return SpectralField.from_coefficients(g, -g.half_k_squared * f.coefficients)
 
 
 def helmholtz_inverse(f: SpectralField) -> SpectralField:
     """Exact inverse of (I - Laplacian): coefficients fhat(k)/(1 + |k|^2)."""
     g = f.grid
-    return SpectralField.from_coefficients(g, f.coefficients / (1.0 + g.k_squared))
+    return SpectralField.from_coefficients(g, g.half_helmholtz * f.coefficients)
 
 
 def dealias(x):
@@ -467,7 +427,7 @@ def dealias(x):
     """
     if isinstance(x, VectorField):
         return VectorField([dealias(c) for c in x.components])
-    mask = x.grid.dealias_mask
+    mask = x.grid.half_dealias_mask
     return SpectralField.from_coefficients(x.grid, np.where(mask, x.coefficients, 0.0))
 
 
@@ -475,8 +435,8 @@ def sobolev_norm(x, s: int) -> float:
     """H^s norm: (sum_k (1+|k|^2)^s |fhat(k)|^2 (2pi)^n)^(1/2).
 
     For s = 0 this is the L^2 norm. Vector fields sum component squares.
-    The sum runs over the half spectrum of the values with Hermitian
-    weights (``Grid.half_multiplicity``).
+    The sum runs over the half spectrum with Hermitian weights
+    (``Grid.half_multiplicity``).
 
     Args:
         x: SpectralField or VectorField.
@@ -487,7 +447,7 @@ def sobolev_norm(x, s: int) -> float:
         raise ValueError(f"Sobolev index must be an integer in [0, {MAX_SOBOLEV_INDEX}]")
     if isinstance(x, VectorField):
         return float(np.sqrt(sum(sobolev_norm(c, s) ** 2 for c in x.components)))
-    return float(np.sqrt(sobolev_squares(x.grid, x.half_coefficients, (s,))[0]))
+    return float(np.sqrt(sobolev_squares(x.grid, x.coefficients, (s,))[0]))
 
 
 def sobolev_squares(grid: Grid, coeffs: np.ndarray, indices) -> np.ndarray:
@@ -511,9 +471,10 @@ def sobolev_squares(grid: Grid, coeffs: np.ndarray, indices) -> np.ndarray:
 def l2_inner(a, b) -> float:
     """L^2 inner product on the torus, exact via Parseval.
 
-    Accepts two scalar fields or two vector fields.
+    Accepts two scalar fields or two vector fields. The sum runs over the
+    half spectrum with Hermitian weights (``Grid.half_multiplicity``).
     """
     if isinstance(a, VectorField) and isinstance(b, VectorField):
         return float(sum(l2_inner(x, y) for x, y in zip(a.components, b.components)))
-    total = np.sum(np.conj(a.coefficients) * b.coefficients).real
+    total = np.sum(a.grid.half_multiplicity * (np.conj(a.coefficients) * b.coefficients).real)
     return float(total * a.grid.volume)

@@ -1,25 +1,47 @@
 """Half-spectrum (rfftn) operators and the array fluid kernel.
 
-The solver's hot path uses the grid-cached half-spectrum symbols on
-stacked real arrays. These tests hold them against the full-complex
-SpectralField operators, the new right-hand sides against an assembly
-from the public operators, and pin the transform budget.
+The package works on the rfftn half spectrum only. These tests hold its
+operators and symbols against a test-local full-complex reference
+(``numpy.fft.fftn`` with its own wavenumber meshes), the array
+right-hand sides against an assembly from the public operators, and pin
+the transform budget.
 """
 
+import json
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from radhydro import cli
 from radhydro.fluid import (
     FluidParams,
     FluidState,
     _rhs_common,
     _tendency_fields,
+    dissipation,
     fluid_rhs_eps,
     fluid_rhs_limit,
+    viscous_stress,
 )
-from radhydro.radiation import RadiationMoments, limit_q
+from radhydro.kinetic import (
+    KineticField,
+    kinetic_rhs,
+    make_ordinates,
+    moment_system_check,
+    moments,
+    p1_projection_residual,
+)
+from radhydro.radiation import (
+    RadiationMoments,
+    emission,
+    emission_spectrum,
+    limit_I0,
+    limit_closure_residual,
+    limit_q,
+    limit_spectrum,
+    radiation_rhs,
+)
 from radhydro.spectral import (
     Grid,
     SpectralField,
@@ -28,8 +50,11 @@ from radhydro.spectral import (
     div,
     grad,
     helmholtz_inverse,
+    l2_inner,
     laplacian,
     sobolev_norm,
+    sobolev_squares,
+    unstack,
 )
 from radhydro.stepping import EpsBatch, EpsState, LimitState, step_batch, step_eps, step_limit
 
@@ -54,71 +79,111 @@ def _half(grid, full):
     return full[..., : grid.points_per_dim // 2 + 1]
 
 
+# Full-complex reference, independent of radhydro.spectral: the whole
+# spectrum of numpy.fft.fftn with fftfreq wavenumbers, Nyquist included.
+def _full(values):
+    return np.fft.fftn(values, norm="forward")
+
+
+def _full_values(coeffs):
+    return np.fft.ifftn(coeffs, norm="forward").real
+
+
+def _full_k(grid):
+    n = grid.points_per_dim
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    return np.meshgrid(*([k] * grid.n_dims), indexing="ij")
+
+
+def _full_k_squared(grid):
+    return sum(k**2 for k in _full_k(grid))
+
+
+def _full_dealias(grid, coeffs):
+    keep = np.all([np.abs(k) <= grid.points_per_dim / 3.0 for k in _full_k(grid)], axis=0)
+    return np.where(keep, coeffs, 0.0)
+
+
 @pytest.mark.parametrize("n_dims,n", GRIDS)
 class TestOperatorsAgainstFullSpectrum:
     def test_layout_is_half_of_full(self, n_dims, n):
         grid = Grid(n_dims, n)
         f = _random(grid, np.random.default_rng(1))
         half = grid.forward(f.values)
-        assert half.shape == grid.half_shape
-        assert _close(half, _half(grid, f.coefficients))
+        assert half.shape == f.coefficients.shape == grid.half_shape
+        assert _close(half, _half(grid, _full(f.values)))
+        assert _close(f.coefficients, half)
         assert _close(grid.inverse(half), f.values)
 
     def test_grad(self, n_dims, n):
+        # The full-spectrum gradient keeps an odd Nyquist part, which
+        # taking the real part of its values drops; the half symbol is
+        # zero there, so the values agree.
         grid = Grid(n_dims, n)
         f = _random(grid, np.random.default_rng(2))
+        c = _full(f.values)
         got = grid.inverse(grid.half_ik * grid.forward(f.values))
-        for j, comp in enumerate(grad(f)):
-            assert _close(got[j], comp.values), j
+        for j, (k, comp) in enumerate(zip(_full_k(grid), grad(f))):
+            want = _full_values(1j * k * c)
+            assert _close(got[j], want), j
+            assert _close(comp.values, want), j
 
     def test_div(self, n_dims, n):
         grid = Grid(n_dims, n)
         rng = np.random.default_rng(3)
         v = VectorField([_random(grid, rng) for _ in range(n_dims)])
         stack = np.stack([c.values for c in v])
+        want = _full_values(sum(1j * k * _full(c) for k, c in zip(_full_k(grid), stack)))
         got = grid.inverse(np.sum(grid.half_ik * grid.forward(stack), axis=0))
-        assert _close(got, div(v).values)
+        assert _close(got, want)
+        assert _close(div(v).values, want)
 
     def test_laplacian(self, n_dims, n):
         grid = Grid(n_dims, n)
         f = _random(grid, np.random.default_rng(4))
+        want = -_full_k_squared(grid) * _full(f.values)
         half = -grid.half_k_squared * grid.forward(f.values)
-        want = laplacian(f)
-        assert _close(half, _half(grid, want.coefficients))
-        assert _close(grid.inverse(half), want.values)
+        assert _close(half, _half(grid, want))
+        assert _close(laplacian(f).coefficients, _half(grid, want))
+        assert _close(laplacian(f).values, _full_values(want))
 
     def test_helmholtz_inverse(self, n_dims, n):
         grid = Grid(n_dims, n)
         f = _random(grid, np.random.default_rng(5))
+        want = _full(f.values) / (1.0 + _full_k_squared(grid))
         half = grid.half_helmholtz * grid.forward(f.values)
-        want = helmholtz_inverse(f)
-        assert _close(half, _half(grid, want.coefficients))
-        assert _close(grid.inverse(half), want.values)
+        assert _close(half, _half(grid, want))
+        assert _close(helmholtz_inverse(f).coefficients, _half(grid, want))
+        assert _close(helmholtz_inverse(f).values, _full_values(want))
 
     def test_dealias_mask(self, n_dims, n):
         grid = Grid(n_dims, n)
         f = _random(grid, np.random.default_rng(6))
+        want = _full_dealias(grid, _full(f.values))
         half = grid.half_dealias_mask * grid.forward(f.values)
-        want = dealias(f)
-        assert _close(half, _half(grid, want.coefficients))
-        assert _close(grid.inverse(half), want.values)
+        assert _close(half, _half(grid, want))
+        assert _close(dealias(f).coefficients, _half(grid, want))
+        assert _close(dealias(f).values, _full_values(want))
 
     @pytest.mark.parametrize("s", [0, 1, 4])
     def test_sobolev_norm_matches_full_sum(self, n_dims, n, s):
         grid = Grid(n_dims, n)
         f = _random(grid, np.random.default_rng(7))
-        weight = (1.0 + grid.k_squared) ** s
-        full = np.sqrt(np.sum(weight * np.abs(f.coefficients) ** 2) * grid.volume)
+        weight = (1.0 + _full_k_squared(grid)) ** s
+        full = np.sqrt(np.sum(weight * np.abs(_full(f.values)) ** 2) * grid.volume)
         assert sobolev_norm(f, s) == pytest.approx(full, rel=TOL)
 
     def test_hermitian_multiplicity(self, n_dims, n):
         # Parseval on the half spectrum: interior last-axis columns stand
         # for two modes, the k_last = 0 and Nyquist columns for one.
         grid = Grid(n_dims, n)
-        f = _random(grid, np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        f, g = _random(grid, rng), _random(grid, rng)
         half = grid.forward(f.values)
         weighted = np.sum(grid.half_multiplicity * np.abs(half) ** 2)
-        assert weighted == pytest.approx(np.sum(np.abs(f.coefficients) ** 2), rel=TOL)
+        assert weighted == pytest.approx(np.sum(np.abs(_full(f.values)) ** 2), rel=TOL)
+        inner = np.sum(np.conj(_full(f.values)) * _full(g.values)).real * grid.volume
+        assert l2_inner(f, g) == pytest.approx(inner, rel=TOL)
         assert np.all(grid.half_multiplicity[..., 0] == 1.0)
         assert np.all(grid.half_multiplicity[..., -1] == 1.0)
         assert np.all(grid.half_multiplicity[..., 1:-1] == 2.0)
@@ -275,6 +340,12 @@ class TestTransformBudget:
         fluid_rhs_limit(s.fluid, s.rad.I1, PARAMS)
         assert fields == [2 * n_dims + 1, n_dims + 2, n_dims + 1]
 
+    def test_limit_closure_residual(self, n_dims, fft_calls):
+        # theta^4 and the flux values in one forward batch, no inverse.
+        s = self._state(n_dims)
+        limit_closure_residual(s.fluid.theta, s.rad.I1)
+        assert fft_calls == Counter(rfftn=1)
+
     @pytest.mark.parametrize("members", [1, 4])
     def test_lockstep_step(self, n_dims, members, fft_calls):
         # Four right-hand sides over all members (6 calls each), one
@@ -288,15 +359,89 @@ class TestTransformBudget:
         assert fft_calls == Counter(rfftn=12 + 1, irfftn=12 + 1)
 
 
+FULL_COMPLEX = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn")
+
+
+@pytest.fixture
+def half_spectrum_only(monkeypatch):
+    """Make every full-complex numpy.fft entry point raise."""
+    for name in FULL_COMPLEX:
+
+        def forbidden(*args, _name=name, **kwargs):
+            raise AssertionError(f"numpy.fft.{_name} called")
+
+        monkeypatch.setattr(np.fft, name, forbidden)
+
+
+@pytest.mark.parametrize("n_dims", [1, 2])
+class TestNoFullComplexTransform:
+    @pytest.mark.parametrize(
+        "mode,extra",
+        [
+            ("convergence-study", {"t_end": 0.05, "output_interval": 0.025,
+                                   "eps_list": [0.1, 0.05, 0.025]}),
+            ("simulate-eps", {"t_end": 0.05, "output_interval": 0.025}),
+            ("simulate-limit", {"t_end": 0.05, "output_interval": 0.025}),
+            ("closure-check", {"ordinates": 8}),
+        ],
+    )
+    def test_cli_mode(self, n_dims, mode, extra, tmp_path, monkeypatch, half_spectrum_only):
+        monkeypatch.delenv("RADHYDRO_OUT", raising=False)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"grid": {"n_dims": n_dims, "points": 16}, **extra}))
+        argv = [mode, "--config", str(config), "--out", str(tmp_path / "out"), "--no-strict"]
+        assert cli.main(argv) == 0
+
+    def test_public_operators(self, n_dims, half_spectrum_only):
+        grid = Grid(n_dims, 16)
+        rng = np.random.default_rng(31)
+        one = SpectralField.constant(grid, 1.0)
+        f, v = one + smooth_field(grid, rng), smooth_vector(grid, rng)
+        back = SpectralField.from_coefficients(grid, f.coefficients)
+        assert _close(back.values, f.values)
+        assert f.mean == pytest.approx(f.values.mean(), rel=TOL)
+        for op in (laplacian, helmholtz_inverse, dealias):
+            assert op(f).values.shape == grid.shape
+        assert div(grad(f)).values.shape == grid.shape
+        assert dealias(v)[0].values.shape == grid.shape
+        assert l2_inner(f, f) == pytest.approx(sobolev_norm(f, 0) ** 2, rel=TOL)
+        assert l2_inner(v, v) == pytest.approx(sobolev_norm(v, 0) ** 2, rel=TOL)
+        stack = np.stack([f.values, *(c.values for c in v)])
+        assert sobolev_squares(grid, grid.forward(stack), (0, 2)).shape == (2, n_dims + 1)
+        assert len(unstack(grid, stack.copy())) == n_dims + 1
+
+        rad = RadiationMoments(I0=limit_I0(f), I1=limit_q(f))
+        assert limit_closure_residual(f, rad.I1) < 1e-12
+        assert emission(f).values.shape == grid.shape
+        assert emission_spectrum(grid, f.values).shape == grid.half_shape
+        assert limit_spectrum(grid, f.values).shape == (1 + n_dims, *grid.half_shape)
+        assert radiation_rhs(rad, f, 0.1)[0].values.shape == grid.shape
+        assert RadiationMoments.from_half_spectrum(grid, rad.half_spectrum.copy()).I0.mean > 0
+
+        ords = make_ordinates(n_dims, 8)
+        kin = KineticField.from_p1(rad, ords)
+        assert kinetic_rhs(kin, f, 0.1, 1.0, 0.5).intensity.shape == kin.intensity.shape
+        assert moments(kin, ords).I0.values.shape == grid.shape
+        assert p1_projection_residual(kin, ords) < 1e-10
+        assert max(moment_system_check(kin, f, 0.1, 1.0, 0.5)) < 1e-8
+
+        fluid = FluidState(rho=f, u=v, theta=f)
+        assert dissipation(v, PARAMS).values.shape == grid.shape
+        assert viscous_stress(v, PARAMS)[0][0].values.shape == grid.shape
+        assert fluid_rhs_eps(fluid, rad, 0.1, PARAMS)[0].values.shape == grid.shape
+        assert fluid_rhs_limit(fluid, rad.I1, PARAMS)[0].values.shape == grid.shape
+
+
 @pytest.mark.parametrize("n_dims,n", GRIDS)
 def test_limit_q_matches_full_spectrum_formula(n_dims, n):
     grid = Grid(n_dims, n)
     theta = SpectralField.constant(grid, 1.0) + _random(grid, np.random.default_rng(13)) * 0.1
-    want = -grad(helmholtz_inverse(dealias(theta**4)))
+    i0 = _full_dealias(grid, _full(theta.values**4)) / (1.0 + _full_k_squared(grid))
     got = limit_q(theta)
-    for g, w in zip(got, want):
-        assert _close(g.values, w.values)
-        assert _close(g.half_coefficients, grid.forward(w.values))
+    for g, k in zip(got, _full_k(grid)):
+        want = _full_values(-1j * k * i0)
+        assert _close(g.values, want)
+        assert _close(g.coefficients, grid.forward(want))
 
 
 @pytest.mark.parametrize("n_dims,n", GRIDS)

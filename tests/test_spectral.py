@@ -48,12 +48,24 @@ class TestTransformRoundTrip:
         back = SpectralField.from_coefficients(g, f.coefficients).values
         assert np.abs(back - vals).max() <= 1e-12 * np.abs(vals).max()
 
-    def test_conjugate_symmetry(self, grid1d):
+    def test_conjugate_symmetry(self, grid1d, grid2d):
+        # Half layout: the k_last = 0 and Nyquist columns hold both k and
+        # -k of the other axes, so each column is Hermitian along them
+        # (in 1D, a single real entry).
         rng = np.random.default_rng(3)
-        f = SpectralField.from_values(grid1d, rng.standard_normal(grid1d.shape))
-        c = f.coefficients
-        flipped = np.conj(np.roll(c[::-1], 1))
-        assert np.abs(c - flipped).max() < 1e-13
+        for grid in (grid1d, grid2d):
+            c = SpectralField.from_values(grid, rng.standard_normal(grid.shape)).coefficients
+            assert c.shape == grid.half_shape
+            neg = -np.arange(grid.points_per_dim) % grid.points_per_dim
+            for col in (c[..., 0], c[..., -1]):
+                mirrored = np.conj(col[(neg,) * col.ndim])
+                assert np.abs(col - mirrored).max() < 1e-13
+
+    def test_rejects_full_layout(self, grid2d):
+        f = SpectralField.constant(grid2d, 1.0)
+        with pytest.raises(ValueError, match="half-spectrum shape"):
+            SpectralField.from_coefficients(grid2d, np.zeros(grid2d.shape, dtype=complex))
+        assert SpectralField.from_coefficients(grid2d, f.coefficients).mean == 1.0
 
     def test_mean_is_zero_mode(self, grid1d):
         x = grid1d.coordinates()[0]
