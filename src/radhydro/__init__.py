@@ -10,10 +10,8 @@ two-moment closure the solver rests on.
 
 from .analysis import (
     EnergyRecord,
-    ErrorFields,
     RateFit,
-    energy,
-    error_fields,
+    batch_error_squares,
     fit_rate,
     gamma_bound_check,
     hypothesis_deviation,
@@ -32,15 +30,7 @@ from .errors import (
     TimeMismatch,
     ValidationError,
 )
-from .fluid import (
-    FluidParams,
-    FluidState,
-    dissipation,
-    fluid_rhs_eps,
-    fluid_rhs_limit,
-    strain,
-    viscous_stress,
-)
+from .fluid import FluidParams
 from .kinetic import (
     KineticField,
     OrdinateSet,
@@ -55,7 +45,6 @@ from .radiation import (
     limit_I0,
     limit_closure_residual,
     limit_q,
-    radiation_rhs,
 )
 from .runner import RunSummary, emit_series, emit_summary, run
 from .spectral import (
@@ -66,16 +55,15 @@ from .spectral import (
     div,
     grad,
     helmholtz_inverse,
-    l2_inner,
     laplacian,
     sobolev_norm,
 )
 from .stepping import (
-    EpsState,
+    EpsBatch,
     LimitState,
     StepControl,
     cfl_dt,
-    radiation_exact_substep,
+    step_batch,
     step_eps,
     step_limit,
 )

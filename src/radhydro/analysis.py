@@ -1,4 +1,4 @@
-"""Error fields, energy functionals, prepared data and rate fitting.
+"""Error norms, energy records, prepared data and rate fitting.
 
 The convergence harness compares a finite-eps run against the limit run
 through five difference fields: the fluid differences (rho, u, theta)
@@ -7,7 +7,10 @@ evaluated on the *limit* temperature. Two Sobolev functionals track
 them: the fluid energy ||(drho, du, dtheta)||_s and the eps-weighted
 full energy whose square adds eps * ||(dI0, dI1)||_s^2; the square of
 the full energy ("gamma") is the quantity whose sup-in-time should
-scale like eps^2.
+scale like eps^2. The differences are never formed as fields:
+``batch_error_squares`` takes the squared norms of every member of an
+``EpsBatch`` from one batched transform, and the prepared data of a
+whole sweep is built as one batch.
 
 Observed convergence orders come from a least-squares line through
 (log eps, log error) over a sweep of eps values.
@@ -21,21 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFit, PositivityLost, TimeMismatch
-from .fluid import POSITIVITY_FLOOR, FluidState
-from .radiation import RadiationMoments, limit_I0, limit_spectrum
-from .spectral import Grid, SpectralField, VectorField, grad, sobolev_norm, sobolev_squares
-from .stepping import EpsBatch, EpsState, LimitState
+from .fluid import POSITIVITY_FLOOR
+from .radiation import limit_spectrum
+from .spectral import Grid, SpectralField, VectorField, sobolev_norm, sobolev_squares
+from .stepping import EpsBatch, LimitState
 
 __all__ = [
-    "ErrorFields",
     "EnergyRecord",
     "RateFit",
     "PerturbationShapes",
     "default_perturbation_shapes",
-    "error_fields",
-    "error_squares",
     "batch_error_squares",
-    "energy",
     "well_prepared_init",
     "hypothesis_deviation",
     "fit_rate",
@@ -44,24 +43,8 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ErrorFields:
-    """Difference fields between a finite-eps state and the limit state."""
-
-    rho: SpectralField
-    u: VectorField
-    theta: SpectralField
-    I0: SpectralField
-    I1: VectorField
-    time: float
-
-    @property
-    def grid(self) -> Grid:
-        return self.rho.grid
-
-
-@dataclass(frozen=True)
 class EnergyRecord:
-    """Sobolev energies of one ErrorFields snapshot.
+    """Sobolev energies of the differences of one member at one time.
 
     fluid_energy: norm of the fluid differences.
     full_energy: eps-weighted norm including the radiation differences.
@@ -77,7 +60,8 @@ class EnergyRecord:
     def from_squares(
         cls, time: float, fluid_sq: float, rad_sq: float, eps: float
     ) -> "EnergyRecord":
-        """Record from the squared norms returned by error_squares."""
+        """Record from the squared fluid and radiation norms of one member
+        (one column of ``batch_error_squares``)."""
         full_sq = fluid_sq + eps * rad_sq
         return cls(
             time=time,
@@ -142,56 +126,18 @@ def default_perturbation_shapes(grid: Grid) -> PerturbationShapes:
     )
 
 
-def error_fields(eps_state: EpsState, limit_state: LimitState) -> ErrorFields:
-    """Componentwise differences against the limit solution.
-
-    The radiation references are the limit closure of the limit
-    temperature: the equilibrium intensity and its negative gradient.
-
-    Raises:
-        TimeMismatch: if the states differ in time by more than 1e-12.
-    """
-    if eps_state.grid != limit_state.grid:
-        raise ValueError("states live on different grids")
-    if abs(eps_state.time - limit_state.time) > 1e-12:
-        raise TimeMismatch(
-            f"state times differ: {eps_state.time!r} vs {limit_state.time!r}"
-        )
-    i0_ref = limit_I0(limit_state.fluid.theta)
-    q_ref = -grad(i0_ref)
-    return ErrorFields(
-        rho=eps_state.fluid.rho - limit_state.fluid.rho,
-        u=eps_state.fluid.u - limit_state.fluid.u,
-        theta=eps_state.fluid.theta - limit_state.fluid.theta,
-        I0=eps_state.rad.I0 - i0_ref,
-        I1=eps_state.rad.I1 - q_ref,
-        time=eps_state.time,
-    )
-
-
-def error_squares(err: ErrorFields, s: int) -> tuple[float, float]:
-    """Squared H^s norms of the fluid and of the radiation differences.
-
-    fluid: ||drho||_s^2 + ||du||_s^2 + ||dtheta||_s^2;
-    radiation: ||dI0||_s^2 + ||dI1||_s^2.
-    """
-    fluid_sq = (
-        sobolev_norm(err.rho, s) ** 2
-        + sobolev_norm(err.u, s) ** 2
-        + sobolev_norm(err.theta, s) ** 2
-    )
-    rad_sq = sobolev_norm(err.I0, s) ** 2 + sobolev_norm(err.I1, s) ** 2
-    return fluid_sq, rad_sq
-
-
 def batch_error_squares(batch: EpsBatch, limit_state: LimitState, indices) -> np.ndarray:
-    """error_squares of every member of a batch, at every index in indices.
+    """Squared H^s norms of every member's differences from the limit
+    state, at every index in indices.
 
-    Returns an array of shape (len(indices), 2, E): the squared H^s norms
-    of the fluid and of the radiation differences. The limit references
-    are computed once for all members, and the stacked (2n+3, E, *shape)
-    differences take one forward transform; the norms are the
-    ``sobolev_squares`` of its half spectrum, as in ``sobolev_norm``.
+    Returns an array of shape (len(indices), 2, E): per member the fluid
+    ||drho||_s^2 + ||du||_s^2 + ||dtheta||_s^2 and the radiation
+    ||dI0||_s^2 + ||dI1||_s^2, where the radiation references are the
+    limit closure of the limit temperature, I0 = (I - Lap)^(-1) theta^4
+    and its negative gradient. The limit references are computed once
+    for all members, and the stacked (2n+3, E, *shape) differences take
+    one forward transform; the norms are the ``sobolev_squares`` of its
+    half spectrum, as in ``sobolev_norm``.
 
     Raises:
         TimeMismatch: if the batch and the limit state differ in time by
@@ -200,74 +146,68 @@ def batch_error_squares(batch: EpsBatch, limit_state: LimitState, indices) -> np
     grid = batch.grid
     if abs(batch.time - limit_state.time) > 1e-12:
         raise TimeMismatch(f"state times differ: {batch.time!r} vs {limit_state.time!r}")
-    limit_rad = grid.inverse(limit_spectrum(grid, limit_state.fluid.theta.values))
+    limit_rad = grid.inverse(limit_spectrum(grid, limit_state.fluid[-1]))
     diff = np.concatenate([batch.fluid, grid.inverse(batch.rad)])
-    diff -= np.concatenate([limit_state.fluid.stacked, limit_rad])[:, None]
+    diff -= np.concatenate([limit_state.fluid, limit_rad])[:, None]
     spec = grid.forward(diff)
     del diff
     per_field = sobolev_squares(grid, spec, indices)  # (index, field, member)
     return np.add.reduceat(per_field, [0, grid.n_dims + 2], axis=1)
 
 
-def energy(err: ErrorFields, s: int, eps: float) -> EnergyRecord:
-    """Sobolev energies of the error fields at index s."""
-    return EnergyRecord.from_squares(err.time, *error_squares(err, s), eps)
-
-
 def well_prepared_init(
     base: LimitState,
-    eps: float,
+    eps_values,
     amp: float,
     shapes: PerturbationShapes | None = None,
-) -> tuple[EpsState, LimitState]:
-    """Prepared initial data at distance O(eps) from the limit data.
+) -> EpsBatch:
+    """Prepared initial data of a sweep, at distance O(eps) from the limit
+    data, as one batch with a member per entry of eps_values.
 
     The fluid fields deviate by eps*amp times the fixed shapes and the
-    radiation pair deviates from the limit closure by sqrt(eps)*amp times
-    its shapes, so the weighted initial-deviation functional is amp-many
-    multiples of eps with an eps-independent constant.
+    radiation pair deviates from the limit closure of the base
+    temperature by sqrt(eps)*amp times its shapes, so the weighted
+    initial-deviation functional is amp-many multiples of eps with an
+    eps-independent constant. At amp = 0 the moments are exactly the
+    limit closure's half spectrum.
 
     Raises:
-        PositivityLost: if the perturbed rho or theta is not positive.
+        PositivityLost: if the perturbed rho or theta of a member is not
+            positive (the first such member in the order of eps_values).
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    eps = tuple(float(e) for e in eps_values)
+    if not eps or min(eps) <= 0.0:
+        raise ValueError(f"eps values must be positive, got {eps_values!r}")
     if amp < 0.0:
         raise ValueError(f"amp must be nonnegative, got {amp}")
     grid = base.grid
     if shapes is None:
         shapes = default_perturbation_shapes(grid)
+    fluid_shape = np.stack([shapes.rho.values, *(c.values for c in shapes.u), shapes.theta.values])
+    rad_shape = np.stack([shapes.I0.values, *(c.values for c in shapes.I1)])
 
-    fluid_scale = eps * amp
-    rad_scale = math.sqrt(eps) * amp
-    rho = base.fluid.rho + shapes.rho * fluid_scale
-    u = base.fluid.u + shapes.u * fluid_scale
-    theta = base.fluid.theta + shapes.theta * fluid_scale
-    if rho.min_value < POSITIVITY_FLOOR or theta.min_value < POSITIVITY_FLOOR:
-        raise PositivityLost(
-            f"perturbation amp={amp} destroys positivity at eps={eps}"
-        )
-    i0_ref = limit_I0(base.fluid.theta)
-    rad = RadiationMoments(
-        I0=i0_ref + shapes.I0 * rad_scale,
-        I1=-grad(i0_ref) + shapes.I1 * rad_scale,
-    )
-    eps_init = EpsState(
-        fluid=FluidState(rho=rho, u=u, theta=theta), rad=rad, time=base.time
-    )
-    return eps_init, base
+    member = (-1,) + (1,) * grid.n_dims
+    fluid_scale = np.reshape([e * amp for e in eps], member)
+    rad_scale = np.reshape([math.sqrt(e) * amp for e in eps], member)
+    fluid = base.fluid[:, None] + fluid_shape[:, None] * fluid_scale
+    lows = np.minimum(fluid[0].min(axis=grid.axes), fluid[-1].min(axis=grid.axes))
+    for e, low in zip(eps, lows):
+        if low < POSITIVITY_FLOOR:
+            raise PositivityLost(f"perturbation amp={amp} destroys positivity at eps={e}")
+    limit_rad = limit_spectrum(grid, base.fluid[-1])
+    rad = limit_rad[:, None] + grid.forward(rad_shape)[:, None] * rad_scale
+    return EpsBatch(grid, eps, fluid, rad, base.time)
 
 
-def hypothesis_deviation(
-    eps_init: EpsState, limit_init: LimitState, s: int, eps: float
-) -> float:
-    """Weighted distance of initial data from the limit-induced data.
+def hypothesis_deviation(batch: EpsBatch, limit_init: LimitState, s: int) -> np.ndarray:
+    """Weighted distance of each member's data from the limit-induced data.
 
-    ||fluid differences||_s + sqrt(eps) * ||radiation differences||_s,
-    the quantity that must be O(eps) for the convergence theory to apply.
+    ||fluid differences||_s + sqrt(eps) * ||radiation differences||_s per
+    member, the quantity that must be O(eps) for the convergence theory
+    to apply; an array over the members of the batch.
     """
-    fluid_sq, rad_sq = error_squares(error_fields(eps_init, limit_init), s)
-    return math.sqrt(fluid_sq) + math.sqrt(eps) * math.sqrt(rad_sq)
+    fluid_sq, rad_sq = batch_error_squares(batch, limit_init, (s,))[0]
+    return np.sqrt(fluid_sq) + np.sqrt(batch.eps) * np.sqrt(rad_sq)
 
 
 def fit_rate(pairs) -> RateFit:

@@ -7,9 +7,8 @@ where <mode> is one of simulate-eps, simulate-limit, convergence-study,
 closure-check. The RADHYDRO_OUT environment variable, when set,
 overrides --out. With --strict (the default) the process exits nonzero
 when any configured acceptance bound fails; --no-strict always exits 0
-for completed runs but still reports the misses. --threads N is still
-accepted but ignored (with a note on stderr): the members of an eps
-sweep advance in lockstep in one thread.
+for completed runs but still reports the misses. Every run is one
+thread: the members of an eps sweep advance in lockstep.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(mode, help=f"run a {mode} job")
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None, help="ignored (deprecated)")
         p.add_argument(
             "--strict",
             action=argparse.BooleanOptionalAction,
@@ -51,11 +49,6 @@ def main(argv=None) -> int:
         print(f"radhydro: {exc}", file=sys.stderr)
         return 2
 
-    if args.threads is not None:
-        print(
-            "radhydro: note: --threads is ignored; eps sweeps run in lockstep",
-            file=sys.stderr,
-        )
     out_dir = os.environ.get("RADHYDRO_OUT") or args.out
     try:
         summary = run(config, out_dir=out_dir)

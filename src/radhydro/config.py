@@ -16,7 +16,7 @@ import numpy as np
 
 from .analysis import PerturbationShapes, default_perturbation_shapes
 from .errors import ParseError, ValidationError
-from .fluid import FluidParams, FluidState
+from .fluid import FluidParams
 from .spectral import Grid, SpectralField, VectorField, sobolev_norm
 from .stepping import LimitState, StepControl, cfl_bounds
 
@@ -27,11 +27,13 @@ MODES = ("simulate-eps", "simulate-limit", "convergence-study", "closure-check")
 DEFAULT_EPS_SWEEP = (0.1, 0.05, 0.025, 0.0125)
 
 # Work budget checked at parse time, so that no accepted config asks for
-# an effectively endless run: output samples (t_end / output_interval)
-# and time steps (t_end / dt_max, and t_end over the CFL bound of the
-# initial profiles).
+# an effectively endless run or an unbounded amount of memory: output
+# samples (t_end / output_interval), time steps (t_end / dt_max, and
+# t_end over the CFL bound of the initial profiles) and grid cells
+# (1024 x 1024 in 2D).
 MAX_SAMPLES = 1e6
 MAX_STEPS = 1e7
+MAX_CELLS = 2**20
 
 DEFAULT_BOUNDS = {
     "fluid_slope": [0.9, 1.3],
@@ -122,16 +124,21 @@ def _check_keys(d: dict, allowed: set, context: str) -> None:
 
 
 def _is_finite_number(value) -> bool:
-    """A JSON number other than NaN and +-Infinity (which json accepts)."""
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
+    """A JSON number other than NaN and +-Infinity (which json accepts),
+    and no integer too large for a float."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _number(d: dict, key: str, default, context: str, positive=False):
-    value = d.get(key, default)
+    """The number under key, or default when the key is absent or null."""
+    value = d.get(key)
+    if value is None:
+        value = default
     if value is None:
         return None
     if not _is_finite_number(value):
@@ -145,7 +152,9 @@ def _number(d: dict, key: str, default, context: str, positive=False):
     return value
 
 
-def _validate_profile(spec, name: str, default: dict) -> dict:
+def _validate_profile(spec, name: str, default: dict, kmax: int) -> dict:
+    """Profile spec with its defaults; wavenumbers must satisfy |k| <= kmax,
+    the largest the grid resolves."""
     if spec is None:
         return default
     if not isinstance(spec, dict):
@@ -169,6 +178,8 @@ def _validate_profile(spec, name: str, default: dict) -> dict:
             wn = [wn]
         if not (isinstance(wn, list) and all(isinstance(k, int) for k in wn)):
             _fail(f"{ctx}.wavenumber", "expected an integer or list of integers")
+        if any(isinstance(k, bool) or abs(k) > kmax for k in wn):
+            _fail(f"{ctx}.wavenumber", f"expected integers k with |k| <= {kmax}")
         kind = m.get("kind", "sin")
         if kind not in ("sin", "cos"):
             _fail(f"{ctx}.kind", f"expected 'sin' or 'cos', got {kind!r}")
@@ -185,15 +196,16 @@ def _default_profiles(n_dims: int) -> dict:
     return {"rho": rho, "u": [u0] + [rest] * (n_dims - 1), "theta": theta}
 
 
-def _validate_profiles(raw, n_dims: int) -> dict:
+def _validate_profiles(raw, grid: Grid) -> dict:
+    n_dims, kmax = grid.n_dims, grid.points_per_dim // 2
     defaults = _default_profiles(n_dims)
     if raw is None:
         return defaults
     if not isinstance(raw, dict):
         _fail("profiles", "expected an object")
     _check_keys(raw, {"rho", "u", "theta"}, "profiles")
-    rho = _validate_profile(raw.get("rho"), "profiles.rho", defaults["rho"])
-    theta = _validate_profile(raw.get("theta"), "profiles.theta", defaults["theta"])
+    rho = _validate_profile(raw.get("rho"), "profiles.rho", defaults["rho"], kmax)
+    theta = _validate_profile(raw.get("theta"), "profiles.theta", defaults["theta"], kmax)
     u_raw = raw.get("u")
     if u_raw is None:
         u = defaults["u"]
@@ -201,13 +213,14 @@ def _validate_profiles(raw, n_dims: int) -> dict:
         if not isinstance(u_raw, list) or len(u_raw) != n_dims:
             _fail("profiles.u", f"expected a list of {n_dims} component profiles")
         u = [
-            _validate_profile(c, f"profiles.u[{i}]", defaults["u"][i])
+            _validate_profile(c, f"profiles.u[{i}]", defaults["u"][i], kmax)
             for i, c in enumerate(u_raw)
         ]
     return {"rho": rho, "u": u, "theta": theta}
 
 
-def _validate_shapes(raw, n_dims: int) -> dict | None:
+def _validate_shapes(raw, grid: Grid) -> dict | None:
+    n_dims, kmax = grid.n_dims, grid.points_per_dim // 2
     if raw is None:
         return None
     if not isinstance(raw, dict):
@@ -217,7 +230,7 @@ def _validate_shapes(raw, n_dims: int) -> dict | None:
     out = {}
     for key in ("rho", "theta", "I0"):
         out[key] = _validate_profile(
-            raw.get(key), f"perturbation_shapes.{key}", empty
+            raw.get(key), f"perturbation_shapes.{key}", empty, kmax
         )
     for key in ("u", "I1"):
         comp_raw = raw.get(key)
@@ -230,7 +243,7 @@ def _validate_shapes(raw, n_dims: int) -> dict | None:
                 f"expected a list of {n_dims} component profiles",
             )
         out[key] = [
-            _validate_profile(c, f"perturbation_shapes.{key}[{i}]", empty)
+            _validate_profile(c, f"perturbation_shapes.{key}[{i}]", empty, kmax)
             for i, c in enumerate(comp_raw)
         ]
     return out
@@ -244,6 +257,8 @@ def _validate_bounds(raw) -> dict:
         _fail("bounds", "expected an object")
     _check_keys(raw, set(DEFAULT_BOUNDS), "bounds")
     for key, value in raw.items():
+        if value is None:
+            continue
         if key in ("fluid_slope", "radiation_slope"):
             if not (
                 isinstance(value, list)
@@ -253,10 +268,7 @@ def _validate_bounds(raw) -> dict:
                 _fail(f"bounds.{key}", "expected [low, high] of finite numbers")
             bounds[key] = [float(value[0]), float(value[1])]
         else:
-            limit = _number({key: value}, key, None, "bounds")
-            if limit is None:
-                _fail(f"bounds.{key}", "expected a number")
-            bounds[key] = limit
+            bounds[key] = _number(raw, key, None, "bounds")
     return bounds
 
 
@@ -266,17 +278,19 @@ def _check_cfl_steps(grid: Grid, profiles: dict, params: FluidParams, control: S
 
     Profiles that are not positive are left to ``build_limit_initial``.
     """
-    rows = [profiles["rho"], *profiles["u"], profiles["theta"]]
-    y = np.stack([_profile_values(grid, spec) for spec in rows])[:, None]
+    y = _profile_stack(grid, profiles)
+    if not np.isfinite(y).all():
+        _fail("profiles", "the initial profile values are not all finite")
     if y[0].min() <= 0.0 or y[-1].min() <= 0.0:
         return
     bounds = cfl_bounds(grid, y, params, control)
     for name, field_name, dt in zip(("advective", "diffusive"), ("profiles", "fluid"), bounds):
-        if control.t_end / dt > MAX_STEPS:
+        steps = control.t_end / dt if dt > 0.0 else math.inf
+        if not steps <= MAX_STEPS:
             _fail(
                 field_name,
                 f"the {name} CFL bound dt = {dt:.3g} on the initial profiles implies"
-                f" {control.t_end / dt:.3g} time steps, over the budget of {MAX_STEPS:g}",
+                f" {steps:.3g} time steps, over the budget of {MAX_STEPS:g}",
             )
 
 
@@ -306,12 +320,14 @@ def parse_config(raw: dict, mode: str | None = None) -> RunConfig:
     _check_keys(grid_raw, {"n_dims", "points"}, "grid")
     n_dims = grid_raw.get("n_dims", 1)
     points = grid_raw.get("points", 64)
-    if not isinstance(n_dims, int) or not isinstance(points, int):
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (n_dims, points)):
         _fail("grid", "n_dims and points must be integers")
     try:
-        Grid(n_dims=n_dims, points_per_dim=points)
+        grid = Grid(n_dims=n_dims, points_per_dim=points)
     except ValueError as exc:
         raise ValidationError(f"field 'grid': {exc}") from exc
+    if points**n_dims > MAX_CELLS:
+        _fail("grid", f"{points}^{n_dims} grid cells exceed the budget of {MAX_CELLS}")
 
     fluid_raw = raw.get("fluid", {})
     if not isinstance(fluid_raw, dict):
@@ -369,13 +385,13 @@ def parse_config(raw: dict, mode: str | None = None) -> RunConfig:
         if value > 1.0:
             _fail(name, f"must lie in (0, 1], got {value}")
 
-    profiles = _validate_profiles(raw.get("profiles"), n_dims)
+    profiles = _validate_profiles(raw.get("profiles"), grid)
     control = StepControl(t_end, dt_max, cfl_advective, cfl_diffusive)
-    _check_cfl_steps(Grid(n_dims, points), profiles, params, control)
+    _check_cfl_steps(grid, profiles, params, control)
     perturbation_amp = _number(raw, "perturbation_amp", 0.0, "")
     if perturbation_amp < 0.0:
         _fail("perturbation_amp", "must be nonnegative")
-    shapes = _validate_shapes(raw.get("perturbation_shapes"), n_dims)
+    shapes = _validate_shapes(raw.get("perturbation_shapes"), grid)
 
     sobolev_raw = raw.get("sobolev_indices")
     # default high index: smallest integer above n/2 + 2
@@ -490,22 +506,19 @@ def _profile_values(grid: Grid, spec: dict):
     return vals
 
 
+def _profile_stack(grid: Grid, profiles: dict) -> np.ndarray:
+    """The (n+2, *shape) values of the rho, u and theta profiles."""
+    rows = [profiles["rho"], *profiles["u"], profiles["theta"]]
+    return np.stack([_profile_values(grid, spec) for spec in rows])
+
+
 def build_limit_initial(config: RunConfig) -> LimitState:
     """Construct the limit-system initial state from the profile spec."""
     grid = config.grid
-    rho = SpectralField.from_values(grid, _profile_values(grid, config.profiles["rho"]))
-    theta = SpectralField.from_values(
-        grid, _profile_values(grid, config.profiles["theta"])
-    )
-    u = VectorField(
-        [
-            SpectralField.from_values(grid, _profile_values(grid, spec))
-            for spec in config.profiles["u"]
-        ]
-    )
-    if rho.min_value <= 0.0 or theta.min_value <= 0.0:
+    y = _profile_stack(grid, config.profiles)
+    if y[0].min() <= 0.0 or y[-1].min() <= 0.0:
         raise ValidationError("initial rho and theta profiles must be positive")
-    return LimitState(fluid=FluidState(rho=rho, u=u, theta=theta), time=0.0)
+    return LimitState(grid, y, 0.0)
 
 
 def build_shapes(config: RunConfig) -> PerturbationShapes:

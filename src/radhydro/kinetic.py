@@ -129,12 +129,6 @@ class KineticField:
         vals.setflags(write=False)
         return cls(grid, ords, vals)
 
-    @classmethod
-    def isotropic(cls, f: SpectralField, ords: OrdinateSet) -> "KineticField":
-        vals = np.broadcast_to(f.values, (ords.count, *f.grid.shape)).copy()
-        vals.setflags(write=False)
-        return cls(f.grid, ords, vals)
-
 
 def _directional_derivative(grid: Grid, slab: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """omega . grad of one ordinate slab, spectrally (one half-spectrum

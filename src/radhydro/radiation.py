@@ -1,8 +1,9 @@
-"""P1 radiation moments: stiff relaxation dynamics and the limit closure.
+"""P1 radiation moments, gray emission and the limit closure.
 
 The moment pair (I0, I1) relaxes on the fast 1/eps time scale toward the
-local equilibrium determined by the fluid temperature. As eps -> 0 the
-pair collapses onto the nonlocal closure
+local equilibrium determined by the fluid temperature; ``radhydro.stepping``
+advances that relaxation exactly per Fourier mode. As eps -> 0 the pair
+collapses onto the nonlocal closure
 
     I0 = (I - Laplacian)^(-1) theta^4,      I1 = -grad I0,
 
@@ -16,28 +17,16 @@ identically).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .spectral import (
-    Grid,
-    SpectralField,
-    VectorField,
-    dealias,
-    div,
-    grad,
-    helmholtz_inverse,
-    sobolev_squares,
-    unstack,
-)
+from .spectral import Grid, SpectralField, VectorField, dealias, helmholtz_inverse, sobolev_squares
 
 __all__ = [
     "RadiationMoments",
     "emission",
     "emission_spectrum",
     "limit_spectrum",
-    "radiation_rhs",
     "limit_I0",
     "limit_q",
     "limit_closure_residual",
@@ -59,46 +48,10 @@ class RadiationMoments:
     def grid(self) -> Grid:
         return self.I0.grid
 
-    @classmethod
-    def from_half_spectrum(cls, grid: Grid, coeffs: np.ndarray) -> "RadiationMoments":
-        """Moments from stacked half-spectrum coefficients of (I0, I1_1..I1_n).
-
-        The coefficients are kept, so a later substep starts from them
-        without another forward transform.
-        """
-        rows = unstack(grid, grid.inverse(coeffs))
-        rad = cls(I0=rows[0], I1=VectorField(rows[1:]))
-        coeffs.setflags(write=False)
-        rad.__dict__["half_spectrum"] = coeffs  # seeds the cached_property below
-        return rad
-
-    @cached_property
-    def half_spectrum(self) -> np.ndarray:
-        """Read-only (1+n, *half_shape) rfftn coefficients of I0 and I1."""
-        values = np.stack([self.I0.values, *(c.values for c in self.I1)])
-        coeffs = self.grid.forward(values)
-        coeffs.setflags(write=False)
-        return coeffs
-
 
 def emission(theta: SpectralField) -> SpectralField:
     """Gray emission theta^4, dealiased after the quartic product."""
     return dealias(theta**4)
-
-
-def radiation_rhs(
-    rad: RadiationMoments, theta: SpectralField, eps: float
-) -> tuple[SpectralField, VectorField]:
-    """Relaxation tendencies of the moment pair.
-
-    d(I0)/dt = [theta^4 - I0 - div I1] / eps
-    d(I1)/dt = [-I1 - grad I0] / eps
-    """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    d_I0 = (emission(theta) - rad.I0 - div(rad.I1)) * (1.0 / eps)
-    d_I1 = (-rad.I1 - grad(rad.I0)) * (1.0 / eps)
-    return d_I0, d_I1
 
 
 def limit_I0(theta: SpectralField) -> SpectralField:
@@ -138,7 +91,8 @@ def limit_q(theta: SpectralField) -> VectorField:
     half-spectrum transform.
     """
     grid = theta.grid
-    return VectorField(unstack(grid, grid.inverse(limit_spectrum(grid, theta.values)[1:])))
+    q = grid.inverse(limit_spectrum(grid, theta.values)[1:])
+    return VectorField([SpectralField.from_values(grid, c) for c in q])
 
 
 def limit_closure_residual(theta: SpectralField, q: VectorField) -> float:

@@ -40,8 +40,8 @@ from .config import RunConfig, build_limit_initial, build_shapes
 from .errors import DegenerateFit, TimeMismatch
 from .kinetic import KineticField, make_ordinates, moment_system_check, p1_projection_residual
 from .radiation import RadiationMoments, limit_I0, limit_closure_residual, limit_q
-from .spectral import grad, sobolev_squares
-from .stepping import EpsBatch, StepControl, cfl_dt, step_batch, step_eps, step_limit
+from .spectral import SpectralField, grad, sobolev_squares
+from .stepping import StepControl, cfl_dt, step_batch, step_eps, step_limit
 
 __all__ = ["RunSummary", "run", "emit_series", "emit_summary"]
 
@@ -165,17 +165,19 @@ def _state_row(grid, time: float, values: np.ndarray, indices) -> list:
 def _emit_limit_series(states, config: RunConfig, out_dir: str) -> tuple[float, float]:
     """Write limit_series.csv; returns the largest closure residual and
     the relative mass drift of the limit run."""
-    rows = [
-        _state_row(st.grid, st.time, st.fluid.stacked, config.sobolev_indices)
-        + [limit_closure_residual(st.fluid.theta, limit_q(st.fluid.theta))]
-        for st in states
-    ]
+    rows = []
+    for st in states:
+        theta = SpectralField.from_values(st.grid, st.fluid[-1])
+        rows.append(
+            _state_row(st.grid, st.time, st.fluid, config.sobolev_indices)
+            + [limit_closure_residual(theta, limit_q(theta))]
+        )
     emit_series(
         os.path.join(out_dir, "limit_series.csv"),
         _state_norm_header(config, with_radiation=False, extra=("closure_residual",)),
         rows,
     )
-    drift = _relative_drift([_mass(s.fluid.rho.values, s.grid) for s in states])
+    drift = _relative_drift([_mass(s.fluid[0], s.grid) for s in states])
     return max(row[-1] for row in rows), float(drift)
 
 
@@ -272,16 +274,12 @@ def _run_convergence(config: RunConfig, out_dir: str):
     # All members advance in lockstep with the smallest stable dt of any
     # member: the exact radiation substep makes the bound eps-independent.
     sweep = config.eps_list  # strictly decreasing
-    inits = [well_prepared_init(base, eps, config.perturbation_amp, shapes)[0] for eps in sweep]
-    lhs = [hypothesis_deviation(s, base, s_acc, eps) / eps for s, eps in zip(inits, sweep)]
+    init = well_prepared_init(base, sweep, config.perturbation_amp, shapes)
+    lhs = (hypothesis_deviation(init, base, s_acc) / sweep).tolist()
     batches = _sampled(
-        EpsBatch.from_states(inits, sweep),
-        lambda b, dt: step_batch(b, params, dt),
-        params,
-        config,
-        "eps sweep",
+        init, lambda b, dt: step_batch(b, params, dt), params, config, "eps sweep"
     )
-    del inits
+    del init
     results = _error_series(sweep, batches, limit_states, config)
     for r, lhs_over_eps in zip(results, lhs):
         eps = r["eps"]
@@ -364,15 +362,14 @@ def _run_simulate_eps(config: RunConfig, out_dir: str):
     eps = config.eps
     base = build_limit_initial(config)
     shapes = build_shapes(config)
-    eps_init, _ = well_prepared_init(base, eps, config.perturbation_amp, shapes)
+    init = well_prepared_init(base, (eps,), config.perturbation_amp, shapes)
     limit_states = _limit_run(base, config)
 
     state_rows = []
 
     def batches():
         # One member, through the binding step_batch calls per chunk.
-        stepper = lambda b, dt: step_eps(b, params, b.eps, dt)
-        init = EpsBatch.from_states([eps_init], (eps,))
+        stepper = lambda b, dt: step_eps(b, params, dt)
         for b in _sampled(init, stepper, params, config, f"eps = {eps:g}"):
             values = np.concatenate([b.fluid[:, 0], b.grid.inverse(b.rad[:, 0])])
             state_rows.append(_state_row(b.grid, b.time, values, config.sobolev_indices))
@@ -412,7 +409,7 @@ def _run_simulate_limit(config: RunConfig, out_dir: str):
 
 def _run_closure_check(config: RunConfig, out_dir: str):
     base = build_limit_initial(config)
-    theta = base.fluid.theta
+    theta = SpectralField.from_values(base.grid, base.fluid[-1])
     ords = make_ordinates(config.n_dims, config.ordinates)
     i0 = limit_I0(theta)
     rad = RadiationMoments(I0=i0, I1=-grad(i0))
@@ -465,8 +462,10 @@ def run(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> RunS
     """Execute a run and write its outputs under out_dir.
 
     Returns the summary; the caller decides how exit_status maps to a
-    process exit code (strict mode). threads is accepted and ignored:
-    the members of an eps sweep advance in lockstep in one thread.
+    process exit code (strict mode). threads is accepted and ignored
+    (the members of an eps sweep advance in lockstep in one thread); the
+    keyword stays because the benchmark harness in perfbench/ passes
+    threads=1.
     """
     out_dir = out_dir if out_dir is not None else config.out_dir
     os.makedirs(out_dir, exist_ok=True)

@@ -63,8 +63,6 @@ __all__ = [
     "sobolev_norm",
     "sobolev_squares",
     "dealias",
-    "l2_inner",
-    "unstack",
 ]
 
 MAX_SOBOLEV_INDEX = 6
@@ -195,16 +193,6 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def unstack(grid: Grid, stack: np.ndarray) -> list["SpectralField"]:
-    """Fields viewing the rows of a (m, *grid.shape) array, without a copy.
-
-    The array is marked read-only; the caller hands it over and must not
-    write to it through another reference afterwards.
-    """
-    _read_only(stack)
-    return [SpectralField(grid, values=row) for row in stack]
-
-
 class SpectralField:
     """Real scalar field with lazily synchronized Fourier coefficients.
 
@@ -268,9 +256,6 @@ class SpectralField:
     @property
     def min_value(self) -> float:
         return float(self.values.min())
-
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.values)))
 
     # Pointwise arithmetic. Linear combinations are alias-free; nonlinear
     # products must be followed by dealias() at the call site.
@@ -382,16 +367,6 @@ class VectorField:
     def __neg__(self):
         return VectorField([-c for c in self.components])
 
-    def dot(self, other: "VectorField") -> SpectralField:
-        """Pointwise scalar product (not dealiased)."""
-        out = self.components[0] * other.components[0]
-        for a, b in zip(self.components[1:], other.components[1:]):
-            out = out + a * b
-        return out
-
-    def is_finite(self) -> bool:
-        return all(c.is_finite() for c in self.components)
-
 
 def grad(f: SpectralField) -> VectorField:
     """Spectral gradient: component j has coefficients i*k_j*fhat(k)."""
@@ -466,15 +441,3 @@ def sobolev_squares(grid: Grid, coeffs: np.ndarray, indices) -> np.ndarray:
         weight = grid.half_multiplicity * (1.0 + grid.half_k_squared) ** s
         out[i] = power @ weight.ravel() * grid.volume
     return out
-
-
-def l2_inner(a, b) -> float:
-    """L^2 inner product on the torus, exact via Parseval.
-
-    Accepts two scalar fields or two vector fields. The sum runs over the
-    half spectrum with Hermitian weights (``Grid.half_multiplicity``).
-    """
-    if isinstance(a, VectorField) and isinstance(b, VectorField):
-        return float(sum(l2_inner(x, y) for x, y in zip(a.components, b.components)))
-    total = np.sum(a.grid.half_multiplicity * (np.conj(a.coefficients) * b.coefficients).real)
-    return float(total * a.grid.volume)

@@ -17,10 +17,11 @@ Per mode k the radiation subsystem splits into a longitudinal 2x2 block
 matrix exponential is a damped rotation exp(-dt/eps) *
 rot(|k| dt / eps), and transverse first-moment components that decay as
 exp(-dt/eps). No linear solves appear anywhere. The substep works on
-the stacked half-spectrum coefficients of (I0, I1); the moments it
-returns keep them (``RadiationMoments.half_spectrum``), so the second
-half substep starts from them without another forward transform.
+the stacked half-spectrum coefficients of (I0, I1), which is how the
+state stores the moments, so neither half substep needs a forward
+transform of them.
 
+Every state is a stack of arrays; there is no per-field object layer.
 The Strang step is one array kernel over E members at once
 (``EpsBatch``, ``step_batch``): the fluid state is a (n+2, E, *shape)
 stack, the moments a (1+n, E, *half_shape) half spectrum, eps an
@@ -31,17 +32,19 @@ eps, the time, the field and, for positivity, the margin. Because the
 stable dt does not depend on eps (the asymptotic-preserving property of
 the exact substep), one dt serves all members of an eps sweep. The
 dealiased theta^4 spectrum that closes one step also opens the next.
-``step_eps`` advances one state, or one chunk of members, through this
-kernel; ``step_batch`` splits a batch into chunks (LOCKSTEP_CELLS).
-The limit system has no moments: ``step_limit`` is the same RK4 on its
-(n+2, 1, *shape) stack, and the right-hand-side kernel forms the limit
-flux of each stage's temperature from the theta^4 row of its own
-product batch (six transform calls per stage, as for the eps system).
+``step_eps`` advances one chunk of members through this kernel;
+``step_batch`` splits a batch into chunks (LOCKSTEP_CELLS). The limit
+system has no moments: its state (``LimitState``) is the (n+2, *shape)
+stack of (rho, u, theta) in the same field order, ``step_limit`` is the
+same RK4 on it, and the right-hand-side kernel forms the limit flux of
+each stage's temperature from the theta^4 row of its own product batch
+(six transform calls per stage, as for the eps system).
 
-Viscous and heat terms ride inside the explicit RK4 stage with the
-diffusive CFL bound; at desk-scale grids and mu, kappa <= 0.05 the dt
-penalty is acceptable and the code stays matrix-free. This is the first
-knob to revisit for fine grids.
+Viscous and heat terms ride inside the explicit RK4 stage under the
+diffusive bound of ``cfl_bounds``, taken from the spectral radius of
+the linear viscous and heat terms on the kept modes; at desk-scale
+grids and mu, kappa <= 0.05 the dt penalty is acceptable and the code
+stays matrix-free. This is the first knob to revisit for fine grids.
 """
 
 from __future__ import annotations
@@ -52,16 +55,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUp, located
-from .fluid import FluidParams, FluidState, _rhs_common, require_positive
-from .radiation import RadiationMoments, emission_spectrum
-from .spectral import Grid, SpectralField
+from .fluid import FluidParams, _rhs_common, require_positive
+from .radiation import emission_spectrum
+from .spectral import Grid
 
 __all__ = [
     "EpsBatch",
-    "EpsState",
     "LimitState",
     "StepControl",
-    "radiation_exact_substep",
     "step_batch",
     "step_eps",
     "step_limit",
@@ -71,32 +72,20 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class EpsState:
-    """Unknowns of the finite-eps system at one time."""
+class LimitState:
+    """Unknowns of the limit system at one time; the flux is derived,
+    not stored.
 
-    fluid: FluidState
-    rad: RadiationMoments
+    fluid: read-only (n+2, *shape) values of rho, u_1..u_n, theta, the
+        field order of ``EpsBatch.fluid``.
+    """
+
+    grid: Grid
+    fluid: np.ndarray
     time: float
 
     def __post_init__(self):
-        if self.fluid.grid != self.rad.grid:
-            raise ValueError("fluid and radiation grids differ")
-
-    @property
-    def grid(self):
-        return self.fluid.grid
-
-
-@dataclass(frozen=True)
-class LimitState:
-    """Unknowns of the limit system; the flux is derived, not stored."""
-
-    fluid: FluidState
-    time: float
-
-    @property
-    def grid(self):
-        return self.fluid.grid
+        self.fluid.setflags(write=False)
 
 
 # Grid cells per lockstep chunk. The members of one chunk are transformed
@@ -136,12 +125,11 @@ class StepControl:
                 raise ValueError(f"{name} must lie in (0, 1], got {value}")
 
 
-def radiation_exact_substep(
-    rad: RadiationMoments, theta_frozen: SpectralField, eps: float, dt: float
-) -> RadiationMoments:
-    """Advance the radiation moments exactly over [0, dt], theta frozen.
+def _substep(grid, coeffs: np.ndarray, source: np.ndarray, eps: np.ndarray, dt: float):
+    """Advance the (1+n, E, *half_shape) coefficients of (I0, I1) exactly
+    over [0, dt], theta frozen.
 
-    Solves, per mode k with source t = coefficients of theta^4 (dealiased),
+    Solves, per mode k with source t = the dealiased spectrum of theta^4,
 
         eps d(I0)/dt = t - I0 - i k . I1
         eps d(I1)/dt = -I1 - i k I0
@@ -149,24 +137,8 @@ def radiation_exact_substep(
     in closed form. The fixed point is the limit pair (Helmholtz-inverse
     intensity and its negative gradient); the deviation from it rotates at
     rate |k|/eps while decaying as exp(-dt/eps). A semigroup: two steps of
-    dt/2 compose to one step of dt exactly.
-    """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if dt < 0.0:
-        raise ValueError(f"dt must be nonnegative, got {dt}")
-    grid = rad.grid
-    source = emission_spectrum(grid, theta_frozen.values)[None]
-    eps_member = np.full((1,) * (grid.n_dims + 1), float(eps))
-    out = _substep(grid, rad.half_spectrum[:, None], source, eps_member, dt)
-    return RadiationMoments.from_half_spectrum(grid, out[:, 0])
-
-
-def _substep(grid, coeffs: np.ndarray, source: np.ndarray, eps: np.ndarray, dt: float):
-    """The exact substep on (1+n, E, *half_shape) coefficients of (I0, I1).
-
-    source is the (E, *half_shape) dealiased spectrum of theta^4 and eps
-    an (E, 1, ...) array; every member advances by the same dt.
+    dt/2 compose to one step of dt exactly. source is (E, *half_shape)
+    and eps an (E, 1, ...) array; every member advances by the same dt.
     """
     i0, i1 = coeffs[0], coeffs[1:]
     kappa = grid.half_k_abs
@@ -256,19 +228,6 @@ class EpsBatch:
             if eps <= 0.0:
                 raise ValueError(f"eps must be positive, got {eps}")
 
-    @classmethod
-    def from_states(cls, states, eps) -> "EpsBatch":
-        """Batch of simultaneous states, one per entry of eps."""
-        fluid = np.stack([s.fluid.stacked for s in states], axis=1)
-        rad = np.stack([s.rad.half_spectrum for s in states], axis=1)
-        return cls(states[0].grid, tuple(eps), fluid, rad, states[0].time)
-
-    def member(self, e: int) -> EpsState:
-        """Member e as a state viewing the batch arrays."""
-        fluid = FluidState.from_stacked(self.grid, self.fluid[:, e])
-        rad = RadiationMoments.from_half_spectrum(self.grid, self.rad[:, e])
-        return EpsState(fluid=fluid, rad=rad, time=self.time)
-
     def _chunk(self, members: slice) -> "EpsBatch":
         source = None if self.source is None else self.source[members]
         return EpsBatch(
@@ -281,7 +240,32 @@ class EpsBatch:
         )
 
 
-def _strang(b: EpsBatch, p: FluidParams, dt: float) -> EpsBatch:
+def step_batch(b: EpsBatch, p: FluidParams, dt: float) -> EpsBatch:
+    """One Strang step of every member of the batch, with one shared dt.
+
+    Members are advanced in chunks of at most LOCKSTEP_CELLS grid cells
+    (at least one member each), one ``step_eps`` call per chunk; the
+    chunks share dt, so the result does not depend on the chunk size.
+    """
+    per_chunk = max(1, LOCKSTEP_CELLS // math.prod(b.grid.shape))
+    if len(b.eps) <= per_chunk:
+        return step_eps(b, p, dt)
+    fluid, rad = np.empty_like(b.fluid), np.empty_like(b.rad)
+    source = np.empty(rad.shape[1:], dtype=complex)
+    for a in range(0, len(b.eps), per_chunk):
+        members = slice(a, a + per_chunk)
+        part = step_eps(b._chunk(members), p, dt)
+        fluid[:, members], rad[:, members], source[members] = part.fluid, part.rad, part.source
+    return EpsBatch(b.grid, b.eps, fluid, rad, part.time, source)
+
+
+def step_eps(b: EpsBatch, p: FluidParams, dt: float) -> EpsBatch:
+    """One Strang step of the finite-eps system for every member of b,
+    as one array.
+
+    Second-order accurate in dt uniformly as eps -> 0 for smooth data;
+    the global constant equilibrium is an exact fixed point.
+    """
     grid = b.grid
     eps = np.reshape(b.eps, (-1,) + (1,) * grid.n_dims)
     source = b.source if b.source is not None else emission_spectrum(grid, b.fluid[-1])
@@ -301,41 +285,6 @@ def _strang(b: EpsBatch, p: FluidParams, dt: float) -> EpsBatch:
     return EpsBatch(grid, b.eps, fluid, rad, time, source)
 
 
-def step_batch(b: EpsBatch, p: FluidParams, dt: float) -> EpsBatch:
-    """One Strang step of every member of the batch, with one shared dt.
-
-    Members are advanced in chunks of at most LOCKSTEP_CELLS grid cells
-    (at least one member each), one ``step_eps`` call per chunk; the
-    chunks share dt, so the result does not depend on the chunk size.
-    """
-    per_chunk = max(1, LOCKSTEP_CELLS // math.prod(b.grid.shape))
-    if len(b.eps) <= per_chunk:
-        return step_eps(b, p, b.eps, dt)
-    fluid, rad = np.empty_like(b.fluid), np.empty_like(b.rad)
-    source = np.empty(rad.shape[1:], dtype=complex)
-    for a in range(0, len(b.eps), per_chunk):
-        members = slice(a, a + per_chunk)
-        part = step_eps(b._chunk(members), p, b.eps[members], dt)
-        fluid[:, members], rad[:, members], source[members] = part.fluid, part.rad, part.source
-    return EpsBatch(b.grid, b.eps, fluid, rad, part.time, source)
-
-
-def step_eps(s, p: FluidParams, eps, dt: float):
-    """One Strang step of the finite-eps system.
-
-    Second-order accurate in dt uniformly as eps -> 0 for smooth data;
-    the global constant equilibrium is an exact fixed point. s is one
-    EpsState with its eps, or an EpsBatch whose members advance together
-    as one array (eps then is the tuple of the members' values, s.eps);
-    the result is of the same kind.
-    """
-    if isinstance(s, EpsBatch):
-        if tuple(eps) != s.eps:
-            raise ValueError(f"eps {eps!r} does not match the batch's {s.eps!r}")
-        return _strang(s, p, dt)
-    return _strang(EpsBatch.from_states([s], (eps,)), p, dt).member(0)
-
-
 def step_limit(s: LimitState, p: FluidParams, dt: float) -> LimitState:
     """One RK4 step of the limit system.
 
@@ -345,38 +294,51 @@ def step_limit(s: LimitState, p: FluidParams, dt: float) -> LimitState:
     """
     grid = s.grid
     rhs = lambda y: _rhs_common(grid, y, p)
-    fluid = _rk4(s.fluid.stacked[:, None], rhs, dt, None, s.time)
+    fluid = _rk4(s.fluid[:, None], rhs, dt, None, s.time)
     time = s.time + dt
     _require_finite(fluid, None, None, time)
-    return LimitState(fluid=FluidState.from_stacked(grid, fluid[:, 0]), time=time)
+    return LimitState(grid, fluid[:, 0], time)
+
+
+# Real-axis stability interval of classical RK4: the amplification
+# factor 1 + z + z^2/2 + z^3/6 + z^4/24 has modulus at most 1 for real z
+# in [-R, 0], where -R is the real root of z^3 + 4 z^2 + 12 z + 24 = 0
+# (Hairer & Wanner, Solving Ordinary Differential Equations II, Sect. IV.2).
+RK4_REAL_STABILITY = 2.785293563405282
 
 
 def cfl_bounds(grid: Grid, y: np.ndarray, p: FluidParams, c: StepControl) -> tuple[float, float]:
-    """Advective and diffusive step bounds of a (n+2, E, *shape) stack.
+    """Advective and diffusive step bounds of a (n+2, *shape) or
+    (n+2, E, *shape) stack.
 
     advective = cfl_adv * h / (max|u| + sqrt(max theta)),
-    diffusive = cfl_diff * h^2 * min(rho) / max(mu, kappa),
+    diffusive = cfl_diff * R * min(rho) / (max(mu, 2 mu + lam, kappa) * K2),
 
-    each the minimum over the E members. sqrt(theta) is the isothermal
-    sound-speed proxy (unit gas constant). Pointwise maxima and minima
-    only, no transforms.
+    each the minimum over the members. sqrt(theta) is the isothermal
+    sound-speed proxy (unit gas constant). The diffusive bound keeps the
+    spectral radius of the linear viscous and heat terms, divided by
+    rho, inside the real-axis stability interval R of RK4
+    (RK4_REAL_STABILITY): the stress symbol -mu|k|^2 u - (mu + lam) k(k.u)
+    has the eigenvalues -mu|k|^2 and -(2 mu + lam)|k|^2, the heat symbol
+    -kappa|k|^2, and K2 = n * floor(N/3)^2 is the largest |k|^2 the 2/3
+    rule keeps. Pointwise maxima and minima only, no transforms.
     """
-    spatial = tuple(range(1, y.ndim - 1))
-    h = grid.spacing
+    spatial = grid.axes
     u_max = np.sqrt(np.sum(y[1:-1] ** 2, axis=0).max(axis=spatial))
     speed = u_max + np.sqrt(y[-1].max(axis=spatial))
-    advective = c.cfl_advective * h / speed
-    diffusive = c.cfl_diffusive * h**2 * y[0].min(axis=spatial) / max(p.mu, p.kappa)
+    advective = c.cfl_advective * grid.spacing / speed
+    k2_max = grid.n_dims * (grid.points_per_dim // 3) ** 2
+    stiffness = max(p.mu, 2.0 * p.mu + p.lam, p.kappa) * k2_max
+    diffusive = c.cfl_diffusive * RK4_REAL_STABILITY * y[0].min(axis=spatial) / stiffness
     return float(advective.min()), float(diffusive.min())
 
 
-def cfl_dt(s, p: FluidParams, c: StepControl, eps: float | None = None) -> float:
-    """Stable time step: the smaller ``cfl_bounds``, the dt cap or the
-    time remaining.
+def cfl_dt(s, p: FluidParams, c: StepControl) -> float:
+    """Stable time step of an EpsBatch or a LimitState: the smaller
+    ``cfl_bounds``, the dt cap or the time remaining.
 
     The stiff radiation scale imposes no restriction (the substep is
-    exact), so the result is independent of eps. For an EpsBatch it is
-    the minimum over the members.
+    exact), so the result is independent of eps; for a batch it is the
+    minimum over the members.
     """
-    y = s.fluid if isinstance(s, EpsBatch) else s.fluid.stacked[:, None]
-    return min(*cfl_bounds(s.grid, y, p, c), c.dt, c.t_end - s.time)
+    return min(*cfl_bounds(s.grid, s.fluid, p, c), c.dt, c.t_end - s.time)

@@ -15,24 +15,22 @@ import pytest
 
 from radhydro.analysis import fit_rate, hypothesis_deviation, well_prepared_init
 from radhydro.config import build_limit_initial, parse_config
-from radhydro.fluid import FluidParams, FluidState
+from radhydro.fluid import FluidParams
 from radhydro.kinetic import KineticField, make_ordinates, moment_system_check
 from radhydro.radiation import RadiationMoments, limit_I0, limit_q
 from radhydro.runner import run
 from radhydro.spectral import (
     Grid,
     SpectralField,
-    VectorField,
     div,
     grad,
     helmholtz_inverse,
-    l2_inner,
     laplacian,
     sobolev_norm,
 )
-from radhydro.stepping import EpsState, LimitState, radiation_exact_substep, step_eps, step_limit
+from radhydro.stepping import step_eps, step_limit
 
-from conftest import smooth_field, smooth_vector
+from conftest import eps_batch, fields, l2_inner, limit_state, smooth_field, smooth_vector, stack, substep
 
 # Reference configuration: 1D, 64 points, mu = lam = kappa = 0.01,
 # rho = 1 + 0.1 sin x, u = 0.1 sin x, theta = 1 + 0.1 cos x, amp = 0,
@@ -97,10 +95,8 @@ def test_criterion_03_well_prepared_hypothesis():
     details = []
     ok = True
     for amp in (0.0, 1.0):
-        ratios = []
-        for eps in config.eps_list:
-            eps_init, limit_init = well_prepared_init(base, eps, amp)
-            ratios.append(hypothesis_deviation(eps_init, limit_init, 3, eps) / eps)
+        batch = well_prepared_init(base, config.eps_list, amp)
+        ratios = list(hypothesis_deviation(batch, base, 3) / np.array(config.eps_list))
         if max(ratios) < 1e-12:
             spread = 1.0
         else:
@@ -139,15 +135,14 @@ def test_criterion_06_radiative_relaxation_steady_state():
     x = grid.coordinates()[0]
     theta = SpectralField.from_values(grid, 1 + 0.1 * np.cos(x))
     eps = 0.05
-    rad = RadiationMoments(
-        I0=SpectralField.constant(grid, 1.0), I1=VectorField.zeros(grid)
-    )
+    rad = stack(grid, 1.0, 0.0)
     steps = 40
     for _ in range(steps):
-        rad = radiation_exact_substep(rad, theta, eps, 20 * eps / steps)
+        rad = substep(grid, rad, theta, eps, 20 * eps / steps)
+    i0, i1 = fields(grid, rad)
     deviation = math.sqrt(
-        sobolev_norm(rad.I0 - limit_I0(theta), 0) ** 2
-        + sobolev_norm(rad.I1 - limit_q(theta), 0) ** 2
+        sobolev_norm(i0 - limit_I0(theta), 0) ** 2
+        + sobolev_norm(i1 - limit_q(theta), 0) ** 2
     )
     ok = deviation < 1e-8
     _report(6, "relaxation drives moments to the limit pair", ok, f"deviation={deviation:.2e}")
@@ -180,23 +175,19 @@ def test_criterion_08_conservation_and_fixed_points(sweep):
     mass_ok = max(drifts) < 1e-10
 
     grid = Grid(n_dims=1, points_per_dim=64)
-    one = SpectralField.constant(grid, 1.0)
-    fluid = FluidState(rho=one, u=VectorField.zeros(grid), theta=one)
-    eps_state = EpsState(
-        fluid=fluid,
-        rad=RadiationMoments(I0=one, I1=VectorField.zeros(grid)),
-        time=0.0,
-    )
-    after_eps = step_eps(eps_state, PARAMS, 0.05, 0.01)
-    after_limit = step_limit(LimitState(fluid=fluid, time=0.0), PARAMS, 0.01)
+    fluid = stack(grid, 1.0, 0.0, 1.0)
+    eps_state = eps_batch(grid, (0.05,), [fluid], [stack(grid, 1.0, 0.0)])
+    after_eps = step_eps(eps_state, PARAMS, 0.01)
+    after_limit = step_limit(limit_state(grid, fluid), PARAMS, 0.01)
+    rad = grid.inverse(after_eps.rad)
     eq_dev = max(
-        np.abs(after_eps.fluid.rho.values - 1).max(),
-        np.abs(after_eps.fluid.u[0].values).max(),
-        np.abs(after_eps.fluid.theta.values - 1).max(),
-        np.abs(after_eps.rad.I0.values - 1).max(),
-        np.abs(after_eps.rad.I1[0].values).max(),
-        np.abs(after_limit.fluid.rho.values - 1).max(),
-        np.abs(after_limit.fluid.theta.values - 1).max(),
+        np.abs(after_eps.fluid[0] - 1).max(),
+        np.abs(after_eps.fluid[1]).max(),
+        np.abs(after_eps.fluid[2] - 1).max(),
+        np.abs(rad[0] - 1).max(),
+        np.abs(rad[1]).max(),
+        np.abs(after_limit.fluid[0] - 1).max(),
+        np.abs(after_limit.fluid[2] - 1).max(),
     )
     eq_ok = eq_dev <= 1e-13
     ok = mass_ok and eq_ok
@@ -231,44 +222,43 @@ def test_criterion_09_operator_and_order_suite():
 
     grid = Grid(n_dims=1, points_per_dim=64)
     one = SpectralField.constant(grid, 1.0)
-    fluid = FluidState(
-        rho=one + smooth_field(grid, rng, amp=0.05),
-        u=smooth_vector(grid, rng, amp=0.05),
-        theta=one + smooth_field(grid, rng, amp=0.05),
-    )
-    rad = RadiationMoments(
-        I0=limit_I0(fluid.theta) + smooth_field(grid, rng, amp=0.02),
-        I1=limit_q(fluid.theta) + smooth_vector(grid, rng, amp=0.02),
-    )
-    eps_state = EpsState(fluid=fluid, rad=rad, time=0.0)
+    rho = one + smooth_field(grid, rng, amp=0.05)
+    u = smooth_vector(grid, rng, amp=0.05)
+    theta = one + smooth_field(grid, rng, amp=0.05)
+    i0 = limit_I0(theta) + smooth_field(grid, rng, amp=0.02)
+    i1 = limit_q(theta) + smooth_vector(grid, rng, amp=0.02)
+    fluid = stack(grid, rho, u, theta)
+    eps_state = eps_batch(grid, (0.1,), [fluid], [stack(grid, i0, i1)])
 
     def state_gap(a, b):
+        rho, u, theta = fields(grid, (a.fluid - b.fluid).reshape(-1, *grid.shape))
         parts = [
-            sobolev_norm(a.fluid.rho - b.fluid.rho, 0) ** 2,
-            sobolev_norm(a.fluid.u - b.fluid.u, 0) ** 2,
-            sobolev_norm(a.fluid.theta - b.fluid.theta, 0) ** 2,
+            sobolev_norm(rho, 0) ** 2,
+            sobolev_norm(u, 0) ** 2,
+            sobolev_norm(theta, 0) ** 2,
         ]
         if hasattr(a, "rad"):
+            i0, i1 = fields(grid, grid.inverse(a.rad - b.rad).reshape(-1, *grid.shape))
             parts += [
-                sobolev_norm(a.rad.I0 - b.rad.I0, 0) ** 2,
-                sobolev_norm(a.rad.I1 - b.rad.I1, 0) ** 2,
+                sobolev_norm(i0, 0) ** 2,
+                sobolev_norm(i1, 0) ** 2,
             ]
         return math.sqrt(sum(parts))
 
     split_gaps = []
     split_dts = [1 / 64, 1 / 128, 1 / 256]
     for dt in split_dts:
-        one_step = step_eps(eps_state, PARAMS, 0.1, dt)
-        two_steps = step_eps(step_eps(eps_state, PARAMS, 0.1, dt / 2), PARAMS, 0.1, dt / 2)
+        one_step = step_eps(eps_state, PARAMS, dt)
+        two_steps = step_eps(step_eps(eps_state, PARAMS, dt / 2), PARAMS, dt / 2)
         split_gaps.append(state_gap(one_step, two_steps))
     split_order = fit_rate(list(zip(split_dts, split_gaps))).slope
 
-    limit_state = LimitState(fluid=fluid, time=0.0)
+    limit_init = limit_state(grid, fluid)
     rk_gaps = []
     rk_dts = [1 / 16, 1 / 32, 1 / 64]
     for dt in rk_dts:
-        one_step = step_limit(limit_state, PARAMS, dt)
-        two_steps = step_limit(step_limit(limit_state, PARAMS, dt / 2), PARAMS, dt / 2)
+        one_step = step_limit(limit_init, PARAMS, dt)
+        two_steps = step_limit(step_limit(limit_init, PARAMS, dt / 2), PARAMS, dt / 2)
         rk_gaps.append(state_gap(one_step, two_steps))
     rk_order = fit_rate(list(zip(rk_dts, rk_gaps))).slope
 

@@ -1,4 +1,4 @@
-"""Error fields, energies, prepared data, rate fits."""
+"""Error norms, energy records, prepared data, rate fits."""
 
 import math
 
@@ -7,162 +7,115 @@ import pytest
 
 from radhydro.analysis import (
     EnergyRecord,
+    batch_error_squares,
     default_perturbation_shapes,
-    energy,
-    error_fields,
     fit_rate,
     gamma_bound_check,
     hypothesis_deviation,
     well_prepared_init,
 )
 from radhydro.errors import DegenerateFit, PositivityLost, TimeMismatch
-from radhydro.fluid import FluidState
-from radhydro.radiation import RadiationMoments, limit_I0, limit_q
-from radhydro.spectral import SpectralField, VectorField, sobolev_norm
-from radhydro.stepping import EpsState, LimitState
+from radhydro.radiation import limit_I0, limit_q, limit_spectrum
+from radhydro.spectral import SpectralField, sobolev_norm
+from radhydro.stepping import EpsBatch
+
+from conftest import fields, limit_state, smooth_field, smooth_vector, stack
 
 
 def _base_state(grid):
     x = grid.coordinates()[0]
-    rho = SpectralField.from_values(grid, 1 + 0.1 * np.sin(x))
-    u = VectorField([SpectralField.from_values(grid, 0.1 * np.sin(x))])
-    theta = SpectralField.from_values(grid, 1 + 0.1 * np.cos(x))
-    return LimitState(fluid=FluidState(rho=rho, u=u, theta=theta), time=0.0)
+    return limit_state(grid, stack(grid, 1 + 0.1 * np.sin(x), 0.1 * np.sin(x), 1 + 0.1 * np.cos(x)))
 
 
-def _consistent_eps_state(limit_state):
-    theta = limit_state.fluid.theta
-    rad = RadiationMoments(I0=limit_I0(theta), I1=limit_q(theta))
-    return EpsState(fluid=limit_state.fluid, rad=rad, time=limit_state.time)
+def _offset_batch(grid, base, d_fluid=0.0, d_rad=0.0, eps=0.1, time=0.0):
+    """One-member batch at the base state plus d_fluid and at the limit
+    closure's half spectrum plus that of d_rad: its differences from base
+    are (d_fluid, d_rad)."""
+    d_rad = np.broadcast_to(d_rad, (1 + grid.n_dims, *grid.shape))
+    rad = limit_spectrum(grid, base.fluid[-1]) + grid.forward(d_rad)
+    return EpsBatch(grid, (eps,), (base.fluid + d_fluid)[:, None], rad[:, None], time)
+
+
+def _energy(grid, base, d_fluid, d_rad, s, eps):
+    squares = batch_error_squares(_offset_batch(grid, base, d_fluid, d_rad, eps), base, (s,))
+    return EnergyRecord.from_squares(0.0, *squares[0, :, 0].tolist(), eps)
+
+
+def _random_differences(grid, rng):
+    d_fluid = stack(grid, smooth_field(grid, rng), smooth_vector(grid, rng), smooth_field(grid, rng))
+    d_rad = stack(grid, smooth_field(grid, rng), smooth_vector(grid, rng))
+    return d_fluid, d_rad
 
 
 class TestErrorFields:
     def test_consistent_states_give_zero(self, grid1d):
         base = _base_state(grid1d)
-        eps_state = _consistent_eps_state(base)
-        err = error_fields(eps_state, base)
-        for f in (err.rho, err.theta, err.I0):
-            assert np.abs(f.values).max() < 1e-13
-        assert np.abs(err.u[0].values).max() < 1e-13
-        assert np.abs(err.I1[0].values).max() < 1e-13
+        squares = batch_error_squares(_offset_batch(grid1d, base), base, (0, 3))
+        assert np.all(squares == 0.0)
 
     def test_single_perturbation_is_linear(self, grid1d):
         base = _base_state(grid1d)
-        eps_state = _consistent_eps_state(base)
         x = grid1d.coordinates()[0]
-        bump = 0.03 * np.sin(x)
-        perturbed = EpsState(
-            fluid=FluidState(
-                rho=eps_state.fluid.rho + SpectralField.from_values(grid1d, bump),
-                u=eps_state.fluid.u,
-                theta=eps_state.fluid.theta,
-            ),
-            rad=eps_state.rad,
-            time=0.0,
-        )
-        err = error_fields(perturbed, base)
-        assert np.abs(err.rho.values - bump).max() < 1e-13
-        assert np.abs(err.theta.values).max() < 1e-13
-        assert np.abs(err.I0.values).max() < 1e-13
+        bump = SpectralField.from_values(grid1d, 0.03 * np.sin(x))
+        d_fluid = stack(grid1d, bump, 0.0, 0.0)
+        (fluid_sq, rad_sq), = batch_error_squares(
+            _offset_batch(grid1d, base, d_fluid), base, (2,)
+        )[:, :, 0]
+        assert fluid_sq == pytest.approx(sobolev_norm(bump, 2) ** 2, rel=1e-12)
+        assert rad_sq == 0.0
 
     def test_time_mismatch_rejected(self, grid1d):
         base = _base_state(grid1d)
-        eps_state = _consistent_eps_state(base)
-        import dataclasses
-
-        late = dataclasses.replace(eps_state, time=1e-6)
+        late = _offset_batch(grid1d, base, time=1e-6)
         with pytest.raises(TimeMismatch):
-            error_fields(late, base)
+            batch_error_squares(late, base, (0,))
 
 
 class TestEnergy:
-    def _zero_errors(self, grid):
-        zero = SpectralField.zeros(grid)
-        zvec = VectorField.zeros(grid)
-        from radhydro.analysis import ErrorFields
-
-        return ErrorFields(rho=zero, u=zvec, theta=zero, I0=zero, I1=zvec, time=0.0)
-
     def test_zero_fields(self, grid1d):
-        rec = energy(self._zero_errors(grid1d), 3, 0.1)
+        rec = _energy(grid1d, _base_state(grid1d), 0.0, 0.0, 3, 0.1)
         assert rec.fluid_energy == 0.0
         assert rec.full_energy == 0.0
         assert rec.gamma == 0.0
 
     def test_single_fluid_component(self, grid1d):
-        import dataclasses
-
         x = grid1d.coordinates()[0]
-        err = dataclasses.replace(
-            self._zero_errors(grid1d),
-            rho=SpectralField.from_values(grid1d, np.sin(x)),
-        )
-        rec = energy(err, 0, 0.1)
+        d_fluid = stack(grid1d, np.sin(x), 0.0, 0.0)
+        rec = _energy(grid1d, _base_state(grid1d), d_fluid, 0.0, 0, 0.1)
         assert rec.fluid_energy == pytest.approx(math.sqrt(math.pi), rel=1e-13)
         assert rec.full_energy == pytest.approx(math.sqrt(math.pi), rel=1e-13)
 
     def test_eps_weighting_of_radiation_part(self, grid1d):
-        import dataclasses
-
         x = grid1d.coordinates()[0]
-        err = dataclasses.replace(
-            self._zero_errors(grid1d),
-            I1=VectorField([SpectralField.from_values(grid1d, np.sin(x))]),
-        )
-        rec = energy(err, 0, 0.25)
+        d_rad = stack(grid1d, 0.0, np.sin(x))
+        rec = _energy(grid1d, _base_state(grid1d), 0.0, d_rad, 0, 0.25)
         assert rec.fluid_energy == 0.0
         assert rec.full_energy == pytest.approx(math.sqrt(0.25 * math.pi), rel=1e-13)
         assert rec.full_energy == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-13)
 
     def test_degree_two_homogeneity(self, grid1d, rng):
-        from conftest import smooth_field, smooth_vector
-        from radhydro.analysis import ErrorFields
-
-        err = ErrorFields(
-            rho=smooth_field(grid1d, rng),
-            u=smooth_vector(grid1d, rng),
-            theta=smooth_field(grid1d, rng),
-            I0=smooth_field(grid1d, rng),
-            I1=smooth_vector(grid1d, rng),
-            time=0.0,
-        )
-        scaled = ErrorFields(
-            rho=err.rho * 3.0,
-            u=err.u * 3.0,
-            theta=err.theta * 3.0,
-            I0=err.I0 * 3.0,
-            I1=err.I1 * 3.0,
-            time=0.0,
-        )
-        a = energy(err, 2, 0.1)
-        b = energy(scaled, 2, 0.1)
+        base = _base_state(grid1d)
+        d_fluid, d_rad = _random_differences(grid1d, rng)
+        a = _energy(grid1d, base, d_fluid, d_rad, 2, 0.1)
+        b = _energy(grid1d, base, 3.0 * d_fluid, 3.0 * d_rad, 2, 0.1)
         assert b.gamma == pytest.approx(9.0 * a.gamma, rel=1e-12)
         assert b.full_energy >= b.fluid_energy >= 0.0
 
     def test_monotone_in_s(self, grid1d, rng):
-        from conftest import smooth_field, smooth_vector
-        from radhydro.analysis import ErrorFields
-
-        err = ErrorFields(
-            rho=smooth_field(grid1d, rng),
-            u=smooth_vector(grid1d, rng),
-            theta=smooth_field(grid1d, rng),
-            I0=smooth_field(grid1d, rng),
-            I1=smooth_vector(grid1d, rng),
-            time=0.0,
-        )
-        gammas = [energy(err, s, 0.1).gamma for s in range(5)]
+        base = _base_state(grid1d)
+        d_fluid, d_rad = _random_differences(grid1d, rng)
+        gammas = [_energy(grid1d, base, d_fluid, d_rad, s, 0.1).gamma for s in range(5)]
         assert all(a <= b + 1e-12 for a, b in zip(gammas, gammas[1:]))
 
 
 class TestWellPreparedInit:
     def test_amp_zero_is_exactly_consistent(self, grid1d):
         base = _base_state(grid1d)
-        eps_init, limit_init = well_prepared_init(base, 0.05, 0.0)
-        err = error_fields(eps_init, limit_init)
-        rec = energy(err, 3, 0.05)
+        batch = well_prepared_init(base, (0.05,), 0.0)
+        squares = batch_error_squares(batch, base, (3,))[0, :, 0]
+        rec = EnergyRecord.from_squares(0.0, *squares.tolist(), 0.05)
         assert rec.full_energy < 1e-13
-        assert hypothesis_deviation(eps_init, limit_init, 3, 0.05) < 1e-13
+        assert hypothesis_deviation(batch, base, 3)[0] < 1e-13
 
     def test_scaling_arithmetic_at_amp_one(self, grid1d):
         # radiation deviation norm is sqrt(eps)*amp*||shape||, so the
@@ -172,10 +125,12 @@ class TestWellPreparedInit:
         eps = 0.04
         s = 3
         shapes = default_perturbation_shapes(grid1d)
-        eps_init, limit_init = well_prepared_init(base, eps, 1.0, shapes)
+        batch = well_prepared_init(base, (eps,), 1.0, shapes)
+        i0, i1 = fields(grid1d, grid1d.inverse(batch.rad[:, 0]))
+        theta = fields(grid1d, base.fluid)[-1]
         rad_norm = math.sqrt(
-            sobolev_norm(eps_init.rad.I0 - limit_I0(base.fluid.theta), s) ** 2
-            + sobolev_norm(eps_init.rad.I1 - limit_q(base.fluid.theta), s) ** 2
+            sobolev_norm(i0 - limit_I0(theta), s) ** 2
+            + sobolev_norm(i1 - limit_q(theta), s) ** 2
         )
         shape_norm = math.sqrt(
             sobolev_norm(shapes.I0, s) ** 2 + sobolev_norm(shapes.I1, s) ** 2
@@ -186,10 +141,10 @@ class TestWellPreparedInit:
     @pytest.mark.parametrize("amp", [0.0, 1.0])
     def test_deviation_over_eps_is_eps_independent(self, grid1d, amp):
         base = _base_state(grid1d)
-        ratios = []
-        for eps in (0.1, 0.05, 0.025):
-            eps_init, limit_init = well_prepared_init(base, eps, amp)
-            ratios.append(hypothesis_deviation(eps_init, limit_init, 3, eps) / eps)
+        sweep = (0.1, 0.05, 0.025)
+        batch = well_prepared_init(base, sweep, amp)
+        assert batch.eps == sweep and batch.time == base.time
+        ratios = hypothesis_deviation(batch, base, 3) / np.array(sweep)
         if amp == 0.0:
             assert max(ratios) < 1e-10
         else:
@@ -197,8 +152,8 @@ class TestWellPreparedInit:
 
     def test_positivity_guard(self, grid1d):
         base = _base_state(grid1d)
-        with pytest.raises(PositivityLost):
-            well_prepared_init(base, 0.25, 30.0)
+        with pytest.raises(PositivityLost, match="eps=0.25"):
+            well_prepared_init(base, (0.01, 0.25), 30.0)
 
 
 class TestFitRate:

@@ -5,11 +5,20 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import radhydro.cli
 from radhydro.cli import main
-from radhydro.config import MODES, build_limit_initial, build_shapes, load_config, parse_config
-from radhydro.errors import ParseError, ValidationError
+from radhydro.config import (
+    MODES,
+    RunConfig,
+    build_limit_initial,
+    build_shapes,
+    load_config,
+    parse_config,
+)
+from radhydro.errors import ConfigError, ParseError, ValidationError
 from radhydro.spectral import sobolev_norm
 
 
@@ -90,9 +99,10 @@ class TestProfiles:
         cfg = parse_config({"mode": "convergence-study"})
         state = build_limit_initial(cfg)
         x = cfg.grid.coordinates()[0]
-        assert np.abs(state.fluid.rho.values - (1 + 0.1 * np.sin(x))).max() < 1e-14
-        assert np.abs(state.fluid.u[0].values - 0.1 * np.sin(x)).max() < 1e-14
-        assert np.abs(state.fluid.theta.values - (1 + 0.1 * np.cos(x))).max() < 1e-14
+        assert state.fluid.shape == (3, 64) and state.time == 0.0
+        assert np.abs(state.fluid[0] - (1 + 0.1 * np.sin(x))).max() < 1e-14
+        assert np.abs(state.fluid[1] - 0.1 * np.sin(x)).max() < 1e-14
+        assert np.abs(state.fluid[2] - (1 + 0.1 * np.cos(x))).max() < 1e-14
 
     def test_custom_profile_modes(self):
         cfg = parse_config(
@@ -110,7 +120,7 @@ class TestProfiles:
         )
         state = build_limit_initial(cfg)
         x = cfg.grid.coordinates()[0]
-        assert np.abs(state.fluid.theta.values - (2 + 0.5 * np.cos(2 * x))).max() < 1e-14
+        assert np.abs(state.fluid[-1] - (2 + 0.5 * np.cos(2 * x))).max() < 1e-14
 
     def test_nonpositive_profile_rejected(self):
         cfg = parse_config(
@@ -196,7 +206,8 @@ class TestWorkBudget:
         assert cfg.t_end / cfg.dt_max == pytest.approx(5e6)
 
     # fluid.kappa = 1e6 on a 2D/128 grid: the diffusive bound of cfl_dt on
-    # the default profiles is 8.7e-10, about 5.8e8 steps to t_end = 0.5.
+    # the default profiles is 0.4 * 2.785 * 0.9 / (1e6 * 2 * 42^2) = 2.8e-10,
+    # about 1.8e9 steps to t_end = 0.5.
     STIFF = {
         "mode": "convergence-study",
         "grid": {"n_dims": 2, "points": 128},
@@ -204,7 +215,7 @@ class TestWorkBudget:
     }
 
     def test_cfl_limited_step_count_rejected_and_named(self):
-        message = r"'fluid'.*diffusive CFL bound dt = 8\.67e-10.*5\.76e\+08 time steps"
+        message = r"'fluid'.*diffusive CFL bound dt = 2\.84e-10.*1\.76e\+09 time steps"
         with pytest.raises(ValidationError, match=message):
             parse_config(self.STIFF)
 
@@ -215,12 +226,12 @@ class TestWorkBudget:
 
     def test_cfl_limited_step_count_exits_2(self, tmp_path, monkeypatch, capsys):
         # Should the check ever be lost, fail at once instead of starting
-        # the 5.8e8-step run.
+        # the 1.8e9-step run.
         monkeypatch.setattr(radhydro.cli, "run", lambda *a, **k: pytest.fail("run started"))
         path = _write(tmp_path, self.STIFF)
         assert main(["convergence-study", "--config", str(path)]) == 2
         err = capsys.readouterr().err
-        assert "diffusive CFL bound" in err and "5.76e+08 time steps" in err
+        assert "diffusive CFL bound" in err and "1.76e+09 time steps" in err
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("n_dims,points", [(1, 8), (1, 128), (2, 8), (2, 128)])
@@ -234,3 +245,150 @@ def test_seed_key_is_rejected():
     with pytest.raises(ValidationError, match="unknown field 'seed'"):
         parse_config({"mode": "convergence-study", "seed": 0})
     assert "seed" not in parse_config({"mode": "convergence-study"}).echo
+
+
+class TestNullMeansDefault:
+    # JSON null for a numeric key is the same as leaving the key out.
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"t_end": None},
+            {"output_interval": None},
+            {"dt_max": None},
+            {"cfl_advective": None},
+            {"cfl_diffusive": None},
+            {"perturbation_amp": None},
+            {"fluid": {"mu": None}},
+            {"fluid": {"lambda": None}},
+            {"fluid": {"kappa": None}},
+            {"profiles": {"rho": {"base": None}}},
+            {"profiles": {"theta": {"base": None, "modes": []}}},
+            {"profiles": {"u": [{"base": None}]}},
+            {"perturbation_shapes": {"I0": {"base": None}}},
+            {"bounds": {"gamma_limit": None, "fluid_slope": None}},
+        ],
+    )
+    def test_same_as_absent(self, overrides):
+        with_null = parse_config({"mode": "convergence-study", **overrides})
+        absent = parse_config({"mode": "convergence-study", **_drop_nulls(overrides)})
+        assert with_null.echo == absent.echo
+
+    def test_cli_runs_a_config_with_null(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("RADHYDRO_OUT", raising=False)
+        seen = []
+
+        def fake_run(config, out_dir=None):
+            seen.append(config)
+            raise _RunRequested
+
+        monkeypatch.setattr(radhydro.cli, "run", fake_run)
+        path = _write(tmp_path, {"output_interval": None})
+        with pytest.raises(_RunRequested):
+            main(["convergence-study", "--config", str(path)])
+        assert seen[0].output_interval == 0.025 and seen[0].dt_max == 0.0025
+
+    def test_null_for_a_required_number_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("RADHYDRO_OUT", raising=False)
+        monkeypatch.setattr(radhydro.cli, "run", lambda *a, **k: pytest.fail("run started"))
+        mode = {"amplitude": None, "wavenumber": [1], "kind": "sin"}
+        path = _write(tmp_path, {"profiles": {"rho": {"base": 1.0, "modes": [mode]}}})
+        assert main(["convergence-study", "--config", str(path)]) == 2
+        assert "missing 'amplitude'" in capsys.readouterr().err
+
+
+class _RunRequested(Exception):
+    """Raised by a stubbed run: the config was accepted."""
+
+
+def _drop_nulls(value):
+    if isinstance(value, dict):
+        return {k: _drop_nulls(v) for k, v in value.items() if v is not None}
+    if isinstance(value, list):
+        return [_drop_nulls(v) for v in value]
+    return value
+
+
+# Property test: any config either parses to a RunConfig or is rejected
+# with a ConfigError (exit code 2), never with another exception. Keys
+# come from the schema; values from null, booleans, strings, non-finite
+# and extreme numbers, and nested lists and dicts.
+_EXTREMES = [
+    float("nan"), float("inf"), -float("inf"), 0, -0.0, -1, 1, 2, 3, 8, 64, 0.5,
+    1e308, -1e308, 5e-324, 1e-300, 2**31, 2**62, -(2**62), 10**400, -(10**400),
+]
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.sampled_from(_EXTREMES),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-(2**70), max_value=2**70),
+)
+_ANY = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["base", "modes", "mu", "n_dims", "x"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _obj(**fields):
+    return _ANY | st.fixed_dictionaries({}, optional={k: v | _ANY for k, v in fields.items()})
+
+
+_MODE_SPEC = _obj(
+    amplitude=st.floats(-1.0, 1.0),
+    wavenumber=st.lists(st.integers(-3, 3) | _SCALARS, min_size=1, max_size=2),
+    kind=st.sampled_from(["sin", "cos"]),
+)
+_PROFILE = _obj(base=st.floats(0.5, 2.0), modes=st.lists(_MODE_SPEC, max_size=2))
+_PROFILES = _obj(rho=_PROFILE, u=st.lists(_PROFILE, max_size=3), theta=_PROFILE)
+_TOP_LEVEL = {
+    "mode": st.sampled_from(MODES),
+    "grid": _obj(n_dims=st.sampled_from([1, 2]), points=st.sampled_from([8, 16])),
+    "fluid": _obj(mu=st.floats(0.0, 1.0), kappa=st.floats(0.0, 1.0), **{"lambda": st.floats(-1.0, 1.0)}),
+    "eps": st.floats(0.0, 1.0),
+    "eps_list": st.lists(_SCALARS, max_size=4),
+    "t_end": st.floats(0.0, 1.0),
+    "output_interval": st.floats(0.0, 1.0),
+    "dt_max": st.floats(0.0, 1.0),
+    "cfl_advective": st.floats(0.0, 2.0),
+    "cfl_diffusive": st.floats(0.0, 2.0),
+    "profiles": _PROFILES,
+    "perturbation_amp": st.floats(0.0, 2.0),
+    "perturbation_shapes": _obj(rho=_PROFILE, u=st.lists(_PROFILE, max_size=2), I0=_PROFILE),
+    "sobolev_indices": st.lists(_SCALARS, max_size=3),
+    "out_dir": st.text(max_size=4),
+    "ordinates": st.sampled_from([4, 6, 8]),
+    "sigma_pairs": st.lists(st.lists(_SCALARS, max_size=3), max_size=2),
+    "bounds": _obj(gamma_limit=_SCALARS, fluid_slope=st.lists(_SCALARS, max_size=3)),
+}
+_CONFIGS = st.fixed_dictionaries({}, optional={k: v | _ANY for k, v in _TOP_LEVEL.items()})
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(raw=_CONFIGS, mode=st.sampled_from(MODES))
+def test_random_configs_parse_or_exit_2(raw, mode, tmp_path_factory):
+    try:
+        config = parse_config(raw, mode=mode)
+    except ConfigError:
+        accepted = False
+    else:
+        assert isinstance(config, RunConfig)
+        accepted = True
+
+    path = tmp_path_factory.getbasetemp() / "random.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+
+    def refuse(*args, **kwargs):
+        raise _RunRequested
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("RADHYDRO_OUT", raising=False)
+        mp.setattr(radhydro.cli, "run", refuse)
+        try:
+            code = main([mode, "--config", str(path)])
+        except _RunRequested:
+            assert accepted
+        else:
+            assert code == 2 and not accepted

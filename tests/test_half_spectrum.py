@@ -14,16 +14,7 @@ import numpy as np
 import pytest
 
 from radhydro import cli
-from radhydro.fluid import (
-    FluidParams,
-    FluidState,
-    _rhs_common,
-    _tendency_fields,
-    dissipation,
-    fluid_rhs_eps,
-    fluid_rhs_limit,
-    viscous_stress,
-)
+from radhydro.fluid import FluidParams
 from radhydro.kinetic import (
     KineticField,
     kinetic_rhs,
@@ -40,7 +31,6 @@ from radhydro.radiation import (
     limit_closure_residual,
     limit_q,
     limit_spectrum,
-    radiation_rhs,
 )
 from radhydro.spectral import (
     Grid,
@@ -50,15 +40,22 @@ from radhydro.spectral import (
     div,
     grad,
     helmholtz_inverse,
-    l2_inner,
     laplacian,
     sobolev_norm,
     sobolev_squares,
-    unstack,
 )
-from radhydro.stepping import EpsBatch, EpsState, LimitState, step_batch, step_eps, step_limit
+from radhydro.stepping import step_batch, step_eps, step_limit
 
-from conftest import smooth_field, smooth_vector
+from conftest import (
+    eps_batch,
+    fields,
+    fluid_rhs,
+    l2_inner,
+    limit_state,
+    smooth_field,
+    smooth_vector,
+    stack,
+)
 
 GRIDS = [(n_dims, n) for n_dims in (1, 2) for n in (8, 64, 128)]
 TOL = 1e-12
@@ -189,20 +186,28 @@ class TestOperatorsAgainstFullSpectrum:
         assert np.all(grid.half_multiplicity[..., 1:-1] == 2.0)
 
 
-def _oracle_rhs(f, p, momentum_source, heat_source):
+def _dot(a, b):
+    """Pointwise scalar product of two vector fields (not dealiased)."""
+    out = a[0] * b[0]
+    for x, y in zip(a[1:], b[1:]):
+        out = out + x * y
+    return out
+
+
+def _oracle_rhs(grid, fluid, p, momentum_source, heat_source):
     """Field-by-field assembly from the public operators.
 
     Every product and quotient is dealiased on its own; the stress
     divergence is mu*Lap u + (mu + lam)*grad div u.
     """
-    rho, u, theta = f.rho, f.u, f.theta
+    rho, u, theta = fields(grid, fluid)
     d_rho = -div(VectorField([dealias(rho * c) for c in u]))
     grad_p = grad(dealias(rho * theta))
     div_u = div(u)
     grad_div_u = grad(div_u)
     grads = [grad(c) for c in u]  # grads[i][j] = d_j u_i
     n = len(u)
-    strain_sq = SpectralField.zeros(f.grid)
+    strain_sq = SpectralField.zeros(grid)
     for i in range(n):
         for j in range(n):
             d_ij = (grads[i][j] + grads[j][i]) * 0.5
@@ -213,26 +218,24 @@ def _oracle_rhs(f, p, momentum_source, heat_source):
         numer = laplacian(u[i]) * p.mu + grad_div_u[i] * (p.mu + p.lam) - grad_p[i]
         if momentum_source is not None:
             numer = numer + momentum_source[i]
-        d_u.append(dealias(numer / rho) - dealias(u.dot(grads[i])))
+        d_u.append(dealias(numer / rho) - dealias(_dot(u, grads[i])))
     heat = laplacian(theta) * p.kappa + dissipated + heat_source
-    d_theta = dealias(heat / rho) - dealias(u.dot(grad(theta))) - dealias(theta * div_u)
-    return d_rho, VectorField(d_u), d_theta
+    d_theta = dealias(heat / rho) - dealias(_dot(u, grad(theta))) - dealias(theta * div_u)
+    return stack(grid, d_rho, VectorField(d_u), d_theta)
 
 
 def _assert_rhs_close(got, want):
-    pairs = [(got[0], want[0]), *zip(got[1], want[1]), (got[2], want[2])]
-    for g, w in pairs:
-        scale = np.abs(w.values).max()
-        assert np.abs(g.values - w.values).max() <= TOL * scale
+    for g, w in zip(got, want):
+        scale = np.abs(w).max()
+        assert np.abs(g - w).max() <= TOL * scale
 
 
 def _wavy_fluid(grid, rng):
     one = SpectralField.constant(grid, 1.0)
-    return FluidState(
-        rho=one + smooth_field(grid, rng),
-        u=smooth_vector(grid, rng),
-        theta=one + smooth_field(grid, rng),
-    )
+    rho = one + smooth_field(grid, rng)
+    u = smooth_vector(grid, rng)
+    theta = one + smooth_field(grid, rng)
+    return stack(grid, rho, u, theta)
 
 
 PARAMS = FluidParams(mu=0.05, lam=0.02, kappa=0.03)
@@ -244,21 +247,20 @@ class TestRhsAgainstOperatorAssembly:
         grid = Grid(n_dims, n)
         rng = np.random.default_rng(11)
         f = _wavy_fluid(grid, rng)
-        rad = RadiationMoments(
-            I0=SpectralField.constant(grid, 1.0) + smooth_field(grid, rng),
-            I1=smooth_vector(grid, rng),
-        )
+        i0 = SpectralField.constant(grid, 1.0) + smooth_field(grid, rng)
+        i1 = smooth_vector(grid, rng)
         eps = 0.3
-        want = _oracle_rhs(f, PARAMS, rad.I1 * eps, rad.I0 - dealias(f.theta**4))
-        _assert_rhs_close(fluid_rhs_eps(f, rad, eps, PARAMS), want)
+        theta = fields(grid, f)[-1]
+        want = _oracle_rhs(grid, f, PARAMS, i1 * eps, i0 - dealias(theta**4))
+        _assert_rhs_close(fluid_rhs(grid, f, PARAMS, rad=stack(grid, i0, i1), eps=eps), want)
 
     def test_limit_form(self, n_dims, n):
         grid = Grid(n_dims, n)
         rng = np.random.default_rng(12)
         f = _wavy_fluid(grid, rng)
-        q0 = limit_q(f.theta) + smooth_vector(grid, rng)
-        want = _oracle_rhs(f, PARAMS, None, -div(q0))
-        _assert_rhs_close(fluid_rhs_limit(f, q0, PARAMS), want)
+        theta = fields(grid, f)[-1]
+        want = _oracle_rhs(grid, f, PARAMS, None, -div(limit_q(theta)))
+        _assert_rhs_close(fluid_rhs(grid, f, PARAMS), want)
 
 
 @pytest.fixture
@@ -281,69 +283,71 @@ def fft_calls(monkeypatch):
 @pytest.mark.parametrize("n_dims", [1, 2])
 class TestTransformBudget:
     # Exact counts, so that per-field transforms cannot come back unseen.
-    def _state(self, n_dims):
+    def _state(self, n_dims, members=1):
+        """Fluid and moment values of one state, and its batch of members."""
         grid = Grid(n_dims, 16)
         rng = np.random.default_rng(21)
         fluid = _wavy_fluid(grid, rng)
-        rad = RadiationMoments(
-            I0=SpectralField.constant(grid, 1.0) + smooth_field(grid, rng),
-            I1=smooth_vector(grid, rng, amp=0.02),
-        )
-        return EpsState(fluid=fluid, rad=rad, time=0.0)
+        i0 = SpectralField.constant(grid, 1.0) + smooth_field(grid, rng)
+        rad = stack(grid, i0, smooth_vector(grid, rng, amp=0.02))
+        eps = (0.1, 0.05, 0.025, 0.0125)[:members]
+        return grid, fluid, rad, eps_batch(grid, eps, [fluid] * members, [rad] * members)
 
     def test_fluid_rhs_eps(self, n_dims, fft_calls):
-        s = self._state(n_dims)
-        fluid_rhs_eps(s.fluid, s.rad, 0.1, PARAMS)
+        grid, fluid, rad, _ = self._state(n_dims)
+        fft_calls.clear()
+        fluid_rhs(grid, fluid, PARAMS, rad=rad, eps=0.1)
         assert fft_calls == Counter(rfftn=3, irfftn=3)
 
     def test_fluid_rhs_limit(self, n_dims, fft_calls):
-        s = self._state(n_dims)
-        q0 = VectorField([SpectralField.from_values(s.grid, c.values) for c in s.rad.I1])
-        fluid_rhs_limit(s.fluid, q0, PARAMS)
+        grid, fluid, _, _ = self._state(n_dims)
+        fft_calls.clear()
+        fluid_rhs(grid, fluid, PARAMS)
         assert fft_calls == Counter(rfftn=3, irfftn=3)
 
     def test_step_eps(self, n_dims, fft_calls):
         # Four right-hand sides (6 each) plus two half substeps (theta^4
-        # forward and moments inverse each). The first substep also
-        # transforms the moments once; the moments a step returns keep
-        # their spectrum, so the next step starts without that transform.
-        s = step_eps(self._state(n_dims), PARAMS, 0.1, 0.01)
-        assert fft_calls == Counter(rfftn=12 + 3, irfftn=12 + 2)
+        # forward and moments inverse each). The batch holds the moments
+        # as a half spectrum, so no substep transforms them forward, and
+        # a step hands its closing theta^4 spectrum to the next one.
+        _, _, _, batch = self._state(n_dims)
         fft_calls.clear()
-        step_eps(s, PARAMS, 0.1, 0.01)
-        assert fft_calls == Counter(rfftn=12 + 2, irfftn=12 + 2)
+        s = step_eps(batch, PARAMS, 0.01)
+        assert fft_calls == Counter(rfftn=12 + 2, irfftn=12 + 1)
+        fft_calls.clear()
+        step_eps(s, PARAMS, 0.01)
+        assert fft_calls == Counter(rfftn=12 + 1, irfftn=12 + 1)
 
     def test_step_limit(self, n_dims, fft_calls):
         # Four right-hand sides (3 + 3 each); the flux is formed inside
         # each one, with no transform of its own.
-        s = self._state(n_dims)
-        step_limit(LimitState(fluid=s.fluid, time=0.0), PARAMS, 0.01)
+        grid, fluid, _, _ = self._state(n_dims)
+        fft_calls.clear()
+        step_limit(limit_state(grid, fluid), PARAMS, 0.01)
         assert fft_calls == Counter(rfftn=12, irfftn=12)
 
     def test_limit_rhs_forward_batches(self, n_dims, monkeypatch):
         # Forward-transformed fields per limit right-hand side in a step:
         # (u, theta), then the products rho*u, rho*theta, dissipation and
-        # theta^4, then the n + 1 quotients. A given flux instead rides
-        # in the first batch, and no theta^4 row is formed.
-        s = self._state(n_dims)
-        fields = []
+        # theta^4, then the n + 1 quotients.
+        grid, fluid, _, _ = self._state(n_dims)
+        batch_sizes = []
         rfftn = np.fft.rfftn
 
         def counted(a, *args, **kwargs):
-            fields.append(a.shape[0])
+            batch_sizes.append(a.shape[0])
             return rfftn(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "rfftn", counted)
-        step_limit(LimitState(fluid=s.fluid, time=0.0), PARAMS, 0.01)
-        assert fields == [n_dims + 1, n_dims + 3, n_dims + 1] * 4
-        fields.clear()
-        fluid_rhs_limit(s.fluid, s.rad.I1, PARAMS)
-        assert fields == [2 * n_dims + 1, n_dims + 2, n_dims + 1]
+        step_limit(limit_state(grid, fluid), PARAMS, 0.01)
+        assert batch_sizes == [n_dims + 1, n_dims + 3, n_dims + 1] * 4
 
     def test_limit_closure_residual(self, n_dims, fft_calls):
         # theta^4 and the flux values in one forward batch, no inverse.
-        s = self._state(n_dims)
-        limit_closure_residual(s.fluid.theta, s.rad.I1)
+        grid, fluid, rad, _ = self._state(n_dims)
+        theta, (_, q) = fields(grid, fluid)[-1], fields(grid, rad)
+        fft_calls.clear()
+        limit_closure_residual(theta, q)
         assert fft_calls == Counter(rfftn=1)
 
     @pytest.mark.parametrize("members", [1, 4])
@@ -351,9 +355,7 @@ class TestTransformBudget:
         # Four right-hand sides over all members (6 calls each), one
         # inverse of the half-substepped moments and one theta^4 forward
         # transform; the theta^4 spectrum of the step before is reused.
-        eps = (0.1, 0.05, 0.025, 0.0125)[:members]
-        batch = EpsBatch.from_states([self._state(n_dims)] * members, eps)
-        batch = step_batch(batch, PARAMS, 0.01)
+        batch = step_batch(self._state(n_dims, members)[-1], PARAMS, 0.01)
         fft_calls.clear()
         step_batch(batch, PARAMS, 0.01)
         assert fft_calls == Counter(rfftn=12 + 1, irfftn=12 + 1)
@@ -404,19 +406,15 @@ class TestNoFullComplexTransform:
             assert op(f).values.shape == grid.shape
         assert div(grad(f)).values.shape == grid.shape
         assert dealias(v)[0].values.shape == grid.shape
-        assert l2_inner(f, f) == pytest.approx(sobolev_norm(f, 0) ** 2, rel=TOL)
-        assert l2_inner(v, v) == pytest.approx(sobolev_norm(v, 0) ** 2, rel=TOL)
-        stack = np.stack([f.values, *(c.values for c in v)])
-        assert sobolev_squares(grid, grid.forward(stack), (0, 2)).shape == (2, n_dims + 1)
-        assert len(unstack(grid, stack.copy())) == n_dims + 1
+        assert sobolev_norm(v, 0) > 0.0
+        values = stack(grid, f, v)
+        assert sobolev_squares(grid, grid.forward(values), (0, 2)).shape == (2, n_dims + 1)
 
         rad = RadiationMoments(I0=limit_I0(f), I1=limit_q(f))
         assert limit_closure_residual(f, rad.I1) < 1e-12
         assert emission(f).values.shape == grid.shape
         assert emission_spectrum(grid, f.values).shape == grid.half_shape
         assert limit_spectrum(grid, f.values).shape == (1 + n_dims, *grid.half_shape)
-        assert radiation_rhs(rad, f, 0.1)[0].values.shape == grid.shape
-        assert RadiationMoments.from_half_spectrum(grid, rad.half_spectrum.copy()).I0.mean > 0
 
         ords = make_ordinates(n_dims, 8)
         kin = KineticField.from_p1(rad, ords)
@@ -425,11 +423,13 @@ class TestNoFullComplexTransform:
         assert p1_projection_residual(kin, ords) < 1e-10
         assert max(moment_system_check(kin, f, 0.1, 1.0, 0.5)) < 1e-8
 
-        fluid = FluidState(rho=f, u=v, theta=f)
-        assert dissipation(v, PARAMS).values.shape == grid.shape
-        assert viscous_stress(v, PARAMS)[0][0].values.shape == grid.shape
-        assert fluid_rhs_eps(fluid, rad, 0.1, PARAMS)[0].values.shape == grid.shape
-        assert fluid_rhs_limit(fluid, rad.I1, PARAMS)[0].values.shape == grid.shape
+        fluid = stack(grid, f, v, f)
+        rad_values = stack(grid, rad.I0, rad.I1)
+        assert fluid_rhs(grid, fluid, PARAMS, rad=rad_values, eps=0.1).shape == fluid.shape
+        assert fluid_rhs(grid, fluid, PARAMS).shape == fluid.shape
+        batch = step_eps(eps_batch(grid, (0.1,), [fluid], [rad_values]), PARAMS, 0.01)
+        assert step_eps(batch, PARAMS, 0.01).fluid.shape == (n_dims + 2, 1, *grid.shape)
+        assert step_limit(limit_state(grid, fluid), PARAMS, 0.01).fluid.shape == fluid.shape
 
 
 @pytest.mark.parametrize("n_dims,n", GRIDS)
@@ -447,8 +447,9 @@ def test_limit_q_matches_full_spectrum_formula(n_dims, n):
 @pytest.mark.parametrize("n_dims,n", GRIDS)
 def test_in_kernel_limit_rhs_matches_limit_q_flux(n_dims, n):
     # The kernel without a coupling argument forms -div q0 of the limit
-    # flux from its own theta^4 row; the public form takes limit_q's flux.
+    # flux from its own theta^4 row; the field-by-field assembly takes
+    # limit_q's flux.
     grid = Grid(n_dims, n)
     f = _wavy_fluid(grid, np.random.default_rng(14))
-    got = _tendency_fields(grid, _rhs_common(grid, f.stacked[:, None], PARAMS))
-    _assert_rhs_close(got, fluid_rhs_limit(f, limit_q(f.theta), PARAMS))
+    want = _oracle_rhs(grid, f, PARAMS, None, -div(limit_q(fields(grid, f)[-1])))
+    _assert_rhs_close(fluid_rhs(grid, f, PARAMS), want)

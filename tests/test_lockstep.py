@@ -7,34 +7,52 @@ import numpy as np
 import pytest
 
 import radhydro.stepping
-from radhydro.analysis import batch_error_squares, error_fields, error_squares
+from radhydro.analysis import batch_error_squares
 from radhydro.config import parse_config
 from radhydro.errors import BlowUp, NonPositiveState
-from radhydro.fluid import POSITIVITY_FLOOR, FluidParams, FluidState
-from radhydro.radiation import RadiationMoments, limit_I0, limit_q
+from radhydro.fluid import POSITIVITY_FLOOR, FluidParams
+from radhydro.radiation import limit_I0, limit_q
 from radhydro.runner import _sampled, run
-from radhydro.spectral import Grid, SpectralField, VectorField
-from radhydro.stepping import EpsBatch, EpsState, LimitState, StepControl, cfl_dt, step_batch, step_eps
+from radhydro.spectral import Grid, SpectralField, sobolev_norm
+from radhydro.stepping import EpsBatch, StepControl, cfl_dt, step_batch, step_eps
 
-from conftest import smooth_field, smooth_vector
+from conftest import eps_batch, fields, limit_state, member, smooth_field, smooth_vector, stack
 
 PARAMS = FluidParams(mu=0.01, lam=0.01, kappa=0.01)
 SWEEP = (0.1, 0.05, 0.025, 0.0125)
 
 
 def _state(grid, rng, u_amp=0.05):
+    """(fluid, moments) value stacks of one smooth state."""
     one = SpectralField.constant(grid, 1.0)
     theta = one + smooth_field(grid, rng, amp=0.05)
-    fluid = FluidState(
-        rho=one + smooth_field(grid, rng, amp=0.05),
-        u=smooth_vector(grid, rng, amp=u_amp),
-        theta=theta,
+    rho = one + smooth_field(grid, rng, amp=0.05)
+    u = smooth_vector(grid, rng, amp=u_amp)
+    i0 = limit_I0(theta) + smooth_field(grid, rng, amp=0.02)
+    i1 = limit_q(theta) + smooth_vector(grid, rng, amp=0.02)
+    return stack(grid, rho, u, theta), stack(grid, i0, i1)
+
+
+def _batch(grid, states, eps, time=0.0):
+    return eps_batch(grid, eps, [f for f, _ in states], [r for _, r in states], time)
+
+
+def _error_squares(grid, fluid, rad, limit_fluid, s):
+    """Field-by-field squared H^s norms of one member's differences from
+    the limit state: fluid (rho, u, theta) and radiation (I0, I1) against
+    the limit closure of the limit temperature."""
+    rho, u, theta = fields(grid, fluid)
+    i0, i1 = fields(grid, rad)
+    rho_l, u_l, theta_l = fields(grid, limit_fluid)
+    i0_ref = limit_I0(theta_l)
+    q_ref = limit_q(theta_l)
+    fluid_sq = (
+        sobolev_norm(rho - rho_l, s) ** 2
+        + sobolev_norm(u - u_l, s) ** 2
+        + sobolev_norm(theta - theta_l, s) ** 2
     )
-    rad = RadiationMoments(
-        I0=limit_I0(theta) + smooth_field(grid, rng, amp=0.02),
-        I1=limit_q(theta) + smooth_vector(grid, rng, amp=0.02),
-    )
-    return EpsState(fluid=fluid, rad=rad, time=0.0)
+    rad_sq = sobolev_norm(i0 - i0_ref, s) ** 2 + sobolev_norm(i1 - q_ref, s) ** 2
+    return fluid_sq, rad_sq
 
 
 def _relative_gap(got, want):
@@ -46,15 +64,16 @@ def test_lockstep_matches_serial_step_eps(n_dims, n):
     grid = Grid(n_dims, n)
     rng = np.random.default_rng(31)
     states = [_state(grid, rng) for _ in SWEEP]
-    batch = EpsBatch.from_states(states, SWEEP)
+    batch = _batch(grid, states, SWEEP)
+    singles = [_batch(grid, [s], (eps,)) for s, eps in zip(states, SWEEP)]
     dt = 0.01
     for _ in range(10):
         batch = step_batch(batch, PARAMS, dt)
-        states = [step_eps(s, PARAMS, eps, dt) for s, eps in zip(states, SWEEP)]
-    for e, s in enumerate(states):
+        singles = [step_eps(s, PARAMS, dt) for s in singles]
+    for e, s in enumerate(singles):
         assert batch.time == s.time
-        assert _relative_gap(batch.fluid[:, e], s.fluid.stacked) <= 1e-13
-        assert _relative_gap(batch.rad[:, e], s.rad.half_spectrum) <= 1e-13
+        assert _relative_gap(batch.fluid[:, e], s.fluid[:, 0]) <= 1e-13
+        assert _relative_gap(batch.rad[:, e], s.rad[:, 0]) <= 1e-13
 
 
 def test_reused_emission_spectrum_is_bitwise_the_same():
@@ -62,7 +81,7 @@ def test_reused_emission_spectrum_is_bitwise_the_same():
     # step; recomputing it instead must give the same bits.
     grid = Grid(2, 16)
     rng = np.random.default_rng(32)
-    reused = EpsBatch.from_states([_state(grid, rng) for _ in SWEEP[:3]], SWEEP[:3])
+    reused = _batch(grid, [_state(grid, rng) for _ in SWEEP[:3]], SWEEP[:3])
     fresh = reused
     for _ in range(3):
         reused = step_batch(reused, PARAMS, 0.01)
@@ -75,11 +94,10 @@ def test_reused_emission_spectrum_is_bitwise_the_same():
 def test_step_eps_advances_a_batch_with_its_own_eps():
     grid = Grid(1, 16)
     rng = np.random.default_rng(37)
-    batch = EpsBatch.from_states([_state(grid, rng) for _ in SWEEP[:2]], SWEEP[:2])
-    stepped = step_eps(batch, PARAMS, SWEEP[:2], 0.01)
+    batch = _batch(grid, [_state(grid, rng) for _ in SWEEP[:2]], SWEEP[:2])
+    stepped = step_eps(batch, PARAMS, 0.01)
+    assert stepped.eps == SWEEP[:2]
     assert np.array_equal(stepped.fluid, step_batch(batch, PARAMS, 0.01).fluid)
-    with pytest.raises(ValueError, match="does not match"):
-        step_eps(batch, PARAMS, SWEEP[1:3], 0.01)
 
 
 def _study(out_dir):
@@ -119,10 +137,10 @@ def test_fast_member_sets_the_shared_dt():
     slow = _state(grid, rng)
     fast = _state(grid, rng, u_amp=1.0)
     control = StepControl(t_end=1.0, dt=1.0)
-    dt_slow = cfl_dt(slow, PARAMS, control)
-    dt_fast = cfl_dt(fast, PARAMS, control)
+    dt_slow = cfl_dt(_batch(grid, [slow], (0.1,)), PARAMS, control)
+    dt_fast = cfl_dt(_batch(grid, [fast], (0.05,)), PARAMS, control)
     assert dt_fast < dt_slow / 2
-    batch = EpsBatch.from_states([slow, fast, slow], (0.1, 0.05, 0.025))
+    batch = _batch(grid, [slow, fast, slow], (0.1, 0.05, 0.025))
     assert cfl_dt(batch, PARAMS, control) == dt_fast
 
     # Marching the batch to the first output time takes as many steps as
@@ -149,15 +167,16 @@ def test_batched_error_squares_match_error_fields(n_dims, n):
     grid = Grid(n_dims, n)
     rng = np.random.default_rng(34)
     members = [_state(grid, rng) for _ in range(3)]
-    limit = LimitState(fluid=_state(grid, rng).fluid, time=0.0)
-    batch = EpsBatch.from_states(members, (0.1, 0.05, 0.025))
+    limit = limit_state(grid, _state(grid, rng)[0])
+    batch = _batch(grid, members, (0.1, 0.05, 0.025))
     indices = (0, 3, 4)
     got = batch_error_squares(batch, limit, indices)
     assert got.shape == (3, 2, 3)
-    for e, member in enumerate(members):
-        err = error_fields(member, limit)
+    for e in range(len(members)):
+        fluid, rad = member(batch, e)
         for i, s in enumerate(indices):
-            np.testing.assert_allclose(got[i, :, e], error_squares(err, s), rtol=1e-12)
+            want = _error_squares(grid, fluid, rad, limit.fluid, s)
+            np.testing.assert_allclose(got[i, :, e], want, rtol=1e-12)
 
 
 def test_failing_member_is_named_with_time_field_and_margin():
@@ -165,20 +184,13 @@ def test_failing_member_is_named_with_time_field_and_margin():
     rng = np.random.default_rng(35)
     x = grid.coordinates()[0]
     good = _state(grid, rng)
-    one = SpectralField.constant(grid, 1.0)
     # Density 1.2e-6 at x = 3pi/2, where the flow diverges at rate 50:
     # the later RK stages of the first step take it below the floor.
-    thin = EpsState(
-        fluid=FluidState(
-            rho=SpectralField.from_values(grid, 1.0 + (1.0 - 1.2e-6) * np.sin(x)),
-            u=VectorField([SpectralField.from_values(grid, 50.0 * np.cos(x))]),
-            theta=one,
-        ),
-        rad=RadiationMoments(I0=one, I1=VectorField.zeros(grid)),
-        time=0.25,
+    thin = (
+        stack(grid, 1.0 + (1.0 - 1.2e-6) * np.sin(x), 50.0 * np.cos(x), 1.0),
+        stack(grid, 1.0, 0.0),
     )
-    good = EpsState(fluid=good.fluid, rad=good.rad, time=0.25)
-    batch = EpsBatch.from_states([good, thin, good], (0.1, 0.05, 0.025))
+    batch = _batch(grid, [good, thin, good], (0.1, 0.05, 0.025), time=0.25)
     with pytest.raises(NonPositiveState) as info:
         step_batch(batch, PARAMS, 0.01)
     exc = info.value
@@ -194,17 +206,36 @@ def test_non_finite_member_is_named():
     grid = Grid(1, 32)
     rng = np.random.default_rng(36)
     good = _state(grid, rng)
-    broken = EpsState(
-        fluid=good.fluid,
-        rad=RadiationMoments(
-            I0=SpectralField.constant(grid, np.nan), I1=VectorField.zeros(grid)
-        ),
-        time=0.0,
-    )
-    batch = EpsBatch.from_states([good, good, broken], (0.1, 0.05, 0.025))
+    broken = (good[0], stack(grid, np.nan, 0.0))
+    batch = _batch(grid, [good, good, broken], (0.1, 0.05, 0.025))
     with pytest.raises(BlowUp) as info:
         step_batch(batch, PARAMS, 0.01)
     assert info.value.eps == 0.025
     assert info.value.time == pytest.approx(0.01)
     assert info.value.field in ("rho", "u", "theta", "I0", "I1")
     assert "eps = 0.025" in str(info.value)
+
+
+@pytest.mark.parametrize("n_dims,n", [(1, 32), (2, 16)])
+def test_solver_path_builds_no_field_objects(n_dims, n, monkeypatch):
+    # Every solver state is a stack of arrays: from prepared data to the
+    # error norms, nothing constructs a SpectralField.
+    from radhydro.analysis import default_perturbation_shapes, hypothesis_deviation, well_prepared_init
+    from radhydro.stepping import step_limit
+
+    grid = Grid(n_dims, n)
+    base = limit_state(grid, _state(grid, np.random.default_rng(38))[0])
+    shapes = default_perturbation_shapes(grid)
+    control = StepControl(t_end=1.0, dt=0.01)
+
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError("SpectralField constructed")
+
+    monkeypatch.setattr(SpectralField, "__init__", forbidden)
+    batch = well_prepared_init(base, SWEEP, 1.0, shapes)
+    assert hypothesis_deviation(batch, base, 3).shape == (len(SWEEP),)
+    dt = cfl_dt(batch, PARAMS, control)
+    assert dt == cfl_dt(base, PARAMS, control)
+    batch = step_eps(step_batch(batch, PARAMS, dt), PARAMS, dt)
+    limit = step_limit(step_limit(base, PARAMS, dt), PARAMS, dt)
+    assert batch_error_squares(batch, limit, (0, 3)).shape == (2, 2, len(SWEEP))

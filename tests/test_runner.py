@@ -8,12 +8,13 @@ import os
 import numpy as np
 import pytest
 
+import radhydro.cli
 import radhydro.runner
 from radhydro.cli import main
 from radhydro.config import parse_config
 from radhydro.errors import TimeMismatch
 from radhydro.runner import _state_row, emit_series, run
-from radhydro.spectral import Grid, VectorField, sobolev_norm, unstack
+from radhydro.spectral import Grid, SpectralField, VectorField, sobolev_norm
 
 
 def _fast_study(**overrides):
@@ -92,8 +93,8 @@ class TestSimulateModes:
         # python -O) and name the eps value, the target and the time reached.
         step = radhydro.runner.step_eps
 
-        def overshoot(state, p, eps, dt):
-            out = step(state, p, eps, dt)
+        def overshoot(state, p, dt):
+            out = step(state, p, dt)
             return dataclasses.replace(out, time=state.time + dt + 1.0)
 
         monkeypatch.setattr(radhydro.runner, "step_eps", overshoot)
@@ -184,17 +185,15 @@ class TestCli:
         assert main(["convergence-study", "--config", str(cfg_path)]) == 2
         assert "output_interval" in capsys.readouterr().err
 
-    def test_threads_flag_is_accepted_with_one_note(self, tmp_path, monkeypatch, capsys):
+    def test_threads_flag_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("RADHYDRO_OUT", raising=False)
-        config = {"mode": "simulate-limit", "t_end": 0.05, "output_interval": 0.05}
+        monkeypatch.setattr(radhydro.cli, "run", lambda *a, **k: pytest.fail("run started"))
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(config), encoding="utf-8")
-        out = str(tmp_path / "out")
-        assert main(["simulate-limit", "--config", str(cfg_path), "--out", out, "--threads", "2"]) == 0
-        err = capsys.readouterr().err
-        assert err.count("--threads is ignored") == 1
-        main(["simulate-limit", "--config", str(cfg_path), "--out", out])
-        assert "--threads" not in capsys.readouterr().err
+        cfg_path.write_text('{"mode": "simulate-limit"}', encoding="utf-8")
+        with pytest.raises(SystemExit) as info:
+            main(["simulate-limit", "--config", str(cfg_path), "--threads", "2"])
+        assert info.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_strict_exit_reflects_bound_miss(self, tmp_path, monkeypatch):
         monkeypatch.delenv("RADHYDRO_OUT", raising=False)
@@ -243,7 +242,7 @@ def test_state_row_matches_per_field_sobolev_norms(n_dims, n, with_radiation):
     values = rng.standard_normal((sum(groups), *grid.shape))
     indices = (0, 2, 4)
     row = _state_row(grid, 0.25, values, indices)
-    fields = unstack(grid, values.copy())
+    fields = [SpectralField.from_values(grid, v) for v in values]
     starts = np.cumsum([0] + groups[:-1])
     want = [0.25]
     for s in indices:
@@ -253,3 +252,21 @@ def test_state_row_matches_per_field_sobolev_norms(n_dims, n, with_radiation):
     assert len(row) == len(want)
     assert row[0] == 0.25
     np.testing.assert_allclose(row[1:], want[1:], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "fluid",
+    [{"mu": 0.5, "lambda": 0.5, "kappa": 0.5}, {"mu": 0.01, "lambda": 1.0, "kappa": 0.01}],
+)
+def test_viscous_configs_run_to_t_end(tmp_path, monkeypatch, fluid):
+    # Both need the 2 mu + lam coefficient and the RK4 stability interval
+    # in the diffusive bound: under h^2 min(rho) / max(mu, kappa) the limit
+    # run loses positivity (at t = 0.032 and at t = 0.045).
+    monkeypatch.delenv("RADHYDRO_OUT", raising=False)
+    config = {"grid": {"n_dims": 1, "points": 128}, "fluid": fluid, "t_end": 0.1}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["convergence-study", "--config", str(cfg_path), "--out", str(out)]) == 0
+    data = np.genfromtxt(out / "limit_series.csv", delimiter=",", names=True)
+    assert data["time"][-1] == 0.1

@@ -11,12 +11,11 @@ from radhydro.spectral import (
     div,
     grad,
     helmholtz_inverse,
-    l2_inner,
     laplacian,
     sobolev_norm,
 )
 
-from conftest import smooth_field, smooth_vector
+from conftest import l2_inner, smooth_field, smooth_vector
 
 ALL_GRIDS = [(1, 32), (1, 64), (2, 32), (2, 64)]
 

@@ -19,10 +19,11 @@ from radhydro.spectral import (
     div,
     grad,
     helmholtz_inverse,
-    l2_inner,
     laplacian,
     sobolev_norm,
 )
+
+from conftest import l2_inner
 
 EXAMPLES = settings(max_examples=50, deadline=None)
 TOL = 1e-12

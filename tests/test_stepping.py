@@ -6,56 +6,57 @@ import numpy as np
 import pytest
 
 from radhydro.errors import BlowUp
-from radhydro.fluid import FluidParams, FluidState
-from radhydro.radiation import RadiationMoments, limit_I0, limit_q
-from radhydro.spectral import Grid, SpectralField, VectorField, sobolev_norm
-from radhydro.stepping import (
-    EpsState,
-    LimitState,
-    StepControl,
-    cfl_dt,
-    radiation_exact_substep,
-    step_eps,
-    step_limit,
-)
+from radhydro.fluid import FluidParams
+from radhydro.radiation import limit_I0, limit_q
+from radhydro.spectral import Grid, SpectralField, VectorField, sobolev_squares
+from radhydro.stepping import RK4_REAL_STABILITY, StepControl, cfl_dt, step_eps, step_limit
 from radhydro.analysis import fit_rate
 
-from conftest import smooth_field, smooth_vector
+from conftest import (
+    eps_batch,
+    fields,
+    limit_state,
+    radiation_rhs,
+    smooth_field,
+    smooth_vector,
+    stack,
+    substep,
+)
 
 PARAMS = FluidParams(mu=0.01, lam=0.01, kappa=0.01)
 
 
-def _equilibrium_eps(grid):
+def _wavy_member(grid, rng, amp=0.05, rad_amp=0.02):
+    """(fluid, moments) value stacks near equilibrium: smooth perturbations
+    of a unit state, and moments near the limit closure of theta."""
     one = SpectralField.constant(grid, 1.0)
-    fluid = FluidState(rho=one, u=VectorField.zeros(grid), theta=one)
-    rad = RadiationMoments(I0=one, I1=VectorField.zeros(grid))
-    return EpsState(fluid=fluid, rad=rad, time=0.0)
+    rho = one + smooth_field(grid, rng, amp=amp)
+    theta = one + smooth_field(grid, rng, amp=amp)
+    u = smooth_vector(grid, rng, amp=amp)
+    i0 = limit_I0(theta) + smooth_field(grid, rng, amp=rad_amp)
+    i1 = limit_q(theta) + smooth_vector(grid, rng, amp=rad_amp)
+    return stack(grid, rho, u, theta), stack(grid, i0, i1)
 
 
-def _wavy_state(grid, rng):
-    one = SpectralField.constant(grid, 1.0)
-    rho = one + smooth_field(grid, rng, amp=0.05)
-    theta = one + smooth_field(grid, rng, amp=0.05)
-    u = smooth_vector(grid, rng, amp=0.05)
-    fluid = FluidState(rho=rho, u=u, theta=theta)
-    rad = RadiationMoments(
-        I0=limit_I0(theta) + smooth_field(grid, rng, amp=0.02),
-        I1=limit_q(theta) + smooth_vector(grid, rng, amp=0.02),
-    )
-    return EpsState(fluid=fluid, rad=rad, time=0.0)
+def _equilibrium_eps(grid, eps=0.05):
+    return eps_batch(grid, (eps,), [stack(grid, 1.0, 0.0, 1.0)], [stack(grid, 1.0, 0.0)])
+
+
+def _wavy_state(grid, rng, eps=0.1):
+    fluid, rad = _wavy_member(grid, rng)
+    return eps_batch(grid, (eps,), [fluid], [rad])
+
+
+def _l2(grid, values):
+    """L^2 norm of a stack of fields."""
+    return math.sqrt(sobolev_squares(grid, grid.forward(values), (0,)).sum())
 
 
 def _state_distance(a, b):
-    total = (
-        sobolev_norm(a.fluid.rho - b.fluid.rho, 0) ** 2
-        + sobolev_norm(a.fluid.u - b.fluid.u, 0) ** 2
-        + sobolev_norm(a.fluid.theta - b.fluid.theta, 0) ** 2
-    )
+    """L^2 distance of two batches (fluid and moments) or two limit states."""
+    total = _l2(a.grid, a.fluid - b.fluid) ** 2
     if hasattr(a, "rad"):
-        total += (
-            sobolev_norm(a.rad.I0 - b.rad.I0, 0) ** 2
-            + sobolev_norm(a.rad.I1 - b.rad.I1, 0) ** 2
-        )
+        total += _l2(a.grid, a.grid.inverse(a.rad - b.rad)) ** 2
     return math.sqrt(total)
 
 
@@ -64,180 +65,125 @@ class TestRadiationExactSubstep:
         # At k = 0 the moments decouple: I0 relaxes to the source mean,
         # I1 decays by exp(-dt/eps).
         a, b = 1.7, 1.2
-        theta = SpectralField.constant(grid1d, b**0.25)
-        rad = RadiationMoments(
-            I0=SpectralField.constant(grid1d, a),
-            I1=VectorField([SpectralField.constant(grid1d, 0.5)]),
-        )
+        theta = np.full(grid1d.shape, b**0.25)
         eps, dt = 0.2, 0.3
-        out = radiation_exact_substep(rad, theta, eps, dt)
+        out = substep(grid1d, stack(grid1d, a, 0.5), theta, eps, dt)
         decay = math.exp(-dt / eps)
-        assert np.abs(out.I0.values - (b + (a - b) * decay)).max() < 1e-12
-        assert np.abs(out.I1[0].values - 0.5 * decay).max() < 1e-12
+        assert np.abs(out[0] - (b + (a - b) * decay)).max() < 1e-12
+        assert np.abs(out[1] - 0.5 * decay).max() < 1e-12
 
     def test_dt_zero_is_identity(self, grid1d, rng):
-        state = _wavy_state(grid1d, rng)
-        out = radiation_exact_substep(state.rad, state.fluid.theta, 0.1, 0.0)
-        assert np.abs(out.I0.values - state.rad.I0.values).max() < 1e-14
-        assert np.abs(out.I1[0].values - state.rad.I1[0].values).max() < 1e-14
+        fluid, rad = _wavy_member(grid1d, rng)
+        out = substep(grid1d, rad, fluid[-1], 0.1, 0.0)
+        assert np.abs(out - rad).max() < 1e-14
 
     def test_long_time_reaches_limit_pair(self, grid1d):
         x = grid1d.coordinates()[0]
         theta = SpectralField.from_values(grid1d, 1 + 0.1 * np.cos(x))
-        rad = RadiationMoments(
-            I0=SpectralField.constant(grid1d, 1.0), I1=VectorField.zeros(grid1d)
-        )
         eps = 0.05
-        out = radiation_exact_substep(rad, theta, eps, 30 * eps)
-        dev = math.sqrt(
-            sobolev_norm(out.I0 - limit_I0(theta), 0) ** 2
-            + sobolev_norm(out.I1 - limit_q(theta), 0) ** 2
-        )
+        out = substep(grid1d, stack(grid1d, 1.0, 0.0), theta, eps, 30 * eps)
+        dev = _l2(grid1d, out - stack(grid1d, limit_I0(theta), limit_q(theta)))
         assert dev < 1e-8
 
     def test_against_fine_step_ode_oracle(self):
         # Independent oracle: explicit RK4 on the relaxation tendencies
         # with theta frozen, at a dt far below the relaxation time.
-        from radhydro.radiation import radiation_rhs
-
         grid = Grid(n_dims=1, points_per_dim=32)
         x = grid.coordinates()[0]
         theta = SpectralField.from_values(grid, 1 + 0.2 * np.sin(x))
-        rad = RadiationMoments(
-            I0=SpectralField.from_values(grid, 1 + 0.1 * np.cos(x)),
-            I1=VectorField([SpectralField.from_values(grid, 0.1 * np.sin(2 * x))]),
-        )
+        i0 = SpectralField.from_values(grid, 1 + 0.1 * np.cos(x))
+        i1 = VectorField([SpectralField.from_values(grid, 0.1 * np.sin(2 * x))])
         eps, t_final = 0.5, 0.25
-        exact = radiation_exact_substep(rad, theta, eps, t_final)
+        exact = substep(grid, stack(grid, i0, i1), theta, eps, t_final)
 
         n_steps = 2000
         dt = t_final / n_steps
-        current = rad
         for _ in range(n_steps):
-            k1 = radiation_rhs(current, theta, eps)
-            mid1 = RadiationMoments(
-                I0=current.I0 + k1[0] * (dt / 2), I1=current.I1 + k1[1] * (dt / 2)
-            )
-            k2 = radiation_rhs(mid1, theta, eps)
-            mid2 = RadiationMoments(
-                I0=current.I0 + k2[0] * (dt / 2), I1=current.I1 + k2[1] * (dt / 2)
-            )
-            k3 = radiation_rhs(mid2, theta, eps)
-            end = RadiationMoments(
-                I0=current.I0 + k3[0] * dt, I1=current.I1 + k3[1] * dt
-            )
-            k4 = radiation_rhs(end, theta, eps)
-            current = RadiationMoments(
-                I0=current.I0 + (k1[0] + k2[0] * 2 + k3[0] * 2 + k4[0]) * (dt / 6),
-                I1=current.I1 + (k1[1] + k2[1] * 2 + k3[1] * 2 + k4[1]) * (dt / 6),
-            )
-        assert sobolev_norm(exact.I0 - current.I0, 0) < 1e-10
-        assert sobolev_norm(exact.I1 - current.I1, 0) < 1e-10
+            k1 = radiation_rhs(i0, i1, theta, eps)
+            k2 = radiation_rhs(i0 + k1[0] * (dt / 2), i1 + k1[1] * (dt / 2), theta, eps)
+            k3 = radiation_rhs(i0 + k2[0] * (dt / 2), i1 + k2[1] * (dt / 2), theta, eps)
+            k4 = radiation_rhs(i0 + k3[0] * dt, i1 + k3[1] * dt, theta, eps)
+            i0 = i0 + (k1[0] + k2[0] * 2 + k3[0] * 2 + k4[0]) * (dt / 6)
+            i1 = i1 + (k1[1] + k2[1] * 2 + k3[1] * 2 + k4[1]) * (dt / 6)
+        assert _l2(grid, exact[:1] - i0.values[None]) < 1e-10
+        assert _l2(grid, exact[1:] - i1[0].values[None]) < 1e-10
 
     def test_semigroup_property(self, grid1d, rng):
-        state = _wavy_state(grid1d, rng)
-        theta = state.fluid.theta
+        fluid, rad = _wavy_member(grid1d, rng)
+        theta = fluid[-1]
         eps, dt = 0.07, 0.11
-        one = radiation_exact_substep(state.rad, theta, eps, dt)
-        two = radiation_exact_substep(
-            radiation_exact_substep(state.rad, theta, eps, dt / 2), theta, eps, dt / 2
-        )
-        assert np.abs(one.I0.values - two.I0.values).max() < 1e-12
-        assert np.abs(one.I1[0].values - two.I1[0].values).max() < 1e-12
+        one = substep(grid1d, rad, theta, eps, dt)
+        two = substep(grid1d, substep(grid1d, rad, theta, eps, dt / 2), theta, eps, dt / 2)
+        assert np.abs(one - two).max() < 1e-12
 
 
 class TestStepEps:
     def test_equilibrium_fixed_point(self, grid1d):
-        state = _equilibrium_eps(grid1d)
-        out = step_eps(state, PARAMS, 0.05, 0.02)
-        assert np.abs(out.fluid.rho.values - 1).max() < 1e-13
-        assert np.abs(out.fluid.u[0].values).max() < 1e-13
-        assert np.abs(out.fluid.theta.values - 1).max() < 1e-13
-        assert np.abs(out.rad.I0.values - 1).max() < 1e-13
-        assert np.abs(out.rad.I1[0].values).max() < 1e-13
+        out = step_eps(_equilibrium_eps(grid1d), PARAMS, 0.02)
+        assert np.abs(out.fluid[[0, -1]] - 1).max() < 1e-13
+        assert np.abs(out.fluid[1]).max() < 1e-13
+        rad = grid1d.inverse(out.rad)
+        assert np.abs(rad[0] - 1).max() < 1e-13
+        assert np.abs(rad[1]).max() < 1e-13
 
     def test_local_self_convergence_order(self, grid1d, rng):
         state = _wavy_state(grid1d, rng)
-        eps = 0.1
         dts = [1 / 64, 1 / 128, 1 / 256]
         gaps = []
         for dt in dts:
-            one = step_eps(state, PARAMS, eps, dt)
-            two = step_eps(step_eps(state, PARAMS, eps, dt / 2), PARAMS, eps, dt / 2)
+            one = step_eps(state, PARAMS, dt)
+            two = step_eps(step_eps(state, PARAMS, dt / 2), PARAMS, dt / 2)
             gaps.append(_state_distance(one, two))
         fit = fit_rate(list(zip(dts, gaps)))
         assert fit.slope >= 2.7
 
     def test_translation_equivariance(self, grid1d, rng):
-        state = _wavy_state(grid1d, rng)
+        fluid, rad = _wavy_member(grid1d, rng)
         shift = 3
-
-        def roll(f):
-            return SpectralField.from_values(f.grid, np.roll(f.values, shift))
-
-        shifted = EpsState(
-            fluid=FluidState(
-                rho=roll(state.fluid.rho),
-                u=VectorField([roll(state.fluid.u[0])]),
-                theta=roll(state.fluid.theta),
-            ),
-            rad=RadiationMoments(
-                I0=roll(state.rad.I0), I1=VectorField([roll(state.rad.I1[0])])
-            ),
-            time=0.0,
-        )
         eps, dt = 0.05, 0.01
-        a = step_eps(state, PARAMS, eps, dt)
-        b = step_eps(shifted, PARAMS, eps, dt)
-        assert np.abs(np.roll(a.fluid.rho.values, shift) - b.fluid.rho.values).max() < 1e-12
-        assert np.abs(np.roll(a.rad.I0.values, shift) - b.rad.I0.values).max() < 1e-12
+        roll = lambda y: np.roll(y, shift, axis=-1)
+        a = step_eps(eps_batch(grid1d, (eps,), [fluid], [rad]), PARAMS, dt)
+        b = step_eps(eps_batch(grid1d, (eps,), [roll(fluid)], [roll(rad)]), PARAMS, dt)
+        assert np.abs(roll(a.fluid[0]) - b.fluid[0]).max() < 1e-12
+        rad_a, rad_b = grid1d.inverse(a.rad), grid1d.inverse(b.rad)
+        assert np.abs(roll(rad_a[0]) - rad_b[0]).max() < 1e-12
 
     @pytest.mark.parametrize("eps", [0.1, 0.05, 0.025, 0.0125])
     def test_uniform_in_eps_stability(self, grid1d, rng, eps):
         # same grid and dt for every eps: the splitting neither rejects
         # nor loses stability as the relaxation stiffens
-        state = _wavy_state(grid1d, rng)
+        state = _wavy_state(grid1d, rng, eps)
         dt = 0.02
-        start_norm = sobolev_norm(state.fluid.theta, 0)
+        start_norm = _l2(grid1d, state.fluid[-1])
         for _ in range(25):
-            state = step_eps(state, PARAMS, eps, dt)
-        assert state.fluid.is_finite()
-        assert sobolev_norm(state.fluid.theta, 0) < 2 * start_norm
+            state = step_eps(state, PARAMS, dt)
+        assert np.isfinite(state.fluid).all()
+        assert _l2(grid1d, state.fluid[-1]) < 2 * start_norm
 
     def test_mass_conservation_over_run(self, grid1d, rng):
-        state = _wavy_state(grid1d, rng)
-        mass0 = state.fluid.rho.mean * state.grid.volume
+        state = _wavy_state(grid1d, rng, 0.05)
+        mass0 = state.fluid[0].mean() * grid1d.volume
         for _ in range(50):
-            state = step_eps(state, PARAMS, 0.05, 0.01)
-        mass1 = state.fluid.rho.mean * state.grid.volume
+            state = step_eps(state, PARAMS, 0.01)
+        mass1 = state.fluid[0].mean() * grid1d.volume
         assert abs(mass1 - mass0) / abs(mass0) < 1e-10
 
     def test_blowup_detection(self, grid1d):
-        one = SpectralField.constant(grid1d, 1.0)
-        bad = SpectralField.from_values(grid1d, np.full(grid1d.shape, 1.0))
-        state = EpsState(
-            fluid=FluidState(rho=one, u=VectorField.zeros(grid1d), theta=bad),
-            rad=RadiationMoments(
-                I0=SpectralField.constant(grid1d, np.nan), I1=VectorField.zeros(grid1d)
-            ),
-            time=0.0,
+        state = eps_batch(
+            grid1d, (0.1,), [stack(grid1d, 1.0, 0.0, 1.0)], [stack(grid1d, np.nan, 0.0)]
         )
         with pytest.raises(BlowUp):
-            step_eps(state, PARAMS, 0.1, 0.01)
+            step_eps(state, PARAMS, 0.01)
 
 
 class TestStepLimit:
     def test_constant_state_unchanged(self, grid1d):
-        one = SpectralField.constant(grid1d, 1.0)
-        state = LimitState(
-            fluid=FluidState(rho=one, u=VectorField.zeros(grid1d), theta=one), time=0.0
-        )
-        out = step_limit(state, PARAMS, 0.02)
-        assert np.abs(out.fluid.rho.values - 1).max() < 1e-13
-        assert np.abs(out.fluid.theta.values - 1).max() < 1e-13
+        out = step_limit(limit_state(grid1d, stack(grid1d, 1.0, 0.0, 1.0)), PARAMS, 0.02)
+        assert np.abs(out.fluid[0] - 1).max() < 1e-13
+        assert np.abs(out.fluid[-1] - 1).max() < 1e-13
 
     def test_local_self_convergence_order(self, grid1d, rng):
-        state = LimitState(fluid=_wavy_state(grid1d, rng).fluid, time=0.0)
+        state = limit_state(grid1d, _wavy_member(grid1d, rng)[0])
         dts = [1 / 16, 1 / 32, 1 / 64]
         gaps = []
         for dt in dts:
@@ -250,19 +196,21 @@ class TestStepLimit:
     def test_closure_residual_enforced_throughout(self, grid1d, rng):
         from radhydro.radiation import limit_closure_residual
 
-        state = LimitState(fluid=_wavy_state(grid1d, rng).fluid, time=0.0)
+        state = limit_state(grid1d, _wavy_member(grid1d, rng)[0])
         for _ in range(10):
             state = step_limit(state, PARAMS, 0.01)
-            theta = state.fluid.theta
+            theta = fields(grid1d, state.fluid)[-1]
             assert limit_closure_residual(theta, limit_q(theta)) < 1e-10
+
+    def test_state_is_a_read_only_stack(self, grid1d):
+        out = step_limit(limit_state(grid1d, stack(grid1d, 1.0, 0.0, 1.0)), PARAMS, 0.02)
+        assert out.fluid.shape == (3, *grid1d.shape)
+        assert not out.fluid.flags.writeable
 
 
 class TestCflDt:
     def test_advective_bound_at_rest(self, grid1d):
-        one = SpectralField.constant(grid1d, 1.0)
-        state = LimitState(
-            fluid=FluidState(rho=one, u=VectorField.zeros(grid1d), theta=one), time=0.0
-        )
+        state = limit_state(grid1d, stack(grid1d, 1.0, 0.0, 1.0))
         control = StepControl(t_end=10.0, cfl_advective=0.5, cfl_diffusive=0.5)
         h = 2 * np.pi / 64
         # sound-speed proxy sqrt(theta) = 1 dominates; diffusive bound is huge
@@ -270,29 +218,23 @@ class TestCflDt:
         assert cfl_dt(state, PARAMS, control) == pytest.approx(expected, rel=1e-13)
 
     def test_diffusive_bound_dominates_for_large_kappa(self, grid1d):
-        one = SpectralField.constant(grid1d, 1.0)
-        state = LimitState(
-            fluid=FluidState(rho=one, u=VectorField.zeros(grid1d), theta=one), time=0.0
-        )
+        state = limit_state(grid1d, stack(grid1d, 1.0, 0.0, 1.0))
         p = FluidParams(mu=0.01, lam=0.0, kappa=5.0)
         control = StepControl(t_end=10.0)
-        h = 2 * np.pi / 64
-        expected = 0.4 * h**2 * 1.0 / 5.0
+        # The largest kept |k|^2 on 64 points is 21^2, and kappa dominates
+        # mu and 2 mu + lam.
+        expected = 0.4 * 2.785293563405282 * 1.0 / (5.0 * 21**2)
         assert cfl_dt(state, p, control) == pytest.approx(expected, rel=1e-13)
 
     def test_independent_of_eps(self, grid1d, rng):
-        state = _wavy_state(grid1d, rng)
+        fluid, rad = _wavy_member(grid1d, rng)
         control = StepControl(t_end=1.0)
-        a = cfl_dt(state, PARAMS, control, eps=0.1)
-        b = cfl_dt(state, PARAMS, control, eps=0.05)
-        assert a == b
+        a = cfl_dt(eps_batch(grid1d, (0.1,), [fluid], [rad]), PARAMS, control)
+        b = cfl_dt(eps_batch(grid1d, (0.05,), [fluid], [rad]), PARAMS, control)
+        assert a == b == cfl_dt(limit_state(grid1d, fluid), PARAMS, control)
 
     def test_remaining_time_caps(self, grid1d):
-        one = SpectralField.constant(grid1d, 1.0)
-        state = LimitState(
-            fluid=FluidState(rho=one, u=VectorField.zeros(grid1d), theta=one),
-            time=0.995,
-        )
+        state = limit_state(grid1d, stack(grid1d, 1.0, 0.0, 1.0), time=0.995)
         control = StepControl(t_end=1.0)
         assert cfl_dt(state, PARAMS, control) == pytest.approx(0.005, abs=1e-15)
 
@@ -301,3 +243,13 @@ class TestCflDt:
             StepControl(t_end=1.0, cfl_advective=1.5)
         with pytest.raises(ValueError, match="dt cap"):
             StepControl(t_end=1.0, dt=0.0)
+
+    def test_rk4_real_stability_interval(self):
+        # |1 + z + z^2/2 + z^3/6 + z^4/24| = 1 at z = -R and stays below 1
+        # on (-R, 0).
+        amplification = lambda z: 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+        assert amplification(-RK4_REAL_STABILITY) == pytest.approx(1.0, abs=1e-14)
+        z = np.linspace(-RK4_REAL_STABILITY, 0.0, 1001)[1:-1]
+        assert np.all(np.abs(amplification(z)) < 1.0)
+        assert abs(amplification(-RK4_REAL_STABILITY * 1.001)) > 1.0
+
