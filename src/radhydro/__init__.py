@@ -39,6 +39,7 @@ from .kinetic import (
     moment_system_check,
     moments,
     p1_projection_residual,
+    transport_term,
 )
 from .radiation import (
     RadiationMoments,

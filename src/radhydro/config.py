@@ -227,11 +227,19 @@ def _validate_shapes(raw, grid: Grid) -> dict | None:
         _fail("perturbation_shapes", "expected an object")
     _check_keys(raw, _SHAPE_KEYS, "perturbation_shapes")
     empty = {"base": 0.0, "modes": []}
+
+    def shape(spec, name):
+        # build_shapes divides by this norm, so it must be finite too.
+        spec = _validate_profile(spec, name, empty, kmax)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, norm = _shape_and_norm(grid, spec)
+        if not math.isfinite(norm):
+            _fail(name, "the shape's values or L^2 norm on the grid are not finite")
+        return spec
+
     out = {}
     for key in ("rho", "theta", "I0"):
-        out[key] = _validate_profile(
-            raw.get(key), f"perturbation_shapes.{key}", empty, kmax
-        )
+        out[key] = shape(raw.get(key), f"perturbation_shapes.{key}")
     for key in ("u", "I1"):
         comp_raw = raw.get(key)
         if comp_raw is None:
@@ -243,8 +251,7 @@ def _validate_shapes(raw, grid: Grid) -> dict | None:
                 f"expected a list of {n_dims} component profiles",
             )
         out[key] = [
-            _validate_profile(c, f"perturbation_shapes.{key}[{i}]", empty, kmax)
-            for i, c in enumerate(comp_raw)
+            shape(c, f"perturbation_shapes.{key}[{i}]") for i, c in enumerate(comp_raw)
         ]
     return out
 
@@ -274,15 +281,15 @@ def _validate_bounds(raw) -> dict:
 
 def _check_cfl_steps(grid: Grid, profiles: dict, params: FluidParams, control: StepControl):
     """Reject a run whose CFL bounds (those of ``cfl_dt``) on the initial
-    profile values imply more than MAX_STEPS time steps.
-
-    Profiles that are not positive are left to ``build_limit_initial``.
+    profile values imply more than MAX_STEPS time steps, and profiles
+    whose values are not finite or whose rho or theta is not positive.
     """
     y = _profile_stack(grid, profiles)
     if not np.isfinite(y).all():
         _fail("profiles", "the initial profile values are not all finite")
-    if y[0].min() <= 0.0 or y[-1].min() <= 0.0:
-        return
+    for name, row in (("rho", y[0]), ("theta", y[-1])):
+        if row.min() <= 0.0:
+            _fail(f"profiles.{name}", f"initial values must be positive, min is {row.min():.3g}")
     bounds = cfl_bounds(grid, y, params, control)
     for name, field_name, dt in zip(("advective", "diffusive"), ("profiles", "fluid"), bounds):
         steps = control.t_end / dt if dt > 0.0 else math.inf
@@ -512,6 +519,13 @@ def _profile_stack(grid: Grid, profiles: dict) -> np.ndarray:
     return np.stack([_profile_values(grid, spec) for spec in rows])
 
 
+def _shape_and_norm(grid: Grid, spec: dict) -> tuple[SpectralField, float]:
+    """A perturbation shape on the grid, before normalization, and its
+    L^2 norm."""
+    f = SpectralField.from_values(grid, _profile_values(grid, spec))
+    return f, sobolev_norm(f, 0)
+
+
 def build_limit_initial(config: RunConfig) -> LimitState:
     """Construct the limit-system initial state from the profile spec."""
     grid = config.grid
@@ -533,8 +547,7 @@ def build_shapes(config: RunConfig) -> PerturbationShapes:
         return default_perturbation_shapes(grid)
 
     def scalar(spec):
-        f = SpectralField.from_values(grid, _profile_values(grid, spec))
-        norm = sobolev_norm(f, 0)
+        f, norm = _shape_and_norm(grid, spec)
         if norm == 0.0:
             return f
         return f * (1.0 / norm)

@@ -19,13 +19,18 @@ into unity recovers the unit-coefficient moment system the fluid solver
 couples to; the check must run with the factors in place or its residual
 is spuriously nonzero.
 
-The transport term omega . grad I is taken per ordinate on the half
-spectrum of ``spectral`` (``Grid.forward``/``Grid.inverse`` with the
-symbol omega . ``half_ik``).
+The transport term omega . grad I (``transport_term``) is taken per
+ordinate on the half spectrum of ``spectral`` (``Grid.forward``/
+``Grid.inverse`` with the symbol omega . ``half_ik``), one slab at a
+time. It does not depend on (sigma_a, sigma_s), so one closure check
+evaluates it once, together with the moments of I, the P1 projection
+residual and the sigma-free parts of the predicted tendencies, and
+shares them across every (sigma_a, sigma_s) pair it is given.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +43,7 @@ __all__ = [
     "OrdinateSet",
     "KineticField",
     "make_ordinates",
+    "transport_term",
     "kinetic_rhs",
     "moments",
     "p1_projection_residual",
@@ -121,20 +127,25 @@ class KineticField:
     @classmethod
     def from_p1(cls, rad: RadiationMoments, ords: OrdinateSet) -> "KineticField":
         """Sample I0 + I1.omega on the ordinates."""
-        grid = rad.grid
-        vals = np.empty((ords.count, *grid.shape))
-        i1 = [c.values for c in rad.I1]
-        for j, omega in enumerate(ords.directions):
-            vals[j] = rad.I0.values + sum(w * comp for w, comp in zip(omega, i1))
+        i1 = np.stack([c.values for c in rad.I1])
+        vals = np.tensordot(ords.directions, i1, axes=1)
+        vals += rad.I0.values
         vals.setflags(write=False)
-        return cls(grid, ords, vals)
+        return cls(rad.grid, ords, vals)
 
 
-def _directional_derivative(grid: Grid, slab: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """omega . grad of one ordinate slab, spectrally (one half-spectrum
-    transform pair per slab, so memory stays at one slab's spectrum)."""
-    symbol = np.tensordot(omega, grid.half_ik, axes=1)
-    return grid.inverse(symbol * grid.forward(slab))
+def transport_term(I: KineticField) -> np.ndarray:
+    """omega . grad I per ordinate, shape (count, *grid.shape).
+
+    One half-spectrum transform pair per ordinate slab, so the spectral
+    work space stays at one slab's spectrum.
+    """
+    grid = I.grid
+    out = np.empty_like(I.intensity)
+    for j, omega in enumerate(I.ordinates.directions):
+        symbol = np.tensordot(omega, grid.half_ik, axes=1)
+        out[j] = grid.inverse(symbol * grid.forward(I.intensity[j]))
+    return out
 
 
 def kinetic_rhs(
@@ -143,6 +154,7 @@ def kinetic_rhs(
     eps: float,
     sigma_a: float,
     sigma_s: float,
+    transport: np.ndarray | None = None,
 ) -> KineticField:
     """Transport tendency per ordinate.
 
@@ -150,6 +162,8 @@ def kinetic_rhs(
              + sigma_s |S| (<<I>> - I)] / eps
 
     with <<I>> the direction average. The emission constant is one.
+    ``transport`` is ``transport_term(I)`` when the caller already has
+    it; it is computed here otherwise.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -157,16 +171,16 @@ def kinetic_rhs(
         raise ValueError(f"sigma_a must be positive, got {sigma_a}")
     if sigma_s < 0.0:
         raise ValueError(f"sigma_s must be nonnegative, got {sigma_s}")
+    if transport is None:
+        transport = transport_term(I)
     ords = I.ordinates
     measure = ords.surface_measure
     average = np.tensordot(ords.weights, I.intensity, axes=(0, 0)) / measure
     source = emission(theta).values
     out = np.empty_like(I.intensity)
-    for j, omega in enumerate(ords.directions):
-        slab = I.intensity[j]
-        transport = _directional_derivative(I.grid, slab, omega)
+    for j, slab in enumerate(I.intensity):
         out[j] = (
-            -transport
+            -transport[j]
             + source
             - sigma_a * slab
             + sigma_s * measure * (average - slab)
@@ -204,27 +218,38 @@ def p1_projection_residual(I: KineticField, ords: OrdinateSet) -> float:
     Zero exactly when the intensity is affine in the direction at every
     grid node; invariant under adding any affine-in-direction field.
     """
-    rad = moments(I, ords)
-    recon = KineticField.from_p1(rad, ords)
-    diff = I.intensity - recon.intensity
-    per_node = np.tensordot(ords.weights, diff**2, axes=(0, 0))
-    return float(np.sqrt(per_node.sum() * I.grid.cell_volume))
+    return _projection_residual(I, moments(I, ords))
+
+
+def _projection_residual(I: KineticField, rad: RadiationMoments) -> float:
+    """sqrt(sum_j w_j ||I_j - I0 - omega_j . I1||^2) for the moments rad
+    of I, accumulated one ordinate slab at a time."""
+    ords = I.ordinates
+    i0 = rad.I0.values
+    i1 = np.stack([c.values for c in rad.I1])
+    total = 0.0
+    for w, omega, slab in zip(ords.weights, ords.directions, I.intensity):
+        diff = slab - (i0 + np.tensordot(omega, i1, axes=1))
+        total += w * np.vdot(diff, diff)
+    return float(np.sqrt(total * I.grid.cell_volume))
 
 
 def moment_system_check(
     I: KineticField,
     theta: SpectralField,
     eps: float,
-    sigma_a: float,
-    sigma_s: float,
+    sigma_pairs: Iterable[tuple[float, float]],
     enforce_p1: bool = True,
-) -> tuple[float, float]:
+) -> tuple[float, list[tuple[float, float]]]:
     """Residuals of the two-moment balance against the kinetic tendency.
 
-    Extracts the moments of ``kinetic_rhs`` and subtracts the tendencies
-    the moment system predicts from the moments of I; returns the L^2
-    norms (r0, r1). Both vanish to quadrature precision for intensities
-    in the P1 subspace on at least 4 ordinates.
+    For each (sigma_a, sigma_s) in ``sigma_pairs``, extracts the moments
+    of ``kinetic_rhs`` and subtracts the tendencies the moment system
+    predicts from the moments of I; the L^2 norms of the differences are
+    (r0, r1). Both vanish to quadrature precision for intensities in the
+    P1 subspace on at least 4 ordinates. The projection residual, the
+    moments of I, the transport term and the sigma-free parts of the
+    prediction are computed once and shared by every pair.
 
     Args:
         enforce_p1: When True (default), reject intensities whose
@@ -232,27 +257,34 @@ def moment_system_check(
             closure statement on the P1 subspace. Pass False to measure
             the closure defect of data outside the subspace.
 
+    Returns:
+        The P1 projection residual of I and one (r0, r1) per pair, in
+        the order given.
+
     Raises:
         NotInP1Subspace: if enforcement is on and I is too far from P1.
     """
-    residual = p1_projection_residual(I, I.ordinates)
+    ords = I.ordinates
+    rad = moments(I, ords)
+    residual = _projection_residual(I, rad)
     if enforce_p1 and residual > P1_RESIDUAL_LIMIT:
         raise NotInP1Subspace(
             f"projection residual {residual:.3e} exceeds {P1_RESIDUAL_LIMIT:.0e}"
         )
-    ords = I.ordinates
     n = ords.n_dims
     measure = ords.surface_measure
+    transport = transport_term(I)
+    source = emission(theta)
+    flux_div = div(rad.I1) * (1.0 / n)
+    grad_i0 = grad(rad.I0)
 
-    tend = moments(kinetic_rhs(I, theta, eps, sigma_a, sigma_s), ords)
-    rad = moments(I, ords)
-
-    predicted_I0 = (
-        emission(theta) - rad.I0 * sigma_a - div(rad.I1) * (1.0 / n)
-    ) * (1.0 / eps)
-    damping = sigma_a + sigma_s * measure
-    predicted_I1 = (rad.I1 * (-damping) - grad(rad.I0)) * (1.0 / eps)
-
-    r0 = sobolev_norm(tend.I0 - predicted_I0, 0)
-    r1 = sobolev_norm(tend.I1 - predicted_I1, 0)
-    return r0, r1
+    pairs = []
+    for sigma_a, sigma_s in sigma_pairs:
+        tend = moments(kinetic_rhs(I, theta, eps, sigma_a, sigma_s, transport), ords)
+        predicted_I0 = (source - rad.I0 * sigma_a - flux_div) * (1.0 / eps)
+        damping = sigma_a + sigma_s * measure
+        predicted_I1 = (rad.I1 * (-damping) - grad_i0) * (1.0 / eps)
+        pairs.append(
+            (sobolev_norm(tend.I0 - predicted_I0, 0), sobolev_norm(tend.I1 - predicted_I1, 0))
+        )
+    return residual, pairs

@@ -38,7 +38,7 @@ from .analysis import (
 )
 from .config import RunConfig, build_limit_initial, build_shapes
 from .errors import DegenerateFit, TimeMismatch
-from .kinetic import KineticField, make_ordinates, moment_system_check, p1_projection_residual
+from .kinetic import KineticField, make_ordinates, moment_system_check
 from .radiation import RadiationMoments, limit_I0, limit_closure_residual, limit_q
 from .spectral import SpectralField, grad, sobolev_squares
 from .stepping import StepControl, cfl_dt, step_batch, step_eps, step_limit
@@ -423,10 +423,10 @@ def _run_closure_check(config: RunConfig, out_dir: str):
     second = np.einsum("j,ji,jk->ik", ords.weights, ords.directions, ords.directions)
     second_defect = float(np.abs(second - (measure / n) * np.eye(n)).max())
 
+    residual, pair_residuals = moment_system_check(field, theta, eps, config.sigma_pairs)
     per_pair = {}
     worst = 0.0
-    for sigma_a, sigma_s in config.sigma_pairs:
-        r0, r1 = moment_system_check(field, theta, eps, sigma_a, sigma_s)
+    for (sigma_a, sigma_s), (r0, r1) in zip(config.sigma_pairs, pair_residuals):
         per_pair[f"sigma_a={sigma_a:g},sigma_s={sigma_s:g}"] = {"r0": r0, "r1": r1}
         worst = max(worst, r0, r1)
 
@@ -438,7 +438,7 @@ def _run_closure_check(config: RunConfig, out_dir: str):
             "odd_moment_defect": odd_defect,
             "second_moment_defect": second_defect,
         },
-        "p1_projection_residual": p1_projection_residual(field, ords),
+        "p1_projection_residual": residual,
         "moment_residuals": per_pair,
     }
     bounds_report = [

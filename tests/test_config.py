@@ -1,7 +1,9 @@
 """Config loading: strict schema, defaults, profile construction."""
 
+import dataclasses
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -123,19 +125,61 @@ class TestProfiles:
         assert np.abs(state.fluid[-1] - (2 + 0.5 * np.cos(2 * x))).max() < 1e-14
 
     def test_nonpositive_profile_rejected(self):
-        cfg = parse_config(
-            {
-                "mode": "simulate-limit",
-                "profiles": {
-                    "rho": {
-                        "base": 1.0,
-                        "modes": [{"amplitude": 2.0, "wavenumber": [1], "kind": "sin"}],
-                    }
-                },
+        bad = {
+            "rho": {
+                "base": 1.0,
+                "modes": [{"amplitude": 2.0, "wavenumber": [1], "kind": "sin"}],
             }
-        )
+        }
+        with pytest.raises(ValidationError, match=r"'profiles.rho'.*positive"):
+            parse_config({"mode": "simulate-limit", "profiles": bad})
+        # Library callers that build a config by hand keep the guard.
+        cfg = parse_config({"mode": "simulate-limit"})
+        cfg = dataclasses.replace(cfg, profiles={**cfg.profiles, **bad})
         with pytest.raises(ValidationError, match="positive"):
             build_limit_initial(cfg)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name", ["rho", "theta"])
+    def test_nonpositive_profile_exits_2(self, mode, name, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("RADHYDRO_OUT", raising=False)
+        monkeypatch.setattr(radhydro.cli, "run", lambda *a, **k: pytest.fail("run started"))
+        path = _write(tmp_path, {"profiles": {name: {"base": 0.0}}})
+        assert main([mode, "--config", str(path)]) == 2
+        assert f"'profiles.{name}': initial values must be positive" in capsys.readouterr().err
+
+    def test_overflowing_shape_exits_2(self, tmp_path, monkeypatch, capsys):
+        # Each value fits a float, but their sum and the L^2 norm that
+        # build_shapes divides by overflow.
+        monkeypatch.delenv("RADHYDRO_OUT", raising=False)
+        monkeypatch.setattr(radhydro.cli, "run", lambda *a, **k: pytest.fail("run started"))
+        huge = [
+            {"amplitude": 1e308, "wavenumber": [1], "kind": kind} for kind in ("sin", "cos")
+        ]
+        raw = {
+            "grid": {"n_dims": 1, "points": 16},
+            "perturbation_amp": 1.0,
+            "perturbation_shapes": {"rho": {"base": 0.0, "modes": huge}},
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"'perturbation_shapes.rho'.*not finite"):
+                parse_config(raw, mode="simulate-eps")
+            path = _write(tmp_path, raw)
+            assert main(["simulate-eps", "--config", str(path)]) == 2
+        assert "not finite" in capsys.readouterr().err
+
+    def test_shape_with_one_huge_mode_is_accepted(self):
+        # A single mode of amplitude 1e150 overflows nowhere: its norm
+        # is finite, so it normalizes to unit norm.
+        raw = {
+            "grid": {"n_dims": 1, "points": 16},
+            "perturbation_shapes": {
+                "u": [{"base": 0.0, "modes": [{"amplitude": 1e150, "wavenumber": [1]}]}]
+            },
+        }
+        shapes = build_shapes(parse_config(raw, mode="simulate-eps"))
+        assert sobolev_norm(shapes.u, 0) == pytest.approx(1.0, rel=1e-12)
 
     def test_shape_overrides_are_unit_normalized(self):
         cfg = parse_config(
@@ -269,9 +313,15 @@ class TestNullMeansDefault:
         ],
     )
     def test_same_as_absent(self, overrides):
-        with_null = parse_config({"mode": "convergence-study", **overrides})
-        absent = parse_config({"mode": "convergence-study", **_drop_nulls(overrides)})
-        assert with_null.echo == absent.echo
+        # Same echo, or the same parse error: a null rho base is the
+        # default base 0, which is not a positive density.
+        def outcome(raw):
+            try:
+                return parse_config({"mode": "convergence-study", **raw}).echo
+            except ValidationError as exc:
+                return str(exc)
+
+        assert outcome(overrides) == outcome(_drop_nulls(overrides))
 
     def test_cli_runs_a_config_with_null(self, tmp_path, monkeypatch):
         monkeypatch.delenv("RADHYDRO_OUT", raising=False)

@@ -1,5 +1,7 @@
 """Discrete ordinates: quadrature, moments, and the closure check."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,12 @@ from radhydro.kinetic import (
     moment_system_check,
     moments,
     p1_projection_residual,
+    transport_term,
 )
 from radhydro.radiation import RadiationMoments
-from radhydro.spectral import SpectralField, VectorField, grad, sobolev_norm
+from radhydro.spectral import Grid, SpectralField, VectorField, grad, sobolev_norm
 
-from conftest import smooth_field
+from conftest import smooth_field, smooth_vector
 
 
 def _isotropic(f, ords):
@@ -32,6 +35,17 @@ def _p1_field(grid, ords, i0_vals, i1_vals_list):
         ),
     )
     return KineticField.from_p1(rad, ords)
+
+
+def _full_array_projection_residual(field, ords):
+    """The projection residual built from whole (count, *shape) arrays:
+    reconstruction, difference and its square."""
+    rad = moments(field, ords)
+    recon = np.stack(
+        [rad.I0.values + sum(w * c.values for w, c in zip(om, rad.I1)) for om in ords.directions]
+    )
+    per_node = np.tensordot(ords.weights, (field.intensity - recon) ** 2, axes=(0, 0))
+    return float(np.sqrt(per_node.sum() * field.grid.cell_volume))
 
 
 class TestOrdinates:
@@ -100,8 +114,20 @@ class TestKineticRhs:
         ords = make_ordinates(1, 4)
         field = _p1_field(grid1d, ords, 1 + 0.1 * np.sin(x), [0.1 * np.cos(x)])
         theta = SpectralField.from_values(grid1d, 1 + 0.05 * np.cos(x))
-        r0, r1 = moment_system_check(field, theta, 1.0, 1.0, 0.0)
+        _, [(r0, r1)] = moment_system_check(field, theta, 1.0, [(1.0, 0.0)])
         assert r0 < 1e-10 and r1 < 1e-10
+
+    @pytest.mark.parametrize("n_dims", [1, 2])
+    def test_precomputed_transport_is_bitwise_equal(self, n_dims, rng):
+        grid = Grid(n_dims, 16)
+        ords = make_ordinates(n_dims, 8)
+        field = KineticField(grid, ords, rng.standard_normal((ords.count, *grid.shape)))
+        theta = SpectralField.constant(grid, 1.0) + smooth_field(grid, rng)
+        transport = transport_term(field)
+        assert transport.shape == field.intensity.shape
+        given = kinetic_rhs(field, theta, 0.5, 1.0, 2.0, transport=transport)
+        computed = kinetic_rhs(field, theta, 0.5, 1.0, 2.0)
+        assert np.array_equal(given.intensity, computed.intensity)
 
     def test_nonnegativity_over_short_run(self, grid1d):
         # explicit RK4 on the kinetic tendency from isotropic data
@@ -189,6 +215,16 @@ class TestProjectionResidual:
         expected = np.sqrt(np.pi / 4 * (2 * np.pi) ** 2)
         assert residual == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("count", [4, 8, 16])
+    def test_matches_full_array_formula(self, grid2d, count, rng):
+        # Random data on more than two directions is far from P1 (in 1D
+        # the two directions make every intensity affine).
+        ords = make_ordinates(2, count)
+        field = KineticField(grid2d, ords, rng.standard_normal((count, *grid2d.shape)))
+        want = _full_array_projection_residual(field, ords)
+        assert want > 1.0
+        assert p1_projection_residual(field, ords) == pytest.approx(want, rel=1e-12)
+
     def test_invariant_under_adding_p1_element(self, grid2d, rng):
         ords = make_ordinates(2, 8)
         vals = np.empty((ords.count, *grid2d.shape))
@@ -219,14 +255,14 @@ class TestMomentSystemCheck:
             [smooth_field(grid2d, rng).values for _ in range(2)],
         )
         theta = SpectralField.constant(grid2d, 1.0) + smooth_field(grid2d, rng)
-        r0, r1 = moment_system_check(field, theta, 1.0, *sigma)
+        _, [(r0, r1)] = moment_system_check(field, theta, 1.0, [sigma])
         assert r0 < 1e-10 and r1 < 1e-10
 
     def test_exactly_zero_at_constant_equilibrium(self, grid1d):
         one = SpectralField.constant(grid1d, 1.0)
         ords = make_ordinates(1, 4)
         field = _isotropic(one, ords)
-        r0, r1 = moment_system_check(field, one, 1.0, 1.0, 0.0)
+        _, [(r0, r1)] = moment_system_check(field, one, 1.0, [(1.0, 0.0)])
         assert r0 == 0.0 and r1 == 0.0
 
     def test_rejects_non_p1_data(self, grid2d):
@@ -237,7 +273,7 @@ class TestMomentSystemCheck:
         field = KineticField(grid2d, ords, vals)
         theta = SpectralField.constant(grid2d, 1.0)
         with pytest.raises(NotInP1Subspace):
-            moment_system_check(field, theta, 1.0, 1.0, 0.0)
+            moment_system_check(field, theta, 1.0, [(1.0, 0.0)])
 
     def test_quadratic_defect_matches_analytic_oracle(self, grid2d):
         # I = g(x) omega_x^2 with g = sin x. Direction integrals on the
@@ -253,7 +289,7 @@ class TestMomentSystemCheck:
         field = KineticField(grid2d, ords, vals)
         theta = SpectralField.constant(grid2d, 1.0)
         eps = 0.5
-        r0, r1 = moment_system_check(field, theta, eps, 1.0, 0.0, enforce_p1=False)
+        _, [(r0, r1)] = moment_system_check(field, theta, eps, [(1.0, 0.0)], enforce_p1=False)
         expected_r1 = 0.25 * sobolev_norm(grad(gfun), 0) / eps
         assert r0 < 1e-12
         assert r1 == pytest.approx(expected_r1, rel=1e-12)
@@ -265,5 +301,48 @@ class TestMomentSystemCheck:
         ords = make_ordinates(1, 4)
         field = _p1_field(grid1d, ords, np.ones_like(x), [0.2 * np.sin(x)])
         theta = SpectralField.constant(grid1d, 1.0)
-        r0, r1 = moment_system_check(field, theta, 1.0, 1.0, 2.0)
+        _, [(r0, r1)] = moment_system_check(field, theta, 1.0, [(1.0, 2.0)])
         assert r0 < 1e-12 and r1 < 1e-12
+
+    def test_pairs_share_the_check(self, grid2d):
+        # Off the P1 subspace, so every r1 is O(1): one check over
+        # three pairs gives what three one-pair checks give, exactly.
+        ords = make_ordinates(2, 8)
+        X, Y = grid2d.coordinates()
+        vals = np.stack([np.sin(X) * om[0] ** 2 + np.cos(Y) * om[1] for om in ords.directions])
+        field = KineticField(grid2d, ords, vals)
+        theta = SpectralField.from_values(grid2d, 1 + 0.1 * np.cos(X + Y))
+        pairs = [(1.0, 0.0), (1.0, 1.0), (2.0, 0.5)]
+        residual, got = moment_system_check(field, theta, 0.5, pairs, enforce_p1=False)
+        singles = [moment_system_check(field, theta, 0.5, [p], enforce_p1=False) for p in pairs]
+        assert got == [r for _, (r,) in singles]
+        assert all(res == residual for res, _ in singles)
+        assert residual == p1_projection_residual(field, ords)
+        assert all(r1 > 0.1 for _, r1 in got)
+
+    @pytest.mark.parametrize("n_pairs", [1, 3])
+    def test_transform_budget(self, n_pairs, rng, monkeypatch):
+        # One transform pair per ordinate slab (8 + 8), once per check.
+        # The rest: emission, div I1 and grad I0 once (4 + 4); per pair,
+        # the emission inside kinetic_rhs (1 + 1) and the three norms of
+        # r0, r1 (3 + 0).
+        grid = Grid(2, 16)
+        ords = make_ordinates(2, 8)
+        rad = RadiationMoments(
+            I0=SpectralField.constant(grid, 1.0) + smooth_field(grid, rng),
+            I1=smooth_vector(grid, rng),
+        )
+        field = KineticField.from_p1(rad, ords)
+        theta = SpectralField.constant(grid, 1.0) + smooth_field(grid, rng)
+        calls = Counter()
+        for name in ("rfftn", "irfftn"):
+            original = getattr(np.fft, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        pairs = [(1.0, 0.0), (1.0, 1.0), (2.0, 0.5)][:n_pairs]
+        moment_system_check(field, theta, 0.5, pairs)
+        assert calls == Counter(rfftn=8 + 4 + 4 * n_pairs, irfftn=8 + 4 + n_pairs)
