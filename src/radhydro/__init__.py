@@ -13,7 +13,6 @@ from .analysis import (
     RateFit,
     batch_error_squares,
     fit_rate,
-    gamma_bound_check,
     hypothesis_deviation,
     well_prepared_init,
 )

@@ -38,7 +38,6 @@ __all__ = [
     "well_prepared_init",
     "hypothesis_deviation",
     "fit_rate",
-    "gamma_bound_check",
 ]
 
 
@@ -246,17 +245,3 @@ def fit_rate(pairs) -> RateFit:
         r_squared=r_squared,
     )
 
-
-def gamma_bound_check(
-    records, eps: float, m1_squared: float = 100.0
-) -> tuple[float, bool]:
-    """Largest gamma/eps^2 over a time series, against a fixed bound.
-
-    Whether the per-eps values stay comparable as eps shrinks is checked
-    across a sweep by the harness; this covers a single series.
-    """
-    records = list(records)
-    if not records:
-        raise ValueError("empty record series")
-    worst = max(r.gamma for r in records) / eps**2
-    return worst, worst <= m1_squared

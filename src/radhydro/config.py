@@ -282,7 +282,8 @@ def _validate_bounds(raw) -> dict:
 def _check_cfl_steps(grid: Grid, profiles: dict, params: FluidParams, control: StepControl):
     """Reject a run whose CFL bounds (those of ``cfl_dt``) on the initial
     profile values imply more than MAX_STEPS time steps, and profiles
-    whose values are not finite or whose rho or theta is not positive.
+    whose values or squared velocity magnitude are not finite or whose
+    rho or theta is not positive.
     """
     y = _profile_stack(grid, profiles)
     if not np.isfinite(y).all():
@@ -290,6 +291,11 @@ def _check_cfl_steps(grid: Grid, profiles: dict, params: FluidParams, control: S
     for name, row in (("rho", y[0]), ("theta", y[-1])):
         if row.min() <= 0.0:
             _fail(f"profiles.{name}", f"initial values must be positive, min is {row.min():.3g}")
+    # cfl_bounds squares the velocity, which overflows before its values do.
+    with np.errstate(over="ignore"):
+        speed_sq = np.sum(y[1:-1] ** 2, axis=0)
+    if not np.isfinite(speed_sq).all():
+        _fail("profiles.u", "the squared velocity magnitude of the initial profile is not finite")
     bounds = cfl_bounds(grid, y, params, control)
     for name, field_name, dt in zip(("advective", "diffusive"), ("profiles", "fluid"), bounds):
         steps = control.t_end / dt if dt > 0.0 else math.inf

@@ -4,26 +4,41 @@ One process drives one of four run kinds: a single finite-eps
 simulation, a single limit simulation, an eps-sweep convergence study,
 or a kinetic closure check. ``run`` looks the mode up in one table; each
 mode's function writes its series and returns, by name, the
-``RunSummary`` fields it fills. The eps runs are ``EpsBatch`` marches
-through one sampling loop: the members of a sweep advance in lockstep
-with the smallest stable dt of any member, a simulate-eps run is the
-one-member case, and at each output time the error rows of all members
-come from one batched transform; the eps states are not kept. One
-routine gives every state-norm row (limit and eps), from one transform
-of the stacked state. Time series go to CSV (one column per tracked
-quantity, 17 significant digits), run summaries to JSON with sorted
-keys. Identical configurations produce byte-identical files; wall time
-is therefore reported on the console only, never written to the output
-files.
+``RunSummary`` fields it fills.
+
+The three solver modes are one streaming loop, ``_march``. It zips the
+samples of the limit run with those of an ``EpsBatch`` of members (none
+for simulate-limit, one for simulate-eps, the whole sweep for a
+convergence study); each system steps with its own stable dt between
+output times, and the members of a sweep advance in lockstep with the
+smallest stable dt of any member. At every output time the loop writes
+the limit row, every member's error row (the norms of all members come
+from one batched transform) and, for simulate-eps, the member's state
+row straight to the open CSV files. It keeps only the running values the
+summary needs: the sup error norms, the largest gamma of each member and
+the largest mass deviation from t = 0. No state, row or record is kept
+per sample, so memory does not grow with the sample count, and a run
+that fails leaves its series written up to the last completed sample and
+writes no summary. The modes differ only in the members they march, the
+files they write and the summary fields they fill.
+
+One routine gives every state-norm row (limit and eps), from one
+transform of the stacked state. Time series go to CSV (one column per
+tracked quantity, 17 significant digits), run summaries to JSON with
+sorted keys. Identical configurations produce byte-identical files; wall
+time is therefore reported on the console only, never written to the
+output files.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
 import time as _time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +47,6 @@ from .analysis import (
     EnergyRecord,
     batch_error_squares,
     fit_rate,
-    gamma_bound_check,
     hypothesis_deviation,
     well_prepared_init,
 )
@@ -41,7 +55,7 @@ from .errors import DegenerateFit, TimeMismatch
 from .kinetic import KineticField, make_ordinates, moment_system_check
 from .radiation import RadiationMoments, limit_I0, limit_closure_residual, limit_q
 from .spectral import SpectralField, grad, sobolev_squares
-from .stepping import StepControl, cfl_dt, step_batch, step_eps, step_limit
+from .stepping import StepControl, cfl_dt, step_batch, step_limit
 
 __all__ = ["RunSummary", "run", "emit_series", "emit_summary"]
 
@@ -73,12 +87,22 @@ class RunSummary:
         return d
 
 
+def _row(values) -> str:
+    """One CSV line: %.16e floats, comma separated, LF ending."""
+    return ",".join(format(v, ".16e") for v in values) + "\n"
+
+
+def _open_series(stack: ExitStack, path, header: list[str]):
+    """Open a CSV series (closed with stack) and write its header row."""
+    fh = stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
+    fh.write(",".join(header) + "\n")
+    return fh
+
+
 def emit_series(path, header: list[str], rows) -> None:
     """Write a CSV time series: header row, LF endings, %.16e floats."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format(v, ".16e") for v in row) + "\n")
+    with ExitStack() as stack:
+        _open_series(stack, path, header).writelines(map(_row, rows))
 
 
 def emit_summary(summary: RunSummary, path) -> None:
@@ -88,13 +112,13 @@ def emit_summary(summary: RunSummary, path) -> None:
         fh.write("\n")
 
 
-def _sample_times(t_end: float, interval: float) -> list[float]:
-    times = [0.0]
-    i = 0
-    while times[-1] < t_end - _LAND_TOL:
+def _output_times(t_end: float, interval: float):
+    """The output times after t = 0: the multiples of interval, then t_end."""
+    i, t = 0, 0.0
+    while t < t_end - _LAND_TOL:
         i += 1
-        times.append(min(i * interval, t_end))
-    return times
+        t = min(i * interval, t_end)
+        yield t
 
 
 def _sampled(state, stepper, params, config: RunConfig, name: str):
@@ -104,7 +128,7 @@ def _sampled(state, stepper, params, config: RunConfig, name: str):
     bounds allow, spread evenly so that it lands on the output time.
     """
     yield state
-    for t_target in _sample_times(config.t_end, config.output_interval)[1:]:
+    for t_target in _output_times(config.t_end, config.output_interval):
         while t_target - state.time > _LAND_TOL:
             control = StepControl(
                 t_end=t_target,
@@ -129,18 +153,6 @@ def _mass(rho: np.ndarray, grid) -> np.ndarray:
     return rho.mean(axis=grid.axes) * grid.volume
 
 
-def _relative_drift(masses):
-    m = np.asarray(masses)
-    return np.abs(m - m[0]).max(axis=0) / np.abs(m[0])
-
-
-def _limit_run(base, config: RunConfig):
-    """States of the limit run from base at every output time."""
-    params = config.params
-    stepper = lambda st, dt: step_limit(st, params, dt)
-    return list(_sampled(base, stepper, params, config, "limit run"))
-
-
 def _state_norm_header(config: RunConfig, with_radiation: bool, extra=()) -> list[str]:
     header = ["time"]
     for s in config.sobolev_indices:
@@ -162,25 +174,6 @@ def _state_row(grid, time: float, values: np.ndarray, indices) -> list:
     return [time, *np.sqrt(np.add.reduceat(squares, starts, axis=1)).ravel()]
 
 
-def _emit_limit_series(states, config: RunConfig, out_dir: str) -> tuple[float, float]:
-    """Write limit_series.csv; returns the largest closure residual and
-    the relative mass drift of the limit run."""
-    rows = []
-    for st in states:
-        theta = SpectralField.from_values(st.grid, st.fluid[-1])
-        rows.append(
-            _state_row(st.grid, st.time, st.fluid, config.sobolev_indices)
-            + [limit_closure_residual(theta, limit_q(theta))]
-        )
-    emit_series(
-        os.path.join(out_dir, "limit_series.csv"),
-        _state_norm_header(config, with_radiation=False, extra=("closure_residual",)),
-        rows,
-    )
-    drift = _relative_drift([_mass(s.fluid[0], s.grid) for s in states])
-    return max(row[-1] for row in rows), float(drift)
-
-
 def _error_header(config: RunConfig) -> list[str]:
     header = ["time"]
     for s in config.sobolev_indices:
@@ -188,45 +181,90 @@ def _error_header(config: RunConfig) -> list[str]:
     return header + ["fluid_energy", "full_energy", "gamma"]
 
 
-def _error_series(eps_values, batches, limit_states, config: RunConfig) -> list[dict]:
-    """Error rows, sup norms, energy records and mass drift per member.
+@dataclass(frozen=True)
+class _Marched:
+    """The running values of a march that the summaries use.
 
-    batches yields an EpsBatch of the members eps_values at every output
-    time, in step with limit_states; the batches are not kept.
+    closure_residual: largest limit closure residual (-inf when the limit
+        series is not written).
+    limit_drift: relative mass drift of the limit run.
+    sup: (index, fluid/radiation, member) sup-in-time error norms.
+    gamma_over_eps2: largest gamma / eps^2 per member.
+    drift: relative mass drift per member.
     """
-    indices = config.sobolev_indices
+
+    closure_residual: float
+    limit_drift: float
+    sup: np.ndarray
+    gamma_over_eps2: list[float]
+    drift: list[float]
+
+
+def _march(
+    config: RunConfig, out_dir: str, base, init=None, limit_csv=None, error_csvs=(), state_csv=None
+) -> _Marched:
+    """March the limit run from base and the members of the EpsBatch init
+    (None: no members) together, writing their rows as the samples pass.
+
+    limit_csv names the limit series, error_csvs one error series per
+    member and state_csv the state series of a one-member batch; a None
+    name is not written. The files are closed when the march ends, also
+    when it raises, so a failed run keeps every completed sample's rows.
+    """
+    params, indices = config.params, config.sobolev_indices
     acc = indices.index(config.acceptance_index)
-    rows = [[] for _ in eps_values]
-    records = [[] for _ in eps_values]
-    masses, sup = [], 0.0
-    for b, ls in zip(batches, limit_states):
-        squares = batch_error_squares(b, ls, indices)  # (index, fluid/rad, member)
-        norms = np.sqrt(squares)
-        sup = np.maximum(sup, norms)
-        masses.append(_mass(b.fluid[0], b.grid))
-        for e, eps in enumerate(eps_values):
-            record = EnergyRecord.from_squares(b.time, *squares[acc, :, e].tolist(), eps)
-            records[e].append(record)
-            rows[e].append(
-                [b.time, *norms[:, :, e].ravel(), record.fluid_energy, record.full_energy, record.gamma]
-            )
-        del b  # the next batch is computed while this one would still be held
-    drift = _relative_drift(masses)
-    families = ("fluid", "radiation")
-    return [
-        {
-            "eps": eps,
-            "rows": rows[e],
-            "records": records[e],
-            "sup": {
-                f"{family}_s{s}": float(sup[i, f, e])
-                for i, s in enumerate(indices)
-                for f, family in enumerate(families)
-            },
-            "mass_drift": float(drift[e]),
-        }
-        for e, eps in enumerate(eps_values)
-    ]
+    grid = base.grid
+    limits = _sampled(base, lambda s, dt: step_limit(s, params, dt), params, config, "limit run")
+    members = () if init is None else init.eps
+    if members:
+        name = f"eps = {members[0]:g}" if len(members) == 1 else "eps sweep"
+        batches = _sampled(init, lambda b, dt: step_batch(b, params, dt), params, config, name)
+        mass0 = _mass(init.fluid[0], grid)
+    else:
+        batches = itertools.repeat(None)
+    limit_mass0 = _mass(base.fluid[0], grid)
+    closure, limit_dm = -math.inf, 0.0
+    sup, dm, gamma = 0.0, 0.0, [-math.inf] * len(members)
+    with ExitStack() as stack:
+        path = lambda name: os.path.join(out_dir, name)
+        limit_fh = state_fh = None
+        if limit_csv is not None:
+            header = _state_norm_header(config, with_radiation=False, extra=("closure_residual",))
+            limit_fh = _open_series(stack, path(limit_csv), header)
+        error_fhs = [_open_series(stack, path(n), _error_header(config)) for n in error_csvs]
+        if state_csv is not None:
+            header = _state_norm_header(config, with_radiation=True)
+            state_fh = _open_series(stack, path(state_csv), header)
+
+        for ls, b in zip(limits, batches):
+            limit_dm = np.maximum(limit_dm, np.abs(_mass(ls.fluid[0], grid) - limit_mass0))
+            if limit_fh is not None:
+                theta = SpectralField.from_values(grid, ls.fluid[-1])
+                residual = limit_closure_residual(theta, limit_q(theta))
+                closure = max(closure, residual)
+                limit_fh.write(_row(_state_row(grid, ls.time, ls.fluid, indices) + [residual]))
+            if b is None:
+                continue
+            if state_fh is not None:
+                values = np.concatenate([b.fluid[:, 0], grid.inverse(b.rad[:, 0])])
+                state_fh.write(_row(_state_row(grid, b.time, values, indices)))
+            squares = batch_error_squares(b, ls, indices)  # (index, fluid/rad, member)
+            norms = np.sqrt(squares)
+            sup = np.maximum(sup, norms)
+            dm = np.maximum(dm, np.abs(_mass(b.fluid[0], grid) - mass0))
+            for e, (eps, fh) in enumerate(zip(members, error_fhs)):
+                rec = EnergyRecord.from_squares(b.time, *squares[acc, :, e].tolist(), eps)
+                gamma[e] = max(gamma[e], rec.gamma)
+                energies = [rec.fluid_energy, rec.full_energy, rec.gamma]
+                fh.write(_row([b.time, *norms[:, :, e].ravel(), *energies]))
+
+    return _Marched(
+        closure_residual=closure,
+        limit_drift=float(limit_dm / np.abs(limit_mass0)),
+        sup=sup,
+        gamma_over_eps2=[g / eps**2 for g, eps in zip(gamma, members)],
+        drift=(dm / np.abs(mass0)).tolist() if members else [],
+    )
 
 
 def _spread(values) -> float:
@@ -263,42 +301,24 @@ def _eps_tag(eps: float) -> str:
 
 
 def _run_convergence(config: RunConfig, out_dir: str):
-    params = config.params
     base = build_limit_initial(config)
-    shapes = build_shapes(config)
     s_acc = config.acceptance_index
-
-    limit_states = _limit_run(base, config)
-    closure_residual, limit_drift = _emit_limit_series(limit_states, config, out_dir)
-
     # All members advance in lockstep with the smallest stable dt of any
     # member: the exact radiation substep makes the bound eps-independent.
     sweep = config.eps_list  # strictly decreasing
-    init = well_prepared_init(base, sweep, config.perturbation_amp, shapes)
+    init = well_prepared_init(base, sweep, config.perturbation_amp, build_shapes(config))
     lhs = (hypothesis_deviation(init, base, s_acc) / sweep).tolist()
-    batches = _sampled(
-        init, lambda b, dt: step_batch(b, params, dt), params, config, "eps sweep"
+    m = _march(
+        config, out_dir, base, init,
+        limit_csv="limit_series.csv",
+        error_csvs=[f"errors_eps_{_eps_tag(eps)}.csv" for eps in sweep],
     )
-    del init
-    results = _error_series(sweep, batches, limit_states, config)
-    for r, lhs_over_eps in zip(results, lhs):
-        eps = r["eps"]
-        r["hypothesis_lhs_over_eps"] = lhs_over_eps
-        r["gamma_over_eps2"] = gamma_bound_check(
-            r["records"], eps, config.bounds["gamma_limit"]
-        )[0]
-        emit_series(
-            os.path.join(out_dir, f"errors_eps_{_eps_tag(eps)}.csv"),
-            _error_header(config),
-            r["rows"],
-        )
 
     rate_fits = {}
-    for s in config.sobolev_indices:
-        for family in ("fluid", "radiation"):
-            pairs = [(r["eps"], r["sup"][f"{family}_s{s}"]) for r in results]
+    for i, s in enumerate(config.sobolev_indices):
+        for f, family in enumerate(("fluid", "radiation")):
             try:
-                fit = fit_rate(pairs)
+                fit = fit_rate([(eps, float(m.sup[i, f, e])) for e, eps in enumerate(sweep)])
                 rate_fits[f"{family}_s{s}"] = {
                     "eps_values": list(fit.eps_values),
                     "errors": list(fit.errors),
@@ -310,19 +330,15 @@ def _run_convergence(config: RunConfig, out_dir: str):
                 rate_fits[f"{family}_s{s}"] = {"error": str(exc)}
 
     b = config.bounds
-    per_eps = lambda key: {_eps_tag(r["eps"]): r[key] for r in results}
-    gammas = [r["gamma_over_eps2"] for r in results]
+    per_eps = lambda values: {_eps_tag(eps): v for eps, v in zip(sweep, values)}
+    gammas = m.gamma_over_eps2
     gamma = {
-        "per_eps": per_eps("gamma_over_eps2"),
+        "per_eps": per_eps(gammas),
         "max_halving_ratio": _halving_ratio(gammas),
         "limit": b["gamma_limit"],
     }
-    hypothesis = {
-        "per_eps": per_eps("hypothesis_lhs_over_eps"),
-        "spread": _spread([r["hypothesis_lhs_over_eps"] for r in results]),
-        "amp": config.perturbation_amp,
-    }
-    conservation = {"per_eps": per_eps("mass_drift"), "limit_run": limit_drift}
+    hypothesis = {"per_eps": per_eps(lhs), "spread": _spread(lhs), "amp": config.perturbation_amp}
+    conservation = {"per_eps": per_eps(m.drift), "limit_run": m.limit_drift}
 
     fluid_fit = rate_fits[f"fluid_s{s_acc}"]
     rad_fit = rate_fits[f"radiation_s{s_acc}"]
@@ -333,12 +349,8 @@ def _run_convergence(config: RunConfig, out_dir: str):
         _bound("gamma_over_eps2_max", max(gammas), [0.0, b["gamma_limit"]]),
         _bound("gamma_halving_ratio", gamma["max_halving_ratio"], [0.0, b["gamma_spread_max"]]),
         _bound("hypothesis_spread", hypothesis["spread"], [0.0, b["hypothesis_spread_max"]]),
-        _bound("closure_residual", closure_residual, [0.0, b["closure_residual_max"]]),
-        _bound(
-            "mass_drift",
-            max(*conservation["per_eps"].values(), limit_drift),
-            [0.0, b["mass_drift_max"]],
-        ),
+        _bound("closure_residual", m.closure_residual, [0.0, b["closure_residual_max"]]),
+        _bound("mass_drift", max(*m.drift, m.limit_drift), [0.0, b["mass_drift_max"]]),
     ]
     return dict(
         rate_fits=rate_fits, gamma=gamma, hypothesis=hypothesis,
@@ -358,33 +370,13 @@ def _bound(name: str, value, window) -> dict:
 
 
 def _run_simulate_eps(config: RunConfig, out_dir: str):
-    params = config.params
     eps = config.eps
     base = build_limit_initial(config)
-    shapes = build_shapes(config)
-    init = well_prepared_init(base, (eps,), config.perturbation_amp, shapes)
-    limit_states = _limit_run(base, config)
-
-    state_rows = []
-
-    def batches():
-        # One member, through the binding step_batch calls per chunk.
-        stepper = lambda b, dt: step_eps(b, params, dt)
-        for b in _sampled(init, stepper, params, config, f"eps = {eps:g}"):
-            values = np.concatenate([b.fluid[:, 0], b.grid.inverse(b.rad[:, 0])])
-            state_rows.append(_state_row(b.grid, b.time, values, config.sobolev_indices))
-            yield b
-
-    (series,) = _error_series((eps,), batches(), limit_states, config)
-    emit_series(
-        os.path.join(out_dir, "eps_series.csv"),
-        _state_norm_header(config, with_radiation=True),
-        state_rows,
+    init = well_prepared_init(base, (eps,), config.perturbation_amp, build_shapes(config))
+    m = _march(
+        config, out_dir, base, init, error_csvs=["errors_series.csv"], state_csv="eps_series.csv"
     )
-    emit_series(os.path.join(out_dir, "errors_series.csv"), _error_header(config), series["rows"])
-
-    gamma_worst, _ = gamma_bound_check(series["records"], eps, config.bounds["gamma_limit"])
-    drift = series["mass_drift"]
+    (gamma_worst,), (drift,) = m.gamma_over_eps2, m.drift
     return dict(
         gamma={"per_eps": {_eps_tag(eps): gamma_worst}, "limit": config.bounds["gamma_limit"]},
         conservation={"per_eps": {_eps_tag(eps): drift}},
@@ -396,13 +388,13 @@ def _run_simulate_eps(config: RunConfig, out_dir: str):
 
 
 def _run_simulate_limit(config: RunConfig, out_dir: str):
-    states = _limit_run(build_limit_initial(config), config)
-    residual, drift = _emit_limit_series(states, config, out_dir)
+    m = _march(config, out_dir, build_limit_initial(config), limit_csv="limit_series.csv")
+    b = config.bounds
     return dict(
-        conservation={"limit_run": drift},
+        conservation={"limit_run": m.limit_drift},
         bounds_report=[
-            _bound("closure_residual", residual, [0.0, config.bounds["closure_residual_max"]]),
-            _bound("mass_drift", drift, [0.0, config.bounds["mass_drift_max"]]),
+            _bound("closure_residual", m.closure_residual, [0.0, b["closure_residual_max"]]),
+            _bound("mass_drift", m.limit_drift, [0.0, b["mass_drift_max"]]),
         ],
     )
 

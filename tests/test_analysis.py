@@ -10,7 +10,6 @@ from radhydro.analysis import (
     batch_error_squares,
     default_perturbation_shapes,
     fit_rate,
-    gamma_bound_check,
     hypothesis_deviation,
     well_prepared_init,
 )
@@ -186,25 +185,3 @@ class TestFitRate:
         with pytest.raises(DegenerateFit, match="distinct"):
             fit_rate([(0.1, 1.0), (0.05, 0.5), (0.05, 0.2)])
 
-
-class TestGammaBoundCheck:
-    def test_all_zero_records(self):
-        records = [EnergyRecord(time=t, fluid_energy=0, full_energy=0, gamma=0) for t in (0, 1)]
-        worst, ok = gamma_bound_check(records, 0.1)
-        assert worst == 0.0 and ok
-
-    def test_constant_multiple_of_eps_squared(self):
-        eps = 0.05
-        records = [
-            EnergyRecord(time=t, fluid_energy=0, full_energy=0, gamma=4 * eps**2)
-            for t in (0.0, 0.5, 1.0)
-        ]
-        worst, ok = gamma_bound_check(records, eps)
-        assert worst == pytest.approx(4.0, rel=1e-12)
-        assert ok
-
-    def test_bound_violation_flagged(self):
-        records = [EnergyRecord(time=0, fluid_energy=0, full_energy=0, gamma=101 * 0.01)]
-        worst, ok = gamma_bound_check(records, 0.1)
-        assert worst == pytest.approx(101.0)
-        assert not ok

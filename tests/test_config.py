@@ -169,6 +169,29 @@ class TestProfiles:
             assert main(["simulate-eps", "--config", str(path)]) == 2
         assert "not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_dims", [1, 2])
+    def test_overflowing_velocity_exits_2(self, n_dims, tmp_path, monkeypatch, capsys):
+        # Each value fits a float, but the squared velocity magnitude the
+        # advective CFL bound takes does not.
+        monkeypatch.delenv("RADHYDRO_OUT", raising=False)
+        monkeypatch.setattr(radhydro.cli, "run", lambda *a, **k: pytest.fail("run started"))
+        k = lambda j: [j] + [0] * (n_dims - 1)
+        huge = [
+            {"amplitude": 1e308, "wavenumber": k(j), "kind": "sin"} for j in (1, 2)
+        ]
+        rest = [{"base": 0.0, "modes": []}] * (n_dims - 1)
+        raw = {
+            "grid": {"n_dims": n_dims, "points": 16},
+            "profiles": {"u": [{"base": 0, "modes": huge}, *rest]},
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"'profiles.u'.*not finite"):
+                parse_config(raw, mode="simulate-limit")
+            path = _write(tmp_path, raw)
+            assert main(["simulate-limit", "--config", str(path)]) == 2
+        assert "'profiles.u'" in capsys.readouterr().err
+
     def test_shape_with_one_huge_mode_is_accepted(self):
         # A single mode of amplitude 1e150 overflows nowhere: its norm
         # is finite, so it normalizes to unit norm.
