@@ -9,8 +9,8 @@ full energy whose square adds eps * ||(dI0, dI1)||_s^2; the square of
 the full energy ("gamma") is the quantity whose sup-in-time should
 scale like eps^2. The differences are never formed as fields:
 ``batch_error_squares`` takes the squared norms of every member of an
-``EpsBatch`` from one batched transform, and the prepared data of a
-whole sweep is built as one batch.
+``EpsBatch`` from the half spectra both states carry, and the prepared
+data of a whole sweep is built as one batch.
 
 Observed convergence orders come from a least-squares line through
 (log eps, log error) over a sweep of eps values.
@@ -133,10 +133,11 @@ def batch_error_squares(batch: EpsBatch, limit_state: LimitState, indices) -> np
     ||drho||_s^2 + ||du||_s^2 + ||dtheta||_s^2 and the radiation
     ||dI0||_s^2 + ||dI1||_s^2, where the radiation references are the
     limit closure of the limit temperature, I0 = (I - Lap)^(-1) theta^4
-    and its negative gradient. The limit references are computed once
-    for all members, and the stacked (2n+3, E, *shape) differences take
-    one forward transform; the norms are the ``sobolev_squares`` of its
-    half spectrum, as in ``sobolev_norm``.
+    and its negative gradient. The differences are taken between the
+    half spectra the states carry, so the one transform is the forward
+    one of the limit temperature's theta^4, shared by all members; the
+    norms are the ``sobolev_squares`` of the (2n+3, E, *half_shape)
+    differences, as in ``sobolev_norm``.
 
     Raises:
         TimeMismatch: if the batch and the limit state differ in time by
@@ -145,12 +146,10 @@ def batch_error_squares(batch: EpsBatch, limit_state: LimitState, indices) -> np
     grid = batch.grid
     if abs(batch.time - limit_state.time) > 1e-12:
         raise TimeMismatch(f"state times differ: {batch.time!r} vs {limit_state.time!r}")
-    limit_rad = grid.inverse(limit_spectrum(grid, limit_state.fluid[-1]))
-    diff = np.concatenate([batch.fluid, grid.inverse(batch.rad)])
-    diff -= np.concatenate([limit_state.fluid, limit_rad])[:, None]
-    spec = grid.forward(diff)
-    del diff
-    per_field = sobolev_squares(grid, spec, indices)  # (index, field, member)
+    limit = np.concatenate([limit_state.spectrum, limit_spectrum(grid, limit_state.fluid[-1])])
+    diff = np.concatenate([batch.spectrum, batch.rad])
+    diff -= limit[:, None]
+    per_field = sobolev_squares(grid, diff, indices)  # (index, field, member)
     return np.add.reduceat(per_field, [0, grid.n_dims + 2], axis=1)
 
 
@@ -167,8 +166,10 @@ def well_prepared_init(
     radiation pair deviates from the limit closure of the base
     temperature by sqrt(eps)*amp times its shapes, so the weighted
     initial-deviation functional is amp-many multiples of eps with an
-    eps-independent constant. At amp = 0 the moments are exactly the
-    limit closure's half spectrum.
+    eps-independent constant. The fluid spectrum is built the same way,
+    from the base state's spectrum and the shapes', so at amp = 0 the
+    fluid spectrum is exactly the base state's and the moments are
+    exactly the limit closure's half spectrum.
 
     Raises:
         PositivityLost: if the perturbed rho or theta of a member is not
@@ -182,20 +183,24 @@ def well_prepared_init(
     grid = base.grid
     if shapes is None:
         shapes = default_perturbation_shapes(grid)
-    fluid_shape = np.stack([shapes.rho.values, *(c.values for c in shapes.u), shapes.theta.values])
-    rad_shape = np.stack([shapes.I0.values, *(c.values for c in shapes.I1)])
+    n = grid.n_dims
+    dev = np.stack(
+        [shapes.rho.values, *(c.values for c in shapes.u), shapes.theta.values,
+         shapes.I0.values, *(c.values for c in shapes.I1)]
+    )[:, None]
+    dev_hat = grid.forward(dev)
 
-    member = (-1,) + (1,) * grid.n_dims
+    member = (-1,) + (1,) * n
     fluid_scale = np.reshape([e * amp for e in eps], member)
     rad_scale = np.reshape([math.sqrt(e) * amp for e in eps], member)
-    fluid = base.fluid[:, None] + fluid_shape[:, None] * fluid_scale
+    fluid = base.fluid[:, None] + dev[: n + 2] * fluid_scale
     lows = np.minimum(fluid[0].min(axis=grid.axes), fluid[-1].min(axis=grid.axes))
     for e, low in zip(eps, lows):
         if low < POSITIVITY_FLOOR:
             raise PositivityLost(f"perturbation amp={amp} destroys positivity at eps={e}")
-    limit_rad = limit_spectrum(grid, base.fluid[-1])
-    rad = limit_rad[:, None] + grid.forward(rad_shape)[:, None] * rad_scale
-    return EpsBatch(grid, eps, fluid, rad, base.time)
+    spectrum = base.spectrum[:, None] + dev_hat[: n + 2] * fluid_scale
+    rad = limit_spectrum(grid, base.fluid[-1])[:, None] + dev_hat[n + 2 :] * rad_scale
+    return EpsBatch(grid, eps, fluid, rad, base.time, spectrum=spectrum)
 
 
 def hypothesis_deviation(batch: EpsBatch, limit_init: LimitState, s: int) -> np.ndarray:

@@ -282,8 +282,9 @@ def _validate_bounds(raw) -> dict:
 def _check_cfl_steps(grid: Grid, profiles: dict, params: FluidParams, control: StepControl):
     """Reject a run whose CFL bounds (those of ``cfl_dt``) on the initial
     profile values imply more than MAX_STEPS time steps, and profiles
-    whose values or squared velocity magnitude are not finite or whose
-    rho or theta is not positive.
+    whose values are not finite, whose rho or theta is not positive, or
+    whose squared velocity magnitude, pressure rho*theta, momentum rho*u
+    or emission theta^4 is not finite.
     """
     y = _profile_stack(grid, profiles)
     if not np.isfinite(y).all():
@@ -291,11 +292,18 @@ def _check_cfl_steps(grid: Grid, profiles: dict, params: FluidParams, control: S
     for name, row in (("rho", y[0]), ("theta", y[-1])):
         if row.min() <= 0.0:
             _fail(f"profiles.{name}", f"initial values must be positive, min is {row.min():.3g}")
-    # cfl_bounds squares the velocity, which overflows before its values do.
+    # cfl_bounds squares the velocity and the right-hand side forms the
+    # products rho*theta, rho*u and theta^4, each of which can overflow
+    # while its factors are finite.
     with np.errstate(over="ignore"):
-        speed_sq = np.sum(y[1:-1] ** 2, axis=0)
-    if not np.isfinite(speed_sq).all():
-        _fail("profiles.u", "the squared velocity magnitude of the initial profile is not finite")
+        formed = (
+            ("profiles.u", "squared velocity magnitude", np.sum(y[1:-1] ** 2, axis=0)),
+            ("profiles.rho", "pressure rho*theta or momentum rho*u", y[0] * y[1:]),
+            ("profiles.theta", "emission theta^4", y[-1] ** 4),
+        )
+    for name, what, values in formed:
+        if not np.isfinite(values).all():
+            _fail(name, f"the {what} of the initial profile is not finite")
     bounds = cfl_bounds(grid, y, params, control)
     for name, field_name, dt in zip(("advective", "diffusive"), ("profiles", "fluid"), bounds):
         steps = control.t_end / dt if dt > 0.0 else math.inf

@@ -16,11 +16,15 @@ The right-hand side is one array kernel, ``_rhs_common``, over the
 stacked state (rho, u_1..u_n, theta) of E members at once, shape
 (n+2, E, *shape), with half-spectrum transforms batched over fields and
 members (see ``radhydro.spectral``); every product and quotient is
-dealiased by the 2/3 rule. The steppers in ``radhydro.stepping`` are
-its only callers: the eps stepper passes the radiation moments, the
+dealiased by the 2/3 rule. It takes the state's values together with
+their half spectrum and returns the half spectrum of the tendency, so
+neither end of it transforms the state: a right-hand side costs four
+transform calls, two forward and two inverse. The steppers in
+``radhydro.stepping`` are its only callers and carry the spectrum from
+stage to stage: the eps stepper passes the radiation moments, the
 limit stepper passes none, and the kernel then forms the limit flux
 divergence from the theta^4 row of its own product batch, so a limit
-right-hand side costs the same six transform calls as an eps one.
+right-hand side costs the same four transform calls as an eps one.
 """
 
 from __future__ import annotations
@@ -96,11 +100,13 @@ def require_positive(y: np.ndarray, eps=None, time=None) -> None:
 def _rhs_common(
     grid: Grid,
     y: np.ndarray,
+    y_hat: np.ndarray,
     p: FluidParams,
     rad: np.ndarray | None = None,
     eps: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Tendencies of E stacked states, as one (n+2, E, *shape) array:
+    """Half spectra of the tendencies of E stacked states, as one
+    (n+2, E, *half_shape) array:
 
     d(rho)/dt   = -div(rho u)
     d(u)/dt     = -(u.grad)u + [div Psi(u) - grad(rho theta) + eps*I1] / rho
@@ -109,22 +115,23 @@ def _rhs_common(
 
     with the eps*I1 term in the finite-eps coupling only. y is
     (n+2, E, *shape): the field axis first, then the member axis, then
-    space; every transform below batches fields and members. The eps
-    coupling passes rad, the (1+n, E, *shape) values of (I0, I1), and
-    eps, an (E, 1, ...) array (momentum source eps*I1, heat source
-    I0 - theta^4). Without them, the heat source is that of the limit
+    space; y_hat is its half spectrum, (n+2, E, *half_shape). Every
+    transform below batches fields and members. The eps coupling passes
+    rad, the (1+n, E, *shape) values of (I0, I1), and eps, an (E, 1, ...)
+    array (momentum source eps*I1, heat source I0 - theta^4). Without them, the heat source is that of the limit
     flux q0 = -grad (I - Lap)^(-1) theta^4, formed from the dealiased
     theta^4 spectrum: -div q0 = -|k|^2 (1 + |k|^2)^(-1) theta^4. The
     caller checks positivity (``require_positive``).
 
-    Six batched half-spectrum transforms: (1) spectra of u and theta;
-    (2) grad u and grad theta; (3) the products rho*u, rho*theta, the
-    dissipation 2 mu |D(u)|^2 + lam (div u)^2 and theta^4, dealiased
-    together; (4) the numerators div Psi(u) - grad(rho theta)
-    and kappa*Lap theta + dissipation + heat source, each summed in
-    Fourier space; (5) the quotients by rho minus the advection terms,
-    dealiased together; (6) the tendencies. Dealiasing is linear, so
-    dealiasing a sum equals summing the dealiased terms.
+    Four batched half-spectrum transforms: (1) grad u and grad theta,
+    inverse; (2) the products rho*u, rho*theta, the dissipation
+    2 mu |D(u)|^2 + lam (div u)^2 and theta^4, forward and dealiased
+    together; (3) the numerators div Psi(u) - grad(rho theta) and
+    kappa*Lap theta + dissipation + heat source, each summed in Fourier
+    space, inverse; (4) the quotients by rho minus the advection terms,
+    forward and dealiased together. Dealiasing is linear, so dealiasing
+    a sum equals summing the dealiased terms, and the returned spectrum
+    is zero outside the 2/3 band.
     """
     n = grid.n_dims
     p.validate_for(n)
@@ -134,8 +141,7 @@ def _rhs_common(
     half = (members, *grid.half_shape)
     rho, u, theta = y[0], y[1:-1], y[-1]
 
-    spec = grid.forward(y[1:])
-    u_hat, theta_hat = spec[:n], spec[n]
+    u_hat, theta_hat = y_hat[1:-1], y_hat[-1]
 
     grads = np.empty((n * n + n, *half), dtype=complex)
     np.multiply(ik[None], u_hat[:, None], out=grads[: n * n].reshape(n, n, *half))
@@ -177,5 +183,5 @@ def _rhs_common(
     tend = np.empty((n + 2, *half), dtype=complex)
     tend[0] = -np.sum(ik * prod_hat[:n], axis=0)
     np.multiply(quot_hat, mask, out=tend[1:])
-    return grid.inverse(tend)
+    return tend
 

@@ -23,9 +23,10 @@ The transport term omega . grad I (``transport_term``) is taken per
 ordinate on the half spectrum of ``spectral`` (``Grid.forward``/
 ``Grid.inverse`` with the symbol omega . ``half_ik``), one slab at a
 time. It does not depend on (sigma_a, sigma_s), so one closure check
-evaluates it once, together with the moments of I, the P1 projection
-residual and the sigma-free parts of the predicted tendencies, and
-shares them across every (sigma_a, sigma_s) pair it is given.
+evaluates it once, together with the emission theta^4, the moments of
+I, the P1 projection residual and the sigma-free parts of the predicted
+tendencies, and shares them across every (sigma_a, sigma_s) pair it is
+given.
 """
 
 from __future__ import annotations
@@ -155,6 +156,7 @@ def kinetic_rhs(
     sigma_a: float,
     sigma_s: float,
     transport: np.ndarray | None = None,
+    source: np.ndarray | None = None,
 ) -> KineticField:
     """Transport tendency per ordinate.
 
@@ -162,8 +164,9 @@ def kinetic_rhs(
              + sigma_s |S| (<<I>> - I)] / eps
 
     with <<I>> the direction average. The emission constant is one.
-    ``transport`` is ``transport_term(I)`` when the caller already has
-    it; it is computed here otherwise.
+    ``transport`` is ``transport_term(I)`` and ``source`` the values of
+    ``emission(theta)`` when the caller already has them; each is
+    computed here otherwise.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -176,7 +179,8 @@ def kinetic_rhs(
     ords = I.ordinates
     measure = ords.surface_measure
     average = np.tensordot(ords.weights, I.intensity, axes=(0, 0)) / measure
-    source = emission(theta).values
+    if source is None:
+        source = emission(theta).values
     out = np.empty_like(I.intensity)
     for j, slab in enumerate(I.intensity):
         out[j] = (
@@ -248,8 +252,8 @@ def moment_system_check(
     predicts from the moments of I; the L^2 norms of the differences are
     (r0, r1). Both vanish to quadrature precision for intensities in the
     P1 subspace on at least 4 ordinates. The projection residual, the
-    moments of I, the transport term and the sigma-free parts of the
-    prediction are computed once and shared by every pair.
+    moments of I, the transport term, the emission and the sigma-free
+    parts of the prediction are computed once and shared by every pair.
 
     Args:
         enforce_p1: When True (default), reject intensities whose
@@ -280,7 +284,7 @@ def moment_system_check(
 
     pairs = []
     for sigma_a, sigma_s in sigma_pairs:
-        tend = moments(kinetic_rhs(I, theta, eps, sigma_a, sigma_s, transport), ords)
+        tend = moments(kinetic_rhs(I, theta, eps, sigma_a, sigma_s, transport, source.values), ords)
         predicted_I0 = (source - rad.I0 * sigma_a - flux_div) * (1.0 / eps)
         damping = sigma_a + sigma_s * measure
         predicted_I1 = (rad.I1 * (-damping) - grad_i0) * (1.0 / eps)

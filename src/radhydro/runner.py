@@ -13,19 +13,19 @@ convergence study); each system steps with its own stable dt between
 output times, and the members of a sweep advance in lockstep with the
 smallest stable dt of any member. At every output time the loop writes
 the limit row, every member's error row (the norms of all members come
-from one batched transform) and, for simulate-eps, the member's state
-row straight to the open CSV files. It keeps only the running values the
-summary needs: the sup error norms, the largest gamma of each member and
-the largest mass deviation from t = 0. No state, row or record is kept
+from the half spectra the states carry) and, for simulate-eps, the
+member's state row straight to the open CSV files. It keeps only the
+running values the summary needs: the sup error norms, the largest gamma
+of each member and the largest mass deviation from t = 0. No state, row or record is kept
 per sample, so memory does not grow with the sample count, and a run
 that fails leaves its series written up to the last completed sample and
 writes no summary. The modes differ only in the members they march, the
 files they write and the summary fields they fill.
 
-One routine gives every state-norm row (limit and eps), from one
-transform of the stacked state. Time series go to CSV (one column per
-tracked quantity, 17 significant digits), run summaries to JSON with
-sorted keys. Identical configurations produce byte-identical files; wall
+One routine gives every state-norm row (limit and eps), from the half
+spectra the state carries, with no transform. Time series go to CSV
+(one column per tracked quantity, 17 significant digits), run summaries
+to JSON with sorted keys. Identical configurations produce byte-identical files; wall
 time is therefore reported on the console only, never written to the
 output files.
 """
@@ -162,15 +162,16 @@ def _state_norm_header(config: RunConfig, with_radiation: bool, extra=()) -> lis
     return header + list(extra)
 
 
-def _state_row(grid, time: float, values: np.ndarray, indices) -> list:
+def _state_row(grid, time: float, spectra: np.ndarray, indices) -> list:
     """time, then per index s the H^s norms of rho, u, theta (, I0, I1).
 
-    values stacks one state's fields: (n+2, *shape) for the limit system
-    or (2n+3, *shape) with the moments; one forward transform.
+    spectra stacks the half spectra of one state's fields:
+    (n+2, *half_shape) for the limit system or (2n+3, *half_shape) with
+    the moments.
     """
     n = grid.n_dims
-    squares = sobolev_squares(grid, grid.forward(values), indices)  # (index, field)
-    starts = [i for i in (0, 1, n + 1, n + 2, n + 3) if i < len(values)]
+    squares = sobolev_squares(grid, spectra, indices)  # (index, field)
+    starts = [i for i in (0, 1, n + 1, n + 2, n + 3) if i < len(spectra)]
     return [time, *np.sqrt(np.add.reduceat(squares, starts, axis=1)).ravel()]
 
 
@@ -236,18 +237,22 @@ def _march(
             header = _state_norm_header(config, with_radiation=True)
             state_fh = _open_series(stack, path(state_csv), header)
 
-        for ls, b in zip(limits, batches):
+        for ls in limits:
+            # next() rather than zip, and b dropped at the end: zip's
+            # reused result tuple, like the name b, would keep the last
+            # sampled batch alive while the generator steps on from it.
+            b = next(batches)
             limit_dm = np.maximum(limit_dm, np.abs(_mass(ls.fluid[0], grid) - limit_mass0))
             if limit_fh is not None:
                 theta = SpectralField.from_values(grid, ls.fluid[-1])
                 residual = limit_closure_residual(theta, limit_q(theta))
                 closure = max(closure, residual)
-                limit_fh.write(_row(_state_row(grid, ls.time, ls.fluid, indices) + [residual]))
+                limit_fh.write(_row(_state_row(grid, ls.time, ls.spectrum, indices) + [residual]))
             if b is None:
                 continue
             if state_fh is not None:
-                values = np.concatenate([b.fluid[:, 0], grid.inverse(b.rad[:, 0])])
-                state_fh.write(_row(_state_row(grid, b.time, values, indices)))
+                spectra = np.concatenate([b.spectrum[:, 0], b.rad[:, 0]])
+                state_fh.write(_row(_state_row(grid, b.time, spectra, indices)))
             squares = batch_error_squares(b, ls, indices)  # (index, fluid/rad, member)
             norms = np.sqrt(squares)
             sup = np.maximum(sup, norms)
@@ -257,6 +262,7 @@ def _march(
                 gamma[e] = max(gamma[e], rec.gamma)
                 energies = [rec.fluid_energy, rec.full_energy, rec.gamma]
                 fh.write(_row([b.time, *norms[:, :, e].ravel(), *energies]))
+            del b
 
     return _Marched(
         closure_residual=closure,

@@ -24,21 +24,28 @@ transform of them.
 Every state is a stack of arrays; there is no per-field object layer.
 The Strang step is one array kernel over E members at once
 (``EpsBatch``, ``step_batch``): the fluid state is a (n+2, E, *shape)
-stack, the moments a (1+n, E, *half_shape) half spectrum, eps an
-(E, 1, ...) array, and every transform batches fields and members. RK4
-runs as axpy operations on the stack, with positivity checked at every
-stage and finiteness after every step; a failure names the member's
-eps, the time, the field and, for positivity, the margin. Because the
-stable dt does not depend on eps (the asymptotic-preserving property of
-the exact substep), one dt serves all members of an eps sweep. The
+stack carried together with its (n+2, E, *half_shape) half spectrum,
+the moments a (1+n, E, *half_shape) half spectrum, eps an (E, 1, ...)
+array, and every transform batches fields and members. The spectrum is
+built once from the initial values; after that RK4 runs as axpy
+operations on it, the right-hand side returns the half spectrum of the
+tendency, and each stage's values come from one inverse transform, so a
+right-hand side costs 2 + 2 transform calls and a steady Strang step
+9 forward + 13 inverse (8 + 12 for a limit step). Positivity is checked
+on the values of every stage and finiteness after every step; a failure
+names the member's eps, the time, the field and, for positivity, the
+margin. Because the stable dt does not depend on eps (the
+asymptotic-preserving property of the exact substep), one dt serves all
+members of an eps sweep. The
 dealiased theta^4 spectrum that closes one step also opens the next.
 ``step_eps`` advances one chunk of members through this kernel;
 ``step_batch`` splits a batch into chunks (LOCKSTEP_CELLS). The limit
 system has no moments: its state (``LimitState``) is the (n+2, *shape)
-stack of (rho, u, theta) in the same field order, ``step_limit`` is the
-same RK4 on it, and the right-hand-side kernel forms the limit flux of
-each stage's temperature from the theta^4 row of its own product batch
-(six transform calls per stage, as for the eps system).
+stack of (rho, u, theta) in the same field order with its half
+spectrum, ``step_limit`` is the same RK4 on it, and the right-hand-side
+kernel forms the limit flux of each stage's temperature from the
+theta^4 row of its own product batch (four transform calls per stage,
+as for the eps system).
 
 Viscous and heat terms ride inside the explicit RK4 stage under the
 diffusive bound of ``cfl_bounds``, taken from the spectral radius of
@@ -78,14 +85,25 @@ class LimitState:
 
     fluid: read-only (n+2, *shape) values of rho, u_1..u_n, theta, the
         field order of ``EpsBatch.fluid``.
+    spectrum: read-only (n+2, *half_shape) half spectrum of fluid; built
+        from the values when not given, carried by ``step_limit``.
     """
 
     grid: Grid
     fluid: np.ndarray
     time: float
+    spectrum: np.ndarray | None = None
 
     def __post_init__(self):
-        self.fluid.setflags(write=False)
+        _carry_spectrum(self)
+
+
+def _carry_spectrum(state) -> None:
+    """Build a state's missing fluid spectrum and freeze both arrays."""
+    if state.spectrum is None:
+        object.__setattr__(state, "spectrum", state.grid.forward(state.fluid))
+    state.fluid.setflags(write=False)
+    state.spectrum.setflags(write=False)
 
 
 # Grid cells per lockstep chunk. The members of one chunk are transformed
@@ -163,23 +181,30 @@ def _substep(grid, coeffs: np.ndarray, source: np.ndarray, eps: np.ndarray, dt: 
     return out
 
 
-def _rk4(y: np.ndarray, rhs, dt: float, eps, time: float) -> np.ndarray:
-    """Classical RK4 as axpy operations on a (n+2, E, *shape) stack.
+def _rk4(grid, y: np.ndarray, y_hat: np.ndarray, rhs, dt: float, eps, time: float):
+    """Classical RK4 on a (n+2, E, *shape) stack y, as axpy operations
+    on its half spectrum y_hat.
 
-    Positivity is checked on the state of every stage; eps (the
-    members' eps values, or None for the limit system) and the stage
-    time name a failure.
+    rhs maps the values and spectrum of a stage to the half spectrum of
+    its tendency; the values of every later stage and of the result come
+    from one inverse transform of their spectrum. Positivity is checked
+    on the values of every stage; eps (the members' eps values, or None
+    for the limit system) and the stage time name a failure. Returns the
+    values and the spectrum of the new state.
     """
 
-    def stage(z, offset):
+    def stage(z_hat, offset):
+        z = grid.inverse(z_hat)
         require_positive(z, eps, time + offset)
-        return rhs(z)
+        return rhs(z, z_hat)
 
-    k1 = stage(y, 0.0)
-    k2 = stage(y + k1 * (0.5 * dt), 0.5 * dt)
-    k3 = stage(y + k2 * (0.5 * dt), 0.5 * dt)
-    k4 = stage(y + k3 * dt, dt)
-    return y + (k1 + (k2 + k3) * 2.0 + k4) * (dt / 6.0)
+    require_positive(y, eps, time)
+    k1 = rhs(y, y_hat)
+    k2 = stage(y_hat + k1 * (0.5 * dt), 0.5 * dt)
+    k3 = stage(y_hat + k2 * (0.5 * dt), 0.5 * dt)
+    k4 = stage(y_hat + k3 * dt, dt)
+    out = y_hat + (k1 + (k2 + k3) * 2.0 + k4) * (dt / 6.0)
+    return grid.inverse(out), out
 
 
 def _require_finite(fluid: np.ndarray, rad, eps, time: float) -> None:
@@ -209,11 +234,13 @@ def _require_finite(fluid: np.ndarray, rad, eps, time: float) -> None:
 class EpsBatch:
     """E finite-eps states at one time, stacked on a member axis.
 
-    fluid: (n+2, E, *shape) values of rho, u_1..u_n, theta.
+    fluid: read-only (n+2, E, *shape) values of rho, u_1..u_n, theta.
     rad: (1+n, E, *half_shape) half spectra of I0, I1_1..I1_n.
     source: (E, *half_shape) dealiased spectrum of theta^4 of this fluid,
         or None when not yet computed; a step returns it, so the next
         step's first half substep reuses it.
+    spectrum: read-only (n+2, E, *half_shape) half spectrum of fluid;
+        built from the values when not given, carried by ``step_eps``.
     """
 
     grid: Grid
@@ -222,11 +249,13 @@ class EpsBatch:
     rad: np.ndarray
     time: float
     source: np.ndarray | None = None
+    spectrum: np.ndarray | None = None
 
     def __post_init__(self):
         for eps in self.eps:
             if eps <= 0.0:
                 raise ValueError(f"eps must be positive, got {eps}")
+        _carry_spectrum(self)
 
     def _chunk(self, members: slice) -> "EpsBatch":
         source = None if self.source is None else self.source[members]
@@ -237,6 +266,7 @@ class EpsBatch:
             self.rad[:, members],
             self.time,
             source,
+            self.spectrum[:, members],
         )
 
 
@@ -250,13 +280,14 @@ def step_batch(b: EpsBatch, p: FluidParams, dt: float) -> EpsBatch:
     per_chunk = max(1, LOCKSTEP_CELLS // math.prod(b.grid.shape))
     if len(b.eps) <= per_chunk:
         return step_eps(b, p, dt)
-    fluid, rad = np.empty_like(b.fluid), np.empty_like(b.rad)
+    fluid, rad, spectrum = np.empty_like(b.fluid), np.empty_like(b.rad), np.empty_like(b.spectrum)
     source = np.empty(rad.shape[1:], dtype=complex)
     for a in range(0, len(b.eps), per_chunk):
         members = slice(a, a + per_chunk)
         part = step_eps(b._chunk(members), p, dt)
-        fluid[:, members], rad[:, members], source[members] = part.fluid, part.rad, part.source
-    return EpsBatch(b.grid, b.eps, fluid, rad, part.time, source)
+        fluid[:, members], rad[:, members] = part.fluid, part.rad
+        source[members], spectrum[:, members] = part.source, part.spectrum
+    return EpsBatch(b.grid, b.eps, fluid, rad, part.time, source, spectrum)
 
 
 def step_eps(b: EpsBatch, p: FluidParams, dt: float) -> EpsBatch:
@@ -271,9 +302,11 @@ def step_eps(b: EpsBatch, p: FluidParams, dt: float) -> EpsBatch:
     source = b.source if b.source is not None else emission_spectrum(grid, b.fluid[-1])
     rad_half = _substep(grid, b.rad, source, eps, 0.5 * dt)
     moments = grid.inverse(rad_half)
-    fluid = _rk4(
+    fluid, spectrum = _rk4(
+        grid,
         b.fluid,
-        lambda y: _rhs_common(grid, y, p, rad=moments, eps=eps),
+        b.spectrum,
+        lambda y, y_hat: _rhs_common(grid, y, y_hat, p, rad=moments, eps=eps),
         dt,
         b.eps,
         b.time,
@@ -282,7 +315,7 @@ def step_eps(b: EpsBatch, p: FluidParams, dt: float) -> EpsBatch:
     rad = _substep(grid, rad_half, source, eps, 0.5 * dt)
     time = b.time + dt
     _require_finite(fluid, rad, b.eps, time)
-    return EpsBatch(grid, b.eps, fluid, rad, time, source)
+    return EpsBatch(grid, b.eps, fluid, rad, time, source, spectrum)
 
 
 def step_limit(s: LimitState, p: FluidParams, dt: float) -> LimitState:
@@ -293,11 +326,11 @@ def step_limit(s: LimitState, p: FluidParams, dt: float) -> LimitState:
     throughout.
     """
     grid = s.grid
-    rhs = lambda y: _rhs_common(grid, y, p)
-    fluid = _rk4(s.fluid[:, None], rhs, dt, None, s.time)
+    rhs = lambda y, y_hat: _rhs_common(grid, y, y_hat, p)
+    fluid, spectrum = _rk4(grid, s.fluid[:, None], s.spectrum[:, None], rhs, dt, None, s.time)
     time = s.time + dt
     _require_finite(fluid, None, None, time)
-    return LimitState(grid, fluid[:, 0], time)
+    return LimitState(grid, fluid[:, 0], time, spectrum[:, 0])
 
 
 # Real-axis stability interval of classical RK4: the amplification

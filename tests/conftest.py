@@ -69,11 +69,11 @@ def fluid_rhs(grid, fluid, p, rad=None, eps=None):
     y = np.asarray(fluid, dtype=float)[:, None]
     require_positive(y)
     if rad is None:
-        tend = _rhs_common(grid, y, p)
+        tend = _rhs_common(grid, y, grid.forward(y), p)
     else:
         eps_member = np.full((1,) * (grid.n_dims + 1), float(eps))
-        tend = _rhs_common(grid, y, p, rad=np.asarray(rad)[:, None], eps=eps_member)
-    return tend[:, 0]
+        tend = _rhs_common(grid, y, grid.forward(y), p, rad=np.asarray(rad)[:, None], eps=eps_member)
+    return grid.inverse(tend[:, 0])
 
 
 def eps_batch(grid, eps, fluids, rads, time=0.0):

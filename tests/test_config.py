@@ -192,6 +192,32 @@ class TestProfiles:
             assert main(["simulate-limit", "--config", str(path)]) == 2
         assert "'profiles.u'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "profiles,field",
+        [
+            # rho*theta overflows where theta exceeds 1 (the default
+            # theta profile is 1 + 0.1 cos x).
+            ({"rho": {"base": 1.7e308}}, "profiles.rho"),
+            # rho*u overflows where theta is below 1.
+            ({"rho": {"base": 1e300}, "theta": {"base": 0.5},
+              "u": [{"base": 1e10}]}, "profiles.rho"),
+            ({"theta": {"base": 1e80}}, "profiles.theta"),
+        ],
+    )
+    def test_overflowing_product_exits_2(self, profiles, field, tmp_path, monkeypatch, capsys):
+        # Each value fits a float, but a product the right-hand side
+        # forms does not; the run used to fail at its first step.
+        monkeypatch.delenv("RADHYDRO_OUT", raising=False)
+        monkeypatch.setattr(radhydro.cli, "run", lambda *a, **k: pytest.fail("run started"))
+        raw = {"profiles": profiles}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=rf"'{field}'.*not finite"):
+                parse_config(raw, mode="simulate-limit")
+            path = _write(tmp_path, raw)
+            assert main(["simulate-limit", "--config", str(path)]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+
     def test_shape_with_one_huge_mode_is_accepted(self):
         # A single mode of amplitude 1e150 overflows nowhere: its norm
         # is finite, so it normalizes to unit norm.

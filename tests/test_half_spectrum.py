@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from radhydro import cli
-from radhydro.fluid import FluidParams
+from radhydro.fluid import FluidParams, _rhs_common
 from radhydro.kinetic import (
     KineticField,
     kinetic_rhs,
@@ -280,6 +280,12 @@ def fft_calls(monkeypatch):
     return calls
 
 
+def _transform_names(n_dims):
+    """numpy.fft names of the forward and inverse grid transforms: the
+    one-axis calls in 1D, the n-axis ones in 2D."""
+    return ("rfft", "irfft") if n_dims == 1 else ("rfftn", "irfftn")
+
+
 @pytest.mark.parametrize("n_dims", [1, 2])
 class TestTransformBudget:
     # Exact counts, so that per-field transforms cannot come back unseen.
@@ -293,54 +299,74 @@ class TestTransformBudget:
         eps = (0.1, 0.05, 0.025, 0.0125)[:members]
         return grid, fluid, rad, eps_batch(grid, eps, [fluid] * members, [rad] * members)
 
-    def test_fluid_rhs_eps(self, n_dims, fft_calls):
+    def _counts(self, n_dims, forward, inverse):
+        names = _transform_names(n_dims)
+        return Counter({names[0]: forward, names[1]: inverse})
+
+    def _rhs_calls(self, n_dims, fft_calls, coupled):
+        """Transform calls of one kernel call on the state's spectrum."""
         grid, fluid, rad, _ = self._state(n_dims)
+        y = fluid[:, None]
+        y_hat = grid.forward(y)
+        coupling = {}
+        if coupled:
+            coupling = {"rad": rad[:, None], "eps": np.full((1,) * (n_dims + 1), 0.1)}
         fft_calls.clear()
-        fluid_rhs(grid, fluid, PARAMS, rad=rad, eps=0.1)
-        assert fft_calls == Counter(rfftn=3, irfftn=3)
+        _rhs_common(grid, y, y_hat, PARAMS, **coupling)
+        return fft_calls
+
+    # The kernel takes the state's spectrum and returns the spectrum of
+    # the tendency: products and quotients forward, gradients and
+    # numerators inverse, for the eps and the limit coupling alike.
+    def test_fluid_rhs_eps(self, n_dims, fft_calls):
+        assert self._rhs_calls(n_dims, fft_calls, coupled=True) == self._counts(n_dims, 2, 2)
 
     def test_fluid_rhs_limit(self, n_dims, fft_calls):
-        grid, fluid, _, _ = self._state(n_dims)
-        fft_calls.clear()
-        fluid_rhs(grid, fluid, PARAMS)
-        assert fft_calls == Counter(rfftn=3, irfftn=3)
+        assert self._rhs_calls(n_dims, fft_calls, coupled=False) == self._counts(n_dims, 2, 2)
 
     def test_step_eps(self, n_dims, fft_calls):
-        # Four right-hand sides (6 each) plus two half substeps (theta^4
-        # forward and moments inverse each). The batch holds the moments
-        # as a half spectrum, so no substep transforms them forward, and
-        # a step hands its closing theta^4 spectrum to the next one.
+        # Four right-hand sides (2 + 2 each), the values of three later
+        # stages and of the result (one inverse each), and two half
+        # substeps (theta^4 forward and moments inverse each). The batch
+        # carries the fluid spectrum and holds the moments as a half
+        # spectrum, so nothing is transformed forward to start a stage
+        # or a substep, and a step hands its closing theta^4 spectrum to
+        # the next one.
         _, _, _, batch = self._state(n_dims)
         fft_calls.clear()
         s = step_eps(batch, PARAMS, 0.01)
-        assert fft_calls == Counter(rfftn=12 + 2, irfftn=12 + 1)
+        assert fft_calls == self._counts(n_dims, 8 + 2, 12 + 1)
         fft_calls.clear()
         step_eps(s, PARAMS, 0.01)
-        assert fft_calls == Counter(rfftn=12 + 1, irfftn=12 + 1)
+        assert fft_calls == self._counts(n_dims, 8 + 1, 12 + 1)
 
     def test_step_limit(self, n_dims, fft_calls):
-        # Four right-hand sides (3 + 3 each); the flux is formed inside
-        # each one, with no transform of its own.
+        # Four right-hand sides (2 + 2 each) and four stage inverses; the
+        # flux is formed inside each right-hand side, with no transform
+        # of its own.
         grid, fluid, _, _ = self._state(n_dims)
+        state = limit_state(grid, fluid)
         fft_calls.clear()
-        step_limit(limit_state(grid, fluid), PARAMS, 0.01)
-        assert fft_calls == Counter(rfftn=12, irfftn=12)
+        step_limit(state, PARAMS, 0.01)
+        assert fft_calls == self._counts(n_dims, 8, 12)
 
     def test_limit_rhs_forward_batches(self, n_dims, monkeypatch):
         # Forward-transformed fields per limit right-hand side in a step:
-        # (u, theta), then the products rho*u, rho*theta, dissipation and
-        # theta^4, then the n + 1 quotients.
+        # the products rho*u, rho*theta, dissipation and theta^4, then
+        # the n + 1 quotients.
         grid, fluid, _, _ = self._state(n_dims)
+        state = limit_state(grid, fluid)
         batch_sizes = []
-        rfftn = np.fft.rfftn
+        name = _transform_names(n_dims)[0]
+        forward = getattr(np.fft, name)
 
         def counted(a, *args, **kwargs):
             batch_sizes.append(a.shape[0])
-            return rfftn(a, *args, **kwargs)
+            return forward(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.fft, "rfftn", counted)
-        step_limit(limit_state(grid, fluid), PARAMS, 0.01)
-        assert batch_sizes == [n_dims + 1, n_dims + 3, n_dims + 1] * 4
+        monkeypatch.setattr(np.fft, name, counted)
+        step_limit(state, PARAMS, 0.01)
+        assert batch_sizes == [n_dims + 3, n_dims + 1] * 4
 
     def test_limit_closure_residual(self, n_dims, fft_calls):
         # theta^4 and the flux values in one forward batch, no inverse.
@@ -348,17 +374,18 @@ class TestTransformBudget:
         theta, (_, q) = fields(grid, fluid)[-1], fields(grid, rad)
         fft_calls.clear()
         limit_closure_residual(theta, q)
-        assert fft_calls == Counter(rfftn=1)
+        assert fft_calls == Counter({_transform_names(n_dims)[0]: 1})
 
     @pytest.mark.parametrize("members", [1, 4])
     def test_lockstep_step(self, n_dims, members, fft_calls):
-        # Four right-hand sides over all members (6 calls each), one
-        # inverse of the half-substepped moments and one theta^4 forward
-        # transform; the theta^4 spectrum of the step before is reused.
+        # Four right-hand sides over all members (2 + 2 calls each), four
+        # stage inverses, one inverse of the half-substepped moments and
+        # one theta^4 forward transform; the theta^4 spectrum of the step
+        # before is reused.
         batch = step_batch(self._state(n_dims, members)[-1], PARAMS, 0.01)
         fft_calls.clear()
         step_batch(batch, PARAMS, 0.01)
-        assert fft_calls == Counter(rfftn=12 + 1, irfftn=12 + 1)
+        assert fft_calls == self._counts(n_dims, 8 + 1, 12 + 1)
 
 
 FULL_COMPLEX = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn")

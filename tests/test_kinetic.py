@@ -323,8 +323,8 @@ class TestMomentSystemCheck:
     @pytest.mark.parametrize("n_pairs", [1, 3])
     def test_transform_budget(self, n_pairs, rng, monkeypatch):
         # One transform pair per ordinate slab (8 + 8), once per check.
-        # The rest: emission, div I1 and grad I0 once (4 + 4); per pair,
-        # the emission inside kinetic_rhs (1 + 1) and the three norms of
+        # The rest: emission, div I1 and grad I0 once (4 + 4), the
+        # emission shared with kinetic_rhs; per pair, the three norms of
         # r0, r1 (3 + 0).
         grid = Grid(2, 16)
         ords = make_ordinates(2, 8)
@@ -345,4 +345,4 @@ class TestMomentSystemCheck:
             monkeypatch.setattr(np.fft, name, counted)
         pairs = [(1.0, 0.0), (1.0, 1.0), (2.0, 0.5)][:n_pairs]
         moment_system_check(field, theta, 0.5, pairs)
-        assert calls == Counter(rfftn=8 + 4 + 4 * n_pairs, irfftn=8 + 4 + n_pairs)
+        assert calls == Counter(rfftn=8 + 4 + 3 * n_pairs, irfftn=8 + 4)

@@ -10,11 +10,11 @@ import radhydro.stepping
 from radhydro.analysis import batch_error_squares
 from radhydro.config import parse_config
 from radhydro.errors import BlowUp, NonPositiveState
-from radhydro.fluid import POSITIVITY_FLOOR, FluidParams
+from radhydro.fluid import POSITIVITY_FLOOR, FluidParams, _rhs_common
 from radhydro.radiation import limit_I0, limit_q
 from radhydro.runner import _sampled, run
 from radhydro.spectral import Grid, SpectralField, sobolev_norm
-from radhydro.stepping import EpsBatch, StepControl, cfl_dt, step_batch, step_eps
+from radhydro.stepping import EpsBatch, StepControl, cfl_dt, step_batch, step_eps, step_limit
 
 from conftest import eps_batch, fields, limit_state, member, smooth_field, smooth_vector, stack
 
@@ -78,14 +78,16 @@ def test_lockstep_matches_serial_step_eps(n_dims, n):
 
 def test_reused_emission_spectrum_is_bitwise_the_same():
     # A step hands the theta^4 spectrum of its new temperature to the next
-    # step; recomputing it instead must give the same bits.
+    # step; recomputing it instead must give the same bits. Both batches
+    # carry the same fluid spectrum, so only the source is recomputed.
     grid = Grid(2, 16)
     rng = np.random.default_rng(32)
     reused = _batch(grid, [_state(grid, rng) for _ in SWEEP[:3]], SWEEP[:3])
     fresh = reused
     for _ in range(3):
         reused = step_batch(reused, PARAMS, 0.01)
-        fresh = step_batch(EpsBatch(grid, fresh.eps, fresh.fluid, fresh.rad, fresh.time), PARAMS, 0.01)
+        fresh = EpsBatch(grid, fresh.eps, fresh.fluid, fresh.rad, fresh.time, spectrum=fresh.spectrum)
+        fresh = step_batch(fresh, PARAMS, 0.01)
     assert np.array_equal(reused.fluid, fresh.fluid)
     assert np.array_equal(reused.rad, fresh.rad)
     assert np.array_equal(reused.source, fresh.source)
@@ -98,6 +100,60 @@ def test_step_eps_advances_a_batch_with_its_own_eps():
     stepped = step_eps(batch, PARAMS, 0.01)
     assert stepped.eps == SWEEP[:2]
     assert np.array_equal(stepped.fluid, step_batch(batch, PARAMS, 0.01).fluid)
+
+
+@pytest.mark.parametrize("n_dims,n", [(1, 64), (2, 32)])
+class TestCarriedSpectrum:
+    # Every state carries the half spectrum of its fluid values; the
+    # steppers advance the spectrum and take the values from it.
+    @pytest.mark.parametrize("chunk_cells", [1, 4096])
+    def test_batch_spectrum_matches_its_values(self, n_dims, n, chunk_cells, monkeypatch):
+        monkeypatch.setattr(radhydro.stepping, "LOCKSTEP_CELLS", chunk_cells)
+        grid = Grid(n_dims, n)
+        rng = np.random.default_rng(41)
+        b = _batch(grid, [_state(grid, rng) for _ in SWEEP], SWEEP)
+        for _ in range(6):
+            b = step_batch(b, PARAMS, 0.01)
+        assert b.time == pytest.approx(0.06)
+        assert _relative_gap(b.spectrum, grid.forward(b.fluid)) <= 1e-13
+
+    def test_limit_spectrum_matches_its_values(self, n_dims, n):
+        grid = Grid(n_dims, n)
+        s = limit_state(grid, _state(grid, np.random.default_rng(42))[0])
+        for _ in range(6):
+            s = step_limit(s, PARAMS, 0.01)
+        assert _relative_gap(s.spectrum, grid.forward(s.fluid)) <= 1e-13
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_tendency_vanishes_outside_the_two_thirds_band(self, n_dims, n, coupled):
+        # White noise on the state puts every mode into the products, so
+        # only the dealiasing keeps the band edge clean, and exactly.
+        grid = Grid(n_dims, n)
+        rng = np.random.default_rng(43)
+        fluid, rad = _state(grid, rng)
+        y = (fluid + 0.01 * rng.standard_normal(fluid.shape))[:, None]
+        coupling = {}
+        if coupled:
+            coupling = {"rad": rad[:, None], "eps": np.full((1,) * (n_dims + 1), 0.1)}
+        tend = _rhs_common(grid, y, grid.forward(y), PARAMS, **coupling)
+        mask = grid.half_dealias_mask
+        assert np.all(tend[..., ~mask] == 0.0)
+        assert np.all(np.abs(tend[..., mask]).max(axis=-1) > 0.0)
+
+    @pytest.mark.parametrize("chunk_cells", [1, 4096])
+    def test_steps_return_fresh_frozen_arrays(self, n_dims, n, chunk_cells, monkeypatch):
+        monkeypatch.setattr(radhydro.stepping, "LOCKSTEP_CELLS", chunk_cells)
+        grid = Grid(n_dims, n)
+        rng = np.random.default_rng(44)
+        b = step_batch(_batch(grid, [_state(grid, rng) for _ in SWEEP], SWEEP), PARAMS, 0.01)
+        s = limit_state(grid, _state(grid, rng)[0])
+        for old, new in ((b, step_batch(b, PARAMS, 0.01)), (b, step_eps(b, PARAMS, 0.01)),
+                         (s, step_limit(s, PARAMS, 0.01))):
+            names = [name for name in ("fluid", "spectrum", "rad", "source") if hasattr(old, name)]
+            for a in names:
+                for c in names:
+                    assert not np.shares_memory(getattr(new, a), getattr(old, c)), (a, c)
+            assert not new.fluid.flags.writeable and not new.spectrum.flags.writeable
 
 
 def _study(out_dir):

@@ -381,7 +381,7 @@ def test_state_row_matches_per_field_sobolev_norms(n_dims, n, with_radiation):
     groups = [1, n_dims, 1] + ([1, n_dims] if with_radiation else [])
     values = rng.standard_normal((sum(groups), *grid.shape))
     indices = (0, 2, 4)
-    row = _state_row(grid, 0.25, values, indices)
+    row = _state_row(grid, 0.25, grid.forward(values), indices)
     fields = [SpectralField.from_values(grid, v) for v in values]
     starts = np.cumsum([0] + groups[:-1])
     want = [0.25]
