@@ -17,6 +17,7 @@ import numpy as np
 from .analysis import PerturbationShapes, default_perturbation_shapes
 from .errors import ParseError, ValidationError
 from .fluid import FluidParams
+from .radiation import fourth_power
 from .spectral import Grid, SpectralField, VectorField, sobolev_norm
 from .stepping import LimitState, StepControl, cfl_bounds
 
@@ -283,8 +284,10 @@ def _check_cfl_steps(grid: Grid, profiles: dict, params: FluidParams, control: S
     """Reject a run whose CFL bounds (those of ``cfl_dt``) on the initial
     profile values imply more than MAX_STEPS time steps, and profiles
     whose values are not finite, whose rho or theta is not positive, or
-    whose squared velocity magnitude, pressure rho*theta, momentum rho*u
-    or emission theta^4 is not finite.
+    whose squares or formed products overflow: the sum of squares over
+    the grid of a field (its L^2 norm), or the value or the sum over the
+    grid of the squared velocity magnitude, the pressure rho*theta, the
+    momentum rho*u or the emission theta^4.
     """
     y = _profile_stack(grid, profiles)
     if not np.isfinite(y).all():
@@ -292,18 +295,27 @@ def _check_cfl_steps(grid: Grid, profiles: dict, params: FluidParams, control: S
     for name, row in (("rho", y[0]), ("theta", y[-1])):
         if row.min() <= 0.0:
             _fail(f"profiles.{name}", f"initial values must be positive, min is {row.min():.3g}")
-    # cfl_bounds squares the velocity and the right-hand side forms the
-    # products rho*theta, rho*u and theta^4, each of which can overflow
-    # while its factors are finite.
-    with np.errstate(over="ignore"):
+    # Each of these can overflow while the values are finite: the norm
+    # rows square the fields and sum them over the grid (a finite sum of
+    # squares also keeps the mass sum, the transforms of the fields and
+    # the diffusive bound's cfl * R * min(rho) finite); cfl_bounds squares
+    # the velocity; the right-hand side forms the products rho*theta,
+    # rho*u and theta^4, and its transforms sum them over the grid.
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.square(y).sum(axis=grid.axes)
         formed = (
             ("profiles.u", "squared velocity magnitude", np.sum(y[1:-1] ** 2, axis=0)),
             ("profiles.rho", "pressure rho*theta or momentum rho*u", y[0] * y[1:]),
-            ("profiles.theta", "emission theta^4", y[-1] ** 4),
+            ("profiles.theta", "emission theta^4", fourth_power(y[-1])),
         )
-    for name, what, values in formed:
-        if not np.isfinite(values).all():
-            _fail(name, f"the {what} of the initial profile is not finite")
+        sums = [np.abs(values).sum() for _, _, values in formed]
+    names = ["profiles.rho"] + ["profiles.u"] * grid.n_dims + ["profiles.theta"]
+    for name, total in zip(names, squares):
+        if not np.isfinite(total):
+            _fail(name, "the sum of squares over the grid of the initial profile is not finite")
+    for (name, what, _), total in zip(formed, sums):
+        if not np.isfinite(total):
+            _fail(name, f"the {what} of the initial profile or its sum over the grid is not finite")
     bounds = cfl_bounds(grid, y, params, control)
     for name, field_name, dt in zip(("advective", "diffusive"), ("profiles", "fluid"), bounds):
         steps = control.t_end / dt if dt > 0.0 else math.inf

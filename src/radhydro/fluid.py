@@ -25,15 +25,28 @@ stage to stage: the eps stepper passes the radiation moments, the
 limit stepper passes none, and the kernel then forms the limit flux
 divergence from the theta^4 row of its own product batch, so a limit
 right-hand side costs the same four transform calls as an eps one.
+
+Between the transforms the kernel is elementwise work on small arrays,
+where the number of numpy calls and temporaries sets the cost. Its
+Fourier symbols (-mu|k|^2, -kappa|k|^2, (mu + lam) i k, the masked
+-i k and the masked limit heat symbol) are built once per grid and
+parameters (``_symbols``, cached; both key classes are frozen and
+hashable) with the 2/3 mask folded into the symbols that consume a
+product spectrum, so no separate dealias pass over the products is
+made. The dissipation is formed from the gradient components directly,
+theta^4 as (theta^2)^2 (``radiation.fourth_power``), and the division by
+rho and the advection terms run in place on the numerator values.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonPositiveState, located
+from .radiation import fourth_power
 from .spectral import Grid
 
 __all__ = ["POSITIVITY_FLOOR", "FluidParams"]
@@ -97,6 +110,35 @@ def require_positive(y: np.ndarray, eps=None, time=None) -> None:
         )
 
 
+@functools.lru_cache(maxsize=16)
+def _symbols(grid: Grid, p: FluidParams) -> tuple[np.ndarray, ...]:
+    """Fourier symbols of ``_rhs_common`` for one grid and one set of
+    coefficients, built once and read-only:
+
+    (mask, -mu |k|^2, (mu + lam) i k, -i k * mask, -kappa |k|^2,
+     -|k|^2 (1 + |k|^2)^(-1) * mask)
+
+    with mask the 2/3 rule. The vector symbols are (n, 1, *half_shape),
+    broadcasting over members. Every symbol is complex, so that a product
+    with a spectrum needs no cast; a real symbol times a spectrum gives
+    the same bits either way.
+    """
+    k_sq = grid.half_k_squared
+    mask = grid.half_dealias_mask.astype(complex)
+    ik = grid.half_ik[:, None]
+    symbols = (
+        mask,
+        (-p.mu * k_sq).astype(complex),
+        (p.mu + p.lam) * ik,
+        -ik * mask,
+        (-p.kappa * k_sq).astype(complex),
+        -k_sq * grid.half_helmholtz * mask,
+    )
+    for symbol in symbols:
+        symbol.setflags(write=False)
+    return symbols
+
+
 def _rhs_common(
     grid: Grid,
     y: np.ndarray,
@@ -118,70 +160,89 @@ def _rhs_common(
     space; y_hat is its half spectrum, (n+2, E, *half_shape). Every
     transform below batches fields and members. The eps coupling passes
     rad, the (1+n, E, *shape) values of (I0, I1), and eps, an (E, 1, ...)
-    array (momentum source eps*I1, heat source I0 - theta^4). Without them, the heat source is that of the limit
-    flux q0 = -grad (I - Lap)^(-1) theta^4, formed from the dealiased
-    theta^4 spectrum: -div q0 = -|k|^2 (1 + |k|^2)^(-1) theta^4. The
-    caller checks positivity (``require_positive``).
+    array (momentum source eps*I1, heat source I0 - theta^4). Without
+    them, the heat source is that of the limit flux
+    q0 = -grad (I - Lap)^(-1) theta^4, formed from the dealiased theta^4
+    spectrum: -div q0 = -|k|^2 (1 + |k|^2)^(-1) theta^4. The caller
+    checks positivity (``require_positive``).
 
-    Four batched half-spectrum transforms: (1) grad u and grad theta,
-    inverse; (2) the products rho*u, rho*theta, the dissipation
-    2 mu |D(u)|^2 + lam (div u)^2 and theta^4, forward and dealiased
-    together; (3) the numerators div Psi(u) - grad(rho theta) and
-    kappa*Lap theta + dissipation + heat source, each summed in Fourier
-    space, inverse; (4) the quotients by rho minus the advection terms,
-    forward and dealiased together. Dealiasing is linear, so dealiasing
-    a sum equals summing the dealiased terms, and the returned spectrum
-    is zero outside the 2/3 band.
+    Four batched half-spectrum transforms: (1) the gradients of u and
+    theta, inverse; (2) the products rho*u, rho*theta, the dissipation
+    2 mu |D(u)|^2 + lam (div u)^2 and theta^4, forward; (3) the
+    numerators div Psi(u) - grad(rho theta) and kappa*Lap theta +
+    dissipation + heat source, each summed in Fourier space, inverse;
+    (4) the quotients by rho minus the advection terms, forward. The
+    product spectra are dealiased where they are consumed, through the
+    masked symbols of ``_symbols``, and the quotient spectra on output.
+    Dealiasing is linear, so dealiasing a sum equals summing the
+    dealiased terms, and the returned spectrum is zero outside the 2/3
+    band. The pointwise work fills the transform batches in place, term
+    by term from the gradient components: no (n, n, ...) strain tensor or
+    broadcast product is formed.
     """
     n = grid.n_dims
     p.validate_for(n)
-    ik = grid.half_ik[:, None]  # (n, 1, *half): broadcasts over members
-    k_sq, mask = grid.half_k_squared, grid.half_dealias_mask
-    members = y.shape[1]
-    half = (members, *grid.half_shape)
-    rho, u, theta = y[0], y[1:-1], y[-1]
+    mask, viscous, grad_div, neg_ik, conduction, limit_heat = _symbols(grid, p)
+    rho, theta = y[0], y[-1]
 
-    u_hat, theta_hat = y_hat[1:-1], y_hat[-1]
+    # [i, j] = d_j f_i for the fields f = (u_1, ..., u_n, theta).
+    grads_hat = grid.half_ik[:, None] * y_hat[1:, None]
+    grads = grid.inverse(grads_hat.reshape(n * n + n, *y_hat.shape[1:]))
+    grads = grads.reshape(n + 1, n, *rho.shape)
+    # div u and its spectrum, the traces (views of the diagonal in 1D).
+    div_u_hat = sum((grads_hat[i, i] for i in range(1, n)), grads_hat[0, 0])
+    div_u = sum((grads[i, i] for i in range(1, n)), grads[0, 0])
+    del grads_hat  # not needed past here (in 1D div_u_hat is a view of it)
 
-    grads = np.empty((n * n + n, *half), dtype=complex)
-    np.multiply(ik[None], u_hat[:, None], out=grads[: n * n].reshape(n, n, *half))
-    np.multiply(ik, theta_hat, out=grads[n * n :])
-    grads = grid.inverse(grads)
-    grad_u = grads[: n * n].reshape(n, n, *rho.shape)  # [i, j] = d_j u_i
-    grad_theta = grads[n * n :]
-
-    div_u = np.trace(grad_u)
-    strain = (grad_u + grad_u.swapaxes(0, 1)) * 0.5
     products = np.empty((n + 3, *rho.shape))
-    np.multiply(rho, u, out=products[:n])
-    np.multiply(rho, theta, out=products[n])
-    shear_heating = np.sum(strain * strain, axis=(0, 1)) * (2.0 * p.mu)
-    products[n + 1] = shear_heating + div_u * div_u * p.lam
-    products[n + 2] = theta**4
+    np.multiply(rho, y[1:], out=products[: n + 1])
+    # 2 mu |D(u)|^2 + lam (div u)^2, D(u) the symmetric part of grad u,
+    # from the components: (2 mu + lam) sum_i (d_i u_i)^2
+    # + sum_{i>j} [2 lam d_i u_i d_j u_j + mu (d_j u_i + d_i u_j)^2].
+    heating = products[n + 1]
+    np.square(grads[0, 0], out=heating)
+    for i in range(1, n):
+        heating += np.square(grads[i, i])
+    heating *= 2.0 * p.mu + p.lam
+    for i in range(n):
+        for j in range(i):
+            term = grads[i, i] * grads[j, j]
+            term *= 2.0 * p.lam
+            heating += term
+            term = grads[i, j] + grads[j, i]
+            np.square(term, out=term)
+            term *= p.mu
+            heating += term
+    fourth_power(theta, products[n + 2])
     prod_hat = grid.forward(products)
-    prod_hat *= mask
 
     # div Psi(u) = mu Lap u + (mu + lam) grad div u, a linear symbol.
-    div_u_hat = np.sum(ik * u_hat, axis=0)
-    numer = np.empty((n + 1, *half), dtype=complex)
-    numer[:n] = -p.mu * k_sq * u_hat + ik * ((p.mu + p.lam) * div_u_hat - prod_hat[n])
-    numer[n] = -p.kappa * k_sq * theta_hat + prod_hat[n + 1]
+    numer = np.empty((n + 1, *y_hat.shape[1:]), dtype=complex)
+    momentum, heat = numer[:n], numer[n]
+    np.multiply(grad_div, div_u_hat, out=momentum)
+    momentum += viscous * y_hat[1:-1]
+    momentum += neg_ik * prod_hat[n]
     if rad is not None:
-        numer[n] -= prod_hat[n + 2]
+        np.subtract(prod_hat[n + 1], prod_hat[n + 2], out=heat)
+        heat *= mask
     else:
-        numer[n] -= k_sq * grid.half_helmholtz * prod_hat[n + 2]
-    numer = grid.inverse(numer)
+        np.multiply(limit_heat, prod_hat[n + 2], out=heat)
+        heat += mask * prod_hat[n + 1]
+    heat += conduction * y_hat[-1]
+    quotients = grid.inverse(numer)
     if rad is not None:
-        numer[:n] += rad[1:] * eps
-        numer[n] += rad[0]
+        quotients[:n] += rad[1:] * eps
+        quotients[n] += rad[0]
 
-    quotients = numer / rho
-    quotients[:n] -= np.sum(u * grad_u, axis=1)
-    quotients[n] -= np.sum(u * grad_theta, axis=0) + theta * div_u
+    quotients /= rho
+    for j in range(n):
+        quotients -= y[1 + j] * grads[:, j]
+    quotients[n] -= theta * div_u
     quot_hat = grid.forward(quotients)
 
-    tend = np.empty((n + 2, *half), dtype=complex)
-    tend[0] = -np.sum(ik * prod_hat[:n], axis=0)
+    tend = np.empty((n + 2, *quot_hat.shape[1:]), dtype=complex)
+    np.multiply(neg_ik[0], prod_hat[0], out=tend[0])
+    for j in range(1, n):
+        tend[0] += neg_ik[j] * prod_hat[j]
     np.multiply(quot_hat, mask, out=tend[1:])
     return tend
-

@@ -19,7 +19,10 @@ rot(|k| dt / eps), and transverse first-moment components that decay as
 exp(-dt/eps). No linear solves appear anywhere. The substep works on
 the stacked half-spectrum coefficients of (I0, I1), which is how the
 state stores the moments, so neither half substep needs a forward
-transform of them.
+transform of them. Both half substeps of a step advance by dt/2, so
+the step evaluates the propagator exp(-tau), cos(|k| tau), sin(|k| tau)
+with tau = dt/(2 eps) once (``_propagator``) and hands it to both; the
+rotation itself runs in place on the coefficient arrays.
 
 Every state is a stack of arrays; there is no per-field object layer.
 The Strang step is one array kernel over E members at once
@@ -31,7 +34,10 @@ built once from the initial values; after that RK4 runs as axpy
 operations on it, the right-hand side returns the half spectrum of the
 tendency, and each stage's values come from one inverse transform, so a
 right-hand side costs 2 + 2 transform calls and a steady Strang step
-9 forward + 13 inverse (8 + 12 for a limit step). Positivity is checked
+9 forward + 13 inverse (8 + 12 for a limit step). The RK4 stage spectra
+share one preallocated buffer and the final combination accumulates in
+place, in the operation order of the plain expression, so its bits do
+not depend on the buffering. Positivity is checked
 on the values of every stage and finiteness after every step; a failure
 names the member's eps, the time, the field and, for positivity, the
 margin. Because the stable dt does not depend on eps (the
@@ -143,9 +149,21 @@ class StepControl:
                 raise ValueError(f"{name} must lie in (0, 1], got {value}")
 
 
-def _substep(grid, coeffs: np.ndarray, source: np.ndarray, eps: np.ndarray, dt: float):
+def _propagator(grid, eps: np.ndarray, dt: float):
+    """The exact radiation substep's propagator over dt, as the triple
+    (exp(-tau), exp(-tau) cos(|k| tau), -i exp(-tau) sin(|k| tau)) with
+    tau = dt/eps: (E, 1, ...) real, (E, *half_shape) real and complex.
+    Both half substeps of a Strang step share one."""
+    tau = dt / eps
+    decay = np.exp(-tau)
+    phase = grid.half_k_abs * tau
+    return decay, decay * np.cos(phase), -1j * decay * np.sin(phase)
+
+
+def _substep(grid, coeffs: np.ndarray, source: np.ndarray, propagator):
     """Advance the (1+n, E, *half_shape) coefficients of (I0, I1) exactly
-    over [0, dt], theta frozen.
+    over [0, dt], theta frozen; propagator is ``_propagator(grid, eps,
+    dt)``.
 
     Solves, per mode k with source t = the dealiased spectrum of theta^4,
 
@@ -155,29 +173,38 @@ def _substep(grid, coeffs: np.ndarray, source: np.ndarray, eps: np.ndarray, dt: 
     in closed form. The fixed point is the limit pair (Helmholtz-inverse
     intensity and its negative gradient); the deviation from it rotates at
     rate |k|/eps while decaying as exp(-dt/eps). A semigroup: two steps of
-    dt/2 compose to one step of dt exactly. source is (E, *half_shape)
-    and eps an (E, 1, ...) array; every member advances by the same dt.
+    dt/2 compose to one step of dt exactly. source is (E, *half_shape);
+    every member advances by the same dt.
     """
+    decay, damped_cos, damped_sin = propagator
     i0, i1 = coeffs[0], coeffs[1:]
-    kappa = grid.half_k_abs
     khat = grid.half_k_unit[:, None]
 
     # Longitudinal component of I1 and the steady state of the 2x2 block.
-    along = np.sum(khat * i1, axis=0)
+    along = khat[0] * i1[0]
+    for j in range(1, grid.n_dims):
+        along += khat[j] * i1[j]
     i0_star = source * grid.half_helmholtz
-    along_star = -1j * kappa * i0_star
+    along_star = i0_star * grid.half_k_abs
+    along_star *= -1j
 
-    tau = dt / eps
-    decay = np.exp(-tau)
-    cos_r = np.cos(kappa * tau)
-    sin_r = np.sin(kappa * tau)
-
+    # The deviation (d0, da) from the steady state turns by the damped
+    # rotation; the transverse part of I1 only decays.
     d0 = i0 - i0_star
     da = along - along_star
     out = np.empty_like(coeffs)
-    out[0] = i0_star + decay * (cos_r * d0 - 1j * sin_r * da)
-    along_new = along_star + decay * (-1j * sin_r * d0 + cos_r * da)
-    out[1:] = along_new * khat + decay * (i1 - along * khat)
+    np.multiply(damped_cos, d0, out=out[0])
+    out[0] += i0_star
+    out[0] += damped_sin * da
+    # I1 = decay * I1 + khat * (new along - decay * old along).
+    turned = damped_sin * d0
+    turned += along_star
+    da *= damped_cos
+    turned += da
+    along *= decay
+    turned -= along
+    np.multiply(khat, turned, out=out[1:])
+    out[1:] += decay * i1
     return out
 
 
@@ -185,25 +212,41 @@ def _rk4(grid, y: np.ndarray, y_hat: np.ndarray, rhs, dt: float, eps, time: floa
     """Classical RK4 on a (n+2, E, *shape) stack y, as axpy operations
     on its half spectrum y_hat.
 
-    rhs maps the values and spectrum of a stage to the half spectrum of
-    its tendency; the values of every later stage and of the result come
-    from one inverse transform of their spectrum. Positivity is checked
-    on the values of every stage; eps (the members' eps values, or None
-    for the limit system) and the stage time name a failure. Returns the
-    values and the spectrum of the new state.
+    rhs maps the values and spectrum of a stage to a new array, the half
+    spectrum of its tendency; the values of every later stage and of the
+    result come from one inverse transform of their spectrum. The stage
+    spectra share one buffer, and the combination
+    y_hat + (k1 + (k2 + k3) * 2 + k4) * (dt / 6) accumulates in place in
+    that operation order, so the result has the bits of the plain
+    expression. Positivity is checked on the values of every stage; eps
+    (the members' eps values, or None for the limit system) and the
+    stage time name a failure. Returns the values and the spectrum of
+    the new state.
     """
+    z_hat = np.empty_like(y_hat)
 
-    def stage(z_hat, offset):
+    def stage(k, offset):
+        """Values of the stage y_hat + k * offset, its spectrum in z_hat."""
+        np.add(y_hat, np.multiply(k, offset, out=z_hat), out=z_hat)
         z = grid.inverse(z_hat)
         require_positive(z, eps, time + offset)
-        return rhs(z, z_hat)
+        return z
 
     require_positive(y, eps, time)
     k1 = rhs(y, y_hat)
-    k2 = stage(y_hat + k1 * (0.5 * dt), 0.5 * dt)
-    k3 = stage(y_hat + k2 * (0.5 * dt), 0.5 * dt)
-    k4 = stage(y_hat + k3 * dt, dt)
-    out = y_hat + (k1 + (k2 + k3) * 2.0 + k4) * (dt / 6.0)
+    k2 = rhs(stage(k1, 0.5 * dt), z_hat)
+    k3 = rhs(stage(k2, 0.5 * dt), z_hat)
+    z = stage(k3, dt)
+    # k1 + (k2 + k3) * 2 is complete before the last tendency is formed,
+    # so k1 and k3 are released first.
+    out = k2
+    out += k3
+    out *= 2.0
+    out += k1
+    del k1, k3
+    out += rhs(z, z_hat)
+    out *= dt / 6.0
+    out += y_hat
     return grid.inverse(out), out
 
 
@@ -300,7 +343,8 @@ def step_eps(b: EpsBatch, p: FluidParams, dt: float) -> EpsBatch:
     grid = b.grid
     eps = np.reshape(b.eps, (-1,) + (1,) * grid.n_dims)
     source = b.source if b.source is not None else emission_spectrum(grid, b.fluid[-1])
-    rad_half = _substep(grid, b.rad, source, eps, 0.5 * dt)
+    propagator = _propagator(grid, eps, 0.5 * dt)
+    rad_half = _substep(grid, b.rad, source, propagator)
     moments = grid.inverse(rad_half)
     fluid, spectrum = _rk4(
         grid,
@@ -312,7 +356,7 @@ def step_eps(b: EpsBatch, p: FluidParams, dt: float) -> EpsBatch:
         b.time,
     )
     source = emission_spectrum(grid, fluid[-1])
-    rad = _substep(grid, rad_half, source, eps, 0.5 * dt)
+    rad = _substep(grid, rad_half, source, propagator)
     time = b.time + dt
     _require_finite(fluid, rad, b.eps, time)
     return EpsBatch(grid, b.eps, fluid, rad, time, source, spectrum)

@@ -7,7 +7,7 @@ import pytest
 from radhydro.fluid import _rhs_common, require_positive
 from radhydro.radiation import emission_spectrum
 from radhydro.spectral import Grid, SpectralField, VectorField, dealias, div, grad
-from radhydro.stepping import EpsBatch, LimitState, _substep
+from radhydro.stepping import EpsBatch, LimitState, _propagator, _substep
 
 
 def smooth_field(grid, rng, kmax=3, amp=0.1):
@@ -98,7 +98,7 @@ def substep(grid, rad, theta, eps, dt):
     theta (values) frozen; returns the moment values."""
     source = emission_spectrum(grid, _values(theta))[None]
     eps_member = np.full((1,) * (grid.n_dims + 1), float(eps))
-    out = _substep(grid, grid.forward(_values(rad))[:, None], source, eps_member, dt)
+    out = _substep(grid, grid.forward(_values(rad))[:, None], source, _propagator(grid, eps_member, dt))
     return grid.inverse(out[:, 0])
 
 

@@ -202,11 +202,17 @@ class TestProfiles:
             ({"rho": {"base": 1e300}, "theta": {"base": 0.5},
               "u": [{"base": 1e10}]}, "profiles.rho"),
             ({"theta": {"base": 1e80}}, "profiles.theta"),
+            # rho*theta stays finite with theta = 1, but the mass sum, the
+            # transforms and the diffusive bound's cfl * R * min(rho) do not.
+            ({"rho": {"base": 1.7e308}, "theta": {"base": 1.0}}, "profiles.rho"),
+            # Only the squares that the norm rows sum overflow.
+            ({"rho": {"base": 1e200}}, "profiles.rho"),
         ],
     )
     def test_overflowing_product_exits_2(self, profiles, field, tmp_path, monkeypatch, capsys):
         # Each value fits a float, but a product the right-hand side
-        # forms does not; the run used to fail at its first step.
+        # forms, or a sum over the grid, does not; the run used to fail
+        # at its first step.
         monkeypatch.delenv("RADHYDRO_OUT", raising=False)
         monkeypatch.setattr(radhydro.cli, "run", lambda *a, **k: pytest.fail("run started"))
         raw = {"profiles": profiles}
