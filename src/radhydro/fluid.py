@@ -21,10 +21,11 @@ their half spectrum and returns the half spectrum of the tendency, so
 neither end of it transforms the state: a right-hand side costs four
 transform calls, two forward and two inverse. The steppers in
 ``radhydro.stepping`` are its only callers and carry the spectrum from
-stage to stage: the eps stepper passes the radiation moments, the
-limit stepper passes none, and the kernel then forms the limit flux
-divergence from the theta^4 row of its own product batch, so a limit
-right-hand side costs the same four transform calls as an eps one.
+stage to stage: the eps stepper passes the half spectra of the
+radiation moments, the limit stepper passes none, and the kernel then
+forms the limit flux divergence from the theta^4 row of its own
+product batch, so a limit right-hand side costs the same four
+transform calls as an eps one.
 
 Between the transforms the kernel is elementwise work on small arrays,
 where the number of numpy calls and temporaries sets the cost. Its
@@ -159,8 +160,10 @@ def _rhs_common(
     (n+2, E, *shape): the field axis first, then the member axis, then
     space; y_hat is its half spectrum, (n+2, E, *half_shape). Every
     transform below batches fields and members. The eps coupling passes
-    rad, the (1+n, E, *shape) values of (I0, I1), and eps, an (E, 1, ...)
-    array (momentum source eps*I1, heat source I0 - theta^4). Without
+    rad, the (1+n, E, *half_shape) half spectra of (I0, I1), and eps, an
+    (E, 1, ...) array (momentum source eps*I1, heat source
+    I0 - theta^4); both sources join the numerator spectra before
+    their inverse transform, so the moments need no transform. Without
     them, the heat source is that of the limit flux
     q0 = -grad (I - Lap)^(-1) theta^4, formed from the dealiased theta^4
     spectrum: -div q0 = -|k|^2 (1 + |k|^2)^(-1) theta^4. The caller
@@ -169,8 +172,9 @@ def _rhs_common(
     Four batched half-spectrum transforms: (1) the gradients of u and
     theta, inverse; (2) the products rho*u, rho*theta, the dissipation
     2 mu |D(u)|^2 + lam (div u)^2 and theta^4, forward; (3) the
-    numerators div Psi(u) - grad(rho theta) and kappa*Lap theta +
-    dissipation + heat source, each summed in Fourier space, inverse;
+    numerators div Psi(u) - grad(rho theta) (+ eps*I1) and
+    kappa*Lap theta + dissipation + heat source, each summed in Fourier
+    space, inverse;
     (4) the quotients by rho minus the advection terms, forward. The
     product spectra are dealiased where they are consumed, through the
     masked symbols of ``_symbols``, and the quotient spectra on output.
@@ -229,10 +233,10 @@ def _rhs_common(
         np.multiply(limit_heat, prod_hat[n + 2], out=heat)
         heat += mask * prod_hat[n + 1]
     heat += conduction * y_hat[-1]
-    quotients = grid.inverse(numer)
     if rad is not None:
-        quotients[:n] += rad[1:] * eps
-        quotients[n] += rad[0]
+        momentum += rad[1:] * eps
+        heat += rad[0]
+    quotients = grid.inverse(numer)
 
     quotients /= rho
     for j in range(n):

@@ -19,14 +19,39 @@ into unity recovers the unit-coefficient moment system the fluid solver
 couples to; the check must run with the factors in place or its residual
 is spuriously nonzero.
 
-The transport term omega . grad I (``transport_term``) is taken per
-ordinate on the half spectrum of ``spectral`` (``Grid.forward``/
-``Grid.inverse`` with the symbol omega . ``half_ik``), one slab at a
-time. It does not depend on (sigma_a, sigma_s), so one closure check
-evaluates it once, together with the emission theta^4, the moments of
-I, the P1 projection residual and the sigma-free parts of the predicted
-tendencies, and shares them across every (sigma_a, sigma_s) pair it is
-given.
+Pass structure. An intensity is a (count, *shape) array, 67 MB at 128^2
+cells and 512 ordinates, so the kernels are written to pass over each
+such array once per use rather than once per moment or per term:
+
+- ``moments`` is one (1+n, count) x (count, cells) matrix product: the
+  weight rows w/|S| and (n/|S|) w omega times I viewed as a matrix, a
+  single read of I.
+- ``kinetic_rhs`` forms the sigma-dependent field
+  c = theta^4 + sigma_s |S| <<I>> once (<<I>> from one weights @ I
+  product) and then writes (-(sigma_a + sigma_s |S|) I - T + c)/eps in
+  place into its output, one chunk of ordinates at a time, so each
+  chunk of I, of T and of the output stays in cache for the whole
+  expression.
+- ``KineticField.from_p1`` and the projection residual sample
+  I0 + omega . I1 as products of the (count, 1+n) rows (1, omega_j)
+  with the (1+n, cells) values of (I0, I1): ``from_p1`` in one product
+  that writes the intensity once, the residual one chunk of ordinates
+  at a time, each chunk subtracted from I, squared and weighted while
+  in cache, so no reconstruction of the full array is built.
+- ``transport_term`` (T = omega . grad I) stays per ordinate on the
+  half spectrum of ``spectral``: one forward and one inverse transform
+  per slab, with the symbol omega . ``half_ik`` summed from its
+  components. Transforms batched over chunks of 4 to 16 slabs were no
+  faster at 128^2 x 512 ordinates (204 to 232 ms against 214 ms), so
+  the spectral work space stays one slab.
+
+A chunk holds CHUNK_CELLS grid cells x ordinates (at least one
+ordinate). The transport term does not depend on (sigma_a, sigma_s), so
+one closure check evaluates it once, together with the emission
+theta^4, the moments of I, the P1 projection residual and the sigma-free
+parts of the predicted tendencies, and shares them across every
+(sigma_a, sigma_s) pair it is given; each pair costs one ``kinetic_rhs``
+on the whole field and one ``moments`` of its tendency.
 """
 
 from __future__ import annotations
@@ -52,6 +77,23 @@ __all__ = [
 ]
 
 P1_RESIDUAL_LIMIT = 1e-8
+
+# Grid cells x ordinates per chunk of the kernels that pass over a whole
+# (count, *shape) array (at least one ordinate per chunk): 512 kB of
+# float64, so that the chunks of I, of the transport term and of the
+# output that one expression touches fit together in a 2 MB per-core L2
+# cache. At 128^2 cells that is 4 ordinates per chunk. Measured at
+# 128^2 x 512 ordinates (2-core Xeon VM, numpy 2.4, one BLAS thread):
+# kinetic_rhs 51 ms chunked against 57 ms in one pass over the whole
+# array, the moments and the projection residual 26 ms against 56 ms;
+# chunks of 2 to 16 ordinates time alike within the spread of the runs.
+CHUNK_CELLS = 1 << 16
+
+
+def _chunks(count: int, cells: int) -> list[slice]:
+    """Slices of the ordinate axis, each at most CHUNK_CELLS cells."""
+    step = max(1, CHUNK_CELLS // cells)
+    return [slice(a, min(a + step, count)) for a in range(0, count, step)]
 
 
 @dataclass(frozen=True)
@@ -127,25 +169,44 @@ class KineticField:
 
     @classmethod
     def from_p1(cls, rad: RadiationMoments, ords: OrdinateSet) -> "KineticField":
-        """Sample I0 + I1.omega on the ordinates."""
-        i1 = np.stack([c.values for c in rad.I1])
-        vals = np.tensordot(ords.directions, i1, axes=1)
-        vals += rad.I0.values
+        """Sample I0 + I1.omega on the ordinates: one (count, 1+n) x
+        (1+n, cells) product, a single write of the intensity."""
+        grid = rad.grid
+        vals = _p1_basis(ords) @ _p1_rows(rad)
+        vals = vals.reshape(ords.count, *grid.shape)
         vals.setflags(write=False)
-        return cls(rad.grid, ords, vals)
+        return cls(grid, ords, vals)
+
+
+def _p1_basis(ords: OrdinateSet) -> np.ndarray:
+    """(count, 1+n) rows (1, omega_j): times the (1+n, cells) values of
+    (I0, I1) they give I0 + omega_j . I1."""
+    return np.column_stack([np.ones(ords.count), ords.directions])
+
+
+def _p1_rows(rad: RadiationMoments) -> np.ndarray:
+    """The (1+n, cells) values of I0, I1_1..I1_n of a moment pair."""
+    return np.stack([c.values.reshape(-1) for c in (rad.I0, *rad.I1)])
 
 
 def transport_term(I: KineticField) -> np.ndarray:
     """omega . grad I per ordinate, shape (count, *grid.shape).
 
     One half-spectrum transform pair per ordinate slab, so the spectral
-    work space stays at one slab's spectrum.
+    work space stays at one slab's spectrum; the symbol omega . i k is
+    summed from its components.
     """
     grid = I.grid
+    ik = grid.half_ik
     out = np.empty_like(I.intensity)
+    symbol = np.empty(grid.half_shape, dtype=complex)
     for j, omega in enumerate(I.ordinates.directions):
-        symbol = np.tensordot(omega, grid.half_ik, axes=1)
-        out[j] = grid.inverse(symbol * grid.forward(I.intensity[j]))
+        np.multiply(ik[0], omega[0], out=symbol)
+        for axis in range(1, grid.n_dims):
+            symbol += ik[axis] * omega[axis]
+        spectrum = grid.forward(I.intensity[j])
+        spectrum *= symbol
+        out[j] = grid.inverse(spectrum)
     return out
 
 
@@ -166,7 +227,10 @@ def kinetic_rhs(
     with <<I>> the direction average. The emission constant is one.
     ``transport`` is ``transport_term(I)`` and ``source`` the values of
     ``emission(theta)`` when the caller already has them; each is
-    computed here otherwise.
+    computed here otherwise. Evaluated as
+    (-(sigma_a + sigma_s |S|) I - T + c)/eps with the field
+    c = theta^4 + sigma_s |S| <<I>> formed once, written in place into
+    the output one chunk of ordinates at a time.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -178,17 +242,18 @@ def kinetic_rhs(
         transport = transport_term(I)
     ords = I.ordinates
     measure = ords.surface_measure
-    average = np.tensordot(ords.weights, I.intensity, axes=(0, 0)) / measure
     if source is None:
         source = emission(theta).values
+    average = (ords.weights / measure) @ I.intensity.reshape(ords.count, -1)
+    field = source + (sigma_s * measure) * average.reshape(source.shape)
+    damping = -(sigma_a + sigma_s * measure)
     out = np.empty_like(I.intensity)
-    for j, slab in enumerate(I.intensity):
-        out[j] = (
-            -transport[j]
-            + source
-            - sigma_a * slab
-            + sigma_s * measure * (average - slab)
-        ) / eps
+    for s in _chunks(ords.count, field.size):
+        part = out[s]
+        np.multiply(I.intensity[s], damping, out=part)
+        part -= transport[s]
+        part += field
+        part /= eps
     out.setflags(write=False)
     return KineticField(I.grid, ords, out)
 
@@ -196,24 +261,18 @@ def kinetic_rhs(
 def moments(I: KineticField, ords: OrdinateSet) -> RadiationMoments:
     """Project the intensity onto the affine-in-direction subspace.
 
-    I0 = (1/|S|) sum_j w_j I_j,  I1 = (n/|S|) sum_j w_j omega_j I_j.
+    I0 = (1/|S|) sum_j w_j I_j,  I1 = (n/|S|) sum_j w_j omega_j I_j,
+
+    as one (1+n, count) weight matrix times I viewed as (count, cells).
     """
     if ords.count != I.ordinates.count or ords.n_dims != I.ordinates.n_dims:
         raise ValueError("ordinate set does not match the kinetic field")
-    measure = ords.surface_measure
-    n = ords.n_dims
-    i0_vals = np.tensordot(ords.weights, I.intensity, axes=(0, 0)) / measure
-    i1_comps = []
-    for axis in range(n):
-        w = ords.weights * ords.directions[:, axis]
-        i1_comps.append(
-            SpectralField.from_values(
-                I.grid, (n / measure) * np.tensordot(w, I.intensity, axes=(0, 0))
-            )
-        )
-    return RadiationMoments(
-        SpectralField.from_values(I.grid, i0_vals), VectorField(i1_comps)
-    )
+    w = ords.weights / ords.surface_measure
+    weights = np.vstack([w, ords.n_dims * (w * ords.directions.T)])
+    rows = weights @ I.intensity.reshape(ords.count, -1)
+    grid = I.grid
+    fields = [SpectralField.from_values(grid, r.reshape(grid.shape)) for r in rows]
+    return RadiationMoments(fields[0], VectorField(fields[1:]))
 
 
 def p1_projection_residual(I: KineticField, ords: OrdinateSet) -> float:
@@ -227,14 +286,20 @@ def p1_projection_residual(I: KineticField, ords: OrdinateSet) -> float:
 
 def _projection_residual(I: KineticField, rad: RadiationMoments) -> float:
     """sqrt(sum_j w_j ||I_j - I0 - omega_j . I1||^2) for the moments rad
-    of I, accumulated one ordinate slab at a time."""
+    of I, one chunk of ordinates at a time: the chunk's P1 samples are
+    formed, subtracted from I, squared and weighted while in cache."""
     ords = I.ordinates
-    i0 = rad.I0.values
-    i1 = np.stack([c.values for c in rad.I1])
+    basis, rows = _p1_basis(ords), _p1_rows(rad)
+    cells = rows.shape[1]
+    intensity = I.intensity.reshape(ords.count, cells)
+    chunks = _chunks(ords.count, cells)
+    work = np.empty((chunks[0].stop, cells))
     total = 0.0
-    for w, omega, slab in zip(ords.weights, ords.directions, I.intensity):
-        diff = slab - (i0 + np.tensordot(omega, i1, axes=1))
-        total += w * np.vdot(diff, diff)
+    for s in chunks:
+        diff = work[: s.stop - s.start]
+        np.matmul(basis[s], rows, out=diff)
+        np.subtract(intensity[s], diff, out=diff)
+        total += ords.weights[s] @ np.einsum("jc,jc->j", diff, diff)
     return float(np.sqrt(total * I.grid.cell_volume))
 
 

@@ -51,8 +51,9 @@ class RadiationMoments:
 
 
 def emission(theta: SpectralField) -> SpectralField:
-    """Gray emission theta^4, dealiased after the quartic product."""
-    return dealias(theta**4)
+    """Gray emission theta^4 (``fourth_power``), dealiased after the
+    quartic product."""
+    return dealias(SpectralField.from_values(theta.grid, fourth_power(theta.values)))
 
 
 def limit_I0(theta: SpectralField) -> SpectralField:

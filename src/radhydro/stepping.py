@@ -12,6 +12,19 @@ full fluid right-hand side at every stage. The stiff scale therefore
 imposes no time-step restriction: dt is limited only by the advective
 and diffusive CFL bounds, independent of eps.
 
+The scheme is uniformly stable in eps but not uniformly second order:
+the error is of order 2 in dt while dt << eps and of order 1, bounded
+independently of eps, once eps << dt. For one mode of amplitude 1e-7
+(1D/32, k = 3, T = 0.5, mu = lam = kappa = 0.01), against the same
+run at dt/32, the fluid error relative to the perturbation is 5.3e-5,
+1.3e-5, 3.3e-6 and 8.2e-7 at eps = 0.1 for dt = 5e-3 down to 6.25e-4,
+and 5.7e-4, 2.8e-4, 1.4e-4 and 6.9e-5 at both eps = 1e-6 and 1e-8.
+After the first half substep the moments sit on the closure of the
+step's initial temperature, so the RK4 stages see the heat source of
+theta_n where the limit has that of theta(t): the order reduction of
+Strang splitting with stiff relaxation (Jin 1995, J. Comput. Phys.
+122:51). The default sweep keeps dt/eps <= 0.2, in the order-2 regime.
+
 Per mode k the radiation subsystem splits into a longitudinal 2x2 block
 (the zeroth moment and the component of the first moment along k), whose
 matrix exponential is a damped rotation exp(-dt/eps) *
@@ -34,16 +47,18 @@ built once from the initial values; after that RK4 runs as axpy
 operations on it, the right-hand side returns the half spectrum of the
 tendency, and each stage's values come from one inverse transform, so a
 right-hand side costs 2 + 2 transform calls and a steady Strang step
-9 forward + 13 inverse (8 + 12 for a limit step). The RK4 stage spectra
-share one preallocated buffer and the final combination accumulates in
-place, in the operation order of the plain expression, so its bits do
-not depend on the buffering. Positivity is checked
-on the values of every stage and finiteness after every step; a failure
-names the member's eps, the time, the field and, for positivity, the
-margin. Because the stable dt does not depend on eps (the
-asymptotic-preserving property of the exact substep), one dt serves all
-members of an eps sweep. The
-dealiased theta^4 spectrum that closes one step also opens the next.
+9 forward + 12 inverse (8 + 12 for a limit step). The half-substepped
+moments enter the right-hand side as spectra, added to its numerator
+spectra before their inverse transform, so they are never inverted.
+The RK4 stage spectra share one preallocated buffer and the final
+combination accumulates in place, in the operation order of the plain
+expression, so its bits do not depend on the buffering. Positivity is
+checked on the values of every stage and finiteness after every step;
+a failure names the member's eps, the time, the field and, for
+positivity, the margin. Because the stable dt does not depend on eps
+(the exact substep is stable for every eps), one dt serves all members
+of an eps sweep. The dealiased theta^4 spectrum that closes one step
+also opens the next.
 ``step_eps`` advances one chunk of members through this kernel;
 ``step_batch`` splits a batch into chunks (LOCKSTEP_CELLS). The limit
 system has no moments: its state (``LimitState``) is the (n+2, *shape)
@@ -337,20 +352,21 @@ def step_eps(b: EpsBatch, p: FluidParams, dt: float) -> EpsBatch:
     """One Strang step of the finite-eps system for every member of b,
     as one array.
 
-    Second-order accurate in dt uniformly as eps -> 0 for smooth data;
-    the global constant equilibrium is an exact fixed point.
+    For smooth data, second-order accurate in dt while dt << eps and
+    first order, with an error bounded uniformly in eps, once eps << dt
+    (see the module docstring); stable for every eps. The global
+    constant equilibrium is an exact fixed point.
     """
     grid = b.grid
     eps = np.reshape(b.eps, (-1,) + (1,) * grid.n_dims)
     source = b.source if b.source is not None else emission_spectrum(grid, b.fluid[-1])
     propagator = _propagator(grid, eps, 0.5 * dt)
     rad_half = _substep(grid, b.rad, source, propagator)
-    moments = grid.inverse(rad_half)
     fluid, spectrum = _rk4(
         grid,
         b.fluid,
         b.spectrum,
-        lambda y, y_hat: _rhs_common(grid, y, y_hat, p, rad=moments, eps=eps),
+        lambda y, y_hat: _rhs_common(grid, y, y_hat, p, rad=rad_half, eps=eps),
         dt,
         b.eps,
         b.time,
@@ -382,29 +398,38 @@ def step_limit(s: LimitState, p: FluidParams, dt: float) -> LimitState:
 # in [-R, 0], where -R is the real root of z^3 + 4 z^2 + 12 z + 24 = 0
 # (Hairer & Wanner, Solving Ordinary Differential Equations II, Sect. IV.2).
 RK4_REAL_STABILITY = 2.785293563405282
+# Imaginary-axis stability interval of classical RK4: the amplification
+# factor has modulus at most 1 for z = i y with |y| <= 2 sqrt(2) (same
+# source).
+RK4_IMAGINARY_STABILITY = 2.0 * math.sqrt(2.0)
 
 
 def cfl_bounds(grid: Grid, y: np.ndarray, p: FluidParams, c: StepControl) -> tuple[float, float]:
     """Advective and diffusive step bounds of a (n+2, *shape) or
     (n+2, E, *shape) stack.
 
-    advective = cfl_adv * h / (max|u| + sqrt(max theta)),
+    advective = cfl_adv * I / (K * (max|u| + sqrt(2 max theta))),
     diffusive = cfl_diff * R * min(rho) / (max(mu, 2 mu + lam, kappa) * K2),
 
-    each the minimum over the members. sqrt(theta) is the isothermal
-    sound-speed proxy (unit gas constant). The diffusive bound keeps the
-    spectral radius of the linear viscous and heat terms, divided by
-    rho, inside the real-axis stability interval R of RK4
-    (RK4_REAL_STABILITY): the stress symbol -mu|k|^2 u - (mu + lam) k(k.u)
-    has the eigenvalues -mu|k|^2 and -(2 mu + lam)|k|^2, the heat symbol
-    -kappa|k|^2, and K2 = n * floor(N/3)^2 is the largest |k|^2 the 2/3
-    rule keeps. Pointwise maxima and minima only, no transforms.
+    each the minimum over the members, with K = sqrt(n) * floor(N/3) the
+    largest |k| the 2/3 rule keeps and K2 = K^2. The advective bound
+    keeps the spectral radius of the linearised advection and acoustic
+    terms inside the imaginary-axis stability interval I of RK4
+    (RK4_IMAGINARY_STABILITY): about rho = theta = const their symbol
+    has the frequencies u.k and u.k +- sqrt(2 theta) |k|, the sound
+    speed of the model being sqrt(2 theta) (unit gas constant and heat
+    capacity, gamma = 2). The diffusive bound keeps the spectral radius
+    of the linear viscous and heat terms, divided by rho, inside the
+    real-axis stability interval R of RK4 (RK4_REAL_STABILITY): the
+    stress symbol -mu|k|^2 u - (mu + lam) k(k.u) has the eigenvalues
+    -mu|k|^2 and -(2 mu + lam)|k|^2, the heat symbol -kappa|k|^2.
+    Pointwise maxima and minima only, no transforms.
     """
     spatial = grid.axes
     u_max = np.sqrt(np.sum(y[1:-1] ** 2, axis=0).max(axis=spatial))
-    speed = u_max + np.sqrt(y[-1].max(axis=spatial))
-    advective = c.cfl_advective * grid.spacing / speed
+    speed = u_max + np.sqrt(2.0 * y[-1].max(axis=spatial))
     k2_max = grid.n_dims * (grid.points_per_dim // 3) ** 2
+    advective = c.cfl_advective * RK4_IMAGINARY_STABILITY / (math.sqrt(k2_max) * speed)
     stiffness = max(p.mu, 2.0 * p.mu + p.lam, p.kappa) * k2_max
     diffusive = c.cfl_diffusive * RK4_REAL_STABILITY * y[0].min(axis=spatial) / stiffness
     return float(advective.min()), float(diffusive.min())

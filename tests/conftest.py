@@ -63,7 +63,7 @@ def fluid_rhs(grid, fluid, p, rad=None, eps=None):
 
     fluid is the (n+2, *shape) stack of (rho, u, theta). With rad, the
     (1+n, *shape) values of (I0, I1), and eps the finite-eps coupling
-    applies; without them the limit coupling, whose flux the kernel forms
+    applies (the kernel takes the moments' half spectra); without them the limit coupling, whose flux the kernel forms
     from theta. Positivity is checked first, as in the steppers.
     """
     y = np.asarray(fluid, dtype=float)[:, None]
@@ -72,7 +72,8 @@ def fluid_rhs(grid, fluid, p, rad=None, eps=None):
         tend = _rhs_common(grid, y, grid.forward(y), p)
     else:
         eps_member = np.full((1,) * (grid.n_dims + 1), float(eps))
-        tend = _rhs_common(grid, y, grid.forward(y), p, rad=np.asarray(rad)[:, None], eps=eps_member)
+        rad_hat = grid.forward(np.asarray(rad, dtype=float))[:, None]
+        tend = _rhs_common(grid, y, grid.forward(y), p, rad=rad_hat, eps=eps_member)
     return grid.inverse(tend[:, 0])
 
 

@@ -310,14 +310,15 @@ class TestTransformBudget:
         y_hat = grid.forward(y)
         coupling = {}
         if coupled:
-            coupling = {"rad": rad[:, None], "eps": np.full((1,) * (n_dims + 1), 0.1)}
+            coupling = {"rad": grid.forward(rad)[:, None], "eps": np.full((1,) * (n_dims + 1), 0.1)}
         fft_calls.clear()
         _rhs_common(grid, y, y_hat, PARAMS, **coupling)
         return fft_calls
 
-    # The kernel takes the state's spectrum and returns the spectrum of
-    # the tendency: products and quotients forward, gradients and
-    # numerators inverse, for the eps and the limit coupling alike.
+    # The kernel takes the state's spectrum (and the moments' spectra)
+    # and returns the spectrum of the tendency: products and quotients
+    # forward, gradients and numerators inverse, for the eps and the
+    # limit coupling alike.
     def test_fluid_rhs_eps(self, n_dims, fft_calls):
         assert self._rhs_calls(n_dims, fft_calls, coupled=True) == self._counts(n_dims, 2, 2)
 
@@ -327,18 +328,19 @@ class TestTransformBudget:
     def test_step_eps(self, n_dims, fft_calls):
         # Four right-hand sides (2 + 2 each), the values of three later
         # stages and of the result (one inverse each), and two half
-        # substeps (theta^4 forward and moments inverse each). The batch
-        # carries the fluid spectrum and holds the moments as a half
-        # spectrum, so nothing is transformed forward to start a stage
-        # or a substep, and a step hands its closing theta^4 spectrum to
-        # the next one.
+        # substeps (theta^4 forward each). The batch carries the fluid
+        # spectrum and holds the moments as a half spectrum, which the
+        # right-hand sides take as it is, so nothing is transformed
+        # forward to start a stage or a substep and the moments are never
+        # inverted; a step hands its closing theta^4 spectrum to the
+        # next one.
         _, _, _, batch = self._state(n_dims)
         fft_calls.clear()
         s = step_eps(batch, PARAMS, 0.01)
-        assert fft_calls == self._counts(n_dims, 8 + 2, 12 + 1)
+        assert fft_calls == self._counts(n_dims, 8 + 2, 12)
         fft_calls.clear()
         step_eps(s, PARAMS, 0.01)
-        assert fft_calls == self._counts(n_dims, 8 + 1, 12 + 1)
+        assert fft_calls == self._counts(n_dims, 8 + 1, 12)
 
     def test_step_limit(self, n_dims, fft_calls):
         # Four right-hand sides (2 + 2 each) and four stage inverses; the
@@ -379,13 +381,12 @@ class TestTransformBudget:
     @pytest.mark.parametrize("members", [1, 4])
     def test_lockstep_step(self, n_dims, members, fft_calls):
         # Four right-hand sides over all members (2 + 2 calls each), four
-        # stage inverses, one inverse of the half-substepped moments and
-        # one theta^4 forward transform; the theta^4 spectrum of the step
-        # before is reused.
+        # stage inverses and one theta^4 forward transform; the theta^4
+        # spectrum of the step before is reused.
         batch = step_batch(self._state(n_dims, members)[-1], PARAMS, 0.01)
         fft_calls.clear()
         step_batch(batch, PARAMS, 0.01)
-        assert fft_calls == self._counts(n_dims, 8 + 1, 12 + 1)
+        assert fft_calls == self._counts(n_dims, 8 + 1, 12)
 
 
 FULL_COMPLEX = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn")

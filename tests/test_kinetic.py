@@ -1,10 +1,12 @@
 """Discrete ordinates: quadrature, moments, and the closure check."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import radhydro.kinetic
 from radhydro.errors import NotInP1Subspace
 from radhydro.kinetic import (
     KineticField,
@@ -15,7 +17,7 @@ from radhydro.kinetic import (
     p1_projection_residual,
     transport_term,
 )
-from radhydro.radiation import RadiationMoments
+from radhydro.radiation import RadiationMoments, emission
 from radhydro.spectral import Grid, SpectralField, VectorField, grad, sobolev_norm
 
 from conftest import smooth_field, smooth_vector
@@ -346,3 +348,167 @@ class TestMomentSystemCheck:
         pairs = [(1.0, 0.0), (1.0, 1.0), (2.0, 0.5)][:n_pairs]
         moment_system_check(field, theta, 0.5, pairs)
         assert calls == Counter(rfftn=8 + 4 + 3 * n_pairs, irfftn=8 + 4)
+
+
+# Test-local copies of the earlier kernels: one tensordot per moment, per
+# ordinate symbol and per sampled slab, and the per-slab tendency.
+def _formula_moments(I, ords):
+    measure, n = ords.surface_measure, ords.n_dims
+    rows = [np.tensordot(ords.weights, I.intensity, axes=(0, 0)) / measure]
+    for axis in range(n):
+        w = ords.weights * ords.directions[:, axis]
+        rows.append((n / measure) * np.tensordot(w, I.intensity, axes=(0, 0)))
+    return np.stack(rows)
+
+
+def _formula_transport(I):
+    grid = I.grid
+    out = np.empty_like(I.intensity)
+    for j, omega in enumerate(I.ordinates.directions):
+        symbol = np.tensordot(omega, grid.half_ik, axes=1)
+        out[j] = grid.inverse(symbol * grid.forward(I.intensity[j]))
+    return out
+
+
+def _formula_rhs(I, source, eps, sigma_a, sigma_s, transport):
+    ords = I.ordinates
+    measure = ords.surface_measure
+    average = np.tensordot(ords.weights, I.intensity, axes=(0, 0)) / measure
+    out = np.empty_like(I.intensity)
+    for j, slab in enumerate(I.intensity):
+        out[j] = (
+            -transport[j] + source - sigma_a * slab + sigma_s * measure * (average - slab)
+        ) / eps
+    return out
+
+
+def _formula_from_p1(rows, ords):
+    vals = np.tensordot(ords.directions, rows[1:], axes=1)
+    vals += rows[0]
+    return vals
+
+
+def _formula_residual(I, rows):
+    total = 0.0
+    for w, omega, slab in zip(I.ordinates.weights, I.ordinates.directions, I.intensity):
+        diff = slab - (rows[0] + np.tensordot(omega, rows[1:], axes=1))
+        total += w * np.vdot(diff, diff)
+    return float(np.sqrt(total * I.grid.cell_volume))
+
+
+def _relative_gap(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+class TestKernelsAgainstFormulas:
+    """The one-pass kernels against the earlier formulas, to 1e-13 of the
+    reference's largest entry, with the module's chunk size and with
+    chunks of 5 ordinates, the last one shorter."""
+
+    @pytest.fixture(params=[None, 5 * 256], ids=["module-chunk", "ragged-chunks"])
+    def chunking(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(radhydro.kinetic, "CHUNK_CELLS", request.param)
+
+    @pytest.fixture(params=[(1, 256), (2, 16)], ids=["1d", "2d"])
+    def data(self, request, chunking):
+        n_dims, points = request.param
+        grid = Grid(n_dims, points)
+        rng = np.random.default_rng(61 + n_dims)
+        ords = make_ordinates(n_dims, 12)
+        field = KineticField(grid, ords, 1.0 + rng.standard_normal((ords.count, *grid.shape)))
+        theta = SpectralField.constant(grid, 1.0) + smooth_field(grid, rng)
+        rad = RadiationMoments(
+            I0=SpectralField.constant(grid, 1.0) + smooth_field(grid, rng),
+            I1=smooth_vector(grid, rng),
+        )
+        return grid, ords, field, theta, rad
+
+    def test_moments(self, data):
+        grid, ords, field, _, _ = data
+        m = moments(field, ords)
+        got = np.stack([m.I0.values, *(c.values for c in m.I1)])
+        assert _relative_gap(got, _formula_moments(field, ords)) <= 1e-13
+
+    def test_transport_term(self, data):
+        _, _, field, _, _ = data
+        assert _relative_gap(transport_term(field), _formula_transport(field)) <= 1e-13
+
+    @pytest.mark.parametrize("sigma", [(1.0, 0.0), (2.0, 0.5)])
+    def test_kinetic_rhs(self, data, sigma):
+        _, _, field, theta, _ = data
+        transport = transport_term(field)
+        source = emission(theta).values
+        got = kinetic_rhs(field, theta, 0.3, *sigma, transport=transport).intensity
+        want = _formula_rhs(field, source, 0.3, *sigma, transport)
+        assert _relative_gap(got, want) <= 1e-13
+
+    def test_from_p1(self, data):
+        grid, ords, _, _, rad = data
+        rows = np.stack([rad.I0.values, *(c.values for c in rad.I1)])
+        got = KineticField.from_p1(rad, ords).intensity
+        assert _relative_gap(got, _formula_from_p1(rows, ords)) <= 1e-13
+
+    def test_projection_residual(self, data):
+        # In 1D every intensity is affine in the direction, so both
+        # residuals are roundoff; the gap is measured against the
+        # weighted norm of the data, the residual's scale.
+        _, ords, field, _, _ = data
+        m = moments(field, ords)
+        rows = np.stack([m.I0.values, *(c.values for c in m.I1)])
+        want = _formula_residual(field, rows)
+        scale = np.sqrt(np.tensordot(ords.weights, field.intensity**2, axes=(0, 0)).sum() * field.grid.cell_volume)
+        assert abs(p1_projection_residual(field, ords) - want) <= 1e-13 * scale
+        if ords.n_dims == 2:
+            assert want > 0.1 * scale
+
+
+class TestCheckPasses:
+    def _check_input(self, rng):
+        grid = Grid(2, 32)
+        ords = make_ordinates(2, 64)
+        rad = RadiationMoments(
+            I0=SpectralField.constant(grid, 1.0) + smooth_field(grid, rng),
+            I1=smooth_vector(grid, rng),
+        )
+        theta = SpectralField.constant(grid, 1.0) + smooth_field(grid, rng)
+        return KineticField.from_p1(rad, ords), theta
+
+    @pytest.mark.parametrize("chunk_cells", [None, 4096])
+    def test_peak_memory(self, chunk_cells, rng, monkeypatch):
+        # Beyond I, the check holds the transport term and one pair's
+        # tendency (two full arrays of 64 fields each), at most one chunk
+        # of work space, and field-sized arrays (moments, emission,
+        # predictions, one slab's spectrum and symbol, a ufunc buffer),
+        # about 30 fields with numpy 2.4 and allowed for as 48. The
+        # module's chunk is the whole array at this size; 4 ordinates per
+        # chunk leave no room for a third full array. A first, untraced
+        # call caches the grid's symbols and the lazy imports.
+        if chunk_cells is not None:
+            monkeypatch.setattr(radhydro.kinetic, "CHUNK_CELLS", chunk_cells)
+        field, theta = self._check_input(rng)
+        count, cells = field.intensity.shape[0], field.intensity[0].size
+        full = field.intensity.nbytes
+        chunk = min(count, max(1, radhydro.kinetic.CHUNK_CELLS // cells)) * cells * 8
+        pairs = [(1.0, 0.0), (1.0, 1.0)]
+        moment_system_check(field, theta, 0.5, pairs)
+        tracemalloc.start()
+        try:
+            moment_system_check(field, theta, 0.5, pairs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * full + chunk + 48 * cells * 8
+
+    def test_one_whole_field_rhs_per_pair(self, rng, monkeypatch):
+        field, theta = self._check_input(rng)
+        seen = []
+        original = radhydro.kinetic.kinetic_rhs
+
+        def spy(I, *args, **kwargs):
+            seen.append(I.intensity.shape)
+            return original(I, *args, **kwargs)
+
+        monkeypatch.setattr(radhydro.kinetic, "kinetic_rhs", spy)
+        moment_system_check(field, theta, 0.5, [(1.0, 0.0), (1.0, 1.0), (2.0, 0.5)])
+        assert seen == [field.intensity.shape] * 3

@@ -134,7 +134,7 @@ class TestCarriedSpectrum:
         y = (fluid + 0.01 * rng.standard_normal(fluid.shape))[:, None]
         coupling = {}
         if coupled:
-            coupling = {"rad": rad[:, None], "eps": np.full((1,) * (n_dims + 1), 0.1)}
+            coupling = {"rad": grid.forward(rad)[:, None], "eps": np.full((1,) * (n_dims + 1), 0.1)}
         tend = _rhs_common(grid, y, grid.forward(y), PARAMS, **coupling)
         mask = grid.half_dealias_mask
         assert np.all(tend[..., ~mask] == 0.0)

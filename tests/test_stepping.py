@@ -5,12 +5,22 @@ import math
 import numpy as np
 import pytest
 
+import radhydro.stepping
+from radhydro.config import parse_config
 from radhydro.errors import BlowUp
 from radhydro.fluid import FluidParams
 from radhydro.radiation import limit_I0, limit_q
 from radhydro.spectral import Grid, SpectralField, VectorField, sobolev_squares
-from radhydro.stepping import RK4_REAL_STABILITY, StepControl, cfl_dt, step_eps, step_limit
+from radhydro.stepping import (
+    RK4_IMAGINARY_STABILITY,
+    RK4_REAL_STABILITY,
+    StepControl,
+    cfl_dt,
+    step_eps,
+    step_limit,
+)
 from radhydro.analysis import fit_rate
+from radhydro.runner import run
 
 from conftest import (
     eps_batch,
@@ -212,9 +222,10 @@ class TestCflDt:
     def test_advective_bound_at_rest(self, grid1d):
         state = limit_state(grid1d, stack(grid1d, 1.0, 0.0, 1.0))
         control = StepControl(t_end=10.0, cfl_advective=0.5, cfl_diffusive=0.5)
-        h = 2 * np.pi / 64
-        # sound-speed proxy sqrt(theta) = 1 dominates; diffusive bound is huge
-        expected = 0.5 * h / 1.0
+        # At rest the speed is the sound speed sqrt(2 theta) = sqrt(2); the
+        # largest kept |k| on 64 points is 21 and RK4's imaginary-axis
+        # interval 2 sqrt(2). The diffusive bound is huge.
+        expected = 0.5 * 2 * np.sqrt(2) / (21 * np.sqrt(2))
         assert cfl_dt(state, PARAMS, control) == pytest.approx(expected, rel=1e-13)
 
     def test_diffusive_bound_dominates_for_large_kappa(self, grid1d):
@@ -253,3 +264,89 @@ class TestCflDt:
         assert np.all(np.abs(amplification(z)) < 1.0)
         assert abs(amplification(-RK4_REAL_STABILITY * 1.001)) > 1.0
 
+    def test_rk4_imaginary_stability_interval(self):
+        # |R(i y)|^2 = 1 - y^6/72 + y^8/576 for the RK4 polynomial R, even
+        # in y: 1 at y = 2 sqrt(2), at most 1 below, above 1 beyond.
+        amplification = lambda z: 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+        assert abs(amplification(1j * RK4_IMAGINARY_STABILITY)) == pytest.approx(1.0, abs=1e-14)
+        y = np.linspace(0.0, RK4_IMAGINARY_STABILITY, 1001)[:-1]
+        assert np.all(np.abs(amplification(1j * y)) <= 1.0)
+        assert abs(amplification(1j * RK4_IMAGINARY_STABILITY * 1.001)) > 1.0
+
+
+def _acoustic_config(n_dims, points, wavenumber, factor, t_end):
+    """A resting unit state with one rho mode of amplitude 1e-3 near the
+    band edge, nearly inviscid, under a dt cap far above the CFL bound."""
+    rest = {"base": 0.0, "modes": []}
+    return parse_config(
+        {
+            "mode": "simulate-limit",
+            "grid": {"n_dims": n_dims, "points": points},
+            "fluid": {"mu": 1e-5, "lambda": 0.0, "kappa": 1e-5},
+            "t_end": t_end,
+            "dt_max": 1.0,
+            "output_interval": 5.0,
+            "cfl_advective": factor,
+            "profiles": {
+                "rho": {"base": 1.0, "modes": [{"amplitude": 1e-3, "wavenumber": wavenumber, "kind": "cos"}]},
+                "u": [rest] * n_dims,
+                "theta": {"base": 1.0, "modes": []},
+            },
+        }
+    )
+
+
+def _former_advective_bound(grid, y, c):
+    """The advective bound before the spectral-radius form:
+    cfl * h / (max|u| + sqrt(max theta))."""
+    spatial = grid.axes
+    speed = np.sqrt(np.sum(y[1:-1] ** 2, axis=0).max(axis=spatial)) + np.sqrt(y[-1].max(axis=spatial))
+    return float((c.cfl_advective * grid.spacing / speed).min())
+
+
+class TestAdvectiveBound:
+    # Under the former bound both runs exit 0 while the mode's velocity
+    # grows (1D at factor 1.0: u_h0 3.2e-4 at t = 15; 2D at factor 0.8:
+    # 0.196 at t = 30); the factors are the largest the parser accepts
+    # and one inside the former bound's unstable range.
+    @pytest.mark.parametrize(
+        "n_dims,points,wavenumber,factor,t_end",
+        [(1, 64, [21], 1.0, 15.0), (2, 32, [10, 10], 0.8, 30.0)],
+        ids=["1d64", "2d32"],
+    )
+    def test_band_edge_sound_wave_decays(self, n_dims, points, wavenumber, factor, t_end, tmp_path):
+        summary = run(_acoustic_config(n_dims, points, wavenumber, factor, t_end), str(tmp_path))
+        assert summary.exit_status == 0
+        data = np.genfromtxt(tmp_path / "limit_series.csv", delimiter=",", names=True)
+        assert data["time"][-1] == t_end
+        assert np.all(data["u_h0"] <= 1e-6)
+
+    def test_dt_cap_stays_active_on_the_benchmark_workloads(self, monkeypatch, tmp_path):
+        # The default-physics workloads of perfbench/workloads.py (the
+        # closure check takes no steps): at every step the dt cap lies
+        # below both the former and the present advective bound and the
+        # diffusive bound, so the change of the bound leaves their dt
+        # sequences, and hence their outputs, as they were.
+        workloads = {
+            "sweep-2d64": {"mode": "convergence-study", "grid": {"n_dims": 2, "points": 64}, "t_end": 0.1},
+            "limit-2d128": {"mode": "simulate-limit", "grid": {"n_dims": 2, "points": 128}, "t_end": 0.1},
+            "dense-1d64": {
+                "mode": "convergence-study",
+                "grid": {"n_dims": 1, "points": 64},
+                "output_interval": 0.0025,
+                "dt_max": 0.0025,
+            },
+        }
+        bounds = radhydro.stepping.cfl_bounds
+        seen = []
+
+        def spy(grid, y, p, c):
+            advective, diffusive = bounds(grid, y, p, c)
+            seen.append(min(advective, diffusive, _former_advective_bound(grid, y, c)) / c.dt)
+            return advective, diffusive
+
+        monkeypatch.setattr(radhydro.stepping, "cfl_bounds", spy)
+        for name, raw in workloads.items():
+            seen.clear()
+            run(parse_config(raw), str(tmp_path / name))
+            assert len(seen) > 10 and min(seen) > 1.0, name
