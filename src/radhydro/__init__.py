@@ -40,12 +40,7 @@ from .kinetic import (
     p1_projection_residual,
     transport_term,
 )
-from .radiation import (
-    RadiationMoments,
-    limit_I0,
-    limit_closure_residual,
-    limit_q,
-)
+from .radiation import limit_closure_residual, limit_q
 from .runner import RunSummary, emit_series, emit_summary, run
 from .spectral import (
     Grid,

@@ -10,7 +10,11 @@ the full energy ("gamma") is the quantity whose sup-in-time should
 scale like eps^2. The differences are never formed as fields:
 ``batch_error_squares`` takes the squared norms of every member of an
 ``EpsBatch`` from the half spectra both states carry, and the prepared
-data of a whole sweep is built as one batch.
+data of a whole sweep is built as one batch. The perturbation shapes of
+the prepared data are one (2n+3, *shape) array of unit-L^2 rows, in the
+field order rho, u_1..u_n, theta, I0, I1_1..I1_n of the states. Nothing
+here builds a ``SpectralField``; that class is only the public per-field
+view that reference formulas and tests use.
 
 Observed convergence orders come from a least-squares line through
 (log eps, log error) over a sweep of eps values.
@@ -26,14 +30,14 @@ import numpy as np
 from .errors import DegenerateFit, PositivityLost, TimeMismatch
 from .fluid import POSITIVITY_FLOOR
 from .radiation import limit_spectrum
-from .spectral import Grid, SpectralField, VectorField, sobolev_norm, sobolev_squares
+from .spectral import Grid, sobolev_squares
 from .stepping import EpsBatch, LimitState
 
 __all__ = [
     "EnergyRecord",
     "RateFit",
-    "PerturbationShapes",
     "default_perturbation_shapes",
+    "unit_rows",
     "batch_error_squares",
     "well_prepared_init",
     "hypothesis_deviation",
@@ -81,23 +85,23 @@ class RateFit:
     r_squared: float
 
 
-@dataclass(frozen=True)
-class PerturbationShapes:
-    """Fixed deviation profiles used to build prepared initial data."""
+def unit_rows(grid: Grid, rows: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """A (m, *shape) stack with every row scaled to unit L^2 norm, and
+    the norms before scaling; a row of norm zero stays as it is.
 
-    rho: SpectralField
-    u: VectorField
-    theta: SpectralField
-    I0: SpectralField
-    I1: VectorField
-
-
-def _unit(f: SpectralField) -> SpectralField:
-    return f * (1.0 / sobolev_norm(f, 0))
+    The rows are transformed in one batch (the same bits as one row per
+    call); each norm is the ``sobolev_squares`` of its own row, so it
+    has the bits of ``sobolev_norm`` of that field.
+    """
+    norms = [math.sqrt(sobolev_squares(grid, c, (0,))[0]) for c in grid.forward(rows)]
+    scale = [1.0 / norm if norm != 0.0 else 1.0 for norm in norms]
+    return rows * np.reshape(scale, (-1,) + (1,) * grid.n_dims), norms
 
 
-def default_perturbation_shapes(grid: Grid) -> PerturbationShapes:
-    """Low-wavenumber trigonometric shapes, each of unit L^2 norm.
+def default_perturbation_shapes(grid: Grid) -> np.ndarray:
+    """Low-wavenumber trigonometric shapes, each of unit L^2 norm, as
+    one (2n+3, *shape) array of rows rho, u_1..u_n, theta, I0,
+    I1_1..I1_n.
 
     Fixed defaults keep prepared-data runs deterministic and reproducible;
     override through the run configuration when studying other shapes.
@@ -115,17 +119,12 @@ def default_perturbation_shapes(grid: Grid) -> PerturbationShapes:
         theta = np.sin(2.0 * x[0])
         i0 = np.cos(x[0] + x[1])
         i1 = [np.sin(x[1]), np.cos(2.0 * x[0])]
-    make = lambda v: _unit(SpectralField.from_values(grid, v))
-    return PerturbationShapes(
-        rho=make(rho),
-        u=VectorField([make(c) for c in u]),
-        theta=make(theta),
-        I0=make(i0),
-        I1=VectorField([make(c) for c in i1]),
-    )
+    return unit_rows(grid, np.stack([rho, *u, theta, i0, *i1]))[0]
 
 
-def batch_error_squares(batch: EpsBatch, limit_state: LimitState, indices) -> np.ndarray:
+def batch_error_squares(
+    batch: EpsBatch, limit_state: LimitState, closure: np.ndarray, indices
+) -> np.ndarray:
     """Squared H^s norms of every member's differences from the limit
     state, at every index in indices.
 
@@ -133,11 +132,12 @@ def batch_error_squares(batch: EpsBatch, limit_state: LimitState, indices) -> np
     ||drho||_s^2 + ||du||_s^2 + ||dtheta||_s^2 and the radiation
     ||dI0||_s^2 + ||dI1||_s^2, where the radiation references are the
     limit closure of the limit temperature, I0 = (I - Lap)^(-1) theta^4
-    and its negative gradient. The differences are taken between the
-    half spectra the states carry, so the one transform is the forward
-    one of the limit temperature's theta^4, shared by all members; the
-    norms are the ``sobolev_squares`` of the (2n+3, E, *half_shape)
-    differences, as in ``sobolev_norm``.
+    and its negative gradient: closure is their half spectrum,
+    ``limit_spectrum(grid, limit_state.fluid[-1])``, which the caller
+    forms once per limit state and may use for more. The differences
+    are taken between the half spectra the states carry, so nothing is
+    transformed here; the norms are the ``sobolev_squares`` of the
+    (2n+3, E, *half_shape) differences, as in ``sobolev_norm``.
 
     Raises:
         TimeMismatch: if the batch and the limit state differ in time by
@@ -146,7 +146,7 @@ def batch_error_squares(batch: EpsBatch, limit_state: LimitState, indices) -> np
     grid = batch.grid
     if abs(batch.time - limit_state.time) > 1e-12:
         raise TimeMismatch(f"state times differ: {batch.time!r} vs {limit_state.time!r}")
-    limit = np.concatenate([limit_state.spectrum, limit_spectrum(grid, limit_state.fluid[-1])])
+    limit = np.concatenate([limit_state.spectrum, closure])
     diff = np.concatenate([batch.spectrum, batch.rad])
     diff -= limit[:, None]
     per_field = sobolev_squares(grid, diff, indices)  # (index, field, member)
@@ -157,14 +157,16 @@ def well_prepared_init(
     base: LimitState,
     eps_values,
     amp: float,
-    shapes: PerturbationShapes | None = None,
+    shapes: np.ndarray | None = None,
 ) -> EpsBatch:
     """Prepared initial data of a sweep, at distance O(eps) from the limit
     data, as one batch with a member per entry of eps_values.
 
     The fluid fields deviate by eps*amp times the fixed shapes and the
     radiation pair deviates from the limit closure of the base
-    temperature by sqrt(eps)*amp times its shapes, so the weighted
+    temperature by sqrt(eps)*amp times its shapes (the rows of the
+    (2n+3, *shape) ``shapes``, default ``default_perturbation_shapes``;
+    unit L^2 norm each), so the weighted
     initial-deviation functional is amp-many multiples of eps with an
     eps-independent constant. The fluid spectrum is built the same way,
     from the base state's spectrum and the shapes', so at amp = 0 the
@@ -184,10 +186,7 @@ def well_prepared_init(
     if shapes is None:
         shapes = default_perturbation_shapes(grid)
     n = grid.n_dims
-    dev = np.stack(
-        [shapes.rho.values, *(c.values for c in shapes.u), shapes.theta.values,
-         shapes.I0.values, *(c.values for c in shapes.I1)]
-    )[:, None]
+    dev = shapes[:, None]
     dev_hat = grid.forward(dev)
 
     member = (-1,) + (1,) * n
@@ -210,7 +209,8 @@ def hypothesis_deviation(batch: EpsBatch, limit_init: LimitState, s: int) -> np.
     member, the quantity that must be O(eps) for the convergence theory
     to apply; an array over the members of the batch.
     """
-    fluid_sq, rad_sq = batch_error_squares(batch, limit_init, (s,))[0]
+    closure = limit_spectrum(batch.grid, limit_init.fluid[-1])
+    fluid_sq, rad_sq = batch_error_squares(batch, limit_init, closure, (s,))[0]
     return np.sqrt(fluid_sq) + np.sqrt(batch.eps) * np.sqrt(rad_sq)
 
 

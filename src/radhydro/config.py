@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import PerturbationShapes, default_perturbation_shapes
+from .analysis import default_perturbation_shapes, unit_rows
 from .errors import ParseError, ValidationError
 from .fluid import FluidParams
 from .radiation import fourth_power
-from .spectral import Grid, SpectralField, VectorField, sobolev_norm
+from .spectral import Grid
 from .stepping import LimitState, StepControl, cfl_bounds
 
 __all__ = ["RunConfig", "load_config", "build_limit_initial", "build_shapes"]
@@ -233,7 +233,7 @@ def _validate_shapes(raw, grid: Grid) -> dict | None:
         # build_shapes divides by this norm, so it must be finite too.
         spec = _validate_profile(spec, name, empty, kmax)
         with np.errstate(over="ignore", invalid="ignore"):
-            _, norm = _shape_and_norm(grid, spec)
+            (norm,) = unit_rows(grid, _profile_values(grid, spec)[None])[1]
         if not math.isfinite(norm):
             _fail(name, "the shape's values or L^2 norm on the grid are not finite")
         return spec
@@ -545,13 +545,6 @@ def _profile_stack(grid: Grid, profiles: dict) -> np.ndarray:
     return np.stack([_profile_values(grid, spec) for spec in rows])
 
 
-def _shape_and_norm(grid: Grid, spec: dict) -> tuple[SpectralField, float]:
-    """A perturbation shape on the grid, before normalization, and its
-    L^2 norm."""
-    f = SpectralField.from_values(grid, _profile_values(grid, spec))
-    return f, sobolev_norm(f, 0)
-
-
 def build_limit_initial(config: RunConfig) -> LimitState:
     """Construct the limit-system initial state from the profile spec."""
     grid = config.grid
@@ -561,27 +554,17 @@ def build_limit_initial(config: RunConfig) -> LimitState:
     return LimitState(grid, y, 0.0)
 
 
-def build_shapes(config: RunConfig) -> PerturbationShapes:
-    """Perturbation shapes: configured override or the fixed defaults.
+def build_shapes(config: RunConfig) -> np.ndarray:
+    """Perturbation shapes, configured override or the fixed defaults,
+    as one (2n+3, *shape) array of rows rho, u_1..u_n, theta, I0,
+    I1_1..I1_n.
 
     Configured shapes are normalized to unit L^2 norm, matching the
-    defaults' convention.
+    defaults' convention; a shape of norm zero stays zero.
     """
     grid = config.grid
     raw = config.perturbation_shapes
     if raw is None:
         return default_perturbation_shapes(grid)
-
-    def scalar(spec):
-        f, norm = _shape_and_norm(grid, spec)
-        if norm == 0.0:
-            return f
-        return f * (1.0 / norm)
-
-    return PerturbationShapes(
-        rho=scalar(raw["rho"]),
-        u=VectorField([scalar(s) for s in raw["u"]]),
-        theta=scalar(raw["theta"]),
-        I0=scalar(raw["I0"]),
-        I1=VectorField([scalar(s) for s in raw["I1"]]),
-    )
+    specs = [raw["rho"], *raw["u"], raw["theta"], raw["I0"], *raw["I1"]]
+    return unit_rows(grid, np.stack([_profile_values(grid, spec) for spec in specs]))[0]

@@ -25,7 +25,7 @@ such array once per use rather than once per moment or per term:
 
 - ``moments`` is one (1+n, count) x (count, cells) matrix product: the
   weight rows w/|S| and (n/|S|) w omega times I viewed as a matrix, a
-  single read of I.
+  single read of I, returned as the (1+n, *shape) values of (I0, I1).
 - ``kinetic_rhs`` forms the sigma-dependent field
   c = theta^4 + sigma_s |S| <<I>> once (<<I>> from one weights @ I
   product) and then writes (-(sigma_a + sigma_s |S|) I - T + c)/eps in
@@ -52,6 +52,16 @@ theta^4, the moments of I, the P1 projection residual and the sigma-free
 parts of the predicted tendencies, and shares them across every
 (sigma_a, sigma_s) pair it is given; each pair costs one ``kinetic_rhs``
 on the whole field and one ``moments`` of its tendency.
+
+Everything here is arrays: temperatures are (*shape) values, moment
+pairs (1+n, *shape) values, intensities (count, *shape). The check
+takes the predicted tendencies, the dealiased theta^4 and the residual
+norms from half spectra: one forward transform of the stacked moments
+of I and theta^4 gives div I1 / n, grad I0 and the emission (through
+``Grid.half_ik`` and the 2/3 mask), one forward transform per pair gives
+the spectra of the tendency's moments, and ``sobolev_squares`` the
+norms of the differences. No ``SpectralField`` is built; that class is
+only the public per-field view that reference formulas and tests use.
 """
 
 from __future__ import annotations
@@ -62,8 +72,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotInP1Subspace
-from .radiation import RadiationMoments, emission
-from .spectral import Grid, SpectralField, VectorField, div, grad, sobolev_norm
+from .radiation import emission_spectrum, fourth_power
+from .spectral import Grid, sobolev_squares
 
 __all__ = [
     "OrdinateSet",
@@ -168,11 +178,11 @@ class KineticField:
             raise ValueError("ordinate and grid dimensions differ")
 
     @classmethod
-    def from_p1(cls, rad: RadiationMoments, ords: OrdinateSet) -> "KineticField":
-        """Sample I0 + I1.omega on the ordinates: one (count, 1+n) x
-        (1+n, cells) product, a single write of the intensity."""
-        grid = rad.grid
-        vals = _p1_basis(ords) @ _p1_rows(rad)
+    def from_p1(cls, grid: Grid, rad: np.ndarray, ords: OrdinateSet) -> "KineticField":
+        """Sample I0 + I1.omega on the ordinates from the (1+n, *shape)
+        values of (I0, I1): one (count, 1+n) x (1+n, cells) product, a
+        single write of the intensity."""
+        vals = _p1_basis(ords) @ rad.reshape(len(rad), -1)
         vals = vals.reshape(ords.count, *grid.shape)
         vals.setflags(write=False)
         return cls(grid, ords, vals)
@@ -182,11 +192,6 @@ def _p1_basis(ords: OrdinateSet) -> np.ndarray:
     """(count, 1+n) rows (1, omega_j): times the (1+n, cells) values of
     (I0, I1) they give I0 + omega_j . I1."""
     return np.column_stack([np.ones(ords.count), ords.directions])
-
-
-def _p1_rows(rad: RadiationMoments) -> np.ndarray:
-    """The (1+n, cells) values of I0, I1_1..I1_n of a moment pair."""
-    return np.stack([c.values.reshape(-1) for c in (rad.I0, *rad.I1)])
 
 
 def transport_term(I: KineticField) -> np.ndarray:
@@ -212,7 +217,7 @@ def transport_term(I: KineticField) -> np.ndarray:
 
 def kinetic_rhs(
     I: KineticField,
-    theta: SpectralField,
+    theta: np.ndarray,
     eps: float,
     sigma_a: float,
     sigma_s: float,
@@ -224,9 +229,10 @@ def kinetic_rhs(
     dI/dt = [-omega.grad I + theta^4 - sigma_a I
              + sigma_s |S| (<<I>> - I)] / eps
 
-    with <<I>> the direction average. The emission constant is one.
-    ``transport`` is ``transport_term(I)`` and ``source`` the values of
-    ``emission(theta)`` when the caller already has them; each is
+    with <<I>> the direction average, for the (*shape) values of theta.
+    The emission constant is one. ``transport`` is ``transport_term(I)``
+    and ``source`` the values of the dealiased theta^4 (the inverse of
+    ``emission_spectrum``) when the caller already has them; each is
     computed here otherwise. Evaluated as
     (-(sigma_a + sigma_s |S|) I - T + c)/eps with the field
     c = theta^4 + sigma_s |S| <<I>> formed once, written in place into
@@ -243,7 +249,7 @@ def kinetic_rhs(
     ords = I.ordinates
     measure = ords.surface_measure
     if source is None:
-        source = emission(theta).values
+        source = I.grid.inverse(emission_spectrum(I.grid, theta))
     average = (ords.weights / measure) @ I.intensity.reshape(ords.count, -1)
     field = source + (sigma_s * measure) * average.reshape(source.shape)
     damping = -(sigma_a + sigma_s * measure)
@@ -258,21 +264,20 @@ def kinetic_rhs(
     return KineticField(I.grid, ords, out)
 
 
-def moments(I: KineticField, ords: OrdinateSet) -> RadiationMoments:
+def moments(I: KineticField, ords: OrdinateSet) -> np.ndarray:
     """Project the intensity onto the affine-in-direction subspace.
 
     I0 = (1/|S|) sum_j w_j I_j,  I1 = (n/|S|) sum_j w_j omega_j I_j,
 
-    as one (1+n, count) weight matrix times I viewed as (count, cells).
+    as one (1+n, count) weight matrix times I viewed as (count, cells);
+    returns the (1+n, *shape) values of I0, I1_1..I1_n.
     """
     if ords.count != I.ordinates.count or ords.n_dims != I.ordinates.n_dims:
         raise ValueError("ordinate set does not match the kinetic field")
     w = ords.weights / ords.surface_measure
     weights = np.vstack([w, ords.n_dims * (w * ords.directions.T)])
     rows = weights @ I.intensity.reshape(ords.count, -1)
-    grid = I.grid
-    fields = [SpectralField.from_values(grid, r.reshape(grid.shape)) for r in rows]
-    return RadiationMoments(fields[0], VectorField(fields[1:]))
+    return rows.reshape(len(rows), *I.grid.shape)
 
 
 def p1_projection_residual(I: KineticField, ords: OrdinateSet) -> float:
@@ -284,12 +289,13 @@ def p1_projection_residual(I: KineticField, ords: OrdinateSet) -> float:
     return _projection_residual(I, moments(I, ords))
 
 
-def _projection_residual(I: KineticField, rad: RadiationMoments) -> float:
-    """sqrt(sum_j w_j ||I_j - I0 - omega_j . I1||^2) for the moments rad
-    of I, one chunk of ordinates at a time: the chunk's P1 samples are
-    formed, subtracted from I, squared and weighted while in cache."""
+def _projection_residual(I: KineticField, rad: np.ndarray) -> float:
+    """sqrt(sum_j w_j ||I_j - I0 - omega_j . I1||^2) for the (1+n, *shape)
+    moments rad of I, one chunk of ordinates at a time: the chunk's P1
+    samples are formed, subtracted from I, squared and weighted while in
+    cache."""
     ords = I.ordinates
-    basis, rows = _p1_basis(ords), _p1_rows(rad)
+    basis, rows = _p1_basis(ords), rad.reshape(len(rad), -1)
     cells = rows.shape[1]
     intensity = I.intensity.reshape(ords.count, cells)
     chunks = _chunks(ords.count, cells)
@@ -305,7 +311,7 @@ def _projection_residual(I: KineticField, rad: RadiationMoments) -> float:
 
 def moment_system_check(
     I: KineticField,
-    theta: SpectralField,
+    theta: np.ndarray,
     eps: float,
     sigma_pairs: Iterable[tuple[float, float]],
     enforce_p1: bool = True,
@@ -314,11 +320,13 @@ def moment_system_check(
 
     For each (sigma_a, sigma_s) in ``sigma_pairs``, extracts the moments
     of ``kinetic_rhs`` and subtracts the tendencies the moment system
-    predicts from the moments of I; the L^2 norms of the differences are
-    (r0, r1). Both vanish to quadrature precision for intensities in the
-    P1 subspace on at least 4 ordinates. The projection residual, the
-    moments of I, the transport term, the emission and the sigma-free
-    parts of the prediction are computed once and shared by every pair.
+    predicts from the moments of I and the (*shape) values of theta; the
+    L^2 norms of the differences are (r0, r1). Both vanish to quadrature
+    precision for intensities in the P1 subspace on at least 4
+    ordinates. The projection residual, the moments of I, the transport
+    term, the emission and the sigma-free parts of the prediction are
+    computed once and shared by every pair; the differences are taken
+    between half spectra.
 
     Args:
         enforce_p1: When True (default), reject intensities whose
@@ -340,20 +348,24 @@ def moment_system_check(
         raise NotInP1Subspace(
             f"projection residual {residual:.3e} exceeds {P1_RESIDUAL_LIMIT:.0e}"
         )
-    n = ords.n_dims
+    grid, n = I.grid, ords.n_dims
     measure = ords.surface_measure
     transport = transport_term(I)
-    source = emission(theta)
-    flux_div = div(rad.I1) * (1.0 / n)
-    grad_i0 = grad(rad.I0)
+    spectra = grid.forward(np.concatenate([rad, fourth_power(theta)[None]]))
+    rad_hat, source_hat = spectra[:-1], spectra[-1] * grid.half_dealias_mask
+    source = grid.inverse(source_hat)
+    # eps times the predicted tendencies without their damping terms:
+    # theta^4 - (1/n) div I1 and -grad I0.
+    ik = grid.half_ik
+    free = np.concatenate(
+        [(source_hat - np.sum(ik * rad_hat[1:], axis=0) * (1.0 / n))[None], -ik * rad_hat[0]]
+    )
 
     pairs = []
     for sigma_a, sigma_s in sigma_pairs:
-        tend = moments(kinetic_rhs(I, theta, eps, sigma_a, sigma_s, transport, source.values), ords)
-        predicted_I0 = (source - rad.I0 * sigma_a - flux_div) * (1.0 / eps)
-        damping = sigma_a + sigma_s * measure
-        predicted_I1 = (rad.I1 * (-damping) - grad_i0) * (1.0 / eps)
-        pairs.append(
-            (sobolev_norm(tend.I0 - predicted_I0, 0), sobolev_norm(tend.I1 - predicted_I1, 0))
-        )
+        tend = grid.forward(moments(kinetic_rhs(I, theta, eps, sigma_a, sigma_s, transport, source), ords))
+        tend[0] -= (free[0] - sigma_a * rad_hat[0]) * (1.0 / eps)
+        tend[1:] -= (free[1:] - (sigma_a + sigma_s * measure) * rad_hat[1:]) * (1.0 / eps)
+        squares = sobolev_squares(grid, tend, (0,))[0]
+        pairs.append((float(np.sqrt(squares[0])), float(np.sqrt(squares[1:].sum()))))
     return residual, pairs

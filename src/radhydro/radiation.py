@@ -12,57 +12,27 @@ intensity is always obtained through the Helmholtz inverse; a literal
 inverse Laplacian is never formed (it would be singular at k = 0 on the
 torus, while the composite quantity it feeds equals the Helmholtz solve
 identically).
+
+Every function here works on arrays: temperatures are (..., *shape)
+values, the limit pair is returned as a half spectrum
+(``limit_spectrum``) or as values (``limit_q``). No per-field object is
+built; ``radhydro.spectral.SpectralField`` is only the public view that
+reference formulas and tests use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .spectral import Grid, SpectralField, VectorField, dealias, helmholtz_inverse, sobolev_squares
+from .spectral import Grid, sobolev_squares
 
 __all__ = [
-    "RadiationMoments",
-    "emission",
     "emission_spectrum",
     "fourth_power",
     "limit_spectrum",
-    "limit_I0",
     "limit_q",
     "limit_closure_residual",
 ]
-
-
-@dataclass(frozen=True)
-class RadiationMoments:
-    """Zeroth moment I0 and first moment I1 of the radiation intensity."""
-
-    I0: SpectralField
-    I1: VectorField
-
-    def __post_init__(self):
-        if self.I0.grid != self.I1.grid:
-            raise ValueError("I0 and I1 live on different grids")
-
-    @property
-    def grid(self) -> Grid:
-        return self.I0.grid
-
-
-def emission(theta: SpectralField) -> SpectralField:
-    """Gray emission theta^4 (``fourth_power``), dealiased after the
-    quartic product."""
-    return dealias(SpectralField.from_values(theta.grid, fourth_power(theta.values)))
-
-
-def limit_I0(theta: SpectralField) -> SpectralField:
-    """Equilibrium intensity of the relaxation limit.
-
-    Solves (I - Laplacian) I0 = theta^4 exactly in Fourier space, so the
-    residual of that identity is at roundoff and mean(I0) = mean(theta^4).
-    """
-    return helmholtz_inverse(emission(theta))
 
 
 def fourth_power(theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -74,7 +44,8 @@ def fourth_power(theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
 
 
 def emission_spectrum(grid: Grid, theta: np.ndarray) -> np.ndarray:
-    """Dealiased half spectrum of theta^4 for a stack of temperatures.
+    """Dealiased half spectrum of the gray emission theta^4 for a stack
+    of temperatures.
 
     theta has shape (..., *grid.shape); the result (..., *half_shape).
     """
@@ -87,34 +58,33 @@ def limit_spectrum(grid: Grid, theta: np.ndarray) -> np.ndarray:
     """Half spectrum of the limit pair (I0, q) of one temperature field.
 
     I0 = (I - Laplacian)^(-1) theta^4 (dealiased) and q = -grad I0, as
-    a (1+n, *half_shape) stack.
+    a (1+n, *half_shape) stack. mean(I0) = mean(theta^4) and the
+    Helmholtz identity holds to roundoff.
     """
     i0 = emission_spectrum(grid, theta) * grid.half_helmholtz
     return np.concatenate([i0[None], -grid.half_ik * i0])
 
 
-def limit_q(theta: SpectralField) -> VectorField:
-    """Limit radiative flux, -grad of the equilibrium intensity.
+def limit_q(grid: Grid, theta: np.ndarray) -> np.ndarray:
+    """Limit radiative flux -grad (I - Laplacian)^(-1) theta^4 of one
+    temperature field, as (n, *shape) values.
 
-    Equivalently -grad (I - Laplacian)^(-1) theta^4; a gradient field, so
-    it is curl-free by construction. One forward and one inverse
-    half-spectrum transform.
+    A gradient field, so it is curl-free by construction. One forward
+    and one inverse half-spectrum transform.
     """
-    grid = theta.grid
-    q = grid.inverse(limit_spectrum(grid, theta.values)[1:])
-    return VectorField([SpectralField.from_values(grid, c) for c in q])
+    return grid.inverse(limit_spectrum(grid, theta)[1:])
 
 
-def limit_closure_residual(theta: SpectralField, q: VectorField) -> float:
+def limit_closure_residual(grid: Grid, theta: np.ndarray, q: np.ndarray) -> float:
     """L^2 residual of the limit flux equation.
 
-    Measures || -grad(div q) + q + grad(theta^4) ||_0 (theta^4 dealiased);
-    zero (to solver precision) exactly when q is the limit flux of theta.
-    The values of theta^4 and of q are transformed in one batch, so the
-    check sees q as sampled, not a spectrum it was built from.
+    Measures || -grad(div q) + q + grad(theta^4) ||_0 (theta^4 dealiased)
+    for the (*shape) values of theta and the (n, *shape) values of q;
+    zero (to solver precision) exactly when q is the limit flux of
+    theta. The values of theta^4 and of q are transformed in one batch,
+    so the check sees q as sampled, not a spectrum it was built from.
     """
-    grid = theta.grid
-    spectra = grid.forward(np.stack([fourth_power(theta.values), *(c.values for c in q)]))
+    spectra = grid.forward(np.concatenate([fourth_power(theta)[None], q]))
     source, q_hat = spectra[0] * grid.half_dealias_mask, spectra[1:]
     ik = grid.half_ik
     residual = q_hat + ik * (source - np.sum(ik * q_hat, axis=0))

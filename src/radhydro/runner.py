@@ -53,8 +53,8 @@ from .analysis import (
 from .config import RunConfig, build_limit_initial, build_shapes
 from .errors import DegenerateFit, TimeMismatch
 from .kinetic import KineticField, make_ordinates, moment_system_check
-from .radiation import RadiationMoments, limit_I0, limit_closure_residual, limit_q
-from .spectral import SpectralField, grad, sobolev_squares
+from .radiation import limit_closure_residual, limit_spectrum
+from .spectral import sobolev_squares
 from .stepping import StepControl, cfl_dt, step_batch, step_limit
 
 __all__ = ["RunSummary", "run", "emit_series", "emit_summary"]
@@ -243,9 +243,11 @@ def _march(
             # sampled batch alive while the generator steps on from it.
             b = next(batches)
             limit_dm = np.maximum(limit_dm, np.abs(_mass(ls.fluid[0], grid) - limit_mass0))
+            # The limit pair of the limit temperature, formed once: its
+            # flux feeds the closure residual, the pair the error norms.
+            limit_rad = limit_spectrum(grid, ls.fluid[-1])
             if limit_fh is not None:
-                theta = SpectralField.from_values(grid, ls.fluid[-1])
-                residual = limit_closure_residual(theta, limit_q(theta))
+                residual = limit_closure_residual(grid, ls.fluid[-1], grid.inverse(limit_rad[1:]))
                 closure = max(closure, residual)
                 limit_fh.write(_row(_state_row(grid, ls.time, ls.spectrum, indices) + [residual]))
             if b is None:
@@ -253,7 +255,7 @@ def _march(
             if state_fh is not None:
                 spectra = np.concatenate([b.spectrum[:, 0], b.rad[:, 0]])
                 state_fh.write(_row(_state_row(grid, b.time, spectra, indices)))
-            squares = batch_error_squares(b, ls, indices)  # (index, fluid/rad, member)
+            squares = batch_error_squares(b, ls, limit_rad, indices)  # (index, fluid/rad, member)
             norms = np.sqrt(squares)
             sup = np.maximum(sup, norms)
             dm = np.maximum(dm, np.abs(_mass(b.fluid[0], grid) - mass0))
@@ -407,11 +409,9 @@ def _run_simulate_limit(config: RunConfig, out_dir: str):
 
 def _run_closure_check(config: RunConfig, out_dir: str):
     base = build_limit_initial(config)
-    theta = SpectralField.from_values(base.grid, base.fluid[-1])
+    grid, theta = base.grid, base.fluid[-1]
     ords = make_ordinates(config.n_dims, config.ordinates)
-    i0 = limit_I0(theta)
-    rad = RadiationMoments(I0=i0, I1=-grad(i0))
-    field = KineticField.from_p1(rad, ords)
+    field = KineticField.from_p1(grid, grid.inverse(limit_spectrum(grid, theta)), ords)
     eps = config.eps if config.eps is not None else 1.0
 
     n = ords.n_dims

@@ -17,18 +17,28 @@ package. ``Grid.forward`` transforms the trailing spatial axes, so a
 stack of shape ``(m, *grid.shape)`` becomes ``(m, *grid.half_shape)``
 with the last axis holding only the wavenumbers 0..N/2; the negative
 last-axis wavenumbers are implied by Hermitian symmetry,
-c(-k) = conj(c(k)). ``Grid.inverse`` maps back. The calls match the
-rank: ``numpy.fft.rfft``/``irfft`` in 1D, ``rfftn``/``irfftn`` in 2D.
-In 1D the two give the same bits, but the one-axis call skips the n-d
-wrapper, which costs more than the transform on small grids (a forward
-transform of a (5, 4, 64) stack takes 6.4 us against 10.5 us, numpy 2.4
-on a 2-core Xeon virtual machine). The leading axes batch many fields
-into one transform call. The forward transform divides by the total
-point count, so the k = 0 coefficient of a field equals its mean and
-symbols read off directly.
-``SpectralField.coefficients`` is the half spectrum of one field. Fields
-are immutable: every operation returns a new field, and value /
-coefficient arrays are marked read-only so they can be shared freely.
+c(-k) = conj(c(k)). ``Grid.inverse`` maps back. Both ranks share one
+code path of one-axis calls: ``numpy.fft.rfft`` along the last axis,
+followed in 2D by ``fft`` along the first spatial axis, and for the
+inverse ``ifft`` along that axis, then ``irfft``. These are the calls
+``rfftn``/``irfftn`` make, so the bits are the same, but the n-d
+wrapper (its argument handling, ``_cook_nd_args``) is skipped, which
+costs more than the transform on small grids: a forward transform of a
+(5, 4, 64) stack takes 6.4 us against 10.5 us, and the wrapper took
+0.07-0.08 s of a 1.2-1.4 s 2D/64 eps sweep (numpy 2.4 on a 2-core Xeon
+virtual machine). The leading axes batch many fields into one transform
+call, with the same bits as one field per call. The forward transform
+divides by the total point count, so the k = 0 coefficient of a field
+equals its mean and symbols read off directly.
+
+Every run path works on such stacks of arrays. ``SpectralField`` (one
+field, values and half spectrum) and ``VectorField`` (n of them), with
+the operators ``grad``, ``div``, ``laplacian``, ``helmholtz_inverse``,
+``dealias`` and ``sobolev_norm`` on them, are the public per-field view
+of the same layout, for writing reference formulas and tests field by
+field; no solver, check or run builds one. Fields are immutable: every
+operation returns a new field, and value / coefficient arrays are
+marked read-only so they can be shared freely.
 
 The symbols are cached lazily on the grid:
 
@@ -135,15 +145,16 @@ class Grid:
 
         Transforms the trailing n_dims axes; leading axes are a batch.
         """
-        if self.n_dims == 1:
-            return np.fft.rfft(values, norm="forward")
-        return np.fft.rfftn(values, axes=self.axes, norm="forward")
+        out = np.fft.rfft(values, norm="forward")
+        if self.n_dims == 2:
+            out = np.fft.fft(out, axis=-2, norm="forward")
+        return out
 
     def inverse(self, coefficients: np.ndarray) -> np.ndarray:
         """Real fields of a stack of half-spectrum coefficients."""
-        if self.n_dims == 1:
-            return np.fft.irfft(coefficients, n=self.points_per_dim, norm="forward")
-        return np.fft.irfftn(coefficients, s=self.shape, axes=self.axes, norm="forward")
+        if self.n_dims == 2:
+            coefficients = np.fft.ifft(coefficients, axis=-2, norm="forward")
+        return np.fft.irfft(coefficients, n=self.points_per_dim, norm="forward")
 
     @cached_property
     def half_wavenumbers(self) -> np.ndarray:

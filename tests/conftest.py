@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from radhydro.fluid import _rhs_common, require_positive
-from radhydro.radiation import emission_spectrum
+from radhydro.radiation import emission_spectrum, limit_spectrum
 from radhydro.spectral import Grid, SpectralField, VectorField, dealias, div, grad
 from radhydro.stepping import EpsBatch, LimitState, _propagator, _substep
 
@@ -101,6 +101,19 @@ def substep(grid, rad, theta, eps, dt):
     eps_member = np.full((1,) * (grid.n_dims + 1), float(eps))
     out = _substep(grid, grid.forward(_values(rad))[:, None], source, _propagator(grid, eps_member, dt))
     return grid.inverse(out[:, 0])
+
+
+def emission_field(theta):
+    """Dealiased theta^4 of a temperature field, as a field."""
+    return SpectralField.from_coefficients(theta.grid, emission_spectrum(theta.grid, theta.values))
+
+
+def limit_pair(theta):
+    """(I0, q) fields of the limit closure of a temperature field:
+    I0 = (I - Lap)^(-1) theta^4 and q = -grad I0."""
+    grid = theta.grid
+    i0, *q = (SpectralField.from_coefficients(grid, c) for c in limit_spectrum(grid, theta.values))
+    return i0, VectorField(q)
 
 
 def radiation_rhs(i0, i1, theta, eps):

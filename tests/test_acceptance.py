@@ -17,7 +17,6 @@ from radhydro.analysis import fit_rate, hypothesis_deviation, well_prepared_init
 from radhydro.config import build_limit_initial, parse_config
 from radhydro.fluid import FluidParams
 from radhydro.kinetic import KineticField, make_ordinates, moment_system_check
-from radhydro.radiation import RadiationMoments, limit_I0, limit_q
 from radhydro.runner import run
 from radhydro.spectral import (
     Grid,
@@ -30,7 +29,9 @@ from radhydro.spectral import (
 )
 from radhydro.stepping import step_eps, step_limit
 
-from conftest import eps_batch, fields, l2_inner, limit_state, smooth_field, smooth_vector, stack, substep
+from conftest import (
+    eps_batch, fields, l2_inner, limit_pair, limit_state, smooth_field, smooth_vector, stack, substep,
+)
 
 # Reference configuration: 1D, 64 points, mu = lam = kappa = 0.01,
 # rho = 1 + 0.1 sin x, u = 0.1 sin x, theta = 1 + 0.1 cos x, amp = 0,
@@ -140,9 +141,9 @@ def test_criterion_06_radiative_relaxation_steady_state():
     for _ in range(steps):
         rad = substep(grid, rad, theta, eps, 20 * eps / steps)
     i0, i1 = fields(grid, rad)
+    i0_limit, q_limit = limit_pair(theta)
     deviation = math.sqrt(
-        sobolev_norm(i0 - limit_I0(theta), 0) ** 2
-        + sobolev_norm(i1 - limit_q(theta), 0) ** 2
+        sobolev_norm(i0 - i0_limit, 0) ** 2 + sobolev_norm(i1 - q_limit, 0) ** 2
     )
     ok = deviation < 1e-8
     _report(6, "relaxation drives moments to the limit pair", ok, f"deviation={deviation:.2e}")
@@ -157,8 +158,8 @@ def test_criterion_07_p1_closure_consistency():
         ords = make_ordinates(n_dims, count)
         i0 = SpectralField.constant(grid, 1.0) + smooth_field(grid, rng)
         i1 = smooth_vector(grid, rng)
-        field = KineticField.from_p1(RadiationMoments(I0=i0, I1=i1), ords)
-        theta = SpectralField.constant(grid, 1.0) + smooth_field(grid, rng, amp=0.05)
+        field = KineticField.from_p1(grid, stack(grid, i0, i1), ords)
+        theta = 1.0 + smooth_field(grid, rng, amp=0.05).values
         _, pairs = moment_system_check(field, theta, 1.0, ((1.0, 0.0), (1.0, 1.0)))
         worst = max(worst, *(r for pair in pairs for r in pair))
     ok = worst < 1e-10
@@ -224,8 +225,9 @@ def test_criterion_09_operator_and_order_suite():
     rho = one + smooth_field(grid, rng, amp=0.05)
     u = smooth_vector(grid, rng, amp=0.05)
     theta = one + smooth_field(grid, rng, amp=0.05)
-    i0 = limit_I0(theta) + smooth_field(grid, rng, amp=0.02)
-    i1 = limit_q(theta) + smooth_vector(grid, rng, amp=0.02)
+    i0_limit, q_limit = limit_pair(theta)
+    i0 = i0_limit + smooth_field(grid, rng, amp=0.02)
+    i1 = q_limit + smooth_vector(grid, rng, amp=0.02)
     fluid = stack(grid, rho, u, theta)
     eps_state = eps_batch(grid, (0.1,), [fluid], [stack(grid, i0, i1)])
 

@@ -14,11 +14,11 @@ from radhydro.analysis import (
     well_prepared_init,
 )
 from radhydro.errors import DegenerateFit, PositivityLost, TimeMismatch
-from radhydro.radiation import limit_I0, limit_q, limit_spectrum
-from radhydro.spectral import SpectralField, sobolev_norm
+from radhydro.radiation import limit_spectrum
+from radhydro.spectral import Grid, SpectralField, sobolev_norm
 from radhydro.stepping import EpsBatch
 
-from conftest import fields, limit_state, smooth_field, smooth_vector, stack
+from conftest import fields, limit_pair, limit_state, smooth_field, smooth_vector, stack
 
 
 def _base_state(grid):
@@ -35,8 +35,15 @@ def _offset_batch(grid, base, d_fluid=0.0, d_rad=0.0, eps=0.1, time=0.0):
     return EpsBatch(grid, (eps,), (base.fluid + d_fluid)[:, None], rad[:, None], time)
 
 
+def _squares(batch, base, indices):
+    """batch_error_squares against base, with the limit closure of the
+    base temperature."""
+    closure = limit_spectrum(base.grid, base.fluid[-1])
+    return batch_error_squares(batch, base, closure, indices)
+
+
 def _energy(grid, base, d_fluid, d_rad, s, eps):
-    squares = batch_error_squares(_offset_batch(grid, base, d_fluid, d_rad, eps), base, (s,))
+    squares = _squares(_offset_batch(grid, base, d_fluid, d_rad, eps), base, (s,))
     return EnergyRecord.from_squares(0.0, *squares[0, :, 0].tolist(), eps)
 
 
@@ -49,7 +56,7 @@ def _random_differences(grid, rng):
 class TestErrorFields:
     def test_consistent_states_give_zero(self, grid1d):
         base = _base_state(grid1d)
-        squares = batch_error_squares(_offset_batch(grid1d, base), base, (0, 3))
+        squares = _squares(_offset_batch(grid1d, base), base, (0, 3))
         assert np.all(squares == 0.0)
 
     def test_single_perturbation_is_linear(self, grid1d):
@@ -57,9 +64,7 @@ class TestErrorFields:
         x = grid1d.coordinates()[0]
         bump = SpectralField.from_values(grid1d, 0.03 * np.sin(x))
         d_fluid = stack(grid1d, bump, 0.0, 0.0)
-        (fluid_sq, rad_sq), = batch_error_squares(
-            _offset_batch(grid1d, base, d_fluid), base, (2,)
-        )[:, :, 0]
+        (fluid_sq, rad_sq), = _squares(_offset_batch(grid1d, base, d_fluid), base, (2,))[:, :, 0]
         assert fluid_sq == pytest.approx(sobolev_norm(bump, 2) ** 2, rel=1e-12)
         assert rad_sq == 0.0
 
@@ -67,7 +72,7 @@ class TestErrorFields:
         base = _base_state(grid1d)
         late = _offset_batch(grid1d, base, time=1e-6)
         with pytest.raises(TimeMismatch):
-            batch_error_squares(late, base, (0,))
+            _squares(late, base, (0,))
 
 
 class TestEnergy:
@@ -111,7 +116,7 @@ class TestWellPreparedInit:
     def test_amp_zero_is_exactly_consistent(self, grid1d):
         base = _base_state(grid1d)
         batch = well_prepared_init(base, (0.05,), 0.0)
-        squares = batch_error_squares(batch, base, (3,))[0, :, 0]
+        squares = _squares(batch, base, (3,))[0, :, 0]
         rec = EnergyRecord.from_squares(0.0, *squares.tolist(), 0.05)
         assert rec.full_energy < 1e-13
         assert hypothesis_deviation(batch, base, 3)[0] < 1e-13
@@ -126,13 +131,13 @@ class TestWellPreparedInit:
         shapes = default_perturbation_shapes(grid1d)
         batch = well_prepared_init(base, (eps,), 1.0, shapes)
         i0, i1 = fields(grid1d, grid1d.inverse(batch.rad[:, 0]))
-        theta = fields(grid1d, base.fluid)[-1]
+        i0_limit, q_limit = limit_pair(fields(grid1d, base.fluid)[-1])
         rad_norm = math.sqrt(
-            sobolev_norm(i0 - limit_I0(theta), s) ** 2
-            + sobolev_norm(i1 - limit_q(theta), s) ** 2
+            sobolev_norm(i0 - i0_limit, s) ** 2 + sobolev_norm(i1 - q_limit, s) ** 2
         )
+        shape_i0, shape_i1 = fields(grid1d, shapes[3:])
         shape_norm = math.sqrt(
-            sobolev_norm(shapes.I0, s) ** 2 + sobolev_norm(shapes.I1, s) ** 2
+            sobolev_norm(shape_i0, s) ** 2 + sobolev_norm(shape_i1, s) ** 2
         )
         assert rad_norm == pytest.approx(math.sqrt(eps) * shape_norm, rel=1e-12)
         assert math.sqrt(eps) * rad_norm == pytest.approx(eps * shape_norm, rel=1e-12)
@@ -148,6 +153,19 @@ class TestWellPreparedInit:
             assert max(ratios) < 1e-10
         else:
             assert max(ratios) / min(ratios) < 1.0 + 1e-10
+
+    @pytest.mark.parametrize("n_dims", [1, 2])
+    def test_default_shapes_are_unit_rows_in_state_order(self, n_dims):
+        # One (2n+3, *shape) array: rho, u, theta, I0, I1, each of unit
+        # L^2 norm; rho is sin(x) in 1D and sin(x + y) in 2D.
+        grid = Grid(n_dims, 16)
+        shapes = default_perturbation_shapes(grid)
+        assert shapes.shape == (2 * n_dims + 3, *grid.shape)
+        norms = [sobolev_norm(SpectralField.from_values(grid, row), 0) for row in shapes]
+        assert norms == pytest.approx([1.0] * len(shapes), rel=1e-14)
+        x = grid.coordinates()
+        rho = np.sin(sum(x))
+        assert np.abs(shapes[0] - rho / np.sqrt(np.sum(rho**2) * grid.cell_volume)).max() < 1e-14
 
     def test_positivity_guard(self, grid1d):
         base = _base_state(grid1d)

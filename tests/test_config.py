@@ -21,7 +21,7 @@ from radhydro.config import (
     parse_config,
 )
 from radhydro.errors import ConfigError, ParseError, ValidationError
-from radhydro.spectral import sobolev_norm
+from radhydro.spectral import SpectralField, sobolev_norm
 
 
 def _write(tmp_path, payload):
@@ -233,8 +233,9 @@ class TestProfiles:
                 "u": [{"base": 0.0, "modes": [{"amplitude": 1e150, "wavenumber": [1]}]}]
             },
         }
-        shapes = build_shapes(parse_config(raw, mode="simulate-eps"))
-        assert sobolev_norm(shapes.u, 0) == pytest.approx(1.0, rel=1e-12)
+        cfg = parse_config(raw, mode="simulate-eps")
+        u = SpectralField.from_values(cfg.grid, build_shapes(cfg)[1])
+        assert sobolev_norm(u, 0) == pytest.approx(1.0, rel=1e-12)
 
     def test_shape_overrides_are_unit_normalized(self):
         cfg = parse_config(
@@ -249,7 +250,10 @@ class TestProfiles:
             }
         )
         shapes = build_shapes(cfg)
-        assert sobolev_norm(shapes.rho, 0) == pytest.approx(1.0, rel=1e-12)
+        assert shapes.shape == (5, *cfg.grid.shape)
+        assert sobolev_norm(SpectralField.from_values(cfg.grid, shapes[0]), 0) == pytest.approx(1.0, rel=1e-12)
+        # Shapes left out are zero, and stay zero.
+        assert not shapes[1:].any()
 
 
 _NAN, _INF = float("nan"), float("inf")

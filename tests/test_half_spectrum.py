@@ -23,15 +23,7 @@ from radhydro.kinetic import (
     moments,
     p1_projection_residual,
 )
-from radhydro.radiation import (
-    RadiationMoments,
-    emission,
-    emission_spectrum,
-    limit_I0,
-    limit_closure_residual,
-    limit_q,
-    limit_spectrum,
-)
+from radhydro.radiation import emission_spectrum, limit_closure_residual, limit_q, limit_spectrum
 from radhydro.spectral import (
     Grid,
     SpectralField,
@@ -51,6 +43,7 @@ from conftest import (
     fields,
     fluid_rhs,
     l2_inner,
+    limit_pair,
     limit_state,
     smooth_field,
     smooth_vector,
@@ -259,7 +252,7 @@ class TestRhsAgainstOperatorAssembly:
         rng = np.random.default_rng(12)
         f = _wavy_fluid(grid, rng)
         theta = fields(grid, f)[-1]
-        want = _oracle_rhs(grid, f, PARAMS, None, -div(limit_q(theta)))
+        want = _oracle_rhs(grid, f, PARAMS, None, -div(limit_pair(theta)[1]))
         _assert_rhs_close(fluid_rhs(grid, f, PARAMS), want)
 
 
@@ -280,10 +273,14 @@ def fft_calls(monkeypatch):
     return calls
 
 
-def _transform_names(n_dims):
-    """numpy.fft names of the forward and inverse grid transforms: the
-    one-axis calls in 1D, the n-axis ones in 2D."""
-    return ("rfft", "irfft") if n_dims == 1 else ("rfftn", "irfftn")
+def _transform_counts(n_dims, forward, inverse):
+    """numpy.fft calls of that many forward and inverse grid transforms:
+    one-axis rfft (irfft) calls, and in 2D as many fft (ifft) calls
+    along the other axis."""
+    counts = Counter(rfft=forward, irfft=inverse)
+    if n_dims == 2:
+        counts.update(fft=forward, ifft=inverse)
+    return +counts
 
 
 @pytest.mark.parametrize("n_dims", [1, 2])
@@ -300,8 +297,7 @@ class TestTransformBudget:
         return grid, fluid, rad, eps_batch(grid, eps, [fluid] * members, [rad] * members)
 
     def _counts(self, n_dims, forward, inverse):
-        names = _transform_names(n_dims)
-        return Counter({names[0]: forward, names[1]: inverse})
+        return _transform_counts(n_dims, forward, inverse)
 
     def _rhs_calls(self, n_dims, fft_calls, coupled):
         """Transform calls of one kernel call on the state's spectrum."""
@@ -359,24 +355,22 @@ class TestTransformBudget:
         grid, fluid, _, _ = self._state(n_dims)
         state = limit_state(grid, fluid)
         batch_sizes = []
-        name = _transform_names(n_dims)[0]
-        forward = getattr(np.fft, name)
+        forward = np.fft.rfft
 
         def counted(a, *args, **kwargs):
             batch_sizes.append(a.shape[0])
             return forward(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.fft, name, counted)
+        monkeypatch.setattr(np.fft, "rfft", counted)
         step_limit(state, PARAMS, 0.01)
         assert batch_sizes == [n_dims + 3, n_dims + 1] * 4
 
     def test_limit_closure_residual(self, n_dims, fft_calls):
         # theta^4 and the flux values in one forward batch, no inverse.
         grid, fluid, rad, _ = self._state(n_dims)
-        theta, (_, q) = fields(grid, fluid)[-1], fields(grid, rad)
         fft_calls.clear()
-        limit_closure_residual(theta, q)
-        assert fft_calls == Counter({_transform_names(n_dims)[0]: 1})
+        limit_closure_residual(grid, fluid[-1], rad[1:])
+        assert fft_calls == self._counts(n_dims, 1, 0)
 
     @pytest.mark.parametrize("members", [1, 4])
     def test_lockstep_step(self, n_dims, members, fft_calls):
@@ -389,18 +383,31 @@ class TestTransformBudget:
         assert fft_calls == self._counts(n_dims, 8 + 1, 12)
 
 
-FULL_COMPLEX = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn")
+FULL_COMPLEX = ("fft2", "ifft2", "fftn", "ifftn")
 
 
 @pytest.fixture
 def half_spectrum_only(monkeypatch):
-    """Make every full-complex numpy.fft entry point raise."""
+    """Make every full-complex numpy.fft entry point raise, and fft and
+    ifft unless they run along the first spatial axis of a 2D half
+    spectrum (complex data of last axis N/2 + 1), which is the second
+    half of a 2D grid transform."""
     for name in FULL_COMPLEX:
 
         def forbidden(*args, _name=name, **kwargs):
             raise AssertionError(f"numpy.fft.{_name} called")
 
         monkeypatch.setattr(np.fft, name, forbidden)
+    for name in ("fft", "ifft"):
+        original = getattr(np.fft, name)
+
+        def half_axis_only(a, *args, _original=original, _name=name, **kwargs):
+            half = np.iscomplexobj(a) and a.ndim >= 2 and a.shape[-1] == a.shape[-2] // 2 + 1
+            if not (half and kwargs.get("axis") == -2):
+                raise AssertionError(f"numpy.fft.{_name} called on a full spectrum or real data")
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, half_axis_only)
 
 
 @pytest.mark.parametrize("n_dims", [1, 2])
@@ -438,22 +445,21 @@ class TestNoFullComplexTransform:
         values = stack(grid, f, v)
         assert sobolev_squares(grid, grid.forward(values), (0, 2)).shape == (2, n_dims + 1)
 
-        rad = RadiationMoments(I0=limit_I0(f), I1=limit_q(f))
-        assert limit_closure_residual(f, rad.I1) < 1e-12
-        assert emission(f).values.shape == grid.shape
-        assert emission_spectrum(grid, f.values).shape == grid.half_shape
-        assert limit_spectrum(grid, f.values).shape == (1 + n_dims, *grid.half_shape)
+        theta = f.values
+        assert limit_closure_residual(grid, theta, limit_q(grid, theta)) < 1e-12
+        assert emission_spectrum(grid, theta).shape == grid.half_shape
+        assert limit_spectrum(grid, theta).shape == (1 + n_dims, *grid.half_shape)
+        rad_values = grid.inverse(limit_spectrum(grid, theta))
 
         ords = make_ordinates(n_dims, 8)
-        kin = KineticField.from_p1(rad, ords)
-        assert kinetic_rhs(kin, f, 0.1, 1.0, 0.5).intensity.shape == kin.intensity.shape
-        assert moments(kin, ords).I0.values.shape == grid.shape
+        kin = KineticField.from_p1(grid, rad_values, ords)
+        assert kinetic_rhs(kin, theta, 0.1, 1.0, 0.5).intensity.shape == kin.intensity.shape
+        assert moments(kin, ords).shape == (1 + n_dims, *grid.shape)
         assert p1_projection_residual(kin, ords) < 1e-10
-        residual, [(r0, r1)] = moment_system_check(kin, f, 0.1, [(1.0, 0.5)])
+        residual, [(r0, r1)] = moment_system_check(kin, theta, 0.1, [(1.0, 0.5)])
         assert residual < 1e-10 and max(r0, r1) < 1e-8
 
         fluid = stack(grid, f, v, f)
-        rad_values = stack(grid, rad.I0, rad.I1)
         assert fluid_rhs(grid, fluid, PARAMS, rad=rad_values, eps=0.1).shape == fluid.shape
         assert fluid_rhs(grid, fluid, PARAMS).shape == fluid.shape
         batch = step_eps(eps_batch(grid, (0.1,), [fluid], [rad_values]), PARAMS, 0.01)
@@ -466,11 +472,12 @@ def test_limit_q_matches_full_spectrum_formula(n_dims, n):
     grid = Grid(n_dims, n)
     theta = SpectralField.constant(grid, 1.0) + _random(grid, np.random.default_rng(13)) * 0.1
     i0 = _full_dealias(grid, _full(theta.values**4)) / (1.0 + _full_k_squared(grid))
-    got = limit_q(theta)
+    got = limit_q(grid, theta.values)
+    assert got.shape == (n_dims, *grid.shape)
     for g, k in zip(got, _full_k(grid)):
         want = _full_values(-1j * k * i0)
-        assert _close(g.values, want)
-        assert _close(g.coefficients, grid.forward(want))
+        assert _close(g, want)
+        assert _close(grid.forward(g), grid.forward(want))
 
 
 @pytest.mark.parametrize("n_dims,n", GRIDS)
@@ -480,5 +487,6 @@ def test_in_kernel_limit_rhs_matches_limit_q_flux(n_dims, n):
     # limit_q's flux.
     grid = Grid(n_dims, n)
     f = _wavy_fluid(grid, np.random.default_rng(14))
-    want = _oracle_rhs(grid, f, PARAMS, None, -div(limit_q(fields(grid, f)[-1])))
+    q = VectorField([SpectralField.from_values(grid, c) for c in limit_q(grid, f[-1])])
+    want = _oracle_rhs(grid, f, PARAMS, None, -div(q))
     _assert_rhs_close(fluid_rhs(grid, f, PARAMS), want)

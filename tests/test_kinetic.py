@@ -17,10 +17,10 @@ from radhydro.kinetic import (
     p1_projection_residual,
     transport_term,
 )
-from radhydro.radiation import RadiationMoments, emission
-from radhydro.spectral import Grid, SpectralField, VectorField, grad, sobolev_norm
+from radhydro.radiation import emission_spectrum
+from radhydro.spectral import Grid, SpectralField, grad, sobolev_norm
 
-from conftest import smooth_field, smooth_vector
+from conftest import smooth_field
 
 
 def _isotropic(f, ords):
@@ -30,22 +30,24 @@ def _isotropic(f, ords):
 
 
 def _p1_field(grid, ords, i0_vals, i1_vals_list):
-    rad = RadiationMoments(
-        I0=SpectralField.from_values(grid, i0_vals),
-        I1=VectorField(
-            [SpectralField.from_values(grid, v) for v in i1_vals_list]
-        ),
-    )
-    return KineticField.from_p1(rad, ords)
+    return KineticField.from_p1(grid, np.stack([i0_vals, *i1_vals_list]), ords)
+
+
+def _moment_pair(grid, rng):
+    """(1+n, *shape) values of a smooth moment pair about I0 = 1."""
+    return np.stack([1.0 + smooth_field(grid, rng).values]
+                    + [smooth_field(grid, rng).values for _ in range(grid.n_dims)])
+
+
+def _theta(grid, rng):
+    return 1.0 + smooth_field(grid, rng).values
 
 
 def _full_array_projection_residual(field, ords):
     """The projection residual built from whole (count, *shape) arrays:
     reconstruction, difference and its square."""
     rad = moments(field, ords)
-    recon = np.stack(
-        [rad.I0.values + sum(w * c.values for w, c in zip(om, rad.I1)) for om in ords.directions]
-    )
+    recon = np.stack([rad[0] + sum(w * c for w, c in zip(om, rad[1:])) for om in ords.directions])
     per_node = np.tensordot(ords.weights, (field.intensity - recon) ** 2, axes=(0, 0))
     return float(np.sqrt(per_node.sum() * field.grid.cell_volume))
 
@@ -85,15 +87,15 @@ class TestKineticRhs:
         one = SpectralField.constant(grid1d, 1.0)
         ords = make_ordinates(1, 4)
         field = _isotropic(one, ords)
-        tend = kinetic_rhs(field, one, 1.0, 1.0, 0.0)
+        tend = kinetic_rhs(field, one.values, 1.0, 1.0, 0.0)
         assert np.abs(tend.intensity).max() < 1e-14
 
     def test_scattering_vanishes_for_isotropic_data(self, grid2d, rng):
         f = SpectralField.constant(grid2d, 2.0) + smooth_field(grid2d, rng)
         ords = make_ordinates(2, 8)
         field = _isotropic(f, ords)
-        with_scatter = kinetic_rhs(field, f, 1.0, 1.0, 5.0)
-        without = kinetic_rhs(field, f, 1.0, 1.0, 0.0)
+        with_scatter = kinetic_rhs(field, f.values, 1.0, 1.0, 5.0)
+        without = kinetic_rhs(field, f.values, 1.0, 1.0, 0.0)
         assert np.abs(with_scatter.intensity - without.intensity).max() < 1e-12
 
     def test_scattering_conserves_photon_number(self, grid2d, rng):
@@ -101,7 +103,7 @@ class TestKineticRhs:
         ords = make_ordinates(2, 8)
         vals = rng.standard_normal((ords.count, *grid2d.shape))
         field = KineticField(grid2d, ords, vals)
-        theta = SpectralField.constant(grid2d, 1.0)
+        theta = np.ones(grid2d.shape)
         eps, sigma_a = 1.0, 1.0
         base = kinetic_rhs(field, theta, eps, sigma_a, 0.0)
         scat = kinetic_rhs(field, theta, eps, sigma_a, 3.0)
@@ -109,13 +111,13 @@ class TestKineticRhs:
             grid2d, ords, scat.intensity - base.intensity
         )
         m = moments(scattering_part, ords)
-        assert sobolev_norm(m.I0, 0) < 1e-12
+        assert sobolev_norm(SpectralField.from_values(grid2d, m[0]), 0) < 1e-12
 
     def test_p1_field_tendency_matches_moment_system(self, grid1d):
         x = grid1d.coordinates()[0]
         ords = make_ordinates(1, 4)
         field = _p1_field(grid1d, ords, 1 + 0.1 * np.sin(x), [0.1 * np.cos(x)])
-        theta = SpectralField.from_values(grid1d, 1 + 0.05 * np.cos(x))
+        theta = 1 + 0.05 * np.cos(x)
         _, [(r0, r1)] = moment_system_check(field, theta, 1.0, [(1.0, 0.0)])
         assert r0 < 1e-10 and r1 < 1e-10
 
@@ -124,7 +126,7 @@ class TestKineticRhs:
         grid = Grid(n_dims, 16)
         ords = make_ordinates(n_dims, 8)
         field = KineticField(grid, ords, rng.standard_normal((ords.count, *grid.shape)))
-        theta = SpectralField.constant(grid, 1.0) + smooth_field(grid, rng)
+        theta = _theta(grid, rng)
         transport = transport_term(field)
         assert transport.shape == field.intensity.shape
         given = kinetic_rhs(field, theta, 0.5, 1.0, 2.0, transport=transport)
@@ -141,7 +143,7 @@ class TestKineticRhs:
 
         def rhs(vals):
             return kinetic_rhs(
-                KineticField(grid1d, ords, vals), theta, eps, 1.0, 0.5
+                KineticField(grid1d, ords, vals), theta.values, eps, 1.0, 0.5
             ).intensity
 
         vals = field.intensity
@@ -159,8 +161,9 @@ class TestMoments:
         f = SpectralField.constant(grid2d, 5.0)
         ords = make_ordinates(2, 8)
         m = moments(_isotropic(f, ords), ords)
-        assert np.abs(m.I0.values - 5.0).max() < 1e-13
-        assert np.abs(m.I1[0].values).max() < 1e-13
+        assert m.shape == (3, *grid2d.shape)
+        assert np.abs(m[0] - 5.0).max() < 1e-13
+        assert np.abs(m[1]).max() < 1e-13
 
     def test_affine_data_recovered_exactly(self, grid2d):
         ords = make_ordinates(2, 8)
@@ -168,9 +171,9 @@ class TestMoments:
         for j, om in enumerate(ords.directions):
             vals[j] = 2.0 + 3.0 * om[0]
         m = moments(KineticField(grid2d, ords, vals), ords)
-        assert np.abs(m.I0.values - 2.0).max() < 1e-13
-        assert np.abs(m.I1[0].values - 3.0).max() < 1e-13
-        assert np.abs(m.I1[1].values).max() < 1e-13
+        assert np.abs(m[0] - 2.0).max() < 1e-13
+        assert np.abs(m[1] - 3.0).max() < 1e-13
+        assert np.abs(m[2]).max() < 1e-13
 
     def test_projection_property(self, grid2d, rng):
         ords = make_ordinates(2, 8)
@@ -178,9 +181,9 @@ class TestMoments:
         i1 = [smooth_field(grid2d, rng).values for _ in range(2)]
         field = _p1_field(grid2d, ords, i0.values, i1)
         m = moments(field, ords)
-        assert np.abs(m.I0.values - i0.values).max() < 1e-13
-        for c, expected in zip(m.I1.components, i1):
-            assert np.abs(c.values - expected).max() < 1e-13
+        assert np.abs(m[0] - i0.values).max() < 1e-13
+        for c, expected in zip(m[1:], i1):
+            assert np.abs(c - expected).max() < 1e-13
 
     def test_quadratic_direction_dependence(self, grid2d):
         # I = omega_x^2: the direction average over the circle is 1/2 and
@@ -190,8 +193,8 @@ class TestMoments:
         for j, om in enumerate(ords.directions):
             vals[j] = om[0] ** 2
         m = moments(KineticField(grid2d, ords, vals), ords)
-        assert np.abs(m.I0.values - 0.5).max() < 1e-13
-        assert np.abs(m.I1[0].values).max() < 1e-13
+        assert np.abs(m[0] - 0.5).max() < 1e-13
+        assert np.abs(m[1]).max() < 1e-13
 
 
 class TestProjectionResidual:
@@ -256,7 +259,7 @@ class TestMomentSystemCheck:
             1 + smooth_field(grid2d, rng).values,
             [smooth_field(grid2d, rng).values for _ in range(2)],
         )
-        theta = SpectralField.constant(grid2d, 1.0) + smooth_field(grid2d, rng)
+        theta = _theta(grid2d, rng)
         _, [(r0, r1)] = moment_system_check(field, theta, 1.0, [sigma])
         assert r0 < 1e-10 and r1 < 1e-10
 
@@ -264,7 +267,7 @@ class TestMomentSystemCheck:
         one = SpectralField.constant(grid1d, 1.0)
         ords = make_ordinates(1, 4)
         field = _isotropic(one, ords)
-        _, [(r0, r1)] = moment_system_check(field, one, 1.0, [(1.0, 0.0)])
+        _, [(r0, r1)] = moment_system_check(field, one.values, 1.0, [(1.0, 0.0)])
         assert r0 == 0.0 and r1 == 0.0
 
     def test_rejects_non_p1_data(self, grid2d):
@@ -273,7 +276,7 @@ class TestMomentSystemCheck:
         for j, om in enumerate(ords.directions):
             vals[j] = om[0] ** 2
         field = KineticField(grid2d, ords, vals)
-        theta = SpectralField.constant(grid2d, 1.0)
+        theta = np.ones(grid2d.shape)
         with pytest.raises(NotInP1Subspace):
             moment_system_check(field, theta, 1.0, [(1.0, 0.0)])
 
@@ -289,7 +292,7 @@ class TestMomentSystemCheck:
         for j, om in enumerate(ords.directions):
             vals[j] = gfun.values * om[0] ** 2
         field = KineticField(grid2d, ords, vals)
-        theta = SpectralField.constant(grid2d, 1.0)
+        theta = np.ones(grid2d.shape)
         eps = 0.5
         _, [(r0, r1)] = moment_system_check(field, theta, eps, [(1.0, 0.0)], enforce_p1=False)
         expected_r1 = 0.25 * sobolev_norm(grad(gfun), 0) / eps
@@ -302,7 +305,7 @@ class TestMomentSystemCheck:
         x = grid1d.coordinates()[0]
         ords = make_ordinates(1, 4)
         field = _p1_field(grid1d, ords, np.ones_like(x), [0.2 * np.sin(x)])
-        theta = SpectralField.constant(grid1d, 1.0)
+        theta = np.ones(grid1d.shape)
         _, [(r0, r1)] = moment_system_check(field, theta, 1.0, [(1.0, 2.0)])
         assert r0 < 1e-12 and r1 < 1e-12
 
@@ -313,7 +316,7 @@ class TestMomentSystemCheck:
         X, Y = grid2d.coordinates()
         vals = np.stack([np.sin(X) * om[0] ** 2 + np.cos(Y) * om[1] for om in ords.directions])
         field = KineticField(grid2d, ords, vals)
-        theta = SpectralField.from_values(grid2d, 1 + 0.1 * np.cos(X + Y))
+        theta = 1 + 0.1 * np.cos(X + Y)
         pairs = [(1.0, 0.0), (1.0, 1.0), (2.0, 0.5)]
         residual, got = moment_system_check(field, theta, 0.5, pairs, enforce_p1=False)
         singles = [moment_system_check(field, theta, 0.5, [p], enforce_p1=False) for p in pairs]
@@ -325,19 +328,17 @@ class TestMomentSystemCheck:
     @pytest.mark.parametrize("n_pairs", [1, 3])
     def test_transform_budget(self, n_pairs, rng, monkeypatch):
         # One transform pair per ordinate slab (8 + 8), once per check.
-        # The rest: emission, div I1 and grad I0 once (4 + 4), the
-        # emission shared with kinetic_rhs; per pair, the three norms of
-        # r0, r1 (3 + 0).
+        # The rest: one forward transform of the stacked moments and
+        # theta^4 and one inverse of the dealiased theta^4, which
+        # kinetic_rhs shares (1 + 1); per pair, one forward transform of
+        # the tendency's moments (1 + 0). A 2D transform is a one-axis
+        # rfft (irfft) and an fft (ifft) along the other axis.
         grid = Grid(2, 16)
         ords = make_ordinates(2, 8)
-        rad = RadiationMoments(
-            I0=SpectralField.constant(grid, 1.0) + smooth_field(grid, rng),
-            I1=smooth_vector(grid, rng),
-        )
-        field = KineticField.from_p1(rad, ords)
-        theta = SpectralField.constant(grid, 1.0) + smooth_field(grid, rng)
+        field = KineticField.from_p1(grid, _moment_pair(grid, rng), ords)
+        theta = _theta(grid, rng)
         calls = Counter()
-        for name in ("rfftn", "irfftn"):
+        for name in ("rfft", "irfft", "fft", "ifft", "rfftn", "irfftn"):
             original = getattr(np.fft, name)
 
             def counted(*args, _original=original, _name=name, **kwargs):
@@ -347,7 +348,8 @@ class TestMomentSystemCheck:
             monkeypatch.setattr(np.fft, name, counted)
         pairs = [(1.0, 0.0), (1.0, 1.0), (2.0, 0.5)][:n_pairs]
         moment_system_check(field, theta, 0.5, pairs)
-        assert calls == Counter(rfftn=8 + 4 + 3 * n_pairs, irfftn=8 + 4)
+        forward, inverse = 8 + 1 + n_pairs, 8 + 1
+        assert calls == Counter(rfft=forward, fft=forward, irfft=inverse, ifft=inverse)
 
 
 # Test-local copies of the earlier kernels: one tensordot per moment, per
@@ -417,18 +419,12 @@ class TestKernelsAgainstFormulas:
         rng = np.random.default_rng(61 + n_dims)
         ords = make_ordinates(n_dims, 12)
         field = KineticField(grid, ords, 1.0 + rng.standard_normal((ords.count, *grid.shape)))
-        theta = SpectralField.constant(grid, 1.0) + smooth_field(grid, rng)
-        rad = RadiationMoments(
-            I0=SpectralField.constant(grid, 1.0) + smooth_field(grid, rng),
-            I1=smooth_vector(grid, rng),
-        )
-        return grid, ords, field, theta, rad
+        theta = _theta(grid, rng)
+        return grid, ords, field, theta, _moment_pair(grid, rng)
 
     def test_moments(self, data):
         grid, ords, field, _, _ = data
-        m = moments(field, ords)
-        got = np.stack([m.I0.values, *(c.values for c in m.I1)])
-        assert _relative_gap(got, _formula_moments(field, ords)) <= 1e-13
+        assert _relative_gap(moments(field, ords), _formula_moments(field, ords)) <= 1e-13
 
     def test_transport_term(self, data):
         _, _, field, _, _ = data
@@ -436,27 +432,24 @@ class TestKernelsAgainstFormulas:
 
     @pytest.mark.parametrize("sigma", [(1.0, 0.0), (2.0, 0.5)])
     def test_kinetic_rhs(self, data, sigma):
-        _, _, field, theta, _ = data
+        grid, _, field, theta, _ = data
         transport = transport_term(field)
-        source = emission(theta).values
+        source = grid.inverse(emission_spectrum(grid, theta))
         got = kinetic_rhs(field, theta, 0.3, *sigma, transport=transport).intensity
         want = _formula_rhs(field, source, 0.3, *sigma, transport)
         assert _relative_gap(got, want) <= 1e-13
 
     def test_from_p1(self, data):
         grid, ords, _, _, rad = data
-        rows = np.stack([rad.I0.values, *(c.values for c in rad.I1)])
-        got = KineticField.from_p1(rad, ords).intensity
-        assert _relative_gap(got, _formula_from_p1(rows, ords)) <= 1e-13
+        got = KineticField.from_p1(grid, rad, ords).intensity
+        assert _relative_gap(got, _formula_from_p1(rad, ords)) <= 1e-13
 
     def test_projection_residual(self, data):
         # In 1D every intensity is affine in the direction, so both
         # residuals are roundoff; the gap is measured against the
         # weighted norm of the data, the residual's scale.
         _, ords, field, _, _ = data
-        m = moments(field, ords)
-        rows = np.stack([m.I0.values, *(c.values for c in m.I1)])
-        want = _formula_residual(field, rows)
+        want = _formula_residual(field, moments(field, ords))
         scale = np.sqrt(np.tensordot(ords.weights, field.intensity**2, axes=(0, 0)).sum() * field.grid.cell_volume)
         assert abs(p1_projection_residual(field, ords) - want) <= 1e-13 * scale
         if ords.n_dims == 2:
@@ -467,12 +460,8 @@ class TestCheckPasses:
     def _check_input(self, rng):
         grid = Grid(2, 32)
         ords = make_ordinates(2, 64)
-        rad = RadiationMoments(
-            I0=SpectralField.constant(grid, 1.0) + smooth_field(grid, rng),
-            I1=smooth_vector(grid, rng),
-        )
-        theta = SpectralField.constant(grid, 1.0) + smooth_field(grid, rng)
-        return KineticField.from_p1(rad, ords), theta
+        field = KineticField.from_p1(grid, _moment_pair(grid, rng), ords)
+        return field, _theta(grid, rng)
 
     @pytest.mark.parametrize("chunk_cells", [None, 4096])
     def test_peak_memory(self, chunk_cells, rng, monkeypatch):

@@ -11,12 +11,12 @@ from radhydro.analysis import batch_error_squares
 from radhydro.config import parse_config
 from radhydro.errors import BlowUp, NonPositiveState
 from radhydro.fluid import POSITIVITY_FLOOR, FluidParams, _rhs_common
-from radhydro.radiation import limit_I0, limit_q
+from radhydro.radiation import limit_spectrum
 from radhydro.runner import _sampled, run
-from radhydro.spectral import Grid, SpectralField, sobolev_norm
+from radhydro.spectral import Grid, SpectralField, VectorField, sobolev_norm
 from radhydro.stepping import EpsBatch, StepControl, cfl_dt, step_batch, step_eps, step_limit
 
-from conftest import eps_batch, fields, limit_state, member, smooth_field, smooth_vector, stack
+from conftest import eps_batch, fields, limit_pair, limit_state, member, smooth_field, smooth_vector, stack
 
 PARAMS = FluidParams(mu=0.01, lam=0.01, kappa=0.01)
 SWEEP = (0.1, 0.05, 0.025, 0.0125)
@@ -28,8 +28,9 @@ def _state(grid, rng, u_amp=0.05):
     theta = one + smooth_field(grid, rng, amp=0.05)
     rho = one + smooth_field(grid, rng, amp=0.05)
     u = smooth_vector(grid, rng, amp=u_amp)
-    i0 = limit_I0(theta) + smooth_field(grid, rng, amp=0.02)
-    i1 = limit_q(theta) + smooth_vector(grid, rng, amp=0.02)
+    i0_limit, q_limit = limit_pair(theta)
+    i0 = i0_limit + smooth_field(grid, rng, amp=0.02)
+    i1 = q_limit + smooth_vector(grid, rng, amp=0.02)
     return stack(grid, rho, u, theta), stack(grid, i0, i1)
 
 
@@ -44,8 +45,7 @@ def _error_squares(grid, fluid, rad, limit_fluid, s):
     rho, u, theta = fields(grid, fluid)
     i0, i1 = fields(grid, rad)
     rho_l, u_l, theta_l = fields(grid, limit_fluid)
-    i0_ref = limit_I0(theta_l)
-    q_ref = limit_q(theta_l)
+    i0_ref, q_ref = limit_pair(theta_l)
     fluid_sq = (
         sobolev_norm(rho - rho_l, s) ** 2
         + sobolev_norm(u - u_l, s) ** 2
@@ -226,7 +226,7 @@ def test_batched_error_squares_match_error_fields(n_dims, n):
     limit = limit_state(grid, _state(grid, rng)[0])
     batch = _batch(grid, members, (0.1, 0.05, 0.025))
     indices = (0, 3, 4)
-    got = batch_error_squares(batch, limit, indices)
+    got = batch_error_squares(batch, limit, limit_spectrum(grid, limit.fluid[-1]), indices)
     assert got.shape == (3, 2, 3)
     for e in range(len(members)):
         fluid, rad = member(batch, e)
@@ -273,25 +273,45 @@ def test_non_finite_member_is_named():
 
 
 @pytest.mark.parametrize("n_dims,n", [(1, 32), (2, 16)])
-def test_solver_path_builds_no_field_objects(n_dims, n, monkeypatch):
-    # Every solver state is a stack of arrays: from prepared data to the
-    # error norms, nothing constructs a SpectralField.
+def test_solver_path_builds_no_field_objects(n_dims, n, tmp_path, monkeypatch):
+    # Every state is a stack of arrays: from prepared data to the error
+    # norms, and in every mode of runner.run (on a 16-point grid, the
+    # closure check on 8 ordinates, with configured perturbation
+    # shapes), nothing constructs a SpectralField or a VectorField.
     from radhydro.analysis import default_perturbation_shapes, hypothesis_deviation, well_prepared_init
     from radhydro.stepping import step_limit
 
     grid = Grid(n_dims, n)
     base = limit_state(grid, _state(grid, np.random.default_rng(38))[0])
-    shapes = default_perturbation_shapes(grid)
     control = StepControl(t_end=1.0, dt=0.01)
+    shape = {"base": 0.0, "modes": [{"amplitude": 1.0, "wavenumber": [1] * n_dims, "kind": "sin"}]}
+    raw = {
+        "grid": {"n_dims": n_dims, "points": 16},
+        "t_end": 0.05,
+        "output_interval": 0.025,
+        "eps_list": [0.1, 0.05, 0.025],
+        "ordinates": 8,
+        "perturbation_shapes": {"rho": shape},
+    }
+    configs = {
+        mode: parse_config({**raw, "out_dir": str(tmp_path / mode)}, mode=mode)
+        for mode in ("convergence-study", "simulate-eps", "simulate-limit", "closure-check")
+    }
 
     def forbidden(self, *args, **kwargs):
-        raise AssertionError("SpectralField constructed")
+        raise AssertionError(f"{type(self).__name__} constructed")
 
     monkeypatch.setattr(SpectralField, "__init__", forbidden)
-    batch = well_prepared_init(base, SWEEP, 1.0, shapes)
+    monkeypatch.setattr(VectorField, "__init__", forbidden)
+    batch = well_prepared_init(base, SWEEP, 1.0, default_perturbation_shapes(grid))
     assert hypothesis_deviation(batch, base, 3).shape == (len(SWEEP),)
     dt = cfl_dt(batch, PARAMS, control)
     assert dt == cfl_dt(base, PARAMS, control)
     batch = step_eps(step_batch(batch, PARAMS, dt), PARAMS, dt)
     limit = step_limit(step_limit(base, PARAMS, dt), PARAMS, dt)
-    assert batch_error_squares(batch, limit, (0, 3)).shape == (2, 2, len(SWEEP))
+    closure = limit_spectrum(grid, limit.fluid[-1])
+    assert batch_error_squares(batch, limit, closure, (0, 3)).shape == (2, 2, len(SWEEP))
+    for mode, config in configs.items():
+        summary = run(config)
+        assert summary.mode == mode
+        assert os.path.isfile(os.path.join(config.out_dir, "summary.json"))

@@ -2,13 +2,15 @@
 
 The relaxation tendencies are the test-local field-by-field oracle
 (``conftest.radiation_rhs``) that the exact substep is checked against;
-the tests here hold the oracle itself to the equations.
+the tests here hold the oracle itself to the equations. The limit pair
+comes from the array functions (``limit_spectrum``, ``limit_q``) and is
+checked through the public field operators.
 """
 
 import numpy as np
 import pytest
 
-from radhydro.radiation import emission, limit_I0, limit_closure_residual, limit_q
+from radhydro.radiation import emission_spectrum, limit_closure_residual, limit_q
 from radhydro.spectral import (
     SpectralField,
     VectorField,
@@ -19,12 +21,16 @@ from radhydro.spectral import (
 )
 from radhydro.stepping import EpsBatch
 
-from conftest import radiation_rhs, smooth_field, stack
+from conftest import emission_field, limit_pair, radiation_rhs, smooth_field, stack
 
 
 def _theta_bump(grid, amp=0.1):
     x = grid.coordinates()[0]
     return SpectralField.from_values(grid, 1 + amp * np.cos(x))
+
+
+def _q_field(grid, q):
+    return VectorField([SpectralField.from_values(grid, c) for c in q])
 
 
 class TestRadiationRhs:
@@ -45,7 +51,7 @@ class TestRadiationRhs:
     @pytest.mark.parametrize("eps", [1.0, 0.1, 0.01])
     def test_limit_pair_is_steady(self, grid1d, eps):
         theta = _theta_bump(grid1d)
-        d0, d1 = radiation_rhs(limit_I0(theta), limit_q(theta), theta, eps)
+        d0, d1 = radiation_rhs(*limit_pair(theta), theta, eps)
         assert sobolev_norm(d0, 0) < 1e-10
         assert sobolev_norm(d1, 0) < 1e-10
 
@@ -69,53 +75,61 @@ class TestRadiationRhs:
 class TestLimitI0:
     def test_constant(self, grid1d):
         theta = SpectralField.constant(grid1d, 1.0)
-        assert np.abs(limit_I0(theta).values - 1.0).max() < 1e-13
+        assert np.abs(limit_pair(theta)[0].values - 1.0).max() < 1e-13
 
     def test_single_mode_symbol(self, grid1d):
         # Synthetic source 1 + cos x: the k = 1 symbol is 1/2.
         x = grid1d.coordinates()[0]
         theta4 = SpectralField.from_values(grid1d, 1 + np.cos(x))
         theta = SpectralField.from_values(grid1d, theta4.values ** 0.25)
-        out = limit_I0(theta)
+        out = limit_pair(theta)[0]
         expected = 1 + np.cos(x) / 2
         # theta^4 reconstructed from the quarter power is exact to roundoff
         assert np.abs(out.values - expected).max() < 1e-10
 
     def test_residual_of_helmholtz_solve(self, grid1d):
         theta = _theta_bump(grid1d)
-        i0 = limit_I0(theta)
-        residual = i0 - laplacian(i0) - emission(theta)
+        i0, q = limit_pair(theta)
+        residual = i0 - laplacian(i0) - emission_field(theta)
         assert sobolev_norm(residual, 0) < 1e-12
-        assert i0.mean == pytest.approx(emission(theta).mean, abs=1e-14)
+        assert i0.mean == pytest.approx(emission_field(theta).mean, abs=1e-14)
+        assert sobolev_norm(q + grad(i0), 0) == 0.0
+
+    def test_emission_is_the_dealiased_fourth_power(self, grid2d, rng):
+        theta = SpectralField.constant(grid2d, 1.0) + smooth_field(grid2d, rng, kmax=8)
+        want = dealias(theta**4)
+        assert sobolev_norm(emission_field(theta) - want, 0) < 1e-14 * sobolev_norm(want, 0)
+        assert np.all(emission_spectrum(grid2d, theta.values)[~grid2d.half_dealias_mask] == 0.0)
 
 
 class TestLimitQ:
     def test_constant_theta(self, grid1d):
-        q = limit_q(SpectralField.constant(grid1d, 2.0))
-        assert np.abs(q[0].values).max() < 1e-13
+        q = limit_q(grid1d, np.full(grid1d.shape, 2.0))
+        assert q.shape == (1, *grid1d.shape)
+        assert np.abs(q).max() < 1e-13
 
     def test_single_mode(self, grid1d):
         x = grid1d.coordinates()[0]
         theta4 = SpectralField.from_values(grid1d, 1 + np.cos(x))
         theta = SpectralField.from_values(grid1d, theta4.values ** 0.25)
-        q = limit_q(theta)
-        assert np.abs(q[0].values - np.sin(x) / 2).max() < 1e-10
+        q = limit_q(grid1d, theta.values)
+        assert np.abs(q[0] - np.sin(x) / 2).max() < 1e-10
 
     def test_curl_free_2d(self, grid2d, rng):
         theta = SpectralField.constant(grid2d, 1.0) + smooth_field(grid2d, rng)
-        q = limit_q(theta)
+        q = _q_field(grid2d, limit_q(grid2d, theta.values))
         curl = grad(q[1])[0] - grad(q[0])[1]
         assert sobolev_norm(curl, 0) < 1e-12
 
 
 class TestClosureResidual:
     def test_limit_flux_is_exact(self, grid2d, rng):
-        theta = SpectralField.constant(grid2d, 1.0) + smooth_field(grid2d, rng)
-        assert limit_closure_residual(theta, limit_q(theta)) < 1e-11
+        theta = 1.0 + smooth_field(grid2d, rng).values
+        assert limit_closure_residual(grid2d, theta, limit_q(grid2d, theta)) < 1e-11
 
     def test_zero_flux_leaves_emission_gradient(self, grid1d):
         theta = _theta_bump(grid1d)
-        residual = limit_closure_residual(theta, VectorField.zeros(grid1d))
+        residual = limit_closure_residual(grid1d, theta.values, np.zeros((1, *grid1d.shape)))
         expected = sobolev_norm(grad(dealias(theta**4)), 0)
         assert residual == pytest.approx(expected, rel=1e-12)
         assert residual > 0.1
@@ -125,7 +139,7 @@ class TestClosureResidual:
         # the exact flux contributes exactly its own residual norm.
         x = grid1d.coordinates()[0]
         theta = _theta_bump(grid1d)
-        bump = VectorField([SpectralField.from_values(grid1d, 0.01 * np.sin(x))])
-        perturbed = limit_q(theta) + bump
-        own = sobolev_norm(-grad(grad(bump[0])[0])[0] + bump[0], 0)
-        assert limit_closure_residual(theta, perturbed) == pytest.approx(own, abs=1e-6)
+        bump = SpectralField.from_values(grid1d, 0.01 * np.sin(x))
+        perturbed = limit_q(grid1d, theta.values) + bump.values
+        own = sobolev_norm(-grad(grad(bump)[0])[0] + bump, 0)
+        assert limit_closure_residual(grid1d, theta.values, perturbed) == pytest.approx(own, abs=1e-6)
