@@ -174,8 +174,10 @@ def well_prepared_init(
     exactly the limit closure's half spectrum.
 
     Raises:
-        PositivityLost: if the perturbed rho or theta of a member is not
-            positive (the first such member in the order of eps_values).
+        PositivityLost: if the perturbed rho or theta of a member is below
+            the positivity floor (the first such member in the order of
+            eps_values, rho before theta), naming its eps, the base time, the
+            field and its minimum.
     """
     eps = tuple(float(e) for e in eps_values)
     if not eps or min(eps) <= 0.0:
@@ -193,10 +195,14 @@ def well_prepared_init(
     fluid_scale = np.reshape([e * amp for e in eps], member)
     rad_scale = np.reshape([math.sqrt(e) * amp for e in eps], member)
     fluid = base.fluid[:, None] + dev[: n + 2] * fluid_scale
-    lows = np.minimum(fluid[0].min(axis=grid.axes), fluid[-1].min(axis=grid.axes))
-    for e, low in zip(eps, lows):
-        if low < POSITIVITY_FLOOR:
-            raise PositivityLost(f"perturbation amp={amp} destroys positivity at eps={e}")
+    for e, rho, theta in zip(eps, fluid[0], fluid[-1]):
+        for field, low in (("rho", rho.min()), ("theta", theta.min())):
+            if low < POSITIVITY_FLOOR:
+                raise PositivityLost(
+                    f"perturbation amp={amp} destroys positivity at eps={e}: min {field}"
+                    f" = {low:.3e} is below the floor {POSITIVITY_FLOOR:g}",
+                    eps=e, time=base.time, field=field, minimum=float(low), floor=POSITIVITY_FLOOR,
+                )
     spectrum = base.spectrum[:, None] + dev_hat[: n + 2] * fluid_scale
     rad = limit_spectrum(grid, base.fluid[-1])[:, None] + dev_hat[n + 2 :] * rad_scale
     return EpsBatch(grid, eps, fluid, rad, base.time, spectrum=spectrum)

@@ -4,21 +4,30 @@ Unknown keys are errors, never silently ignored; every accepted config
 is echoed back fully resolved so a run can be reproduced from its own
 summary. Initial profiles are sums of trigonometric modes over a
 constant background, which keeps runs deterministic and diffable.
+
+A config that passes the schema is then evaluated once on what its run
+starts from, with the run's own builders and kernels (``_admit``); a
+row of it that is not finite, or initial data below the positivity
+floor, fails the parse naming the config field (exit code 2). The
+initial data built there stays on the config, and the run reuses it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
-from .analysis import default_perturbation_shapes, unit_rows
-from .errors import ParseError, ValidationError
-from .fluid import FluidParams
-from .radiation import fourth_power
-from .spectral import Grid
+from .analysis import (
+    batch_error_squares, default_perturbation_shapes, unit_rows, well_prepared_init
+)
+from .errors import ParseError, PositivityLost, ValidationError
+from .fluid import POSITIVITY_FLOOR, FluidParams, _rhs_common
+from .radiation import limit_spectrum
+from .spectral import Grid, sobolev_squares
 from .stepping import LimitState, StepControl, cfl_bounds
 
 __all__ = ["RunConfig", "load_config", "build_limit_initial", "build_shapes"]
@@ -35,6 +44,10 @@ DEFAULT_EPS_SWEEP = (0.1, 0.05, 0.025, 0.0125)
 MAX_SAMPLES = 1e6
 MAX_STEPS = 1e7
 MAX_CELLS = 2**20
+# Grid cells x ordinates of one closure-check intensity array: 2^26
+# float64 values are 512 MiB, and the check holds three such arrays (1D
+# uses two directions, so only 2D grids can exceed it).
+MAX_INTENSITY_VALUES = 2**26
 
 DEFAULT_BOUNDS = {
     "fluid_slope": [0.9, 1.3],
@@ -50,28 +63,6 @@ DEFAULT_BOUNDS = {
 
 _MODE_SPEC_KEYS = {"amplitude", "wavenumber", "kind"}
 _PROFILE_KEYS = {"base", "modes"}
-_SHAPE_KEYS = {"rho", "u", "theta", "I0", "I1"}
-
-_TOP_KEYS = {
-    "mode",
-    "grid",
-    "fluid",
-    "eps",
-    "eps_list",
-    "t_end",
-    "output_interval",
-    "dt_max",
-    "cfl_advective",
-    "cfl_diffusive",
-    "profiles",
-    "perturbation_amp",
-    "perturbation_shapes",
-    "sobolev_indices",
-    "out_dir",
-    "ordinates",
-    "sigma_pairs",
-    "bounds",
-}
 
 
 @dataclass(frozen=True)
@@ -97,10 +88,10 @@ class RunConfig:
     ordinates: int
     sigma_pairs: tuple[tuple[float, float], ...]
     bounds: dict
-    echo: dict = field(repr=False, default_factory=dict)
 
-    @property
+    @cached_property
     def grid(self) -> Grid:
+        """One instance per config: the parse and the run share its symbols."""
         return Grid(n_dims=self.n_dims, points_per_dim=self.points)
 
     @property
@@ -112,6 +103,56 @@ class RunConfig:
         Lower indices ride along as robustness companions.
         """
         return max(self.sobolev_indices)
+
+    @property
+    def echo(self) -> dict:
+        """The configuration as the JSON object that parses back to it,
+        every default filled in, so a run can be reproduced from its
+        own summary."""
+        echo = {f.name: getattr(self, f.name) for f in fields(self)}
+        del echo["n_dims"], echo["points"], echo["params"]
+        p = self.params
+        return echo | {
+            "grid": {"n_dims": self.n_dims, "points": self.points},
+            "fluid": {"mu": p.mu, "lambda": p.lam, "kappa": p.kappa},
+            "eps_list": None if self.eps_list is None else list(self.eps_list),
+            "sobolev_indices": list(self.sobolev_indices),
+            "sigma_pairs": [list(pair) for pair in self.sigma_pairs],
+        }
+
+    # The initial data, built once per config by its parse-time check and
+    # shared with the run: the arrays are read-only, and a config made by
+    # dataclasses.replace builds its own.
+    @cached_property
+    def _limit_initial(self) -> LimitState:
+        grid, profiles = self.grid, self.profiles
+        rows = [profiles["rho"], *profiles["u"], profiles["theta"]]
+        y = np.stack([_profile_values(grid, spec) for spec in rows])
+        for name, low in (("rho", y[0].min()), ("theta", y[-1].min())):
+            if low < POSITIVITY_FLOOR:
+                message = f"initial values must be positive, min is {low:.3g}"
+                _fail(f"profiles.{name}", f"{message} (the floor is {POSITIVITY_FLOOR:g})")
+        return LimitState(grid, y, 0.0)
+
+    @cached_property
+    def _shapes(self) -> np.ndarray:
+        grid, raw = self.grid, self.perturbation_shapes
+        if raw is None:
+            shapes = default_perturbation_shapes(grid)
+        else:
+            specs = [raw["rho"], *raw["u"], raw["theta"], raw["I0"], *raw["I1"]]
+            shapes, norms = unit_rows(grid, np.stack([_profile_values(grid, s) for s in specs]))
+            vector = lambda key: [f"{key}[{i}]" for i in range(grid.n_dims)]
+            rows = ["rho", *vector("u"), "theta", "I0", *vector("I1")]
+            message = "the shape's L^2 norm on the grid is not finite"
+            _require_finite(norms, rows, "perturbation_shapes.{}", message)
+        shapes.setflags(write=False)
+        return shapes
+
+
+# The top-level keys of a configuration: those of the echo.
+_TOP_KEYS = {f.name for f in fields(RunConfig)} - {"n_dims", "points", "params"}
+_TOP_KEYS |= {"grid", "fluid"}
 
 
 def _fail(field_name: str, message: str):
@@ -142,20 +183,19 @@ def _number(d: dict, key: str, default, context: str, positive=False):
         value = default
     if value is None:
         return None
+    name = f"{context}.{key}" if context else key
     if not _is_finite_number(value):
-        _fail(
-            f"{context}.{key}" if context else key,
-            f"expected a finite number, got {value!r}",
-        )
+        _fail(name, f"expected a finite number, got {value!r}")
     value = float(value)
     if positive and value <= 0.0:
-        _fail(f"{context}.{key}" if context else key, f"must be positive, got {value}")
+        _fail(name, f"must be positive, got {value}")
     return value
 
 
-def _validate_profile(spec, name: str, default: dict, kmax: int) -> dict:
-    """Profile spec with its defaults; wavenumbers must satisfy |k| <= kmax,
-    the largest the grid resolves."""
+def _validate_profile(spec, name: str, default: dict, grid: Grid) -> dict:
+    """Profile spec with its defaults; a wavenumber has n_dims entries k
+    with |k| <= points/2, the largest the grid resolves."""
+    n_dims, kmax = grid.n_dims, grid.points_per_dim // 2
     if spec is None:
         return default
     if not isinstance(spec, dict):
@@ -179,8 +219,8 @@ def _validate_profile(spec, name: str, default: dict, kmax: int) -> dict:
             wn = [wn]
         if not (isinstance(wn, list) and all(isinstance(k, int) for k in wn)):
             _fail(f"{ctx}.wavenumber", "expected an integer or list of integers")
-        if any(isinstance(k, bool) or abs(k) > kmax for k in wn):
-            _fail(f"{ctx}.wavenumber", f"expected integers k with |k| <= {kmax}")
+        if len(wn) != n_dims or any(isinstance(k, bool) or abs(k) > kmax for k in wn):
+            _fail(f"{ctx}.wavenumber", f"expected {n_dims} integers k with |k| <= {kmax}")
         kind = m.get("kind", "sin")
         if kind not in ("sin", "cos"):
             _fail(f"{ctx}.kind", f"expected 'sin' or 'cos', got {kind!r}")
@@ -197,63 +237,29 @@ def _default_profiles(n_dims: int) -> dict:
     return {"rho": rho, "u": [u0] + [rest] * (n_dims - 1), "theta": theta}
 
 
-def _validate_profiles(raw, grid: Grid) -> dict:
-    n_dims, kmax = grid.n_dims, grid.points_per_dim // 2
-    defaults = _default_profiles(n_dims)
+def _validate_fields(raw, name: str, defaults: dict, grid: Grid) -> dict:
+    """The profile specs under name, one per key of defaults, each
+    defaulting to its entry there: a spec, or for a vector field (u, I1)
+    a list of n_dims component specs."""
     if raw is None:
         return defaults
     if not isinstance(raw, dict):
-        _fail("profiles", "expected an object")
-    _check_keys(raw, {"rho", "u", "theta"}, "profiles")
-    rho = _validate_profile(raw.get("rho"), "profiles.rho", defaults["rho"], kmax)
-    theta = _validate_profile(raw.get("theta"), "profiles.theta", defaults["theta"], kmax)
-    u_raw = raw.get("u")
-    if u_raw is None:
-        u = defaults["u"]
-    else:
-        if not isinstance(u_raw, list) or len(u_raw) != n_dims:
-            _fail("profiles.u", f"expected a list of {n_dims} component profiles")
-        u = [
-            _validate_profile(c, f"profiles.u[{i}]", defaults["u"][i], kmax)
-            for i, c in enumerate(u_raw)
-        ]
-    return {"rho": rho, "u": u, "theta": theta}
-
-
-def _validate_shapes(raw, grid: Grid) -> dict | None:
-    n_dims, kmax = grid.n_dims, grid.points_per_dim // 2
-    if raw is None:
-        return None
-    if not isinstance(raw, dict):
-        _fail("perturbation_shapes", "expected an object")
-    _check_keys(raw, _SHAPE_KEYS, "perturbation_shapes")
-    empty = {"base": 0.0, "modes": []}
-
-    def shape(spec, name):
-        # build_shapes divides by this norm, so it must be finite too.
-        spec = _validate_profile(spec, name, empty, kmax)
-        with np.errstate(over="ignore", invalid="ignore"):
-            (norm,) = unit_rows(grid, _profile_values(grid, spec)[None])[1]
-        if not math.isfinite(norm):
-            _fail(name, "the shape's values or L^2 norm on the grid are not finite")
-        return spec
-
+        _fail(name, "expected an object")
+    _check_keys(raw, set(defaults), name)
     out = {}
-    for key in ("rho", "theta", "I0"):
-        out[key] = shape(raw.get(key), f"perturbation_shapes.{key}")
-    for key in ("u", "I1"):
-        comp_raw = raw.get(key)
-        if comp_raw is None:
-            out[key] = [empty] * n_dims
-            continue
-        if not isinstance(comp_raw, list) or len(comp_raw) != n_dims:
-            _fail(
-                f"perturbation_shapes.{key}",
-                f"expected a list of {n_dims} component profiles",
-            )
-        out[key] = [
-            shape(c, f"perturbation_shapes.{key}[{i}]") for i, c in enumerate(comp_raw)
-        ]
+    for key, default in defaults.items():
+        spec, ctx = raw.get(key), f"{name}.{key}"
+        if not isinstance(default, list):
+            out[key] = _validate_profile(spec, ctx, default, grid)
+        elif spec is None:
+            out[key] = default
+        elif not isinstance(spec, list) or len(spec) != grid.n_dims:
+            _fail(ctx, f"expected a list of {grid.n_dims} component profiles")
+        else:
+            out[key] = [
+                _validate_profile(c, f"{ctx}[{i}]", d, grid)
+                for i, (c, d) in enumerate(zip(spec, default))
+            ]
     return out
 
 
@@ -280,51 +286,70 @@ def _validate_bounds(raw) -> dict:
     return bounds
 
 
-def _check_cfl_steps(grid: Grid, profiles: dict, params: FluidParams, control: StepControl):
-    """Reject a run whose CFL bounds (those of ``cfl_dt``) on the initial
-    profile values imply more than MAX_STEPS time steps, and profiles
-    whose values are not finite, whose rho or theta is not positive, or
-    whose squares or formed products overflow: the sum of squares over
-    the grid of a field (its L^2 norm), or the value or the sum over the
-    grid of the squared velocity magnitude, the pressure rho*theta, the
-    momentum rho*u or the emission theta^4.
-    """
-    y = _profile_stack(grid, profiles)
-    if not np.isfinite(y).all():
-        _fail("profiles", "the initial profile values are not all finite")
-    for name, row in (("rho", y[0]), ("theta", y[-1])):
-        if row.min() <= 0.0:
-            _fail(f"profiles.{name}", f"initial values must be positive, min is {row.min():.3g}")
-    # Each of these can overflow while the values are finite: the norm
-    # rows square the fields and sum them over the grid (a finite sum of
-    # squares also keeps the mass sum, the transforms of the fields and
-    # the diffusive bound's cfl * R * min(rho) finite); cfl_bounds squares
-    # the velocity; the right-hand side forms the products rho*theta,
-    # rho*u and theta^4, and its transforms sum them over the grid.
-    with np.errstate(over="ignore", invalid="ignore"):
-        squares = np.square(y).sum(axis=grid.axes)
-        formed = (
-            ("profiles.u", "squared velocity magnitude", np.sum(y[1:-1] ** 2, axis=0)),
-            ("profiles.rho", "pressure rho*theta or momentum rho*u", y[0] * y[1:]),
-            ("profiles.theta", "emission theta^4", fourth_power(y[-1])),
+def _require_finite(rows, names, field_name: str, message: str) -> None:
+    """Fail for the first of rows with a non-finite entry, naming
+    field_name.format(row name); message may name the row too."""
+    for name, row in zip(names, rows):
+        if not np.isfinite(row).all():
+            _fail(field_name.format(name), message.format(name))
+
+
+def _admit(config: RunConfig) -> None:
+    """ValidationError naming the field unless what the run starts from
+    is finite, row by row, and positive where it must be: in every mode
+    the limit initial state, its t = 0 norm rows, limit closure and CFL
+    bounds, and the configured shapes; in the solver modes one limit
+    right-hand side; in the eps modes the prepared data, its t = 0 error
+    rows and one eps right-hand side. Floating-point warnings are
+    silenced; every result is checked instead."""
+    grid, n, params = config.grid, config.n_dims, config.params
+    names = ["rho", *["u"] * n, "theta"]
+    with np.errstate(all="ignore"):
+        base = build_limit_initial(config)
+        norms = sobolev_squares(grid, base.spectrum, config.sobolev_indices).T
+        message = "the H^s norms of the initial profile are not finite"
+        _require_finite(norms, names, "profiles.{}", message)
+        closure = limit_spectrum(grid, base.fluid[-1])
+        _require_finite([closure], ["theta"], "profiles.{}", "its limit closure is not finite")
+        if config.mode != "closure-check":
+            tend = _rhs_common(grid, base.fluid[:, None], base.spectrum[:, None], params)
+            _require_finite(tend, names, "profiles.{}", "the limit right-hand side is not finite")
+        control = StepControl(
+            config.t_end, config.dt_max, config.cfl_advective, config.cfl_diffusive
         )
-        sums = [np.abs(values).sum() for _, _, values in formed]
-    names = ["profiles.rho"] + ["profiles.u"] * grid.n_dims + ["profiles.theta"]
-    for name, total in zip(names, squares):
-        if not np.isfinite(total):
-            _fail(name, "the sum of squares over the grid of the initial profile is not finite")
-    for (name, what, _), total in zip(formed, sums):
-        if not np.isfinite(total):
-            _fail(name, f"the {what} of the initial profile or its sum over the grid is not finite")
-    bounds = cfl_bounds(grid, y, params, control)
-    for name, field_name, dt in zip(("advective", "diffusive"), ("profiles", "fluid"), bounds):
-        steps = control.t_end / dt if dt > 0.0 else math.inf
-        if not steps <= MAX_STEPS:
+        bounds = cfl_bounds(grid, base.fluid, params, control)
+        for name, field_name, dt in zip(("advective", "diffusive"), ("profiles", "fluid"), bounds):
+            steps = config.t_end / dt if dt > 0.0 else math.inf
+            if not steps <= MAX_STEPS:
+                _fail(
+                    field_name,
+                    f"the {name} CFL bound dt = {dt:.3g} on the initial profiles implies"
+                    f" {steps:.3g} time steps, over the budget of {MAX_STEPS:g}",
+                )
+        if config.perturbation_shapes is not None:
+            build_shapes(config)  # the L^2 norms of the configured shapes
+        if config.mode not in ("simulate-eps", "convergence-study"):
+            return
+        amp = config.perturbation_amp
+        eps_key = "eps_list" if config.mode == "convergence-study" else "eps"
+        sweep = config.eps_list if eps_key == "eps_list" else (config.eps,)
+        try:
+            init = well_prepared_init(base, sweep, amp, build_shapes(config))
+        except PositivityLost as exc:
             _fail(
-                field_name,
-                f"the {name} CFL bound dt = {dt:.3g} on the initial profiles implies"
-                f" {steps:.3g} time steps, over the budget of {MAX_STEPS:g}",
+                "perturbation_amp",
+                f"{amp:g} leaves the prepared data non-positive: min {exc.field} ="
+                f" {exc.minimum:.3g} at eps = {exc.eps:g}, below the floor {POSITIVITY_FLOOR:g}",
             )
+        squares = batch_error_squares(init, base, closure, config.sobolev_indices)
+        for eps, rows in zip(sweep, squares.T):  # rows: fluid, radiation of one member
+            message = f"the t = 0 {{}} error norms at eps = {eps:g} are not finite"
+            _require_finite(rows, ("fluid", "radiation"), "perturbation_amp", message)
+        # The first member has the largest eps (a sweep decreases).
+        y, y_hat, rad = init.fluid[:, :1], init.spectrum[:, :1], init.rad[:, :1]
+        tend = _rhs_common(grid, y, y_hat, params, rad, np.full((1,) * (n + 1), sweep[0]))
+        message = f"the right-hand side at eps = {sweep[0]:g} is not finite in its {{}} row"
+        _require_finite(tend, names, eps_key, message)
 
 
 def parse_config(raw: dict, mode: str | None = None) -> RunConfig:
@@ -418,13 +443,15 @@ def parse_config(raw: dict, mode: str | None = None) -> RunConfig:
         if value > 1.0:
             _fail(name, f"must lie in (0, 1], got {value}")
 
-    profiles = _validate_profiles(raw.get("profiles"), grid)
-    control = StepControl(t_end, dt_max, cfl_advective, cfl_diffusive)
-    _check_cfl_steps(grid, profiles, params, control)
+    profiles = _validate_fields(raw.get("profiles"), "profiles", _default_profiles(n_dims), grid)
     perturbation_amp = _number(raw, "perturbation_amp", 0.0, "")
     if perturbation_amp < 0.0:
         _fail("perturbation_amp", "must be nonnegative")
-    shapes = _validate_shapes(raw.get("perturbation_shapes"), grid)
+    shapes = raw.get("perturbation_shapes")
+    if shapes is not None:
+        empty = {"base": 0.0, "modes": []}
+        defaults = dict(rho=empty, u=[empty] * n_dims, theta=empty, I0=empty, I1=[empty] * n_dims)
+        shapes = _validate_fields(shapes, "perturbation_shapes", defaults, grid)
 
     sobolev_raw = raw.get("sobolev_indices")
     # default high index: smallest integer above n/2 + 2
@@ -435,7 +462,7 @@ def parse_config(raw: dict, mode: str | None = None) -> RunConfig:
         if not (
             isinstance(sobolev_raw, list)
             and sobolev_raw
-            and all(isinstance(v, int) and 0 <= v <= 6 for v in sobolev_raw)
+            and all(type(v) is int and 0 <= v <= 6 for v in sobolev_raw)  # no bool
         ):
             _fail("sobolev_indices", "expected a nonempty list of integers in [0, 6]")
         sobolev_indices = tuple(sorted(set(sobolev_raw)))
@@ -447,6 +474,9 @@ def parse_config(raw: dict, mode: str | None = None) -> RunConfig:
     ordinates = raw.get("ordinates", 8)
     if not isinstance(ordinates, int) or ordinates < 4 or ordinates % 2 != 0:
         _fail("ordinates", "expected an even integer >= 4")
+    if cfg_mode == "closure-check" and n_dims == 2 and points**2 * ordinates > MAX_INTENSITY_VALUES:
+        budget = f"the budget of {MAX_INTENSITY_VALUES} intensity values"
+        _fail("ordinates", f"{points}^2 grid cells x {ordinates} ordinates exceed {budget}")
     sigma_raw = raw.get("sigma_pairs", [[1.0, 0.0], [1.0, 1.0]])
     if not (
         isinstance(sigma_raw, list)
@@ -462,27 +492,7 @@ def parse_config(raw: dict, mode: str | None = None) -> RunConfig:
 
     bounds = _validate_bounds(raw.get("bounds"))
 
-    echo = {
-        "mode": cfg_mode,
-        "grid": {"n_dims": n_dims, "points": points},
-        "fluid": {"mu": params.mu, "lambda": params.lam, "kappa": params.kappa},
-        "eps": eps,
-        "eps_list": list(eps_list) if eps_list is not None else None,
-        "t_end": t_end,
-        "output_interval": output_interval,
-        "dt_max": dt_max,
-        "cfl_advective": cfl_advective,
-        "cfl_diffusive": cfl_diffusive,
-        "profiles": profiles,
-        "perturbation_amp": perturbation_amp,
-        "perturbation_shapes": shapes,
-        "sobolev_indices": list(sobolev_indices),
-        "out_dir": out_dir,
-        "ordinates": ordinates,
-        "sigma_pairs": [list(p) for p in sigma_pairs],
-        "bounds": bounds,
-    }
-    return RunConfig(
+    config = RunConfig(
         mode=cfg_mode,
         n_dims=n_dims,
         points=points,
@@ -502,8 +512,9 @@ def parse_config(raw: dict, mode: str | None = None) -> RunConfig:
         ordinates=ordinates,
         sigma_pairs=sigma_pairs,
         bounds=bounds,
-        echo=echo,
     )
+    _admit(config)
+    return config
 
 
 def load_config(path, mode: str | None = None) -> RunConfig:
@@ -528,30 +539,21 @@ def _profile_values(grid: Grid, spec: dict):
     coords = grid.coordinates()
     vals = np.full(grid.shape, float(spec["base"]))
     for m in spec["modes"]:
-        wn = m["wavenumber"]
-        if len(wn) != grid.n_dims:
-            raise ValidationError(
-                f"wavenumber {wn} has wrong length for n_dims={grid.n_dims}"
-            )
-        phase = sum(k * x for k, x in zip(wn, coords))
+        phase = sum(k * x for k, x in zip(m["wavenumber"], coords))
         wave = np.sin(phase) if m["kind"] == "sin" else np.cos(phase)
         vals = vals + m["amplitude"] * wave
     return vals
 
 
-def _profile_stack(grid: Grid, profiles: dict) -> np.ndarray:
-    """The (n+2, *shape) values of the rho, u and theta profiles."""
-    rows = [profiles["rho"], *profiles["u"], profiles["theta"]]
-    return np.stack([_profile_values(grid, spec) for spec in rows])
-
-
 def build_limit_initial(config: RunConfig) -> LimitState:
-    """Construct the limit-system initial state from the profile spec."""
-    grid = config.grid
-    y = _profile_stack(grid, config.profiles)
-    if y[0].min() <= 0.0 or y[-1].min() <= 0.0:
-        raise ValidationError("initial rho and theta profiles must be positive")
-    return LimitState(grid, y, 0.0)
+    """The limit-system initial state of the profile spec, built once per
+    config (the state is read-only).
+
+    Raises:
+        ValidationError: naming the profile, if the rho or theta values
+            fall below the positivity floor of the solver somewhere.
+    """
+    return config._limit_initial
 
 
 def build_shapes(config: RunConfig) -> np.ndarray:
@@ -560,11 +562,8 @@ def build_shapes(config: RunConfig) -> np.ndarray:
     I1_1..I1_n.
 
     Configured shapes are normalized to unit L^2 norm, matching the
-    defaults' convention; a shape of norm zero stays zero.
+    defaults' convention; a shape of norm zero stays zero, and one of
+    norm that is not finite raises a ValidationError naming it. Built
+    once per config; the array is read-only.
     """
-    grid = config.grid
-    raw = config.perturbation_shapes
-    if raw is None:
-        return default_perturbation_shapes(grid)
-    specs = [raw["rho"], *raw["u"], raw["theta"], raw["I0"], *raw["I1"]]
-    return unit_rows(grid, np.stack([_profile_values(grid, spec) for spec in specs]))[0]
+    return config._shapes

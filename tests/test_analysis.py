@@ -14,6 +14,7 @@ from radhydro.analysis import (
     well_prepared_init,
 )
 from radhydro.errors import DegenerateFit, PositivityLost, TimeMismatch
+from radhydro.fluid import POSITIVITY_FLOOR
 from radhydro.radiation import limit_spectrum
 from radhydro.spectral import Grid, SpectralField, sobolev_norm
 from radhydro.stepping import EpsBatch
@@ -171,6 +172,18 @@ class TestWellPreparedInit:
         base = _base_state(grid1d)
         with pytest.raises(PositivityLost, match="eps=0.25"):
             well_prepared_init(base, (0.01, 0.25), 30.0)
+
+    def test_positivity_guard_names_field_and_margin(self, grid1d):
+        # Like a solver failure: the member's eps, the time, the field and
+        # how far its minimum fell below the floor.
+        base = _base_state(grid1d)
+        with pytest.raises(PositivityLost) as info:
+            well_prepared_init(base, (0.01, 0.25), 30.0)
+        exc = info.value
+        low = (base.fluid[0] + 0.25 * 30.0 * default_perturbation_shapes(grid1d)[0]).min()
+        assert (exc.eps, exc.time, exc.field, exc.minimum) == (0.25, 0.0, "rho", low)
+        assert exc.margin == low - POSITIVITY_FLOOR < 0.0
+        assert f"min rho = {low:.3e}" in str(exc)
 
 
 class TestFitRate:

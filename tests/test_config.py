@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -256,6 +257,116 @@ class TestProfiles:
         assert not shapes[1:].any()
 
 
+def _exit_code_and_err(tmp_path, monkeypatch, capsys, mode, raw):
+    """Exit code and stderr of the CLI on raw, with the run stubbed out and
+    every warning an error."""
+    monkeypatch.delenv("RADHYDRO_OUT", raising=False)
+    monkeypatch.setattr(radhydro.cli, "run", lambda *a, **k: pytest.fail("run started"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([mode, "--config", str(_write(tmp_path, raw))])
+    return code, capsys.readouterr().err
+
+
+class TestParseTimeEvaluation:
+    # parse_config evaluates what the run starts from once, with the run's
+    # own builders and kernels; a failing row names its config field.
+    @pytest.mark.parametrize("mode", ["convergence-study", "simulate-eps"])
+    def test_destructive_perturbation_amp_exits_2(self, mode, tmp_path, monkeypatch, capsys):
+        # The prepared data of the first eps (0.1) loses positivity: this
+        # config used to pass the parse and fail its run with exit 3.
+        raw = {"perturbation_amp": 100}
+        code, err = _exit_code_and_err(tmp_path, monkeypatch, capsys, mode, raw)
+        assert code == 2
+        assert re.search(r"'perturbation_amp': 100 .* min rho = -4\.74 at eps = 0\.1\b", err)
+
+    @pytest.mark.parametrize("mode", ["convergence-study", "simulate-eps"])
+    def test_overflowing_error_rows_exit_2(self, mode):
+        # Only u deviates, so the prepared data stays positive, but the
+        # squares its t = 0 error rows sum overflow.
+        u = [{"base": 0.0, "modes": [{"amplitude": 1.0, "wavenumber": [1]}]}]
+        raw = {"mode": mode, "perturbation_amp": 1e300, "perturbation_shapes": {"u": u}}
+        with pytest.raises(ValidationError, match=r"'perturbation_amp'.*fluid error norms at eps = 0\.1 are not finite"):
+            parse_config(raw)
+        # The same deviation of moderate size is accepted.
+        parse_config({**raw, "perturbation_amp": 1e3})
+
+    @pytest.mark.parametrize(
+        "mode,raw,field",
+        [
+            ("simulate-eps", {"eps": 1e308}, "eps"),
+            ("convergence-study", {"eps_list": [1e308, 1e307, 1e306]}, "eps_list"),
+        ],
+    )
+    def test_overflowing_eps_right_hand_side_exits_2(self, mode, raw, field, tmp_path, monkeypatch, capsys):
+        # The momentum source eps * I1 of the largest eps overflows; only
+        # the eps right-hand side forms it.
+        code, err = _exit_code_and_err(tmp_path, monkeypatch, capsys, mode, raw)
+        assert code == 2
+        assert f"'{field}': the right-hand side at eps = 1e+308 is not finite in its u row" in err
+
+    def test_overflowing_emission_exits_2_in_the_closure_check(self, tmp_path, monkeypatch, capsys):
+        # theta^4 overflows; the closure check samples its intensity from
+        # the limit closure of theta, so it must not start either.
+        raw = {"profiles": {"theta": {"base": 1e80}}}
+        code, err = _exit_code_and_err(tmp_path, monkeypatch, capsys, "closure-check", raw)
+        assert code == 2 and "'profiles.theta'" in err and "not finite" in err
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_overflowing_shape_exits_2_in_every_mode(self, mode):
+        huge = [{"amplitude": 1e308, "wavenumber": [1], "kind": k} for k in ("sin", "cos")]
+        raw = {"mode": mode, "perturbation_shapes": {"I1": [{"base": 0.0, "modes": huge}]}}
+        with pytest.raises(ValidationError, match=r"'perturbation_shapes.I1\[0\]'.*not finite"):
+            parse_config(raw)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_profile_below_the_positivity_floor_exits_2(self, mode, tmp_path, monkeypatch, capsys):
+        # Positive, but below the floor 1e-6 that the solver checks at its
+        # first stage: the solver modes used to exit 3.
+        raw = {"profiles": {"rho": {"base": 1e-7}}}
+        code, err = _exit_code_and_err(tmp_path, monkeypatch, capsys, mode, raw)
+        assert code == 2
+        assert "'profiles.rho': initial values must be positive, min is 1e-07" in err
+
+    def test_wavenumber_of_the_wrong_length_is_named(self):
+        mode = {"amplitude": 0.1, "wavenumber": [1, 0], "kind": "sin"}
+        raw = {"mode": "simulate-limit", "profiles": {"rho": {"base": 1.0, "modes": [mode]}}}
+        with pytest.raises(ValidationError, match=re.escape("'profiles.rho.modes[0].wavenumber'")):
+            parse_config(raw)
+
+    @pytest.mark.parametrize("indices", [[True, 3], [True, 1], [0, False]])
+    def test_boolean_sobolev_index_exits_2(self, indices, tmp_path, monkeypatch, capsys):
+        # [true, 3] used to write a rho_hTrue column; [true, 1] collapsed to (True,).
+        raw = {"sobolev_indices": indices}
+        code, err = _exit_code_and_err(tmp_path, monkeypatch, capsys, "simulate-limit", raw)
+        assert code == 2 and "'sobolev_indices'" in err
+
+    def test_initial_data_is_built_once_per_config(self):
+        # The parse builds it; the run reuses it. A config made by
+        # dataclasses.replace builds its own.
+        cfg = parse_config({"mode": "convergence-study"})
+        assert build_limit_initial(cfg) is build_limit_initial(cfg)
+        assert build_shapes(cfg) is build_shapes(cfg)
+        assert not build_shapes(cfg).flags.writeable
+        hot = dataclasses.replace(cfg, profiles={**cfg.profiles, "theta": {"base": 2.0, "modes": []}})
+        assert (build_limit_initial(hot).fluid[-1] == 2.0).all()
+        assert (build_limit_initial(cfg).fluid[-1] != 2.0).any()
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n_dims", [1, 2])
+    def test_echo_parses_back_to_the_config(self, mode, n_dims):
+        u = [{"base": 0.0, "modes": [{"amplitude": 0.5, "wavenumber": [1] * n_dims}]}] * n_dims
+        raw = {
+            "mode": mode,
+            "grid": {"n_dims": n_dims, "points": 16},
+            "perturbation_shapes": {"I1": u},
+            "sigma_pairs": [[2, 0.5]],
+            "sobolev_indices": [2, 1],
+        }
+        cfg = parse_config(raw)
+        assert parse_config(json.loads(json.dumps(cfg.echo))) == cfg
+
+
 _NAN, _INF = float("nan"), float("inf")
 _BAD_MODE = {"amplitude": _NAN, "wavenumber": [1], "kind": "sin"}
 
@@ -335,6 +446,30 @@ class TestWorkBudget:
         assert main(["convergence-study", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "diffusive CFL bound" in err and "1.76e+09 time steps" in err
+
+    def test_closure_check_intensity_budget(self):
+        # 2^20 ordinates on a 1024 x 1024 grid would need 8 TiB per
+        # intensity array; rejected before anything is built.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=r"'ordinates'.*exceed the budget of 67108864"):
+                parse_config(
+                    {"mode": "closure-check", "grid": {"n_dims": 2, "points": 1024}, "ordinates": 2**20}
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        # The budget itself: 128^2 x 4096 = 2^26 is accepted, one more
+        # ordinate pair is not.
+        grid = {"n_dims": 2, "points": 128}
+        parse_config({"mode": "closure-check", "grid": grid, "ordinates": 4096})
+        with pytest.raises(ValidationError, match="'ordinates'"):
+            parse_config({"mode": "closure-check", "grid": grid, "ordinates": 4098})
+        # 1D always uses two directions, and the other modes build no
+        # intensity.
+        parse_config({"mode": "closure-check", "ordinates": 2**40})
+        parse_config({"mode": "simulate-limit", "grid": grid, "ordinates": 2**20})
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("n_dims,points", [(1, 8), (1, 128), (2, 8), (2, 128)])
@@ -464,11 +599,11 @@ _TOP_LEVEL = {
     "cfl_advective": st.floats(0.0, 2.0),
     "cfl_diffusive": st.floats(0.0, 2.0),
     "profiles": _PROFILES,
-    "perturbation_amp": st.floats(0.0, 2.0),
+    "perturbation_amp": st.floats(0.0, 2.0) | st.sampled_from([1e2, 1e300]),
     "perturbation_shapes": _obj(rho=_PROFILE, u=st.lists(_PROFILE, max_size=2), I0=_PROFILE),
     "sobolev_indices": st.lists(_SCALARS, max_size=3),
     "out_dir": st.text(max_size=4),
-    "ordinates": st.sampled_from([4, 6, 8]),
+    "ordinates": st.sampled_from([4, 6, 8, 2**28]),
     "sigma_pairs": st.lists(st.lists(_SCALARS, max_size=3), max_size=2),
     "bounds": _obj(gamma_limit=_SCALARS, fluid_slope=st.lists(_SCALARS, max_size=3)),
 }
