@@ -8,14 +8,7 @@ other. A discrete-ordinates gray-transport module validates the
 two-moment closure the solver rests on.
 """
 
-from .analysis import (
-    EnergyRecord,
-    RateFit,
-    batch_error_squares,
-    fit_rate,
-    hypothesis_deviation,
-    well_prepared_init,
-)
+from .analysis import batch_error_squares, fit_rate, well_prepared_init
 from .config import RunConfig, load_config
 from .errors import (
     BlowUp,

@@ -1,20 +1,22 @@
-"""Error norms, energy records, prepared data and rate fitting.
+"""Error norms, prepared data and rate fitting.
 
 The convergence harness compares a finite-eps run against the limit run
 through five difference fields: the fluid differences (rho, u, theta)
 and the radiation differences measured against the limit closure
-evaluated on the *limit* temperature. Two Sobolev functionals track
-them: the fluid energy ||(drho, du, dtheta)||_s and the eps-weighted
-full energy whose square adds eps * ||(dI0, dI1)||_s^2; the square of
-the full energy ("gamma") is the quantity whose sup-in-time should
-scale like eps^2. The differences are never formed as fields:
-``batch_error_squares`` takes the squared norms of every member of an
-``EpsBatch`` from the half spectra both states carry, and the prepared
-data of a whole sweep is built as one batch. The perturbation shapes of
-the prepared data are one (2n+3, *shape) array of unit-L^2 rows, in the
-field order rho, u_1..u_n, theta, I0, I1_1..I1_n of the states. Nothing
-here builds a ``SpectralField``; that class is only the public per-field
-view that reference formulas and tests use.
+evaluated on the *limit* temperature. The differences are never formed
+as fields: ``batch_error_squares`` takes the squared norms of every
+member of an ``EpsBatch`` from the half spectra both states carry, as
+one (index, fluid/radiation, member) array. The runner forms the
+functionals of the limit theorem from it, over the member axis: the
+energy gamma = fluid + eps * radiation, whose sup-in-time should scale
+like eps^2, and the well-preparedness functional sqrt(fluid) +
+sqrt(eps) * sqrt(radiation) at t = 0, which must be O(eps).
+The prepared data of a whole sweep is built as one batch. The
+perturbation shapes of the prepared data are one (2n+3, *shape) array
+of unit-L^2 rows, in the field order rho, u_1..u_n, theta, I0,
+I1_1..I1_n of the states. Nothing here builds a ``SpectralField``; that
+class is only the public per-field view that reference formulas and
+tests use.
 
 Observed convergence orders come from a least-squares line through
 (log eps, log error) over a sweep of eps values.
@@ -23,7 +25,6 @@ Observed convergence orders come from a least-squares line through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,55 +35,12 @@ from .spectral import Grid, sobolev_squares
 from .stepping import EpsBatch, LimitState
 
 __all__ = [
-    "EnergyRecord",
-    "RateFit",
     "default_perturbation_shapes",
     "unit_rows",
     "batch_error_squares",
     "well_prepared_init",
-    "hypothesis_deviation",
     "fit_rate",
 ]
-
-
-@dataclass(frozen=True)
-class EnergyRecord:
-    """Sobolev energies of the differences of one member at one time.
-
-    fluid_energy: norm of the fluid differences.
-    full_energy: eps-weighted norm including the radiation differences.
-    gamma: square of the full energy, the quantity tracked against eps^2.
-    """
-
-    time: float
-    fluid_energy: float
-    full_energy: float
-    gamma: float
-
-    @classmethod
-    def from_squares(
-        cls, time: float, fluid_sq: float, rad_sq: float, eps: float
-    ) -> "EnergyRecord":
-        """Record from the squared fluid and radiation norms of one member
-        (one column of ``batch_error_squares``)."""
-        full_sq = fluid_sq + eps * rad_sq
-        return cls(
-            time=time,
-            fluid_energy=math.sqrt(fluid_sq),
-            full_energy=math.sqrt(full_sq),
-            gamma=full_sq,
-        )
-
-
-@dataclass(frozen=True)
-class RateFit:
-    """Least-squares slope of log(error) against log(eps)."""
-
-    eps_values: tuple[float, ...]
-    errors: tuple[float, ...]
-    slope: float
-    intercept: float
-    r_squared: float
 
 
 def unit_rows(grid: Grid, rows: np.ndarray) -> tuple[np.ndarray, list[float]]:
@@ -208,20 +166,11 @@ def well_prepared_init(
     return EpsBatch(grid, eps, fluid, rad, base.time, spectrum=spectrum)
 
 
-def hypothesis_deviation(batch: EpsBatch, limit_init: LimitState, s: int) -> np.ndarray:
-    """Weighted distance of each member's data from the limit-induced data.
-
-    ||fluid differences||_s + sqrt(eps) * ||radiation differences||_s per
-    member, the quantity that must be O(eps) for the convergence theory
-    to apply; an array over the members of the batch.
-    """
-    closure = limit_spectrum(batch.grid, limit_init.fluid[-1])
-    fluid_sq, rad_sq = batch_error_squares(batch, limit_init, closure, (s,))[0]
-    return np.sqrt(fluid_sq) + np.sqrt(batch.eps) * np.sqrt(rad_sq)
-
-
-def fit_rate(pairs) -> RateFit:
+def fit_rate(pairs) -> dict:
     """Fit log(error) = slope*log(eps) + intercept by least squares.
+
+    Returns the rate-fit block of ``summary.json``: the eps values in
+    decreasing order, their errors, slope, intercept and r_squared.
 
     Args:
         pairs: at least three (eps, error) tuples with positive errors.
@@ -233,8 +182,8 @@ def fit_rate(pairs) -> RateFit:
     pairs = sorted(pairs, key=lambda p: -p[0])
     if len(pairs) < 3:
         raise DegenerateFit(f"need at least 3 pairs, got {len(pairs)}")
-    eps_values = tuple(float(p[0]) for p in pairs)
-    errors = tuple(float(p[1]) for p in pairs)
+    eps_values = [float(p[0]) for p in pairs]
+    errors = [float(p[1]) for p in pairs]
     if any(e <= 0.0 for e in errors):
         raise DegenerateFit("errors must be positive for a log-log fit")
     if len(set(eps_values)) == 1:
@@ -248,11 +197,11 @@ def fit_rate(pairs) -> RateFit:
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r_squared = 1.0 if ss_tot < 1e-30 else 1.0 - ss_res / ss_tot
-    return RateFit(
-        eps_values=eps_values,
-        errors=errors,
-        slope=float(slope),
-        intercept=float(intercept),
-        r_squared=r_squared,
-    )
+    return {
+        "eps_values": eps_values,
+        "errors": errors,
+        "slope": float(slope),
+        "intercept": float(intercept),
+        "r_squared": r_squared,
+    }
 

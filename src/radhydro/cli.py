@@ -4,17 +4,16 @@ Usage:
     radhydro <mode> --config PATH [--out DIR] [--strict | --no-strict]
 
 where <mode> is one of simulate-eps, simulate-limit, convergence-study,
-closure-check. The RADHYDRO_OUT environment variable, when set,
-overrides --out. With --strict (the default) the process exits nonzero
-when any configured acceptance bound fails; --no-strict always exits 0
-for completed runs but still reports the misses. Every run is one
-thread: the members of an eps sweep advance in lockstep.
+closure-check. --out overrides the config's out_dir. With --strict
+(the default) the process exits nonzero when any configured acceptance
+bound fails; --no-strict always exits 0 for completed runs but still
+reports the misses. Every run is one thread: the members of an eps
+sweep advance in lockstep.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .config import MODES, load_config
@@ -49,9 +48,8 @@ def main(argv=None) -> int:
         print(f"radhydro: {exc}", file=sys.stderr)
         return 2
 
-    out_dir = os.environ.get("RADHYDRO_OUT") or args.out
     try:
-        summary = run(config, out_dir=out_dir)
+        summary = run(config, out_dir=args.out)
     except RadHydroError as exc:
         print(f"radhydro: run failed: {exc}", file=sys.stderr)
         return 3

@@ -9,7 +9,8 @@ A config that passes the schema is then evaluated once on what its run
 starts from, with the run's own builders and kernels (``_admit``); a
 row of it that is not finite, or initial data below the positivity
 floor, fails the parse naming the config field (exit code 2). The
-initial data built there stays on the config, and the run reuses it.
+initial data built there, the limit state and the prepared data of the
+eps members, stays on the config, and the run marches from it.
 """
 
 from __future__ import annotations
@@ -26,11 +27,12 @@ from .analysis import (
 )
 from .errors import ParseError, PositivityLost, ValidationError
 from .fluid import POSITIVITY_FLOOR, FluidParams, _rhs_common
+from .kinetic import make_ordinates
 from .radiation import limit_spectrum
 from .spectral import Grid, sobolev_squares
-from .stepping import LimitState, StepControl, cfl_bounds
+from .stepping import EpsBatch, LimitState, StepControl, cfl_bounds
 
-__all__ = ["RunConfig", "load_config", "build_limit_initial", "build_shapes"]
+__all__ = ["RunConfig", "load_config", "build_limit_initial", "build_shapes", "build_prepared"]
 
 MODES = ("simulate-eps", "simulate-limit", "convergence-study", "closure-check")
 
@@ -148,6 +150,23 @@ class RunConfig:
             _require_finite(norms, rows, "perturbation_shapes.{}", message)
         shapes.setflags(write=False)
         return shapes
+
+    @cached_property
+    def _prepared(self) -> EpsBatch | None:
+        if self.mode not in ("simulate-eps", "convergence-study"):
+            return None
+        sweep = self.eps_list if self.mode == "convergence-study" else (self.eps,)
+        amp = self.perturbation_amp
+        try:
+            init = well_prepared_init(self._limit_initial, sweep, amp, self._shapes)
+        except PositivityLost as exc:
+            _fail(
+                "perturbation_amp",
+                f"{amp:g} leaves the prepared data non-positive: min {exc.field} ="
+                f" {exc.minimum:.3g} at eps = {exc.eps:g}, below the floor {POSITIVITY_FLOOR:g}",
+            )
+        init.rad.setflags(write=False)
+        return init
 
 
 # The top-level keys of a configuration: those of the echo.
@@ -299,9 +318,10 @@ def _admit(config: RunConfig) -> None:
     is finite, row by row, and positive where it must be: in every mode
     the limit initial state, its t = 0 norm rows, limit closure and CFL
     bounds, and the configured shapes; in the solver modes one limit
-    right-hand side; in the eps modes the prepared data, its t = 0 error
-    rows and one eps right-hand side. Floating-point warnings are
-    silenced; every result is checked instead."""
+    right-hand side; in the closure check the size of the kinetic
+    tendency of every sigma pair; in the eps modes the prepared data,
+    its t = 0 error rows and one eps right-hand side. Floating-point
+    warnings are silenced; every result is checked instead."""
     grid, n, params = config.grid, config.n_dims, config.params
     names = ["rho", *["u"] * n, "theta"]
     with np.errstate(all="ignore"):
@@ -328,28 +348,41 @@ def _admit(config: RunConfig) -> None:
                 )
         if config.perturbation_shapes is not None:
             build_shapes(config)  # the L^2 norms of the configured shapes
-        if config.mode not in ("simulate-eps", "convergence-study"):
+        if config.mode == "closure-check":
+            _admit_sigma_pairs(config, grid.inverse(closure))
+        init = build_prepared(config)
+        if init is None:
             return
-        amp = config.perturbation_amp
         eps_key = "eps_list" if config.mode == "convergence-study" else "eps"
-        sweep = config.eps_list if eps_key == "eps_list" else (config.eps,)
-        try:
-            init = well_prepared_init(base, sweep, amp, build_shapes(config))
-        except PositivityLost as exc:
-            _fail(
-                "perturbation_amp",
-                f"{amp:g} leaves the prepared data non-positive: min {exc.field} ="
-                f" {exc.minimum:.3g} at eps = {exc.eps:g}, below the floor {POSITIVITY_FLOOR:g}",
-            )
         squares = batch_error_squares(init, base, closure, config.sobolev_indices)
-        for eps, rows in zip(sweep, squares.T):  # rows: fluid, radiation of one member
+        for eps, rows in zip(init.eps, squares.T):  # rows: fluid, radiation of one member
             message = f"the t = 0 {{}} error norms at eps = {eps:g} are not finite"
             _require_finite(rows, ("fluid", "radiation"), "perturbation_amp", message)
         # The first member has the largest eps (a sweep decreases).
         y, y_hat, rad = init.fluid[:, :1], init.spectrum[:, :1], init.rad[:, :1]
-        tend = _rhs_common(grid, y, y_hat, params, rad, np.full((1,) * (n + 1), sweep[0]))
-        message = f"the right-hand side at eps = {sweep[0]:g} is not finite in its {{}} row"
+        tend = _rhs_common(grid, y, y_hat, params, rad, np.full((1,) * (n + 1), init.eps[0]))
+        message = f"the right-hand side at eps = {init.eps[0]:g} is not finite in its {{}} row"
         _require_finite(tend, names, eps_key, message)
+
+
+def _admit_sigma_pairs(config: RunConfig, closure: np.ndarray) -> None:
+    """Fail for the first sigma pair whose kinetic tendency can overflow
+    on the intensity the closure check samples from the (1+n, *shape)
+    closure values: |I0 + omega.I1| <= peak = max(|I0| + sum_j |I1_j|),
+    so the damping term (sigma_a + sigma_s |S|) peak / eps must be
+    finite. With sigma_a > 0 and sigma_s >= 0 it bounds the scattering
+    gain sigma_s |S| peak too, so one test covers both terms."""
+    peak = float(np.abs(closure).sum(axis=0).max())
+    measure = make_ordinates(config.n_dims, config.ordinates).surface_measure
+    eps = config.eps if config.eps is not None else 1.0
+    for i, (sigma_a, sigma_s) in enumerate(config.sigma_pairs):
+        damping = (sigma_a + sigma_s * measure) * peak / eps
+        if not math.isfinite(damping):
+            _fail(
+                f"sigma_pairs[{i}]",
+                f"the kinetic tendency bound (sigma_a + sigma_s |S|) max|I| / eps = {damping:.3g}"
+                f" is not finite (|S| = {measure:.3g}, max|I| <= {peak:.3g}, eps = {eps:g})",
+            )
 
 
 def parse_config(raw: dict, mode: str | None = None) -> RunConfig:
@@ -489,6 +522,10 @@ def parse_config(raw: dict, mode: str | None = None) -> RunConfig:
     ):
         _fail("sigma_pairs", "expected a list of [sigma_a, sigma_s] pairs of finite numbers")
     sigma_pairs = tuple((float(a), float(s)) for a, s in sigma_raw)
+    for i, (sigma_a, sigma_s) in enumerate(sigma_pairs):
+        if not (sigma_a > 0.0 and sigma_s >= 0.0):
+            message = f"expected sigma_a > 0 and sigma_s >= 0, got {list(sigma_raw[i])}"
+            _fail(f"sigma_pairs[{i}]", message)
 
     bounds = _validate_bounds(raw.get("bounds"))
 
@@ -567,3 +604,15 @@ def build_shapes(config: RunConfig) -> np.ndarray:
     once per config; the array is read-only.
     """
     return config._shapes
+
+
+def build_prepared(config: RunConfig) -> EpsBatch | None:
+    """The prepared data of the eps members (one for simulate-eps, the
+    sweep for a convergence study; None in the other modes), built once
+    per config by ``well_prepared_init``; its arrays are read-only.
+
+    Raises:
+        ValidationError: naming perturbation_amp, if a member's rho or
+            theta falls below the positivity floor.
+    """
+    return config._prepared

@@ -14,10 +14,13 @@ output times, and the members of a sweep advance in lockstep with the
 smallest stable dt of any member. At every output time the loop writes
 the limit row, every member's error row (the norms of all members come
 from the half spectra the states carry) and, for simulate-eps, the
-member's state row straight to the open CSV files. It keeps only the
-running values the summary needs: the sup error norms, the largest gamma
-of each member and the largest mass deviation from t = 0. No state, row or record is kept
-per sample, so memory does not grow with the sample count, and a run
+member's state row straight to the open CSV files. The per-member
+values are array arithmetic over the member axis of one
+``batch_error_squares`` array per sample. The loop keeps only the
+running values the summary needs: the t = 0 error squares, the sup
+error norms, the largest gamma of each member and the largest mass
+deviation from t = 0. No state or row is kept per sample, so memory
+does not grow with the sample count, and a run
 that fails leaves its series written up to the last completed sample and
 writes no summary. The modes differ only in the members they march, the
 files they write and the summary fields they fill.
@@ -43,14 +46,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import (
-    EnergyRecord,
-    batch_error_squares,
-    fit_rate,
-    hypothesis_deviation,
-    well_prepared_init,
-)
-from .config import RunConfig, build_limit_initial, build_shapes
+from .analysis import batch_error_squares, fit_rate
+from .config import RunConfig, build_limit_initial, build_prepared
 from .errors import DegenerateFit, TimeMismatch
 from .kinetic import KineticField, make_ordinates, moment_system_check
 from .radiation import limit_closure_residual, limit_spectrum
@@ -190,6 +187,8 @@ class _Marched:
         series is not written).
     limit_drift: relative mass drift of the limit run.
     sup: (index, fluid/radiation, member) sup-in-time error norms.
+    initial: (fluid/radiation, member) squared error norms at the
+        acceptance index at t = 0 (None without members).
     gamma_over_eps2: largest gamma / eps^2 per member.
     drift: relative mass drift per member.
     """
@@ -197,15 +196,17 @@ class _Marched:
     closure_residual: float
     limit_drift: float
     sup: np.ndarray
+    initial: np.ndarray | None
     gamma_over_eps2: list[float]
     drift: list[float]
 
 
 def _march(
-    config: RunConfig, out_dir: str, base, init=None, limit_csv=None, error_csvs=(), state_csv=None
+    config: RunConfig, out_dir: str, limit_csv=None, error_csvs=(), state_csv=None
 ) -> _Marched:
-    """March the limit run from base and the members of the EpsBatch init
-    (None: no members) together, writing their rows as the samples pass.
+    """March the limit run from the config's limit initial state and its
+    eps members from their prepared data (``build_prepared``; none in
+    simulate-limit) together, writing their rows as the samples pass.
 
     limit_csv names the limit series, error_csvs one error series per
     member and state_csv the state series of a one-member batch; a None
@@ -214,9 +215,11 @@ def _march(
     """
     params, indices = config.params, config.sobolev_indices
     acc = indices.index(config.acceptance_index)
+    base, init = build_limit_initial(config), build_prepared(config)
     grid = base.grid
     limits = _sampled(base, lambda s, dt: step_limit(s, params, dt), params, config, "limit run")
     members = () if init is None else init.eps
+    eps = np.array(members)
     if members:
         name = f"eps = {members[0]:g}" if len(members) == 1 else "eps sweep"
         batches = _sampled(init, lambda b, dt: step_batch(b, params, dt), params, config, name)
@@ -225,7 +228,7 @@ def _march(
         batches = itertools.repeat(None)
     limit_mass0 = _mass(base.fluid[0], grid)
     closure, limit_dm = -math.inf, 0.0
-    sup, dm, gamma = 0.0, 0.0, [-math.inf] * len(members)
+    sup, dm, gamma, initial = 0.0, 0.0, np.full(len(members), -math.inf), None
     with ExitStack() as stack:
         path = lambda name: os.path.join(out_dir, name)
         limit_fh = state_fh = None
@@ -256,21 +259,28 @@ def _march(
                 spectra = np.concatenate([b.spectrum[:, 0], b.rad[:, 0]])
                 state_fh.write(_row(_state_row(grid, b.time, spectra, indices)))
             squares = batch_error_squares(b, ls, limit_rad, indices)  # (index, fluid/rad, member)
+            if initial is None:
+                initial = squares[acc]
             norms = np.sqrt(squares)
             sup = np.maximum(sup, norms)
             dm = np.maximum(dm, np.abs(_mass(b.fluid[0], grid) - mass0))
-            for e, (eps, fh) in enumerate(zip(members, error_fhs)):
-                rec = EnergyRecord.from_squares(b.time, *squares[acc, :, e].tolist(), eps)
-                gamma[e] = max(gamma[e], rec.gamma)
-                energies = [rec.fluid_energy, rec.full_energy, rec.gamma]
-                fh.write(_row([b.time, *norms[:, :, e].ravel(), *energies]))
+            fluid_sq, rad_sq = squares[acc]
+            full_sq = fluid_sq + eps * rad_sq  # gamma of every member
+            gamma = np.maximum(gamma, full_sq)
+            # Per member: the norms, then fluid_energy, full_energy, gamma.
+            energies = [norms[acc, 0], np.sqrt(full_sq), full_sq]
+            table = np.vstack([norms.reshape(-1, len(members)), *energies])
+            for fh, column in zip(error_fhs, table.T):
+                fh.write(_row([b.time, *column]))
             del b
 
     return _Marched(
         closure_residual=closure,
         limit_drift=float(limit_dm / np.abs(limit_mass0)),
         sup=sup,
-        gamma_over_eps2=[g / eps**2 for g, eps in zip(gamma, members)],
+        initial=initial,
+        # Python's e**2 is pow, whose last bit can differ from numpy's e*e.
+        gamma_over_eps2=[g / e**2 for g, e in zip(gamma.tolist(), members)],
         drift=(dm / np.abs(mass0)).tolist() if members else [],
     )
 
@@ -309,31 +319,21 @@ def _eps_tag(eps: float) -> str:
 
 
 def _run_convergence(config: RunConfig, out_dir: str):
-    base = build_limit_initial(config)
     s_acc = config.acceptance_index
     # All members advance in lockstep with the smallest stable dt of any
     # member: the exact radiation substep makes the bound eps-independent.
     sweep = config.eps_list  # strictly decreasing
-    init = well_prepared_init(base, sweep, config.perturbation_amp, build_shapes(config))
-    lhs = (hypothesis_deviation(init, base, s_acc) / sweep).tolist()
-    m = _march(
-        config, out_dir, base, init,
-        limit_csv="limit_series.csv",
-        error_csvs=[f"errors_eps_{_eps_tag(eps)}.csv" for eps in sweep],
-    )
+    errors = [f"errors_eps_{_eps_tag(eps)}.csv" for eps in sweep]
+    m = _march(config, out_dir, limit_csv="limit_series.csv", error_csvs=errors)
+    # The well-preparedness functional over eps, from the t = 0 squares.
+    fluid, rad = np.sqrt(m.initial)
+    lhs = ((fluid + np.sqrt(sweep) * rad) / sweep).tolist()
 
     rate_fits = {}
     for i, s in enumerate(config.sobolev_indices):
         for f, family in enumerate(("fluid", "radiation")):
             try:
-                fit = fit_rate([(eps, float(m.sup[i, f, e])) for e, eps in enumerate(sweep)])
-                rate_fits[f"{family}_s{s}"] = {
-                    "eps_values": list(fit.eps_values),
-                    "errors": list(fit.errors),
-                    "slope": fit.slope,
-                    "intercept": fit.intercept,
-                    "r_squared": fit.r_squared,
-                }
+                rate_fits[f"{family}_s{s}"] = fit_rate(zip(sweep, m.sup[i, f].tolist()))
             except DegenerateFit as exc:
                 rate_fits[f"{family}_s{s}"] = {"error": str(exc)}
 
@@ -379,11 +379,7 @@ def _bound(name: str, value, window) -> dict:
 
 def _run_simulate_eps(config: RunConfig, out_dir: str):
     eps = config.eps
-    base = build_limit_initial(config)
-    init = well_prepared_init(base, (eps,), config.perturbation_amp, build_shapes(config))
-    m = _march(
-        config, out_dir, base, init, error_csvs=["errors_series.csv"], state_csv="eps_series.csv"
-    )
+    m = _march(config, out_dir, error_csvs=["errors_series.csv"], state_csv="eps_series.csv")
     (gamma_worst,), (drift,) = m.gamma_over_eps2, m.drift
     return dict(
         gamma={"per_eps": {_eps_tag(eps): gamma_worst}, "limit": config.bounds["gamma_limit"]},
@@ -396,7 +392,7 @@ def _run_simulate_eps(config: RunConfig, out_dir: str):
 
 
 def _run_simulate_limit(config: RunConfig, out_dir: str):
-    m = _march(config, out_dir, build_limit_initial(config), limit_csv="limit_series.csv")
+    m = _march(config, out_dir, limit_csv="limit_series.csv")
     b = config.bounds
     return dict(
         conservation={"limit_run": m.limit_drift},
@@ -422,11 +418,11 @@ def _run_closure_check(config: RunConfig, out_dir: str):
     second_defect = float(np.abs(second - (measure / n) * np.eye(n)).max())
 
     residual, pair_residuals = moment_system_check(field, theta, eps, config.sigma_pairs)
-    per_pair = {}
-    worst = 0.0
-    for (sigma_a, sigma_s), (r0, r1) in zip(config.sigma_pairs, pair_residuals):
-        per_pair[f"sigma_a={sigma_a:g},sigma_s={sigma_s:g}"] = {"r0": r0, "r1": r1}
-        worst = max(worst, r0, r1)
+    per_pair = {
+        f"sigma_a={sigma_a:g},sigma_s={sigma_s:g}": {"r0": r0, "r1": r1}
+        for (sigma_a, sigma_s), (r0, r1) in zip(config.sigma_pairs, pair_residuals)
+    }
+    worst = float(np.max(pair_residuals))  # NaN propagates and fails the bound
 
     closure = {
         "ordinates": config.ordinates,

@@ -4,6 +4,7 @@ one-member calls of the array kernels and test-local oracles."""
 import numpy as np
 import pytest
 
+from radhydro.analysis import batch_error_squares
 from radhydro.fluid import _rhs_common, require_positive
 from radhydro.radiation import emission_spectrum, limit_spectrum
 from radhydro.spectral import Grid, SpectralField, VectorField, dealias, div, grad
@@ -101,6 +102,15 @@ def substep(grid, rad, theta, eps, dt):
     eps_member = np.full((1,) * (grid.n_dims + 1), float(eps))
     out = _substep(grid, grid.forward(_values(rad))[:, None], source, _propagator(grid, eps_member, dt))
     return grid.inverse(out[:, 0])
+
+
+def prepared_deviation(batch, base, s):
+    """The well-preparedness functional of every member of batch against
+    the limit state base, ||fluid diff||_s + sqrt(eps) ||radiation diff||_s,
+    from ``batch_error_squares`` with the limit closure of base."""
+    closure = limit_spectrum(base.grid, base.fluid[-1])
+    fluid, rad = np.sqrt(batch_error_squares(batch, base, closure, (s,))[0])
+    return fluid + np.sqrt(batch.eps) * rad
 
 
 def emission_field(theta):

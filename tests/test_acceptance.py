@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from radhydro.analysis import fit_rate, hypothesis_deviation, well_prepared_init
+from radhydro.analysis import fit_rate, well_prepared_init
 from radhydro.config import build_limit_initial, parse_config
 from radhydro.fluid import FluidParams
 from radhydro.kinetic import KineticField, make_ordinates, moment_system_check
@@ -30,7 +30,8 @@ from radhydro.spectral import (
 from radhydro.stepping import step_eps, step_limit
 
 from conftest import (
-    eps_batch, fields, l2_inner, limit_pair, limit_state, smooth_field, smooth_vector, stack, substep,
+    eps_batch, fields, l2_inner, limit_pair, limit_state, prepared_deviation, smooth_field,
+    smooth_vector, stack, substep,
 )
 
 # Reference configuration: 1D, 64 points, mu = lam = kappa = 0.01,
@@ -97,7 +98,7 @@ def test_criterion_03_well_prepared_hypothesis():
     ok = True
     for amp in (0.0, 1.0):
         batch = well_prepared_init(base, config.eps_list, amp)
-        ratios = list(hypothesis_deviation(batch, base, 3) / np.array(config.eps_list))
+        ratios = list(prepared_deviation(batch, base, 3) / np.array(config.eps_list))
         if max(ratios) < 1e-12:
             spread = 1.0
         else:
@@ -252,7 +253,7 @@ def test_criterion_09_operator_and_order_suite():
         one_step = step_eps(eps_state, PARAMS, dt)
         two_steps = step_eps(step_eps(eps_state, PARAMS, dt / 2), PARAMS, dt / 2)
         split_gaps.append(state_gap(one_step, two_steps))
-    split_order = fit_rate(list(zip(split_dts, split_gaps))).slope
+    split_order = fit_rate(list(zip(split_dts, split_gaps)))["slope"]
 
     limit_init = limit_state(grid, fluid)
     rk_gaps = []
@@ -261,7 +262,7 @@ def test_criterion_09_operator_and_order_suite():
         one_step = step_limit(limit_init, PARAMS, dt)
         two_steps = step_limit(step_limit(limit_init, PARAMS, dt / 2), PARAMS, dt / 2)
         rk_gaps.append(state_gap(one_step, two_steps))
-    rk_order = fit_rate(list(zip(rk_dts, rk_gaps))).slope
+    rk_order = fit_rate(list(zip(rk_dts, rk_gaps)))["slope"]
 
     ok = split_order >= 2.7 and rk_order >= 3.7
     _report(

@@ -1,16 +1,15 @@
-"""Error norms, energy records, prepared data, rate fits."""
+"""Error norms, the energy functional, prepared data, rate fits."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from radhydro.analysis import (
-    EnergyRecord,
     batch_error_squares,
     default_perturbation_shapes,
     fit_rate,
-    hypothesis_deviation,
     well_prepared_init,
 )
 from radhydro.errors import DegenerateFit, PositivityLost, TimeMismatch
@@ -19,7 +18,15 @@ from radhydro.radiation import limit_spectrum
 from radhydro.spectral import Grid, SpectralField, sobolev_norm
 from radhydro.stepping import EpsBatch
 
-from conftest import fields, limit_pair, limit_state, smooth_field, smooth_vector, stack
+from conftest import (
+    fields,
+    limit_pair,
+    limit_state,
+    prepared_deviation,
+    smooth_field,
+    smooth_vector,
+    stack,
+)
 
 
 def _base_state(grid):
@@ -43,9 +50,16 @@ def _squares(batch, base, indices):
     return batch_error_squares(batch, base, closure, indices)
 
 
+def _energies(fluid_sq, rad_sq, eps):
+    """The energy columns of an error row from one member's squares:
+    fluid_energy, full_energy and gamma = fluid_sq + eps * rad_sq."""
+    gamma = fluid_sq + eps * rad_sq
+    return SimpleNamespace(fluid_energy=math.sqrt(fluid_sq), full_energy=math.sqrt(gamma), gamma=gamma)
+
+
 def _energy(grid, base, d_fluid, d_rad, s, eps):
     squares = _squares(_offset_batch(grid, base, d_fluid, d_rad, eps), base, (s,))
-    return EnergyRecord.from_squares(0.0, *squares[0, :, 0].tolist(), eps)
+    return _energies(*squares[0, :, 0].tolist(), eps)
 
 
 def _random_differences(grid, rng):
@@ -118,9 +132,9 @@ class TestWellPreparedInit:
         base = _base_state(grid1d)
         batch = well_prepared_init(base, (0.05,), 0.0)
         squares = _squares(batch, base, (3,))[0, :, 0]
-        rec = EnergyRecord.from_squares(0.0, *squares.tolist(), 0.05)
+        rec = _energies(*squares.tolist(), 0.05)
         assert rec.full_energy < 1e-13
-        assert hypothesis_deviation(batch, base, 3)[0] < 1e-13
+        assert prepared_deviation(batch, base, 3)[0] < 1e-13
 
     def test_scaling_arithmetic_at_amp_one(self, grid1d):
         # radiation deviation norm is sqrt(eps)*amp*||shape||, so the
@@ -149,7 +163,7 @@ class TestWellPreparedInit:
         sweep = (0.1, 0.05, 0.025)
         batch = well_prepared_init(base, sweep, amp)
         assert batch.eps == sweep and batch.time == base.time
-        ratios = hypothesis_deviation(batch, base, 3) / np.array(sweep)
+        ratios = prepared_deviation(batch, base, 3) / np.array(sweep)
         if amp == 0.0:
             assert max(ratios) < 1e-10
         else:
@@ -190,21 +204,22 @@ class TestFitRate:
     def test_exact_linear_law(self):
         eps = [0.1, 0.05, 0.025, 0.0125]
         fit = fit_rate([(e, 3 * e) for e in eps])
-        assert fit.slope == pytest.approx(1.0, abs=1e-12)
-        assert fit.intercept == pytest.approx(math.log(3.0), abs=1e-12)
-        assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+        assert fit["slope"] == pytest.approx(1.0, abs=1e-12)
+        assert fit["intercept"] == pytest.approx(math.log(3.0), abs=1e-12)
+        assert fit["r_squared"] == pytest.approx(1.0, abs=1e-12)
+        assert fit["eps_values"] == eps and fit["errors"] == [3 * e for e in eps]
 
     def test_square_root_law(self):
         eps = [0.1, 0.05, 0.025]
         fit = fit_rate([(e, e**0.5) for e in eps])
-        assert fit.slope == pytest.approx(0.5, abs=1e-12)
+        assert fit["slope"] == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("slope", [0.5, 1.0, 2.0])
     def test_recovers_planted_slopes(self, slope):
         eps = [0.2, 0.1, 0.05, 0.025]
         fit = fit_rate([(e, 1.7 * e**slope) for e in eps])
-        assert fit.slope == pytest.approx(slope, abs=1e-12)
-        assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+        assert fit["slope"] == pytest.approx(slope, abs=1e-12)
+        assert fit["r_squared"] == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateFit, match="3 pairs"):

@@ -17,6 +17,7 @@ from radhydro.config import (
     MODES,
     RunConfig,
     build_limit_initial,
+    build_prepared,
     build_shapes,
     load_config,
     parse_config,
@@ -143,7 +144,6 @@ class TestProfiles:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("name", ["rho", "theta"])
     def test_nonpositive_profile_exits_2(self, mode, name, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("RADHYDRO_OUT", raising=False)
         monkeypatch.setattr(radhydro.cli, "run", lambda *a, **k: pytest.fail("run started"))
         path = _write(tmp_path, {"profiles": {name: {"base": 0.0}}})
         assert main([mode, "--config", str(path)]) == 2
@@ -152,7 +152,6 @@ class TestProfiles:
     def test_overflowing_shape_exits_2(self, tmp_path, monkeypatch, capsys):
         # Each value fits a float, but their sum and the L^2 norm that
         # build_shapes divides by overflow.
-        monkeypatch.delenv("RADHYDRO_OUT", raising=False)
         monkeypatch.setattr(radhydro.cli, "run", lambda *a, **k: pytest.fail("run started"))
         huge = [
             {"amplitude": 1e308, "wavenumber": [1], "kind": kind} for kind in ("sin", "cos")
@@ -174,7 +173,6 @@ class TestProfiles:
     def test_overflowing_velocity_exits_2(self, n_dims, tmp_path, monkeypatch, capsys):
         # Each value fits a float, but the squared velocity magnitude the
         # advective CFL bound takes does not.
-        monkeypatch.delenv("RADHYDRO_OUT", raising=False)
         monkeypatch.setattr(radhydro.cli, "run", lambda *a, **k: pytest.fail("run started"))
         k = lambda j: [j] + [0] * (n_dims - 1)
         huge = [
@@ -214,7 +212,6 @@ class TestProfiles:
         # Each value fits a float, but a product the right-hand side
         # forms, or a sum over the grid, does not; the run used to fail
         # at its first step.
-        monkeypatch.delenv("RADHYDRO_OUT", raising=False)
         monkeypatch.setattr(radhydro.cli, "run", lambda *a, **k: pytest.fail("run started"))
         raw = {"profiles": profiles}
         with warnings.catch_warnings():
@@ -260,7 +257,6 @@ class TestProfiles:
 def _exit_code_and_err(tmp_path, monkeypatch, capsys, mode, raw):
     """Exit code and stderr of the CLI on raw, with the run stubbed out and
     every warning an error."""
-    monkeypatch.delenv("RADHYDRO_OUT", raising=False)
     monkeypatch.setattr(radhydro.cli, "run", lambda *a, **k: pytest.fail("run started"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -351,6 +347,40 @@ class TestParseTimeEvaluation:
         hot = dataclasses.replace(cfg, profiles={**cfg.profiles, "theta": {"base": 2.0, "modes": []}})
         assert (build_limit_initial(hot).fluid[-1] == 2.0).all()
         assert (build_limit_initial(cfg).fluid[-1] != 2.0).any()
+
+    @pytest.mark.parametrize("mode", ["convergence-study", "simulate-eps"])
+    def test_prepared_data_is_built_once_per_config(self, mode):
+        # The batch the parse checks is the one the run marches from: one
+        # object, read-only; a config made by dataclasses.replace builds
+        # its own.
+        cfg = parse_config({"mode": mode})
+        init = build_prepared(cfg)
+        assert init is build_prepared(cfg)
+        assert init.eps == (cfg.eps_list or (cfg.eps,))
+        assert not any(a.flags.writeable for a in (init.fluid, init.spectrum, init.rad))
+        moved = dataclasses.replace(cfg, perturbation_amp=0.5)
+        assert build_prepared(moved) is not init
+        assert (build_prepared(moved).fluid != init.fluid).any()
+
+    @pytest.mark.parametrize("mode", ["simulate-limit", "closure-check"])
+    def test_no_prepared_data_without_eps_members(self, mode):
+        assert build_prepared(parse_config({"mode": mode})) is None
+
+    @pytest.mark.parametrize("pair", [[1e308, 1e308], [0.0, 1.0], [1.0, -1.0]])
+    def test_sigma_pair_the_closure_check_cannot_take_exits_2(self, pair, tmp_path, monkeypatch, capsys):
+        # [1e308, 1e308] overflows the kinetic tendency: the check used to
+        # pass on NaN residuals. The other two break the kernel's own
+        # conditions sigma_a > 0, sigma_s >= 0: the run used to end in a
+        # ValueError from kinetic_rhs (exit 1).
+        raw = {"grid": {"n_dims": 2, "points": 16}, "ordinates": 8, "sigma_pairs": [[1.0, 0.0], pair]}
+        code, err = _exit_code_and_err(tmp_path, monkeypatch, capsys, "closure-check", raw)
+        assert code == 2 and "'sigma_pairs[1]'" in err
+
+    def test_large_finite_sigma_is_accepted(self):
+        # The overflow bound does not reject a large sigma whose tendency
+        # stays finite.
+        raw = {"grid": {"n_dims": 1, "points": 8}, "ordinates": 4, "sigma_pairs": [[1e300, 0.0]]}
+        assert parse_config({"mode": "closure-check", **raw}).sigma_pairs == ((1e300, 0.0),)
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("n_dims", [1, 2])
@@ -518,7 +548,6 @@ class TestNullMeansDefault:
         assert outcome(overrides) == outcome(_drop_nulls(overrides))
 
     def test_cli_runs_a_config_with_null(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("RADHYDRO_OUT", raising=False)
         seen = []
 
         def fake_run(config, out_dir=None):
@@ -532,7 +561,6 @@ class TestNullMeansDefault:
         assert seen[0].output_interval == 0.025 and seen[0].dt_max == 0.0025
 
     def test_null_for_a_required_number_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("RADHYDRO_OUT", raising=False)
         monkeypatch.setattr(radhydro.cli, "run", lambda *a, **k: pytest.fail("run started"))
         mode = {"amplitude": None, "wavenumber": [1], "kind": "sin"}
         path = _write(tmp_path, {"profiles": {"rho": {"base": 1.0, "modes": [mode]}}})
@@ -628,7 +656,6 @@ def test_random_configs_parse_or_exit_2(raw, mode, tmp_path_factory):
         raise _RunRequested
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.delenv("RADHYDRO_OUT", raising=False)
         mp.setattr(radhydro.cli, "run", refuse)
         try:
             code = main([mode, "--config", str(path)])

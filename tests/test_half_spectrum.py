@@ -422,8 +422,7 @@ class TestNoFullComplexTransform:
             ("closure-check", {"ordinates": 8}),
         ],
     )
-    def test_cli_mode(self, n_dims, mode, extra, tmp_path, monkeypatch, half_spectrum_only):
-        monkeypatch.delenv("RADHYDRO_OUT", raising=False)
+    def test_cli_mode(self, n_dims, mode, extra, tmp_path, half_spectrum_only):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"grid": {"n_dims": n_dims, "points": 16}, **extra}))
         argv = [mode, "--config", str(config), "--out", str(tmp_path / "out"), "--no-strict"]

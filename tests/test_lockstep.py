@@ -16,7 +16,10 @@ from radhydro.runner import _sampled, run
 from radhydro.spectral import Grid, SpectralField, VectorField, sobolev_norm
 from radhydro.stepping import EpsBatch, StepControl, cfl_dt, step_batch, step_eps, step_limit
 
-from conftest import eps_batch, fields, limit_pair, limit_state, member, smooth_field, smooth_vector, stack
+from conftest import (
+    eps_batch, fields, limit_pair, limit_state, member, prepared_deviation, smooth_field, smooth_vector,
+    stack,
+)
 
 PARAMS = FluidParams(mu=0.01, lam=0.01, kappa=0.01)
 SWEEP = (0.1, 0.05, 0.025, 0.0125)
@@ -278,7 +281,7 @@ def test_solver_path_builds_no_field_objects(n_dims, n, tmp_path, monkeypatch):
     # norms, and in every mode of runner.run (on a 16-point grid, the
     # closure check on 8 ordinates, with configured perturbation
     # shapes), nothing constructs a SpectralField or a VectorField.
-    from radhydro.analysis import default_perturbation_shapes, hypothesis_deviation, well_prepared_init
+    from radhydro.analysis import default_perturbation_shapes, well_prepared_init
     from radhydro.stepping import step_limit
 
     grid = Grid(n_dims, n)
@@ -304,7 +307,7 @@ def test_solver_path_builds_no_field_objects(n_dims, n, tmp_path, monkeypatch):
     monkeypatch.setattr(SpectralField, "__init__", forbidden)
     monkeypatch.setattr(VectorField, "__init__", forbidden)
     batch = well_prepared_init(base, SWEEP, 1.0, default_perturbation_shapes(grid))
-    assert hypothesis_deviation(batch, base, 3).shape == (len(SWEEP),)
+    assert prepared_deviation(batch, base, 3).shape == (len(SWEEP),)
     dt = cfl_dt(batch, PARAMS, control)
     assert dt == cfl_dt(base, PARAMS, control)
     batch = step_eps(step_batch(batch, PARAMS, dt), PARAMS, dt)

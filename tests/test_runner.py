@@ -4,21 +4,26 @@ import dataclasses
 import filecmp
 import io
 import json
+import math
 import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import radhydro.analysis
 import radhydro.cli
+import radhydro.config
 import radhydro.runner
 from radhydro.cli import main
-from radhydro.analysis import hypothesis_deviation, well_prepared_init
+from radhydro.analysis import well_prepared_init
 from radhydro.config import build_limit_initial, build_shapes, parse_config
 from radhydro.errors import BlowUp, TimeMismatch
 from radhydro.runner import _sampled, _state_row, emit_series, run
 from radhydro.stepping import step_batch, step_limit
 from radhydro.spectral import Grid, SpectralField, VectorField, sobolev_norm
+
+from conftest import prepared_deviation
 
 
 def _fast_study(**overrides):
@@ -135,6 +140,54 @@ class TestConvergenceStudy:
         written = json.loads((tmp_path / "summary.json").read_text())
         assert "wall_time_s" not in written
 
+    def test_energy_columns_are_the_formula_of_the_row(self, tmp_path):
+        # fluid_energy, full_energy and gamma of every error row are
+        # sqrt(f), sqrt(f + eps r) and f + eps r of the squares f, r of
+        # the same row's norms at the acceptance index (the row holds the
+        # norms, so the squares agree with the run's to roundoff).
+        cfg = _fast_study(grid={"n_dims": 1, "points": 16}, perturbation_amp=0.5)
+        run(cfg, out_dir=str(tmp_path))
+        s = cfg.acceptance_index
+        for eps in cfg.eps_list:
+            data = np.genfromtxt(tmp_path / f"errors_eps_{eps:g}.csv", delimiter=",", names=True)
+            fluid_sq, rad_sq = data[f"fluid_err_h{s}"] ** 2, data[f"rad_err_h{s}"] ** 2
+            gamma = fluid_sq + eps * rad_sq
+            assert (data["fluid_energy"] == data[f"fluid_err_h{s}"]).all()
+            np.testing.assert_allclose(data["gamma"], gamma, rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(data["full_energy"], np.sqrt(gamma), rtol=1e-14, atol=0.0)
+            assert (data["gamma"] > 0.0).all()
+
+    def test_hypothesis_is_the_t0_functional(self, tmp_path):
+        # summary.hypothesis.per_eps is (||fluid diff||_s + sqrt(eps)
+        # ||radiation diff||_s) / eps at t = 0, the first error row:
+        # %.16e round-trips the norms, so the values agree exactly.
+        cfg = _fast_study(grid={"n_dims": 1, "points": 16}, perturbation_amp=0.5)
+        summary = run(cfg, out_dir=str(tmp_path))
+        s = cfg.acceptance_index
+        for eps in cfg.eps_list:
+            data = np.genfromtxt(tmp_path / f"errors_eps_{eps:g}.csv", delimiter=",", names=True)
+            first = data[0]
+            assert first["time"] == 0.0
+            expected = (first[f"fluid_err_h{s}"] + np.sqrt(eps) * first[f"rad_err_h{s}"]) / eps
+            assert summary.hypothesis["per_eps"][f"{eps:g}"] == expected
+
+    def test_prepared_data_is_built_once_per_config(self, tmp_path, monkeypatch):
+        # The parse builds the prepared batch and checks it; the run
+        # marches from that batch, so parse plus run prepare it once.
+        calls = []
+        prepare = radhydro.analysis.well_prepared_init
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return prepare(*args, **kwargs)
+
+        for module in (radhydro, radhydro.analysis, radhydro.config, radhydro.runner):
+            monkeypatch.setattr(module, "well_prepared_init", counted, raising=False)
+        cfg = _fast_study(grid={"n_dims": 1, "points": 16})
+        run(cfg, out_dir=str(tmp_path))
+        run(cfg, out_dir=str(tmp_path))
+        assert calls == [cfg.eps_list]
+
     def test_threaded_sweep_matches_serial(self, tmp_path):
         serial_dir = tmp_path / "serial"
         threaded_dir = tmp_path / "threaded"
@@ -164,7 +217,6 @@ class TestStreaming:
         # run exits 3, writes no summary, and every series holds its
         # header and the rows of the two completed samples, the same
         # bytes as the first rows of a run that does not fail.
-        monkeypatch.delenv("RADHYDRO_OUT", raising=False)
         config = {"grid": {"n_dims": 1, "points": 8}, "t_end": 0.2, "output_interval": 0.05}
         if mode == "convergence-study":
             config.update(_STREAM_SWEEP)
@@ -246,7 +298,7 @@ class TestStreaming:
         params, grid = cfg.params, cfg.grid
         base = build_limit_initial(cfg)
         init = well_prepared_init(base, cfg.eps_list, cfg.perturbation_amp, build_shapes(cfg))
-        lhs = hypothesis_deviation(init, base, cfg.acceptance_index) / cfg.eps_list
+        lhs = prepared_deviation(init, base, cfg.acceptance_index) / cfg.eps_list
         limit_states = list(
             _sampled(base, lambda s, dt: step_limit(s, params, dt), params, cfg, "limit")
         )
@@ -294,39 +346,52 @@ class TestClosureCheckMode:
             assert pair["r1"] < 1e-10
 
 
+    def test_nan_pair_residual_fails_the_bound(self, tmp_path, monkeypatch):
+        # The worst pair residual must carry a NaN: max(0.0, nan) keeps
+        # 0.0, which once reported a pass.
+        cfg = parse_config({"mode": "closure-check", "ordinates": 8, "out_dir": str(tmp_path)})
+        check = radhydro.runner.moment_system_check
+
+        def nan_second_pair(*args):
+            residual, pairs = check(*args)
+            return residual, [pairs[0], (pairs[1][0], math.nan)]
+
+        monkeypatch.setattr(radhydro.runner, "moment_system_check", nan_second_pair)
+        summary = run(cfg)
+        bound = next(b for b in summary.bounds_report if b["name"] == "moment_residual")
+        assert math.isnan(bound["value"]) and not bound["passed"]
+        assert summary.exit_status == 1
+
+
 class TestCli:
-    def test_full_invocation_and_env_override(self, tmp_path, monkeypatch, capsys):
+    def test_full_invocation_out_flag_overrides_out_dir(self, tmp_path):
         config = {
             "mode": "simulate-limit",
             "t_end": 0.05,
             "output_interval": 0.05,
+            "out_dir": str(tmp_path / "config_out"),
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config), encoding="utf-8")
-        env_dir = tmp_path / "env_out"
-        monkeypatch.setenv("RADHYDRO_OUT", str(env_dir))
         code = main(
             ["simulate-limit", "--config", str(cfg_path), "--out", str(tmp_path / "flag_out")]
         )
         assert code == 0
-        assert (env_dir / "summary.json").exists()
-        assert not (tmp_path / "flag_out").exists()
+        assert (tmp_path / "flag_out" / "summary.json").exists()
+        assert not (tmp_path / "config_out").exists()
 
-    def test_bad_config_exits_2(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("RADHYDRO_OUT", raising=False)
+    def test_bad_config_exits_2(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text('{"mode": "simulate-limit", "junk": 1}', encoding="utf-8")
         assert main(["simulate-limit", "--config", str(cfg_path)]) == 2
 
-    def test_unbounded_sample_count_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("RADHYDRO_OUT", raising=False)
+    def test_unbounded_sample_count_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text('{"output_interval": 1e-300}', encoding="utf-8")
         assert main(["convergence-study", "--config", str(cfg_path)]) == 2
         assert "output_interval" in capsys.readouterr().err
 
     def test_threads_flag_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("RADHYDRO_OUT", raising=False)
         monkeypatch.setattr(radhydro.cli, "run", lambda *a, **k: pytest.fail("run started"))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text('{"mode": "simulate-limit"}', encoding="utf-8")
@@ -335,8 +400,7 @@ class TestCli:
         assert info.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
-    def test_strict_exit_reflects_bound_miss(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("RADHYDRO_OUT", raising=False)
+    def test_strict_exit_reflects_bound_miss(self, tmp_path):
         config = {
             "mode": "simulate-limit",
             "t_end": 0.05,
@@ -398,11 +462,10 @@ def test_state_row_matches_per_field_sobolev_norms(n_dims, n, with_radiation):
     "fluid",
     [{"mu": 0.5, "lambda": 0.5, "kappa": 0.5}, {"mu": 0.01, "lambda": 1.0, "kappa": 0.01}],
 )
-def test_viscous_configs_run_to_t_end(tmp_path, monkeypatch, fluid):
+def test_viscous_configs_run_to_t_end(tmp_path, fluid):
     # Both need the 2 mu + lam coefficient and the RK4 stability interval
     # in the diffusive bound: under h^2 min(rho) / max(mu, kappa) the limit
     # run loses positivity (at t = 0.032 and at t = 0.045).
-    monkeypatch.delenv("RADHYDRO_OUT", raising=False)
     config = {"grid": {"n_dims": 1, "points": 128}, "fluid": fluid, "t_end": 0.1}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
@@ -412,13 +475,12 @@ def test_viscous_configs_run_to_t_end(tmp_path, monkeypatch, fluid):
     assert data["time"][-1] == 0.1
 
 
-def test_2d_data_on_both_axes_runs_to_t_end(tmp_path, monkeypatch):
+def test_2d_data_on_both_axes_runs_to_t_end(tmp_path):
     # The products of modes [1, 1] and [0, 2] fill the 2D spectrum up to
     # the corner of the kept band, where |k|^2 = 2 floor(N/3)^2. At
     # cfl_diffusive 0.9 and with a dt cap that never binds, a diffusive
     # bound without the factor n_dims in K2 takes twice the stable step
     # there, and the limit run loses positivity at t = 0.237.
-    monkeypatch.delenv("RADHYDRO_OUT", raising=False)
     mode = lambda amp, k, kind: {"amplitude": amp, "wavenumber": k, "kind": kind}
     both = lambda base, first, second: {
         "base": base,

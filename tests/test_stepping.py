@@ -146,7 +146,7 @@ class TestStepEps:
             two = step_eps(step_eps(state, PARAMS, dt / 2), PARAMS, dt / 2)
             gaps.append(_state_distance(one, two))
         fit = fit_rate(list(zip(dts, gaps)))
-        assert fit.slope >= 2.7
+        assert fit["slope"] >= 2.7
 
     def test_translation_equivariance(self, grid1d, rng):
         fluid, rad = _wavy_member(grid1d, rng)
@@ -202,7 +202,7 @@ class TestStepLimit:
             two = step_limit(step_limit(state, PARAMS, dt / 2), PARAMS, dt / 2)
             gaps.append(_state_distance(one, two))
         fit = fit_rate(list(zip(dts, gaps)))
-        assert fit.slope >= 3.7
+        assert fit["slope"] >= 3.7
 
     def test_closure_residual_enforced_throughout(self, grid1d, rng):
         from radhydro.radiation import limit_closure_residual, limit_q
