@@ -47,7 +47,7 @@ MAX_SAMPLES = 1e6
 MAX_STEPS = 1e7
 MAX_CELLS = 2**20
 # Grid cells x ordinates of one closure-check intensity array: 2^26
-# float64 values are 512 MiB, and the check holds three such arrays (1D
+# float64 values are 512 MiB, and the check holds two such arrays (1D
 # uses two directions, so only 2D grids can exceed it).
 MAX_INTENSITY_VALUES = 2**26
 

@@ -28,10 +28,11 @@ such array once per use rather than once per moment or per term:
   single read of I, returned as the (1+n, *shape) values of (I0, I1).
 - ``kinetic_rhs`` forms the sigma-dependent field
   c = theta^4 + sigma_s |S| <<I>> once (<<I>> from one weights @ I
-  product) and then writes (-(sigma_a + sigma_s |S|) I - T + c)/eps in
-  place into its output, one chunk of ordinates at a time, so each
-  chunk of I, of T and of the output stays in cache for the whole
-  expression.
+  product) and then forms (-(sigma_a + sigma_s |S|) I - T + c)/eps one
+  chunk of ordinates at a time, so each chunk of I, of T and of the
+  result stays in cache for the whole expression. The chunk goes in
+  place into the output or, for the closure check, into one reused
+  buffer summed into the moments, so no (count, *shape) tendency is built.
 - ``KineticField.from_p1`` and the projection residual sample
   I0 + omega . I1 as products of the (count, 1+n) rows (1, omega_j)
   with the (1+n, cells) values of (I0, I1): ``from_p1`` in one product
@@ -51,7 +52,7 @@ one closure check evaluates it once, together with the emission
 theta^4, the moments of I, the P1 projection residual and the sigma-free
 parts of the predicted tendencies, and shares them across every
 (sigma_a, sigma_s) pair it is given; each pair costs one ``kinetic_rhs``
-on the whole field and one ``moments`` of its tendency.
+on the whole field, reduced to its moments as it is formed.
 
 Everything here is arrays: temperatures are (*shape) values, moment
 pairs (1+n, *shape) values, intensities (count, *shape). The check
@@ -223,7 +224,8 @@ def kinetic_rhs(
     sigma_s: float,
     transport: np.ndarray | None = None,
     source: np.ndarray | None = None,
-) -> KineticField:
+    as_moments: bool = False,
+) -> KineticField | np.ndarray:
     """Transport tendency per ordinate.
 
     dI/dt = [-omega.grad I + theta^4 - sigma_a I
@@ -236,7 +238,8 @@ def kinetic_rhs(
     computed here otherwise. Evaluated as
     (-(sigma_a + sigma_s |S|) I - T + c)/eps with the field
     c = theta^4 + sigma_s |S| <<I>> formed once, written in place into
-    the output one chunk of ordinates at a time.
+    the output one chunk of ordinates at a time; with ``as_moments``, the
+    (1+n, *shape) ``moments`` of the tendency, summed chunk by chunk.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -250,18 +253,23 @@ def kinetic_rhs(
     measure = ords.surface_measure
     if source is None:
         source = I.grid.inverse(emission_spectrum(I.grid, theta))
-    average = (ords.weights / measure) @ I.intensity.reshape(ords.count, -1)
+    rows = _moment_rows(ords)
+    average = rows[0] @ I.intensity.reshape(ords.count, -1)
     field = source + (sigma_s * measure) * average.reshape(source.shape)
     damping = -(sigma_a + sigma_s * measure)
-    out = np.empty_like(I.intensity)
-    for s in _chunks(ords.count, field.size):
-        part = out[s]
+    chunks = _chunks(ords.count, field.size)
+    out = np.empty((chunks[0].stop, *field.shape) if as_moments else I.intensity.shape)
+    sums, product = np.zeros((2, len(rows), field.size))
+    for s in chunks:
+        part = out[: s.stop - s.start] if as_moments else out[s]
         np.multiply(I.intensity[s], damping, out=part)
         part -= transport[s]
         part += field
         part /= eps
+        if as_moments:
+            sums += np.matmul(rows[:, s], part.reshape(len(part), -1), out=product)
     out.setflags(write=False)
-    return KineticField(I.grid, ords, out)
+    return sums.reshape(len(rows), *field.shape) if as_moments else KineticField(I.grid, ords, out)
 
 
 def moments(I: KineticField, ords: OrdinateSet) -> np.ndarray:
@@ -274,10 +282,14 @@ def moments(I: KineticField, ords: OrdinateSet) -> np.ndarray:
     """
     if ords.count != I.ordinates.count or ords.n_dims != I.ordinates.n_dims:
         raise ValueError("ordinate set does not match the kinetic field")
-    w = ords.weights / ords.surface_measure
-    weights = np.vstack([w, ords.n_dims * (w * ords.directions.T)])
-    rows = weights @ I.intensity.reshape(ords.count, -1)
+    rows = _moment_rows(ords) @ I.intensity.reshape(ords.count, -1)
     return rows.reshape(len(rows), *I.grid.shape)
+
+
+def _moment_rows(ords: OrdinateSet) -> np.ndarray:
+    """(1+n, count) weight rows w/|S| and (n/|S|) w omega of ``moments``."""
+    w = ords.weights / ords.surface_measure
+    return np.vstack([w, ords.n_dims * (w * ords.directions.T)])
 
 
 def p1_projection_residual(I: KineticField, ords: OrdinateSet) -> float:
@@ -363,9 +375,13 @@ def moment_system_check(
 
     pairs = []
     for sigma_a, sigma_s in sigma_pairs:
-        tend = grid.forward(moments(kinetic_rhs(I, theta, eps, sigma_a, sigma_s, transport, source), ords))
-        tend[0] -= (free[0] - sigma_a * rad_hat[0]) * (1.0 / eps)
-        tend[1:] -= (free[1:] - (sigma_a + sigma_s * measure) * rad_hat[1:]) * (1.0 / eps)
+        tend = kinetic_rhs(I, theta, eps, sigma_a, sigma_s, transport, source, as_moments=True)
+        # Transformed and squared at the power-of-two scale that brings the
+        # tendency below one, so no admitted sigma overflows; exact.
+        scale = np.ldexp(1.0, -max(0, int(np.frexp(np.abs(tend).max())[1])))
+        tend = grid.forward(tend * scale)
+        tend[0] -= (free[0] - sigma_a * rad_hat[0]) * (scale / eps)
+        tend[1:] -= (free[1:] - (sigma_a + sigma_s * measure) * rad_hat[1:]) * (scale / eps)
         squares = sobolev_squares(grid, tend, (0,))[0]
-        pairs.append((float(np.sqrt(squares[0])), float(np.sqrt(squares[1:].sum()))))
+        pairs.append(tuple(float(np.sqrt(q) / scale) for q in (squares[0], squares[1:].sum())))
     return residual, pairs

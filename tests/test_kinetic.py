@@ -456,6 +456,56 @@ class TestKernelsAgainstFormulas:
             assert want > 0.1 * scale
 
 
+class TestFusedMoments:
+    """kinetic_rhs reduced to its moments chunk by chunk against the
+    moments of the whole tendency, on random data (outside P1 in 2D), to
+    1e-13 of the reference's largest entry. With CHUNK_CELLS = 4096 the
+    1D grid takes two chunks of one ordinate and the 2D grid 4, 4, 4, 2
+    ordinates; the module's chunk is one chunk on both."""
+
+    @pytest.fixture(params=[None, 4096], ids=["module-chunk", "chunks-4096"])
+    def chunking(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(radhydro.kinetic, "CHUNK_CELLS", request.param)
+
+    @pytest.fixture(params=[(1, 4096), (2, 32)], ids=["1d", "2d"])
+    def data(self, request, chunking):
+        n_dims, points = request.param
+        grid = Grid(n_dims, points)
+        rng = np.random.default_rng(71 + n_dims)
+        ords = make_ordinates(n_dims, 14)
+        field = KineticField(grid, ords, 1.0 + rng.standard_normal((ords.count, *grid.shape)))
+        return field, _theta(grid, rng)
+
+    @pytest.mark.parametrize("sigma", [(1.0, 0.0), (2.0, 0.5)])
+    def test_equals_moments_of_the_tendency(self, data, sigma):
+        field, theta = data
+        transport = transport_term(field)
+        want = moments(kinetic_rhs(field, theta, 0.3, *sigma, transport=transport), field.ordinates)
+        got = kinetic_rhs(field, theta, 0.3, *sigma, transport=transport, as_moments=True)
+        assert got.shape == want.shape
+        assert _relative_gap(got, want) <= 1e-13
+
+    def test_check_matches_the_whole_tendency(self, data, monkeypatch):
+        # The check as it was before the fusion: moments of the whole
+        # (count, *shape) tendency of every pair.
+        field, theta = data
+        pairs = [(1.0, 0.0), (1.0, 1.0), (2.0, 0.5)]
+        residual, got = moment_system_check(field, theta, 0.5, pairs, enforce_p1=False)
+        original = radhydro.kinetic.kinetic_rhs
+
+        def unfused(*args, as_moments):
+            return moments(original(*args), args[0].ordinates)
+
+        monkeypatch.setattr(radhydro.kinetic, "kinetic_rhs", unfused)
+        want_residual, want = moment_system_check(field, theta, 0.5, pairs, enforce_p1=False)
+        assert residual == want_residual
+        for g, w in zip(np.ravel(got), np.ravel(want)):
+            assert g == pytest.approx(w, rel=1e-13, abs=1e-13)
+        if field.grid.n_dims == 2:
+            assert all(r1 > 0.1 for _, r1 in want)
+
+
 class TestCheckPasses:
     def _check_input(self, rng):
         grid = Grid(2, 32)
@@ -465,14 +515,15 @@ class TestCheckPasses:
 
     @pytest.mark.parametrize("chunk_cells", [None, 4096])
     def test_peak_memory(self, chunk_cells, rng, monkeypatch):
-        # Beyond I, the check holds the transport term and one pair's
-        # tendency (two full arrays of 64 fields each), at most one chunk
-        # of work space, and field-sized arrays (moments, emission,
-        # predictions, one slab's spectrum and symbol, a ufunc buffer),
-        # about 30 fields with numpy 2.4 and allowed for as 48. The
-        # module's chunk is the whole array at this size; 4 ordinates per
-        # chunk leave no room for a third full array. A first, untraced
-        # call caches the grid's symbols and the lazy imports.
+        # Beyond I, the check holds the transport term (one full array
+        # of 64 fields), one chunk of work space into which each pair's
+        # tendency is formed and reduced to its moments, and field-sized
+        # arrays (moments, emission, predictions, the moment sums, one
+        # slab's spectrum and symbol, a ufunc buffer), about 30 fields
+        # with numpy 2.4 and allowed for as 48. The module's chunk is the
+        # whole array at this size; 4 ordinates per chunk leave no room
+        # for a per-pair tendency array. A first, untraced call caches
+        # the grid's symbols and the lazy imports.
         if chunk_cells is not None:
             monkeypatch.setattr(radhydro.kinetic, "CHUNK_CELLS", chunk_cells)
         field, theta = self._check_input(rng)
@@ -487,7 +538,7 @@ class TestCheckPasses:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * full + chunk + 48 * cells * 8
+        assert peak <= full + chunk + 48 * cells * 8
 
     def test_one_whole_field_rhs_per_pair(self, rng, monkeypatch):
         field, theta = self._check_input(rng)

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import pytest
 import radhydro.analysis
 import radhydro.cli
 import radhydro.config
+import radhydro.kinetic
 import radhydro.runner
 from radhydro.cli import main
 from radhydro.analysis import well_prepared_init
@@ -361,6 +363,46 @@ class TestClosureCheckMode:
         bound = next(b for b in summary.bounds_report if b["name"] == "moment_residual")
         assert math.isnan(bound["value"]) and not bound["passed"]
         assert summary.exit_status == 1
+
+
+class TestMomentResidualBound:
+    """The bound scales with kappa = max(1, (sigma_a + sigma_s |S|) /
+    (eps (1 + |S|))), the size of the damping term the residuals are
+    roundoff of, and each pair's tendency moments are transformed and
+    squared at a power-of-two scale."""
+
+    def _closure(self, tmp_path, sigma_pairs=None):
+        payload = {"mode": "closure-check", "grid": {"n_dims": 2, "points": 16}, "ordinates": 8}
+        if sigma_pairs is not None:
+            payload["sigma_pairs"] = sigma_pairs
+        return parse_config({**payload, "out_dir": str(tmp_path)})
+
+    def test_large_sigma_passes(self, tmp_path):
+        # Its r0 is about 1.2e-10, over the absolute bound of 1e-10.
+        summary = run(self._closure(tmp_path, [[1e5, 0.0]]))
+        assert summary.exit_status == 0
+
+    @pytest.mark.parametrize("sigma_a", [1e300, 1e307])
+    def test_huge_sigma_residuals_are_finite(self, tmp_path, sigma_a):
+        # 1e300 overflowed the squares of the norms, 1e307 the forward
+        # transform of the tendency's moments.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = run(self._closure(tmp_path, [[sigma_a, 0.0]]))
+        (pair,) = summary.closure["moment_residuals"].values()
+        assert all(math.isfinite(r) for r in pair.values())
+
+    @pytest.mark.parametrize("sigma_pairs", [None, [[1e5, 0.0]]], ids=["defaults", "sigma-1e5"])
+    def test_tendency_off_by_1e_6_fails(self, tmp_path, monkeypatch, sigma_pairs):
+        original = radhydro.kinetic.kinetic_rhs
+
+        def scaled(*args, **kwargs):
+            return original(*args, **kwargs) * (1.0 + 1e-6)
+
+        monkeypatch.setattr(radhydro.kinetic, "kinetic_rhs", scaled)
+        summary = run(self._closure(tmp_path, sigma_pairs))
+        bound = next(b for b in summary.bounds_report if b["name"] == "moment_residual")
+        assert not bound["passed"] and summary.exit_status == 1
 
 
 class TestCli:
