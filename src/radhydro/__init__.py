@@ -33,19 +33,9 @@ from .kinetic import (
     p1_projection_residual,
     transport_term,
 )
-from .radiation import limit_closure_residual, limit_q
-from .runner import RunSummary, emit_series, emit_summary, run
-from .spectral import (
-    Grid,
-    SpectralField,
-    VectorField,
-    dealias,
-    div,
-    grad,
-    helmholtz_inverse,
-    laplacian,
-    sobolev_norm,
-)
+from .radiation import limit_closure_residual
+from .runner import RunSummary, emit_summary, run
+from .spectral import Grid
 from .stepping import (
     EpsBatch,
     LimitState,

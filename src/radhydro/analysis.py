@@ -14,9 +14,7 @@ sqrt(eps) * sqrt(radiation) at t = 0, which must be O(eps).
 The prepared data of a whole sweep is built as one batch. The
 perturbation shapes of the prepared data are one (2n+3, *shape) array
 of unit-L^2 rows, in the field order rho, u_1..u_n, theta, I0,
-I1_1..I1_n of the states. Nothing here builds a ``SpectralField``; that
-class is only the public per-field view that reference formulas and
-tests use.
+I1_1..I1_n of the states.
 
 Observed convergence orders come from a least-squares line through
 (log eps, log error) over a sweep of eps values.
@@ -48,8 +46,8 @@ def unit_rows(grid: Grid, rows: np.ndarray) -> tuple[np.ndarray, list[float]]:
     the norms before scaling; a row of norm zero stays as it is.
 
     The rows are transformed in one batch (the same bits as one row per
-    call); each norm is the ``sobolev_squares`` of its own row, so it
-    has the bits of ``sobolev_norm`` of that field.
+    call); each norm is the square root of the ``sobolev_squares`` of
+    its own row.
     """
     norms = [math.sqrt(sobolev_squares(grid, c, (0,))[0]) for c in grid.forward(rows)]
     scale = [1.0 / norm if norm != 0.0 else 1.0 for norm in norms]
@@ -95,7 +93,7 @@ def batch_error_squares(
     forms once per limit state and may use for more. The differences
     are taken between the half spectra the states carry, so nothing is
     transformed here; the norms are the ``sobolev_squares`` of the
-    (2n+3, E, *half_shape) differences, as in ``sobolev_norm``.
+    (2n+3, E, *half_shape) differences.
 
     Raises:
         TimeMismatch: if the batch and the limit state differ in time by

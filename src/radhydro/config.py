@@ -50,6 +50,9 @@ MAX_CELLS = 2**20
 # float64 values are 512 MiB, and the check holds two such arrays (1D
 # uses two directions, so only 2D grids can exceed it).
 MAX_INTENSITY_VALUES = 2**26
+# Largest Sobolev index of a norm: grids at desk scale cannot resolve
+# the (1 + |k|^2)^s weights of higher ones meaningfully.
+MAX_SOBOLEV_INDEX = 6
 
 DEFAULT_BOUNDS = {
     "fluid_slope": [0.9, 1.3],
@@ -495,9 +498,12 @@ def parse_config(raw: dict, mode: str | None = None) -> RunConfig:
         if not (
             isinstance(sobolev_raw, list)
             and sobolev_raw
-            and all(type(v) is int and 0 <= v <= 6 for v in sobolev_raw)  # no bool
+            and all(type(v) is int and 0 <= v <= MAX_SOBOLEV_INDEX for v in sobolev_raw)  # no bool
         ):
-            _fail("sobolev_indices", "expected a nonempty list of integers in [0, 6]")
+            _fail(
+                "sobolev_indices",
+                f"expected a nonempty list of integers in [0, {MAX_SOBOLEV_INDEX}]",
+            )
         sobolev_indices = tuple(sorted(set(sobolev_raw)))
 
     out_dir = raw.get("out_dir", "out")

@@ -61,8 +61,7 @@ norms from half spectra: one forward transform of the stacked moments
 of I and theta^4 gives div I1 / n, grad I0 and the emission (through
 ``Grid.half_ik`` and the 2/3 mask), one forward transform per pair gives
 the spectra of the tendency's moments, and ``sobolev_squares`` the
-norms of the differences. No ``SpectralField`` is built; that class is
-only the public per-field view that reference formulas and tests use.
+norms of the differences.
 """
 
 from __future__ import annotations

@@ -14,10 +14,9 @@ torus, while the composite quantity it feeds equals the Helmholtz solve
 identically).
 
 Every function here works on arrays: temperatures are (..., *shape)
-values, the limit pair is returned as a half spectrum
-(``limit_spectrum``) or as values (``limit_q``). No per-field object is
-built; ``radhydro.spectral.SpectralField`` is only the public view that
-reference formulas and tests use.
+values and the limit pair is returned as a half spectrum
+(``limit_spectrum``); ``grid.inverse`` of its flux rows gives the
+(n, *shape) values of q.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ __all__ = [
     "emission_spectrum",
     "fourth_power",
     "limit_spectrum",
-    "limit_q",
     "limit_closure_residual",
 ]
 
@@ -63,16 +61,6 @@ def limit_spectrum(grid: Grid, theta: np.ndarray) -> np.ndarray:
     """
     i0 = emission_spectrum(grid, theta) * grid.half_helmholtz
     return np.concatenate([i0[None], -grid.half_ik * i0])
-
-
-def limit_q(grid: Grid, theta: np.ndarray) -> np.ndarray:
-    """Limit radiative flux -grad (I - Laplacian)^(-1) theta^4 of one
-    temperature field, as (n, *shape) values.
-
-    A gradient field, so it is curl-free by construction. One forward
-    and one inverse half-spectrum transform.
-    """
-    return grid.inverse(limit_spectrum(grid, theta)[1:])
 
 
 def limit_closure_residual(grid: Grid, theta: np.ndarray, q: np.ndarray) -> float:

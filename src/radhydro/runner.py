@@ -54,7 +54,7 @@ from .radiation import limit_closure_residual, limit_spectrum
 from .spectral import sobolev_squares
 from .stepping import StepControl, cfl_dt, step_batch, step_limit
 
-__all__ = ["RunSummary", "run", "emit_series", "emit_summary"]
+__all__ = ["RunSummary", "run", "emit_summary"]
 
 _LAND_TOL = 1e-12
 
@@ -94,12 +94,6 @@ def _open_series(stack: ExitStack, path, header: list[str]):
     fh = stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
     fh.write(",".join(header) + "\n")
     return fh
-
-
-def emit_series(path, header: list[str], rows) -> None:
-    """Write a CSV time series: header row, LF endings, %.16e floats."""
-    with ExitStack() as stack:
-        _open_series(stack, path, header).writelines(map(_row, rows))
 
 
 def emit_summary(summary: RunSummary, path) -> None:

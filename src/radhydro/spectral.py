@@ -1,16 +1,12 @@
-"""Periodic-grid fields and Fourier-space operators.
+"""Periodic grid, its transforms, Fourier symbols and Sobolev norms.
 
 Everything in the solver lives on the torus [0, 2pi)^n with n = 1 or 2, so
 wavenumbers are integers and differential operators are exact mode-wise
-multiplications:
-
-- ``grad``/``div``: multiplication by i*k_j
-- ``laplacian``: multiplication by -|k|^2
-- ``helmholtz_inverse``: multiplication by 1/(1 + |k|^2), the exact inverse
-  of (I - Laplacian) on the grid
-- ``sobolev_norm``: Parseval-exact H^s norm with the (2pi)^n measure
-  (``sobolev_squares`` gives the squares of a whole stack of half spectra)
-- ``dealias``: 2/3-rule truncation applied after nonlinear products
+multiplications by the symbols ``Grid`` caches: the gradient by i*k_j,
+the Laplacian by -|k|^2, the exact inverse of (I - Laplacian) by
+1/(1 + |k|^2), and the 2/3-rule dealiasing after nonlinear products by
+a keep-mask. ``sobolev_squares`` gives the Parseval-exact squared H^s
+norms, with the (2pi)^n measure, of a whole stack of half spectra.
 
 The coefficient layout is the rfftn half spectrum, the only one in the
 package. ``Grid.forward`` transforms the trailing spatial axes, so a
@@ -31,16 +27,10 @@ call, with the same bits as one field per call. The forward transform
 divides by the total point count, so the k = 0 coefficient of a field
 equals its mean and symbols read off directly.
 
-Every run path works on such stacks of arrays. ``SpectralField`` (one
-field, values and half spectrum) and ``VectorField`` (n of them), with
-the operators ``grad``, ``div``, ``laplacian``, ``helmholtz_inverse``,
-``dealias`` and ``sobolev_norm`` on them, are the public per-field view
-of the same layout, for writing reference formulas and tests field by
-field; no solver, check or run builds one. Fields are immutable: every
-operation returns a new field, and value / coefficient arrays are
-marked read-only so they can be shared freely.
-
-The symbols are cached lazily on the grid:
+Every field is such an array: values of shape (..., *grid.shape), a
+vector field stacking its n components on one axis. The symbols are
+cached lazily on the grid and marked read-only, so they can be shared
+freely:
 
 - ``half_ik``: i*k_j with every entry where |k_j| = N/2 set to zero. The
   Nyquist mode of a real field cannot carry an odd symbol (k and -k are
@@ -67,20 +57,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = [
-    "Grid",
-    "SpectralField",
-    "VectorField",
-    "grad",
-    "div",
-    "laplacian",
-    "helmholtz_inverse",
-    "sobolev_norm",
-    "sobolev_squares",
-    "dealias",
-]
-
-MAX_SOBOLEV_INDEX = 6
+__all__ = ["Grid", "sobolev_squares"]
 
 
 @dataclass(frozen=True)
@@ -211,238 +188,6 @@ class Grid:
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
-
-
-class SpectralField:
-    """Real scalar field with lazily synchronized Fourier coefficients.
-
-    Construct with :meth:`from_values` (physical samples) or
-    :meth:`from_coefficients` (Fourier modes). The other representation is
-    computed on first access and cached; instances are immutable.
-    """
-
-    __slots__ = ("grid", "_values", "_coefficients")
-
-    def __init__(self, grid: Grid, values=None, coefficients=None):
-        if (values is None) == (coefficients is None):
-            raise ValueError("provide exactly one of values or coefficients")
-        self.grid = grid
-        self._values = values
-        self._coefficients = coefficients
-
-    @classmethod
-    def from_values(cls, grid: Grid, values) -> "SpectralField":
-        arr = np.array(values, dtype=float)
-        if arr.shape != grid.shape:
-            raise ValueError(f"values shape {arr.shape} != grid shape {grid.shape}")
-        return cls(grid, values=_read_only(arr))
-
-    @classmethod
-    def from_coefficients(cls, grid: Grid, coefficients) -> "SpectralField":
-        arr = np.array(coefficients, dtype=complex)
-        if arr.shape != grid.half_shape:
-            raise ValueError(
-                f"coefficients shape {arr.shape} != half-spectrum shape {grid.half_shape}"
-            )
-        return cls(grid, coefficients=_read_only(arr))
-
-    @classmethod
-    def constant(cls, grid: Grid, value: float) -> "SpectralField":
-        return cls.from_values(grid, np.full(grid.shape, float(value)))
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "SpectralField":
-        return cls.constant(grid, 0.0)
-
-    @property
-    def values(self) -> np.ndarray:
-        """Physical-space samples (read-only array)."""
-        if self._values is None:
-            self._values = _read_only(self.grid.inverse(self._coefficients))
-        return self._values
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        """Half-spectrum (rfftn) coefficients, shape ``grid.half_shape``;
-        the k = 0 entry is the field mean."""
-        if self._coefficients is None:
-            self._coefficients = _read_only(self.grid.forward(self._values))
-        return self._coefficients
-
-    @property
-    def mean(self) -> float:
-        return float(self.coefficients[(0,) * self.grid.n_dims].real)
-
-    @property
-    def min_value(self) -> float:
-        return float(self.values.min())
-
-    # Pointwise arithmetic. Linear combinations are alias-free; nonlinear
-    # products must be followed by dealias() at the call site.
-    def _coerce(self, other):
-        if isinstance(other, SpectralField):
-            if other.grid != self.grid:
-                raise ValueError("fields live on different grids")
-            return other.values
-        if np.isscalar(other):
-            return other
-        return None
-
-    def __add__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return SpectralField.from_values(self.grid, self.values + rhs)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return SpectralField.from_values(self.grid, self.values - rhs)
-
-    def __rsub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return SpectralField.from_values(self.grid, rhs - self.values)
-
-    def __mul__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return SpectralField.from_values(self.grid, self.values * rhs)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return SpectralField.from_values(self.grid, self.values / rhs)
-
-    def __neg__(self):
-        return SpectralField.from_values(self.grid, -self.values)
-
-    def __pow__(self, exponent: int):
-        return SpectralField.from_values(self.grid, self.values**exponent)
-
-    def __repr__(self):
-        return f"SpectralField(n_dims={self.grid.n_dims}, N={self.grid.points_per_dim})"
-
-
-class VectorField:
-    """Tuple of scalar fields sharing one grid; one entry per dimension."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components):
-        comps = tuple(components)
-        if not comps:
-            raise ValueError("vector field needs at least one component")
-        grid = comps[0].grid
-        if any(c.grid != grid for c in comps):
-            raise ValueError("components live on different grids")
-        if len(comps) != grid.n_dims:
-            raise ValueError(
-                f"expected {grid.n_dims} components, got {len(comps)}"
-            )
-        self.components = comps
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "VectorField":
-        return cls([SpectralField.zeros(grid) for _ in range(grid.n_dims)])
-
-    @property
-    def grid(self) -> Grid:
-        return self.components[0].grid
-
-    def __len__(self):
-        return len(self.components)
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def __getitem__(self, i) -> SpectralField:
-        return self.components[i]
-
-    def __add__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return VectorField([a + b for a, b in zip(self.components, other.components)])
-
-    def __sub__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return VectorField([a - b for a, b in zip(self.components, other.components)])
-
-    def __mul__(self, scalar):
-        if not np.isscalar(scalar):
-            return NotImplemented
-        return VectorField([c * scalar for c in self.components])
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return VectorField([-c for c in self.components])
-
-
-def grad(f: SpectralField) -> VectorField:
-    """Spectral gradient: component j has coefficients i*k_j*fhat(k)."""
-    g = f.grid
-    return VectorField(
-        [SpectralField.from_coefficients(g, c) for c in g.half_ik * f.coefficients]
-    )
-
-
-def div(v: VectorField) -> SpectralField:
-    """Spectral divergence: coefficients sum_j i*k_j*vhat_j(k)."""
-    g = v.grid
-    out = sum(ik * comp.coefficients for ik, comp in zip(g.half_ik, v.components))
-    return SpectralField.from_coefficients(g, out)
-
-
-def laplacian(f: SpectralField) -> SpectralField:
-    """Spectral Laplacian: coefficients -|k|^2 * fhat(k)."""
-    g = f.grid
-    return SpectralField.from_coefficients(g, -g.half_k_squared * f.coefficients)
-
-
-def helmholtz_inverse(f: SpectralField) -> SpectralField:
-    """Exact inverse of (I - Laplacian): coefficients fhat(k)/(1 + |k|^2)."""
-    g = f.grid
-    return SpectralField.from_coefficients(g, g.half_helmholtz * f.coefficients)
-
-
-def dealias(x):
-    """Zero all modes with any |k_j| > N/3 (2/3 rule). Idempotent.
-
-    Accepts a scalar or vector field and returns the same kind.
-    """
-    if isinstance(x, VectorField):
-        return VectorField([dealias(c) for c in x.components])
-    mask = x.grid.half_dealias_mask
-    return SpectralField.from_coefficients(x.grid, np.where(mask, x.coefficients, 0.0))
-
-
-def sobolev_norm(x, s: int) -> float:
-    """H^s norm: (sum_k (1+|k|^2)^s |fhat(k)|^2 (2pi)^n)^(1/2).
-
-    For s = 0 this is the L^2 norm. Vector fields sum component squares.
-    The sum runs over the half spectrum with Hermitian weights
-    (``Grid.half_multiplicity``).
-
-    Args:
-        x: SpectralField or VectorField.
-        s: Integer Sobolev index, 0 <= s <= 6. Grid resolution at desk
-           scale cannot support meaningful higher indices.
-    """
-    if not isinstance(s, (int, np.integer)) or s < 0 or s > MAX_SOBOLEV_INDEX:
-        raise ValueError(f"Sobolev index must be an integer in [0, {MAX_SOBOLEV_INDEX}]")
-    if isinstance(x, VectorField):
-        return float(np.sqrt(sum(sobolev_norm(c, s) ** 2 for c in x.components)))
-    return float(np.sqrt(sobolev_squares(x.grid, x.coefficients, (s,))[0]))
 
 
 def sobolev_squares(grid: Grid, coeffs: np.ndarray, indices) -> np.ndarray:

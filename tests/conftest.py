@@ -1,5 +1,8 @@
 """Shared helpers: deterministic smooth random fields, stacked states,
-one-member calls of the array kernels and test-local oracles."""
+one-member calls of the array kernels and test-local oracles.
+
+Fields are numpy arrays of values, shape grid.shape; a vector field is
+an (n, *shape) stack of its components."""
 
 import numpy as np
 import pytest
@@ -7,56 +10,71 @@ import pytest
 from radhydro.analysis import batch_error_squares
 from radhydro.fluid import _rhs_common, require_positive
 from radhydro.radiation import emission_spectrum, limit_spectrum
-from radhydro.spectral import Grid, SpectralField, VectorField, dealias, div, grad
+from radhydro.spectral import Grid, sobolev_squares
 from radhydro.stepping import EpsBatch, LimitState, _propagator, _substep
 
 
 def smooth_field(grid, rng, kmax=3, amp=0.1):
-    """Band-limited random field: a handful of low modes, fixed by rng."""
+    """Band-limited random field values: a handful of low modes, fixed by rng."""
     coords = grid.coordinates()
     vals = np.zeros(grid.shape)
     for _ in range(4):
         k = rng.integers(-kmax, kmax + 1, grid.n_dims)
         phase = sum(ki * xi for ki, xi in zip(k, coords))
         vals += amp * (rng.normal() * np.sin(phase) + rng.normal() * np.cos(phase))
-    return SpectralField.from_values(grid, vals)
+    return vals
 
 
 def smooth_vector(grid, rng, kmax=3, amp=0.1):
-    return VectorField([smooth_field(grid, rng, kmax, amp) for _ in range(grid.n_dims)])
-
-
-def _values(x):
-    """Values of a SpectralField, the rows of a VectorField, or an array."""
-    if isinstance(x, SpectralField):
-        return x.values
-    if isinstance(x, VectorField):
-        return np.stack([c.values for c in x])
-    return np.asarray(x, dtype=float)
+    """(n, *shape) stack of smooth fields, one per axis."""
+    return np.stack([smooth_field(grid, rng, kmax, amp) for _ in range(grid.n_dims)])
 
 
 def stack(grid, *parts):
-    """(m, *shape) stack of fields, vector fields, arrays and constants.
+    """(m, *shape) stack of field values, (n, *shape) vectors and constants.
 
-    A scalar stands for a constant field; a vector field adds n rows.
+    A scalar stands for a constant field; a vector adds n rows.
     """
     rows = []
     for part in parts:
         if np.isscalar(part):
             rows.append(np.full(grid.shape, float(part)))
         else:
-            v = _values(part)
+            v = np.asarray(part, dtype=float)
             rows.extend(v if v.ndim > grid.n_dims else [v])
     return np.stack(rows)
 
 
-def fields(grid, y):
-    """(rho, u, theta) fields of a (n+2, *shape) fluid stack, or (I0, I1)
-    of a (1+n, *shape) moment stack."""
-    rows = [SpectralField.from_values(grid, r) for r in y]
-    if len(rows) == grid.n_dims + 2:
-        return rows[0], VectorField(rows[1:-1]), rows[-1]
-    return rows[0], VectorField(rows[1:])
+# Reference operators on values: each is the Grid symbol product of one
+# forward and one inverse transform. Vectors are (n, *shape) stacks.
+def grad(grid, f):
+    """Gradient of one field, symbol i*k_j; (n, *shape) values."""
+    return grid.inverse(grid.half_ik * grid.forward(f))
+
+
+def div(grid, v):
+    """Divergence of a vector, sum_j i*k_j vhat_j."""
+    return grid.inverse(np.sum(grid.half_ik * grid.forward(v), axis=0))
+
+
+def laplacian(grid, f):
+    """Laplacian, symbol -|k|^2."""
+    return grid.inverse(-grid.half_k_squared * grid.forward(f))
+
+
+def helmholtz_inverse(grid, f):
+    """Exact inverse of (I - Laplacian), symbol 1/(1 + |k|^2)."""
+    return grid.inverse(grid.half_helmholtz * grid.forward(f))
+
+
+def dealias(grid, f):
+    """2/3-rule truncation: every mode with some |k_j| > N/3 zeroed."""
+    return grid.inverse(grid.half_dealias_mask * grid.forward(f))
+
+
+def sobolev_norm(grid, f, s):
+    """H^s norm of field values; the rows of a stack add their squares."""
+    return float(np.sqrt(sobolev_squares(grid, grid.forward(f), (s,)).sum()))
 
 
 def fluid_rhs(grid, fluid, p, rad=None, eps=None):
@@ -98,9 +116,9 @@ def limit_state(grid, fluid, time=0.0):
 def substep(grid, rad, theta, eps, dt):
     """Exact radiation substep of (1+n, *shape) moment values over dt with
     theta (values) frozen; returns the moment values."""
-    source = emission_spectrum(grid, _values(theta))[None]
+    source = emission_spectrum(grid, theta)[None]
     eps_member = np.full((1,) * (grid.n_dims + 1), float(eps))
-    out = _substep(grid, grid.forward(_values(rad))[:, None], source, _propagator(grid, eps_member, dt))
+    out = _substep(grid, grid.forward(rad)[:, None], source, _propagator(grid, eps_member, dt))
     return grid.inverse(out[:, 0])
 
 
@@ -113,37 +131,35 @@ def prepared_deviation(batch, base, s):
     return fluid + np.sqrt(batch.eps) * rad
 
 
-def emission_field(theta):
-    """Dealiased theta^4 of a temperature field, as a field."""
-    return SpectralField.from_coefficients(theta.grid, emission_spectrum(theta.grid, theta.values))
+def emission_field(grid, theta):
+    """Dealiased theta^4 of temperature values, as values."""
+    return grid.inverse(emission_spectrum(grid, theta))
 
 
-def limit_pair(theta):
-    """(I0, q) fields of the limit closure of a temperature field:
-    I0 = (I - Lap)^(-1) theta^4 and q = -grad I0."""
-    grid = theta.grid
-    i0, *q = (SpectralField.from_coefficients(grid, c) for c in limit_spectrum(grid, theta.values))
-    return i0, VectorField(q)
+def limit_pair(grid, theta):
+    """(I0, q) values of the limit closure of temperature values:
+    I0 = (I - Lap)^(-1) theta^4 and q = -grad I0, (n, *shape)."""
+    i0, *q = grid.inverse(limit_spectrum(grid, theta))
+    return i0, np.stack(q)
 
 
-def radiation_rhs(i0, i1, theta, eps):
-    """Relaxation tendencies of the moment pair, field by field:
+def radiation_rhs(grid, i0, i1, theta, eps):
+    """Relaxation tendencies of the moment pair, written with the
+    reference operators:
 
     d(I0)/dt = [theta^4 - I0 - div I1] / eps,  d(I1)/dt = [-I1 - grad I0] / eps.
     """
-    d_i0 = (dealias(theta**4) - i0 - div(i1)) * (1.0 / eps)
-    d_i1 = (-i1 - grad(i0)) * (1.0 / eps)
+    d_i0 = (dealias(grid, theta**4) - i0 - div(grid, i1)) * (1.0 / eps)
+    d_i1 = (-i1 - grad(grid, i0)) * (1.0 / eps)
     return d_i0, d_i1
 
 
-def l2_inner(a, b) -> float:
-    """L^2 inner product on the torus of two scalar fields or two vector
-    fields, by Parseval over the half spectrum with the Hermitian weights
+def l2_inner(grid, a, b) -> float:
+    """L^2 inner product on the torus of two fields or two vectors, by
+    Parseval over the half spectrum with the Hermitian weights
     ``Grid.half_multiplicity``."""
-    if isinstance(a, VectorField):
-        return sum(l2_inner(x, y) for x, y in zip(a, b))
-    products = (np.conj(a.coefficients) * b.coefficients).real
-    return float(np.sum(a.grid.half_multiplicity * products) * a.grid.volume)
+    products = (np.conj(grid.forward(a)) * grid.forward(b)).real
+    return float(np.sum(grid.half_multiplicity * products) * grid.volume)
 
 
 @pytest.fixture

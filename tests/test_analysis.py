@@ -15,16 +15,16 @@ from radhydro.analysis import (
 from radhydro.errors import DegenerateFit, PositivityLost, TimeMismatch
 from radhydro.fluid import POSITIVITY_FLOOR
 from radhydro.radiation import limit_spectrum
-from radhydro.spectral import Grid, SpectralField, sobolev_norm
+from radhydro.spectral import Grid
 from radhydro.stepping import EpsBatch
 
 from conftest import (
-    fields,
     limit_pair,
     limit_state,
     prepared_deviation,
     smooth_field,
     smooth_vector,
+    sobolev_norm,
     stack,
 )
 
@@ -77,10 +77,10 @@ class TestErrorFields:
     def test_single_perturbation_is_linear(self, grid1d):
         base = _base_state(grid1d)
         x = grid1d.coordinates()[0]
-        bump = SpectralField.from_values(grid1d, 0.03 * np.sin(x))
+        bump = 0.03 * np.sin(x)
         d_fluid = stack(grid1d, bump, 0.0, 0.0)
         (fluid_sq, rad_sq), = _squares(_offset_batch(grid1d, base, d_fluid), base, (2,))[:, :, 0]
-        assert fluid_sq == pytest.approx(sobolev_norm(bump, 2) ** 2, rel=1e-12)
+        assert fluid_sq == pytest.approx(sobolev_norm(grid1d, bump, 2) ** 2, rel=1e-12)
         assert rad_sq == 0.0
 
     def test_time_mismatch_rejected(self, grid1d):
@@ -145,15 +145,9 @@ class TestWellPreparedInit:
         s = 3
         shapes = default_perturbation_shapes(grid1d)
         batch = well_prepared_init(base, (eps,), 1.0, shapes)
-        i0, i1 = fields(grid1d, grid1d.inverse(batch.rad[:, 0]))
-        i0_limit, q_limit = limit_pair(fields(grid1d, base.fluid)[-1])
-        rad_norm = math.sqrt(
-            sobolev_norm(i0 - i0_limit, s) ** 2 + sobolev_norm(i1 - q_limit, s) ** 2
-        )
-        shape_i0, shape_i1 = fields(grid1d, shapes[3:])
-        shape_norm = math.sqrt(
-            sobolev_norm(shape_i0, s) ** 2 + sobolev_norm(shape_i1, s) ** 2
-        )
+        limit = stack(grid1d, *limit_pair(grid1d, base.fluid[-1]))
+        rad_norm = sobolev_norm(grid1d, grid1d.inverse(batch.rad[:, 0]) - limit, s)
+        shape_norm = sobolev_norm(grid1d, shapes[3:], s)
         assert rad_norm == pytest.approx(math.sqrt(eps) * shape_norm, rel=1e-12)
         assert math.sqrt(eps) * rad_norm == pytest.approx(eps * shape_norm, rel=1e-12)
 
@@ -176,7 +170,7 @@ class TestWellPreparedInit:
         grid = Grid(n_dims, 16)
         shapes = default_perturbation_shapes(grid)
         assert shapes.shape == (2 * n_dims + 3, *grid.shape)
-        norms = [sobolev_norm(SpectralField.from_values(grid, row), 0) for row in shapes]
+        norms = [sobolev_norm(grid, row, 0) for row in shapes]
         assert norms == pytest.approx([1.0] * len(shapes), rel=1e-14)
         x = grid.coordinates()
         rho = np.sin(sum(x))

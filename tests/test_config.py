@@ -23,7 +23,8 @@ from radhydro.config import (
     parse_config,
 )
 from radhydro.errors import ConfigError, ParseError, ValidationError
-from radhydro.spectral import SpectralField, sobolev_norm
+
+from conftest import sobolev_norm
 
 
 def _write(tmp_path, payload):
@@ -232,8 +233,7 @@ class TestProfiles:
             },
         }
         cfg = parse_config(raw, mode="simulate-eps")
-        u = SpectralField.from_values(cfg.grid, build_shapes(cfg)[1])
-        assert sobolev_norm(u, 0) == pytest.approx(1.0, rel=1e-12)
+        assert sobolev_norm(cfg.grid, build_shapes(cfg)[1], 0) == pytest.approx(1.0, rel=1e-12)
 
     def test_shape_overrides_are_unit_normalized(self):
         cfg = parse_config(
@@ -249,7 +249,7 @@ class TestProfiles:
         )
         shapes = build_shapes(cfg)
         assert shapes.shape == (5, *cfg.grid.shape)
-        assert sobolev_norm(SpectralField.from_values(cfg.grid, shapes[0]), 0) == pytest.approx(1.0, rel=1e-12)
+        assert sobolev_norm(cfg.grid, shapes[0], 0) == pytest.approx(1.0, rel=1e-12)
         # Shapes left out are zero, and stay zero.
         assert not shapes[1:].any()
 
@@ -336,6 +336,12 @@ class TestParseTimeEvaluation:
         raw = {"sobolev_indices": indices}
         code, err = _exit_code_and_err(tmp_path, monkeypatch, capsys, "simulate-limit", raw)
         assert code == 2 and "'sobolev_indices'" in err
+
+    @pytest.mark.parametrize("indices", [[7], [-1], [0, 3, 7]])
+    def test_sobolev_index_out_of_range_exits_2(self, indices, tmp_path, monkeypatch, capsys):
+        raw = {"sobolev_indices": indices}
+        code, err = _exit_code_and_err(tmp_path, monkeypatch, capsys, "simulate-limit", raw)
+        assert code == 2 and "'sobolev_indices': expected a nonempty list of integers in [0, 6]" in err
 
     def test_initial_data_is_built_once_per_config(self):
         # The parse builds it; the run reuses it. A config made by

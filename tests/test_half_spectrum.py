@@ -3,8 +3,8 @@
 The package works on the rfftn half spectrum only. These tests hold its
 operators and symbols against a test-local full-complex reference
 (``numpy.fft.fftn`` with its own wavenumber meshes), the array
-right-hand sides against an assembly from the public operators, and pin
-the transform budget.
+right-hand sides against an assembly from the reference operators of
+``conftest``, and pin the transform budget.
 """
 
 import json
@@ -23,30 +23,24 @@ from radhydro.kinetic import (
     moments,
     p1_projection_residual,
 )
-from radhydro.radiation import emission_spectrum, limit_closure_residual, limit_q, limit_spectrum
-from radhydro.spectral import (
-    Grid,
-    SpectralField,
-    VectorField,
-    dealias,
-    div,
-    grad,
-    helmholtz_inverse,
-    laplacian,
-    sobolev_norm,
-    sobolev_squares,
-)
+from radhydro.radiation import emission_spectrum, limit_closure_residual, limit_spectrum
+from radhydro.spectral import Grid, sobolev_squares
 from radhydro.stepping import step_batch, step_eps, step_limit
 
 from conftest import (
+    dealias,
+    div,
     eps_batch,
-    fields,
     fluid_rhs,
+    grad,
+    helmholtz_inverse,
     l2_inner,
+    laplacian,
     limit_pair,
     limit_state,
     smooth_field,
     smooth_vector,
+    sobolev_norm,
     stack,
 )
 
@@ -56,7 +50,7 @@ TOL = 1e-12
 
 def _random(grid, rng):
     """White-noise real field: every mode populated, Nyquist included."""
-    return SpectralField.from_values(grid, rng.standard_normal(grid.shape))
+    return rng.standard_normal(grid.shape)
 
 
 def _close(got, want):
@@ -99,11 +93,10 @@ class TestOperatorsAgainstFullSpectrum:
     def test_layout_is_half_of_full(self, n_dims, n):
         grid = Grid(n_dims, n)
         f = _random(grid, np.random.default_rng(1))
-        half = grid.forward(f.values)
-        assert half.shape == f.coefficients.shape == grid.half_shape
-        assert _close(half, _half(grid, _full(f.values)))
-        assert _close(f.coefficients, half)
-        assert _close(grid.inverse(half), f.values)
+        half = grid.forward(f)
+        assert half.shape == grid.half_shape
+        assert _close(half, _half(grid, _full(f)))
+        assert _close(grid.inverse(half), f)
 
     def test_grad(self, n_dims, n):
         # The full-spectrum gradient keeps an odd Nyquist part, which
@@ -111,57 +104,48 @@ class TestOperatorsAgainstFullSpectrum:
         # zero there, so the values agree.
         grid = Grid(n_dims, n)
         f = _random(grid, np.random.default_rng(2))
-        c = _full(f.values)
-        got = grid.inverse(grid.half_ik * grid.forward(f.values))
-        for j, (k, comp) in enumerate(zip(_full_k(grid), grad(f))):
-            want = _full_values(1j * k * c)
-            assert _close(got[j], want), j
-            assert _close(comp.values, want), j
+        c = _full(f)
+        for j, (k, comp) in enumerate(zip(_full_k(grid), grad(grid, f))):
+            assert _close(comp, _full_values(1j * k * c)), j
 
     def test_div(self, n_dims, n):
         grid = Grid(n_dims, n)
         rng = np.random.default_rng(3)
-        v = VectorField([_random(grid, rng) for _ in range(n_dims)])
-        stack = np.stack([c.values for c in v])
-        want = _full_values(sum(1j * k * _full(c) for k, c in zip(_full_k(grid), stack)))
-        got = grid.inverse(np.sum(grid.half_ik * grid.forward(stack), axis=0))
-        assert _close(got, want)
-        assert _close(div(v).values, want)
+        v = np.stack([_random(grid, rng) for _ in range(n_dims)])
+        want = _full_values(sum(1j * k * _full(c) for k, c in zip(_full_k(grid), v)))
+        assert _close(div(grid, v), want)
 
     def test_laplacian(self, n_dims, n):
         grid = Grid(n_dims, n)
         f = _random(grid, np.random.default_rng(4))
-        want = -_full_k_squared(grid) * _full(f.values)
-        half = -grid.half_k_squared * grid.forward(f.values)
+        want = -_full_k_squared(grid) * _full(f)
+        half = -grid.half_k_squared * grid.forward(f)
         assert _close(half, _half(grid, want))
-        assert _close(laplacian(f).coefficients, _half(grid, want))
-        assert _close(laplacian(f).values, _full_values(want))
+        assert _close(laplacian(grid, f), _full_values(want))
 
     def test_helmholtz_inverse(self, n_dims, n):
         grid = Grid(n_dims, n)
         f = _random(grid, np.random.default_rng(5))
-        want = _full(f.values) / (1.0 + _full_k_squared(grid))
-        half = grid.half_helmholtz * grid.forward(f.values)
+        want = _full(f) / (1.0 + _full_k_squared(grid))
+        half = grid.half_helmholtz * grid.forward(f)
         assert _close(half, _half(grid, want))
-        assert _close(helmholtz_inverse(f).coefficients, _half(grid, want))
-        assert _close(helmholtz_inverse(f).values, _full_values(want))
+        assert _close(helmholtz_inverse(grid, f), _full_values(want))
 
     def test_dealias_mask(self, n_dims, n):
         grid = Grid(n_dims, n)
         f = _random(grid, np.random.default_rng(6))
-        want = _full_dealias(grid, _full(f.values))
-        half = grid.half_dealias_mask * grid.forward(f.values)
+        want = _full_dealias(grid, _full(f))
+        half = grid.half_dealias_mask * grid.forward(f)
         assert _close(half, _half(grid, want))
-        assert _close(dealias(f).coefficients, _half(grid, want))
-        assert _close(dealias(f).values, _full_values(want))
+        assert _close(dealias(grid, f), _full_values(want))
 
     @pytest.mark.parametrize("s", [0, 1, 4])
     def test_sobolev_norm_matches_full_sum(self, n_dims, n, s):
         grid = Grid(n_dims, n)
         f = _random(grid, np.random.default_rng(7))
         weight = (1.0 + _full_k_squared(grid)) ** s
-        full = np.sqrt(np.sum(weight * np.abs(_full(f.values)) ** 2) * grid.volume)
-        assert sobolev_norm(f, s) == pytest.approx(full, rel=TOL)
+        full = np.sqrt(np.sum(weight * np.abs(_full(f)) ** 2) * grid.volume)
+        assert sobolev_norm(grid, f, s) == pytest.approx(full, rel=TOL)
 
     def test_hermitian_multiplicity(self, n_dims, n):
         # Parseval on the half spectrum: interior last-axis columns stand
@@ -169,52 +153,45 @@ class TestOperatorsAgainstFullSpectrum:
         grid = Grid(n_dims, n)
         rng = np.random.default_rng(8)
         f, g = _random(grid, rng), _random(grid, rng)
-        half = grid.forward(f.values)
+        half = grid.forward(f)
         weighted = np.sum(grid.half_multiplicity * np.abs(half) ** 2)
-        assert weighted == pytest.approx(np.sum(np.abs(_full(f.values)) ** 2), rel=TOL)
-        inner = np.sum(np.conj(_full(f.values)) * _full(g.values)).real * grid.volume
-        assert l2_inner(f, g) == pytest.approx(inner, rel=TOL)
+        assert weighted == pytest.approx(np.sum(np.abs(_full(f)) ** 2), rel=TOL)
+        inner = np.sum(np.conj(_full(f)) * _full(g)).real * grid.volume
+        assert l2_inner(grid, f, g) == pytest.approx(inner, rel=TOL)
         assert np.all(grid.half_multiplicity[..., 0] == 1.0)
         assert np.all(grid.half_multiplicity[..., -1] == 1.0)
         assert np.all(grid.half_multiplicity[..., 1:-1] == 2.0)
 
 
-def _dot(a, b):
-    """Pointwise scalar product of two vector fields (not dealiased)."""
-    out = a[0] * b[0]
-    for x, y in zip(a[1:], b[1:]):
-        out = out + x * y
-    return out
-
-
 def _oracle_rhs(grid, fluid, p, momentum_source, heat_source):
-    """Field-by-field assembly from the public operators.
+    """Field-by-field assembly from the reference operators.
 
-    Every product and quotient is dealiased on its own; the stress
-    divergence is mu*Lap u + (mu + lam)*grad div u.
+    Every product and quotient is dealiased on its own (a vector row by
+    row); the stress divergence is mu*Lap u + (mu + lam)*grad div u.
     """
-    rho, u, theta = fields(grid, fluid)
-    d_rho = -div(VectorField([dealias(rho * c) for c in u]))
-    grad_p = grad(dealias(rho * theta))
-    div_u = div(u)
-    grad_div_u = grad(div_u)
-    grads = [grad(c) for c in u]  # grads[i][j] = d_j u_i
+    rho, u, theta = fluid[0], fluid[1:-1], fluid[-1]
+    d_rho = -div(grid, dealias(grid, rho * u))
+    grad_p = grad(grid, dealias(grid, rho * theta))
+    div_u = div(grid, u)
+    grad_div_u = grad(grid, div_u)
+    grads = [grad(grid, c) for c in u]  # grads[i][j] = d_j u_i
     n = len(u)
-    strain_sq = SpectralField.zeros(grid)
+    strain_sq = np.zeros(grid.shape)
     for i in range(n):
         for j in range(n):
             d_ij = (grads[i][j] + grads[j][i]) * 0.5
             strain_sq = strain_sq + d_ij * d_ij
-    dissipated = dealias(strain_sq * (2.0 * p.mu) + div_u * div_u * p.lam)
+    dissipated = dealias(grid, strain_sq * (2.0 * p.mu) + div_u * div_u * p.lam)
     d_u = []
     for i in range(n):
-        numer = laplacian(u[i]) * p.mu + grad_div_u[i] * (p.mu + p.lam) - grad_p[i]
+        numer = laplacian(grid, u[i]) * p.mu + grad_div_u[i] * (p.mu + p.lam) - grad_p[i]
         if momentum_source is not None:
             numer = numer + momentum_source[i]
-        d_u.append(dealias(numer / rho) - dealias(_dot(u, grads[i])))
-    heat = laplacian(theta) * p.kappa + dissipated + heat_source
-    d_theta = dealias(heat / rho) - dealias(_dot(u, grad(theta))) - dealias(theta * div_u)
-    return stack(grid, d_rho, VectorField(d_u), d_theta)
+        d_u.append(dealias(grid, numer / rho) - dealias(grid, np.sum(u * grads[i], axis=0)))
+    heat = laplacian(grid, theta) * p.kappa + dissipated + heat_source
+    advection = np.sum(u * grad(grid, theta), axis=0)
+    d_theta = dealias(grid, heat / rho) - dealias(grid, advection) - dealias(grid, theta * div_u)
+    return stack(grid, d_rho, d_u, d_theta)
 
 
 def _assert_rhs_close(got, want):
@@ -224,10 +201,9 @@ def _assert_rhs_close(got, want):
 
 
 def _wavy_fluid(grid, rng):
-    one = SpectralField.constant(grid, 1.0)
-    rho = one + smooth_field(grid, rng)
+    rho = 1.0 + smooth_field(grid, rng)
     u = smooth_vector(grid, rng)
-    theta = one + smooth_field(grid, rng)
+    theta = 1.0 + smooth_field(grid, rng)
     return stack(grid, rho, u, theta)
 
 
@@ -240,19 +216,18 @@ class TestRhsAgainstOperatorAssembly:
         grid = Grid(n_dims, n)
         rng = np.random.default_rng(11)
         f = _wavy_fluid(grid, rng)
-        i0 = SpectralField.constant(grid, 1.0) + smooth_field(grid, rng)
+        i0 = 1.0 + smooth_field(grid, rng)
         i1 = smooth_vector(grid, rng)
         eps = 0.3
-        theta = fields(grid, f)[-1]
-        want = _oracle_rhs(grid, f, PARAMS, i1 * eps, i0 - dealias(theta**4))
+        theta = f[-1]
+        want = _oracle_rhs(grid, f, PARAMS, i1 * eps, i0 - dealias(grid, theta**4))
         _assert_rhs_close(fluid_rhs(grid, f, PARAMS, rad=stack(grid, i0, i1), eps=eps), want)
 
     def test_limit_form(self, n_dims, n):
         grid = Grid(n_dims, n)
         rng = np.random.default_rng(12)
         f = _wavy_fluid(grid, rng)
-        theta = fields(grid, f)[-1]
-        want = _oracle_rhs(grid, f, PARAMS, None, -div(limit_pair(theta)[1]))
+        want = _oracle_rhs(grid, f, PARAMS, None, -div(grid, limit_pair(grid, f[-1])[1]))
         _assert_rhs_close(fluid_rhs(grid, f, PARAMS), want)
 
 
@@ -291,7 +266,7 @@ class TestTransformBudget:
         grid = Grid(n_dims, 16)
         rng = np.random.default_rng(21)
         fluid = _wavy_fluid(grid, rng)
-        i0 = SpectralField.constant(grid, 1.0) + smooth_field(grid, rng)
+        i0 = 1.0 + smooth_field(grid, rng)
         rad = stack(grid, i0, smooth_vector(grid, rng, amp=0.02))
         eps = (0.1, 0.05, 0.025, 0.0125)[:members]
         return grid, fluid, rad, eps_batch(grid, eps, [fluid] * members, [rad] * members)
@@ -431,21 +406,21 @@ class TestNoFullComplexTransform:
     def test_public_operators(self, n_dims, half_spectrum_only):
         grid = Grid(n_dims, 16)
         rng = np.random.default_rng(31)
-        one = SpectralField.constant(grid, 1.0)
-        f, v = one + smooth_field(grid, rng), smooth_vector(grid, rng)
-        back = SpectralField.from_coefficients(grid, f.coefficients)
-        assert _close(back.values, f.values)
-        assert f.mean == pytest.approx(f.values.mean(), rel=TOL)
+        f, v = 1.0 + smooth_field(grid, rng), smooth_vector(grid, rng)
+        coefficients = grid.forward(f)
+        assert _close(grid.inverse(coefficients), f)
+        assert coefficients[(0,) * n_dims].real == pytest.approx(f.mean(), rel=TOL)
         for op in (laplacian, helmholtz_inverse, dealias):
-            assert op(f).values.shape == grid.shape
-        assert div(grad(f)).values.shape == grid.shape
-        assert dealias(v)[0].values.shape == grid.shape
-        assert sobolev_norm(v, 0) > 0.0
+            assert op(grid, f).shape == grid.shape
+        assert div(grid, grad(grid, f)).shape == grid.shape
+        assert dealias(grid, v).shape == v.shape
+        assert sobolev_norm(grid, v, 0) > 0.0
         values = stack(grid, f, v)
         assert sobolev_squares(grid, grid.forward(values), (0, 2)).shape == (2, n_dims + 1)
 
-        theta = f.values
-        assert limit_closure_residual(grid, theta, limit_q(grid, theta)) < 1e-12
+        theta = f
+        q = grid.inverse(limit_spectrum(grid, theta)[1:])
+        assert limit_closure_residual(grid, theta, q) < 1e-12
         assert emission_spectrum(grid, theta).shape == grid.half_shape
         assert limit_spectrum(grid, theta).shape == (1 + n_dims, *grid.half_shape)
         rad_values = grid.inverse(limit_spectrum(grid, theta))
@@ -469,9 +444,9 @@ class TestNoFullComplexTransform:
 @pytest.mark.parametrize("n_dims,n", GRIDS)
 def test_limit_q_matches_full_spectrum_formula(n_dims, n):
     grid = Grid(n_dims, n)
-    theta = SpectralField.constant(grid, 1.0) + _random(grid, np.random.default_rng(13)) * 0.1
-    i0 = _full_dealias(grid, _full(theta.values**4)) / (1.0 + _full_k_squared(grid))
-    got = limit_q(grid, theta.values)
+    theta = 1.0 + _random(grid, np.random.default_rng(13)) * 0.1
+    i0 = _full_dealias(grid, _full(theta**4)) / (1.0 + _full_k_squared(grid))
+    got = grid.inverse(limit_spectrum(grid, theta)[1:])  # the flux the limit run checks
     assert got.shape == (n_dims, *grid.shape)
     for g, k in zip(got, _full_k(grid)):
         want = _full_values(-1j * k * i0)
@@ -483,9 +458,9 @@ def test_limit_q_matches_full_spectrum_formula(n_dims, n):
 def test_in_kernel_limit_rhs_matches_limit_q_flux(n_dims, n):
     # The kernel without a coupling argument forms -div q0 of the limit
     # flux from its own theta^4 row; the field-by-field assembly takes
-    # limit_q's flux.
+    # the values of the flux spectrum that limit_spectrum gives.
     grid = Grid(n_dims, n)
     f = _wavy_fluid(grid, np.random.default_rng(14))
-    q = VectorField([SpectralField.from_values(grid, c) for c in limit_q(grid, f[-1])])
-    want = _oracle_rhs(grid, f, PARAMS, None, -div(q))
+    q = grid.inverse(limit_spectrum(grid, f[-1])[1:])
+    want = _oracle_rhs(grid, f, PARAMS, None, -div(grid, q))
     _assert_rhs_close(fluid_rhs(grid, f, PARAMS), want)

@@ -7,7 +7,7 @@ import pytest
 
 from radhydro.fluid import FluidParams, _rhs_common, require_positive
 from radhydro.radiation import emission_spectrum
-from radhydro.spectral import Grid, SpectralField
+from radhydro.spectral import Grid
 from radhydro.stepping import _propagator, _rk4, _substep, step_eps
 
 from conftest import eps_batch, smooth_field, smooth_vector, stack
@@ -110,13 +110,12 @@ def oracle_rk4(grid, y, y_hat, rhs, dt, eps, time):
 def _members(grid, rng, count):
     """(fluid, moment) value stacks of count random band-limited states,
     each (m, count, *shape)."""
-    one = SpectralField.constant(grid, 1.0)
     fluids, rads = [], []
     for _ in range(count):
-        rho = one + smooth_field(grid, rng, kmax=5, amp=0.1)
-        theta = one + smooth_field(grid, rng, kmax=5, amp=0.1)
+        rho = 1.0 + smooth_field(grid, rng, kmax=5, amp=0.1)
+        theta = 1.0 + smooth_field(grid, rng, kmax=5, amp=0.1)
         fluids.append(stack(grid, rho, smooth_vector(grid, rng, kmax=5, amp=0.2), theta))
-        i0 = one + smooth_field(grid, rng, kmax=5, amp=0.1)
+        i0 = 1.0 + smooth_field(grid, rng, kmax=5, amp=0.1)
         rads.append(stack(grid, i0, smooth_vector(grid, rng, kmax=5, amp=0.1)))
     return np.stack(fluids, axis=1), np.stack(rads, axis=1)
 
