@@ -24,12 +24,12 @@ from .errors import (
 )
 from .fluid import FluidParams
 from .kinetic import (
-    KineticField,
     OrdinateSet,
     kinetic_rhs,
     make_ordinates,
     moment_system_check,
     moments,
+    p1_intensity,
     p1_projection_residual,
     transport_term,
 )
@@ -39,7 +39,6 @@ from .spectral import Grid
 from .stepping import (
     EpsBatch,
     LimitState,
-    StepControl,
     cfl_dt,
     step_batch,
     step_eps,

@@ -9,6 +9,10 @@ closure-check. --out overrides the config's out_dir. With --strict
 bound fails; --no-strict always exits 0 for completed runs but still
 reports the misses. Every run is one thread: the members of an eps
 sweep advance in lockstep.
+
+Exit codes: 1 a bound failed (strict), 2 the config could not be read
+or did not validate, 3 the run failed (a solver failure, or outputs
+that cannot be written).
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ def main(argv=None) -> int:
 
     try:
         summary = run(config, out_dir=args.out)
-    except RadHydroError as exc:
+    except (RadHydroError, OSError) as exc:
         print(f"radhydro: run failed: {exc}", file=sys.stderr)
         return 3
 

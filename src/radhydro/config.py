@@ -30,7 +30,7 @@ from .fluid import POSITIVITY_FLOOR, FluidParams, _rhs_common
 from .kinetic import make_ordinates
 from .radiation import limit_spectrum
 from .spectral import Grid, sobolev_squares
-from .stepping import EpsBatch, LimitState, StepControl, cfl_bounds
+from .stepping import EpsBatch, LimitState, cfl_bounds
 
 __all__ = ["RunConfig", "load_config", "build_limit_initial", "build_shapes", "build_prepared"]
 
@@ -337,10 +337,7 @@ def _admit(config: RunConfig) -> None:
         if config.mode != "closure-check":
             tend = _rhs_common(grid, base.fluid[:, None], base.spectrum[:, None], params)
             _require_finite(tend, names, "profiles.{}", "the limit right-hand side is not finite")
-        control = StepControl(
-            config.t_end, config.dt_max, config.cfl_advective, config.cfl_diffusive
-        )
-        bounds = cfl_bounds(grid, base.fluid, params, control)
+        bounds = cfl_bounds(grid, base.fluid, params, config.cfl_advective, config.cfl_diffusive)
         for name, field_name, dt in zip(("advective", "diffusive"), ("profiles", "fluid"), bounds):
             steps = config.t_end / dt if dt > 0.0 else math.inf
             if not steps <= MAX_STEPS:
@@ -377,14 +374,13 @@ def _admit_sigma_pairs(config: RunConfig, closure: np.ndarray) -> None:
     gain sigma_s |S| peak too, so one test covers both terms."""
     peak = float(np.abs(closure).sum(axis=0).max())
     measure = make_ordinates(config.n_dims, config.ordinates).surface_measure
-    eps = config.eps if config.eps is not None else 1.0
     for i, (sigma_a, sigma_s) in enumerate(config.sigma_pairs):
-        damping = (sigma_a + sigma_s * measure) * peak / eps
+        damping = (sigma_a + sigma_s * measure) * peak / config.eps
         if not math.isfinite(damping):
             _fail(
                 f"sigma_pairs[{i}]",
                 f"the kinetic tendency bound (sigma_a + sigma_s |S|) max|I| / eps = {damping:.3g}"
-                f" is not finite (|S| = {measure:.3g}, max|I| <= {peak:.3g}, eps = {eps:g})",
+                f" is not finite (|S| = {measure:.3g}, max|I| <= {peak:.3g}, eps = {config.eps:g})",
             )
 
 
@@ -455,8 +451,8 @@ def parse_config(raw: dict, mode: str | None = None) -> RunConfig:
             _fail("eps_list", "convergence study needs at least 3 entries")
         if any(a <= b for a, b in zip(eps_list, eps_list[1:])):
             _fail("eps_list", "must be strictly decreasing")
-    if cfg_mode == "simulate-eps" and eps is None:
-        eps = 0.1
+    if eps is None:
+        eps = {"simulate-eps": 0.1, "closure-check": 1.0}.get(cfg_mode)
 
     t_end = _number(raw, "t_end", 0.5, "", positive=True)
     output_interval = _number(raw, "output_interval", 0.025, "", positive=True)
@@ -564,11 +560,17 @@ def load_config(path, mode: str | None = None) -> RunConfig:
     """Read and validate a JSON configuration file.
 
     Raises:
-        ParseError: invalid JSON, with line/column context.
+        ParseError: a file that cannot be read or is not UTF-8 text,
+            naming the path, or invalid JSON, with line/column context.
         ValidationError: schema violation, naming the offending field.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read the file: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

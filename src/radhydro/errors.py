@@ -66,7 +66,7 @@ class ConfigError(RadHydroError):
 
 
 class ParseError(ConfigError):
-    """Configuration file is not valid JSON."""
+    """Configuration file cannot be read or is not valid JSON."""
 
 
 class ValidationError(ConfigError):

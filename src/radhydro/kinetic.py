@@ -33,12 +33,13 @@ such array once per use rather than once per moment or per term:
   result stays in cache for the whole expression. The chunk goes in
   place into the output or, for the closure check, into one reused
   buffer summed into the moments, so no (count, *shape) tendency is built.
-- ``KineticField.from_p1`` and the projection residual sample
+- ``p1_intensity`` and the projection residual sample
   I0 + omega . I1 as products of the (count, 1+n) rows (1, omega_j)
-  with the (1+n, cells) values of (I0, I1): ``from_p1`` in one product
-  that writes the intensity once, the residual one chunk of ordinates
-  at a time, each chunk subtracted from I, squared and weighted while
-  in cache, so no reconstruction of the full array is built.
+  with the (1+n, cells) values of (I0, I1): ``p1_intensity`` in one
+  product that writes the intensity once, the residual one chunk of
+  ordinates at a time, each chunk subtracted from I, squared and
+  weighted while in cache, so no reconstruction of the full array is
+  built.
 - ``transport_term`` (T = omega . grad I) stays per ordinate on the
   half spectrum of ``spectral``: one forward and one inverse transform
   per slab, with the symbol omega . ``half_ik`` summed from its
@@ -55,7 +56,8 @@ parts of the predicted tendencies, and shares them across every
 on the whole field, reduced to its moments as it is formed.
 
 Everything here is arrays: temperatures are (*shape) values, moment
-pairs (1+n, *shape) values, intensities (count, *shape). The check
+pairs (1+n, *shape) values, intensities (count, *shape); the kernels
+take the grid and the ordinate set beside them. The check
 takes the predicted tendencies, the dealiased theta^4 and the residual
 norms from half spectra: one forward transform of the stacked moments
 of I and theta^4 gives div I1 / n, grad I0 and the emission (through
@@ -77,8 +79,8 @@ from .spectral import Grid, sobolev_squares
 
 __all__ = [
     "OrdinateSet",
-    "KineticField",
     "make_ordinates",
+    "p1_intensity",
     "transport_term",
     "kinetic_rhs",
     "moments",
@@ -160,32 +162,14 @@ def make_ordinates(n_dims: int, count: int) -> OrdinateSet:
     return OrdinateSet(directions, weights)
 
 
-@dataclass(frozen=True)
-class KineticField:
-    """Radiation intensity sampled on grid nodes x ordinate directions."""
-
-    grid: Grid
-    ordinates: OrdinateSet
-    intensity: np.ndarray  # shape (count, *grid.shape)
-
-    def __post_init__(self):
-        expected = (self.ordinates.count, *self.grid.shape)
-        if self.intensity.shape != expected:
-            raise ValueError(
-                f"intensity shape {self.intensity.shape} != {expected}"
-            )
-        if self.ordinates.n_dims != self.grid.n_dims:
-            raise ValueError("ordinate and grid dimensions differ")
-
-    @classmethod
-    def from_p1(cls, grid: Grid, rad: np.ndarray, ords: OrdinateSet) -> "KineticField":
-        """Sample I0 + I1.omega on the ordinates from the (1+n, *shape)
-        values of (I0, I1): one (count, 1+n) x (1+n, cells) product, a
-        single write of the intensity."""
-        vals = _p1_basis(ords) @ rad.reshape(len(rad), -1)
-        vals = vals.reshape(ords.count, *grid.shape)
-        vals.setflags(write=False)
-        return cls(grid, ords, vals)
+def p1_intensity(ords: OrdinateSet, rad: np.ndarray) -> np.ndarray:
+    """The read-only (count, *shape) intensity I0 + omega_j . I1 sampled
+    on the ordinates from the (1+n, *shape) values of (I0, I1): one
+    (count, 1+n) x (1+n, cells) product, a single write."""
+    vals = _p1_basis(ords) @ rad.reshape(len(rad), -1)
+    vals = vals.reshape(ords.count, *rad.shape[1:])
+    vals.setflags(write=False)
+    return vals
 
 
 def _p1_basis(ords: OrdinateSet) -> np.ndarray:
@@ -194,29 +178,31 @@ def _p1_basis(ords: OrdinateSet) -> np.ndarray:
     return np.column_stack([np.ones(ords.count), ords.directions])
 
 
-def transport_term(I: KineticField) -> np.ndarray:
-    """omega . grad I per ordinate, shape (count, *grid.shape).
+def transport_term(grid: Grid, ords: OrdinateSet, I: np.ndarray) -> np.ndarray:
+    """omega . grad I per ordinate of the (count, *shape) intensity I,
+    shape (count, *shape).
 
     One half-spectrum transform pair per ordinate slab, so the spectral
     work space stays at one slab's spectrum; the symbol omega . i k is
     summed from its components.
     """
-    grid = I.grid
     ik = grid.half_ik
-    out = np.empty_like(I.intensity)
+    out = np.empty_like(I)
     symbol = np.empty(grid.half_shape, dtype=complex)
-    for j, omega in enumerate(I.ordinates.directions):
+    for j, omega in enumerate(ords.directions):
         np.multiply(ik[0], omega[0], out=symbol)
         for axis in range(1, grid.n_dims):
             symbol += ik[axis] * omega[axis]
-        spectrum = grid.forward(I.intensity[j])
+        spectrum = grid.forward(I[j])
         spectrum *= symbol
         out[j] = grid.inverse(spectrum)
     return out
 
 
 def kinetic_rhs(
-    I: KineticField,
+    grid: Grid,
+    ords: OrdinateSet,
+    I: np.ndarray,
     theta: np.ndarray,
     eps: float,
     sigma_a: float,
@@ -224,21 +210,22 @@ def kinetic_rhs(
     transport: np.ndarray | None = None,
     source: np.ndarray | None = None,
     as_moments: bool = False,
-) -> KineticField | np.ndarray:
-    """Transport tendency per ordinate.
+) -> np.ndarray:
+    """Transport tendency per ordinate of the (count, *shape) intensity I.
 
     dI/dt = [-omega.grad I + theta^4 - sigma_a I
              + sigma_s |S| (<<I>> - I)] / eps
 
     with <<I>> the direction average, for the (*shape) values of theta.
-    The emission constant is one. ``transport`` is ``transport_term(I)``
-    and ``source`` the values of the dealiased theta^4 (the inverse of
-    ``emission_spectrum``) when the caller already has them; each is
+    The emission constant is one. ``transport`` is ``transport_term``
+    of I and ``source`` the values of the dealiased theta^4 (the inverse
+    of ``emission_spectrum``) when the caller already has them; each is
     computed here otherwise. Evaluated as
     (-(sigma_a + sigma_s |S|) I - T + c)/eps with the field
     c = theta^4 + sigma_s |S| <<I>> formed once, written in place into
-    the output one chunk of ordinates at a time; with ``as_moments``, the
-    (1+n, *shape) ``moments`` of the tendency, summed chunk by chunk.
+    the read-only (count, *shape) output one chunk of ordinates at a
+    time; with ``as_moments``, the (1+n, *shape) ``moments`` of the
+    tendency, summed chunk by chunk.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -247,42 +234,40 @@ def kinetic_rhs(
     if sigma_s < 0.0:
         raise ValueError(f"sigma_s must be nonnegative, got {sigma_s}")
     if transport is None:
-        transport = transport_term(I)
-    ords = I.ordinates
+        transport = transport_term(grid, ords, I)
     measure = ords.surface_measure
     if source is None:
-        source = I.grid.inverse(emission_spectrum(I.grid, theta))
+        source = grid.inverse(emission_spectrum(grid, theta))
     rows = _moment_rows(ords)
-    average = rows[0] @ I.intensity.reshape(ords.count, -1)
+    average = rows[0] @ I.reshape(ords.count, -1)
     field = source + (sigma_s * measure) * average.reshape(source.shape)
     damping = -(sigma_a + sigma_s * measure)
     chunks = _chunks(ords.count, field.size)
-    out = np.empty((chunks[0].stop, *field.shape) if as_moments else I.intensity.shape)
+    out = np.empty((chunks[0].stop, *field.shape) if as_moments else I.shape)
     sums, product = np.zeros((2, len(rows), field.size))
     for s in chunks:
         part = out[: s.stop - s.start] if as_moments else out[s]
-        np.multiply(I.intensity[s], damping, out=part)
+        np.multiply(I[s], damping, out=part)
         part -= transport[s]
         part += field
         part /= eps
         if as_moments:
             sums += np.matmul(rows[:, s], part.reshape(len(part), -1), out=product)
     out.setflags(write=False)
-    return sums.reshape(len(rows), *field.shape) if as_moments else KineticField(I.grid, ords, out)
+    return sums.reshape(len(rows), *field.shape) if as_moments else out
 
 
-def moments(I: KineticField, ords: OrdinateSet) -> np.ndarray:
-    """Project the intensity onto the affine-in-direction subspace.
+def moments(ords: OrdinateSet, I: np.ndarray) -> np.ndarray:
+    """Project the (count, *shape) intensity I onto the
+    affine-in-direction subspace.
 
     I0 = (1/|S|) sum_j w_j I_j,  I1 = (n/|S|) sum_j w_j omega_j I_j,
 
     as one (1+n, count) weight matrix times I viewed as (count, cells);
     returns the (1+n, *shape) values of I0, I1_1..I1_n.
     """
-    if ords.count != I.ordinates.count or ords.n_dims != I.ordinates.n_dims:
-        raise ValueError("ordinate set does not match the kinetic field")
-    rows = _moment_rows(ords) @ I.intensity.reshape(ords.count, -1)
-    return rows.reshape(len(rows), *I.grid.shape)
+    rows = _moment_rows(ords) @ I.reshape(ords.count, -1)
+    return rows.reshape(len(rows), *I.shape[1:])
 
 
 def _moment_rows(ords: OrdinateSet) -> np.ndarray:
@@ -291,24 +276,19 @@ def _moment_rows(ords: OrdinateSet) -> np.ndarray:
     return np.vstack([w, ords.n_dims * (w * ords.directions.T)])
 
 
-def p1_projection_residual(I: KineticField, ords: OrdinateSet) -> float:
-    """Weighted L^2(grid x ordinates) distance from the P1 subspace.
+def p1_projection_residual(grid: Grid, ords: OrdinateSet, I: np.ndarray, rad: np.ndarray) -> float:
+    """Weighted L^2(grid x ordinates) distance of the (count, *shape)
+    intensity I from the P1 subspace, given its ``moments`` rad.
 
-    Zero exactly when the intensity is affine in the direction at every
-    grid node; invariant under adding any affine-in-direction field.
+    sqrt(sum_j w_j ||I_j - I0 - omega_j . I1||^2), one chunk of
+    ordinates at a time: the chunk's P1 samples are formed, subtracted
+    from I, squared and weighted while in cache. Zero exactly when the
+    intensity is affine in the direction at every grid node; invariant
+    under adding any affine-in-direction field.
     """
-    return _projection_residual(I, moments(I, ords))
-
-
-def _projection_residual(I: KineticField, rad: np.ndarray) -> float:
-    """sqrt(sum_j w_j ||I_j - I0 - omega_j . I1||^2) for the (1+n, *shape)
-    moments rad of I, one chunk of ordinates at a time: the chunk's P1
-    samples are formed, subtracted from I, squared and weighted while in
-    cache."""
-    ords = I.ordinates
     basis, rows = _p1_basis(ords), rad.reshape(len(rad), -1)
     cells = rows.shape[1]
-    intensity = I.intensity.reshape(ords.count, cells)
+    intensity = I.reshape(ords.count, cells)
     chunks = _chunks(ords.count, cells)
     work = np.empty((chunks[0].stop, cells))
     total = 0.0
@@ -317,17 +297,20 @@ def _projection_residual(I: KineticField, rad: np.ndarray) -> float:
         np.matmul(basis[s], rows, out=diff)
         np.subtract(intensity[s], diff, out=diff)
         total += ords.weights[s] @ np.einsum("jc,jc->j", diff, diff)
-    return float(np.sqrt(total * I.grid.cell_volume))
+    return float(np.sqrt(total * grid.cell_volume))
 
 
 def moment_system_check(
-    I: KineticField,
+    grid: Grid,
+    ords: OrdinateSet,
+    I: np.ndarray,
     theta: np.ndarray,
     eps: float,
     sigma_pairs: Iterable[tuple[float, float]],
     enforce_p1: bool = True,
 ) -> tuple[float, list[tuple[float, float]]]:
-    """Residuals of the two-moment balance against the kinetic tendency.
+    """Residuals of the two-moment balance against the kinetic tendency
+    of the (count, *shape) intensity I.
 
     For each (sigma_a, sigma_s) in ``sigma_pairs``, extracts the moments
     of ``kinetic_rhs`` and subtracts the tendencies the moment system
@@ -350,18 +333,25 @@ def moment_system_check(
         the order given.
 
     Raises:
+        ValueError: if the ordinates and the grid differ in dimension or
+            I is not of shape (count, *grid.shape).
         NotInP1Subspace: if enforcement is on and I is too far from P1.
     """
-    ords = I.ordinates
-    rad = moments(I, ords)
-    residual = _projection_residual(I, rad)
+    expected = (ords.count, *grid.shape)
+    if ords.n_dims != grid.n_dims or I.shape != expected:
+        raise ValueError(
+            f"intensity of shape {I.shape} on {ords.n_dims}D ordinates does not fit"
+            f" the {grid.n_dims}D grid: expected shape {expected}"
+        )
+    rad = moments(ords, I)
+    residual = p1_projection_residual(grid, ords, I, rad)
     if enforce_p1 and residual > P1_RESIDUAL_LIMIT:
         raise NotInP1Subspace(
             f"projection residual {residual:.3e} exceeds {P1_RESIDUAL_LIMIT:.0e}"
         )
-    grid, n = I.grid, ords.n_dims
+    n = ords.n_dims
     measure = ords.surface_measure
-    transport = transport_term(I)
+    transport = transport_term(grid, ords, I)
     spectra = grid.forward(np.concatenate([rad, fourth_power(theta)[None]]))
     rad_hat, source_hat = spectra[:-1], spectra[-1] * grid.half_dealias_mask
     source = grid.inverse(source_hat)
@@ -374,7 +364,9 @@ def moment_system_check(
 
     pairs = []
     for sigma_a, sigma_s in sigma_pairs:
-        tend = kinetic_rhs(I, theta, eps, sigma_a, sigma_s, transport, source, as_moments=True)
+        tend = kinetic_rhs(
+            grid, ords, I, theta, eps, sigma_a, sigma_s, transport, source, as_moments=True
+        )
         # Transformed and squared at the power-of-two scale that brings the
         # tendency below one, so no admitted sigma overflows; exact.
         scale = np.ldexp(1.0, -max(0, int(np.frexp(np.abs(tend).max())[1])))

@@ -49,10 +49,10 @@ import numpy as np
 from .analysis import batch_error_squares, fit_rate
 from .config import RunConfig, build_limit_initial, build_prepared
 from .errors import DegenerateFit, TimeMismatch
-from .kinetic import KineticField, make_ordinates, moment_system_check
+from .kinetic import make_ordinates, moment_system_check, p1_intensity
 from .radiation import limit_closure_residual, limit_spectrum
 from .spectral import sobolev_squares
-from .stepping import StepControl, cfl_dt, step_batch, step_limit
+from .stepping import cfl_dt, step_batch, step_limit
 
 __all__ = ["RunSummary", "run", "emit_summary"]
 
@@ -121,13 +121,9 @@ def _sampled(state, stepper, params, config: RunConfig, name: str):
     yield state
     for t_target in _output_times(config.t_end, config.output_interval):
         while t_target - state.time > _LAND_TOL:
-            control = StepControl(
-                t_end=t_target,
-                dt=config.dt_max,
-                cfl_advective=config.cfl_advective,
-                cfl_diffusive=config.cfl_diffusive,
+            dt_stable = cfl_dt(
+                state, params, config.dt_max, config.cfl_advective, config.cfl_diffusive
             )
-            dt_stable = cfl_dt(state, params, control)
             remaining = t_target - state.time
             n_sub = max(1, math.ceil(remaining / dt_stable - 1e-9))
             state = stepper(state, remaining / n_sub)
@@ -401,8 +397,8 @@ def _run_closure_check(config: RunConfig, out_dir: str):
     base = build_limit_initial(config)
     grid, theta = base.grid, base.fluid[-1]
     ords = make_ordinates(config.n_dims, config.ordinates)
-    field = KineticField.from_p1(grid, grid.inverse(limit_spectrum(grid, theta)), ords)
-    eps = config.eps if config.eps is not None else 1.0
+    intensity = p1_intensity(ords, grid.inverse(limit_spectrum(grid, theta)))
+    eps = config.eps
 
     n = ords.n_dims
     measure = 2.0 if n == 1 else 2.0 * math.pi
@@ -411,7 +407,9 @@ def _run_closure_check(config: RunConfig, out_dir: str):
     second = np.einsum("j,ji,jk->ik", ords.weights, ords.directions, ords.directions)
     second_defect = float(np.abs(second - (measure / n) * np.eye(n)).max())
 
-    residual, pair_residuals = moment_system_check(field, theta, eps, config.sigma_pairs)
+    residual, pair_residuals = moment_system_check(
+        grid, ords, intensity, theta, eps, config.sigma_pairs
+    )
     per_pair = {
         f"sigma_a={sigma_a:g},sigma_s={sigma_s:g}": {"r0": r0, "r1": r1}
         for (sigma_a, sigma_s), (r0, r1) in zip(config.sigma_pairs, pair_residuals)

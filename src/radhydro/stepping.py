@@ -80,6 +80,9 @@ diffusive bound of ``cfl_bounds``, taken from the spectral radius of
 the linear viscous and heat terms on the kept modes; at desk-scale
 grids and mu, kappa <= 0.05 the dt penalty is acceptable and the code
 stays matrix-free. This is the first knob to revisit for fine grids.
+``cfl_dt`` takes the dt cap and the two CFL safety factors as the
+numbers the config parse validated; spreading the steps so that they
+land on an output time is the runner's part.
 """
 
 from __future__ import annotations
@@ -97,7 +100,6 @@ from .spectral import Grid
 __all__ = [
     "EpsBatch",
     "LimitState",
-    "StepControl",
     "step_batch",
     "step_eps",
     "step_limit",
@@ -151,24 +153,6 @@ def _carry_spectrum(state) -> None:
 # 4096 cells: one member per chunk from 2D/64 up, all four together at
 # 2D/32 and in 1D.
 LOCKSTEP_CELLS = 4096
-
-
-@dataclass(frozen=True)
-class StepControl:
-    """Time-step limits: dt cap, CFL safety factors, final time."""
-
-    t_end: float
-    dt: float = math.inf
-    cfl_advective: float = 0.4
-    cfl_diffusive: float = 0.4
-
-    def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError(f"dt cap must be positive, got {self.dt}")
-        for name in ("cfl_advective", "cfl_diffusive"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1], got {value}")
 
 
 def _propagator(grid, eps: np.ndarray, dt: float):
@@ -412,12 +396,14 @@ RK4_REAL_STABILITY = 2.785293563405282
 RK4_IMAGINARY_STABILITY = 2.0 * math.sqrt(2.0)
 
 
-def cfl_bounds(grid: Grid, y: np.ndarray, p: FluidParams, c: StepControl) -> tuple[float, float]:
+def cfl_bounds(
+    grid: Grid, y: np.ndarray, p: FluidParams, cfl_advective: float, cfl_diffusive: float
+) -> tuple[float, float]:
     """Advective and diffusive step bounds of a (n+2, *shape) or
     (n+2, E, *shape) stack.
 
-    advective = cfl_adv * I / (K * (max|u| + sqrt(2 max theta))),
-    diffusive = cfl_diff * R * min(rho) / (max(mu, 2 mu + lam, kappa) * K2),
+    advective = cfl_advective * I / (K * (max|u| + sqrt(2 max theta))),
+    diffusive = cfl_diffusive * R * min(rho) / (max(mu, 2 mu + lam, kappa) * K2),
 
     each the minimum over the members, with K = sqrt(n) * floor(N/3) the
     largest |k| the 2/3 rule keeps and K2 = K^2. The advective bound
@@ -437,18 +423,20 @@ def cfl_bounds(grid: Grid, y: np.ndarray, p: FluidParams, c: StepControl) -> tup
     u_max = np.sqrt(np.sum(y[1:-1] ** 2, axis=0).max(axis=spatial))
     speed = u_max + np.sqrt(2.0 * y[-1].max(axis=spatial))
     k2_max = grid.n_dims * (grid.points_per_dim // 3) ** 2
-    advective = c.cfl_advective * RK4_IMAGINARY_STABILITY / (math.sqrt(k2_max) * speed)
+    advective = cfl_advective * RK4_IMAGINARY_STABILITY / (math.sqrt(k2_max) * speed)
     stiffness = max(p.mu, 2.0 * p.mu + p.lam, p.kappa) * k2_max
-    diffusive = c.cfl_diffusive * RK4_REAL_STABILITY * y[0].min(axis=spatial) / stiffness
+    diffusive = cfl_diffusive * RK4_REAL_STABILITY * y[0].min(axis=spatial) / stiffness
     return float(advective.min()), float(diffusive.min())
 
 
-def cfl_dt(s, p: FluidParams, c: StepControl) -> float:
+def cfl_dt(
+    s, p: FluidParams, dt_max: float, cfl_advective: float, cfl_diffusive: float
+) -> float:
     """Stable time step of an EpsBatch or a LimitState: the smaller
-    ``cfl_bounds``, the dt cap or the time remaining.
+    ``cfl_bounds`` or the dt cap dt_max.
 
     The stiff radiation scale imposes no restriction (the substep is
     exact), so the result is independent of eps; for a batch it is the
     minimum over the members.
     """
-    return min(*cfl_bounds(s.grid, s.fluid, p, c), c.dt, c.t_end - s.time)
+    return min(*cfl_bounds(s.grid, s.fluid, p, cfl_advective, cfl_diffusive), dt_max)

@@ -98,6 +98,21 @@ class TestLoadConfig:
         )
         assert explicit.dt_max == 0.004
 
+    @pytest.mark.parametrize("field,value", [("cfl_advective", 1.5), ("cfl_diffusive", 0), ("dt_max", 0)])
+    def test_step_control_out_of_range_exits_2(self, field, value, tmp_path, monkeypatch, capsys):
+        # Checked once, at parse: the runner hands these values to cfl_dt
+        # as they are.
+        code, err = _exit_code_and_err(tmp_path, monkeypatch, capsys, "simulate-limit", {field: value})
+        assert code == 2 and f"field '{field}'" in err
+
+    def test_closure_check_eps_is_resolved(self):
+        # The echo holds the default eps = 1 the check runs at, and parses
+        # back to the same config.
+        cfg = parse_config({"mode": "closure-check"})
+        assert cfg.eps == 1.0 and cfg.echo["eps"] == 1.0
+        assert parse_config(json.loads(json.dumps(cfg.echo))) == cfg
+        assert parse_config({"mode": "closure-check", "eps": 0.5}).eps == 0.5
+
 
 class TestProfiles:
     def test_default_profiles_match_reference_setup(self):

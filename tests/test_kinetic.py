@@ -9,11 +9,11 @@ import pytest
 import radhydro.kinetic
 from radhydro.errors import NotInP1Subspace
 from radhydro.kinetic import (
-    KineticField,
     kinetic_rhs,
     make_ordinates,
     moment_system_check,
     moments,
+    p1_intensity,
     p1_projection_residual,
     transport_term,
 )
@@ -24,13 +24,17 @@ from conftest import grad, smooth_field, sobolev_norm
 
 
 def _isotropic(grid, f, ords):
-    """Kinetic field equal to the values f in every direction."""
-    values = np.broadcast_to(f, (ords.count, *grid.shape)).copy()
-    return KineticField(grid, ords, values)
+    """Intensity equal to the values f in every direction."""
+    return np.broadcast_to(f, (ords.count, *grid.shape)).copy()
 
 
-def _p1_field(grid, ords, i0_vals, i1_vals_list):
-    return KineticField.from_p1(grid, np.stack([i0_vals, *i1_vals_list]), ords)
+def _p1_field(ords, i0_vals, i1_vals_list):
+    return p1_intensity(ords, np.stack([i0_vals, *i1_vals_list]))
+
+
+def _residual(grid, ords, I):
+    """The P1 projection residual of I from its own moments."""
+    return p1_projection_residual(grid, ords, I, moments(ords, I))
 
 
 def _moment_pair(grid, rng):
@@ -43,13 +47,13 @@ def _theta(grid, rng):
     return 1.0 + smooth_field(grid, rng)
 
 
-def _full_array_projection_residual(field, ords):
+def _full_array_projection_residual(grid, ords, I):
     """The projection residual built from whole (count, *shape) arrays:
     reconstruction, difference and its square."""
-    rad = moments(field, ords)
+    rad = moments(ords, I)
     recon = np.stack([rad[0] + sum(w * c for w, c in zip(om, rad[1:])) for om in ords.directions])
-    per_node = np.tensordot(ords.weights, (field.intensity - recon) ** 2, axes=(0, 0))
-    return float(np.sqrt(per_node.sum() * field.grid.cell_volume))
+    per_node = np.tensordot(ords.weights, (I - recon) ** 2, axes=(0, 0))
+    return float(np.sqrt(per_node.sum() * grid.cell_volume))
 
 
 class TestOrdinates:
@@ -87,51 +91,48 @@ class TestKineticRhs:
         one = np.ones(grid1d.shape)
         ords = make_ordinates(1, 4)
         field = _isotropic(grid1d, one, ords)
-        tend = kinetic_rhs(field, one, 1.0, 1.0, 0.0)
-        assert np.abs(tend.intensity).max() < 1e-14
+        tend = kinetic_rhs(grid1d, ords, field, one, 1.0, 1.0, 0.0)
+        assert np.abs(tend).max() < 1e-14
 
     def test_scattering_vanishes_for_isotropic_data(self, grid2d, rng):
         f = 2.0 + smooth_field(grid2d, rng)
         ords = make_ordinates(2, 8)
         field = _isotropic(grid2d, f, ords)
-        with_scatter = kinetic_rhs(field, f, 1.0, 1.0, 5.0)
-        without = kinetic_rhs(field, f, 1.0, 1.0, 0.0)
-        assert np.abs(with_scatter.intensity - without.intensity).max() < 1e-12
+        with_scatter = kinetic_rhs(grid2d, ords, field, f, 1.0, 1.0, 5.0)
+        without = kinetic_rhs(grid2d, ords, field, f, 1.0, 1.0, 0.0)
+        assert np.abs(with_scatter - without).max() < 1e-12
 
     def test_scattering_conserves_photon_number(self, grid2d, rng):
         # zeroth moment of the scattering operator vanishes for any I
         ords = make_ordinates(2, 8)
-        vals = rng.standard_normal((ords.count, *grid2d.shape))
-        field = KineticField(grid2d, ords, vals)
+        field = rng.standard_normal((ords.count, *grid2d.shape))
         theta = np.ones(grid2d.shape)
         eps, sigma_a = 1.0, 1.0
-        base = kinetic_rhs(field, theta, eps, sigma_a, 0.0)
-        scat = kinetic_rhs(field, theta, eps, sigma_a, 3.0)
-        scattering_part = KineticField(
-            grid2d, ords, scat.intensity - base.intensity
-        )
-        m = moments(scattering_part, ords)
+        base = kinetic_rhs(grid2d, ords, field, theta, eps, sigma_a, 0.0)
+        scat = kinetic_rhs(grid2d, ords, field, theta, eps, sigma_a, 3.0)
+        m = moments(ords, scat - base)
         assert sobolev_norm(grid2d, m[0], 0) < 1e-12
 
     def test_p1_field_tendency_matches_moment_system(self, grid1d):
         x = grid1d.coordinates()[0]
         ords = make_ordinates(1, 4)
-        field = _p1_field(grid1d, ords, 1 + 0.1 * np.sin(x), [0.1 * np.cos(x)])
+        field = _p1_field(ords, 1 + 0.1 * np.sin(x), [0.1 * np.cos(x)])
         theta = 1 + 0.05 * np.cos(x)
-        _, [(r0, r1)] = moment_system_check(field, theta, 1.0, [(1.0, 0.0)])
+        _, [(r0, r1)] = moment_system_check(grid1d, ords, field, theta, 1.0, [(1.0, 0.0)])
         assert r0 < 1e-10 and r1 < 1e-10
 
     @pytest.mark.parametrize("n_dims", [1, 2])
     def test_precomputed_transport_is_bitwise_equal(self, n_dims, rng):
         grid = Grid(n_dims, 16)
         ords = make_ordinates(n_dims, 8)
-        field = KineticField(grid, ords, rng.standard_normal((ords.count, *grid.shape)))
+        field = rng.standard_normal((ords.count, *grid.shape))
         theta = _theta(grid, rng)
-        transport = transport_term(field)
-        assert transport.shape == field.intensity.shape
-        given = kinetic_rhs(field, theta, 0.5, 1.0, 2.0, transport=transport)
-        computed = kinetic_rhs(field, theta, 0.5, 1.0, 2.0)
-        assert np.array_equal(given.intensity, computed.intensity)
+        transport = transport_term(grid, ords, field)
+        assert transport.shape == field.shape
+        given = kinetic_rhs(grid, ords, field, theta, 0.5, 1.0, 2.0, transport=transport)
+        computed = kinetic_rhs(grid, ords, field, theta, 0.5, 1.0, 2.0)
+        assert np.array_equal(given, computed)
+        assert not computed.flags.writeable
 
     def test_nonnegativity_over_short_run(self, grid1d):
         # explicit RK4 on the kinetic tendency from isotropic data
@@ -142,11 +143,9 @@ class TestKineticRhs:
         eps, dt = 0.5, 0.01
 
         def rhs(vals):
-            return kinetic_rhs(
-                KineticField(grid1d, ords, vals), theta, eps, 1.0, 0.5
-            ).intensity
+            return kinetic_rhs(grid1d, ords, vals, theta, eps, 1.0, 0.5)
 
-        vals = field.intensity
+        vals = field
         for _ in range(10):
             k1 = rhs(vals)
             k2 = rhs(vals + 0.5 * dt * k1)
@@ -159,7 +158,7 @@ class TestKineticRhs:
 class TestMoments:
     def test_isotropic(self, grid2d):
         ords = make_ordinates(2, 8)
-        m = moments(_isotropic(grid2d, np.full(grid2d.shape, 5.0), ords), ords)
+        m = moments(ords, _isotropic(grid2d, np.full(grid2d.shape, 5.0), ords))
         assert m.shape == (3, *grid2d.shape)
         assert np.abs(m[0] - 5.0).max() < 1e-13
         assert np.abs(m[1]).max() < 1e-13
@@ -169,7 +168,7 @@ class TestMoments:
         vals = np.empty((ords.count, *grid2d.shape))
         for j, om in enumerate(ords.directions):
             vals[j] = 2.0 + 3.0 * om[0]
-        m = moments(KineticField(grid2d, ords, vals), ords)
+        m = moments(ords, vals)
         assert np.abs(m[0] - 2.0).max() < 1e-13
         assert np.abs(m[1] - 3.0).max() < 1e-13
         assert np.abs(m[2]).max() < 1e-13
@@ -178,8 +177,7 @@ class TestMoments:
         ords = make_ordinates(2, 8)
         i0 = smooth_field(grid2d, rng)
         i1 = [smooth_field(grid2d, rng) for _ in range(2)]
-        field = _p1_field(grid2d, ords, i0, i1)
-        m = moments(field, ords)
+        m = moments(ords, _p1_field(ords, i0, i1))
         assert np.abs(m[0] - i0).max() < 1e-13
         for c, expected in zip(m[1:], i1):
             assert np.abs(c - expected).max() < 1e-13
@@ -191,7 +189,7 @@ class TestMoments:
         vals = np.empty((ords.count, *grid2d.shape))
         for j, om in enumerate(ords.directions):
             vals[j] = om[0] ** 2
-        m = moments(KineticField(grid2d, ords, vals), ords)
+        m = moments(ords, vals)
         assert np.abs(m[0] - 0.5).max() < 1e-13
         assert np.abs(m[1]).max() < 1e-13
 
@@ -200,20 +198,18 @@ class TestProjectionResidual:
     def test_p1_data_has_zero_residual(self, grid2d, rng):
         ords = make_ordinates(2, 8)
         field = _p1_field(
-            grid2d,
             ords,
             2 + smooth_field(grid2d, rng),
             [smooth_field(grid2d, rng) for _ in range(2)],
         )
-        assert p1_projection_residual(field, ords) < 1e-12
+        assert _residual(grid2d, ords, field) < 1e-12
 
     def test_quadratic_component_detected(self, grid2d):
         ords = make_ordinates(2, 8)
         vals = np.empty((ords.count, *grid2d.shape))
         for j, om in enumerate(ords.directions):
             vals[j] = om[0] ** 2
-        field = KineticField(grid2d, ords, vals)
-        residual = p1_projection_residual(field, ords)
+        residual = _residual(grid2d, ords, vals)
         # Oracle: || omega_x^2 - 1/2 ||^2 = integral of cos^2(2 phi)/4 = pi/4
         # per grid node, times the domain measure (2 pi)^2.
         expected = np.sqrt(np.pi / 4 * (2 * np.pi) ** 2)
@@ -224,26 +220,23 @@ class TestProjectionResidual:
         # Random data on more than two directions is far from P1 (in 1D
         # the two directions make every intensity affine).
         ords = make_ordinates(2, count)
-        field = KineticField(grid2d, ords, rng.standard_normal((count, *grid2d.shape)))
-        want = _full_array_projection_residual(field, ords)
+        field = rng.standard_normal((count, *grid2d.shape))
+        want = _full_array_projection_residual(grid2d, ords, field)
         assert want > 1.0
-        assert p1_projection_residual(field, ords) == pytest.approx(want, rel=1e-12)
+        assert _residual(grid2d, ords, field) == pytest.approx(want, rel=1e-12)
 
     def test_invariant_under_adding_p1_element(self, grid2d, rng):
         ords = make_ordinates(2, 8)
         vals = np.empty((ords.count, *grid2d.shape))
         for j, om in enumerate(ords.directions):
             vals[j] = om[1] ** 2
-        base = KineticField(grid2d, ords, vals)
         extra = _p1_field(
-            grid2d,
             ords,
             smooth_field(grid2d, rng),
             [smooth_field(grid2d, rng) for _ in range(2)],
         )
-        combined = KineticField(grid2d, ords, vals + extra.intensity)
-        r_base = p1_projection_residual(base, ords)
-        r_combined = p1_projection_residual(combined, ords)
+        r_base = _residual(grid2d, ords, vals)
+        r_combined = _residual(grid2d, ords, vals + extra)
         assert r_combined == pytest.approx(r_base, rel=1e-12)
 
 
@@ -253,20 +246,19 @@ class TestMomentSystemCheck:
     def test_p1_residuals_vanish(self, grid2d, rng, sigma, count):
         ords = make_ordinates(2, count)
         field = _p1_field(
-            grid2d,
             ords,
             1 + smooth_field(grid2d, rng),
             [smooth_field(grid2d, rng) for _ in range(2)],
         )
         theta = _theta(grid2d, rng)
-        _, [(r0, r1)] = moment_system_check(field, theta, 1.0, [sigma])
+        _, [(r0, r1)] = moment_system_check(grid2d, ords, field, theta, 1.0, [sigma])
         assert r0 < 1e-10 and r1 < 1e-10
 
     def test_exactly_zero_at_constant_equilibrium(self, grid1d):
         one = np.ones(grid1d.shape)
         ords = make_ordinates(1, 4)
         field = _isotropic(grid1d, one, ords)
-        _, [(r0, r1)] = moment_system_check(field, one, 1.0, [(1.0, 0.0)])
+        _, [(r0, r1)] = moment_system_check(grid1d, ords, field, one, 1.0, [(1.0, 0.0)])
         assert r0 == 0.0 and r1 == 0.0
 
     def test_rejects_non_p1_data(self, grid2d):
@@ -274,10 +266,25 @@ class TestMomentSystemCheck:
         vals = np.empty((ords.count, *grid2d.shape))
         for j, om in enumerate(ords.directions):
             vals[j] = om[0] ** 2
-        field = KineticField(grid2d, ords, vals)
         theta = np.ones(grid2d.shape)
         with pytest.raises(NotInP1Subspace):
-            moment_system_check(field, theta, 1.0, [(1.0, 0.0)])
+            moment_system_check(grid2d, ords, vals, theta, 1.0, [(1.0, 0.0)])
+
+    def test_rejects_an_intensity_that_does_not_fit(self, grid1d, grid2d):
+        # The ordinate count, the grid's shape and the dimension of the
+        # ordinates and the grid must all match the intensity.
+        ords = make_ordinates(2, 8)
+        theta = np.ones(grid2d.shape)
+        field = _isotropic(grid2d, theta, ords)
+        moment_system_check(grid2d, ords, field, theta, 1.0, [(1.0, 0.0)])
+        for grid, bad in [
+            (grid2d, field[:-1]),
+            (grid2d, field[:, :-1]),
+            (grid2d, field[0]),
+            (grid1d, np.ones((ords.count, *grid1d.shape))),
+        ]:
+            with pytest.raises(ValueError, match="does not fit"):
+                moment_system_check(grid, ords, bad, np.ones(grid.shape), 1.0, [(1.0, 0.0)])
 
     def test_quadratic_defect_matches_analytic_oracle(self, grid2d):
         # I = g(x) omega_x^2 with g = sin x. Direction integrals on the
@@ -290,10 +297,9 @@ class TestMomentSystemCheck:
         vals = np.empty((ords.count, *grid2d.shape))
         for j, om in enumerate(ords.directions):
             vals[j] = gfun * om[0] ** 2
-        field = KineticField(grid2d, ords, vals)
         theta = np.ones(grid2d.shape)
         eps = 0.5
-        _, [(r0, r1)] = moment_system_check(field, theta, eps, [(1.0, 0.0)], enforce_p1=False)
+        _, [(r0, r1)] = moment_system_check(grid2d, ords, vals, theta, eps, [(1.0, 0.0)], enforce_p1=False)
         expected_r1 = 0.25 * sobolev_norm(grid2d, grad(grid2d, gfun), 0) / eps
         assert r0 < 1e-12
         assert r1 == pytest.approx(expected_r1, rel=1e-12)
@@ -303,9 +309,9 @@ class TestMomentSystemCheck:
         # times the sphere measure; a wrong rate shows up as an r1 defect.
         x = grid1d.coordinates()[0]
         ords = make_ordinates(1, 4)
-        field = _p1_field(grid1d, ords, np.ones_like(x), [0.2 * np.sin(x)])
+        field = _p1_field(ords, np.ones_like(x), [0.2 * np.sin(x)])
         theta = np.ones(grid1d.shape)
-        _, [(r0, r1)] = moment_system_check(field, theta, 1.0, [(1.0, 2.0)])
+        _, [(r0, r1)] = moment_system_check(grid1d, ords, field, theta, 1.0, [(1.0, 2.0)])
         assert r0 < 1e-12 and r1 < 1e-12
 
     def test_pairs_share_the_check(self, grid2d):
@@ -313,15 +319,15 @@ class TestMomentSystemCheck:
         # three pairs gives what three one-pair checks give, exactly.
         ords = make_ordinates(2, 8)
         X, Y = grid2d.coordinates()
-        vals = np.stack([np.sin(X) * om[0] ** 2 + np.cos(Y) * om[1] for om in ords.directions])
-        field = KineticField(grid2d, ords, vals)
+        field = np.stack([np.sin(X) * om[0] ** 2 + np.cos(Y) * om[1] for om in ords.directions])
         theta = 1 + 0.1 * np.cos(X + Y)
         pairs = [(1.0, 0.0), (1.0, 1.0), (2.0, 0.5)]
-        residual, got = moment_system_check(field, theta, 0.5, pairs, enforce_p1=False)
-        singles = [moment_system_check(field, theta, 0.5, [p], enforce_p1=False) for p in pairs]
+        check = lambda pairs: moment_system_check(grid2d, ords, field, theta, 0.5, pairs, enforce_p1=False)
+        residual, got = check(pairs)
+        singles = [check([p]) for p in pairs]
         assert got == [r for _, (r,) in singles]
         assert all(res == residual for res, _ in singles)
-        assert residual == p1_projection_residual(field, ords)
+        assert residual == _residual(grid2d, ords, field)
         assert all(r1 > 0.1 for _, r1 in got)
 
     @pytest.mark.parametrize("n_pairs", [1, 3])
@@ -334,7 +340,7 @@ class TestMomentSystemCheck:
         # rfft (irfft) and an fft (ifft) along the other axis.
         grid = Grid(2, 16)
         ords = make_ordinates(2, 8)
-        field = KineticField.from_p1(grid, _moment_pair(grid, rng), ords)
+        field = p1_intensity(ords, _moment_pair(grid, rng))
         theta = _theta(grid, rng)
         calls = Counter()
         for name in ("rfft", "irfft", "fft", "ifft", "rfftn", "irfftn"):
@@ -346,37 +352,35 @@ class TestMomentSystemCheck:
 
             monkeypatch.setattr(np.fft, name, counted)
         pairs = [(1.0, 0.0), (1.0, 1.0), (2.0, 0.5)][:n_pairs]
-        moment_system_check(field, theta, 0.5, pairs)
+        moment_system_check(grid, ords, field, theta, 0.5, pairs)
         forward, inverse = 8 + 1 + n_pairs, 8 + 1
         assert calls == Counter(rfft=forward, fft=forward, irfft=inverse, ifft=inverse)
 
 
 # Test-local copies of the earlier kernels: one tensordot per moment, per
 # ordinate symbol and per sampled slab, and the per-slab tendency.
-def _formula_moments(I, ords):
+def _formula_moments(ords, I):
     measure, n = ords.surface_measure, ords.n_dims
-    rows = [np.tensordot(ords.weights, I.intensity, axes=(0, 0)) / measure]
+    rows = [np.tensordot(ords.weights, I, axes=(0, 0)) / measure]
     for axis in range(n):
         w = ords.weights * ords.directions[:, axis]
-        rows.append((n / measure) * np.tensordot(w, I.intensity, axes=(0, 0)))
+        rows.append((n / measure) * np.tensordot(w, I, axes=(0, 0)))
     return np.stack(rows)
 
 
-def _formula_transport(I):
-    grid = I.grid
-    out = np.empty_like(I.intensity)
-    for j, omega in enumerate(I.ordinates.directions):
+def _formula_transport(grid, ords, I):
+    out = np.empty_like(I)
+    for j, omega in enumerate(ords.directions):
         symbol = np.tensordot(omega, grid.half_ik, axes=1)
-        out[j] = grid.inverse(symbol * grid.forward(I.intensity[j]))
+        out[j] = grid.inverse(symbol * grid.forward(I[j]))
     return out
 
 
-def _formula_rhs(I, source, eps, sigma_a, sigma_s, transport):
-    ords = I.ordinates
+def _formula_rhs(ords, I, source, eps, sigma_a, sigma_s, transport):
     measure = ords.surface_measure
-    average = np.tensordot(ords.weights, I.intensity, axes=(0, 0)) / measure
-    out = np.empty_like(I.intensity)
-    for j, slab in enumerate(I.intensity):
+    average = np.tensordot(ords.weights, I, axes=(0, 0)) / measure
+    out = np.empty_like(I)
+    for j, slab in enumerate(I):
         out[j] = (
             -transport[j] + source - sigma_a * slab + sigma_s * measure * (average - slab)
         ) / eps
@@ -389,12 +393,12 @@ def _formula_from_p1(rows, ords):
     return vals
 
 
-def _formula_residual(I, rows):
+def _formula_residual(grid, ords, I, rows):
     total = 0.0
-    for w, omega, slab in zip(I.ordinates.weights, I.ordinates.directions, I.intensity):
+    for w, omega, slab in zip(ords.weights, ords.directions, I):
         diff = slab - (rows[0] + np.tensordot(omega, rows[1:], axes=1))
         total += w * np.vdot(diff, diff)
-    return float(np.sqrt(total * I.grid.cell_volume))
+    return float(np.sqrt(total * grid.cell_volume))
 
 
 def _relative_gap(got, want):
@@ -417,40 +421,43 @@ class TestKernelsAgainstFormulas:
         grid = Grid(n_dims, points)
         rng = np.random.default_rng(61 + n_dims)
         ords = make_ordinates(n_dims, 12)
-        field = KineticField(grid, ords, 1.0 + rng.standard_normal((ords.count, *grid.shape)))
+        field = 1.0 + rng.standard_normal((ords.count, *grid.shape))
         theta = _theta(grid, rng)
         return grid, ords, field, theta, _moment_pair(grid, rng)
 
     def test_moments(self, data):
         grid, ords, field, _, _ = data
-        assert _relative_gap(moments(field, ords), _formula_moments(field, ords)) <= 1e-13
+        assert _relative_gap(moments(ords, field), _formula_moments(ords, field)) <= 1e-13
 
     def test_transport_term(self, data):
-        _, _, field, _, _ = data
-        assert _relative_gap(transport_term(field), _formula_transport(field)) <= 1e-13
+        grid, ords, field, _, _ = data
+        got = transport_term(grid, ords, field)
+        assert _relative_gap(got, _formula_transport(grid, ords, field)) <= 1e-13
 
     @pytest.mark.parametrize("sigma", [(1.0, 0.0), (2.0, 0.5)])
     def test_kinetic_rhs(self, data, sigma):
-        grid, _, field, theta, _ = data
-        transport = transport_term(field)
+        grid, ords, field, theta, _ = data
+        transport = transport_term(grid, ords, field)
         source = grid.inverse(emission_spectrum(grid, theta))
-        got = kinetic_rhs(field, theta, 0.3, *sigma, transport=transport).intensity
-        want = _formula_rhs(field, source, 0.3, *sigma, transport)
+        got = kinetic_rhs(grid, ords, field, theta, 0.3, *sigma, transport=transport)
+        want = _formula_rhs(ords, field, source, 0.3, *sigma, transport)
         assert _relative_gap(got, want) <= 1e-13
 
     def test_from_p1(self, data):
+        # p1_intensity, the P1 sampling: read-only, of shape (count, *shape).
         grid, ords, _, _, rad = data
-        got = KineticField.from_p1(grid, rad, ords).intensity
+        got = p1_intensity(ords, rad)
+        assert got.shape == (ords.count, *grid.shape) and not got.flags.writeable
         assert _relative_gap(got, _formula_from_p1(rad, ords)) <= 1e-13
 
     def test_projection_residual(self, data):
         # In 1D every intensity is affine in the direction, so both
         # residuals are roundoff; the gap is measured against the
         # weighted norm of the data, the residual's scale.
-        _, ords, field, _, _ = data
-        want = _formula_residual(field, moments(field, ords))
-        scale = np.sqrt(np.tensordot(ords.weights, field.intensity**2, axes=(0, 0)).sum() * field.grid.cell_volume)
-        assert abs(p1_projection_residual(field, ords) - want) <= 1e-13 * scale
+        grid, ords, field, _, _ = data
+        want = _formula_residual(grid, ords, field, moments(ords, field))
+        scale = np.sqrt(np.tensordot(ords.weights, field**2, axes=(0, 0)).sum() * grid.cell_volume)
+        assert abs(_residual(grid, ords, field) - want) <= 1e-13 * scale
         if ords.n_dims == 2:
             assert want > 0.1 * scale
 
@@ -473,35 +480,37 @@ class TestFusedMoments:
         grid = Grid(n_dims, points)
         rng = np.random.default_rng(71 + n_dims)
         ords = make_ordinates(n_dims, 14)
-        field = KineticField(grid, ords, 1.0 + rng.standard_normal((ords.count, *grid.shape)))
-        return field, _theta(grid, rng)
+        field = 1.0 + rng.standard_normal((ords.count, *grid.shape))
+        return grid, ords, field, _theta(grid, rng)
 
     @pytest.mark.parametrize("sigma", [(1.0, 0.0), (2.0, 0.5)])
     def test_equals_moments_of_the_tendency(self, data, sigma):
-        field, theta = data
-        transport = transport_term(field)
-        want = moments(kinetic_rhs(field, theta, 0.3, *sigma, transport=transport), field.ordinates)
-        got = kinetic_rhs(field, theta, 0.3, *sigma, transport=transport, as_moments=True)
+        grid, ords, field, theta = data
+        transport = transport_term(grid, ords, field)
+        rhs = lambda **kw: kinetic_rhs(grid, ords, field, theta, 0.3, *sigma, transport=transport, **kw)
+        want = moments(ords, rhs())
+        got = rhs(as_moments=True)
         assert got.shape == want.shape
         assert _relative_gap(got, want) <= 1e-13
 
     def test_check_matches_the_whole_tendency(self, data, monkeypatch):
         # The check as it was before the fusion: moments of the whole
         # (count, *shape) tendency of every pair.
-        field, theta = data
+        grid, ords, field, theta = data
         pairs = [(1.0, 0.0), (1.0, 1.0), (2.0, 0.5)]
-        residual, got = moment_system_check(field, theta, 0.5, pairs, enforce_p1=False)
+        check = lambda: moment_system_check(grid, ords, field, theta, 0.5, pairs, enforce_p1=False)
+        residual, got = check()
         original = radhydro.kinetic.kinetic_rhs
 
         def unfused(*args, as_moments):
-            return moments(original(*args), args[0].ordinates)
+            return moments(ords, original(*args))
 
         monkeypatch.setattr(radhydro.kinetic, "kinetic_rhs", unfused)
-        want_residual, want = moment_system_check(field, theta, 0.5, pairs, enforce_p1=False)
+        want_residual, want = check()
         assert residual == want_residual
         for g, w in zip(np.ravel(got), np.ravel(want)):
             assert g == pytest.approx(w, rel=1e-13, abs=1e-13)
-        if field.grid.n_dims == 2:
+        if grid.n_dims == 2:
             assert all(r1 > 0.1 for _, r1 in want)
 
 
@@ -509,8 +518,8 @@ class TestCheckPasses:
     def _check_input(self, rng):
         grid = Grid(2, 32)
         ords = make_ordinates(2, 64)
-        field = KineticField.from_p1(grid, _moment_pair(grid, rng), ords)
-        return field, _theta(grid, rng)
+        field = p1_intensity(ords, _moment_pair(grid, rng))
+        return grid, ords, field, _theta(grid, rng)
 
     @pytest.mark.parametrize("chunk_cells", [None, 4096])
     def test_peak_memory(self, chunk_cells, rng, monkeypatch):
@@ -525,29 +534,29 @@ class TestCheckPasses:
         # the grid's symbols and the lazy imports.
         if chunk_cells is not None:
             monkeypatch.setattr(radhydro.kinetic, "CHUNK_CELLS", chunk_cells)
-        field, theta = self._check_input(rng)
-        count, cells = field.intensity.shape[0], field.intensity[0].size
-        full = field.intensity.nbytes
+        grid, ords, field, theta = self._check_input(rng)
+        count, cells = field.shape[0], field[0].size
+        full = field.nbytes
         chunk = min(count, max(1, radhydro.kinetic.CHUNK_CELLS // cells)) * cells * 8
         pairs = [(1.0, 0.0), (1.0, 1.0)]
-        moment_system_check(field, theta, 0.5, pairs)
+        moment_system_check(grid, ords, field, theta, 0.5, pairs)
         tracemalloc.start()
         try:
-            moment_system_check(field, theta, 0.5, pairs)
+            moment_system_check(grid, ords, field, theta, 0.5, pairs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= full + chunk + 48 * cells * 8
 
     def test_one_whole_field_rhs_per_pair(self, rng, monkeypatch):
-        field, theta = self._check_input(rng)
+        grid, ords, field, theta = self._check_input(rng)
         seen = []
         original = radhydro.kinetic.kinetic_rhs
 
-        def spy(I, *args, **kwargs):
-            seen.append(I.intensity.shape)
-            return original(I, *args, **kwargs)
+        def spy(grid, ords, I, *args, **kwargs):
+            seen.append(I.shape)
+            return original(grid, ords, I, *args, **kwargs)
 
         monkeypatch.setattr(radhydro.kinetic, "kinetic_rhs", spy)
-        moment_system_check(field, theta, 0.5, [(1.0, 0.0), (1.0, 1.0), (2.0, 0.5)])
-        assert seen == [field.intensity.shape] * 3
+        moment_system_check(grid, ords, field, theta, 0.5, [(1.0, 0.0), (1.0, 1.0), (2.0, 0.5)])
+        assert seen == [field.shape] * 3

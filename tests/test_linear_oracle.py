@@ -27,7 +27,7 @@ import pytest
 
 from radhydro.fluid import FluidParams
 from radhydro.spectral import Grid
-from radhydro.stepping import EpsBatch, LimitState, StepControl, cfl_bounds, step_eps, step_limit
+from radhydro.stepping import EpsBatch, LimitState, cfl_bounds, step_eps, step_limit
 
 PARAMS = FluidParams(mu=0.01, lam=0.01, kappa=0.01)
 AMP = 1e-7
@@ -190,8 +190,7 @@ def _growth_threshold(grid, p, u):
             state = step_limit(state, p, dt)
         return np.abs(np.linalg.solve(v, state.spectrum[index])).max() > amp
 
-    control = StepControl(t_end=math.inf, cfl_advective=1.0, cfl_diffusive=1.0)
-    bounds = cfl_bounds(grid, values, p, control)
+    bounds = cfl_bounds(grid, values, p, 1.0, 1.0)
     lo, hi = 0.5 * min(bounds), 2.0 * min(bounds)
     assert not grows(lo) and grows(hi)
     for _ in range(14):

@@ -17,7 +17,7 @@ from radhydro.fluid import POSITIVITY_FLOOR, FluidParams, _rhs_common
 from radhydro.radiation import limit_spectrum
 from radhydro.runner import _sampled, run
 from radhydro.spectral import Grid
-from radhydro.stepping import EpsBatch, StepControl, cfl_dt, step_batch, step_eps, step_limit
+from radhydro.stepping import EpsBatch, cfl_dt, step_batch, step_eps, step_limit
 
 from conftest import (
     eps_batch, limit_pair, limit_state, member, prepared_deviation, smooth_field, smooth_vector,
@@ -188,12 +188,12 @@ def test_fast_member_sets_the_shared_dt():
     rng = np.random.default_rng(33)
     slow = _state(grid, rng)
     fast = _state(grid, rng, u_amp=1.0)
-    control = StepControl(t_end=1.0, dt=1.0)
-    dt_slow = cfl_dt(_batch(grid, [slow], (0.1,)), PARAMS, control)
-    dt_fast = cfl_dt(_batch(grid, [fast], (0.05,)), PARAMS, control)
+    stable_dt = lambda b: cfl_dt(b, PARAMS, 1.0, 0.4, 0.4)
+    dt_slow = stable_dt(_batch(grid, [slow], (0.1,)))
+    dt_fast = stable_dt(_batch(grid, [fast], (0.05,)))
     assert dt_fast < dt_slow / 2
     batch = _batch(grid, [slow, fast, slow], (0.1, 0.05, 0.025))
-    assert cfl_dt(batch, PARAMS, control) == dt_fast
+    assert stable_dt(batch) == dt_fast
 
     # Marching the batch to the first output time takes as many steps as
     # the fast member alone.
@@ -270,7 +270,7 @@ def test_non_finite_member_is_named():
 
 RETIRED = {
     "SpectralField", "VectorField", "grad", "div", "laplacian", "helmholtz_inverse", "dealias",
-    "sobolev_norm", "limit_q", "emit_series",
+    "sobolev_norm", "limit_q", "emit_series", "KineticField", "StepControl",
 }
 
 
@@ -311,7 +311,6 @@ def test_solver_path_builds_no_field_objects(n_dims, n, tmp_path):
 
     grid = Grid(n_dims, n)
     base = limit_state(grid, _state(grid, np.random.default_rng(38))[0])
-    control = StepControl(t_end=1.0, dt=0.01)
     shape = {"base": 0.0, "modes": [{"amplitude": 1.0, "wavenumber": [1] * n_dims, "kind": "sin"}]}
     raw = {
         "grid": {"n_dims": n_dims, "points": 16},
@@ -328,8 +327,8 @@ def test_solver_path_builds_no_field_objects(n_dims, n, tmp_path):
 
     batch = well_prepared_init(base, SWEEP, 1.0, default_perturbation_shapes(grid))
     assert prepared_deviation(batch, base, 3).shape == (len(SWEEP),)
-    dt = cfl_dt(batch, PARAMS, control)
-    assert dt == cfl_dt(base, PARAMS, control)
+    dt = cfl_dt(batch, PARAMS, 0.01, 0.4, 0.4)
+    assert dt == cfl_dt(base, PARAMS, 0.01, 0.4, 0.4)
     batch = step_eps(step_batch(batch, PARAMS, dt), PARAMS, dt)
     limit = step_limit(step_limit(base, PARAMS, dt), PARAMS, dt)
     closure = limit_spectrum(grid, limit.fluid[-1])

@@ -447,6 +447,26 @@ class TestCli:
         cfg_path.write_text('{"mode": "simulate-limit", "junk": 1}', encoding="utf-8")
         assert main(["simulate-limit", "--config", str(cfg_path)]) == 2
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf-8"])
+    def test_unreadable_config_exits_2(self, kind, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf-8":
+            path.write_bytes(b'{"mode": "simulate-limit", "out_dir": "\xff"}')
+        assert main(["simulate-limit", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("radhydro: ") and str(path) in err
+
+    def test_out_under_a_regular_file_exits_3(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"t_end": 0.05, "output_interval": 0.05}', encoding="utf-8")
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        out = str(blocker / "out")
+        assert main(["simulate-limit", "--config", str(cfg_path), "--out", out]) == 3
+        assert "radhydro: run failed: " in capsys.readouterr().err
+
     def test_unbounded_sample_count_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text('{"output_interval": 1e-300}', encoding="utf-8")

@@ -13,13 +13,12 @@ from radhydro.spectral import Grid
 from radhydro.stepping import (
     RK4_IMAGINARY_STABILITY,
     RK4_REAL_STABILITY,
-    StepControl,
     cfl_dt,
     step_eps,
     step_limit,
 )
 from radhydro.analysis import fit_rate
-from radhydro.runner import run
+from radhydro.runner import _sampled, run
 
 from conftest import (
     eps_batch,
@@ -217,39 +216,44 @@ class TestStepLimit:
 class TestCflDt:
     def test_advective_bound_at_rest(self, grid1d):
         state = limit_state(grid1d, stack(grid1d, 1.0, 0.0, 1.0))
-        control = StepControl(t_end=10.0, cfl_advective=0.5, cfl_diffusive=0.5)
         # At rest the speed is the sound speed sqrt(2 theta) = sqrt(2); the
         # largest kept |k| on 64 points is 21 and RK4's imaginary-axis
         # interval 2 sqrt(2). The diffusive bound is huge.
         expected = 0.5 * 2 * np.sqrt(2) / (21 * np.sqrt(2))
-        assert cfl_dt(state, PARAMS, control) == pytest.approx(expected, rel=1e-13)
+        assert cfl_dt(state, PARAMS, math.inf, 0.5, 0.5) == pytest.approx(expected, rel=1e-13)
 
     def test_diffusive_bound_dominates_for_large_kappa(self, grid1d):
         state = limit_state(grid1d, stack(grid1d, 1.0, 0.0, 1.0))
         p = FluidParams(mu=0.01, lam=0.0, kappa=5.0)
-        control = StepControl(t_end=10.0)
         # The largest kept |k|^2 on 64 points is 21^2, and kappa dominates
         # mu and 2 mu + lam.
         expected = 0.4 * 2.785293563405282 * 1.0 / (5.0 * 21**2)
-        assert cfl_dt(state, p, control) == pytest.approx(expected, rel=1e-13)
+        assert cfl_dt(state, p, math.inf, 0.4, 0.4) == pytest.approx(expected, rel=1e-13)
 
     def test_independent_of_eps(self, grid1d, rng):
         fluid, rad = _wavy_member(grid1d, rng)
-        control = StepControl(t_end=1.0)
-        a = cfl_dt(eps_batch(grid1d, (0.1,), [fluid], [rad]), PARAMS, control)
-        b = cfl_dt(eps_batch(grid1d, (0.05,), [fluid], [rad]), PARAMS, control)
-        assert a == b == cfl_dt(limit_state(grid1d, fluid), PARAMS, control)
+        stable_dt = lambda s: cfl_dt(s, PARAMS, math.inf, 0.4, 0.4)
+        a = stable_dt(eps_batch(grid1d, (0.1,), [fluid], [rad]))
+        b = stable_dt(eps_batch(grid1d, (0.05,), [fluid], [rad]))
+        assert a == b == stable_dt(limit_state(grid1d, fluid))
 
     def test_remaining_time_caps(self, grid1d):
+        # The runner spreads its steps so that they land on the output
+        # time: at t = 0.995 the state at rest could step by more than
+        # 0.03, yet one step of 0.005 takes it to the output at t = 1.
+        config = parse_config({"mode": "simulate-limit", "t_end": 1.0, "output_interval": 1.0})
         state = limit_state(grid1d, stack(grid1d, 1.0, 0.0, 1.0), time=0.995)
-        control = StepControl(t_end=1.0)
-        assert cfl_dt(state, PARAMS, control) == pytest.approx(0.005, abs=1e-15)
+        assert cfl_dt(state, PARAMS, config.dt_max, 0.4, 0.4) > 0.03
+        steps = []
 
-    def test_control_validation(self):
-        with pytest.raises(ValueError, match="cfl"):
-            StepControl(t_end=1.0, cfl_advective=1.5)
-        with pytest.raises(ValueError, match="dt cap"):
-            StepControl(t_end=1.0, dt=0.0)
+        def stepper(s, dt):
+            steps.append(dt)
+            return step_limit(s, PARAMS, dt)
+
+        samples = _sampled(state, stepper, PARAMS, config, "limit run")
+        assert next(samples) is state
+        assert next(samples).time == 1.0
+        assert steps == [pytest.approx(0.005, abs=1e-15)]
 
     def test_rk4_real_stability_interval(self):
         # |1 + z + z^2/2 + z^3/6 + z^4/24| = 1 at z = -R and stays below 1
@@ -292,12 +296,12 @@ def _acoustic_config(n_dims, points, wavenumber, factor, t_end):
     )
 
 
-def _former_advective_bound(grid, y, c):
+def _former_advective_bound(grid, y, cfl_advective):
     """The advective bound before the spectral-radius form:
     cfl * h / (max|u| + sqrt(max theta))."""
     spatial = grid.axes
     speed = np.sqrt(np.sum(y[1:-1] ** 2, axis=0).max(axis=spatial)) + np.sqrt(y[-1].max(axis=spatial))
-    return float((c.cfl_advective * grid.spacing / speed).min())
+    return float((cfl_advective * grid.spacing / speed).min())
 
 
 class TestAdvectiveBound:
@@ -336,13 +340,15 @@ class TestAdvectiveBound:
         bounds = radhydro.stepping.cfl_bounds
         seen = []
 
-        def spy(grid, y, p, c):
-            advective, diffusive = bounds(grid, y, p, c)
-            seen.append(min(advective, diffusive, _former_advective_bound(grid, y, c)) / c.dt)
+        def spy(grid, y, p, cfl_advective, cfl_diffusive):
+            advective, diffusive = bounds(grid, y, p, cfl_advective, cfl_diffusive)
+            former = _former_advective_bound(grid, y, cfl_advective)
+            seen.append(min(advective, diffusive, former) / config.dt_max)
             return advective, diffusive
 
         monkeypatch.setattr(radhydro.stepping, "cfl_bounds", spy)
         for name, raw in workloads.items():
             seen.clear()
-            run(parse_config(raw), str(tmp_path / name))
+            config = parse_config(raw)
+            run(config, str(tmp_path / name))
             assert len(seen) > 10 and min(seen) > 1.0, name
