@@ -66,9 +66,6 @@ DEFAULT_BOUNDS = {
     "moment_residual_max": 1e-10,
 }
 
-_MODE_SPEC_KEYS = {"amplitude", "wavenumber", "kind"}
-_PROFILE_KEYS = {"base", "modes"}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -173,18 +170,21 @@ class RunConfig:
 
 
 # The top-level keys of a configuration: those of the echo.
-_TOP_KEYS = {f.name for f in fields(RunConfig)} - {"n_dims", "points", "params"}
-_TOP_KEYS |= {"grid", "fluid"}
+_TOP_KEYS = {f.name for f in fields(RunConfig)} - {"n_dims", "points", "params"} | {"grid", "fluid"}
 
 
 def _fail(field_name: str, message: str):
     raise ValidationError(f"field '{field_name}': {message}")
 
 
-def _check_keys(d: dict, allowed: set, context: str) -> None:
-    for key in d:
+def _object(value, name: str, allowed) -> dict:
+    """value, which must be a JSON object with no key outside allowed."""
+    if not isinstance(value, dict):
+        _fail(name, "expected an object")
+    for key in value:
         if key not in allowed:
-            raise ValidationError(f"unknown field '{key}' in {context}")
+            raise ValidationError(f"unknown field '{key}' in {name}")
+    return value
 
 
 def _is_finite_number(value) -> bool:
@@ -198,11 +198,9 @@ def _is_finite_number(value) -> bool:
         return False
 
 
-def _number(d: dict, key: str, default, context: str, positive=False):
+def _number(d: dict, key: str, default, context: str = "", positive=False):
     """The number under key, or default when the key is absent or null."""
-    value = d.get(key)
-    if value is None:
-        value = default
+    value = default if d.get(key) is None else d[key]
     if value is None:
         return None
     name = f"{context}.{key}" if context else key
@@ -214,15 +212,25 @@ def _number(d: dict, key: str, default, context: str, positive=False):
     return value
 
 
+def _numbers(value, name: str, message: str, size=None, keep=lambda v: True) -> tuple:
+    """value, which must be a JSON list (of size entries, if given) of
+    finite numbers each passing keep, as a tuple of floats."""
+    if not (
+        isinstance(value, list)
+        and size in (None, len(value))
+        and all(_is_finite_number(v) and keep(v) for v in value)
+    ):
+        _fail(name, message)
+    return tuple(float(v) for v in value)
+
+
 def _validate_profile(spec, name: str, default: dict, grid: Grid) -> dict:
     """Profile spec with its defaults; a wavenumber has n_dims entries k
     with |k| <= points/2, the largest the grid resolves."""
     n_dims, kmax = grid.n_dims, grid.points_per_dim // 2
     if spec is None:
         return default
-    if not isinstance(spec, dict):
-        _fail(name, "expected an object with 'base' and 'modes'")
-    _check_keys(spec, _PROFILE_KEYS, name)
+    _object(spec, name, {"base", "modes"})
     base = _number(spec, "base", 0.0, name)
     modes = spec.get("modes", [])
     if not isinstance(modes, list):
@@ -230,9 +238,7 @@ def _validate_profile(spec, name: str, default: dict, grid: Grid) -> dict:
     out_modes = []
     for i, m in enumerate(modes):
         ctx = f"{name}.modes[{i}]"
-        if not isinstance(m, dict):
-            _fail(ctx, "expected an object")
-        _check_keys(m, _MODE_SPEC_KEYS, ctx)
+        _object(m, ctx, {"amplitude", "wavenumber", "kind"})
         amp = _number(m, "amplitude", None, ctx)
         if amp is None:
             _fail(ctx, "missing 'amplitude'")
@@ -252,11 +258,10 @@ def _validate_profile(spec, name: str, default: dict, grid: Grid) -> dict:
 
 def _default_profiles(n_dims: int) -> dict:
     k1 = [1] + [0] * (n_dims - 1)
-    rho = {"base": 1.0, "modes": [{"amplitude": 0.1, "wavenumber": k1, "kind": "sin"}]}
-    theta = {"base": 1.0, "modes": [{"amplitude": 0.1, "wavenumber": k1, "kind": "cos"}]}
-    u0 = {"base": 0.0, "modes": [{"amplitude": 0.1, "wavenumber": k1, "kind": "sin"}]}
-    rest = {"base": 0.0, "modes": []}
-    return {"rho": rho, "u": [u0] + [rest] * (n_dims - 1), "theta": theta}
+    mode = lambda kind: {"amplitude": 0.1, "wavenumber": k1, "kind": kind}
+    wave = lambda base, kind: {"base": base, "modes": [mode(kind)]}
+    u = [wave(0.0, "sin")] + [{"base": 0.0, "modes": []}] * (n_dims - 1)
+    return {"rho": wave(1.0, "sin"), "u": u, "theta": wave(1.0, "cos")}
 
 
 def _validate_fields(raw, name: str, defaults: dict, grid: Grid) -> dict:
@@ -265,16 +270,12 @@ def _validate_fields(raw, name: str, defaults: dict, grid: Grid) -> dict:
     a list of n_dims component specs."""
     if raw is None:
         return defaults
-    if not isinstance(raw, dict):
-        _fail(name, "expected an object")
-    _check_keys(raw, set(defaults), name)
+    _object(raw, name, defaults)
     out = {}
     for key, default in defaults.items():
         spec, ctx = raw.get(key), f"{name}.{key}"
-        if not isinstance(default, list):
+        if spec is None or not isinstance(default, list):
             out[key] = _validate_profile(spec, ctx, default, grid)
-        elif spec is None:
-            out[key] = default
         elif not isinstance(spec, list) or len(spec) != grid.n_dims:
             _fail(ctx, f"expected a list of {grid.n_dims} component profiles")
         else:
@@ -286,25 +287,26 @@ def _validate_fields(raw, name: str, defaults: dict, grid: Grid) -> dict:
 
 
 def _validate_bounds(raw) -> dict:
+    """The acceptance bounds with their defaults. Every run fails a bound
+    whose window holds no value it can take, so each window must be
+    nonempty: [low, high] for a slope, [r_squared_min, 1] for R^2 and
+    [0, limit] for gamma and the *_max limits of nonnegative values."""
     bounds = dict(DEFAULT_BOUNDS)
     if raw is None:
         return bounds
-    if not isinstance(raw, dict):
-        _fail("bounds", "expected an object")
-    _check_keys(raw, set(DEFAULT_BOUNDS), "bounds")
-    for key, value in raw.items():
+    for key, value in _object(raw, "bounds", DEFAULT_BOUNDS).items():
+        name = f"bounds.{key}"
         if value is None:
             continue
-        if key in ("fluid_slope", "radiation_slope"):
-            if not (
-                isinstance(value, list)
-                and len(value) == 2
-                and all(_is_finite_number(v) for v in value)
-            ):
-                _fail(f"bounds.{key}", "expected [low, high] of finite numbers")
-            bounds[key] = [float(value[0]), float(value[1])]
+        if key.endswith("_slope"):
+            value = list(_numbers(value, name, "expected [low, high] of finite numbers", size=2))
+            low, high = value
         else:
-            bounds[key] = _number(raw, key, None, "bounds")
+            value = _number(raw, key, None, "bounds")
+            low, high = (value, 1.0) if key == "r_squared_min" else (0.0, value)
+        if low > high:
+            _fail(name, f"its window [{low}, {high}] is empty, so every run would fail it")
+        bounds[key] = value
     return bounds
 
 
@@ -319,8 +321,9 @@ def _require_finite(rows, names, field_name: str, message: str) -> None:
 def _admit(config: RunConfig) -> None:
     """ValidationError naming the field unless what the run starts from
     is finite, row by row, and positive where it must be: in every mode
-    the limit initial state, its t = 0 norm rows, limit closure and CFL
-    bounds, and the configured shapes; in the solver modes one limit
+    the limit initial state, its t = 0 norm rows, limit closure, the
+    steps to t_end at dt_max and at either CFL bound (MAX_STEPS each),
+    and the configured shapes; in the solver modes one limit
     right-hand side; in the closure check the size of the kinetic
     tendency of every sigma pair; in the eps modes the prepared data,
     its t = 0 error rows and one eps right-hand side. Floating-point
@@ -338,14 +341,15 @@ def _admit(config: RunConfig) -> None:
             tend = _rhs_common(grid, base.fluid[:, None], base.spectrum[:, None], params)
             _require_finite(tend, names, "profiles.{}", "the limit right-hand side is not finite")
         bounds = cfl_bounds(grid, base.fluid, params, config.cfl_advective, config.cfl_diffusive)
-        for name, field_name, dt in zip(("advective", "diffusive"), ("profiles", "fluid"), bounds):
+        for field_name, bound, dt in zip(
+            ("dt_max", "profiles", "fluid"),
+            ("dt_max", "the advective CFL bound dt", "the diffusive CFL bound dt"),
+            (config.dt_max, *bounds),
+        ):
             steps = config.t_end / dt if dt > 0.0 else math.inf
             if not steps <= MAX_STEPS:
-                _fail(
-                    field_name,
-                    f"the {name} CFL bound dt = {dt:.3g} on the initial profiles implies"
-                    f" {steps:.3g} time steps, over the budget of {MAX_STEPS:g}",
-                )
+                message = f"{bound} = {dt:.3g} implies {steps:.3g} time steps"
+                _fail(field_name, f"{message}, over the budget of {MAX_STEPS:g}")
         if config.perturbation_shapes is not None:
             build_shapes(config)  # the L^2 norms of the configured shapes
         if config.mode == "closure-check":
@@ -392,10 +396,7 @@ def parse_config(raw: dict, mode: str | None = None) -> RunConfig:
         mode: Mode requested on the command line; must agree with the
             config's own "mode" field when both are present.
     """
-    if not isinstance(raw, dict):
-        raise ValidationError("top-level configuration must be an object")
-    _check_keys(raw, _TOP_KEYS, "configuration")
-
+    _object(raw, "configuration", _TOP_KEYS)
     cfg_mode = raw.get("mode", mode)
     if cfg_mode is None:
         _fail("mode", "missing (give it in the config or as the subcommand)")
@@ -404,10 +405,7 @@ def parse_config(raw: dict, mode: str | None = None) -> RunConfig:
     if mode is not None and cfg_mode != mode:
         _fail("mode", f"config says {cfg_mode!r} but the subcommand is {mode!r}")
 
-    grid_raw = raw.get("grid", {})
-    if not isinstance(grid_raw, dict):
-        _fail("grid", "expected an object")
-    _check_keys(grid_raw, {"n_dims", "points"}, "grid")
+    grid_raw = _object(raw.get("grid", {}), "grid", {"n_dims", "points"})
     n_dims = grid_raw.get("n_dims", 1)
     points = grid_raw.get("points", 64)
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in (n_dims, points)):
@@ -419,31 +417,22 @@ def parse_config(raw: dict, mode: str | None = None) -> RunConfig:
     if points**n_dims > MAX_CELLS:
         _fail("grid", f"{points}^{n_dims} grid cells exceed the budget of {MAX_CELLS}")
 
-    fluid_raw = raw.get("fluid", {})
-    if not isinstance(fluid_raw, dict):
-        _fail("fluid", "expected an object")
-    _check_keys(fluid_raw, {"mu", "lambda", "kappa"}, "fluid")
+    fluid_raw = _object(raw.get("fluid", {}), "fluid", {"mu", "lambda", "kappa"})
     try:
-        params = FluidParams(
-            mu=_number(fluid_raw, "mu", 0.01, "fluid"),
-            lam=_number(fluid_raw, "lambda", 0.01, "fluid"),
-            kappa=_number(fluid_raw, "kappa", 0.01, "fluid"),
-        )
+        values = [_number(fluid_raw, key, 0.01, "fluid") for key in ("mu", "lambda", "kappa")]
+        params = FluidParams(*values)
         params.validate_for(n_dims)
     except ValueError as exc:
         raise ValidationError(f"field 'fluid': {exc}") from exc
 
-    eps = _number(raw, "eps", None, "", positive=True)
-    eps_list_raw = raw.get("eps_list")
-    eps_list = None
-    if eps_list_raw is not None:
-        if not (
-            isinstance(eps_list_raw, list)
-            and all(_is_finite_number(v) and v > 0 for v in eps_list_raw)
-        ):
-            _fail("eps_list", "expected a list of positive finite numbers")
-        eps_list = tuple(float(v) for v in eps_list_raw)
-
+    # The RunConfig fields, filled in the order they are checked.
+    cfg = {"mode": cfg_mode, "n_dims": n_dims, "points": points, "params": params}
+    eps = {"simulate-eps": 0.1, "closure-check": 1.0}.get(cfg_mode)  # a study sweeps eps_list
+    cfg["eps"] = _number(raw, "eps", eps, positive=True)
+    eps_list = raw.get("eps_list")
+    if eps_list is not None:
+        message = "expected a list of positive finite numbers"
+        eps_list = _numbers(eps_list, "eps_list", message, keep=lambda v: v > 0)
     if cfg_mode == "convergence-study":
         if eps_list is None:
             eps_list = DEFAULT_EPS_SWEEP
@@ -451,107 +440,67 @@ def parse_config(raw: dict, mode: str | None = None) -> RunConfig:
             _fail("eps_list", "convergence study needs at least 3 entries")
         if any(a <= b for a, b in zip(eps_list, eps_list[1:])):
             _fail("eps_list", "must be strictly decreasing")
-    if eps is None:
-        eps = {"simulate-eps": 0.1, "closure-check": 1.0}.get(cfg_mode)
+    cfg["eps_list"] = eps_list
 
-    t_end = _number(raw, "t_end", 0.5, "", positive=True)
-    output_interval = _number(raw, "output_interval", 0.025, "", positive=True)
+    t_end = cfg["t_end"] = _number(raw, "t_end", 0.5, positive=True)
+    output_interval = cfg["output_interval"] = _number(raw, "output_interval", 0.025, positive=True)
     if output_interval > t_end:
         _fail("output_interval", "must not exceed t_end")
+    if t_end / output_interval > MAX_SAMPLES:
+        samples = f"t_end/output_interval = {t_end / output_interval:.3g} output samples"
+        _fail("output_interval", f"{samples} exceeds the budget of {MAX_SAMPLES:g}")
     # Default dt cap: resolve each output interval with >= 10 steps so the
     # splitting error sits well below the eps-sweep errors being measured.
-    dt_max = _number(raw, "dt_max", None, "", positive=True)
-    if dt_max is None:
-        dt_max = output_interval / 10.0
-    for name, step, budget, unit in (
-        ("output_interval", output_interval, MAX_SAMPLES, "output samples"),
-        ("dt_max", dt_max, MAX_STEPS, "time steps"),
-    ):
-        if t_end / step > budget:
-            _fail(name, f"t_end/{name} = {t_end / step:.3g} {unit} exceeds the budget of {budget:g}")
-    cfl_advective = _number(raw, "cfl_advective", 0.4, "", positive=True)
-    cfl_diffusive = _number(raw, "cfl_diffusive", 0.4, "", positive=True)
-    for name, value in (("cfl_advective", cfl_advective), ("cfl_diffusive", cfl_diffusive)):
-        if value > 1.0:
-            _fail(name, f"must lie in (0, 1], got {value}")
+    cfg["dt_max"] = _number(raw, "dt_max", output_interval / 10.0, positive=True)
+    for key in ("cfl_advective", "cfl_diffusive"):
+        cfg[key] = _number(raw, key, 0.4, positive=True)
+        if cfg[key] > 1.0:
+            _fail(key, f"must lie in (0, 1], got {cfg[key]}")
 
-    profiles = _validate_fields(raw.get("profiles"), "profiles", _default_profiles(n_dims), grid)
-    perturbation_amp = _number(raw, "perturbation_amp", 0.0, "")
-    if perturbation_amp < 0.0:
+    profiles = _default_profiles(n_dims)
+    cfg["profiles"] = _validate_fields(raw.get("profiles"), "profiles", profiles, grid)
+    cfg["perturbation_amp"] = _number(raw, "perturbation_amp", 0.0)
+    if cfg["perturbation_amp"] < 0.0:
         _fail("perturbation_amp", "must be nonnegative")
     shapes = raw.get("perturbation_shapes")
     if shapes is not None:
         empty = {"base": 0.0, "modes": []}
         defaults = dict(rho=empty, u=[empty] * n_dims, theta=empty, I0=empty, I1=[empty] * n_dims)
         shapes = _validate_fields(shapes, "perturbation_shapes", defaults, grid)
+    cfg["perturbation_shapes"] = shapes
 
-    sobolev_raw = raw.get("sobolev_indices")
+    indices = raw.get("sobolev_indices")
     # default high index: smallest integer above n/2 + 2
-    s_high = 3 if n_dims == 1 else 4
-    if sobolev_raw is None:
-        sobolev_indices = (0, s_high)
-    else:
-        if not (
-            isinstance(sobolev_raw, list)
-            and sobolev_raw
-            and all(type(v) is int and 0 <= v <= MAX_SOBOLEV_INDEX for v in sobolev_raw)  # no bool
-        ):
-            _fail(
-                "sobolev_indices",
-                f"expected a nonempty list of integers in [0, {MAX_SOBOLEV_INDEX}]",
-            )
-        sobolev_indices = tuple(sorted(set(sobolev_raw)))
+    if indices is None:
+        indices = [0, 3 if n_dims == 1 else 4]
+    message = f"expected a nonempty list of integers in [0, {MAX_SOBOLEV_INDEX}]"
+    in_range = lambda v: isinstance(v, int) and 0 <= v <= MAX_SOBOLEV_INDEX
+    if not _numbers(indices, "sobolev_indices", message, keep=in_range):
+        _fail("sobolev_indices", message)
+    cfg["sobolev_indices"] = tuple(sorted(set(indices)))
 
-    out_dir = raw.get("out_dir", "out")
-    if not isinstance(out_dir, str):
-        _fail("out_dir", "expected a string")
+    out_dir = cfg["out_dir"] = raw.get("out_dir", "out")
+    if not (isinstance(out_dir, str) and out_dir and "\x00" not in out_dir):
+        _fail("out_dir", "expected a nonempty string with no NUL character")
 
-    ordinates = raw.get("ordinates", 8)
+    ordinates = cfg["ordinates"] = raw.get("ordinates", 8)
     if not isinstance(ordinates, int) or ordinates < 4 or ordinates % 2 != 0:
         _fail("ordinates", "expected an even integer >= 4")
     if cfg_mode == "closure-check" and n_dims == 2 and points**2 * ordinates > MAX_INTENSITY_VALUES:
         budget = f"the budget of {MAX_INTENSITY_VALUES} intensity values"
         _fail("ordinates", f"{points}^2 grid cells x {ordinates} ordinates exceed {budget}")
     sigma_raw = raw.get("sigma_pairs", [[1.0, 0.0], [1.0, 1.0]])
-    if not (
-        isinstance(sigma_raw, list)
-        and sigma_raw
-        and all(
-            isinstance(p, list) and len(p) == 2
-            and all(_is_finite_number(v) for v in p)
-            for p in sigma_raw
-        )
-    ):
-        _fail("sigma_pairs", "expected a list of [sigma_a, sigma_s] pairs of finite numbers")
-    sigma_pairs = tuple((float(a), float(s)) for a, s in sigma_raw)
-    for i, (sigma_a, sigma_s) in enumerate(sigma_pairs):
+    message = "expected a list of [sigma_a, sigma_s] pairs of finite numbers"
+    if not (isinstance(sigma_raw, list) and sigma_raw):
+        _fail("sigma_pairs", message)
+    cfg["sigma_pairs"] = tuple(_numbers(p, "sigma_pairs", message, size=2) for p in sigma_raw)
+    for i, (sigma_a, sigma_s) in enumerate(cfg["sigma_pairs"]):
         if not (sigma_a > 0.0 and sigma_s >= 0.0):
             message = f"expected sigma_a > 0 and sigma_s >= 0, got {list(sigma_raw[i])}"
             _fail(f"sigma_pairs[{i}]", message)
 
-    bounds = _validate_bounds(raw.get("bounds"))
-
-    config = RunConfig(
-        mode=cfg_mode,
-        n_dims=n_dims,
-        points=points,
-        params=params,
-        eps=eps,
-        eps_list=eps_list,
-        t_end=t_end,
-        output_interval=output_interval,
-        dt_max=dt_max,
-        cfl_advective=cfl_advective,
-        cfl_diffusive=cfl_diffusive,
-        profiles=profiles,
-        perturbation_amp=perturbation_amp,
-        perturbation_shapes=shapes,
-        sobolev_indices=sobolev_indices,
-        out_dir=out_dir,
-        ordinates=ordinates,
-        sigma_pairs=sigma_pairs,
-        bounds=bounds,
-    )
+    cfg["bounds"] = _validate_bounds(raw.get("bounds"))
+    config = RunConfig(**cfg)
     _admit(config)
     return config
 

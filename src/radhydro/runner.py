@@ -56,7 +56,11 @@ from .stepping import cfl_dt, step_batch, step_limit
 
 __all__ = ["RunSummary", "run", "emit_summary"]
 
-_LAND_TOL = 1e-12
+# Output times are landed to within this fraction of the output interval
+# (a shorter remainder is not stepped), and a stepper that misses one by
+# 1000 times as much raises TimeMismatch. Relative to the interval, so
+# that an interval of any length is stepped, not relabelled.
+_LAND_TOL = 1e-9
 
 
 @dataclass
@@ -106,7 +110,7 @@ def emit_summary(summary: RunSummary, path) -> None:
 def _output_times(t_end: float, interval: float):
     """The output times after t = 0: the multiples of interval, then t_end."""
     i, t = 0, 0.0
-    while t < t_end - _LAND_TOL:
+    while t < t_end - _LAND_TOL * interval:
         i += 1
         t = min(i * interval, t_end)
         yield t
@@ -119,15 +123,16 @@ def _sampled(state, stepper, params, config: RunConfig, name: str):
     bounds allow, spread evenly so that it lands on the output time.
     """
     yield state
+    tol = _LAND_TOL * config.output_interval
     for t_target in _output_times(config.t_end, config.output_interval):
-        while t_target - state.time > _LAND_TOL:
+        while t_target - state.time > tol:
             dt_stable = cfl_dt(
                 state, params, config.dt_max, config.cfl_advective, config.cfl_diffusive
             )
             remaining = t_target - state.time
             n_sub = max(1, math.ceil(remaining / dt_stable - 1e-9))
             state = stepper(state, remaining / n_sub)
-        if abs(state.time - t_target) >= 1e-9:
+        if abs(state.time - t_target) >= 1e3 * tol:
             raise TimeMismatch(
                 f"{name}: stepping to t = {t_target!r} reached t = {state.time!r}"
             )

@@ -443,6 +443,14 @@ class TestNonFiniteNumbers:
             ({"fluid": {"mu": _NAN}}, "fluid.mu"),
             ({"bounds": {"gamma_limit": _INF}}, "bounds.gamma_limit"),
             ({"bounds": {"fluid_slope": [0.9, _INF]}}, "bounds.fluid_slope"),
+            # Bounds no run can pass, and output directories no run can write.
+            ({"bounds": {"fluid_slope": [1.3, 0.9]}}, "bounds.fluid_slope"),
+            ({"bounds": {"radiation_slope": [1.0, 0.5]}}, "bounds.radiation_slope"),
+            ({"bounds": {"r_squared_min": 2.0}}, "bounds.r_squared_min"),
+            ({"bounds": {"gamma_limit": -1}}, "bounds.gamma_limit"),
+            ({"bounds": {"mass_drift_max": -1e-10}}, "bounds.mass_drift_max"),
+            ({"out_dir": "a\u0000b"}, "out_dir"),
+            ({"out_dir": ""}, "out_dir"),
         ],
     )
     def test_rejected_and_named(self, overrides, field):

@@ -126,6 +126,28 @@ class TestSimulateModes:
         with pytest.raises(TimeMismatch, match=message):
             run(cfg)
 
+    @pytest.mark.parametrize("t_end,interval", [(1e-10, 1e-12), (1e-13, 1e-13)])
+    def test_tiny_output_interval_is_stepped(self, t_end, interval, tmp_path, monkeypatch):
+        # Output times are landed relative to the interval: every sample
+        # but t = 0 follows at least one step into its interval, and the
+        # last one is t_end.
+        step_times = []
+
+        def recording(state, p, dt):
+            out = step_limit(state, p, dt)
+            step_times.append(out.time)
+            return out
+
+        monkeypatch.setattr(radhydro.runner, "step_limit", recording)
+        raw = {"t_end": t_end, "output_interval": interval, "out_dir": str(tmp_path)}
+        run(parse_config({"mode": "simulate-limit", **raw}))
+        data = np.genfromtxt(tmp_path / "limit_series.csv", delimiter=",", skip_header=1, ndmin=2)
+        times = data[:, 0]
+        assert len(times) == round(t_end / interval) + 1 and times[-1] == t_end
+        for start, end in zip(times, times[1:]):
+            assert any(start < t <= end * (1 + 1e-9) for t in step_times)
+        assert not any(np.array_equal(a[1:], b[1:]) for a, b in zip(data, data[1:]))
+
 
 class TestConvergenceStudy:
     def test_emits_one_rate_fit_block_per_family(self, tmp_path):
