@@ -29,6 +29,7 @@ from .kinetic import (
     make_ordinates,
     moment_system_check,
     moments,
+    p1_basis,
     p1_intensity,
     p1_projection_residual,
     transport_term,

@@ -96,11 +96,11 @@ def batch_error_squares(
     (2n+3, E, *half_shape) differences.
 
     Raises:
-        TimeMismatch: if the batch and the limit state differ in time by
-            more than 1e-12.
+        TimeMismatch: if the batch and the limit state are at different
+            times (the runner lands both on the same output time float).
     """
     grid = batch.grid
-    if abs(batch.time - limit_state.time) > 1e-12:
+    if batch.time != limit_state.time:
         raise TimeMismatch(f"state times differ: {batch.time!r} vs {limit_state.time!r}")
     limit = np.concatenate([limit_state.spectrum, closure])
     diff = np.concatenate([batch.spectrum, batch.rad])

@@ -19,51 +19,51 @@ into unity recovers the unit-coefficient moment system the fluid solver
 couples to; the check must run with the factors in place or its residual
 is spuriously nonzero.
 
-Pass structure. An intensity is a (count, *shape) array, 67 MB at 128^2
-cells and 512 ordinates, so the kernels are written to pass over each
-such array once per use rather than once per moment or per term:
+Two forms of an intensity. The kernels take an intensity either as a
+(count, *shape) array, one slab per ordinate, or as a ``(basis,
+values)`` pair of a (count, k) matrix and (k, *shape) values, whose
+slab j is basis[j] @ values. The P1 intensity I0 + omega_j . I1 is the
+pair (``p1_basis(ords)``, values of (I0, I1)), and ``p1_intensity``
+writes out its array. The closure check runs on the pair; the tests
+use the array as the per-ordinate reference. A tuple is a pair: the
+shape never decides, as in 1D count = 2 = 1+n.
 
-- ``moments`` is one (1+n, count) x (count, cells) matrix product: the
-  weight rows w/|S| and (n/|S|) w omega times I viewed as a matrix, a
-  single read of I, returned as the (1+n, *shape) values of (I0, I1).
-- ``kinetic_rhs`` forms the sigma-dependent field
-  c = theta^4 + sigma_s |S| <<I>> once (<<I>> from one weights @ I
-  product) and then forms (-(sigma_a + sigma_s |S|) I - T + c)/eps one
-  chunk of ordinates at a time, so each chunk of I, of T and of the
-  result stays in cache for the whole expression. The chunk goes in
-  place into the output or, for the closure check, into one reused
-  buffer summed into the moments, so no (count, *shape) tendency is built.
-- ``p1_intensity`` and the projection residual sample
-  I0 + omega . I1 as products of the (count, 1+n) rows (1, omega_j)
-  with the (1+n, cells) values of (I0, I1): ``p1_intensity`` in one
-  product that writes the intensity once, the residual one chunk of
-  ordinates at a time, each chunk subtracted from I, squared and
-  weighted while in cache, so no reconstruction of the full array is
-  built.
-- ``transport_term`` (T = omega . grad I) stays per ordinate on the
-  half spectrum of ``spectral``: one forward and one inverse transform
-  per slab, with the symbol omega . ``half_ik`` summed from its
-  components. Transforms batched over chunks of 4 to 16 slabs were no
-  faster at 128^2 x 512 ordinates (204 to 232 ms against 214 ms), so
-  the spectral work space stays one slab.
+Pass structure. Every kernel walks the (count, cells) rows of an
+intensity in chunks of at most CHUNK_CELLS values, ordinates within
+blocks of cells, and forms a chunk's rows while the chunk is in cache: a
+view of an array, or one (rows, k) x (k, block) product of a pair, so no
+kernel builds a (count, *shape) array from a pair.
 
-A chunk holds CHUNK_CELLS grid cells x ordinates (at least one
-ordinate). The transport term does not depend on (sigma_a, sigma_s), so
-one closure check evaluates it once, together with the emission
-theta^4, the moments of I, the P1 projection residual and the sigma-free
-parts of the predicted tendencies, and shares them across every
-(sigma_a, sigma_s) pair it is given; each pair costs one ``kinetic_rhs``
-on the whole field, reduced to its moments as it is formed.
+- ``moments`` sums the products of the weight rows w/|S| and
+  (n/|S|) w omega with each chunk's rows.
+- ``p1_projection_residual`` forms each chunk of I minus the P1
+  samples of the given moments (of a pair: as the rows of one pair),
+  squares and weights it.
+- ``transport_term`` (T = omega . grad I) of an array is the per-slab
+  reference, one half-spectrum transform pair per ordinate with the
+  symbol omega . ``Grid.half_ik``. T is linear in I, so of a pair it is
+  the pair of the rows omega_ja basis_jb over the n k derivatives
+  d_a values_b: one forward and one batched inverse transform, whatever
+  the ordinate count.
+- ``kinetic_rhs`` forms the field c = theta^4 + sigma_s |S| <<I>> once
+  and then every ordinate's tendency row
+  (-(sigma_a + sigma_s |S|) I - T + c)/eps on every cell, chunk by
+  chunk, into the output or, for the closure check, into one chunk
+  buffer reduced to the moments. Of two pairs the tendency is itself a
+  pair, one product per chunk; of arrays the chunks of I and T are
+  combined in place.
 
-Everything here is arrays: temperatures are (*shape) values, moment
-pairs (1+n, *shape) values, intensities (count, *shape); the kernels
-take the grid and the ordinate set beside them. The check
-takes the predicted tendencies, the dealiased theta^4 and the residual
-norms from half spectra: one forward transform of the stacked moments
-of I and theta^4 gives div I1 / n, grad I0 and the emission (through
-``Grid.half_ik`` and the 2/3 mask), one forward transform per pair gives
-the spectra of the tendency's moments, and ``sobolev_squares`` the
-norms of the differences.
+The transport term does not depend on (sigma_a, sigma_s), so one
+closure check evaluates it once, together with the emission theta^4,
+the moments of I, the P1 projection residual and the sigma-free parts
+of the predicted tendencies, and shares them across every pair; each
+pair costs one ``kinetic_rhs`` on the whole field. The check takes the
+predicted tendencies, the dealiased theta^4 and the residual norms from
+half spectra: one forward transform of the stacked moments of I and
+theta^4 gives div I1 / n, grad I0 and the emission (through
+``Grid.half_ik`` and the 2/3 mask), one forward transform per pair
+gives the spectra of the tendency's moments, and ``sobolev_squares``
+the norms of the differences.
 """
 
 from __future__ import annotations
@@ -80,6 +80,7 @@ from .spectral import Grid, sobolev_squares
 __all__ = [
     "OrdinateSet",
     "make_ordinates",
+    "p1_basis",
     "p1_intensity",
     "transport_term",
     "kinetic_rhs",
@@ -90,22 +91,46 @@ __all__ = [
 
 P1_RESIDUAL_LIMIT = 1e-8
 
-# Grid cells x ordinates per chunk of the kernels that pass over a whole
-# (count, *shape) array (at least one ordinate per chunk): 512 kB of
-# float64, so that the chunks of I, of the transport term and of the
-# output that one expression touches fit together in a 2 MB per-core L2
-# cache. At 128^2 cells that is 4 ordinates per chunk. Measured at
-# 128^2 x 512 ordinates (2-core Xeon VM, numpy 2.4, one BLAS thread):
-# kinetic_rhs 51 ms chunked against 57 ms in one pass over the whole
-# array, the moments and the projection residual 26 ms against 56 ms;
-# chunks of 2 to 16 ordinates time alike within the spread of the runs.
+# Grid cells x ordinates per chunk of the kernels that pass over an
+# intensity: 512 kB of float64, so that the chunks of I, of the transport
+# term and of the output that one expression touches fit together in a
+# 2 MB per-core L2 cache. Cells come in blocks of at most a quarter of
+# it, so a chunk spans at least 4 ordinates (count permitting) and the
+# block of a pair's values (10 fields in 2D) stays in that cache too. At
+# 128^2 cells that is one block and 4 ordinates per chunk. Measured at
+# 128^2 x 512 ordinates (2-core Xeon VM, numpy 2.4, one BLAS thread): on
+# arrays, kinetic_rhs 51 ms chunked against 57 ms in one pass over the
+# whole array, the moments and the projection residual 26 ms against
+# 56 ms; on the P1 pair, the two-pair check 66 ms at 4 ordinates per
+# chunk and 63 to 65 ms at 8 to 64, but 95 ms at 2 and 334 ms at 1. At
+# 256^2 x 64 ordinates the pair check took 0.31 s in whole-grid chunks
+# of one ordinate and 0.084 s in blocks of 16384 cells.
 CHUNK_CELLS = 1 << 16
 
 
-def _chunks(count: int, cells: int) -> list[slice]:
-    """Slices of the ordinate axis, each at most CHUNK_CELLS cells."""
-    step = max(1, CHUNK_CELLS // cells)
-    return [slice(a, min(a + step, count)) for a in range(0, count, step)]
+def _chunks(count: int, cells: int) -> list[tuple[slice, slice]]:
+    """(ordinates, cells) slices of at most CHUNK_CELLS values that tile
+    the (count, cells) rows of an intensity: blocks of at most a quarter
+    of CHUNK_CELLS cells, so that the block of a pair's values that every
+    chunk's product reads stays in cache, each walked over the ordinates
+    (at least one per chunk)."""
+    block = max(1, min(cells, CHUNK_CELLS // 4))
+    step = max(1, CHUNK_CELLS // block)
+    return [
+        (slice(a, min(a + step, count)), slice(c, min(c + block, cells)))
+        for c in range(0, cells, block)
+        for a in range(0, count, step)
+    ]
+
+
+def _rows(I, s: slice, c: slice, out: np.ndarray | None = None) -> np.ndarray:
+    """Rows s on cells c of the intensity I as a matrix: a view of a
+    (count, *shape) array, or a (basis, values) pair's product
+    basis[s] @ values[:, c], written into ``out`` when given."""
+    if isinstance(I, tuple):
+        basis, values = I
+        return np.matmul(basis[s], values.reshape(len(values), -1)[:, c], out=out)
+    return I.reshape(len(I), -1)[s, c]
 
 
 @dataclass(frozen=True)
@@ -162,31 +187,39 @@ def make_ordinates(n_dims: int, count: int) -> OrdinateSet:
     return OrdinateSet(directions, weights)
 
 
+def p1_basis(ords: OrdinateSet) -> np.ndarray:
+    """(count, 1+n) rows (1, omega_j): with the (1+n, *shape) values of
+    (I0, I1) they make the pair form of the P1 intensity I0 + omega_j . I1."""
+    return np.column_stack([np.ones(ords.count), ords.directions])
+
+
 def p1_intensity(ords: OrdinateSet, rad: np.ndarray) -> np.ndarray:
-    """The read-only (count, *shape) intensity I0 + omega_j . I1 sampled
-    on the ordinates from the (1+n, *shape) values of (I0, I1): one
-    (count, 1+n) x (1+n, cells) product, a single write."""
-    vals = _p1_basis(ords) @ rad.reshape(len(rad), -1)
+    """The read-only (count, *shape) array of the P1 intensity
+    I0 + omega_j . I1 sampled on the ordinates from the (1+n, *shape)
+    values of (I0, I1): one (count, 1+n) x (1+n, cells) product."""
+    vals = p1_basis(ords) @ rad.reshape(len(rad), -1)
     vals = vals.reshape(ords.count, *rad.shape[1:])
     vals.setflags(write=False)
     return vals
 
 
-def _p1_basis(ords: OrdinateSet) -> np.ndarray:
-    """(count, 1+n) rows (1, omega_j): times the (1+n, cells) values of
-    (I0, I1) they give I0 + omega_j . I1."""
-    return np.column_stack([np.ones(ords.count), ords.directions])
+def transport_term(grid: Grid, ords: OrdinateSet, I):
+    """omega . grad I per ordinate, in the form of the intensity I.
 
-
-def transport_term(grid: Grid, ords: OrdinateSet, I: np.ndarray) -> np.ndarray:
-    """omega . grad I per ordinate of the (count, *shape) intensity I,
-    shape (count, *shape).
-
-    One half-spectrum transform pair per ordinate slab, so the spectral
-    work space stays at one slab's spectrum; the symbol omega . i k is
-    summed from its components.
+    Of a (count, *shape) array, the (count, *shape) array: one
+    half-spectrum transform pair per ordinate slab, so the spectral work
+    space stays at one slab's spectrum; the symbol omega . i k is summed
+    from its components. Of a (basis, values) pair with k values, the
+    pair of the (count, n k) rows omega_ja basis_jb and the (n k, *shape)
+    derivatives d_a values_b: one forward and one batched inverse
+    transform, whatever the ordinate count.
     """
     ik = grid.half_ik
+    if isinstance(I, tuple):
+        basis, values = I
+        rows = (ords.directions[:, :, None] * basis[:, None, :]).reshape(ords.count, -1)
+        derivatives = grid.inverse(ik[:, None] * grid.forward(values))
+        return rows, derivatives.reshape(-1, *grid.shape)
     out = np.empty_like(I)
     symbol = np.empty(grid.half_shape, dtype=complex)
     for j, omega in enumerate(ords.directions):
@@ -202,30 +235,31 @@ def transport_term(grid: Grid, ords: OrdinateSet, I: np.ndarray) -> np.ndarray:
 def kinetic_rhs(
     grid: Grid,
     ords: OrdinateSet,
-    I: np.ndarray,
+    I,
     theta: np.ndarray,
     eps: float,
     sigma_a: float,
     sigma_s: float,
-    transport: np.ndarray | None = None,
+    transport=None,
     source: np.ndarray | None = None,
     as_moments: bool = False,
 ) -> np.ndarray:
-    """Transport tendency per ordinate of the (count, *shape) intensity I.
+    """Transport tendency per ordinate of the intensity I, an array or a
+    (basis, values) pair.
 
     dI/dt = [-omega.grad I + theta^4 - sigma_a I
              + sigma_s |S| (<<I>> - I)] / eps
 
     with <<I>> the direction average, for the (*shape) values of theta.
     The emission constant is one. ``transport`` is ``transport_term``
-    of I and ``source`` the values of the dealiased theta^4 (the inverse
-    of ``emission_spectrum``) when the caller already has them; each is
-    computed here otherwise. Evaluated as
+    of I (in either form) and ``source`` the values of the dealiased
+    theta^4 (the inverse of ``emission_spectrum``) when the caller
+    already has them; each is computed here otherwise. Evaluated as
     (-(sigma_a + sigma_s |S|) I - T + c)/eps with the field
-    c = theta^4 + sigma_s |S| <<I>> formed once, written in place into
-    the read-only (count, *shape) output one chunk of ordinates at a
-    time; with ``as_moments``, the (1+n, *shape) ``moments`` of the
-    tendency, summed chunk by chunk.
+    c = theta^4 + sigma_s |S| <<I>> formed once, one chunk of ordinates
+    at a time into the read-only (count, *shape) output; with
+    ``as_moments``, the (1+n, *shape) ``moments`` of the tendency,
+    summed chunk by chunk.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -239,35 +273,59 @@ def kinetic_rhs(
     if source is None:
         source = grid.inverse(emission_spectrum(grid, theta))
     rows = _moment_rows(ords)
-    average = rows[0] @ I.reshape(ords.count, -1)
-    field = source + (sigma_s * measure) * average.reshape(source.shape)
+    field = source + (sigma_s * measure) * moments(ords, I)[0]
     damping = -(sigma_a + sigma_s * measure)
+    tendency = None
+    if isinstance(I, tuple) and isinstance(transport, tuple):
+        # Of two pairs, eps times the tendency is a pair: the rows
+        # (damping basis_j, -transport basis_j, 1) over the values of I,
+        # of T and c, so that one product forms a chunk's rows.
+        (basis, values), (t_basis, t_values) = I, transport
+        tendency = (
+            np.column_stack([damping * basis, -t_basis, np.ones(ords.count)]),
+            np.concatenate([values, t_values, field[None]]),
+        )
+    field = field.reshape(-1)
     chunks = _chunks(ords.count, field.size)
-    out = np.empty((chunks[0].stop, *field.shape) if as_moments else I.shape)
+    s, c = chunks[0]
+    out = np.empty((s.stop, c.stop) if as_moments else (ords.count, field.size))
     sums, product = np.zeros((2, len(rows), field.size))
-    for s in chunks:
-        part = out[: s.stop - s.start] if as_moments else out[s]
-        np.multiply(I[s], damping, out=part)
-        part -= transport[s]
-        part += field
-        part /= eps
+    for s, c in chunks:
+        part = out[: s.stop - s.start, : c.stop - c.start] if as_moments else out[s, c]
+        if tendency is not None:
+            _rows(tendency, s, c, out=part)
+        else:
+            np.multiply(_rows(I, s, c), damping, out=part)
+            part -= _rows(transport, s, c)
+            part += field[c]
         if as_moments:
-            sums += np.matmul(rows[:, s], part.reshape(len(part), -1), out=product)
+            sums[:, c] += np.matmul(rows[:, s], part, out=product[:, c])
+    # Divided by eps last: the damping term times max|I| is finite
+    # (config.py admits no pair otherwise), damping / eps may not be.
+    if as_moments:
+        return np.divide(sums, eps, out=sums).reshape(len(rows), *source.shape)
+    out = np.divide(out, eps, out=out).reshape(ords.count, *source.shape)
     out.setflags(write=False)
-    return sums.reshape(len(rows), *field.shape) if as_moments else out
+    return out
 
 
-def moments(ords: OrdinateSet, I: np.ndarray) -> np.ndarray:
-    """Project the (count, *shape) intensity I onto the
-    affine-in-direction subspace.
+def moments(ords: OrdinateSet, I) -> np.ndarray:
+    """Project the intensity I, an array or a (basis, values) pair, onto
+    the affine-in-direction subspace.
 
     I0 = (1/|S|) sum_j w_j I_j,  I1 = (n/|S|) sum_j w_j omega_j I_j,
 
-    as one (1+n, count) weight matrix times I viewed as (count, cells);
-    returns the (1+n, *shape) values of I0, I1_1..I1_n.
+    as the (1+n, count) weight rows times I's rows, summed one chunk of
+    ordinates at a time; returns the (1+n, *shape) values of I0,
+    I1_1..I1_n.
     """
-    rows = _moment_rows(ords) @ I.reshape(ords.count, -1)
-    return rows.reshape(len(rows), *I.shape[1:])
+    shape = (I[1] if isinstance(I, tuple) else I).shape[1:]
+    rows = _moment_rows(ords)
+    cells = int(np.prod(shape))
+    sums, product = np.zeros((2, len(rows), cells))
+    for s, c in _chunks(ords.count, cells):
+        sums[:, c] += np.matmul(rows[:, s], _rows(I, s, c), out=product[:, c])
+    return sums.reshape(len(rows), *shape)
 
 
 def _moment_rows(ords: OrdinateSet) -> np.ndarray:
@@ -276,26 +334,28 @@ def _moment_rows(ords: OrdinateSet) -> np.ndarray:
     return np.vstack([w, ords.n_dims * (w * ords.directions.T)])
 
 
-def p1_projection_residual(grid: Grid, ords: OrdinateSet, I: np.ndarray, rad: np.ndarray) -> float:
-    """Weighted L^2(grid x ordinates) distance of the (count, *shape)
-    intensity I from the P1 subspace, given its ``moments`` rad.
+def p1_projection_residual(grid: Grid, ords: OrdinateSet, I, rad: np.ndarray) -> float:
+    """Weighted L^2(grid x ordinates) distance of the intensity I, an
+    array or a (basis, values) pair, from the P1 subspace, given its
+    ``moments`` rad.
 
     sqrt(sum_j w_j ||I_j - I0 - omega_j . I1||^2), one chunk of
     ordinates at a time: the chunk's P1 samples are formed, subtracted
-    from I, squared and weighted while in cache. Zero exactly when the
-    intensity is affine in the direction at every grid node; invariant
-    under adding any affine-in-direction field.
+    from the chunk of I, squared and weighted while in cache. Zero
+    exactly when the intensity is affine in the direction at every grid
+    node; invariant under adding any affine-in-direction field.
     """
-    basis, rows = _p1_basis(ords), rad.reshape(len(rad), -1)
-    cells = rows.shape[1]
-    intensity = I.reshape(ords.count, cells)
-    chunks = _chunks(ords.count, cells)
-    work = np.empty((chunks[0].stop, cells))
+    p1 = (p1_basis(ords), rad)
+    pair = isinstance(I, tuple)
+    if pair:
+        # The difference of a pair from P1 is a pair: one product forms a
+        # chunk of P1 - I.
+        p1 = (np.column_stack([p1[0], -I[0]]), np.concatenate([rad, I[1]]))
     total = 0.0
-    for s in chunks:
-        diff = work[: s.stop - s.start]
-        np.matmul(basis[s], rows, out=diff)
-        np.subtract(intensity[s], diff, out=diff)
+    for s, c in _chunks(ords.count, rad[0].size):
+        diff = _rows(p1, s, c)
+        if not pair:
+            np.subtract(_rows(I, s, c), diff, out=diff)
         total += ords.weights[s] @ np.einsum("jc,jc->j", diff, diff)
     return float(np.sqrt(total * grid.cell_volume))
 
@@ -303,14 +363,14 @@ def p1_projection_residual(grid: Grid, ords: OrdinateSet, I: np.ndarray, rad: np
 def moment_system_check(
     grid: Grid,
     ords: OrdinateSet,
-    I: np.ndarray,
+    I,
     theta: np.ndarray,
     eps: float,
     sigma_pairs: Iterable[tuple[float, float]],
     enforce_p1: bool = True,
 ) -> tuple[float, list[tuple[float, float]]]:
     """Residuals of the two-moment balance against the kinetic tendency
-    of the (count, *shape) intensity I.
+    of the intensity I, a (count, *shape) array or a (basis, values) pair.
 
     For each (sigma_a, sigma_s) in ``sigma_pairs``, extracts the moments
     of ``kinetic_rhs`` and subtracts the tendencies the moment system
@@ -334,13 +394,19 @@ def moment_system_check(
 
     Raises:
         ValueError: if the ordinates and the grid differ in dimension or
-            I is not of shape (count, *grid.shape).
+            I is not of shape (count, *grid.shape) (a pair: a (count, k)
+            basis and (k, *grid.shape) values).
         NotInP1Subspace: if enforcement is on and I is too far from P1.
     """
+    if isinstance(I, tuple):
+        basis, values = I
+        shape = (len(basis), *values.shape[1:]) if basis.shape[1:] == values.shape[:1] else None
+    else:
+        shape = I.shape
     expected = (ords.count, *grid.shape)
-    if ords.n_dims != grid.n_dims or I.shape != expected:
+    if ords.n_dims != grid.n_dims or shape != expected:
         raise ValueError(
-            f"intensity of shape {I.shape} on {ords.n_dims}D ordinates does not fit"
+            f"intensity of shape {shape} on {ords.n_dims}D ordinates does not fit"
             f" the {grid.n_dims}D grid: expected shape {expected}"
         )
     rad = moments(ords, I)

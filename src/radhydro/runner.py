@@ -49,7 +49,7 @@ import numpy as np
 from .analysis import batch_error_squares, fit_rate
 from .config import RunConfig, build_limit_initial, build_prepared
 from .errors import DegenerateFit, TimeMismatch
-from .kinetic import make_ordinates, moment_system_check, p1_intensity
+from .kinetic import make_ordinates, moment_system_check, p1_basis
 from .radiation import limit_closure_residual, limit_spectrum
 from .spectral import sobolev_squares
 from .stepping import cfl_dt, step_batch, step_limit
@@ -291,21 +291,27 @@ def _spread(values) -> float:
     return max(values) / lo
 
 
-def _halving_ratio(values) -> float:
-    """Worst ratio between consecutive sweep entries (either direction).
+def _halving_ratio(sweep, values) -> float:
+    """Worst ratio between the values at consecutive sweep entries
+    (either direction), per halving of eps: r^(1/log2(eps_i/eps_(i+1))).
 
     The sweep is ordered by decreasing eps; with errors decaying like a
-    power of eps, stability is judged per halving, not end to end.
+    power of eps, stability is judged per halving, not end to end, and
+    not per step of a sweep whose steps are not halvings.
     """
     floor = 1e-12
     worst = 1.0
-    for a, b in zip(values, values[1:]):
+    for eps_a, eps_b, a, b in zip(sweep, sweep[1:], values, values[1:]):
         if a < floor and b < floor:
             continue
         if min(a, b) < floor:
             return math.inf
         r = a / b
-        worst = max(worst, r, 1.0 / r)
+        r = max(r, 1.0 / r)
+        try:
+            worst = max(worst, r ** (1.0 / math.log2(eps_a / eps_b)))
+        except OverflowError:  # eps_a / eps_b so near 1 the ratio per halving overflows
+            return math.inf
     return worst
 
 
@@ -337,7 +343,7 @@ def _run_convergence(config: RunConfig, out_dir: str):
     gammas = m.gamma_over_eps2
     gamma = {
         "per_eps": per_eps(gammas),
-        "max_halving_ratio": _halving_ratio(gammas),
+        "max_halving_ratio": _halving_ratio(sweep, gammas),
         "limit": b["gamma_limit"],
     }
     hypothesis = {"per_eps": per_eps(lhs), "spread": _spread(lhs), "amp": config.perturbation_amp}
@@ -402,7 +408,7 @@ def _run_closure_check(config: RunConfig, out_dir: str):
     base = build_limit_initial(config)
     grid, theta = base.grid, base.fluid[-1]
     ords = make_ordinates(config.n_dims, config.ordinates)
-    intensity = p1_intensity(ords, grid.inverse(limit_spectrum(grid, theta)))
+    intensity = (p1_basis(ords), grid.inverse(limit_spectrum(grid, theta)))
     eps = config.eps
 
     n = ords.n_dims

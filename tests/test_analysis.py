@@ -84,10 +84,13 @@ class TestErrorFields:
         assert rad_sq == 0.0
 
     def test_time_mismatch_rejected(self, grid1d):
+        # Any difference is refused, 5e-13 too: the runner lands the
+        # batch and the limit state on the same output time.
         base = _base_state(grid1d)
-        late = _offset_batch(grid1d, base, time=1e-6)
-        with pytest.raises(TimeMismatch):
-            _squares(late, base, (0,))
+        for time in (1e-6, 5e-13):
+            late = _offset_batch(grid1d, base, time=time)
+            with pytest.raises(TimeMismatch):
+                _squares(late, base, (0,))
 
 
 class TestEnergy:

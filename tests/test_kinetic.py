@@ -13,6 +13,7 @@ from radhydro.kinetic import (
     make_ordinates,
     moment_system_check,
     moments,
+    p1_basis,
     p1_intensity,
     p1_projection_residual,
     transport_term,
@@ -277,11 +278,17 @@ class TestMomentSystemCheck:
         theta = np.ones(grid2d.shape)
         field = _isotropic(grid2d, theta, ords)
         moment_system_check(grid2d, ords, field, theta, 1.0, [(1.0, 0.0)])
+        basis, values = p1_basis(ords), np.ones((3, *grid2d.shape))
+        moment_system_check(grid2d, ords, (basis, values), theta, 1.0, [(1.0, 0.0)])
         for grid, bad in [
             (grid2d, field[:-1]),
             (grid2d, field[:, :-1]),
             (grid2d, field[0]),
             (grid1d, np.ones((ords.count, *grid1d.shape))),
+            (grid2d, (basis[:-1], values)),
+            (grid2d, (basis[:, :-1], values)),
+            (grid2d, (basis, values[:, :-1])),
+            (grid1d, (basis, np.ones((3, *grid1d.shape)))),
         ]:
             with pytest.raises(ValueError, match="does not fit"):
                 moment_system_check(grid, ords, bad, np.ones(grid.shape), 1.0, [(1.0, 0.0)])
@@ -329,18 +336,26 @@ class TestMomentSystemCheck:
         assert all(res == residual for res, _ in singles)
         assert residual == _residual(grid2d, ords, field)
         assert all(r1 > 0.1 for _, r1 in got)
+        # The same intensity as a (basis, values) pair: the same residuals.
+        basis = np.column_stack([ords.directions[:, 0] ** 2, ords.directions[:, 1]])
+        pair = (basis, np.stack([np.sin(X), np.cos(Y)]))
+        pair_residual, pair_got = moment_system_check(grid2d, ords, pair, theta, 0.5, pairs, enforce_p1=False)
+        assert pair_residual == pytest.approx(residual, rel=1e-13)
+        for g, w in zip(np.ravel(pair_got), np.ravel(got)):
+            assert g == pytest.approx(w, rel=1e-13, abs=1e-13)
 
     @pytest.mark.parametrize("n_pairs", [1, 3])
     def test_transform_budget(self, n_pairs, rng, monkeypatch):
-        # One transform pair per ordinate slab (8 + 8), once per check.
-        # The rest: one forward transform of the stacked moments and
-        # theta^4 and one inverse of the dealiased theta^4, which
-        # kinetic_rhs shares (1 + 1); per pair, one forward transform of
-        # the tendency's moments (1 + 0). A 2D transform is a one-axis
-        # rfft (irfft) and an fft (ifft) along the other axis.
+        # On the array: one transform pair per ordinate slab (8 + 8),
+        # once per check. On the pair: one forward transform of the
+        # values and one batched inverse of their derivatives (1 + 1),
+        # whatever the ordinate count. The rest: one forward transform of
+        # the stacked moments and theta^4 and one inverse of the dealiased
+        # theta^4, which kinetic_rhs shares (1 + 1); per pair, one forward
+        # transform of the tendency's moments (1 + 0). A 2D transform is a
+        # one-axis rfft (irfft) and an fft (ifft) along the other axis.
         grid = Grid(2, 16)
-        ords = make_ordinates(2, 8)
-        field = p1_intensity(ords, _moment_pair(grid, rng))
+        rad = _moment_pair(grid, rng)
         theta = _theta(grid, rng)
         calls = Counter()
         for name in ("rfft", "irfft", "fft", "ifft", "rfftn", "irfftn"):
@@ -352,9 +367,14 @@ class TestMomentSystemCheck:
 
             monkeypatch.setattr(np.fft, name, counted)
         pairs = [(1.0, 0.0), (1.0, 1.0), (2.0, 0.5)][:n_pairs]
-        moment_system_check(grid, ords, field, theta, 0.5, pairs)
-        forward, inverse = 8 + 1 + n_pairs, 8 + 1
-        assert calls == Counter(rfft=forward, fft=forward, irfft=inverse, ifft=inverse)
+        for count, pair in [(8, False), (8, True), (64, True)]:
+            ords = make_ordinates(2, count)
+            field = (p1_basis(ords), rad) if pair else p1_intensity(ords, rad)
+            calls.clear()
+            moment_system_check(grid, ords, field, theta, 0.5, pairs)
+            slabs = 1 if pair else count
+            forward, inverse = slabs + 1 + n_pairs, slabs + 1
+            assert calls == Counter(rfft=forward, fft=forward, irfft=inverse, ifft=inverse)
 
 
 # Test-local copies of the earlier kernels: one tensordot per moment, per
@@ -407,10 +427,13 @@ def _relative_gap(got, want):
 
 class TestKernelsAgainstFormulas:
     """The one-pass kernels against the earlier formulas, to 1e-13 of the
-    reference's largest entry, with the module's chunk size and with
-    chunks of 5 ordinates, the last one shorter."""
+    reference's largest entry, with the module's chunk size, with chunks
+    of 5 ordinates, the last one shorter, and with blocks of 50 cells,
+    the last one shorter, walked 4 ordinates at a time."""
 
-    @pytest.fixture(params=[None, 5 * 256], ids=["module-chunk", "ragged-chunks"])
+    @pytest.fixture(
+        params=[None, 5 * 256, 200], ids=["module-chunk", "ragged-chunks", "ragged-cells"]
+    )
     def chunking(self, request, monkeypatch):
         if request.param is not None:
             monkeypatch.setattr(radhydro.kinetic, "CHUNK_CELLS", request.param)
@@ -426,22 +449,40 @@ class TestKernelsAgainstFormulas:
         return grid, ords, field, theta, _moment_pair(grid, rng)
 
     def test_moments(self, data):
-        grid, ords, field, _, _ = data
+        # Of the array, and of the P1 pair against its array.
+        grid, ords, field, _, rad = data
         assert _relative_gap(moments(ords, field), _formula_moments(ords, field)) <= 1e-13
+        want = _formula_moments(ords, p1_intensity(ords, rad))
+        assert _relative_gap(moments(ords, (p1_basis(ords), rad)), want) <= 1e-13
 
     def test_transport_term(self, data):
-        grid, ords, field, _, _ = data
+        # Of the array, and the rows of the P1 pair's transport pair
+        # against the per-slab transport of its array.
+        grid, ords, field, _, rad = data
         got = transport_term(grid, ords, field)
         assert _relative_gap(got, _formula_transport(grid, ords, field)) <= 1e-13
+        basis, values = transport_term(grid, ords, (p1_basis(ords), rad))
+        assert basis.shape == (ords.count, ords.n_dims * len(rad))
+        rows = (basis @ values.reshape(len(values), -1)).reshape(ords.count, *grid.shape)
+        assert _relative_gap(rows, transport_term(grid, ords, p1_intensity(ords, rad))) <= 1e-13
 
     @pytest.mark.parametrize("sigma", [(1.0, 0.0), (2.0, 0.5)])
     def test_kinetic_rhs(self, data, sigma):
-        grid, ords, field, theta, _ = data
+        # Of the array; of the P1 pair, whole and reduced to its moments,
+        # against the formula on its array.
+        grid, ords, field, theta, rad = data
         transport = transport_term(grid, ords, field)
         source = grid.inverse(emission_spectrum(grid, theta))
         got = kinetic_rhs(grid, ords, field, theta, 0.3, *sigma, transport=transport)
         want = _formula_rhs(ords, field, source, 0.3, *sigma, transport)
         assert _relative_gap(got, want) <= 1e-13
+        array, pair = p1_intensity(ords, rad), (p1_basis(ords), rad)
+        want = _formula_rhs(ords, array, source, 0.3, *sigma, _formula_transport(grid, ords, array))
+        got = kinetic_rhs(grid, ords, pair, theta, 0.3, *sigma)
+        assert got.shape == want.shape and not got.flags.writeable
+        assert _relative_gap(got, want) <= 1e-13
+        got = kinetic_rhs(grid, ords, pair, theta, 0.3, *sigma, as_moments=True)
+        assert _relative_gap(got, _formula_moments(ords, want)) <= 1e-13
 
     def test_from_p1(self, data):
         # p1_intensity, the P1 sampling: read-only, of shape (count, *shape).
@@ -454,20 +495,29 @@ class TestKernelsAgainstFormulas:
         # In 1D every intensity is affine in the direction, so both
         # residuals are roundoff; the gap is measured against the
         # weighted norm of the data, the residual's scale.
-        grid, ords, field, _, _ = data
+        grid, ords, field, _, rad = data
         want = _formula_residual(grid, ords, field, moments(ords, field))
         scale = np.sqrt(np.tensordot(ords.weights, field**2, axes=(0, 0)).sum() * grid.cell_volume)
         assert abs(_residual(grid, ords, field) - want) <= 1e-13 * scale
         if ords.n_dims == 2:
             assert want > 0.1 * scale
+        # A pair off the P1 subspace (one more row, omega_1^2) against
+        # its array.
+        basis = np.column_stack([p1_basis(ords), ords.directions[:, 0] ** 2])
+        values = np.concatenate([rad, rad[:1]])
+        array = (basis @ values.reshape(len(values), -1)).reshape(ords.count, *grid.shape)
+        want = _formula_residual(grid, ords, array, moments(ords, array))
+        scale = np.sqrt(np.tensordot(ords.weights, array**2, axes=(0, 0)).sum() * grid.cell_volume)
+        assert abs(_residual(grid, ords, (basis, values)) - want) <= 1e-13 * scale
 
 
 class TestFusedMoments:
     """kinetic_rhs reduced to its moments chunk by chunk against the
     moments of the whole tendency, on random data (outside P1 in 2D), to
     1e-13 of the reference's largest entry. With CHUNK_CELLS = 4096 the
-    1D grid takes two chunks of one ordinate and the 2D grid 4, 4, 4, 2
-    ordinates; the module's chunk is one chunk on both."""
+    1D grid takes four blocks of 1024 cells, each one chunk of both
+    ordinates, and the 2D grid 4, 4, 4, 2 ordinates; the module's chunk
+    is one chunk on both."""
 
     @pytest.fixture(params=[None, 4096], ids=["module-chunk", "chunks-4096"])
     def chunking(self, request, monkeypatch):
@@ -523,40 +573,47 @@ class TestCheckPasses:
 
     @pytest.mark.parametrize("chunk_cells", [None, 4096])
     def test_peak_memory(self, chunk_cells, rng, monkeypatch):
-        # Beyond I, the check holds the transport term (one full array
-        # of 64 fields), one chunk of work space into which each pair's
-        # tendency is formed and reduced to its moments, and field-sized
-        # arrays (moments, emission, predictions, the moment sums, one
-        # slab's spectrum and symbol, a ufunc buffer), about 30 fields
-        # with numpy 2.4 and allowed for as 48. The module's chunk is the
+        # Beyond the array I, the check holds the transport term (one
+        # full array of 64 fields), one chunk of work space into which
+        # each pair's tendency is formed and reduced to its moments, and
+        # field-sized arrays (moments, emission, predictions, the moment
+        # sums, one slab's spectrum and symbol, a ufunc buffer), about 30
+        # fields with numpy 2.4 and allowed for as 48. On the pair form
+        # of the same intensity no full array is built: the transport is
+        # a pair of 6 derivative fields and each pair's tendency a pair
+        # of 10 fields, about 45 fields in all. The module's chunk is the
         # whole array at this size; 4 ordinates per chunk leave no room
-        # for a per-pair tendency array. A first, untraced call caches
-        # the grid's symbols and the lazy imports.
+        # for a per-pair tendency array, nor, on the pair, for one array
+        # of the intensity or of its transport. A first, untraced call
+        # caches the grid's symbols and the lazy imports.
         if chunk_cells is not None:
             monkeypatch.setattr(radhydro.kinetic, "CHUNK_CELLS", chunk_cells)
         grid, ords, field, theta = self._check_input(rng)
         count, cells = field.shape[0], field[0].size
-        full = field.nbytes
         chunk = min(count, max(1, radhydro.kinetic.CHUNK_CELLS // cells)) * cells * 8
         pairs = [(1.0, 0.0), (1.0, 1.0)]
-        moment_system_check(grid, ords, field, theta, 0.5, pairs)
-        tracemalloc.start()
-        try:
-            moment_system_check(grid, ords, field, theta, 0.5, pairs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= full + chunk + 48 * cells * 8
+        for intensity, full in [(field, field.nbytes), ((p1_basis(ords), moments(ords, field)), 0)]:
+            moment_system_check(grid, ords, intensity, theta, 0.5, pairs)
+            tracemalloc.start()
+            try:
+                moment_system_check(grid, ords, intensity, theta, 0.5, pairs)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= full + chunk + 48 * cells * 8
 
     def test_one_whole_field_rhs_per_pair(self, rng, monkeypatch):
+        # On the array and on the pair form of the same intensity.
         grid, ords, field, theta = self._check_input(rng)
         seen = []
         original = radhydro.kinetic.kinetic_rhs
 
         def spy(grid, ords, I, *args, **kwargs):
-            seen.append(I.shape)
+            seen.append(I)
             return original(grid, ords, I, *args, **kwargs)
 
         monkeypatch.setattr(radhydro.kinetic, "kinetic_rhs", spy)
-        moment_system_check(grid, ords, field, theta, 0.5, [(1.0, 0.0), (1.0, 1.0), (2.0, 0.5)])
-        assert seen == [field.shape] * 3
+        for intensity in (field, (p1_basis(ords), moments(ords, field))):
+            seen.clear()
+            moment_system_check(grid, ords, intensity, theta, 0.5, [(1.0, 0.0), (1.0, 1.0), (2.0, 0.5)])
+            assert len(seen) == 3 and all(I is intensity for I in seen)

@@ -160,6 +160,21 @@ class TestConvergenceStudy:
         for eps in ("0.1", "0.05", "0.025"):
             assert (tmp_path / f"errors_eps_{eps}.csv").exists()
 
+    @pytest.mark.parametrize(
+        "sweep, values, want",
+        [
+            ((0.1, 0.05, 0.025), (1.0, 1.5, 3.0), 2.0),
+            ((0.1, 0.01, 1e-3), (1.0, 10.0, 100.0), 2.0),
+            ((0.1, 0.1 * (1.0 - 1e-15)), (1.0, 2.0), math.inf),
+        ],
+        ids=["halvings", "decades", "near-equal-eps"],
+    )
+    def test_halving_ratio_is_per_halving(self, sweep, values, want):
+        # On a sweep of halvings the ratio is its own; a ratio of 10 over
+        # a decade is 10^(1/log2 10) = 2 per halving; a ratio of 2 between
+        # eps values 1e-15 apart is beyond float range per halving.
+        assert radhydro.runner._halving_ratio(sweep, values) == pytest.approx(want, rel=1e-14)
+
     def test_summary_excludes_wall_time(self, tmp_path):
         cfg = _fast_study()
         summary = run(cfg, out_dir=str(tmp_path))
