@@ -30,7 +30,6 @@ from .kinetic import (
     moment_system_check,
     moments,
     p1_basis,
-    p1_intensity,
     p1_projection_residual,
     transport_term,
 )

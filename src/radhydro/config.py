@@ -46,12 +46,12 @@ DEFAULT_EPS_SWEEP = (0.1, 0.05, 0.025, 0.0125)
 MAX_SAMPLES = 1e6
 MAX_STEPS = 1e7
 MAX_CELLS = 2**20
-# Grid cells x ordinates of a closure check: every kernel forms each
-# ordinate's row on every cell, once per pass and per sigma pair, so
-# this bounds the check's work (2^26 values per pass). The check holds
-# no array of that size: it samples the intensity one chunk of ordinates
-# at a time from its moments (1D uses two directions, so only 2D grids
-# can exceed it).
+# Grid cells x ordinates of a closure check (2^26 values). The check
+# takes every ordinate sum on the (count, 1+n) basis of the P1 intensity
+# and works on its 1+n value fields, so its field work and memory do not
+# grow with the ordinate count; its (count, k) matrices do, and on a
+# coarse grid the cap bounds them (1D uses two directions, so only 2D
+# grids can exceed it).
 MAX_INTENSITY_VALUES = 2**26
 # Largest Sobolev index of a norm: grids at desk scale cannot resolve
 # the (1 + |k|^2)^s weights of higher ones meaningfully.

@@ -19,51 +19,41 @@ into unity recovers the unit-coefficient moment system the fluid solver
 couples to; the check must run with the factors in place or its residual
 is spuriously nonzero.
 
-Two forms of an intensity. The kernels take an intensity either as a
-(count, *shape) array, one slab per ordinate, or as a ``(basis,
-values)`` pair of a (count, k) matrix and (k, *shape) values, whose
-slab j is basis[j] @ values. The P1 intensity I0 + omega_j . I1 is the
-pair (``p1_basis(ords)``, values of (I0, I1)), and ``p1_intensity``
-writes out its array. The closure check runs on the pair; the tests
-use the array as the per-ordinate reference. A tuple is a pair: the
-shape never decides, as in 1D count = 2 = 1+n.
+An intensity is a ``(basis, values)`` pair of a (count, k) matrix and
+(k, *shape) values: slab j is basis[j] @ values. The P1 intensity
+I0 + omega_j . I1 is the pair (``p1_basis(ords)``, values of (I0, I1));
+any (count, *shape) array I is the pair (np.eye(count), I). Since every
+slab is a row of the basis times the values, every sum over the
+ordinates re-associates onto the (count, k) basis, and every field
+operation acts on the k value fields, whatever the ordinate count. With
+R the (1+n, count) weight rows w/|S| and (n/|S|) w omega:
 
-Pass structure. Every kernel walks the (count, cells) rows of an
-intensity in chunks of at most CHUNK_CELLS values, ordinates within
-blocks of cells, and forms a chunk's rows while the chunk is in cache: a
-view of an array, or one (rows, k) x (k, block) product of a pair, so no
-kernel builds a (count, *shape) array from a pair.
-
-- ``moments`` sums the products of the weight rows w/|S| and
-  (n/|S|) w omega with each chunk's rows.
-- ``p1_projection_residual`` forms each chunk of I minus the P1
-  samples of the given moments (of a pair: as the rows of one pair),
-  squares and weights it.
-- ``transport_term`` (T = omega . grad I) of an array is the per-slab
-  reference, one half-spectrum transform pair per ordinate with the
-  symbol omega . ``Grid.half_ik``. T is linear in I, so of a pair it is
-  the pair of the rows omega_ja basis_jb over the n k derivatives
-  d_a values_b: one forward and one batched inverse transform, whatever
-  the ordinate count.
-- ``kinetic_rhs`` forms the field c = theta^4 + sigma_s |S| <<I>> once
-  and then every ordinate's tendency row
-  (-(sigma_a + sigma_s |S|) I - T + c)/eps on every cell, chunk by
-  chunk, into the output or, for the closure check, into one chunk
-  buffer reduced to the moments. Of two pairs the tendency is itself a
-  pair, one product per chunk; of arrays the chunks of I and T are
-  combined in place.
+- ``moments`` is (R @ basis) @ values.
+- ``transport_term`` (T = omega . grad I) is the pair of the rows
+  omega_ja basis_jb over the n k derivatives d_a values_b: one forward
+  and one batched inverse transform.
+- ``kinetic_rhs`` returns the moments of the tendency
+  (-(sigma_a + sigma_s |S|) I - T + theta^4 + sigma_s |S| <<I>>)/eps as
+  (R @ [damping basis + sigma_s |S| 1 (R[0] @ basis), -T rows, 1]) @
+  [values, derivatives, theta^4], divided by eps after the product.
+- ``p1_projection_residual`` is the weighted norm of B' @ values with
+  B' = basis - p1_basis (R @ basis), the basis projected off P1 before
+  any field is touched; sqrt(w) B' is reduced to its triangular factor
+  (k x k when count >= k), which is applied to the values. A difference of norms, or a
+  Gram form of the unprojected basis, would cancel to about 1e-8 of |I|
+  on exact P1 data, the size of ``P1_RESIDUAL_LIMIT``.
 
 The transport term does not depend on (sigma_a, sigma_s), so one
 closure check evaluates it once, together with the emission theta^4,
 the moments of I, the P1 projection residual and the sigma-free parts
 of the predicted tendencies, and shares them across every pair; each
-pair costs one ``kinetic_rhs`` on the whole field. The check takes the
-predicted tendencies, the dealiased theta^4 and the residual norms from
-half spectra: one forward transform of the stacked moments of I and
-theta^4 gives div I1 / n, grad I0 and the emission (through
-``Grid.half_ik`` and the 2/3 mask), one forward transform per pair
-gives the spectra of the tendency's moments, and ``sobolev_squares``
-the norms of the differences.
+pair costs one ``kinetic_rhs``. The check takes the predicted
+tendencies, the dealiased theta^4 and the residual norms from half
+spectra: one forward transform of the stacked moments of I and theta^4
+gives div I1 / n, grad I0 and the emission (through ``Grid.half_ik`` and
+the 2/3 mask), one forward transform per pair gives the spectra of the
+tendency's moments, and ``sobolev_squares`` the norms of the
+differences.
 """
 
 from __future__ import annotations
@@ -81,7 +71,6 @@ __all__ = [
     "OrdinateSet",
     "make_ordinates",
     "p1_basis",
-    "p1_intensity",
     "transport_term",
     "kinetic_rhs",
     "moments",
@@ -90,47 +79,6 @@ __all__ = [
 ]
 
 P1_RESIDUAL_LIMIT = 1e-8
-
-# Grid cells x ordinates per chunk of the kernels that pass over an
-# intensity: 512 kB of float64, so that the chunks of I, of the transport
-# term and of the output that one expression touches fit together in a
-# 2 MB per-core L2 cache. Cells come in blocks of at most a quarter of
-# it, so a chunk spans at least 4 ordinates (count permitting) and the
-# block of a pair's values (10 fields in 2D) stays in that cache too. At
-# 128^2 cells that is one block and 4 ordinates per chunk. Measured at
-# 128^2 x 512 ordinates (2-core Xeon VM, numpy 2.4, one BLAS thread): on
-# arrays, kinetic_rhs 51 ms chunked against 57 ms in one pass over the
-# whole array, the moments and the projection residual 26 ms against
-# 56 ms; on the P1 pair, the two-pair check 66 ms at 4 ordinates per
-# chunk and 63 to 65 ms at 8 to 64, but 95 ms at 2 and 334 ms at 1. At
-# 256^2 x 64 ordinates the pair check took 0.31 s in whole-grid chunks
-# of one ordinate and 0.084 s in blocks of 16384 cells.
-CHUNK_CELLS = 1 << 16
-
-
-def _chunks(count: int, cells: int) -> list[tuple[slice, slice]]:
-    """(ordinates, cells) slices of at most CHUNK_CELLS values that tile
-    the (count, cells) rows of an intensity: blocks of at most a quarter
-    of CHUNK_CELLS cells, so that the block of a pair's values that every
-    chunk's product reads stays in cache, each walked over the ordinates
-    (at least one per chunk)."""
-    block = max(1, min(cells, CHUNK_CELLS // 4))
-    step = max(1, CHUNK_CELLS // block)
-    return [
-        (slice(a, min(a + step, count)), slice(c, min(c + block, cells)))
-        for c in range(0, cells, block)
-        for a in range(0, count, step)
-    ]
-
-
-def _rows(I, s: slice, c: slice, out: np.ndarray | None = None) -> np.ndarray:
-    """Rows s on cells c of the intensity I as a matrix: a view of a
-    (count, *shape) array, or a (basis, values) pair's product
-    basis[s] @ values[:, c], written into ``out`` when given."""
-    if isinstance(I, tuple):
-        basis, values = I
-        return np.matmul(basis[s], values.reshape(len(values), -1)[:, c], out=out)
-    return I.reshape(len(I), -1)[s, c]
 
 
 @dataclass(frozen=True)
@@ -193,43 +141,16 @@ def p1_basis(ords: OrdinateSet) -> np.ndarray:
     return np.column_stack([np.ones(ords.count), ords.directions])
 
 
-def p1_intensity(ords: OrdinateSet, rad: np.ndarray) -> np.ndarray:
-    """The read-only (count, *shape) array of the P1 intensity
-    I0 + omega_j . I1 sampled on the ordinates from the (1+n, *shape)
-    values of (I0, I1): one (count, 1+n) x (1+n, cells) product."""
-    vals = p1_basis(ords) @ rad.reshape(len(rad), -1)
-    vals = vals.reshape(ords.count, *rad.shape[1:])
-    vals.setflags(write=False)
-    return vals
-
-
-def transport_term(grid: Grid, ords: OrdinateSet, I):
-    """omega . grad I per ordinate, in the form of the intensity I.
-
-    Of a (count, *shape) array, the (count, *shape) array: one
-    half-spectrum transform pair per ordinate slab, so the spectral work
-    space stays at one slab's spectrum; the symbol omega . i k is summed
-    from its components. Of a (basis, values) pair with k values, the
-    pair of the (count, n k) rows omega_ja basis_jb and the (n k, *shape)
-    derivatives d_a values_b: one forward and one batched inverse
-    transform, whatever the ordinate count.
+def transport_term(grid: Grid, ords: OrdinateSet, I) -> tuple[np.ndarray, np.ndarray]:
+    """omega . grad I per ordinate of the (basis, values) pair I with k
+    values: the pair of the (count, n k) rows omega_ja basis_jb and the
+    (n k, *shape) derivatives d_a values_b, from one forward and one
+    batched inverse transform, whatever the ordinate count.
     """
-    ik = grid.half_ik
-    if isinstance(I, tuple):
-        basis, values = I
-        rows = (ords.directions[:, :, None] * basis[:, None, :]).reshape(ords.count, -1)
-        derivatives = grid.inverse(ik[:, None] * grid.forward(values))
-        return rows, derivatives.reshape(-1, *grid.shape)
-    out = np.empty_like(I)
-    symbol = np.empty(grid.half_shape, dtype=complex)
-    for j, omega in enumerate(ords.directions):
-        np.multiply(ik[0], omega[0], out=symbol)
-        for axis in range(1, grid.n_dims):
-            symbol += ik[axis] * omega[axis]
-        spectrum = grid.forward(I[j])
-        spectrum *= symbol
-        out[j] = grid.inverse(spectrum)
-    return out
+    basis, values = I
+    rows = (ords.directions[:, :, None] * basis[:, None, :]).reshape(ords.count, -1)
+    derivatives = grid.inverse(grid.half_ik[:, None] * grid.forward(values))
+    return rows, derivatives.reshape(-1, *grid.shape)
 
 
 def kinetic_rhs(
@@ -242,24 +163,21 @@ def kinetic_rhs(
     sigma_s: float,
     transport=None,
     source: np.ndarray | None = None,
-    as_moments: bool = False,
 ) -> np.ndarray:
-    """Transport tendency per ordinate of the intensity I, an array or a
-    (basis, values) pair.
+    """The (1+n, *shape) ``moments`` of the transport tendency of the
+    (basis, values) pair I,
 
     dI/dt = [-omega.grad I + theta^4 - sigma_a I
              + sigma_s |S| (<<I>> - I)] / eps
 
     with <<I>> the direction average, for the (*shape) values of theta.
     The emission constant is one. ``transport`` is ``transport_term``
-    of I (in either form) and ``source`` the values of the dealiased
-    theta^4 (the inverse of ``emission_spectrum``) when the caller
-    already has them; each is computed here otherwise. Evaluated as
-    (-(sigma_a + sigma_s |S|) I - T + c)/eps with the field
-    c = theta^4 + sigma_s |S| <<I>> formed once, one chunk of ordinates
-    at a time into the read-only (count, *shape) output; with
-    ``as_moments``, the (1+n, *shape) ``moments`` of the tendency,
-    summed chunk by chunk.
+    of I and ``source`` the values of the dealiased theta^4 (the inverse
+    of ``emission_spectrum``) when the caller already has them; each is
+    computed here otherwise. Every ordinate sum is taken on the basis:
+    the weight rows times the (count, k + n k + 1) rows
+    (damping basis_j + sigma_s |S| <<basis>>, -transport rows_j, 1) give
+    the coefficients of the values of I, of T and of theta^4.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -269,63 +187,32 @@ def kinetic_rhs(
         raise ValueError(f"sigma_s must be nonnegative, got {sigma_s}")
     if transport is None:
         transport = transport_term(grid, ords, I)
-    measure = ords.surface_measure
     if source is None:
         source = grid.inverse(emission_spectrum(grid, theta))
+    (basis, values), (t_basis, t_values) = I, transport
+    measure = ords.surface_measure
     rows = _moment_rows(ords)
-    field = source + (sigma_s * measure) * moments(ords, I)[0]
     damping = -(sigma_a + sigma_s * measure)
-    tendency = None
-    if isinstance(I, tuple) and isinstance(transport, tuple):
-        # Of two pairs, eps times the tendency is a pair: the rows
-        # (damping basis_j, -transport basis_j, 1) over the values of I,
-        # of T and c, so that one product forms a chunk's rows.
-        (basis, values), (t_basis, t_values) = I, transport
-        tendency = (
-            np.column_stack([damping * basis, -t_basis, np.ones(ords.count)]),
-            np.concatenate([values, t_values, field[None]]),
-        )
-    field = field.reshape(-1)
-    chunks = _chunks(ords.count, field.size)
-    s, c = chunks[0]
-    out = np.empty((s.stop, c.stop) if as_moments else (ords.count, field.size))
-    sums, product = np.zeros((2, len(rows), field.size))
-    for s, c in chunks:
-        part = out[: s.stop - s.start, : c.stop - c.start] if as_moments else out[s, c]
-        if tendency is not None:
-            _rows(tendency, s, c, out=part)
-        else:
-            np.multiply(_rows(I, s, c), damping, out=part)
-            part -= _rows(transport, s, c)
-            part += field[c]
-        if as_moments:
-            sums[:, c] += np.matmul(rows[:, s], part, out=product[:, c])
+    scattered = damping * basis + (sigma_s * measure) * (rows[0] @ basis)
+    coefficients = rows @ np.column_stack([scattered, -t_basis, np.ones(ords.count)])
+    fields = np.concatenate([values, t_values, source[None]])
     # Divided by eps last: the damping term times max|I| is finite
     # (config.py admits no pair otherwise), damping / eps may not be.
-    if as_moments:
-        return np.divide(sums, eps, out=sums).reshape(len(rows), *source.shape)
-    out = np.divide(out, eps, out=out).reshape(ords.count, *source.shape)
-    out.setflags(write=False)
-    return out
+    tendency = np.tensordot(coefficients, fields, axes=1)
+    return np.divide(tendency, eps, out=tendency)
 
 
 def moments(ords: OrdinateSet, I) -> np.ndarray:
-    """Project the intensity I, an array or a (basis, values) pair, onto
-    the affine-in-direction subspace.
+    """Project the (basis, values) pair I onto the affine-in-direction
+    subspace.
 
     I0 = (1/|S|) sum_j w_j I_j,  I1 = (n/|S|) sum_j w_j omega_j I_j,
 
-    as the (1+n, count) weight rows times I's rows, summed one chunk of
-    ordinates at a time; returns the (1+n, *shape) values of I0,
-    I1_1..I1_n.
+    as (R @ basis) @ values with R the (1+n, count) weight rows; returns
+    the (1+n, *shape) values of I0, I1_1..I1_n.
     """
-    shape = (I[1] if isinstance(I, tuple) else I).shape[1:]
-    rows = _moment_rows(ords)
-    cells = int(np.prod(shape))
-    sums, product = np.zeros((2, len(rows), cells))
-    for s, c in _chunks(ords.count, cells):
-        sums[:, c] += np.matmul(rows[:, s], _rows(I, s, c), out=product[:, c])
-    return sums.reshape(len(rows), *shape)
+    basis, values = I
+    return np.tensordot(_moment_rows(ords) @ basis, values, axes=1)
 
 
 def _moment_rows(ords: OrdinateSet) -> np.ndarray:
@@ -334,30 +221,26 @@ def _moment_rows(ords: OrdinateSet) -> np.ndarray:
     return np.vstack([w, ords.n_dims * (w * ords.directions.T)])
 
 
-def p1_projection_residual(grid: Grid, ords: OrdinateSet, I, rad: np.ndarray) -> float:
-    """Weighted L^2(grid x ordinates) distance of the intensity I, an
-    array or a (basis, values) pair, from the P1 subspace, given its
-    ``moments`` rad.
+def p1_projection_residual(grid: Grid, ords: OrdinateSet, I) -> float:
+    """Weighted L^2(grid x ordinates) distance of the (basis, values)
+    pair I from the P1 subspace.
 
-    sqrt(sum_j w_j ||I_j - I0 - omega_j . I1||^2), one chunk of
-    ordinates at a time: the chunk's P1 samples are formed, subtracted
-    from the chunk of I, squared and weighted while in cache. Zero
-    exactly when the intensity is affine in the direction at every grid
-    node; invariant under adding any affine-in-direction field.
+    sqrt(sum_j w_j ||I_j - I0 - omega_j . I1||^2) with (I0, I1) the
+    ``moments`` of I. The slabs of the difference are the rows of
+    B' = basis - p1_basis (R @ basis) times the values, so the sum is the
+    squared norm of F @ values with F the triangular factor of
+    sqrt(w) B'. Zero exactly when the intensity is affine in the
+    direction at every grid node; invariant under adding any
+    affine-in-direction field.
     """
-    p1 = (p1_basis(ords), rad)
-    pair = isinstance(I, tuple)
-    if pair:
-        # The difference of a pair from P1 is a pair: one product forms a
-        # chunk of P1 - I.
-        p1 = (np.column_stack([p1[0], -I[0]]), np.concatenate([rad, I[1]]))
-    total = 0.0
-    for s, c in _chunks(ords.count, rad[0].size):
-        diff = _rows(p1, s, c)
-        if not pair:
-            np.subtract(_rows(I, s, c), diff, out=diff)
-        total += ords.weights[s] @ np.einsum("jc,jc->j", diff, diff)
-    return float(np.sqrt(total * grid.cell_volume))
+    basis, values = I
+    projected = basis - p1_basis(ords) @ (_moment_rows(ords) @ basis)
+    factor = np.linalg.qr(np.sqrt(ords.weights)[:, None] * projected, mode="r")
+    difference = np.tensordot(factor, values, axes=1).ravel()
+    # Summed by einsum, not a BLAS dot: at 128^2 cells OpenBLAS runs the
+    # dot on its thread pool and waits for it, 8 ms against 0.03 ms
+    # (measured on a 2-core VM, OpenBLAS 0.3.31).
+    return float(np.sqrt(np.einsum("i,i->", difference, difference) * grid.cell_volume))
 
 
 def moment_system_check(
@@ -370,7 +253,7 @@ def moment_system_check(
     enforce_p1: bool = True,
 ) -> tuple[float, list[tuple[float, float]]]:
     """Residuals of the two-moment balance against the kinetic tendency
-    of the intensity I, a (count, *shape) array or a (basis, values) pair.
+    of the (basis, values) pair I.
 
     For each (sigma_a, sigma_s) in ``sigma_pairs``, extracts the moments
     of ``kinetic_rhs`` and subtracts the tendencies the moment system
@@ -394,15 +277,11 @@ def moment_system_check(
 
     Raises:
         ValueError: if the ordinates and the grid differ in dimension or
-            I is not of shape (count, *grid.shape) (a pair: a (count, k)
-            basis and (k, *grid.shape) values).
+            I is not a (count, k) basis with (k, *grid.shape) values.
         NotInP1Subspace: if enforcement is on and I is too far from P1.
     """
-    if isinstance(I, tuple):
-        basis, values = I
-        shape = (len(basis), *values.shape[1:]) if basis.shape[1:] == values.shape[:1] else None
-    else:
-        shape = I.shape
+    basis, values = I
+    shape = (len(basis), *values.shape[1:]) if basis.shape[1:] == values.shape[:1] else None
     expected = (ords.count, *grid.shape)
     if ords.n_dims != grid.n_dims or shape != expected:
         raise ValueError(
@@ -410,7 +289,7 @@ def moment_system_check(
             f" the {grid.n_dims}D grid: expected shape {expected}"
         )
     rad = moments(ords, I)
-    residual = p1_projection_residual(grid, ords, I, rad)
+    residual = p1_projection_residual(grid, ords, I)
     if enforce_p1 and residual > P1_RESIDUAL_LIMIT:
         raise NotInP1Subspace(
             f"projection residual {residual:.3e} exceeds {P1_RESIDUAL_LIMIT:.0e}"
@@ -430,9 +309,7 @@ def moment_system_check(
 
     pairs = []
     for sigma_a, sigma_s in sigma_pairs:
-        tend = kinetic_rhs(
-            grid, ords, I, theta, eps, sigma_a, sigma_s, transport, source, as_moments=True
-        )
+        tend = kinetic_rhs(grid, ords, I, theta, eps, sigma_a, sigma_s, transport, source)
         # Transformed and squared at the power-of-two scale that brings the
         # tendency below one, so no admitted sigma overflows; exact.
         scale = np.ldexp(1.0, -max(0, int(np.frexp(np.abs(tend).max())[1])))

@@ -15,7 +15,7 @@ import pytest
 from radhydro.analysis import fit_rate, well_prepared_init
 from radhydro.config import build_limit_initial, parse_config
 from radhydro.fluid import FluidParams
-from radhydro.kinetic import make_ordinates, moment_system_check, p1_intensity
+from radhydro.kinetic import make_ordinates, moment_system_check, p1_basis
 from radhydro.runner import run
 from radhydro.spectral import Grid
 from radhydro.stepping import step_eps, step_limit
@@ -146,7 +146,7 @@ def test_criterion_07_p1_closure_consistency():
         ords = make_ordinates(n_dims, count)
         i0 = 1.0 + smooth_field(grid, rng)
         i1 = smooth_vector(grid, rng)
-        field = p1_intensity(ords, stack(grid, i0, i1))
+        field = (p1_basis(ords), stack(grid, i0, i1))
         theta = 1.0 + smooth_field(grid, rng, amp=0.05)
         _, pairs = moment_system_check(grid, ords, field, theta, 1.0, ((1.0, 0.0), (1.0, 1.0)))
         worst = max(worst, *(r for pair in pairs for r in pair))

@@ -2,6 +2,7 @@
 chunking, batched error norms and the naming of a failing member."""
 
 import ast
+import inspect
 import os
 from pathlib import Path
 
@@ -270,7 +271,8 @@ def test_non_finite_member_is_named():
 
 RETIRED = {
     "SpectralField", "VectorField", "grad", "div", "laplacian", "helmholtz_inverse", "dealias",
-    "sobolev_norm", "limit_q", "emit_series", "KineticField", "StepControl",
+    "sobolev_norm", "limit_q", "emit_series", "KineticField", "StepControl", "p1_intensity",
+    "CHUNK_CELLS", "_chunks", "_rows",
 }
 
 
@@ -293,8 +295,10 @@ def test_solver_path_builds_no_field_objects(n_dims, n, tmp_path):
     # norms, and in every mode of runner.run (on a 16-point grid, the
     # closure check on 8 ordinates, with configured perturbation
     # shapes). The package has no per-field layer to build: no module of
-    # it imports the test helpers, binds a retired per-field name at top
-    # level or defines a class of that name anywhere.
+    # it imports the test helpers, binds a retired name (of the per-field
+    # layer, or of the closure check's chunked array path) at top level
+    # or defines a class of that name anywhere, and kinetic_rhs takes no
+    # as_moments keyword, since it only returns moments.
     for path in sorted(Path(radhydro.__file__).parent.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
@@ -305,6 +309,7 @@ def test_solver_path_builds_no_field_objects(n_dims, n, tmp_path):
             elif isinstance(node, ast.ClassDef):
                 assert node.name not in RETIRED, (path, node.name)
         assert not RETIRED & set(_top_level_names(tree)), path
+    assert "as_moments" not in inspect.signature(radhydro.kinetic.kinetic_rhs).parameters
 
     from radhydro.analysis import default_perturbation_shapes, well_prepared_init
     from radhydro.stepping import step_limit
