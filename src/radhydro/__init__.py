@@ -36,13 +36,6 @@ from .kinetic import (
 from .radiation import limit_closure_residual
 from .runner import RunSummary, emit_summary, run
 from .spectral import Grid
-from .stepping import (
-    EpsBatch,
-    LimitState,
-    cfl_dt,
-    step_batch,
-    step_eps,
-    step_limit,
-)
+from .stepping import EpsBatch, cfl_dt, step_batch, step_eps
 
 __version__ = "0.1.0"

@@ -2,10 +2,11 @@
 
 The convergence harness compares a finite-eps run against the limit run
 through five difference fields: the fluid differences (rho, u, theta)
-and the radiation differences measured against the limit closure
-evaluated on the *limit* temperature. The differences are never formed
-as fields: ``batch_error_squares`` takes the squared norms of every
-member of an ``EpsBatch`` from the half spectra both states carry, as
+and the radiation differences measured against the moments of the limit
+run, the one-member batch eps = 0, which are the limit closure of the
+*limit* temperature. The differences are never formed as fields:
+``batch_error_squares`` takes the squared norms of every member of an
+``EpsBatch`` from the half spectra both batches carry, as
 one (index, fluid/radiation, member) array. The runner forms the
 functionals of the limit theorem from it, over the member axis: the
 energy gamma = fluid + eps * radiation, whose sup-in-time should scale
@@ -28,9 +29,8 @@ import numpy as np
 
 from .errors import DegenerateFit, PositivityLost, TimeMismatch
 from .fluid import POSITIVITY_FLOOR
-from .radiation import limit_spectrum
 from .spectral import Grid, sobolev_squares
-from .stepping import EpsBatch, LimitState
+from .stepping import EpsBatch
 
 __all__ = [
     "default_perturbation_shapes",
@@ -78,56 +78,52 @@ def default_perturbation_shapes(grid: Grid) -> np.ndarray:
     return unit_rows(grid, np.stack([rho, *u, theta, i0, *i1]))[0]
 
 
-def batch_error_squares(
-    batch: EpsBatch, limit_state: LimitState, closure: np.ndarray, indices
-) -> np.ndarray:
+def batch_error_squares(batch: EpsBatch, limit: EpsBatch, indices) -> np.ndarray:
     """Squared H^s norms of every member's differences from the limit
     state, at every index in indices.
 
-    Returns an array of shape (len(indices), 2, E): per member the fluid
+    limit is the limit system, the one-member batch eps = 0. Returns an
+    array of shape (len(indices), 2, E): per member the fluid
     ||drho||_s^2 + ||du||_s^2 + ||dtheta||_s^2 and the radiation
     ||dI0||_s^2 + ||dI1||_s^2, where the radiation references are the
-    limit closure of the limit temperature, I0 = (I - Lap)^(-1) theta^4
-    and its negative gradient: closure is their half spectrum,
-    ``limit_spectrum(grid, limit_state.fluid[-1])``, which the caller
-    forms once per limit state and may use for more. The differences
-    are taken between the half spectra the states carry, so nothing is
-    transformed here; the norms are the ``sobolev_squares`` of the
-    (2n+3, E, *half_shape) differences.
+    moments the limit state carries, the limit closure of the limit
+    temperature, I0 = (I - Lap)^(-1) theta^4 and its negative gradient.
+    The differences are taken between the half spectra the states
+    carry, so nothing is transformed here; the norms are the
+    ``sobolev_squares`` of the (2n+3, E, *half_shape) differences.
 
     Raises:
         TimeMismatch: if the batch and the limit state are at different
             times (the runner lands both on the same output time float).
     """
     grid = batch.grid
-    if batch.time != limit_state.time:
-        raise TimeMismatch(f"state times differ: {batch.time!r} vs {limit_state.time!r}")
-    limit = np.concatenate([limit_state.spectrum, closure])
+    if batch.time != limit.time:
+        raise TimeMismatch(f"state times differ: {batch.time!r} vs {limit.time!r}")
     diff = np.concatenate([batch.spectrum, batch.rad])
-    diff -= limit[:, None]
+    diff -= np.concatenate([limit.spectrum, limit.rad])
     per_field = sobolev_squares(grid, diff, indices)  # (index, field, member)
     return np.add.reduceat(per_field, [0, grid.n_dims + 2], axis=1)
 
 
 def well_prepared_init(
-    base: LimitState,
+    base: EpsBatch,
     eps_values,
     amp: float,
     shapes: np.ndarray | None = None,
 ) -> EpsBatch:
     """Prepared initial data of a sweep, at distance O(eps) from the limit
-    data, as one batch with a member per entry of eps_values.
+    data base (the one-member batch eps = 0), as one batch with a member
+    per entry of eps_values.
 
     The fluid fields deviate by eps*amp times the fixed shapes and the
-    radiation pair deviates from the limit closure of the base
-    temperature by sqrt(eps)*amp times its shapes (the rows of the
-    (2n+3, *shape) ``shapes``, default ``default_perturbation_shapes``;
-    unit L^2 norm each), so the weighted
-    initial-deviation functional is amp-many multiples of eps with an
+    radiation pair deviates from the limit closure the base carries by
+    sqrt(eps)*amp times its shapes (the rows of the (2n+3, *shape)
+    ``shapes``, default ``default_perturbation_shapes``; unit L^2 norm
+    each), so the weighted initial-deviation functional is amp-many multiples of eps with an
     eps-independent constant. The fluid spectrum is built the same way,
     from the base state's spectrum and the shapes', so at amp = 0 the
     fluid spectrum is exactly the base state's and the moments are
-    exactly the limit closure's half spectrum.
+    exactly the base's limit closure.
 
     Raises:
         PositivityLost: if the perturbed rho or theta of a member is below
@@ -150,7 +146,7 @@ def well_prepared_init(
     member = (-1,) + (1,) * n
     fluid_scale = np.reshape([e * amp for e in eps], member)
     rad_scale = np.reshape([math.sqrt(e) * amp for e in eps], member)
-    fluid = base.fluid[:, None] + dev[: n + 2] * fluid_scale
+    fluid = base.fluid + dev[: n + 2] * fluid_scale
     for e, rho, theta in zip(eps, fluid[0], fluid[-1]):
         for field, low in (("rho", rho.min()), ("theta", theta.min())):
             if low < POSITIVITY_FLOOR:
@@ -159,8 +155,8 @@ def well_prepared_init(
                     f" = {low:.3e} is below the floor {POSITIVITY_FLOOR:g}",
                     eps=e, time=base.time, field=field, minimum=float(low), floor=POSITIVITY_FLOOR,
                 )
-    spectrum = base.spectrum[:, None] + dev_hat[: n + 2] * fluid_scale
-    rad = limit_spectrum(grid, base.fluid[-1])[:, None] + dev_hat[n + 2 :] * rad_scale
+    spectrum = base.spectrum + dev_hat[: n + 2] * fluid_scale
+    rad = base.rad + dev_hat[n + 2 :] * rad_scale
     return EpsBatch(grid, eps, fluid, rad, base.time, spectrum=spectrum)
 
 

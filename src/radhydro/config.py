@@ -30,7 +30,7 @@ from .fluid import POSITIVITY_FLOOR, FluidParams, _rhs_common
 from .kinetic import make_ordinates
 from .radiation import limit_spectrum
 from .spectral import Grid, sobolev_squares
-from .stepping import EpsBatch, LimitState, cfl_bounds
+from .stepping import EpsBatch, cfl_bounds
 
 __all__ = ["RunConfig", "load_config", "build_limit_initial", "build_shapes", "build_prepared"]
 
@@ -129,7 +129,7 @@ class RunConfig:
     # shared with the run: the arrays are read-only, and a config made by
     # dataclasses.replace builds its own.
     @cached_property
-    def _limit_initial(self) -> LimitState:
+    def _limit_initial(self) -> EpsBatch:
         grid, profiles = self.grid, self.profiles
         rows = [profiles["rho"], *profiles["u"], profiles["theta"]]
         y = np.stack([_profile_values(grid, spec) for spec in rows])
@@ -137,7 +137,9 @@ class RunConfig:
             if low < POSITIVITY_FLOOR:
                 message = f"initial values must be positive, min is {low:.3g}"
                 _fail(f"profiles.{name}", f"{message} (the floor is {POSITIVITY_FLOOR:g})")
-        return LimitState(grid, y, 0.0)
+        closure = limit_spectrum(grid, y[-1])[:, None]
+        closure.setflags(write=False)
+        return EpsBatch(grid, (0.0,), y[:, None], closure, 0.0)
 
     @cached_property
     def _shapes(self) -> np.ndarray:
@@ -335,13 +337,12 @@ def _admit(config: RunConfig) -> None:
     names = ["rho", *["u"] * n, "theta"]
     with np.errstate(all="ignore"):
         base = build_limit_initial(config)
-        norms = sobolev_squares(grid, base.spectrum, config.sobolev_indices).T
+        norms = sobolev_squares(grid, base.spectrum[:, 0], config.sobolev_indices).T
         message = "the H^s norms of the initial profile are not finite"
         _require_finite(norms, names, "profiles.{}", message)
-        closure = limit_spectrum(grid, base.fluid[-1])
-        _require_finite([closure], ["theta"], "profiles.{}", "its limit closure is not finite")
+        _require_finite([base.rad], ["theta"], "profiles.{}", "its limit closure is not finite")
         if config.mode != "closure-check":
-            tend = _rhs_common(grid, base.fluid[:, None], base.spectrum[:, None], params)
+            tend = _rhs_common(grid, base.fluid, base.spectrum, params)
             _require_finite(tend, names, "profiles.{}", "the limit right-hand side is not finite")
         bounds = cfl_bounds(grid, base.fluid, params, config.cfl_advective, config.cfl_diffusive)
         for field_name, bound, dt in zip(
@@ -356,12 +357,12 @@ def _admit(config: RunConfig) -> None:
         if config.perturbation_shapes is not None:
             build_shapes(config)  # the L^2 norms of the configured shapes
         if config.mode == "closure-check":
-            _admit_sigma_pairs(config, grid.inverse(closure))
+            _admit_sigma_pairs(config, grid.inverse(base.rad[:, 0]))
         init = build_prepared(config)
         if init is None:
             return
         eps_key = "eps_list" if config.mode == "convergence-study" else "eps"
-        squares = batch_error_squares(init, base, closure, config.sobolev_indices)
+        squares = batch_error_squares(init, base, config.sobolev_indices)
         for eps, rows in zip(init.eps, squares.T):  # rows: fluid, radiation of one member
             message = f"the t = 0 {{}} error norms at eps = {eps:g} are not finite"
             _require_finite(rows, ("fluid", "radiation"), "perturbation_amp", message)
@@ -542,9 +543,10 @@ def _profile_values(grid: Grid, spec: dict):
     return vals
 
 
-def build_limit_initial(config: RunConfig) -> LimitState:
-    """The limit-system initial state of the profile spec, built once per
-    config (the state is read-only).
+def build_limit_initial(config: RunConfig) -> EpsBatch:
+    """The limit-system initial state of the profile spec, the one-member
+    batch eps = 0 with the limit closure of its temperature, built once
+    per config (its arrays are read-only).
 
     Raises:
         ValidationError: naming the profile, if the rho or theta values

@@ -21,10 +21,10 @@ their half spectrum and returns the half spectrum of the tendency, so
 neither end of it transforms the state: a right-hand side costs four
 transform calls, two forward and two inverse. The steppers in
 ``radhydro.stepping`` are its only callers and carry the spectrum from
-stage to stage: the eps stepper passes the half spectra of the
-radiation moments, the limit stepper passes none, and the kernel then
-forms the limit flux divergence from the theta^4 row of its own
-product batch, so a limit right-hand side costs the same four
+stage to stage: the stepper passes the half spectra of the radiation
+moments for eps > 0 and none for the limit system (eps = 0), and the
+kernel then forms the limit flux divergence from the theta^4 row of its
+own product batch, so a limit right-hand side costs the same four
 transform calls as an eps one.
 
 Between the transforms the kernel is elementwise work on small arrays,

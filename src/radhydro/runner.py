@@ -7,11 +7,12 @@ mode's function writes its series and returns, by name, the
 ``RunSummary`` fields it fills.
 
 The three solver modes are one streaming loop, ``_march``. It zips the
-samples of the limit run with those of an ``EpsBatch`` of members (none
-for simulate-limit, one for simulate-eps, the whole sweep for a
-convergence study); each system steps with its own stable dt between
-output times, and the members of a sweep advance in lockstep with the
-smallest stable dt of any member. At every output time the loop writes
+samples of the limit run, the one-member ``EpsBatch`` eps = 0 whose
+moments are the limit closure of its temperature, with those of an
+``EpsBatch`` of members (none for simulate-limit, one for simulate-eps,
+the whole sweep for a convergence study); both step with ``step_batch``,
+each with its own stable dt between output times, and the members of a
+sweep advance in lockstep with the smallest stable dt of any member. At every output time the loop writes
 the limit row, every member's error row (the norms of all members come
 from the half spectra the states carry) and, for simulate-eps, the
 member's state row straight to the open CSV files. The per-member
@@ -50,9 +51,9 @@ from .analysis import batch_error_squares, fit_rate
 from .config import RunConfig, build_limit_initial, build_prepared
 from .errors import DegenerateFit, TimeMismatch
 from .kinetic import make_ordinates, moment_system_check, p1_basis
-from .radiation import limit_closure_residual, limit_spectrum
+from .radiation import limit_closure_residual
 from .spectral import sobolev_squares
-from .stepping import cfl_dt, step_batch, step_limit
+from .stepping import cfl_dt, step_batch
 
 __all__ = ["RunSummary", "run", "emit_summary"]
 
@@ -212,16 +213,17 @@ def _march(
     acc = indices.index(config.acceptance_index)
     base, init = build_limit_initial(config), build_prepared(config)
     grid = base.grid
-    limits = _sampled(base, lambda s, dt: step_limit(s, params, dt), params, config, "limit run")
+    step = lambda b, dt: step_batch(b, params, dt)
+    limits = _sampled(base, step, params, config, "limit run")
     members = () if init is None else init.eps
     eps = np.array(members)
     if members:
         name = f"eps = {members[0]:g}" if len(members) == 1 else "eps sweep"
-        batches = _sampled(init, lambda b, dt: step_batch(b, params, dt), params, config, name)
+        batches = _sampled(init, step, params, config, name)
         mass0 = _mass(init.fluid[0], grid)
     else:
         batches = itertools.repeat(None)
-    limit_mass0 = _mass(base.fluid[0], grid)
+    limit_mass0 = _mass(base.fluid[0, 0], grid)
     closure, limit_dm = -math.inf, 0.0
     sup, dm, gamma, initial = 0.0, 0.0, np.full(len(members), -math.inf), None
     with ExitStack() as stack:
@@ -240,20 +242,19 @@ def _march(
             # reused result tuple, like the name b, would keep the last
             # sampled batch alive while the generator steps on from it.
             b = next(batches)
-            limit_dm = np.maximum(limit_dm, np.abs(_mass(ls.fluid[0], grid) - limit_mass0))
-            # The limit pair of the limit temperature, formed once: its
-            # flux feeds the closure residual, the pair the error norms.
-            limit_rad = limit_spectrum(grid, ls.fluid[-1])
+            limit_dm = np.maximum(limit_dm, np.abs(_mass(ls.fluid[0, 0], grid) - limit_mass0))
             if limit_fh is not None:
-                residual = limit_closure_residual(grid, ls.fluid[-1], grid.inverse(limit_rad[1:]))
+                q = grid.inverse(ls.rad[1:, 0])
+                residual = limit_closure_residual(grid, ls.fluid[-1, 0], q)
                 closure = max(closure, residual)
-                limit_fh.write(_row(_state_row(grid, ls.time, ls.spectrum, indices) + [residual]))
+                row = _state_row(grid, ls.time, ls.spectrum[:, 0], indices)
+                limit_fh.write(_row(row + [residual]))
             if b is None:
                 continue
             if state_fh is not None:
                 spectra = np.concatenate([b.spectrum[:, 0], b.rad[:, 0]])
                 state_fh.write(_row(_state_row(grid, b.time, spectra, indices)))
-            squares = batch_error_squares(b, ls, limit_rad, indices)  # (index, fluid/rad, member)
+            squares = batch_error_squares(b, ls, indices)  # (index, fluid/rad, member)
             if initial is None:
                 initial = squares[acc]
             norms = np.sqrt(squares)
@@ -406,9 +407,9 @@ def _run_simulate_limit(config: RunConfig, out_dir: str):
 
 def _run_closure_check(config: RunConfig, out_dir: str):
     base = build_limit_initial(config)
-    grid, theta = base.grid, base.fluid[-1]
+    grid, theta = base.grid, base.fluid[-1, 0]
     ords = make_ordinates(config.n_dims, config.ordinates)
-    intensity = (p1_basis(ords), grid.inverse(limit_spectrum(grid, theta)))
+    intensity = (p1_basis(ords), grid.inverse(base.rad[:, 0]))
     eps = config.eps
 
     n = ords.n_dims

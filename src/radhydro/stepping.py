@@ -54,7 +54,7 @@ built once from the initial values; after that RK4 runs as axpy
 operations on it, the right-hand side returns the half spectrum of the
 tendency, and each stage's values come from one inverse transform, so a
 right-hand side costs 2 + 2 transform calls and a steady Strang step
-9 forward + 12 inverse (8 + 12 for a limit step). The half-substepped
+9 forward + 12 inverse, as does every limit step. The half-substepped
 moments enter the right-hand side as spectra, added to its numerator
 spectra before their inverse transform, so they are never inverted.
 The RK4 stage spectra share one preallocated buffer and the final
@@ -67,13 +67,18 @@ positivity, the margin. Because the stable dt does not depend on eps
 of an eps sweep. The dealiased theta^4 spectrum that closes one step
 also opens the next.
 ``step_eps`` advances one chunk of members through this kernel;
-``step_batch`` splits a batch into chunks (LOCKSTEP_CELLS). The limit
-system has no moments: its state (``LimitState``) is the (n+2, *shape)
-stack of (rho, u, theta) in the same field order with its half
-spectrum, ``step_limit`` is the same RK4 on it, and the right-hand-side
-kernel forms the limit flux of each stage's temperature from the
-theta^4 row of its own product batch (four transform calls per stage,
-as for the eps system).
+``step_batch`` splits a batch into chunks (LOCKSTEP_CELLS).
+
+The limit system is the batch of the one member eps = 0, its moments
+the limit closure of its temperature. At eps = 0 there is no
+propagator: the first half substep is skipped (the moments already sit
+on the closure of theta_n), the right-hand side takes no moments but
+forms the limit flux of each stage's temperature from the theta^4 row
+of its own product batch (four transform calls per stage, as for the
+eps system), and the closing substep returns the closure of the new
+theta^4 spectrum. So the step is RK4 on the fluid alone, and the
+moments it carries are the limit closure at every step. A failure of
+that member names the limit system (eps None).
 
 Viscous and heat terms ride inside the explicit RK4 stage under the
 diffusive bound of ``cfl_bounds``, taken from the spectral radius of
@@ -99,41 +104,11 @@ from .spectral import Grid
 
 __all__ = [
     "EpsBatch",
-    "LimitState",
     "step_batch",
     "step_eps",
-    "step_limit",
     "cfl_bounds",
     "cfl_dt",
 ]
-
-
-@dataclass(frozen=True)
-class LimitState:
-    """Unknowns of the limit system at one time; the flux is derived,
-    not stored.
-
-    fluid: read-only (n+2, *shape) values of rho, u_1..u_n, theta, the
-        field order of ``EpsBatch.fluid``.
-    spectrum: read-only (n+2, *half_shape) half spectrum of fluid; built
-        from the values when not given, carried by ``step_limit``.
-    """
-
-    grid: Grid
-    fluid: np.ndarray
-    time: float
-    spectrum: np.ndarray | None = None
-
-    def __post_init__(self):
-        _carry_spectrum(self)
-
-
-def _carry_spectrum(state) -> None:
-    """Build a state's missing fluid spectrum and freeze both arrays."""
-    if state.spectrum is None:
-        object.__setattr__(state, "spectrum", state.grid.forward(state.fluid))
-    state.fluid.setflags(write=False)
-    state.spectrum.setflags(write=False)
 
 
 # Grid cells per lockstep chunk. The members of one chunk are transformed
@@ -180,8 +155,13 @@ def _substep(grid, coeffs: np.ndarray, source: np.ndarray, propagator):
     intensity and its negative gradient); the deviation from it rotates at
     rate |k|/eps while decaying as exp(-dt/eps). A semigroup: two steps of
     dt/2 compose to one step of dt exactly. source is (E, *half_shape);
-    every member advances by the same dt.
+    every member advances by the same dt. At eps = 0 there is no
+    propagator (None): the result is the fixed point, the closure of
+    source, whatever coeffs.
     """
+    if propagator is None:
+        i0 = source * grid.half_helmholtz
+        return np.concatenate([i0[None], -grid.half_ik[:, None] * i0])
     decay, damped_cos, damped_sin = propagator
     i0, i1 = coeffs[0], coeffs[1:]
     khat = grid.half_k_unit[:, None]
@@ -259,14 +239,13 @@ def _rk4(grid, y: np.ndarray, y_hat: np.ndarray, rhs, dt: float, eps, time: floa
 def _require_finite(fluid: np.ndarray, rad, eps, time: float) -> None:
     """BlowUp naming the first member and field with a non-finite value.
 
-    fluid is (n+2, E, *shape); rad the (1+n, E, ...) radiation spectrum
-    or None; eps the members' eps values, or None for the limit system.
+    fluid is (n+2, E, *shape); rad the (1+n, E, ...) radiation spectrum;
+    eps the members' eps values, or None for the limit system.
     """
-    if np.isfinite(fluid).all() and (rad is None or np.isfinite(rad).all()):
+    if np.isfinite(fluid).all() and np.isfinite(rad).all():
         return
     fields = [("rho", fluid[:1]), ("u", fluid[1:-1]), ("theta", fluid[-1:])]
-    if rad is not None:
-        fields += [("I0", rad[:1]), ("I1", rad[1:])]
+    fields += [("I0", rad[:1]), ("I1", rad[1:])]
     for e in range(fluid.shape[1]):
         for name, rows in fields:
             if not np.isfinite(rows[:, e]).all():
@@ -281,10 +260,12 @@ def _require_finite(fluid: np.ndarray, rad, eps, time: float) -> None:
 
 @dataclass(frozen=True)
 class EpsBatch:
-    """E finite-eps states at one time, stacked on a member axis.
+    """E finite-eps states at one time, stacked on a member axis, or the
+    limit system as the one member eps = 0.
 
     fluid: read-only (n+2, E, *shape) values of rho, u_1..u_n, theta.
-    rad: (1+n, E, *half_shape) half spectra of I0, I1_1..I1_n.
+    rad: (1+n, E, *half_shape) half spectra of I0, I1_1..I1_n; at
+        eps = 0 the limit closure of theta.
     source: (E, *half_shape) dealiased spectrum of theta^4 of this fluid,
         or None when not yet computed; a step returns it, so the next
         step's first half substep reuses it.
@@ -301,10 +282,12 @@ class EpsBatch:
     spectrum: np.ndarray | None = None
 
     def __post_init__(self):
-        for eps in self.eps:
-            if eps <= 0.0:
-                raise ValueError(f"eps must be positive, got {eps}")
-        _carry_spectrum(self)
+        if self.eps != (0.0,) and not all(eps > 0.0 for eps in self.eps):
+            raise ValueError(f"eps must be positive, or (0.0,) for the limit system: {self.eps}")
+        if self.spectrum is None:
+            object.__setattr__(self, "spectrum", self.grid.forward(self.fluid))
+        self.fluid.setflags(write=False)
+        self.spectrum.setflags(write=False)
 
     def _chunk(self, members: slice) -> "EpsBatch":
         source = None if self.source is None else self.source[members]
@@ -341,48 +324,42 @@ def step_batch(b: EpsBatch, p: FluidParams, dt: float) -> EpsBatch:
 
 def step_eps(b: EpsBatch, p: FluidParams, dt: float) -> EpsBatch:
     """One Strang step of the finite-eps system for every member of b,
-    as one array.
+    as one array, or one RK4 step of the limit system (eps = 0).
 
     For smooth data, second-order accurate in dt while dt << eps and
     first order, with an error bounded uniformly in eps, once eps << dt;
     bounded but not monotone in dt while dt ~ eps (see the module
     docstring); stable for every eps. The global
-    constant equilibrium is an exact fixed point.
+    constant equilibrium is an exact fixed point. At eps = 0 the flux is
+    formed from the stage temperature inside every stage's right-hand
+    side, so the limit flux equation holds to solver precision
+    throughout.
     """
     grid = b.grid
     eps = np.reshape(b.eps, (-1,) + (1,) * grid.n_dims)
-    source = b.source if b.source is not None else emission_spectrum(grid, b.fluid[-1])
-    propagator = _propagator(grid, eps, 0.5 * dt)
-    rad_half = _substep(grid, b.rad, source, propagator)
+    if b.eps == (0.0,):
+        # The moments already sit on the closure of theta_n, and the
+        # right-hand side forms the flux of each stage's own temperature.
+        members, propagator, rad_half, coupling = None, None, b.rad, None
+    else:
+        members = b.eps
+        source = b.source if b.source is not None else emission_spectrum(grid, b.fluid[-1])
+        propagator = _propagator(grid, eps, 0.5 * dt)
+        rad_half = coupling = _substep(grid, b.rad, source, propagator)
     fluid, spectrum = _rk4(
         grid,
         b.fluid,
         b.spectrum,
-        lambda y, y_hat: _rhs_common(grid, y, y_hat, p, rad=rad_half, eps=eps),
+        lambda y, y_hat: _rhs_common(grid, y, y_hat, p, rad=coupling, eps=eps),
         dt,
-        b.eps,
+        members,
         b.time,
     )
     source = emission_spectrum(grid, fluid[-1])
     rad = _substep(grid, rad_half, source, propagator)
     time = b.time + dt
-    _require_finite(fluid, rad, b.eps, time)
+    _require_finite(fluid, rad, members, time)
     return EpsBatch(grid, b.eps, fluid, rad, time, source, spectrum)
-
-
-def step_limit(s: LimitState, p: FluidParams, dt: float) -> LimitState:
-    """One RK4 step of the limit system.
-
-    The flux is formed from the stage temperature inside every stage's
-    right-hand side, so the limit flux equation holds to solver precision
-    throughout.
-    """
-    grid = s.grid
-    rhs = lambda y, y_hat: _rhs_common(grid, y, y_hat, p)
-    fluid, spectrum = _rk4(grid, s.fluid[:, None], s.spectrum[:, None], rhs, dt, None, s.time)
-    time = s.time + dt
-    _require_finite(fluid, None, None, time)
-    return LimitState(grid, fluid[:, 0], time, spectrum[:, 0])
 
 
 # Real-axis stability interval of classical RK4: the amplification
@@ -432,8 +409,8 @@ def cfl_bounds(
 def cfl_dt(
     s, p: FluidParams, dt_max: float, cfl_advective: float, cfl_diffusive: float
 ) -> float:
-    """Stable time step of an EpsBatch or a LimitState: the smaller
-    ``cfl_bounds`` or the dt cap dt_max.
+    """Stable time step of an EpsBatch: the smaller ``cfl_bounds`` or
+    the dt cap dt_max.
 
     The stiff radiation scale imposes no restriction (the substep is
     exact), so the result is independent of eps; for a batch it is the

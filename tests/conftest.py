@@ -11,7 +11,7 @@ from radhydro.analysis import batch_error_squares
 from radhydro.fluid import _rhs_common, require_positive
 from radhydro.radiation import emission_spectrum, limit_spectrum
 from radhydro.spectral import Grid, sobolev_squares
-from radhydro.stepping import EpsBatch, LimitState, _propagator, _substep
+from radhydro.stepping import EpsBatch, _propagator, _substep
 
 
 def smooth_field(grid, rng, kmax=3, amp=0.1):
@@ -110,7 +110,10 @@ def member(b, e=0):
 
 
 def limit_state(grid, fluid, time=0.0):
-    return LimitState(grid, np.array(fluid, dtype=float), time)
+    """The limit system at the (n+2, *shape) fluid values: the one-member
+    batch eps = 0, its moments the limit closure of its temperature."""
+    fluid = np.array(fluid, dtype=float)
+    return EpsBatch(grid, (0.0,), fluid[:, None], limit_spectrum(grid, fluid[-1])[:, None], time)
 
 
 def substep(grid, rad, theta, eps, dt):
@@ -125,9 +128,8 @@ def substep(grid, rad, theta, eps, dt):
 def prepared_deviation(batch, base, s):
     """The well-preparedness functional of every member of batch against
     the limit state base, ||fluid diff||_s + sqrt(eps) ||radiation diff||_s,
-    from ``batch_error_squares`` with the limit closure of base."""
-    closure = limit_spectrum(base.grid, base.fluid[-1])
-    fluid, rad = np.sqrt(batch_error_squares(batch, base, closure, (s,))[0])
+    from ``batch_error_squares``."""
+    fluid, rad = np.sqrt(batch_error_squares(batch, base, (s,))[0])
     return fluid + np.sqrt(batch.eps) * rad
 
 

@@ -18,7 +18,7 @@ from radhydro.fluid import FluidParams
 from radhydro.kinetic import make_ordinates, moment_system_check, p1_basis
 from radhydro.runner import run
 from radhydro.spectral import Grid
-from radhydro.stepping import step_eps, step_limit
+from radhydro.stepping import step_eps
 
 from conftest import (
     div, eps_batch, grad, helmholtz_inverse, l2_inner, laplacian, limit_pair, limit_state,
@@ -166,7 +166,7 @@ def test_criterion_08_conservation_and_fixed_points(sweep):
     fluid = stack(grid, 1.0, 0.0, 1.0)
     eps_state = eps_batch(grid, (0.05,), [fluid], [stack(grid, 1.0, 0.0)])
     after_eps = step_eps(eps_state, PARAMS, 0.01)
-    after_limit = step_limit(limit_state(grid, fluid), PARAMS, 0.01)
+    after_limit = step_eps(limit_state(grid, fluid), PARAMS, 0.01)
     rad = grid.inverse(after_eps.rad)
     eq_dev = max(
         np.abs(after_eps.fluid[0] - 1).max(),
@@ -216,7 +216,7 @@ def test_criterion_09_operator_and_order_suite():
 
     def state_gap(a, b):
         gap = a.fluid - b.fluid
-        if hasattr(a, "rad"):
+        if a.eps != (0.0,):  # the limit system's moments follow from its theta
             gap = np.concatenate([gap, grid.inverse(a.rad - b.rad)])
         return sobolev_norm(grid, gap, 0)
 
@@ -232,8 +232,8 @@ def test_criterion_09_operator_and_order_suite():
     rk_gaps = []
     rk_dts = [1 / 16, 1 / 32, 1 / 64]
     for dt in rk_dts:
-        one_step = step_limit(limit_init, PARAMS, dt)
-        two_steps = step_limit(step_limit(limit_init, PARAMS, dt / 2), PARAMS, dt / 2)
+        one_step = step_eps(limit_init, PARAMS, dt)
+        two_steps = step_eps(step_eps(limit_init, PARAMS, dt / 2), PARAMS, dt / 2)
         rk_gaps.append(state_gap(one_step, two_steps))
     rk_order = fit_rate(list(zip(rk_dts, rk_gaps)))["slope"]
 

@@ -39,15 +39,8 @@ def _offset_batch(grid, base, d_fluid=0.0, d_rad=0.0, eps=0.1, time=0.0):
     closure's half spectrum plus that of d_rad: its differences from base
     are (d_fluid, d_rad)."""
     d_rad = np.broadcast_to(d_rad, (1 + grid.n_dims, *grid.shape))
-    rad = limit_spectrum(grid, base.fluid[-1]) + grid.forward(d_rad)
-    return EpsBatch(grid, (eps,), (base.fluid + d_fluid)[:, None], rad[:, None], time)
-
-
-def _squares(batch, base, indices):
-    """batch_error_squares against base, with the limit closure of the
-    base temperature."""
-    closure = limit_spectrum(base.grid, base.fluid[-1])
-    return batch_error_squares(batch, base, closure, indices)
+    rad = limit_spectrum(grid, base.fluid[-1, 0]) + grid.forward(d_rad)
+    return EpsBatch(grid, (eps,), (base.fluid[:, 0] + d_fluid)[:, None], rad[:, None], time)
 
 
 def _energies(fluid_sq, rad_sq, eps):
@@ -58,7 +51,7 @@ def _energies(fluid_sq, rad_sq, eps):
 
 
 def _energy(grid, base, d_fluid, d_rad, s, eps):
-    squares = _squares(_offset_batch(grid, base, d_fluid, d_rad, eps), base, (s,))
+    squares = batch_error_squares(_offset_batch(grid, base, d_fluid, d_rad, eps), base, (s,))
     return _energies(*squares[0, :, 0].tolist(), eps)
 
 
@@ -71,7 +64,7 @@ def _random_differences(grid, rng):
 class TestErrorFields:
     def test_consistent_states_give_zero(self, grid1d):
         base = _base_state(grid1d)
-        squares = _squares(_offset_batch(grid1d, base), base, (0, 3))
+        squares = batch_error_squares(_offset_batch(grid1d, base), base, (0, 3))
         assert np.all(squares == 0.0)
 
     def test_single_perturbation_is_linear(self, grid1d):
@@ -79,7 +72,8 @@ class TestErrorFields:
         x = grid1d.coordinates()[0]
         bump = 0.03 * np.sin(x)
         d_fluid = stack(grid1d, bump, 0.0, 0.0)
-        (fluid_sq, rad_sq), = _squares(_offset_batch(grid1d, base, d_fluid), base, (2,))[:, :, 0]
+        batch = _offset_batch(grid1d, base, d_fluid)
+        (fluid_sq, rad_sq), = batch_error_squares(batch, base, (2,))[:, :, 0]
         assert fluid_sq == pytest.approx(sobolev_norm(grid1d, bump, 2) ** 2, rel=1e-12)
         assert rad_sq == 0.0
 
@@ -90,7 +84,7 @@ class TestErrorFields:
         for time in (1e-6, 5e-13):
             late = _offset_batch(grid1d, base, time=time)
             with pytest.raises(TimeMismatch):
-                _squares(late, base, (0,))
+                batch_error_squares(late, base, (0,))
 
 
 class TestEnergy:
@@ -134,7 +128,7 @@ class TestWellPreparedInit:
     def test_amp_zero_is_exactly_consistent(self, grid1d):
         base = _base_state(grid1d)
         batch = well_prepared_init(base, (0.05,), 0.0)
-        squares = _squares(batch, base, (3,))[0, :, 0]
+        squares = batch_error_squares(batch, base, (3,))[0, :, 0]
         rec = _energies(*squares.tolist(), 0.05)
         assert rec.full_energy < 1e-13
         assert prepared_deviation(batch, base, 3)[0] < 1e-13
@@ -148,7 +142,7 @@ class TestWellPreparedInit:
         s = 3
         shapes = default_perturbation_shapes(grid1d)
         batch = well_prepared_init(base, (eps,), 1.0, shapes)
-        limit = stack(grid1d, *limit_pair(grid1d, base.fluid[-1]))
+        limit = stack(grid1d, *limit_pair(grid1d, base.fluid[-1, 0]))
         rad_norm = sobolev_norm(grid1d, grid1d.inverse(batch.rad[:, 0]) - limit, s)
         shape_norm = sobolev_norm(grid1d, shapes[3:], s)
         assert rad_norm == pytest.approx(math.sqrt(eps) * shape_norm, rel=1e-12)

@@ -23,6 +23,7 @@ from radhydro.config import (
     parse_config,
 )
 from radhydro.errors import ConfigError, ParseError, ValidationError
+from radhydro.radiation import limit_spectrum
 
 from conftest import sobolev_norm
 
@@ -119,7 +120,10 @@ class TestProfiles:
         cfg = parse_config({"mode": "convergence-study"})
         state = build_limit_initial(cfg)
         x = cfg.grid.coordinates()[0]
-        assert state.fluid.shape == (3, 64) and state.time == 0.0
+        # The limit system: the one-member batch eps = 0, its moments the
+        # limit closure of its temperature.
+        assert state.eps == (0.0,) and state.fluid.shape == (3, 1, 64) and state.time == 0.0
+        assert (state.rad[:, 0] == limit_spectrum(cfg.grid, state.fluid[-1, 0])).all()
         assert np.abs(state.fluid[0] - (1 + 0.1 * np.sin(x))).max() < 1e-14
         assert np.abs(state.fluid[1] - 0.1 * np.sin(x)).max() < 1e-14
         assert np.abs(state.fluid[2] - (1 + 0.1 * np.cos(x))).max() < 1e-14
@@ -365,6 +369,7 @@ class TestParseTimeEvaluation:
         assert build_limit_initial(cfg) is build_limit_initial(cfg)
         assert build_shapes(cfg) is build_shapes(cfg)
         assert not build_shapes(cfg).flags.writeable
+        assert not build_limit_initial(cfg).rad.flags.writeable
         hot = dataclasses.replace(cfg, profiles={**cfg.profiles, "theta": {"base": 2.0, "modes": []}})
         assert (build_limit_initial(hot).fluid[-1] == 2.0).all()
         assert (build_limit_initial(cfg).fluid[-1] != 2.0).any()

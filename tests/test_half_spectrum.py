@@ -25,7 +25,7 @@ from radhydro.kinetic import (
 )
 from radhydro.radiation import emission_spectrum, limit_closure_residual, limit_spectrum
 from radhydro.spectral import Grid, sobolev_squares
-from radhydro.stepping import step_batch, step_eps, step_limit
+from radhydro.stepping import step_batch, step_eps
 
 from conftest import (
     dealias,
@@ -314,19 +314,25 @@ class TestTransformBudget:
         assert fft_calls == self._counts(n_dims, 8 + 1, 12)
 
     def test_step_limit(self, n_dims, fft_calls):
-        # Four right-hand sides (2 + 2 each) and four stage inverses; the
-        # flux is formed inside each right-hand side, with no transform
-        # of its own.
+        # The limit system is the batch eps = 0: four right-hand sides
+        # (2 + 2 each), four stage inverses and the closing theta^4
+        # forward transform, whose closure the step carries as its
+        # moments. The flux is formed inside each right-hand side, with no
+        # transform of its own, and no half substep opens the step.
         grid, fluid, _, _ = self._state(n_dims)
         state = limit_state(grid, fluid)
         fft_calls.clear()
-        step_limit(state, PARAMS, 0.01)
-        assert fft_calls == self._counts(n_dims, 8, 12)
+        state = step_eps(state, PARAMS, 0.01)
+        assert fft_calls == self._counts(n_dims, 8 + 1, 12)
+        fft_calls.clear()
+        step_eps(state, PARAMS, 0.01)
+        assert fft_calls == self._counts(n_dims, 8 + 1, 12)
 
     def test_limit_rhs_forward_batches(self, n_dims, monkeypatch):
         # Forward-transformed fields per limit right-hand side in a step:
         # the products rho*u, rho*theta, dissipation and theta^4, then
-        # the n + 1 quotients.
+        # the n + 1 quotients; the step closes with the theta^4 of its
+        # one member.
         grid, fluid, _, _ = self._state(n_dims)
         state = limit_state(grid, fluid)
         batch_sizes = []
@@ -337,8 +343,8 @@ class TestTransformBudget:
             return forward(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "rfft", counted)
-        step_limit(state, PARAMS, 0.01)
-        assert batch_sizes == [n_dims + 3, n_dims + 1] * 4
+        step_eps(state, PARAMS, 0.01)
+        assert batch_sizes == [n_dims + 3, n_dims + 1] * 4 + [1]
 
     def test_limit_closure_residual(self, n_dims, fft_calls):
         # theta^4 and the flux values in one forward batch, no inverse.
@@ -438,7 +444,8 @@ class TestNoFullComplexTransform:
         assert fluid_rhs(grid, fluid, PARAMS).shape == fluid.shape
         batch = step_eps(eps_batch(grid, (0.1,), [fluid], [rad_values]), PARAMS, 0.01)
         assert step_eps(batch, PARAMS, 0.01).fluid.shape == (n_dims + 2, 1, *grid.shape)
-        assert step_limit(limit_state(grid, fluid), PARAMS, 0.01).fluid.shape == fluid.shape
+        limit = step_eps(limit_state(grid, fluid), PARAMS, 0.01)
+        assert limit.fluid.shape == (n_dims + 2, 1, *grid.shape)
 
 
 @pytest.mark.parametrize("n_dims,n", GRIDS)

@@ -15,10 +15,9 @@ from radhydro.analysis import batch_error_squares
 from radhydro.config import parse_config
 from radhydro.errors import BlowUp, NonPositiveState
 from radhydro.fluid import POSITIVITY_FLOOR, FluidParams, _rhs_common
-from radhydro.radiation import limit_spectrum
 from radhydro.runner import _sampled, run
 from radhydro.spectral import Grid
-from radhydro.stepping import EpsBatch, cfl_dt, step_batch, step_eps, step_limit
+from radhydro.stepping import EpsBatch, cfl_dt, step_batch, step_eps
 
 from conftest import (
     eps_batch, limit_pair, limit_state, member, prepared_deviation, smooth_field, smooth_vector,
@@ -118,7 +117,7 @@ class TestCarriedSpectrum:
         grid = Grid(n_dims, n)
         s = limit_state(grid, _state(grid, np.random.default_rng(42))[0])
         for _ in range(6):
-            s = step_limit(s, PARAMS, 0.01)
+            s = step_eps(s, PARAMS, 0.01)
         assert _relative_gap(s.spectrum, grid.forward(s.fluid)) <= 1e-13
 
     @pytest.mark.parametrize("coupled", [False, True])
@@ -145,7 +144,7 @@ class TestCarriedSpectrum:
         b = step_batch(_batch(grid, [_state(grid, rng) for _ in SWEEP], SWEEP), PARAMS, 0.01)
         s = limit_state(grid, _state(grid, rng)[0])
         for old, new in ((b, step_batch(b, PARAMS, 0.01)), (b, step_eps(b, PARAMS, 0.01)),
-                         (s, step_limit(s, PARAMS, 0.01))):
+                         (s, step_eps(s, PARAMS, 0.01))):
             names = [name for name in ("fluid", "spectrum", "rad", "source") if hasattr(old, name)]
             for a in names:
                 for c in names:
@@ -223,12 +222,12 @@ def test_batched_error_squares_match_error_fields(n_dims, n):
     limit = limit_state(grid, _state(grid, rng)[0])
     batch = _batch(grid, members, (0.1, 0.05, 0.025))
     indices = (0, 3, 4)
-    got = batch_error_squares(batch, limit, limit_spectrum(grid, limit.fluid[-1]), indices)
+    got = batch_error_squares(batch, limit, indices)
     assert got.shape == (3, 2, 3)
     for e in range(len(members)):
         fluid, rad = member(batch, e)
         for i, s in enumerate(indices):
-            want = _error_squares(grid, fluid, rad, limit.fluid, s)
+            want = _error_squares(grid, fluid, rad, limit.fluid[:, 0], s)
             np.testing.assert_allclose(got[i, :, e], want, rtol=1e-12)
 
 
@@ -272,7 +271,7 @@ def test_non_finite_member_is_named():
 RETIRED = {
     "SpectralField", "VectorField", "grad", "div", "laplacian", "helmholtz_inverse", "dealias",
     "sobolev_norm", "limit_q", "emit_series", "KineticField", "StepControl", "p1_intensity",
-    "CHUNK_CELLS", "_chunks", "_rows",
+    "CHUNK_CELLS", "_chunks", "_rows", "LimitState", "step_limit",
 }
 
 
@@ -296,7 +295,8 @@ def test_solver_path_builds_no_field_objects(n_dims, n, tmp_path):
     # closure check on 8 ordinates, with configured perturbation
     # shapes). The package has no per-field layer to build: no module of
     # it imports the test helpers, binds a retired name (of the per-field
-    # layer, or of the closure check's chunked array path) at top level
+    # layer, of the closure check's chunked array path, or of the limit
+    # system's own state class and stepper) at top level
     # or defines a class of that name anywhere, and kinetic_rhs takes no
     # as_moments keyword, since it only returns moments.
     for path in sorted(Path(radhydro.__file__).parent.rglob("*.py")):
@@ -312,7 +312,6 @@ def test_solver_path_builds_no_field_objects(n_dims, n, tmp_path):
     assert "as_moments" not in inspect.signature(radhydro.kinetic.kinetic_rhs).parameters
 
     from radhydro.analysis import default_perturbation_shapes, well_prepared_init
-    from radhydro.stepping import step_limit
 
     grid = Grid(n_dims, n)
     base = limit_state(grid, _state(grid, np.random.default_rng(38))[0])
@@ -335,9 +334,8 @@ def test_solver_path_builds_no_field_objects(n_dims, n, tmp_path):
     dt = cfl_dt(batch, PARAMS, 0.01, 0.4, 0.4)
     assert dt == cfl_dt(base, PARAMS, 0.01, 0.4, 0.4)
     batch = step_eps(step_batch(batch, PARAMS, dt), PARAMS, dt)
-    limit = step_limit(step_limit(base, PARAMS, dt), PARAMS, dt)
-    closure = limit_spectrum(grid, limit.fluid[-1])
-    assert batch_error_squares(batch, limit, closure, (0, 3)).shape == (2, 2, len(SWEEP))
+    limit = step_batch(step_eps(base, PARAMS, dt), PARAMS, dt)
+    assert batch_error_squares(batch, limit, (0, 3)).shape == (2, 2, len(SWEEP))
     for mode, config in configs.items():
         summary = run(config)
         assert summary.mode == mode

@@ -11,12 +11,15 @@ the values of the spectrum's flux rows.
 import numpy as np
 import pytest
 
+from radhydro.errors import BlowUp, NonPositiveState
+from radhydro.fluid import FluidParams
 from radhydro.radiation import emission_spectrum, limit_closure_residual, limit_spectrum
-from radhydro.stepping import EpsBatch
+from radhydro.spectral import Grid
+from radhydro.stepping import EpsBatch, step_eps
 
 from conftest import (
-    dealias, emission_field, grad, laplacian, limit_pair, radiation_rhs, smooth_field, sobolev_norm,
-    stack,
+    dealias, emission_field, grad, laplacian, limit_pair, limit_state, radiation_rhs, smooth_field,
+    sobolev_norm, stack,
 )
 
 
@@ -61,12 +64,48 @@ class TestRadiationRhs:
         assert np.abs(d0a - 2 * d0b).max() < 1e-12
         assert np.abs(d1a[0] - 2 * d1b[0]).max() < 1e-12
 
-    def test_rejects_nonpositive_eps(self, grid1d):
-        # The relaxation rate is 1/eps: a solver state rejects eps <= 0.
+    # The relaxation rate is 1/eps: a solver state rejects eps < 0, and
+    # eps = 0 except as the one member of the limit system.
+    def test_rejects_negative_eps(self, grid1d):
         fluid = stack(grid1d, 1.0, 0.0, 1.0)[:, None]
         rad = grid1d.forward(stack(grid1d, 1.0, 0.0))[:, None]
         with pytest.raises(ValueError, match="eps"):
-            EpsBatch(grid1d, (0.0,), fluid, rad, 0.0)
+            EpsBatch(grid1d, (-0.1,), fluid, rad, 0.0)
+
+    def test_rejects_zero_beside_positive_eps(self, grid1d):
+        fluid = np.repeat(stack(grid1d, 1.0, 0.0, 1.0)[:, None], 2, axis=1)
+        rad = np.repeat(grid1d.forward(stack(grid1d, 1.0, 0.0))[:, None], 2, axis=1)
+        for eps in ((0.1, 0.0), (0.0, 0.1)):
+            with pytest.raises(ValueError, match="eps"):
+                EpsBatch(grid1d, eps, fluid, rad, 0.0)
+
+
+class TestLimitBatchFailure:
+    # A failure of the limit system, the batch eps = 0, names no eps.
+    PARAMS = FluidParams(mu=0.01, lam=0.01, kappa=0.01)
+
+    def test_positivity_loss_names_limit_system(self):
+        # Density 1.2e-6 at x = 3pi/2, where the flow diverges at rate 50:
+        # the later RK stages of the first step take it below the floor.
+        grid = Grid(1, 32)
+        x = grid.coordinates()[0]
+        thin = stack(grid, 1.0 + (1.0 - 1.2e-6) * np.sin(x), 50.0 * np.cos(x), 1.0)
+        with pytest.raises(NonPositiveState) as info:
+            step_eps(limit_state(grid, thin, time=0.25), self.PARAMS, 0.01)
+        exc = info.value
+        assert exc.eps is None and exc.field == "rho" and 0.25 < exc.time <= 0.26
+        assert exc.margin < 0.0
+        assert "limit system" in str(exc) and "eps" not in str(exc)
+
+    def test_blowup_names_limit_system(self):
+        grid = Grid(1, 32)
+        broken = stack(grid, 1.0, np.nan, 1.0)
+        with pytest.raises(BlowUp) as info:
+            step_eps(limit_state(grid, broken), self.PARAMS, 0.01)
+        exc = info.value
+        assert exc.eps is None and exc.time == pytest.approx(0.01)
+        assert exc.field in ("rho", "u", "theta", "I0", "I1")
+        assert "limit system" in str(exc) and "eps" not in str(exc)
 
 
 class TestLimitI0:

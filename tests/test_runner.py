@@ -23,7 +23,7 @@ from radhydro.analysis import well_prepared_init
 from radhydro.config import build_limit_initial, build_shapes, parse_config
 from radhydro.errors import BlowUp, TimeMismatch
 from radhydro.runner import _open_series, _row, _sampled, _state_row, run
-from radhydro.stepping import step_batch, step_limit
+from radhydro.stepping import step_batch
 from radhydro.spectral import Grid
 
 from conftest import prepared_deviation, sobolev_norm
@@ -104,27 +104,33 @@ class TestSimulateModes:
     def test_overshooting_stepper_raises_time_mismatch(self, tmp_path, monkeypatch):
         # A stepper that jumps one time unit past the step it was asked
         # for misses the output time; the run must fail loudly (also under
-        # python -O) and name the eps value, the target and the time reached.
+        # python -O) and name the eps value (or the limit run), the target
+        # and the time reached. Only the batch named in overshooting jumps:
+        # the limit run, the batch eps = 0, steps first at every sample and
+        # would otherwise fail simulate-eps before its member.
         step = radhydro.runner.step_batch
+        overshooting = []
 
         def overshoot(state, p, dt):
             out = step(state, p, dt)
+            if state.eps not in overshooting:
+                return out
             return dataclasses.replace(out, time=state.time + dt + 1.0)
 
         monkeypatch.setattr(radhydro.runner, "step_batch", overshoot)
-        cfg = parse_config(
-            {
-                "mode": "simulate-eps",
-                "eps": 0.1,
-                "grid": {"n_dims": 1, "points": 8},
-                "t_end": 0.05,
-                "output_interval": 0.05,
-                "out_dir": str(tmp_path),
-            }
-        )
-        message = r"eps = 0\.1: stepping to t = 0\.05 reached t = 1\.00"
-        with pytest.raises(TimeMismatch, match=message):
-            run(cfg)
+        raw = {
+            "eps": 0.1,
+            "grid": {"n_dims": 1, "points": 8},
+            "t_end": 0.05,
+            "output_interval": 0.05,
+            "out_dir": str(tmp_path),
+        }
+        for mode, eps, name in [("simulate-eps", (0.1,), r"eps = 0\.1"),
+                                ("simulate-limit", (0.0,), "limit run")]:
+            overshooting[:] = [eps]
+            message = name + r": stepping to t = 0\.05 reached t = 1\.00"
+            with pytest.raises(TimeMismatch, match=message):
+                run(parse_config({**raw, "mode": mode}))
 
     @pytest.mark.parametrize("t_end,interval", [(1e-10, 1e-12), (1e-13, 1e-13)])
     def test_tiny_output_interval_is_stepped(self, t_end, interval, tmp_path, monkeypatch):
@@ -134,11 +140,12 @@ class TestSimulateModes:
         step_times = []
 
         def recording(state, p, dt):
-            out = step_limit(state, p, dt)
+            out = step_batch(state, p, dt)
             step_times.append(out.time)
             return out
 
-        monkeypatch.setattr(radhydro.runner, "step_limit", recording)
+        # simulate-limit steps the limit run alone, the batch eps = 0.
+        monkeypatch.setattr(radhydro.runner, "step_batch", recording)
         raw = {"t_end": t_end, "output_interval": interval, "out_dir": str(tmp_path)}
         run(parse_config({"mode": "simulate-limit", **raw}))
         data = np.genfromtxt(tmp_path / "limit_series.csv", delimiter=",", skip_header=1, ndmin=2)
@@ -358,12 +365,11 @@ class TestStreaming:
         base = build_limit_initial(cfg)
         init = well_prepared_init(base, cfg.eps_list, cfg.perturbation_amp, build_shapes(cfg))
         lhs = prepared_deviation(init, base, cfg.acceptance_index) / cfg.eps_list
-        limit_states = list(
-            _sampled(base, lambda s, dt: step_limit(s, params, dt), params, cfg, "limit")
-        )
-        batches = _sampled(init, lambda b, dt: step_batch(b, params, dt), params, cfg, "sweep")
+        step = lambda b, dt: step_batch(b, params, dt)
+        limit_states = list(_sampled(base, step, params, cfg, "limit"))
+        batches = _sampled(init, step, params, cfg, "sweep")
         mass = lambda rho: rho.mean(axis=grid.axes) * grid.volume
-        limit_m = np.array([mass(s.fluid[0]) for s in limit_states])
+        limit_m = np.array([mass(s.fluid[0, 0]) for s in limit_states])
         sweep_m = np.array([mass(b.fluid[0]) for b in batches])
         drift = lambda m: np.abs(m - m[0]).max(axis=0) / np.abs(m[0])
         tags = [f"{eps:g}" for eps in cfg.eps_list]

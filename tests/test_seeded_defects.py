@@ -1,0 +1,69 @@
+"""Seeded defects of the limit system (eps = 0) that the suite must catch.
+
+Each case applies a one-line mutation to a copy of the package and runs
+one named test on it in a fresh interpreter; that test must fail. The
+text each mutation replaces must occur exactly once, so a change to the
+line fails here instead of leaving the mutation unapplied. On the
+unmutated package the named tests pass as part of this suite.
+
+Measured on the whole suite (``tests/``), each mutation also fails
+acceptance criteria: (a) 2, 4 and 5, (b) 9, (c) 1, 2 and 4.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import radhydro
+
+ROOT = Path(__file__).resolve().parent.parent
+
+MUTATIONS = {
+    # (a) The eps = 0 substep returns its input moments, not the closure
+    # of its source: the limit run's moments stay at the initial closure.
+    "substep-keeps-moments": (
+        "stepping.py",
+        "        return np.concatenate([i0[None], -grid.half_ik[:, None] * i0])",
+        "        return coeffs",
+        "tests/test_stepping.py::TestStepLimit::test_closure_residual_enforced_throughout",
+    ),
+    # (b) The eps = 0 right-hand side takes the frozen closure of theta_n
+    # instead of forming the flux of each stage's temperature.
+    "frozen-limit-closure": (
+        "stepping.py",
+        "        members, propagator, rad_half, coupling = None, None, b.rad, None",
+        "        members, propagator, rad_half, coupling = None, None, b.rad, b.rad",
+        "tests/test_stepping.py::TestStepLimit::test_local_self_convergence_order",
+    ),
+    # (c) The limit heat symbol -|k|^2 (1 + |k|^2)^(-1) with its sign flipped.
+    "limit-heat-sign": (
+        "fluid.py",
+        "        -k_sq * grid.half_helmholtz * mask,",
+        "        k_sq * grid.half_helmholtz * mask,",
+        "tests/test_linear_oracle.py::TestDispersion::test_step_limit[1d]",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", MUTATIONS)
+def test_mutation_is_caught(name, tmp_path):
+    module, old, new, test = MUTATIONS[name]
+    package = tmp_path / "src" / "radhydro"
+    shutil.copytree(Path(radhydro.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = package / module
+    text = path.read_text(encoding="utf-8")
+    assert text.count(old) == 1, (module, old)
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(tmp_path / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    # Exit code 1: the test ran and failed (2 and up would be a
+    # collection or usage error, 5 no test collected).
+    assert done.returncode == 1, done.stdout[-2000:] + done.stderr[-2000:]
