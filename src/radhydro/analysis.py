@@ -1,19 +1,19 @@
 """Error norms, prepared data and rate fitting.
 
-The convergence harness compares a finite-eps run against the limit run
-through five difference fields: the fluid differences (rho, u, theta)
-and the radiation differences measured against the moments of the limit
-run, the one-member batch eps = 0, which are the limit closure of the
-*limit* temperature. The differences are never formed as fields:
-``batch_error_squares`` takes the squared norms of every member of an
-``EpsBatch`` from the half spectra both batches carry, as
-one (index, fluid/radiation, member) array. The runner forms the
+The convergence harness compares every eps member of the batch a run
+marches against its member 0, the limit run (eps = 0), through five
+difference fields: the fluid differences (rho, u, theta) and the
+radiation differences measured against the moments of the limit run,
+the limit closure of the *limit* temperature. The differences are never
+formed as fields: ``batch_error_squares`` takes their squared norms from
+the half spectra the batch carries, as one (index, fluid/radiation,
+member) array. The runner forms the
 functionals of the limit theorem from it, over the member axis: the
 energy gamma = fluid + eps * radiation, whose sup-in-time should scale
 like eps^2, and the well-preparedness functional sqrt(fluid) +
 sqrt(eps) * sqrt(radiation) at t = 0, which must be O(eps).
-The prepared data of a whole sweep is built as one batch. The
-perturbation shapes of the prepared data are one (2n+3, *shape) array
+The prepared data of a whole sweep is built as one batch, after the
+limit data as member 0. The perturbation shapes of the prepared data are one (2n+3, *shape) array
 of unit-L^2 rows, in the field order rho, u_1..u_n, theta, I0,
 I1_1..I1_n of the states.
 
@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateFit, PositivityLost, TimeMismatch
+from .errors import DegenerateFit, PositivityLost
 from .fluid import POSITIVITY_FLOOR
 from .spectral import Grid, sobolev_squares
 from .stepping import EpsBatch
@@ -78,29 +78,24 @@ def default_perturbation_shapes(grid: Grid) -> np.ndarray:
     return unit_rows(grid, np.stack([rho, *u, theta, i0, *i1]))[0]
 
 
-def batch_error_squares(batch: EpsBatch, limit: EpsBatch, indices) -> np.ndarray:
-    """Squared H^s norms of every member's differences from the limit
-    state, at every index in indices.
+def batch_error_squares(batch: EpsBatch, indices) -> np.ndarray:
+    """Squared H^s norms of the differences of members 1.. of batch from
+    its member 0, the limit system (eps = 0), at every index in indices.
 
-    limit is the limit system, the one-member batch eps = 0. Returns an
-    array of shape (len(indices), 2, E): per member the fluid
-    ||drho||_s^2 + ||du||_s^2 + ||dtheta||_s^2 and the radiation
-    ||dI0||_s^2 + ||dI1||_s^2, where the radiation references are the
-    moments the limit state carries, the limit closure of the limit
-    temperature, I0 = (I - Lap)^(-1) theta^4 and its negative gradient.
-    The differences are taken between the half spectra the states
-    carry, so nothing is transformed here; the norms are the
-    ``sobolev_squares`` of the (2n+3, E, *half_shape) differences.
-
-    Raises:
-        TimeMismatch: if the batch and the limit state are at different
-            times (the runner lands both on the same output time float).
+    Returns an array of shape (len(indices), 2, E - 1): per eps member
+    the fluid ||drho||_s^2 + ||du||_s^2 + ||dtheta||_s^2 and the
+    radiation ||dI0||_s^2 + ||dI1||_s^2, where the radiation references
+    are the moments the limit member carries, the limit closure of the
+    limit temperature, I0 = (I - Lap)^(-1) theta^4 and its negative
+    gradient. The differences are taken between the half spectra the
+    batch carries, so nothing is transformed here; the norms are the
+    ``sobolev_squares`` of the (2n+3, E - 1, *half_shape) differences.
     """
     grid = batch.grid
-    if batch.time != limit.time:
-        raise TimeMismatch(f"state times differ: {batch.time!r} vs {limit.time!r}")
-    diff = np.concatenate([batch.spectrum, batch.rad])
-    diff -= np.concatenate([limit.spectrum, limit.rad])
+    if batch.eps[:1] != (0.0,):
+        raise ValueError(f"member 0 must be the limit system, eps = 0: {batch.eps}")
+    diff = np.concatenate([batch.spectrum[:, 1:], batch.rad[:, 1:]])
+    diff -= np.concatenate([batch.spectrum[:, :1], batch.rad[:, :1]])
     per_field = sobolev_squares(grid, diff, indices)  # (index, field, member)
     return np.add.reduceat(per_field, [0, grid.n_dims + 2], axis=1)
 
@@ -111,9 +106,10 @@ def well_prepared_init(
     amp: float,
     shapes: np.ndarray | None = None,
 ) -> EpsBatch:
-    """Prepared initial data of a sweep, at distance O(eps) from the limit
-    data base (the one-member batch eps = 0), as one batch with a member
-    per entry of eps_values.
+    """The batch a run marches: the limit data base (the one-member
+    batch eps = 0) as member 0, copied bit for bit, then the prepared
+    data of a sweep at distance O(eps) from it, a member per entry of
+    eps_values.
 
     The fluid fields deviate by eps*amp times the fixed shapes and the
     radiation pair deviates from the limit closure the base carries by
@@ -155,9 +151,10 @@ def well_prepared_init(
                     f" = {low:.3e} is below the floor {POSITIVITY_FLOOR:g}",
                     eps=e, time=base.time, field=field, minimum=float(low), floor=POSITIVITY_FLOOR,
                 )
-    spectrum = base.spectrum + dev_hat[: n + 2] * fluid_scale
-    rad = base.rad + dev_hat[n + 2 :] * rad_scale
-    return EpsBatch(grid, eps, fluid, rad, base.time, spectrum=spectrum)
+    joined = lambda base_rows, rows: np.concatenate([base_rows, rows], axis=1)
+    spectrum = joined(base.spectrum, base.spectrum + dev_hat[: n + 2] * fluid_scale)
+    rad = joined(base.rad, base.rad + dev_hat[n + 2 :] * rad_scale)
+    return EpsBatch(grid, (0.0, *eps), joined(base.fluid, fluid), rad, base.time, spectrum=spectrum)
 
 
 def fit_rate(pairs) -> dict:

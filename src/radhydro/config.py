@@ -9,8 +9,9 @@ A config that passes the schema is then evaluated once on what its run
 starts from, with the run's own builders and kernels (``_admit``); a
 row of it that is not finite, or initial data below the positivity
 floor, fails the parse naming the config field (exit code 2). The
-initial data built there, the limit state and the prepared data of the
-eps members, stays on the config, and the run marches from it.
+initial data built there stays on the config, and the run marches from
+it: ``limit_initial``, the limit state, and ``prepared``, the batch of
+that state and the prepared data of the eps members.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .radiation import limit_spectrum
 from .spectral import Grid, sobolev_squares
 from .stepping import EpsBatch, cfl_bounds
 
-__all__ = ["RunConfig", "load_config", "build_limit_initial", "build_shapes", "build_prepared"]
+__all__ = ["RunConfig", "load_config", "build_limit_initial", "build_shapes"]
 
 MODES = ("simulate-eps", "simulate-limit", "convergence-study", "closure-check")
 
@@ -129,7 +130,16 @@ class RunConfig:
     # shared with the run: the arrays are read-only, and a config made by
     # dataclasses.replace builds its own.
     @cached_property
-    def _limit_initial(self) -> EpsBatch:
+    def limit_initial(self) -> EpsBatch:
+        """The limit-system initial state of the profile spec, the
+        one-member batch eps = 0 with the limit closure of its
+        temperature.
+
+        Raises:
+            ValidationError: naming the profile, if the rho or theta
+                values fall below the positivity floor of the solver
+                somewhere.
+        """
         grid, profiles = self.grid, self.profiles
         rows = [profiles["rho"], *profiles["u"], profiles["theta"]]
         y = np.stack([_profile_values(grid, spec) for spec in rows])
@@ -142,7 +152,15 @@ class RunConfig:
         return EpsBatch(grid, (0.0,), y[:, None], closure, 0.0)
 
     @cached_property
-    def _shapes(self) -> np.ndarray:
+    def shapes(self) -> np.ndarray:
+        """Perturbation shapes, configured override or the fixed
+        defaults, as one (2n+3, *shape) array of rows rho, u_1..u_n,
+        theta, I0, I1_1..I1_n.
+
+        Configured shapes are normalized to unit L^2 norm, matching the
+        defaults' convention; a shape of norm zero stays zero, and one of
+        norm that is not finite raises a ValidationError naming it.
+        """
         grid, raw = self.grid, self.perturbation_shapes
         if raw is None:
             shapes = default_perturbation_shapes(grid)
@@ -157,13 +175,21 @@ class RunConfig:
         return shapes
 
     @cached_property
-    def _prepared(self) -> EpsBatch | None:
-        if self.mode not in ("simulate-eps", "convergence-study"):
-            return None
-        sweep = self.eps_list if self.mode == "convergence-study" else (self.eps,)
+    def prepared(self) -> EpsBatch | None:
+        """The batch the run marches, or None for closure-check: the
+        limit initial state, then in the eps modes the prepared data of
+        the eps members (``well_prepared_init``).
+
+        Raises:
+            ValidationError: naming perturbation_amp, if a member's rho
+                or theta falls below the positivity floor.
+        """
+        sweep = {"simulate-eps": (self.eps,), "convergence-study": self.eps_list}.get(self.mode)
+        if sweep is None:
+            return None if self.mode == "closure-check" else self.limit_initial
         amp = self.perturbation_amp
         try:
-            init = well_prepared_init(self._limit_initial, sweep, amp, self._shapes)
+            init = well_prepared_init(self.limit_initial, sweep, amp, self.shapes)
         except PositivityLost as exc:
             _fail(
                 "perturbation_amp",
@@ -336,7 +362,7 @@ def _admit(config: RunConfig) -> None:
     grid, n, params = config.grid, config.n_dims, config.params
     names = ["rho", *["u"] * n, "theta"]
     with np.errstate(all="ignore"):
-        base = build_limit_initial(config)
+        base = config.limit_initial
         norms = sobolev_squares(grid, base.spectrum[:, 0], config.sobolev_indices).T
         message = "the H^s norms of the initial profile are not finite"
         _require_finite(norms, names, "profiles.{}", message)
@@ -355,21 +381,21 @@ def _admit(config: RunConfig) -> None:
                 message = f"{bound} = {dt:.3g} implies {steps:.3g} time steps"
                 _fail(field_name, f"{message}, over the budget of {MAX_STEPS:g}")
         if config.perturbation_shapes is not None:
-            build_shapes(config)  # the L^2 norms of the configured shapes
+            config.shapes  # the L^2 norms of the configured shapes
         if config.mode == "closure-check":
             _admit_sigma_pairs(config, grid.inverse(base.rad[:, 0]))
-        init = build_prepared(config)
-        if init is None:
+        init = config.prepared
+        if init is None or len(init.eps) == 1:
             return
         eps_key = "eps_list" if config.mode == "convergence-study" else "eps"
-        squares = batch_error_squares(init, base, config.sobolev_indices)
-        for eps, rows in zip(init.eps, squares.T):  # rows: fluid, radiation of one member
+        squares = batch_error_squares(init, config.sobolev_indices)
+        for eps, rows in zip(init.eps[1:], squares.T):  # rows: fluid, radiation of one member
             message = f"the t = 0 {{}} error norms at eps = {eps:g} are not finite"
             _require_finite(rows, ("fluid", "radiation"), "perturbation_amp", message)
-        # The first member has the largest eps (a sweep decreases).
-        y, y_hat, rad = init.fluid[:, :1], init.spectrum[:, :1], init.rad[:, :1]
-        tend = _rhs_common(grid, y, y_hat, params, rad, np.full((1,) * (n + 1), init.eps[0]))
-        message = f"the right-hand side at eps = {init.eps[0]:g} is not finite in its {{}} row"
+        # Member 1 is the first eps member, of the largest eps (a sweep decreases).
+        y, y_hat, rad = init.fluid[:, 1:2], init.spectrum[:, 1:2], init.rad[:, 1:2]
+        tend = _rhs_common(grid, y, y_hat, params, rad, np.full((1,) * (n + 1), init.eps[1]))
+        message = f"the right-hand side at eps = {init.eps[1]:g} is not finite in its {{}} row"
         _require_finite(tend, names, eps_key, message)
 
 
@@ -544,37 +570,10 @@ def _profile_values(grid: Grid, spec: dict):
 
 
 def build_limit_initial(config: RunConfig) -> EpsBatch:
-    """The limit-system initial state of the profile spec, the one-member
-    batch eps = 0 with the limit closure of its temperature, built once
-    per config (its arrays are read-only).
-
-    Raises:
-        ValidationError: naming the profile, if the rho or theta values
-            fall below the positivity floor of the solver somewhere.
-    """
-    return config._limit_initial
+    """``config.limit_initial``, a set-up step perfbench/ calls and times."""
+    return config.limit_initial
 
 
 def build_shapes(config: RunConfig) -> np.ndarray:
-    """Perturbation shapes, configured override or the fixed defaults,
-    as one (2n+3, *shape) array of rows rho, u_1..u_n, theta, I0,
-    I1_1..I1_n.
-
-    Configured shapes are normalized to unit L^2 norm, matching the
-    defaults' convention; a shape of norm zero stays zero, and one of
-    norm that is not finite raises a ValidationError naming it. Built
-    once per config; the array is read-only.
-    """
-    return config._shapes
-
-
-def build_prepared(config: RunConfig) -> EpsBatch | None:
-    """The prepared data of the eps members (one for simulate-eps, the
-    sweep for a convergence study; None in the other modes), built once
-    per config by ``well_prepared_init``; its arrays are read-only.
-
-    Raises:
-        ValidationError: naming perturbation_amp, if a member's rho or
-            theta falls below the positivity floor.
-    """
-    return config._prepared
+    """``config.shapes``, a set-up step perfbench/ calls and times."""
+    return config.shapes

@@ -6,25 +6,25 @@ or a kinetic closure check. ``run`` looks the mode up in one table; each
 mode's function writes its series and returns, by name, the
 ``RunSummary`` fields it fills.
 
-The three solver modes are one streaming loop, ``_march``. It zips the
-samples of the limit run, the one-member ``EpsBatch`` eps = 0 whose
-moments are the limit closure of its temperature, with those of an
-``EpsBatch`` of members (none for simulate-limit, one for simulate-eps,
-the whole sweep for a convergence study); both step with ``step_batch``,
-each with its own stable dt between output times, and the members of a
-sweep advance in lockstep with the smallest stable dt of any member. At every output time the loop writes
-the limit row, every member's error row (the norms of all members come
-from the half spectra the states carry) and, for simulate-eps, the
-member's state row straight to the open CSV files. The per-member
-values are array arithmetic over the member axis of one
-``batch_error_squares`` array per sample. The loop keeps only the
-running values the summary needs: the t = 0 error squares, the sup
-error norms, the largest gamma of each member and the largest mass
-deviation from t = 0. No state or row is kept per sample, so memory
-does not grow with the sample count, and a run
-that fails leaves its series written up to the last completed sample and
-writes no summary. The modes differ only in the members they march, the
-files they write and the summary fields they fill.
+The three solver modes are one streaming loop, ``_march``, over the
+samples of one ``EpsBatch``: member 0 is the limit run, eps = 0, whose
+moments are the limit closure of its temperature, and the later members
+are the eps members (none for simulate-limit, one for simulate-eps, the
+whole sweep for a convergence study). It steps with ``step_batch`` and
+one stable dt between output times, the smallest of any member, so the
+limit run and every member stand at the same time at every step. At
+every output time the loop writes the limit row, every member's error
+row (the norms of all members come from the half spectra the batch
+carries) and, for simulate-eps, the member's state row straight to the
+open CSV files. The per-member values are array arithmetic over the
+member axis of one ``batch_error_squares`` array per sample. The loop
+keeps only the running values the summary needs: the t = 0 error
+squares, the sup error norms, the largest gamma of each member and the
+largest mass deviation from t = 0 of every member. No state or row is
+kept per sample, so memory does not grow with the sample count, and a
+run that fails leaves its series written up to the last completed
+sample and writes no summary. The modes differ only in the members they
+march, the files they write and the summary fields they fill.
 
 One routine gives every state-norm row (limit and eps), from the half
 spectra the state carries, with no transform. Time series go to CSV
@@ -37,7 +37,6 @@ output files.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -48,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import batch_error_squares, fit_rate
-from .config import RunConfig, build_limit_initial, build_prepared
+from .config import RunConfig
 from .errors import DegenerateFit, TimeMismatch
 from .kinetic import make_ordinates, moment_system_check, p1_basis
 from .radiation import limit_closure_residual
@@ -142,7 +141,7 @@ def _sampled(state, stepper, params, config: RunConfig, name: str):
 
 
 def _mass(rho: np.ndarray, grid) -> np.ndarray:
-    """Total mass; rho is one field or a (E, *shape) stack of members."""
+    """Total mass of every member of a (E, *shape) stack of densities."""
     return rho.mean(axis=grid.axes) * grid.volume
 
 
@@ -184,7 +183,7 @@ class _Marched:
     limit_drift: relative mass drift of the limit run.
     sup: (index, fluid/radiation, member) sup-in-time error norms.
     initial: (fluid/radiation, member) squared error norms at the
-        acceptance index at t = 0 (None without members).
+        acceptance index at t = 0.
     gamma_over_eps2: largest gamma / eps^2 per member.
     drift: relative mass drift per member.
     """
@@ -192,7 +191,7 @@ class _Marched:
     closure_residual: float
     limit_drift: float
     sup: np.ndarray
-    initial: np.ndarray | None
+    initial: np.ndarray
     gamma_over_eps2: list[float]
     drift: list[float]
 
@@ -200,32 +199,23 @@ class _Marched:
 def _march(
     config: RunConfig, out_dir: str, limit_csv=None, error_csvs=(), state_csv=None
 ) -> _Marched:
-    """March the limit run from the config's limit initial state and its
-    eps members from their prepared data (``build_prepared``; none in
-    simulate-limit) together, writing their rows as the samples pass.
+    """March the config's batch (``RunConfig.prepared``: the limit run,
+    then the eps members), writing its rows as the samples pass.
 
     limit_csv names the limit series, error_csvs one error series per
-    member and state_csv the state series of a one-member batch; a None
+    member and state_csv the state series of a one-member sweep; a None
     name is not written. The files are closed when the march ends, also
     when it raises, so a failed run keeps every completed sample's rows.
     """
     params, indices = config.params, config.sobolev_indices
     acc = indices.index(config.acceptance_index)
-    base, init = build_limit_initial(config), build_prepared(config)
-    grid = base.grid
-    step = lambda b, dt: step_batch(b, params, dt)
-    limits = _sampled(base, step, params, config, "limit run")
-    members = () if init is None else init.eps
+    init = config.prepared
+    grid, members = init.grid, init.eps[1:]
     eps = np.array(members)
-    if members:
-        name = f"eps = {members[0]:g}" if len(members) == 1 else "eps sweep"
-        batches = _sampled(init, step, params, config, name)
-        mass0 = _mass(init.fluid[0], grid)
-    else:
-        batches = itertools.repeat(None)
-    limit_mass0 = _mass(base.fluid[0, 0], grid)
-    closure, limit_dm = -math.inf, 0.0
-    sup, dm, gamma, initial = 0.0, 0.0, np.full(len(members), -math.inf), None
+    name = "limit run" if not members else "eps sweep" if members[1:] else f"eps = {members[0]:g}"
+    step = lambda b, dt: step_batch(b, params, dt)
+    mass0 = _mass(init.fluid[0], grid)
+    closure, sup, dm, gamma, initial = -math.inf, 0.0, 0.0, np.full(len(members), -math.inf), None
     with ExitStack() as stack:
         path = lambda name: os.path.join(out_dir, name)
         limit_fh = state_fh = None
@@ -237,47 +227,42 @@ def _march(
             header = _state_norm_header(config, with_radiation=True)
             state_fh = _open_series(stack, path(state_csv), header)
 
-        for ls in limits:
-            # next() rather than zip, and b dropped at the end: zip's
-            # reused result tuple, like the name b, would keep the last
-            # sampled batch alive while the generator steps on from it.
-            b = next(batches)
-            limit_dm = np.maximum(limit_dm, np.abs(_mass(ls.fluid[0, 0], grid) - limit_mass0))
+        for b in _sampled(init, step, params, config, name):
+            dm = np.maximum(dm, np.abs(_mass(b.fluid[0], grid) - mass0))
             if limit_fh is not None:
-                q = grid.inverse(ls.rad[1:, 0])
-                residual = limit_closure_residual(grid, ls.fluid[-1, 0], q)
+                q = grid.inverse(b.rad[1:, 0])
+                residual = limit_closure_residual(grid, b.fluid[-1, 0], q)
                 closure = max(closure, residual)
-                row = _state_row(grid, ls.time, ls.spectrum[:, 0], indices)
+                row = _state_row(grid, b.time, b.spectrum[:, 0], indices)
                 limit_fh.write(_row(row + [residual]))
-            if b is None:
-                continue
             if state_fh is not None:
-                spectra = np.concatenate([b.spectrum[:, 0], b.rad[:, 0]])
+                spectra = np.concatenate([b.spectrum[:, 1], b.rad[:, 1]])
                 state_fh.write(_row(_state_row(grid, b.time, spectra, indices)))
-            squares = batch_error_squares(b, ls, indices)  # (index, fluid/rad, member)
+            squares = batch_error_squares(b, indices)  # (index, fluid/rad, member)
             if initial is None:
                 initial = squares[acc]
             norms = np.sqrt(squares)
             sup = np.maximum(sup, norms)
-            dm = np.maximum(dm, np.abs(_mass(b.fluid[0], grid) - mass0))
             fluid_sq, rad_sq = squares[acc]
             full_sq = fluid_sq + eps * rad_sq  # gamma of every member
             gamma = np.maximum(gamma, full_sq)
             # Per member: the norms, then fluid_energy, full_energy, gamma.
             energies = [norms[acc, 0], np.sqrt(full_sq), full_sq]
-            table = np.vstack([norms.reshape(-1, len(members)), *energies])
-            for fh, column in zip(error_fhs, table.T):
+            for fh, column in zip(error_fhs, np.vstack([*norms, *energies]).T):
                 fh.write(_row([b.time, *column]))
+            # Dropped before the generator steps on, so that no third
+            # state is alive while it steps from this one.
             del b
 
+    drift = (dm / np.abs(mass0)).tolist()
     return _Marched(
         closure_residual=closure,
-        limit_drift=float(limit_dm / np.abs(limit_mass0)),
+        limit_drift=drift[0],
         sup=sup,
         initial=initial,
         # Python's e**2 is pow, whose last bit can differ from numpy's e*e.
         gamma_over_eps2=[g / e**2 for g, e in zip(gamma.tolist(), members)],
-        drift=(dm / np.abs(mass0)).tolist() if members else [],
+        drift=drift[1:],
     )
 
 
@@ -322,8 +307,8 @@ def _eps_tag(eps: float) -> str:
 
 def _run_convergence(config: RunConfig, out_dir: str):
     s_acc = config.acceptance_index
-    # All members advance in lockstep with the smallest stable dt of any
-    # member: the exact radiation substep makes the bound eps-independent.
+    # The limit run and the members step with one dt, the smallest stable
+    # one of any; the exact radiation substep makes it eps-independent.
     sweep = config.eps_list  # strictly decreasing
     errors = [f"errors_eps_{_eps_tag(eps)}.csv" for eps in sweep]
     m = _march(config, out_dir, limit_csv="limit_series.csv", error_csvs=errors)
@@ -406,7 +391,7 @@ def _run_simulate_limit(config: RunConfig, out_dir: str):
 
 
 def _run_closure_check(config: RunConfig, out_dir: str):
-    base = build_limit_initial(config)
+    base = config.limit_initial
     grid, theta = base.grid, base.fluid[-1, 0]
     ords = make_ordinates(config.n_dims, config.ordinates)
     intensity = (p1_basis(ords), grid.inverse(base.rad[:, 0]))

@@ -200,7 +200,7 @@ def sobolev_squares(grid: Grid, coeffs: np.ndarray, indices) -> np.ndarray:
     """
     power = np.square(coeffs.real)
     power += np.square(coeffs.imag)
-    power = power.reshape(*power.shape[: power.ndim - grid.n_dims], -1)
+    power = power.reshape(*power.shape[: power.ndim - grid.n_dims], grid.half_multiplicity.size)
     out = np.empty((len(indices), *power.shape[:-1]))
     for i, s in enumerate(indices):
         weight = grid.half_multiplicity * (1.0 + grid.half_k_squared) ** s

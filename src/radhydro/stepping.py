@@ -69,16 +69,17 @@ also opens the next.
 ``step_eps`` advances one chunk of members through this kernel;
 ``step_batch`` splits a batch into chunks (LOCKSTEP_CELLS).
 
-The limit system is the batch of the one member eps = 0, its moments
-the limit closure of its temperature. At eps = 0 there is no
-propagator: the first half substep is skipped (the moments already sit
-on the closure of theta_n), the right-hand side takes no moments but
-forms the limit flux of each stage's temperature from the theta^4 row
-of its own product batch (four transform calls per stage, as for the
-eps system), and the closing substep returns the closure of the new
-theta^4 spectrum. So the step is RK4 on the fluid alone, and the
-moments it carries are the limit closure at every step. A failure of
-that member names the limit system (eps None).
+The limit system is the member eps = 0, its moments the limit closure
+of its temperature, alone or first in a batch of eps members that share
+its dt; ``step_batch`` steps it as a chunk of its own. At eps = 0 there
+is no propagator: the first half substep is skipped (the moments
+already sit on the closure of theta_n), the right-hand side takes no
+moments but forms the limit flux of each stage's temperature from the
+theta^4 row of its own product batch (four transform calls per stage,
+as for the eps system), and the closing substep returns the closure of
+the new theta^4 spectrum. So the step is RK4 on the fluid alone, and
+the moments it carries are the limit closure at every step. A failure
+of that member names the limit system (eps None).
 
 Viscous and heat terms ride inside the explicit RK4 stage under the
 diffusive bound of ``cfl_bounds``, taken from the spectral radius of
@@ -260,8 +261,8 @@ def _require_finite(fluid: np.ndarray, rad, eps, time: float) -> None:
 
 @dataclass(frozen=True)
 class EpsBatch:
-    """E finite-eps states at one time, stacked on a member axis, or the
-    limit system as the one member eps = 0.
+    """E states at one time, stacked on a member axis: finite-eps
+    members, after the limit system (eps = 0) when it is the first.
 
     fluid: read-only (n+2, E, *shape) values of rho, u_1..u_n, theta.
     rad: (1+n, E, *half_shape) half spectra of I0, I1_1..I1_n; at
@@ -282,8 +283,9 @@ class EpsBatch:
     spectrum: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.eps != (0.0,) and not all(eps > 0.0 for eps in self.eps):
-            raise ValueError(f"eps must be positive, or (0.0,) for the limit system: {self.eps}")
+        finite = self.eps[1:] if self.eps[:1] == (0.0,) else self.eps
+        if not all(eps > 0.0 for eps in finite):
+            raise ValueError(f"eps must be positive, or 0.0 first (the limit system): {self.eps}")
         if self.spectrum is None:
             object.__setattr__(self, "spectrum", self.grid.forward(self.fluid))
         self.fluid.setflags(write=False)
@@ -303,19 +305,22 @@ class EpsBatch:
 
 
 def step_batch(b: EpsBatch, p: FluidParams, dt: float) -> EpsBatch:
-    """One Strang step of every member of the batch, with one shared dt.
+    """One step of every member of the batch, with one shared dt.
 
-    Members are advanced in chunks of at most LOCKSTEP_CELLS grid cells
-    (at least one member each), one ``step_eps`` call per chunk; the
-    chunks share dt, so the result does not depend on the chunk size.
+    The limit member (eps = 0) is a chunk of its own; the eps members are
+    advanced in chunks of at most LOCKSTEP_CELLS grid cells (at least
+    one member each), one ``step_eps`` call per chunk; the chunks share
+    dt, so the result does not depend on the chunk size.
     """
     per_chunk = max(1, LOCKSTEP_CELLS // math.prod(b.grid.shape))
-    if len(b.eps) <= per_chunk:
+    limit = b.eps[:1] == (0.0,)
+    chunks = [slice(0, 1)] if limit else []
+    chunks += [slice(a, a + per_chunk) for a in range(int(limit), len(b.eps), per_chunk)]
+    if len(chunks) <= 1:
         return step_eps(b, p, dt)
     fluid, rad, spectrum = np.empty_like(b.fluid), np.empty_like(b.rad), np.empty_like(b.spectrum)
     source = np.empty(rad.shape[1:], dtype=complex)
-    for a in range(0, len(b.eps), per_chunk):
-        members = slice(a, a + per_chunk)
+    for members in chunks:
         part = step_eps(b._chunk(members), p, dt)
         fluid[:, members], rad[:, members] = part.fluid, part.rad
         source[members], spectrum[:, members] = part.source, part.spectrum
@@ -333,10 +338,12 @@ def step_eps(b: EpsBatch, p: FluidParams, dt: float) -> EpsBatch:
     constant equilibrium is an exact fixed point. At eps = 0 the flux is
     formed from the stage temperature inside every stage's right-hand
     side, so the limit flux equation holds to solver precision
-    throughout.
+    throughout. The limit system steps alone, not beside eps > 0.
     """
     grid = b.grid
     eps = np.reshape(b.eps, (-1,) + (1,) * grid.n_dims)
+    if 0.0 in b.eps and b.eps != (0.0,):
+        raise ValueError(f"eps = 0 (the limit system) steps alone, not beside eps {b.eps[1:]}")
     if b.eps == (0.0,):
         # The moments already sit on the closure of theta_n, and the
         # right-hand side forms the flux of each stage's own temperature.

@@ -125,12 +125,23 @@ def substep(grid, rad, theta, eps, dt):
     return grid.inverse(out[:, 0])
 
 
-def prepared_deviation(batch, base, s):
-    """The well-preparedness functional of every member of batch against
-    the limit state base, ||fluid diff||_s + sqrt(eps) ||radiation diff||_s,
-    from ``batch_error_squares``."""
-    fluid, rad = np.sqrt(batch_error_squares(batch, base, (s,))[0])
-    return fluid + np.sqrt(batch.eps) * rad
+def with_limit(limit, batch):
+    """The batch whose member 0 is the limit state limit (the one-member
+    batch eps = 0) and whose later members are those of batch, at the
+    time of batch."""
+    joined = lambda a, b: np.concatenate([a, b], axis=1)
+    return EpsBatch(
+        batch.grid, (0.0, *batch.eps), joined(limit.fluid, batch.fluid),
+        joined(limit.rad, batch.rad), batch.time, spectrum=joined(limit.spectrum, batch.spectrum),
+    )
+
+
+def prepared_deviation(batch, s):
+    """The well-preparedness functional of every eps member of batch
+    against its member 0, the limit state, ||fluid diff||_s + sqrt(eps)
+    ||radiation diff||_s, from ``batch_error_squares``."""
+    fluid, rad = np.sqrt(batch_error_squares(batch, (s,))[0])
+    return fluid + np.sqrt(batch.eps[1:]) * rad
 
 
 def emission_field(grid, theta):

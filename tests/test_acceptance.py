@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from radhydro.analysis import fit_rate, well_prepared_init
-from radhydro.config import build_limit_initial, parse_config
+from radhydro.config import parse_config
 from radhydro.fluid import FluidParams
 from radhydro.kinetic import make_ordinates, moment_system_check, p1_basis
 from radhydro.runner import run
@@ -84,12 +84,12 @@ def test_criterion_02_radiation_convergence_rate(sweep):
 
 def test_criterion_03_well_prepared_hypothesis():
     config = parse_config(dict(REFERENCE_CONFIG))
-    base = build_limit_initial(config)
+    base = config.limit_initial
     details = []
     ok = True
     for amp in (0.0, 1.0):
         batch = well_prepared_init(base, config.eps_list, amp)
-        ratios = list(prepared_deviation(batch, base, 3) / np.array(config.eps_list))
+        ratios = list(prepared_deviation(batch, 3) / np.array(config.eps_list))
         if max(ratios) < 1e-12:
             spread = 1.0
         else:

@@ -12,7 +12,7 @@ from radhydro.analysis import (
     fit_rate,
     well_prepared_init,
 )
-from radhydro.errors import DegenerateFit, PositivityLost, TimeMismatch
+from radhydro.errors import DegenerateFit, PositivityLost
 from radhydro.fluid import POSITIVITY_FLOOR
 from radhydro.radiation import limit_spectrum
 from radhydro.spectral import Grid
@@ -26,6 +26,7 @@ from conftest import (
     smooth_vector,
     sobolev_norm,
     stack,
+    with_limit,
 )
 
 
@@ -34,13 +35,14 @@ def _base_state(grid):
     return limit_state(grid, stack(grid, 1 + 0.1 * np.sin(x), 0.1 * np.sin(x), 1 + 0.1 * np.cos(x)))
 
 
-def _offset_batch(grid, base, d_fluid=0.0, d_rad=0.0, eps=0.1, time=0.0):
-    """One-member batch at the base state plus d_fluid and at the limit
-    closure's half spectrum plus that of d_rad: its differences from base
-    are (d_fluid, d_rad)."""
+def _offset_batch(grid, base, d_fluid=0.0, d_rad=0.0, eps=0.1):
+    """The batch of the limit state base and one member at base plus
+    d_fluid and at the limit closure's half spectrum plus that of d_rad:
+    the member's differences from base are (d_fluid, d_rad)."""
     d_rad = np.broadcast_to(d_rad, (1 + grid.n_dims, *grid.shape))
     rad = limit_spectrum(grid, base.fluid[-1, 0]) + grid.forward(d_rad)
-    return EpsBatch(grid, (eps,), (base.fluid[:, 0] + d_fluid)[:, None], rad[:, None], time)
+    fluid = (base.fluid[:, 0] + d_fluid)[:, None]
+    return with_limit(base, EpsBatch(grid, (eps,), fluid, rad[:, None], 0.0))
 
 
 def _energies(fluid_sq, rad_sq, eps):
@@ -51,7 +53,7 @@ def _energies(fluid_sq, rad_sq, eps):
 
 
 def _energy(grid, base, d_fluid, d_rad, s, eps):
-    squares = batch_error_squares(_offset_batch(grid, base, d_fluid, d_rad, eps), base, (s,))
+    squares = batch_error_squares(_offset_batch(grid, base, d_fluid, d_rad, eps), (s,))
     return _energies(*squares[0, :, 0].tolist(), eps)
 
 
@@ -64,7 +66,7 @@ def _random_differences(grid, rng):
 class TestErrorFields:
     def test_consistent_states_give_zero(self, grid1d):
         base = _base_state(grid1d)
-        squares = batch_error_squares(_offset_batch(grid1d, base), base, (0, 3))
+        squares = batch_error_squares(_offset_batch(grid1d, base), (0, 3))
         assert np.all(squares == 0.0)
 
     def test_single_perturbation_is_linear(self, grid1d):
@@ -73,18 +75,18 @@ class TestErrorFields:
         bump = 0.03 * np.sin(x)
         d_fluid = stack(grid1d, bump, 0.0, 0.0)
         batch = _offset_batch(grid1d, base, d_fluid)
-        (fluid_sq, rad_sq), = batch_error_squares(batch, base, (2,))[:, :, 0]
+        (fluid_sq, rad_sq), = batch_error_squares(batch, (2,))[:, :, 0]
         assert fluid_sq == pytest.approx(sobolev_norm(grid1d, bump, 2) ** 2, rel=1e-12)
         assert rad_sq == 0.0
 
-    def test_time_mismatch_rejected(self, grid1d):
-        # Any difference is refused, 5e-13 too: the runner lands the
-        # batch and the limit state on the same output time.
+    def test_member_zero_must_be_the_limit(self, grid1d):
         base = _base_state(grid1d)
-        for time in (1e-6, 5e-13):
-            late = _offset_batch(grid1d, base, time=time)
-            with pytest.raises(TimeMismatch):
-                batch_error_squares(late, base, (0,))
+        batch = _offset_batch(grid1d, base)
+        assert batch_error_squares(batch, (0,)).shape == (1, 2, 1)
+        assert batch_error_squares(base, (0,)).shape == (1, 2, 0)
+        members = EpsBatch(grid1d, (0.1,), batch.fluid[:, 1:], batch.rad[:, 1:], 0.0)
+        with pytest.raises(ValueError, match="limit system"):
+            batch_error_squares(members, (0,))
 
 
 class TestEnergy:
@@ -128,10 +130,10 @@ class TestWellPreparedInit:
     def test_amp_zero_is_exactly_consistent(self, grid1d):
         base = _base_state(grid1d)
         batch = well_prepared_init(base, (0.05,), 0.0)
-        squares = batch_error_squares(batch, base, (3,))[0, :, 0]
+        squares = batch_error_squares(batch, (3,))[0, :, 0]
         rec = _energies(*squares.tolist(), 0.05)
         assert rec.full_energy < 1e-13
-        assert prepared_deviation(batch, base, 3)[0] < 1e-13
+        assert prepared_deviation(batch, 3)[0] < 1e-13
 
     def test_scaling_arithmetic_at_amp_one(self, grid1d):
         # radiation deviation norm is sqrt(eps)*amp*||shape||, so the
@@ -143,7 +145,7 @@ class TestWellPreparedInit:
         shapes = default_perturbation_shapes(grid1d)
         batch = well_prepared_init(base, (eps,), 1.0, shapes)
         limit = stack(grid1d, *limit_pair(grid1d, base.fluid[-1, 0]))
-        rad_norm = sobolev_norm(grid1d, grid1d.inverse(batch.rad[:, 0]) - limit, s)
+        rad_norm = sobolev_norm(grid1d, grid1d.inverse(batch.rad[:, 1]) - limit, s)
         shape_norm = sobolev_norm(grid1d, shapes[3:], s)
         assert rad_norm == pytest.approx(math.sqrt(eps) * shape_norm, rel=1e-12)
         assert math.sqrt(eps) * rad_norm == pytest.approx(eps * shape_norm, rel=1e-12)
@@ -153,8 +155,11 @@ class TestWellPreparedInit:
         base = _base_state(grid1d)
         sweep = (0.1, 0.05, 0.025)
         batch = well_prepared_init(base, sweep, amp)
-        assert batch.eps == sweep and batch.time == base.time
-        ratios = prepared_deviation(batch, base, 3) / np.array(sweep)
+        # The base is member 0, bit for bit.
+        assert batch.eps == (0.0, *sweep) and batch.time == base.time
+        for name in ("fluid", "spectrum", "rad"):
+            assert (getattr(batch, name)[:, :1] == getattr(base, name)).all()
+        ratios = prepared_deviation(batch, 3) / np.array(sweep)
         if amp == 0.0:
             assert max(ratios) < 1e-10
         else:

@@ -16,9 +16,6 @@ from radhydro.cli import main
 from radhydro.config import (
     MODES,
     RunConfig,
-    build_limit_initial,
-    build_prepared,
-    build_shapes,
     load_config,
     parse_config,
 )
@@ -118,7 +115,7 @@ class TestLoadConfig:
 class TestProfiles:
     def test_default_profiles_match_reference_setup(self):
         cfg = parse_config({"mode": "convergence-study"})
-        state = build_limit_initial(cfg)
+        state = cfg.limit_initial
         x = cfg.grid.coordinates()[0]
         # The limit system: the one-member batch eps = 0, its moments the
         # limit closure of its temperature.
@@ -142,7 +139,7 @@ class TestProfiles:
                 },
             }
         )
-        state = build_limit_initial(cfg)
+        state = cfg.limit_initial
         x = cfg.grid.coordinates()[0]
         assert np.abs(state.fluid[-1] - (2 + 0.5 * np.cos(2 * x))).max() < 1e-14
 
@@ -159,7 +156,7 @@ class TestProfiles:
         cfg = parse_config({"mode": "simulate-limit"})
         cfg = dataclasses.replace(cfg, profiles={**cfg.profiles, **bad})
         with pytest.raises(ValidationError, match="positive"):
-            build_limit_initial(cfg)
+            cfg.limit_initial
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("name", ["rho", "theta"])
@@ -171,7 +168,7 @@ class TestProfiles:
 
     def test_overflowing_shape_exits_2(self, tmp_path, monkeypatch, capsys):
         # Each value fits a float, but their sum and the L^2 norm that
-        # build_shapes divides by overflow.
+        # RunConfig.shapes divides by overflow.
         monkeypatch.setattr(radhydro.cli, "run", lambda *a, **k: pytest.fail("run started"))
         huge = [
             {"amplitude": 1e308, "wavenumber": [1], "kind": kind} for kind in ("sin", "cos")
@@ -252,7 +249,7 @@ class TestProfiles:
             },
         }
         cfg = parse_config(raw, mode="simulate-eps")
-        assert sobolev_norm(cfg.grid, build_shapes(cfg)[1], 0) == pytest.approx(1.0, rel=1e-12)
+        assert sobolev_norm(cfg.grid, cfg.shapes[1], 0) == pytest.approx(1.0, rel=1e-12)
 
     def test_shape_overrides_are_unit_normalized(self):
         cfg = parse_config(
@@ -266,7 +263,7 @@ class TestProfiles:
                 },
             }
         )
-        shapes = build_shapes(cfg)
+        shapes = cfg.shapes
         assert shapes.shape == (5, *cfg.grid.shape)
         assert sobolev_norm(cfg.grid, shapes[0], 0) == pytest.approx(1.0, rel=1e-12)
         # Shapes left out are zero, and stay zero.
@@ -366,13 +363,13 @@ class TestParseTimeEvaluation:
         # The parse builds it; the run reuses it. A config made by
         # dataclasses.replace builds its own.
         cfg = parse_config({"mode": "convergence-study"})
-        assert build_limit_initial(cfg) is build_limit_initial(cfg)
-        assert build_shapes(cfg) is build_shapes(cfg)
-        assert not build_shapes(cfg).flags.writeable
-        assert not build_limit_initial(cfg).rad.flags.writeable
+        assert cfg.limit_initial is cfg.limit_initial
+        assert cfg.shapes is cfg.shapes
+        assert not cfg.shapes.flags.writeable
+        assert not cfg.limit_initial.rad.flags.writeable
         hot = dataclasses.replace(cfg, profiles={**cfg.profiles, "theta": {"base": 2.0, "modes": []}})
-        assert (build_limit_initial(hot).fluid[-1] == 2.0).all()
-        assert (build_limit_initial(cfg).fluid[-1] != 2.0).any()
+        assert (hot.limit_initial.fluid[-1] == 2.0).all()
+        assert (cfg.limit_initial.fluid[-1] != 2.0).any()
 
     @pytest.mark.parametrize("mode", ["convergence-study", "simulate-eps"])
     def test_prepared_data_is_built_once_per_config(self, mode):
@@ -380,17 +377,20 @@ class TestParseTimeEvaluation:
         # object, read-only; a config made by dataclasses.replace builds
         # its own.
         cfg = parse_config({"mode": mode})
-        init = build_prepared(cfg)
-        assert init is build_prepared(cfg)
-        assert init.eps == (cfg.eps_list or (cfg.eps,))
+        init = cfg.prepared
+        assert init is cfg.prepared
+        assert init.eps == (0.0, *(cfg.eps_list or (cfg.eps,)))
         assert not any(a.flags.writeable for a in (init.fluid, init.spectrum, init.rad))
         moved = dataclasses.replace(cfg, perturbation_amp=0.5)
-        assert build_prepared(moved) is not init
-        assert (build_prepared(moved).fluid != init.fluid).any()
+        assert moved.prepared is not init
+        assert (moved.prepared.fluid != init.fluid).any()
 
     @pytest.mark.parametrize("mode", ["simulate-limit", "closure-check"])
     def test_no_prepared_data_without_eps_members(self, mode):
-        assert build_prepared(parse_config({"mode": mode})) is None
+        # simulate-limit marches the limit initial state alone; the
+        # closure check marches nothing.
+        cfg = parse_config({"mode": mode})
+        assert cfg.prepared is (cfg.limit_initial if mode == "simulate-limit" else None)
 
     @pytest.mark.parametrize("pair", [[1e308, 1e308], [0.0, 1.0], [1.0, -1.0]])
     def test_sigma_pair_the_closure_check_cannot_take_exits_2(self, pair, tmp_path, monkeypatch, capsys):

@@ -21,7 +21,7 @@ from radhydro.stepping import EpsBatch, cfl_dt, step_batch, step_eps
 
 from conftest import (
     eps_batch, limit_pair, limit_state, member, prepared_deviation, smooth_field, smooth_vector,
-    sobolev_norm, stack,
+    sobolev_norm, stack, with_limit,
 )
 
 PARAMS = FluidParams(mu=0.01, lam=0.01, kappa=0.01)
@@ -214,6 +214,36 @@ def test_fast_member_sets_the_shared_dt():
     assert len(steps) > np.ceil(t_out / dt_slow)
 
 
+def test_limit_run_takes_the_sweeps_dt(tmp_path, monkeypatch):
+    # One clock: the limit run is member 0 of the batch a study marches,
+    # so it steps with the sweep's dt. At amp 1 the members' lower
+    # density puts their diffusive bound below the limit run's own, which
+    # alone would reach t_end in 18 steps where the members take 20.
+    raw = {
+        "mode": "convergence-study",
+        "grid": {"n_dims": 1, "points": 64},
+        "fluid": {"mu": 0.05, "lambda": 0.0, "kappa": 0.05},
+        "dt_max": 1,
+        "t_end": 0.4,
+        "output_interval": 0.2,
+        "perturbation_amp": 1,
+        "out_dir": str(tmp_path),
+    }
+    cfg = parse_config(raw)
+    stable_dt = lambda b: cfl_dt(b, cfg.params, cfg.dt_max, cfg.cfl_advective, cfg.cfl_diffusive)
+    assert stable_dt(cfg.prepared) < stable_dt(cfg.limit_initial)
+    steps = {"limit": 0, "members": 0}
+    step = radhydro.stepping.step_eps
+
+    def counting(b, p, dt):
+        steps["limit" if b.eps == (0.0,) else "members"] += 1
+        return step(b, p, dt)
+
+    monkeypatch.setattr(radhydro.stepping, "step_eps", counting)
+    run(cfg)
+    assert steps == {"limit": 20, "members": 20}
+
+
 @pytest.mark.parametrize("n_dims,n", [(1, 64), (2, 32)])
 def test_batched_error_squares_match_error_fields(n_dims, n):
     grid = Grid(n_dims, n)
@@ -222,7 +252,7 @@ def test_batched_error_squares_match_error_fields(n_dims, n):
     limit = limit_state(grid, _state(grid, rng)[0])
     batch = _batch(grid, members, (0.1, 0.05, 0.025))
     indices = (0, 3, 4)
-    got = batch_error_squares(batch, limit, indices)
+    got = batch_error_squares(with_limit(limit, batch), indices)
     assert got.shape == (3, 2, 3)
     for e in range(len(members)):
         fluid, rad = member(batch, e)
@@ -330,12 +360,11 @@ def test_solver_path_builds_no_field_objects(n_dims, n, tmp_path):
     }
 
     batch = well_prepared_init(base, SWEEP, 1.0, default_perturbation_shapes(grid))
-    assert prepared_deviation(batch, base, 3).shape == (len(SWEEP),)
+    assert prepared_deviation(batch, 3).shape == (len(SWEEP),)
     dt = cfl_dt(batch, PARAMS, 0.01, 0.4, 0.4)
     assert dt == cfl_dt(base, PARAMS, 0.01, 0.4, 0.4)
-    batch = step_eps(step_batch(batch, PARAMS, dt), PARAMS, dt)
-    limit = step_batch(step_eps(base, PARAMS, dt), PARAMS, dt)
-    assert batch_error_squares(batch, limit, (0, 3)).shape == (2, 2, len(SWEEP))
+    batch = step_batch(step_batch(batch, PARAMS, dt), PARAMS, dt)
+    assert batch_error_squares(batch, (0, 3)).shape == (2, 2, len(SWEEP))
     for mode, config in configs.items():
         summary = run(config)
         assert summary.mode == mode

@@ -15,7 +15,7 @@ from radhydro.errors import BlowUp, NonPositiveState
 from radhydro.fluid import FluidParams
 from radhydro.radiation import emission_spectrum, limit_closure_residual, limit_spectrum
 from radhydro.spectral import Grid
-from radhydro.stepping import EpsBatch, step_eps
+from radhydro.stepping import EpsBatch, step_batch, step_eps
 
 from conftest import (
     dealias, emission_field, grad, laplacian, limit_pair, limit_state, radiation_rhs, smooth_field,
@@ -65,7 +65,8 @@ class TestRadiationRhs:
         assert np.abs(d1a[0] - 2 * d1b[0]).max() < 1e-12
 
     # The relaxation rate is 1/eps: a solver state rejects eps < 0, and
-    # eps = 0 except as the one member of the limit system.
+    # eps = 0 except as its first member, the limit system, which
+    # step_eps steps only alone and step_batch as a chunk of its own.
     def test_rejects_negative_eps(self, grid1d):
         fluid = stack(grid1d, 1.0, 0.0, 1.0)[:, None]
         rad = grid1d.forward(stack(grid1d, 1.0, 0.0))[:, None]
@@ -75,9 +76,19 @@ class TestRadiationRhs:
     def test_rejects_zero_beside_positive_eps(self, grid1d):
         fluid = np.repeat(stack(grid1d, 1.0, 0.0, 1.0)[:, None], 2, axis=1)
         rad = np.repeat(grid1d.forward(stack(grid1d, 1.0, 0.0))[:, None], 2, axis=1)
-        for eps in ((0.1, 0.0), (0.0, 0.1)):
-            with pytest.raises(ValueError, match="eps"):
-                EpsBatch(grid1d, eps, fluid, rad, 0.0)
+        with pytest.raises(ValueError, match="eps"):
+            EpsBatch(grid1d, (0.1, 0.0), fluid, rad, 0.0)
+        batch = EpsBatch(grid1d, (0.0, 0.1), fluid, rad, 0.0)
+        params = FluidParams(mu=0.01, lam=0.01, kappa=0.01)
+        with pytest.raises(ValueError, match="eps"):
+            step_eps(batch, params, 0.01)
+        stepped = step_batch(batch, params, 0.01)
+        assert stepped.eps == (0.0, 0.1) and stepped.time == 0.01
+        for e, eps in enumerate(batch.eps):
+            one = slice(e, e + 1)
+            alone = step_eps(EpsBatch(grid1d, (eps,), fluid[:, one], rad[:, one], 0.0), params, 0.01)
+            assert (stepped.fluid[:, one] == alone.fluid).all()
+            assert (stepped.rad[:, one] == alone.rad).all()
 
 
 class TestLimitBatchFailure:

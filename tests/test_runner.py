@@ -20,7 +20,7 @@ import radhydro.kinetic
 import radhydro.runner
 from radhydro.cli import main
 from radhydro.analysis import well_prepared_init
-from radhydro.config import build_limit_initial, build_shapes, parse_config
+from radhydro.config import parse_config
 from radhydro.errors import BlowUp, TimeMismatch
 from radhydro.runner import _open_series, _row, _sampled, _state_row, run
 from radhydro.stepping import step_batch
@@ -104,18 +104,13 @@ class TestSimulateModes:
     def test_overshooting_stepper_raises_time_mismatch(self, tmp_path, monkeypatch):
         # A stepper that jumps one time unit past the step it was asked
         # for misses the output time; the run must fail loudly (also under
-        # python -O) and name the eps value (or the limit run), the target
-        # and the time reached. Only the batch named in overshooting jumps:
-        # the limit run, the batch eps = 0, steps first at every sample and
-        # would otherwise fail simulate-eps before its member.
+        # python -O) and name the target, the time reached and the one
+        # batch it marches: by its eps member, the sweep, or the limit run
+        # when it marches no member.
         step = radhydro.runner.step_batch
-        overshooting = []
 
         def overshoot(state, p, dt):
-            out = step(state, p, dt)
-            if state.eps not in overshooting:
-                return out
-            return dataclasses.replace(out, time=state.time + dt + 1.0)
+            return dataclasses.replace(step(state, p, dt), time=state.time + dt + 1.0)
 
         monkeypatch.setattr(radhydro.runner, "step_batch", overshoot)
         raw = {
@@ -125,9 +120,8 @@ class TestSimulateModes:
             "output_interval": 0.05,
             "out_dir": str(tmp_path),
         }
-        for mode, eps, name in [("simulate-eps", (0.1,), r"eps = 0\.1"),
-                                ("simulate-limit", (0.0,), "limit run")]:
-            overshooting[:] = [eps]
+        for mode, name in [("simulate-eps", r"eps = 0\.1"), ("simulate-limit", "limit run"),
+                           ("convergence-study", "eps sweep")]:
             message = name + r": stepping to t = 0\.05 reached t = 1\.00"
             with pytest.raises(TimeMismatch, match=message):
                 run(parse_config({**raw, "mode": mode}))
@@ -362,22 +356,15 @@ class TestStreaming:
             assert fit["errors"] == [errors[eps][column].max() for eps in cfg.eps_list], key
 
         params, grid = cfg.params, cfg.grid
-        base = build_limit_initial(cfg)
-        init = well_prepared_init(base, cfg.eps_list, cfg.perturbation_amp, build_shapes(cfg))
-        lhs = prepared_deviation(init, base, cfg.acceptance_index) / cfg.eps_list
+        init = well_prepared_init(cfg.limit_initial, cfg.eps_list, cfg.perturbation_amp, cfg.shapes)
+        lhs = prepared_deviation(init, cfg.acceptance_index) / cfg.eps_list
         step = lambda b, dt: step_batch(b, params, dt)
-        limit_states = list(_sampled(base, step, params, cfg, "limit"))
-        batches = _sampled(init, step, params, cfg, "sweep")
         mass = lambda rho: rho.mean(axis=grid.axes) * grid.volume
-        limit_m = np.array([mass(s.fluid[0, 0]) for s in limit_states])
-        sweep_m = np.array([mass(b.fluid[0]) for b in batches])
-        drift = lambda m: np.abs(m - m[0]).max(axis=0) / np.abs(m[0])
+        m = np.array([mass(b.fluid[0]) for b in _sampled(init, step, params, cfg, "sweep")])
+        limit_drift, *drift = (np.abs(m - m[0]).max(axis=0) / np.abs(m[0])).tolist()
         tags = [f"{eps:g}" for eps in cfg.eps_list]
         assert summary.hypothesis["per_eps"] == dict(zip(tags, lhs.tolist()))
-        assert summary.conservation == {
-            "per_eps": dict(zip(tags, drift(sweep_m).tolist())),
-            "limit_run": float(drift(limit_m)),
-        }
+        assert summary.conservation == {"per_eps": dict(zip(tags, drift)), "limit_run": limit_drift}
 
         gammas = list(summary.gamma["per_eps"].values())
         values = {b["name"]: b["value"] for b in summary.bounds_report}
@@ -389,7 +376,7 @@ class TestStreaming:
             "gamma_halving_ratio": summary.gamma["max_halving_ratio"],
             "hypothesis_spread": summary.hypothesis["spread"],
             "closure_residual": limit["closure_residual"].max(),
-            "mass_drift": max(*drift(sweep_m).tolist(), float(drift(limit_m))),
+            "mass_drift": max(*drift, limit_drift),
         }
         # At amp 0.5 the default shapes put gamma / eps^2 near 316 from
         # t = 0, over the window of 100: that bound, and only it, misses.

@@ -1,4 +1,5 @@
-"""Seeded defects of the limit system (eps = 0) that the suite must catch.
+"""Seeded defects the suite must catch: of the limit system (eps = 0),
+of the eps system's kernels, and of the one clock of the marched batch.
 
 Each case applies a one-line mutation to a copy of the package and runs
 one named test on it in a fresh interpreter; that test must fail. The
@@ -6,8 +7,9 @@ text each mutation replaces must occur exactly once, so a change to the
 line fails here instead of leaving the mutation unapplied. On the
 unmutated package the named tests pass as part of this suite.
 
-Measured on the whole suite (``tests/``), each mutation also fails
-acceptance criteria: (a) 2, 4 and 5, (b) 9, (c) 1, 2 and 4.
+Measured on the acceptance suite, mutations (a), (b), (c) and (e) also
+fail criteria: (a) 2, 4 and 5, (b) 9, (c) 1, 2 and 4, (e) 1, 2, 4 and 8.
+(d), (f), (g) and (h) pass all ten; only their named tests catch them.
 """
 
 import os
@@ -45,6 +47,42 @@ MUTATIONS = {
         "        -k_sq * grid.half_helmholtz * mask,",
         "        k_sq * grid.half_helmholtz * mask,",
         "tests/test_linear_oracle.py::TestDispersion::test_step_limit[1d]",
+    ),
+    # (d) The substep's rotation at half its rate |k|/eps.
+    "half-rotation-rate": (
+        "stepping.py",
+        "    phase = grid.half_k_abs * tau",
+        "    phase = grid.half_k_abs * tau * 0.5",
+        "tests/test_kernel_oracle.py::test_substep_matches_oracle[1-64]",
+    ),
+    # (e) The eps heat source I0 - theta^4 with the sign of I0 flipped.
+    "eps-heat-sign": (
+        "fluid.py",
+        "        heat += rad[0]",
+        "        heat -= rad[0]",
+        "tests/test_fluid.py::TestFluidRhsEps::test_equilibrium_is_stationary",
+    ),
+    # (f) The 2/3 rule dropped from the product spectra.
+    "no-dealias-mask": (
+        "fluid.py",
+        "    mask = grid.half_dealias_mask.astype(complex)",
+        "    mask = np.ones(grid.half_shape, dtype=complex)",
+        "tests/test_half_spectrum.py::TestRhsAgainstOperatorAssembly::test_eps_form[1-64]",
+    ),
+    # (g) The radiation push eps I1 on the momentum with its sign flipped.
+    "radiation-push-sign": (
+        "fluid.py",
+        "        momentum += rad[1:] * eps",
+        "        momentum -= rad[1:] * eps",
+        "tests/test_fluid.py::TestFluidRhsEps::test_constant_radiation_push",
+    ),
+    # (h) Two clocks: the marched batch steps with the stable dt of its
+    # limit member alone, not the smallest of all its members.
+    "limit-member-clock": (
+        "runner.py",
+        "                state, params, config.dt_max,",
+        "                state._chunk(slice(1)), params, config.dt_max,",
+        "tests/test_lockstep.py::test_limit_run_takes_the_sweeps_dt",
     ),
 }
 
