@@ -17,7 +17,6 @@ from .errors import (
     NonPositiveState,
     NotInP1Subspace,
     ParseError,
-    PositivityLost,
     RadHydroError,
     TimeMismatch,
     ValidationError,

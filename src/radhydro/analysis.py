@@ -13,9 +13,11 @@ energy gamma = fluid + eps * radiation, whose sup-in-time should scale
 like eps^2, and the well-preparedness functional sqrt(fluid) +
 sqrt(eps) * sqrt(radiation) at t = 0, which must be O(eps).
 The prepared data of a whole sweep is built as one batch, after the
-limit data as member 0. The perturbation shapes of the prepared data are one (2n+3, *shape) array
-of unit-L^2 rows, in the field order rho, u_1..u_n, theta, I0,
-I1_1..I1_n of the states.
+limit data as member 0, and checked by the solver's positivity guard
+(``fluid.require_positive``). Its perturbation shapes are one
+(2n+3, *shape) array of unit-L^2 rows, in the field order rho,
+u_1..u_n, theta, I0, I1_1..I1_n of the states: the configured profile
+specs or the defaults, as ``RunConfig.shapes`` evaluates them.
 
 Observed convergence orders come from a least-squares line through
 (log eps, log error) over a sweep of eps values.
@@ -27,13 +29,12 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateFit, PositivityLost
-from .fluid import POSITIVITY_FLOOR
+from .errors import DegenerateFit
+from .fluid import require_positive
 from .spectral import Grid, sobolev_squares
 from .stepping import EpsBatch
 
 __all__ = [
-    "default_perturbation_shapes",
     "unit_rows",
     "batch_error_squares",
     "well_prepared_init",
@@ -52,30 +53,6 @@ def unit_rows(grid: Grid, rows: np.ndarray) -> tuple[np.ndarray, list[float]]:
     norms = [math.sqrt(sobolev_squares(grid, c, (0,))[0]) for c in grid.forward(rows)]
     scale = [1.0 / norm if norm != 0.0 else 1.0 for norm in norms]
     return rows * np.reshape(scale, (-1,) + (1,) * grid.n_dims), norms
-
-
-def default_perturbation_shapes(grid: Grid) -> np.ndarray:
-    """Low-wavenumber trigonometric shapes, each of unit L^2 norm, as
-    one (2n+3, *shape) array of rows rho, u_1..u_n, theta, I0,
-    I1_1..I1_n.
-
-    Fixed defaults keep prepared-data runs deterministic and reproducible;
-    override through the run configuration when studying other shapes.
-    """
-    x = grid.coordinates()
-    if grid.n_dims == 1:
-        rho = np.sin(x[0])
-        u = [np.cos(x[0])]
-        theta = np.sin(2.0 * x[0])
-        i0 = np.cos(2.0 * x[0])
-        i1 = [np.sin(3.0 * x[0])]
-    else:
-        rho = np.sin(x[0] + x[1])
-        u = [np.cos(x[0]), np.sin(x[1])]
-        theta = np.sin(2.0 * x[0])
-        i0 = np.cos(x[0] + x[1])
-        i1 = [np.sin(x[1]), np.cos(2.0 * x[0])]
-    return unit_rows(grid, np.stack([rho, *u, theta, i0, *i1]))[0]
 
 
 def batch_error_squares(batch: EpsBatch, indices) -> np.ndarray:
@@ -100,41 +77,30 @@ def batch_error_squares(batch: EpsBatch, indices) -> np.ndarray:
     return np.add.reduceat(per_field, [0, grid.n_dims + 2], axis=1)
 
 
-def well_prepared_init(
-    base: EpsBatch,
-    eps_values,
-    amp: float,
-    shapes: np.ndarray | None = None,
-) -> EpsBatch:
+def well_prepared_init(base: EpsBatch, eps_values, amp: float, shapes: np.ndarray) -> EpsBatch:
     """The batch a run marches: the limit data base (the one-member
     batch eps = 0) as member 0, copied bit for bit, then the prepared
     data of a sweep at distance O(eps) from it, a member per entry of
     eps_values.
 
-    The fluid fields deviate by eps*amp times the fixed shapes and the
+    The fluid fields deviate by eps*amp times their shapes and the
     radiation pair deviates from the limit closure the base carries by
     sqrt(eps)*amp times its shapes (the rows of the (2n+3, *shape)
-    ``shapes``, default ``default_perturbation_shapes``; unit L^2 norm
-    each), so the weighted initial-deviation functional is amp-many multiples of eps with an
-    eps-independent constant. The fluid spectrum is built the same way,
-    from the base state's spectrum and the shapes', so at amp = 0 the
-    fluid spectrum is exactly the base state's and the moments are
-    exactly the base's limit closure.
+    ``shapes``, as ``RunConfig.shapes`` gives them; unit L^2 norm each),
+    so the weighted initial-deviation functional is amp-many multiples of
+    eps with an eps-independent constant. The fluid spectrum is built
+    the same way, from the base state's spectrum and the shapes', so at
+    amp = 0 the fluid spectrum is exactly the base state's and the
+    moments are exactly the base's limit closure.
 
     Raises:
-        PositivityLost: if the perturbed rho or theta of a member is below
-            the positivity floor (the first such member in the order of
-            eps_values, rho before theta), naming its eps, the base time, the
-            field and its minimum.
+        NonPositiveState: if the perturbed rho or theta of a member is
+            below the positivity floor (``require_positive``: the first
+            such member in the order of eps_values, rho before theta),
+            naming its eps, the base time, the field and its minimum.
     """
     eps = tuple(float(e) for e in eps_values)
-    if not eps or min(eps) <= 0.0:
-        raise ValueError(f"eps values must be positive, got {eps_values!r}")
-    if amp < 0.0:
-        raise ValueError(f"amp must be nonnegative, got {amp}")
     grid = base.grid
-    if shapes is None:
-        shapes = default_perturbation_shapes(grid)
     n = grid.n_dims
     dev = shapes[:, None]
     dev_hat = grid.forward(dev)
@@ -143,14 +109,7 @@ def well_prepared_init(
     fluid_scale = np.reshape([e * amp for e in eps], member)
     rad_scale = np.reshape([math.sqrt(e) * amp for e in eps], member)
     fluid = base.fluid + dev[: n + 2] * fluid_scale
-    for e, rho, theta in zip(eps, fluid[0], fluid[-1]):
-        for field, low in (("rho", rho.min()), ("theta", theta.min())):
-            if low < POSITIVITY_FLOOR:
-                raise PositivityLost(
-                    f"perturbation amp={amp} destroys positivity at eps={e}: min {field}"
-                    f" = {low:.3e} is below the floor {POSITIVITY_FLOOR:g}",
-                    eps=e, time=base.time, field=field, minimum=float(low), floor=POSITIVITY_FLOOR,
-                )
+    require_positive(fluid, eps, base.time)
     joined = lambda base_rows, rows: np.concatenate([base_rows, rows], axis=1)
     spectrum = joined(base.spectrum, base.spectrum + dev_hat[: n + 2] * fluid_scale)
     rad = joined(base.rad, base.rad + dev_hat[n + 2 :] * rad_scale)

@@ -3,12 +3,15 @@
 Unknown keys are errors, never silently ignored; every accepted config
 is echoed back fully resolved so a run can be reproduced from its own
 summary. Initial profiles are sums of trigonometric modes over a
-constant background, which keeps runs deterministic and diffable.
+constant background, which keeps runs deterministic and diffable; the
+default perturbation shapes are profile specs too (``_default_shapes``),
+so configured and default shapes are built by one path.
 
 A config that passes the schema is then evaluated once on what its run
 starts from, with the run's own builders and kernels (``_admit``); a
 row of it that is not finite, or initial data below the positivity
-floor, fails the parse naming the config field (exit code 2). The
+floor (the solver's own guard, ``fluid.require_positive``), fails the
+parse naming the config field (exit code 2). The
 initial data built there stays on the config, and the run marches from
 it: ``limit_initial``, the limit state, and ``prepared``, the batch of
 that state and the prepared data of the eps members.
@@ -18,16 +21,15 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
-from .analysis import (
-    batch_error_squares, default_perturbation_shapes, unit_rows, well_prepared_init
-)
-from .errors import ParseError, PositivityLost, ValidationError
-from .fluid import POSITIVITY_FLOOR, FluidParams, _rhs_common
+from .analysis import batch_error_squares, unit_rows, well_prepared_init
+from .errors import NonPositiveState, ParseError, ValidationError
+from .fluid import POSITIVITY_FLOOR, FluidParams, _rhs_common, require_positive
 from .kinetic import make_ordinates
 from .radiation import limit_spectrum
 from .spectral import Grid, sobolev_squares
@@ -54,6 +56,9 @@ MAX_CELLS = 2**20
 # coarse grid the cap bounds them (1D uses two directions, so only 2D
 # grids can exceed it).
 MAX_INTENSITY_VALUES = 2**26
+# Smallest eps a run marches: gamma / eps^2 and the eps-scaled terms of
+# a step need eps^2 to be a normal float (2^-1022, so eps >= 2^-511).
+MIN_EPS = math.sqrt(sys.float_info.min)
 # Largest Sobolev index of a norm: grids at desk scale cannot resolve
 # the (1 + |k|^2)^s weights of higher ones meaningfully.
 MAX_SOBOLEV_INDEX = 6
@@ -142,35 +147,35 @@ class RunConfig:
         """
         grid, profiles = self.grid, self.profiles
         rows = [profiles["rho"], *profiles["u"], profiles["theta"]]
-        y = np.stack([_profile_values(grid, spec) for spec in rows])
-        for name, low in (("rho", y[0].min()), ("theta", y[-1].min())):
-            if low < POSITIVITY_FLOOR:
-                message = f"initial values must be positive, min is {low:.3g}"
-                _fail(f"profiles.{name}", f"{message} (the floor is {POSITIVITY_FLOOR:g})")
-        closure = limit_spectrum(grid, y[-1])[:, None]
+        y = np.stack([_profile_values(grid, spec) for spec in rows])[:, None]
+        try:
+            require_positive(y)
+        except NonPositiveState as exc:
+            message = f"initial values must be positive, min is {exc.minimum:.3g}"
+            _fail(f"profiles.{exc.field}", f"{message} (the floor is {POSITIVITY_FLOOR:g})")
+        closure = limit_spectrum(grid, y[-1, 0])[:, None]
         closure.setflags(write=False)
-        return EpsBatch(grid, (0.0,), y[:, None], closure, 0.0)
+        return EpsBatch(grid, (0.0,), y, closure, 0.0)
 
     @cached_property
     def shapes(self) -> np.ndarray:
-        """Perturbation shapes, configured override or the fixed
-        defaults, as one (2n+3, *shape) array of rows rho, u_1..u_n,
-        theta, I0, I1_1..I1_n.
+        """Perturbation shapes, the configured specs or the defaults
+        (``_default_shapes``), as one (2n+3, *shape) array of rows rho,
+        u_1..u_n, theta, I0, I1_1..I1_n.
 
-        Configured shapes are normalized to unit L^2 norm, matching the
-        defaults' convention; a shape of norm zero stays zero, and one of
-        norm that is not finite raises a ValidationError naming it.
+        Every shape is normalized to unit L^2 norm; a shape of norm zero
+        stays zero, and one of norm that is not finite raises a
+        ValidationError naming it.
         """
         grid, raw = self.grid, self.perturbation_shapes
         if raw is None:
-            shapes = default_perturbation_shapes(grid)
-        else:
-            specs = [raw["rho"], *raw["u"], raw["theta"], raw["I0"], *raw["I1"]]
-            shapes, norms = unit_rows(grid, np.stack([_profile_values(grid, s) for s in specs]))
-            vector = lambda key: [f"{key}[{i}]" for i in range(grid.n_dims)]
-            rows = ["rho", *vector("u"), "theta", "I0", *vector("I1")]
-            message = "the shape's L^2 norm on the grid is not finite"
-            _require_finite(norms, rows, "perturbation_shapes.{}", message)
+            raw = _default_shapes(grid.n_dims)
+        specs = [raw["rho"], *raw["u"], raw["theta"], raw["I0"], *raw["I1"]]
+        shapes, norms = unit_rows(grid, np.stack([_profile_values(grid, s) for s in specs]))
+        vector = lambda key: [f"{key}[{i}]" for i in range(grid.n_dims)]
+        rows = ["rho", *vector("u"), "theta", "I0", *vector("I1")]
+        message = "the shape's L^2 norm on the grid is not finite"
+        _require_finite(norms, rows, "perturbation_shapes.{}", message)
         shapes.setflags(write=False)
         return shapes
 
@@ -190,7 +195,7 @@ class RunConfig:
         amp = self.perturbation_amp
         try:
             init = well_prepared_init(self.limit_initial, sweep, amp, self.shapes)
-        except PositivityLost as exc:
+        except NonPositiveState as exc:
             _fail(
                 "perturbation_amp",
                 f"{amp:g} leaves the prepared data non-positive: min {exc.field} ="
@@ -293,6 +298,23 @@ def _default_profiles(n_dims: int) -> dict:
     wave = lambda base, kind: {"base": base, "modes": [mode(kind)]}
     u = [wave(0.0, "sin")] + [{"base": 0.0, "modes": []}] * (n_dims - 1)
     return {"rho": wave(1.0, "sin"), "u": u, "theta": wave(1.0, "cos")}
+
+
+def _default_shapes(n_dims: int) -> dict:
+    """The default perturbation shapes: one low-wavenumber mode of
+    amplitude 1 per row, over base 0 (``RunConfig.shapes`` normalizes
+    them)."""
+    wave = lambda kind, *k: {
+        "base": 0.0, "modes": [{"amplitude": 1.0, "wavenumber": list(k), "kind": kind}]
+    }
+    if n_dims == 1:
+        rows = wave("sin", 1), [wave("cos", 1)], wave("sin", 2), wave("cos", 2), [wave("sin", 3)]
+    else:
+        rows = (
+            wave("sin", 1, 1), [wave("cos", 1, 0), wave("sin", 0, 1)], wave("sin", 2, 0),
+            wave("cos", 1, 1), [wave("sin", 0, 1), wave("cos", 2, 0)],
+        )
+    return dict(zip(("rho", "u", "theta", "I0", "I1"), rows))
 
 
 def _validate_fields(raw, name: str, defaults: dict, grid: Grid) -> dict:
@@ -471,6 +493,11 @@ def parse_config(raw: dict, mode: str | None = None) -> RunConfig:
         if any(a <= b for a, b in zip(eps_list, eps_list[1:])):
             _fail("eps_list", "must be strictly decreasing")
     cfg["eps_list"] = eps_list
+    marched = {"simulate-eps": (cfg["eps"],), "convergence-study": eps_list}.get(cfg_mode, ())
+    if any(e < MIN_EPS for e in marched):
+        key = "eps" if cfg_mode == "simulate-eps" else "eps_list"
+        bound = f"{MIN_EPS} = 2^-511, the smallest eps whose square is a normal float"
+        _fail(key, f"{min(marched)} is below {bound}")
 
     t_end = cfg["t_end"] = _number(raw, "t_end", 0.5, positive=True)
     output_interval = cfg["output_interval"] = _number(raw, "output_interval", 0.025, positive=True)

@@ -40,10 +40,6 @@ class NonPositiveState(SolverFailure):
         self.margin = None if minimum is None else minimum - floor
 
 
-class PositivityLost(NonPositiveState):
-    """Constructed initial data violated positivity of rho or theta."""
-
-
 class BlowUp(SolverFailure):
     """Non-finite values detected during time integration."""
 

@@ -88,7 +88,7 @@ def test_criterion_03_well_prepared_hypothesis():
     details = []
     ok = True
     for amp in (0.0, 1.0):
-        batch = well_prepared_init(base, config.eps_list, amp)
+        batch = well_prepared_init(base, config.eps_list, amp, config.shapes)
         ratios = list(prepared_deviation(batch, 3) / np.array(config.eps_list))
         if max(ratios) < 1e-12:
             spread = 1.0

@@ -6,13 +6,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from radhydro.analysis import (
-    batch_error_squares,
-    default_perturbation_shapes,
-    fit_rate,
-    well_prepared_init,
-)
-from radhydro.errors import DegenerateFit, PositivityLost
+from radhydro.analysis import batch_error_squares, fit_rate, well_prepared_init
+from radhydro.config import parse_config
+from radhydro.errors import DegenerateFit, NonPositiveState
 from radhydro.fluid import POSITIVITY_FLOOR
 from radhydro.radiation import limit_spectrum
 from radhydro.spectral import Grid
@@ -33,6 +29,13 @@ from conftest import (
 def _base_state(grid):
     x = grid.coordinates()[0]
     return limit_state(grid, stack(grid, 1 + 0.1 * np.sin(x), 0.1 * np.sin(x), 1 + 0.1 * np.cos(x)))
+
+
+def _config_shapes(grid, **raw):
+    """The perturbation shapes of a config on grid: the defaults, or
+    those of the perturbation_shapes in raw."""
+    grid_raw = {"n_dims": grid.n_dims, "points": grid.points_per_dim}
+    return parse_config({"mode": "simulate-limit", "grid": grid_raw, **raw}).shapes
 
 
 def _offset_batch(grid, base, d_fluid=0.0, d_rad=0.0, eps=0.1):
@@ -129,7 +132,7 @@ class TestEnergy:
 class TestWellPreparedInit:
     def test_amp_zero_is_exactly_consistent(self, grid1d):
         base = _base_state(grid1d)
-        batch = well_prepared_init(base, (0.05,), 0.0)
+        batch = well_prepared_init(base, (0.05,), 0.0, _config_shapes(grid1d))
         squares = batch_error_squares(batch, (3,))[0, :, 0]
         rec = _energies(*squares.tolist(), 0.05)
         assert rec.full_energy < 1e-13
@@ -142,7 +145,7 @@ class TestWellPreparedInit:
         base = _base_state(grid1d)
         eps = 0.04
         s = 3
-        shapes = default_perturbation_shapes(grid1d)
+        shapes = _config_shapes(grid1d)
         batch = well_prepared_init(base, (eps,), 1.0, shapes)
         limit = stack(grid1d, *limit_pair(grid1d, base.fluid[-1, 0]))
         rad_norm = sobolev_norm(grid1d, grid1d.inverse(batch.rad[:, 1]) - limit, s)
@@ -154,7 +157,7 @@ class TestWellPreparedInit:
     def test_deviation_over_eps_is_eps_independent(self, grid1d, amp):
         base = _base_state(grid1d)
         sweep = (0.1, 0.05, 0.025)
-        batch = well_prepared_init(base, sweep, amp)
+        batch = well_prepared_init(base, sweep, amp, _config_shapes(grid1d))
         # The base is member 0, bit for bit.
         assert batch.eps == (0.0, *sweep) and batch.time == base.time
         for name in ("fluid", "spectrum", "rad"):
@@ -170,27 +173,40 @@ class TestWellPreparedInit:
         # One (2n+3, *shape) array: rho, u, theta, I0, I1, each of unit
         # L^2 norm; rho is sin(x) in 1D and sin(x + y) in 2D.
         grid = Grid(n_dims, 16)
-        shapes = default_perturbation_shapes(grid)
+        shapes = _config_shapes(grid)
         assert shapes.shape == (2 * n_dims + 3, *grid.shape)
         norms = [sobolev_norm(grid, row, 0) for row in shapes]
         assert norms == pytest.approx([1.0] * len(shapes), rel=1e-14)
         x = grid.coordinates()
         rho = np.sin(sum(x))
         assert np.abs(shapes[0] - rho / np.sqrt(np.sum(rho**2) * grid.cell_volume)).max() < 1e-14
+        # The defaults are the table of profile specs below, written out
+        # as a config, bit for bit.
+        wave = lambda kind, *k: {"modes": [{"amplitude": 1.0, "wavenumber": list(k), "kind": kind}]}
+        if n_dims == 1:
+            rows = wave("sin", 1), [wave("cos", 1)], wave("sin", 2), wave("cos", 2), [wave("sin", 3)]
+        else:
+            rows = (
+                wave("sin", 1, 1), [wave("cos", 1, 0), wave("sin", 0, 1)], wave("sin", 2, 0),
+                wave("cos", 1, 1), [wave("sin", 0, 1), wave("cos", 2, 0)],
+            )
+        table = dict(zip(("rho", "u", "theta", "I0", "I1"), rows))
+        assert np.array_equal(shapes, _config_shapes(grid, perturbation_shapes=table))
 
     def test_positivity_guard(self, grid1d):
         base = _base_state(grid1d)
-        with pytest.raises(PositivityLost, match="eps=0.25"):
-            well_prepared_init(base, (0.01, 0.25), 30.0)
+        with pytest.raises(NonPositiveState, match="eps = 0.25"):
+            well_prepared_init(base, (0.01, 0.25), 30.0, _config_shapes(grid1d))
 
     def test_positivity_guard_names_field_and_margin(self, grid1d):
         # Like a solver failure: the member's eps, the time, the field and
         # how far its minimum fell below the floor.
         base = _base_state(grid1d)
-        with pytest.raises(PositivityLost) as info:
-            well_prepared_init(base, (0.01, 0.25), 30.0)
+        shapes = _config_shapes(grid1d)
+        with pytest.raises(NonPositiveState) as info:
+            well_prepared_init(base, (0.01, 0.25), 30.0, shapes)
         exc = info.value
-        low = (base.fluid[0] + 0.25 * 30.0 * default_perturbation_shapes(grid1d)[0]).min()
+        low = (base.fluid[0] + 0.25 * 30.0 * shapes[0]).min()
         assert (exc.eps, exc.time, exc.field, exc.minimum) == (0.25, 0.0, "rho", low)
         assert exc.margin == low - POSITIVITY_FLOOR < 0.0
         assert f"min rho = {low:.3e}" in str(exc)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import re
 import tracemalloc
 import warnings
@@ -291,6 +292,35 @@ class TestParseTimeEvaluation:
         code, err = _exit_code_and_err(tmp_path, monkeypatch, capsys, mode, raw)
         assert code == 2
         assert re.search(r"'perturbation_amp': 100 .* min rho = -4\.74 at eps = 0\.1\b", err)
+
+    @pytest.mark.parametrize(
+        "mode,key,raw",
+        [
+            ("simulate-eps", "eps", {"eps": 1e-200}),
+            ("convergence-study", "eps_list", {"eps_list": [0.1, 1e-100, 1e-200]}),
+        ],
+    )
+    def test_eps_whose_square_underflows_exits_2(self, mode, key, raw, tmp_path, monkeypatch,
+                                                  capsys):
+        # eps^2 is 0.0: these runs marched to t_end, wrote every CSV and
+        # then died dividing gamma by eps^2 (ZeroDivisionError, exit 1).
+        raw = {"grid": {"n_dims": 1, "points": 16}, "t_end": 0.05, "output_interval": 0.025, **raw}
+        code, err = _exit_code_and_err(tmp_path, monkeypatch, capsys, mode, raw)
+        assert code == 2 and "Traceback" not in err
+        bound = "1.4916681462400413e-154 = 2^-511, the smallest eps whose square is a normal float"
+        assert f"field '{key}': 1e-200 is below {bound}" in err
+        # The floor itself is accepted, the float below it is not.
+        parse_config({**raw, key: 2.0**-511 if key == "eps" else [0.1, 0.01, 2.0**-511]}, mode)
+        with pytest.raises(ValidationError, match=f"'{key}'"):
+            low = math.nextafter(2.0**-511, 0.0)
+            parse_config({**raw, key: low if key == "eps" else [0.1, 0.01, low]}, mode)
+
+    def test_closure_check_takes_any_positive_eps(self, tmp_path):
+        # The closure check marches nothing, so the floor does not apply.
+        raw = {"grid": {"n_dims": 2, "points": 16}, "eps": 1e-200, "out_dir": str(tmp_path)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["closure-check", "--config", str(_write(tmp_path, raw))]) == 0
 
     @pytest.mark.parametrize("mode", ["convergence-study", "simulate-eps"])
     def test_overflowing_error_rows_exit_2(self, mode):

@@ -302,6 +302,7 @@ RETIRED = {
     "SpectralField", "VectorField", "grad", "div", "laplacian", "helmholtz_inverse", "dealias",
     "sobolev_norm", "limit_q", "emit_series", "KineticField", "StepControl", "p1_intensity",
     "CHUNK_CELLS", "_chunks", "_rows", "LimitState", "step_limit",
+    "default_perturbation_shapes", "PositivityLost",
 }
 
 
@@ -325,10 +326,12 @@ def test_solver_path_builds_no_field_objects(n_dims, n, tmp_path):
     # closure check on 8 ordinates, with configured perturbation
     # shapes). The package has no per-field layer to build: no module of
     # it imports the test helpers, binds a retired name (of the per-field
-    # layer, of the closure check's chunked array path, or of the limit
-    # system's own state class and stepper) at top level
-    # or defines a class of that name anywhere, and kinetic_rhs takes no
-    # as_moments keyword, since it only returns moments.
+    # layer, of the closure check's chunked array path, of the limit
+    # system's own state class and stepper, or of the hand-written
+    # default shapes and the prepared data's own positivity exception)
+    # at top level or defines a class of that name anywhere, and
+    # kinetic_rhs takes no as_moments keyword, since it only returns
+    # moments.
     for path in sorted(Path(radhydro.__file__).parent.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
@@ -341,7 +344,7 @@ def test_solver_path_builds_no_field_objects(n_dims, n, tmp_path):
         assert not RETIRED & set(_top_level_names(tree)), path
     assert "as_moments" not in inspect.signature(radhydro.kinetic.kinetic_rhs).parameters
 
-    from radhydro.analysis import default_perturbation_shapes, well_prepared_init
+    from radhydro.analysis import well_prepared_init
 
     grid = Grid(n_dims, n)
     base = limit_state(grid, _state(grid, np.random.default_rng(38))[0])
@@ -359,7 +362,8 @@ def test_solver_path_builds_no_field_objects(n_dims, n, tmp_path):
         for mode in ("convergence-study", "simulate-eps", "simulate-limit", "closure-check")
     }
 
-    batch = well_prepared_init(base, SWEEP, 1.0, default_perturbation_shapes(grid))
+    shapes = parse_config({"mode": "simulate-limit", "grid": {"n_dims": n_dims, "points": n}}).shapes
+    batch = well_prepared_init(base, SWEEP, 1.0, shapes)
     assert prepared_deviation(batch, 3).shape == (len(SWEEP),)
     dt = cfl_dt(batch, PARAMS, 0.01, 0.4, 0.4)
     assert dt == cfl_dt(base, PARAMS, 0.01, 0.4, 0.4)

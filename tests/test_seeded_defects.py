@@ -1,15 +1,18 @@
 """Seeded defects the suite must catch: of the limit system (eps = 0),
-of the eps system's kernels, and of the one clock of the marched batch.
+of the eps system's kernels and splitting, and of the one clock of the
+marched batch.
 
-Each case applies a one-line mutation to a copy of the package and runs
-one named test on it in a fresh interpreter; that test must fail. The
-text each mutation replaces must occur exactly once, so a change to the
-line fails here instead of leaving the mutation unapplied. On the
-unmutated package the named tests pass as part of this suite.
+Each case applies a mutation of one line (two for (i)) to a copy of the
+package and runs one named test on it in a fresh interpreter; that test
+must fail. The text each mutation replaces must occur exactly once, so
+a change to those lines fails here instead of leaving the mutation
+unapplied. On the unmutated package the named tests pass as part of
+this suite.
 
-Measured on the acceptance suite, mutations (a), (b), (c) and (e) also
-fail criteria: (a) 2, 4 and 5, (b) 9, (c) 1, 2 and 4, (e) 1, 2, 4 and 8.
-(d), (f), (g) and (h) pass all ten; only their named tests catch them.
+Measured on the acceptance suite, mutations (a), (b), (c), (e) and (i)
+also fail criteria: (a) 2, 4 and 5, (b) 9, (c) 1, 2 and 4, (e) 1, 2, 4
+and 8, (i) 4 and 9. (d), (f), (g) and (h) pass all ten; only their
+named tests catch them.
 """
 
 import os
@@ -83,6 +86,17 @@ MUTATIONS = {
         "                state, params, config.dt_max,",
         "                state._chunk(slice(1)), params, config.dt_max,",
         "tests/test_lockstep.py::test_limit_run_takes_the_sweeps_dt",
+    ),
+    # (i) Lie splitting: the fluid's RK4 step takes the frozen moments of
+    # t_n, then one substep covers the whole dt, so the eps members step
+    # at first order. The named test sees it in the radiation error.
+    "lie-splitting": (
+        "stepping.py",
+        "        propagator = _propagator(grid, eps, 0.5 * dt)\n"
+        "        rad_half = coupling = _substep(grid, b.rad, source, propagator)",
+        "        propagator = _propagator(grid, eps, dt)\n"
+        "        rad_half = coupling = b.rad",
+        "tests/test_runner.py::TestConvergenceStudy::test_time_error_is_small_against_the_model_error",
     ),
 }
 
