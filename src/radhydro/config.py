@@ -31,7 +31,7 @@ from .analysis import batch_error_squares, unit_rows, well_prepared_init
 from .errors import NonPositiveState, ParseError, ValidationError
 from .fluid import POSITIVITY_FLOOR, FluidParams, _rhs_common, require_positive
 from .kinetic import make_ordinates
-from .radiation import limit_spectrum
+from .radiation import emission_spectrum, limit_closure
 from .spectral import Grid, sobolev_squares
 from .stepping import EpsBatch, cfl_bounds
 
@@ -137,8 +137,8 @@ class RunConfig:
     @cached_property
     def limit_initial(self) -> EpsBatch:
         """The limit-system initial state of the profile spec, the
-        one-member batch eps = 0 with the limit closure of its
-        temperature.
+        one-member batch eps = 0 whose moments are the limit closure
+        of the theta^4 spectrum it carries.
 
         Raises:
             ValidationError: naming the profile, if the rho or theta
@@ -153,9 +153,8 @@ class RunConfig:
         except NonPositiveState as exc:
             message = f"initial values must be positive, min is {exc.minimum:.3g}"
             _fail(f"profiles.{exc.field}", f"{message} (the floor is {POSITIVITY_FLOOR:g})")
-        closure = limit_spectrum(grid, y[-1, 0])[:, None]
-        closure.setflags(write=False)
-        return EpsBatch(grid, (0.0,), y, closure, 0.0)
+        source = emission_spectrum(grid, y[-1])
+        return EpsBatch(grid, (0.0,), y, limit_closure(grid, source), 0.0, source)
 
     @cached_property
     def shapes(self) -> np.ndarray:
@@ -194,15 +193,13 @@ class RunConfig:
             return None if self.mode == "closure-check" else self.limit_initial
         amp = self.perturbation_amp
         try:
-            init = well_prepared_init(self.limit_initial, sweep, amp, self.shapes)
+            return well_prepared_init(self.limit_initial, sweep, amp, self.shapes)
         except NonPositiveState as exc:
             _fail(
                 "perturbation_amp",
                 f"{amp:g} leaves the prepared data non-positive: min {exc.field} ="
                 f" {exc.minimum:.3g} at eps = {exc.eps:g}, below the floor {POSITIVITY_FLOOR:g}",
             )
-        init.rad.setflags(write=False)
-        return init
 
 
 # The top-level keys of a configuration: those of the echo.

@@ -14,9 +14,9 @@ torus, while the composite quantity it feeds equals the Helmholtz solve
 identically).
 
 Every function here works on arrays: temperatures are (..., *shape)
-values and the limit pair is returned as a half spectrum
-(``limit_spectrum``); ``grid.inverse`` of its flux rows gives the
-(n, *shape) values of q.
+values, and the limit pair (``limit_closure``) and its residual are
+half spectra made from the dealiased theta^4 spectrum every state
+carries; ``grid.inverse`` of the flux rows gives the values of q.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .spectral import Grid, sobolev_squares
 __all__ = [
     "emission_spectrum",
     "fourth_power",
-    "limit_spectrum",
+    "limit_closure",
     "limit_closure_residual",
 ]
 
@@ -52,28 +52,25 @@ def emission_spectrum(grid: Grid, theta: np.ndarray) -> np.ndarray:
     return source
 
 
-def limit_spectrum(grid: Grid, theta: np.ndarray) -> np.ndarray:
-    """Half spectrum of the limit pair (I0, q) of one temperature field.
+def limit_closure(grid: Grid, source: np.ndarray) -> np.ndarray:
+    """Half spectrum of the limit pair (I0, q), (1+n, E, *half_shape),
+    from the (E, *half_shape) dealiased theta^4 (``emission_spectrum``).
 
-    I0 = (I - Laplacian)^(-1) theta^4 (dealiased) and q = -grad I0, as
-    a (1+n, *half_shape) stack. mean(I0) = mean(theta^4) and the
-    Helmholtz identity holds to roundoff.
+    I0 = (I - Laplacian)^(-1) theta^4 and q = -grad I0. mean(I0) =
+    mean(theta^4) and the Helmholtz identity holds to roundoff.
     """
-    i0 = emission_spectrum(grid, theta) * grid.half_helmholtz
-    return np.concatenate([i0[None], -grid.half_ik * i0])
+    i0 = source * grid.half_helmholtz
+    return np.concatenate([i0[None], -grid.half_ik[:, None] * i0])
 
 
-def limit_closure_residual(grid: Grid, theta: np.ndarray, q: np.ndarray) -> float:
+def limit_closure_residual(grid: Grid, source: np.ndarray, q_hat: np.ndarray) -> float:
     """L^2 residual of the limit flux equation.
 
-    Measures || -grad(div q) + q + grad(theta^4) ||_0 (theta^4 dealiased)
-    for the (*shape) values of theta and the (n, *shape) values of q;
-    zero (to solver precision) exactly when q is the limit flux of
-    theta. The values of theta^4 and of q are transformed in one batch,
-    so the check sees q as sampled, not a spectrum it was built from.
+    Measures || -grad(div q) + q + grad(theta^4) ||_0 from the
+    (*half_shape) dealiased spectrum source of theta^4 and the
+    (n, *half_shape) half spectrum q_hat of q; zero (to roundoff)
+    exactly when q is the limit flux of theta. Nothing is transformed.
     """
-    spectra = grid.forward(np.concatenate([fourth_power(theta)[None], q]))
-    source, q_hat = spectra[0] * grid.half_dealias_mask, spectra[1:]
     ik = grid.half_ik
     residual = q_hat + ik * (source - np.sum(ik * q_hat, axis=0))
     return float(np.sqrt(sobolev_squares(grid, residual, (0,)).sum()))

@@ -26,8 +26,9 @@ run that fails leaves its series written up to the last completed
 sample and writes no summary. The modes differ only in the members they
 march, the files they write and the summary fields they fill.
 
-One routine gives every state-norm row (limit and eps), from the half
-spectra the state carries, with no transform. Time series go to CSV
+One routine gives every state-norm row (limit and eps), and
+``limit_closure_residual`` the limit row's closure residual, from the
+half spectra the state carries, with no transform. Time series go to CSV
 (one column per tracked quantity, 17 significant digits), run summaries
 to JSON with sorted keys. Identical configurations produce byte-identical files; wall
 time is therefore reported on the console only, never written to the
@@ -49,6 +50,7 @@ import numpy as np
 from .analysis import batch_error_squares, fit_rate
 from .config import RunConfig
 from .errors import DegenerateFit, TimeMismatch
+from .fluid import limit_rhs_residual
 from .kinetic import make_ordinates, moment_system_check, p1_basis
 from .radiation import limit_closure_residual
 from .spectral import sobolev_squares
@@ -178,8 +180,8 @@ def _error_header(config: RunConfig) -> list[str]:
 class _Marched:
     """The running values of a march that the summaries use.
 
-    closure_residual: largest limit closure residual (-inf when the limit
-        series is not written).
+    closure_residual: largest limit closure residual, with the t = 0
+        ``fluid.limit_rhs_residual`` (-inf without a limit series).
     limit_drift: relative mass drift of the limit run.
     sup: (index, fluid/radiation, member) sup-in-time error norms.
     initial: (fluid/radiation, member) squared error norms at the
@@ -222,6 +224,8 @@ def _march(
         if limit_csv is not None:
             header = _state_norm_header(config, with_radiation=False, extra=("closure_residual",))
             limit_fh = _open_series(stack, path(limit_csv), header)
+            base = config.limit_initial
+            closure = limit_rhs_residual(grid, base.fluid, base.spectrum, base.rad, params)
         error_fhs = [_open_series(stack, path(n), _error_header(config)) for n in error_csvs]
         if state_csv is not None:
             header = _state_norm_header(config, with_radiation=True)
@@ -230,8 +234,7 @@ def _march(
         for b in _sampled(init, step, params, config, name):
             dm = np.maximum(dm, np.abs(_mass(b.fluid[0], grid) - mass0))
             if limit_fh is not None:
-                q = grid.inverse(b.rad[1:, 0])
-                residual = limit_closure_residual(grid, b.fluid[-1, 0], q)
+                residual = limit_closure_residual(grid, b.source[0], b.rad[1:, 0])
                 closure = max(closure, residual)
                 row = _state_row(grid, b.time, b.spectrum[:, 0], indices)
                 limit_fh.write(_row(row + [residual]))

@@ -53,7 +53,7 @@ array, and every transform batches fields and members. The spectrum is
 built once from the initial values; after that RK4 runs as axpy
 operations on it, the right-hand side returns the half spectrum of the
 tendency, and each stage's values come from one inverse transform, so a
-right-hand side costs 2 + 2 transform calls and a steady Strang step
+right-hand side costs 2 + 2 transform calls and every Strang step
 9 forward + 12 inverse, as does every limit step. The half-substepped
 moments enter the right-hand side as spectra, added to its numerator
 spectra before their inverse transform, so they are never inverted.
@@ -64,22 +64,20 @@ checked on the values of every stage and finiteness after every step;
 a failure names the member's eps, the time, the field and, for
 positivity, the margin. Because the stable dt does not depend on eps
 (the exact substep is stable for every eps), one dt serves all members
-of an eps sweep. The dealiased theta^4 spectrum that closes one step
-also opens the next.
+of an eps sweep. Every batch carries the dealiased theta^4 spectrum
+of its temperatures; the one that closes a step opens the next.
 ``step_eps`` advances one chunk of members through this kernel;
 ``step_batch`` splits a batch into chunks (LOCKSTEP_CELLS).
 
 The limit system is the member eps = 0, its moments the limit closure
 of its temperature, alone or first in a batch of eps members that share
-its dt; ``step_batch`` steps it as a chunk of its own. At eps = 0 there
-is no propagator: the first half substep is skipped (the moments
-already sit on the closure of theta_n), the right-hand side takes no
-moments but forms the limit flux of each stage's temperature from the
-theta^4 row of its own product batch (four transform calls per stage,
-as for the eps system), and the closing substep returns the closure of
-the new theta^4 spectrum. So the step is RK4 on the fluid alone, and
-the moments it carries are the limit closure at every step. A failure
-of that member names the limit system (eps None).
+its dt; ``step_batch`` steps it as a chunk of its own. At eps = 0 no
+substep is taken: the right-hand side forms the limit flux of each
+stage's temperature from the theta^4 row of its own product batch
+(four transform calls per stage, as for the eps system), and the step
+closes with the limit closure of its new theta^4 spectrum
+(``radiation.limit_closure``). A failure of that member names the limit
+system (eps None).
 
 Viscous and heat terms ride inside the explicit RK4 stage under the
 diffusive bound of ``cfl_bounds``, taken from the spectral radius of
@@ -100,7 +98,7 @@ import numpy as np
 
 from .errors import BlowUp, located
 from .fluid import FluidParams, _rhs_common, require_positive
-from .radiation import emission_spectrum
+from .radiation import emission_spectrum, limit_closure
 from .spectral import Grid
 
 __all__ = [
@@ -156,13 +154,8 @@ def _substep(grid, coeffs: np.ndarray, source: np.ndarray, propagator):
     intensity and its negative gradient); the deviation from it rotates at
     rate |k|/eps while decaying as exp(-dt/eps). A semigroup: two steps of
     dt/2 compose to one step of dt exactly. source is (E, *half_shape);
-    every member advances by the same dt. At eps = 0 there is no
-    propagator (None): the result is the fixed point, the closure of
-    source, whatever coeffs.
+    every member advances by the same dt.
     """
-    if propagator is None:
-        i0 = source * grid.half_helmholtz
-        return np.concatenate([i0[None], -grid.half_ik[:, None] * i0])
     decay, damped_cos, damped_sin = propagator
     i0, i1 = coeffs[0], coeffs[1:]
     khat = grid.half_k_unit[:, None]
@@ -265,11 +258,11 @@ class EpsBatch:
     members, after the limit system (eps = 0) when it is the first.
 
     fluid: read-only (n+2, E, *shape) values of rho, u_1..u_n, theta.
-    rad: (1+n, E, *half_shape) half spectra of I0, I1_1..I1_n; at
-        eps = 0 the limit closure of theta.
-    source: (E, *half_shape) dealiased spectrum of theta^4 of this fluid,
-        or None when not yet computed; a step returns it, so the next
-        step's first half substep reuses it.
+    rad: read-only (1+n, E, *half_shape) half spectra of I0,
+        I1_1..I1_n; at eps = 0 the limit closure of theta.
+    source: read-only (E, *half_shape) dealiased spectrum of theta^4 of
+        fluid; built from the values when not given, carried by
+        ``step_eps``.
     spectrum: read-only (n+2, E, *half_shape) half spectrum of fluid;
         built from the values when not given, carried by ``step_eps``.
     """
@@ -288,18 +281,19 @@ class EpsBatch:
             raise ValueError(f"eps must be positive, or 0.0 first (the limit system): {self.eps}")
         if self.spectrum is None:
             object.__setattr__(self, "spectrum", self.grid.forward(self.fluid))
-        self.fluid.setflags(write=False)
-        self.spectrum.setflags(write=False)
+        if self.source is None:
+            object.__setattr__(self, "source", emission_spectrum(self.grid, self.fluid[-1]))
+        for array in (self.fluid, self.rad, self.source, self.spectrum):
+            array.setflags(write=False)
 
     def _chunk(self, members: slice) -> "EpsBatch":
-        source = None if self.source is None else self.source[members]
         return EpsBatch(
             self.grid,
             self.eps[members],
             self.fluid[:, members],
             self.rad[:, members],
             self.time,
-            source,
+            self.source[members],
             self.spectrum[:, members],
         )
 
@@ -318,8 +312,7 @@ def step_batch(b: EpsBatch, p: FluidParams, dt: float) -> EpsBatch:
     chunks += [slice(a, a + per_chunk) for a in range(int(limit), len(b.eps), per_chunk)]
     if len(chunks) <= 1:
         return step_eps(b, p, dt)
-    fluid, rad, spectrum = np.empty_like(b.fluid), np.empty_like(b.rad), np.empty_like(b.spectrum)
-    source = np.empty(rad.shape[1:], dtype=complex)
+    fluid, rad, source, spectrum = map(np.empty_like, (b.fluid, b.rad, b.source, b.spectrum))
     for members in chunks:
         part = step_eps(b._chunk(members), p, dt)
         fluid[:, members], rad[:, members] = part.fluid, part.rad
@@ -345,14 +338,11 @@ def step_eps(b: EpsBatch, p: FluidParams, dt: float) -> EpsBatch:
     if 0.0 in b.eps and b.eps != (0.0,):
         raise ValueError(f"eps = 0 (the limit system) steps alone, not beside eps {b.eps[1:]}")
     if b.eps == (0.0,):
-        # The moments already sit on the closure of theta_n, and the
-        # right-hand side forms the flux of each stage's own temperature.
-        members, propagator, rad_half, coupling = None, None, b.rad, None
+        members, coupling = None, None
     else:
         members = b.eps
-        source = b.source if b.source is not None else emission_spectrum(grid, b.fluid[-1])
         propagator = _propagator(grid, eps, 0.5 * dt)
-        rad_half = coupling = _substep(grid, b.rad, source, propagator)
+        coupling = _substep(grid, b.rad, b.source, propagator)
     fluid, spectrum = _rk4(
         grid,
         b.fluid,
@@ -363,7 +353,10 @@ def step_eps(b: EpsBatch, p: FluidParams, dt: float) -> EpsBatch:
         b.time,
     )
     source = emission_spectrum(grid, fluid[-1])
-    rad = _substep(grid, rad_half, source, propagator)
+    if members is None:
+        rad = limit_closure(grid, source)
+    else:
+        rad = _substep(grid, coupling, source, propagator)
     time = b.time + dt
     _require_finite(fluid, rad, members, time)
     return EpsBatch(grid, b.eps, fluid, rad, time, source, spectrum)

@@ -9,7 +9,7 @@ import pytest
 
 from radhydro.analysis import batch_error_squares
 from radhydro.fluid import _rhs_common, require_positive
-from radhydro.radiation import emission_spectrum, limit_spectrum
+from radhydro.radiation import emission_spectrum, limit_closure
 from radhydro.spectral import Grid, sobolev_squares
 from radhydro.stepping import EpsBatch, _propagator, _substep
 
@@ -107,6 +107,12 @@ def eps_batch(grid, eps, fluids, rads, time=0.0):
 def member(b, e=0):
     """(fluid values, moment values) of member e of a batch."""
     return b.fluid[:, e], b.grid.inverse(b.rad[:, e])
+
+
+def limit_spectrum(grid, theta):
+    """(1+n, *half_shape) half spectrum of the limit pair (I0, q) of one
+    temperature field, through ``limit_closure``."""
+    return limit_closure(grid, emission_spectrum(grid, theta)[None])[:, 0]
 
 
 def limit_state(grid, fluid, time=0.0):

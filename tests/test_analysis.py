@@ -10,12 +10,12 @@ from radhydro.analysis import batch_error_squares, fit_rate, well_prepared_init
 from radhydro.config import parse_config
 from radhydro.errors import DegenerateFit, NonPositiveState
 from radhydro.fluid import POSITIVITY_FLOOR
-from radhydro.radiation import limit_spectrum
 from radhydro.spectral import Grid
 from radhydro.stepping import EpsBatch
 
 from conftest import (
     limit_pair,
+    limit_spectrum,
     limit_state,
     prepared_deviation,
     smooth_field,

@@ -21,9 +21,8 @@ from radhydro.config import (
     parse_config,
 )
 from radhydro.errors import ConfigError, ParseError, ValidationError
-from radhydro.radiation import limit_spectrum
 
-from conftest import sobolev_norm
+from conftest import limit_spectrum, sobolev_norm
 
 
 def _write(tmp_path, payload):

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from radhydro.errors import NonPositiveState
-from radhydro.fluid import FluidParams
+from radhydro.fluid import FluidParams, limit_rhs_residual
 from conftest import (
-    dealias, div, emission_field, fluid_rhs, grad, laplacian, limit_pair, smooth_field, smooth_vector,
-    stack,
+    dealias, div, emission_field, fluid_rhs, grad, laplacian, limit_pair, limit_spectrum, smooth_field,
+    smooth_vector, sobolev_norm, stack,
 )
 
 
@@ -186,6 +186,23 @@ class TestFluidRhsLimit:
         a = fluid_rhs(grid2d, fluid, p, rad=rad, eps=0.7)
         b = fluid_rhs(grid2d, fluid, p)
         assert np.abs(a - b).max() < 1e-12
+
+    def test_limit_rhs_residual_measures_the_heat_source_gap(self, grid2d, rng):
+        # The limit right-hand side against the eps one at eps = 0: roundoff
+        # on the limit closure; with I0 raised by a constant c the eps heat
+        # source gains c, so the gap is the norm of the dealiased c / rho.
+        rho = 1.0 + smooth_field(grid2d, rng)
+        fluid = stack(grid2d, rho, smooth_vector(grid2d, rng), 1.0 + smooth_field(grid2d, rng))
+        y = fluid[:, None]
+        y_hat = grid2d.forward(y)
+        closure = limit_spectrum(grid2d, fluid[-1])[:, None]
+        p = _params(mu=0.01, kappa=0.01)
+        assert limit_rhs_residual(grid2d, y, y_hat, closure, p) < 1e-12
+        c = 0.01
+        raised = closure.copy()
+        raised[(0, 0) + (0,) * grid2d.n_dims] += c
+        gap = sobolev_norm(grid2d, dealias(grid2d, c / rho), 0)
+        assert limit_rhs_residual(grid2d, y, y_hat, raised, p) == pytest.approx(gap, rel=1e-10)
 
     def test_conduction_with_limit_flux(self, grid1d):
         # 1D temperature bump: d_theta = [kappa lap theta - div q0]/rho.

@@ -13,7 +13,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import radhydro.stepping
 from radhydro import cli
+from radhydro.config import parse_config
 from radhydro.fluid import FluidParams, _rhs_common
 from radhydro.kinetic import (
     kinetic_rhs,
@@ -23,9 +25,10 @@ from radhydro.kinetic import (
     p1_basis,
     p1_projection_residual,
 )
-from radhydro.radiation import emission_spectrum, limit_closure_residual, limit_spectrum
+from radhydro.radiation import emission_spectrum, limit_closure_residual
+from radhydro.runner import run
 from radhydro.spectral import Grid, sobolev_squares
-from radhydro.stepping import step_batch, step_eps
+from radhydro.stepping import EpsBatch, step_batch, step_eps
 
 from conftest import (
     dealias,
@@ -37,6 +40,7 @@ from conftest import (
     l2_inner,
     laplacian,
     limit_pair,
+    limit_spectrum,
     limit_state,
     smooth_field,
     smooth_vector,
@@ -296,19 +300,28 @@ class TestTransformBudget:
     def test_fluid_rhs_limit(self, n_dims, fft_calls):
         assert self._rhs_calls(n_dims, fft_calls, coupled=False) == self._counts(n_dims, 2, 2)
 
+    def test_batch(self, n_dims, fft_calls):
+        # A batch built from values transforms them and their theta^4,
+        # forward once each; it takes the moments as a half spectrum.
+        grid, fluid, rad, _ = self._state(n_dims)
+        rad_hat = grid.forward(rad)[:, None]
+        fft_calls.clear()
+        EpsBatch(grid, (0.1,), fluid[:, None], rad_hat, 0.0)
+        assert fft_calls == self._counts(n_dims, 2, 0)
+
     def test_step_eps(self, n_dims, fft_calls):
         # Four right-hand sides (2 + 2 each), the values of three later
-        # stages and of the result (one inverse each), and two half
-        # substeps (theta^4 forward each). The batch carries the fluid
-        # spectrum and holds the moments as a half spectrum, which the
-        # right-hand sides take as it is, so nothing is transformed
-        # forward to start a stage or a substep and the moments are never
-        # inverted; a step hands its closing theta^4 spectrum to the
-        # next one.
+        # stages and of the result (one inverse each), and the closing
+        # theta^4 (forward). The batch carries the fluid spectrum, the
+        # theta^4 spectrum that opens the step and the moments as a half
+        # spectrum, which the right-hand sides take as it is, so nothing
+        # is transformed forward to start a stage or a substep and the
+        # moments are never inverted; a step hands its closing theta^4
+        # spectrum to the next one. The first step costs the same.
         _, _, _, batch = self._state(n_dims)
         fft_calls.clear()
         s = step_eps(batch, PARAMS, 0.01)
-        assert fft_calls == self._counts(n_dims, 8 + 2, 12)
+        assert fft_calls == self._counts(n_dims, 8 + 1, 12)
         fft_calls.clear()
         step_eps(s, PARAMS, 0.01)
         assert fft_calls == self._counts(n_dims, 8 + 1, 12)
@@ -347,11 +360,38 @@ class TestTransformBudget:
         assert batch_sizes == [n_dims + 3, n_dims + 1] * 4 + [1]
 
     def test_limit_closure_residual(self, n_dims, fft_calls):
-        # theta^4 and the flux values in one forward batch, no inverse.
-        grid, fluid, rad, _ = self._state(n_dims)
+        # It takes the theta^4 spectrum and the flux rows the state carries.
+        grid, fluid, _, _ = self._state(n_dims)
+        state = limit_state(grid, fluid)
         fft_calls.clear()
-        limit_closure_residual(grid, fluid[-1], rad[1:])
-        assert fft_calls == self._counts(n_dims, 1, 0)
+        limit_closure_residual(grid, state.source[0], state.rad[1:, 0])
+        assert fft_calls == self._counts(n_dims, 0, 0)
+
+    @pytest.mark.parametrize(
+        "mode,extra", [("simulate-limit", {}), ("convergence-study", {"eps_list": [0.1, 0.05, 0.025]})]
+    )
+    def test_run_samples_cost_no_transform(
+        self, n_dims, mode, extra, fft_calls, monkeypatch, tmp_path
+    ):
+        # A parsed run transforms only in its steps (9 forward + 12
+        # inverse per step_eps call) and in the right-hand-side check of
+        # its limit initial state (two right-hand sides, 2 + 2 each): its
+        # eleven output samples cost no transform.
+        raw = {"grid": {"n_dims": n_dims, "points": 16}, "t_end": 0.05, "output_interval": 0.005}
+        config = parse_config({**raw, **extra}, mode=mode)
+        calls = []
+        step = radhydro.stepping.step_eps
+
+        def counted(*args):
+            calls.append(None)
+            return step(*args)
+
+        monkeypatch.setattr(radhydro.stepping, "step_eps", counted)
+        fft_calls.clear()
+        run(config, out_dir=str(tmp_path))
+        steps = len(calls)
+        assert steps > 0
+        assert fft_calls == self._counts(n_dims, 9 * steps + 4, 12 * steps + 4)
 
     @pytest.mark.parametrize("members", [1, 4])
     def test_lockstep_step(self, n_dims, members, fft_calls):
@@ -425,8 +465,8 @@ class TestNoFullComplexTransform:
         assert sobolev_squares(grid, grid.forward(values), (0, 2)).shape == (2, n_dims + 1)
 
         theta = f
-        q = grid.inverse(limit_spectrum(grid, theta)[1:])
-        assert limit_closure_residual(grid, theta, q) < 1e-12
+        source = emission_spectrum(grid, theta)
+        assert limit_closure_residual(grid, source, limit_spectrum(grid, theta)[1:]) < 1e-12
         assert emission_spectrum(grid, theta).shape == grid.half_shape
         assert limit_spectrum(grid, theta).shape == (1 + n_dims, *grid.half_shape)
         rad_values = grid.inverse(limit_spectrum(grid, theta))
@@ -453,7 +493,7 @@ def test_limit_q_matches_full_spectrum_formula(n_dims, n):
     grid = Grid(n_dims, n)
     theta = 1.0 + _random(grid, np.random.default_rng(13)) * 0.1
     i0 = _full_dealias(grid, _full(theta**4)) / (1.0 + _full_k_squared(grid))
-    got = grid.inverse(limit_spectrum(grid, theta)[1:])  # the flux the limit run checks
+    got = grid.inverse(limit_spectrum(grid, theta)[1:])  # the values of the limit flux
     assert got.shape == (n_dims, *grid.shape)
     for g, k in zip(got, _full_k(grid)):
         want = _full_values(-1j * k * i0)

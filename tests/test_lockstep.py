@@ -302,7 +302,7 @@ RETIRED = {
     "SpectralField", "VectorField", "grad", "div", "laplacian", "helmholtz_inverse", "dealias",
     "sobolev_norm", "limit_q", "emit_series", "KineticField", "StepControl", "p1_intensity",
     "CHUNK_CELLS", "_chunks", "_rows", "LimitState", "step_limit",
-    "default_perturbation_shapes", "PositivityLost",
+    "default_perturbation_shapes", "PositivityLost", "limit_spectrum",
 }
 
 
@@ -327,8 +327,9 @@ def test_solver_path_builds_no_field_objects(n_dims, n, tmp_path):
     # shapes). The package has no per-field layer to build: no module of
     # it imports the test helpers, binds a retired name (of the per-field
     # layer, of the closure check's chunked array path, of the limit
-    # system's own state class and stepper, or of the hand-written
-    # default shapes and the prepared data's own positivity exception)
+    # system's own state class, stepper and closure from temperatures, or
+    # of the hand-written default shapes and the prepared data's own
+    # positivity exception)
     # at top level or defines a class of that name anywhere, and
     # kinetic_rhs takes no as_moments keyword, since it only returns
     # moments.

@@ -3,9 +3,10 @@
 The relaxation tendencies are the test-local oracle
 (``conftest.radiation_rhs``) that the exact substep is checked against;
 the tests here hold the oracle itself to the equations. The limit pair
-comes from ``limit_spectrum`` and is checked through the reference
-operators of ``conftest``; the flux is taken as the limit run takes it,
-the values of the spectrum's flux rows.
+comes from ``limit_closure`` (through ``conftest.limit_spectrum``) and
+is checked through the reference operators of ``conftest``; the flux
+is taken as the values of the spectrum's flux rows, and the closure
+residual takes spectra, as the limit run does.
 """
 
 import numpy as np
@@ -13,13 +14,13 @@ import pytest
 
 from radhydro.errors import BlowUp, NonPositiveState
 from radhydro.fluid import FluidParams
-from radhydro.radiation import emission_spectrum, limit_closure_residual, limit_spectrum
+from radhydro.radiation import emission_spectrum, limit_closure_residual
 from radhydro.spectral import Grid
 from radhydro.stepping import EpsBatch, step_batch, step_eps
 
 from conftest import (
-    dealias, emission_field, grad, laplacian, limit_pair, limit_state, radiation_rhs, smooth_field,
-    sobolev_norm, stack,
+    dealias, emission_field, grad, laplacian, limit_pair, limit_spectrum, limit_state, radiation_rhs,
+    smooth_field, sobolev_norm, stack,
 )
 
 
@@ -29,8 +30,7 @@ def _theta_bump(grid, amp=0.1):
 
 
 def _limit_flux(grid, theta):
-    """(n, *shape) values of the limit flux, as the limit run forms them
-    for its closure residual."""
+    """(n, *shape) values of the limit flux."""
     return grid.inverse(limit_spectrum(grid, theta)[1:])
 
 
@@ -169,13 +169,16 @@ class TestLimitQ:
 
 
 class TestClosureResidual:
+    # The residual takes the theta^4 spectrum and the flux spectrum.
     def test_limit_flux_is_exact(self, grid2d, rng):
         theta = 1.0 + smooth_field(grid2d, rng)
-        assert limit_closure_residual(grid2d, theta, _limit_flux(grid2d, theta)) < 1e-11
+        source, q_hat = emission_spectrum(grid2d, theta), limit_spectrum(grid2d, theta)[1:]
+        assert limit_closure_residual(grid2d, source, q_hat) < 1e-11
 
     def test_zero_flux_leaves_emission_gradient(self, grid1d):
         theta = _theta_bump(grid1d)
-        residual = limit_closure_residual(grid1d, theta, np.zeros((1, *grid1d.shape)))
+        zero = np.zeros((1, *grid1d.half_shape), dtype=complex)
+        residual = limit_closure_residual(grid1d, emission_spectrum(grid1d, theta), zero)
         expected = sobolev_norm(grid1d, grad(grid1d, dealias(grid1d, theta**4)), 0)
         assert residual == pytest.approx(expected, rel=1e-12)
         assert residual > 0.1
@@ -186,6 +189,7 @@ class TestClosureResidual:
         x = grid1d.coordinates()[0]
         theta = _theta_bump(grid1d)
         bump = 0.01 * np.sin(x)
-        perturbed = _limit_flux(grid1d, theta) + bump
+        perturbed = grid1d.forward(_limit_flux(grid1d, theta) + bump)
         own = sobolev_norm(grid1d, -grad(grid1d, grad(grid1d, bump)[0])[0] + bump, 0)
-        assert limit_closure_residual(grid1d, theta, perturbed) == pytest.approx(own, abs=1e-6)
+        residual = limit_closure_residual(grid1d, emission_spectrum(grid1d, theta), perturbed)
+        assert residual == pytest.approx(own, abs=1e-6)

@@ -22,6 +22,7 @@ from radhydro.cli import main
 from radhydro.analysis import well_prepared_init
 from radhydro.config import parse_config
 from radhydro.errors import BlowUp, TimeMismatch
+from radhydro.fluid import limit_rhs_residual
 from radhydro.runner import _open_series, _row, _sampled, _state_row, run
 from radhydro.stepping import step_batch
 from radhydro.spectral import Grid
@@ -337,7 +338,9 @@ class TestStreaming:
         # %.16e round-trips doubles, so the summary's sup-in-time values
         # equal the maxima of the columns read back, exactly; the drifts
         # and the prepared-data report equal a reduction over every kept
-        # state of the same runs.
+        # state of the same runs. The closure bound is the larger of the
+        # column's maximum and the right-hand-side check of the limit
+        # initial state.
         cfg = _fast_study(
             grid={"n_dims": 1, "points": 16}, output_interval=0.02, perturbation_amp=0.5
         )
@@ -367,6 +370,8 @@ class TestStreaming:
         assert summary.conservation == {"per_eps": dict(zip(tags, drift)), "limit_run": limit_drift}
 
         gammas = list(summary.gamma["per_eps"].values())
+        base = cfg.limit_initial
+        rhs_check = limit_rhs_residual(grid, base.fluid, base.spectrum, base.rad, params)
         values = {b["name"]: b["value"] for b in summary.bounds_report}
         assert values == {
             "fluid_slope": summary.rate_fits["fluid_s3"]["slope"],
@@ -375,7 +380,7 @@ class TestStreaming:
             "gamma_over_eps2_max": max(gammas),
             "gamma_halving_ratio": summary.gamma["max_halving_ratio"],
             "hypothesis_spread": summary.hypothesis["spread"],
-            "closure_residual": limit["closure_residual"].max(),
+            "closure_residual": max(limit["closure_residual"].max(), rhs_check),
             "mass_drift": max(*drift, limit_drift),
         }
         # At amp 0.5 the default shapes put gamma / eps^2 near 316 from

@@ -1,6 +1,7 @@
 """Seeded defects the suite must catch: of the limit system (eps = 0),
-of the eps system's kernels and splitting, and of the one clock of the
-marched batch.
+of the eps system's kernels and splitting, of the fluid kernel's
+viscous heating and pressure work, and of the one clock of the marched
+batch.
 
 Each case applies a mutation of one line (two for (i)) to a copy of the
 package and runs one named test on it in a fresh interpreter; that test
@@ -10,9 +11,11 @@ unapplied. On the unmutated package the named tests pass as part of
 this suite.
 
 Measured on the acceptance suite, mutations (a), (b), (c), (e) and (i)
-also fail criteria: (a) 2, 4 and 5, (b) 9, (c) 1, 2 and 4, (e) 1, 2, 4
-and 8, (i) 4 and 9. (d), (f), (g) and (h) pass all ten; only their
-named tests catch them.
+also fail criteria: (a) 2, 4 and 5, (b) 9, (c) 1, 2, 4 and 5, (e) 1, 2,
+4, 5 and 8, (i) 4 and 9. Criterion 5 sees (c) and (e) in its
+right-hand-side check of the limit initial state. (d), (f), (g), (h),
+(j) and (k) pass all ten; only their named tests catch them ((j) and
+(k) also fail tests/test_fluid.py::TestStrain::test_1d_sin).
 """
 
 import os
@@ -28,28 +31,30 @@ import radhydro
 ROOT = Path(__file__).resolve().parent.parent
 
 MUTATIONS = {
-    # (a) The eps = 0 substep returns its input moments, not the closure
-    # of its source: the limit run's moments stay at the initial closure.
+    # (a) The eps = 0 step closes on its input moments, not on the
+    # closure of its closing theta^4 (the substep's fixed point): the
+    # limit run's moments stay at the initial closure.
     "substep-keeps-moments": (
         "stepping.py",
-        "        return np.concatenate([i0[None], -grid.half_ik[:, None] * i0])",
-        "        return coeffs",
+        "        rad = limit_closure(grid, source)",
+        "        rad = b.rad",
         "tests/test_stepping.py::TestStepLimit::test_closure_residual_enforced_throughout",
     ),
     # (b) The eps = 0 right-hand side takes the frozen closure of theta_n
     # instead of forming the flux of each stage's temperature.
     "frozen-limit-closure": (
         "stepping.py",
-        "        members, propagator, rad_half, coupling = None, None, b.rad, None",
-        "        members, propagator, rad_half, coupling = None, None, b.rad, b.rad",
+        "        members, coupling = None, None",
+        "        members, coupling = None, b.rad",
         "tests/test_stepping.py::TestStepLimit::test_local_self_convergence_order",
     ),
-    # (c) The limit heat symbol -|k|^2 (1 + |k|^2)^(-1) with its sign flipped.
+    # (c) The limit heat symbol -|k|^2 (1 + |k|^2)^(-1) with its sign
+    # flipped. Criterion 5 sees it in its right-hand-side check.
     "limit-heat-sign": (
         "fluid.py",
         "        -k_sq * grid.half_helmholtz * mask,",
         "        k_sq * grid.half_helmholtz * mask,",
-        "tests/test_linear_oracle.py::TestDispersion::test_step_limit[1d]",
+        "tests/test_acceptance.py::test_criterion_05_limit_closure_identity",
     ),
     # (d) The substep's rotation at half its rate |k|/eps.
     "half-rotation-rate": (
@@ -88,15 +93,31 @@ MUTATIONS = {
         "tests/test_lockstep.py::test_limit_run_takes_the_sweeps_dt",
     ),
     # (i) Lie splitting: the fluid's RK4 step takes the frozen moments of
-    # t_n, then one substep covers the whole dt, so the eps members step
-    # at first order. The named test sees it in the radiation error.
+    # t_n, then one substep from them with the closing theta^4 covers the
+    # whole dt, so the eps members step at first order. The named test
+    # sees it in the radiation error.
     "lie-splitting": (
         "stepping.py",
         "        propagator = _propagator(grid, eps, 0.5 * dt)\n"
-        "        rad_half = coupling = _substep(grid, b.rad, source, propagator)",
+        "        coupling = _substep(grid, b.rad, b.source, propagator)",
         "        propagator = _propagator(grid, eps, dt)\n"
-        "        rad_half = coupling = b.rad",
+        "        coupling = b.rad",
         "tests/test_runner.py::TestConvergenceStudy::test_time_error_is_small_against_the_model_error",
+    ),
+    # (j) The viscous heating coefficient 2 mu + lam of the squared
+    # normal strain rates without its factor 2 on mu.
+    "viscous-heating-coefficient": (
+        "fluid.py",
+        "    heating *= 2.0 * p.mu + p.lam",
+        "    heating *= p.mu + p.lam",
+        "tests/test_half_spectrum.py::TestRhsAgainstOperatorAssembly::test_limit_form[1-64]",
+    ),
+    # (k) The pressure work theta div u at half its size.
+    "half-pressure-work": (
+        "fluid.py",
+        "    quotients[n] -= theta * div_u",
+        "    quotients[n] -= 0.5 * theta * div_u",
+        "tests/test_half_spectrum.py::TestRhsAgainstOperatorAssembly::test_limit_form[1-64]",
     ),
 }
 
