@@ -1,11 +1,15 @@
 """Run configuration: strict JSON schema, defaults, profile builders.
 
-Unknown keys are errors, never silently ignored; every accepted config
-is echoed back fully resolved so a run can be reproduced from its own
-summary. Initial profiles are sums of trigonometric modes over a
-constant background, which keeps runs deterministic and diffable; the
-default perturbation shapes are profile specs too (``_default_shapes``),
-so configured and default shapes are built by one path.
+Each mode reads its own keys, at the top level (``MODE_KEYS``) and under
+"bounds" (``MODE_BOUNDS``). A key no mode reads is unknown and one only
+other modes read fails naming them, so no key is silently ignored; a
+key a mode does not read keeps its default on the RunConfig. Every
+accepted config is echoed back fully resolved, its mode's keys only,
+so a run can be reproduced from its own summary. Initial profiles are
+sums of trigonometric modes over a constant background, which keeps
+runs deterministic and diffable; the default perturbation shapes are
+profile specs too (``_default_shapes``), so configured and default
+shapes are built by one path.
 
 A config that passes the schema is then evaluated once on what its run
 starts from, with the run's own builders and kernels (``_admit``); a
@@ -75,6 +79,26 @@ DEFAULT_BOUNDS = {
     "moment_residual_max": 1e-10,
 }
 
+# The keys each mode reads, at the top level and under "bounds".
+_COMMON = {"mode", "grid", "profiles", "out_dir", "bounds"}
+_LIMIT = _COMMON | {
+    "fluid", "t_end", "output_interval", "dt_max", "cfl_advective", "cfl_diffusive",
+    "sobolev_indices",
+}
+_PREPARED = {"perturbation_amp", "perturbation_shapes"}
+MODE_KEYS = {
+    "simulate-eps": _LIMIT | _PREPARED | {"eps"},
+    "simulate-limit": _LIMIT,
+    "convergence-study": _LIMIT | _PREPARED | {"eps_list"},
+    "closure-check": _COMMON | {"eps", "ordinates", "sigma_pairs"},
+}
+MODE_BOUNDS = {
+    "simulate-eps": {"gamma_limit", "mass_drift_max"},
+    "simulate-limit": {"closure_residual_max", "mass_drift_max"},
+    "convergence-study": set(DEFAULT_BOUNDS) - {"moment_residual_max"},
+    "closure-check": {"moment_residual_max"},
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -117,19 +141,18 @@ class RunConfig:
 
     @property
     def echo(self) -> dict:
-        """The configuration as the JSON object that parses back to it,
-        every default filled in, so a run can be reproduced from its
-        own summary."""
-        echo = {f.name: getattr(self, f.name) for f in fields(self)}
-        del echo["n_dims"], echo["points"], echo["params"]
+        """The keys its mode reads (``MODE_KEYS``) as the JSON object
+        that parses back to the configuration, every default filled in,
+        so a run can be reproduced from its own summary."""
         p = self.params
-        return echo | {
+        echo = {f.name: getattr(self, f.name) for f in fields(self)} | {
             "grid": {"n_dims": self.n_dims, "points": self.points},
             "fluid": {"mu": p.mu, "lambda": p.lam, "kappa": p.kappa},
             "eps_list": None if self.eps_list is None else list(self.eps_list),
             "sobolev_indices": list(self.sobolev_indices),
             "sigma_pairs": [list(pair) for pair in self.sigma_pairs],
         }
+        return {key: value for key, value in echo.items() if key in MODE_KEYS[self.mode]}
 
     # The initial data, built once per config by its parse-time check and
     # shared with the run: the arrays are read-only, and a config made by
@@ -202,12 +225,18 @@ class RunConfig:
             )
 
 
-# The top-level keys of a configuration: those of the echo.
-_TOP_KEYS = {f.name for f in fields(RunConfig)} - {"n_dims", "points", "params"} | {"grid", "fluid"}
-
-
 def _fail(field_name: str, message: str):
     raise ValidationError(f"field '{field_name}': {message}")
+
+
+def _require_read(raw: dict, mode: str, table: dict, field: str) -> None:
+    """Fail for the first key of raw that mode does not read, naming the
+    modes that do; table maps each mode to the keys it reads, and field
+    formats a key as the config field it names."""
+    for key in raw:
+        if key not in table[mode]:
+            readers = ", ".join(m for m in MODES if key in table[m])
+            _fail(field.format(key), f"{mode} does not read it (read by {readers})")
 
 
 def _object(value, name: str, allowed) -> dict:
@@ -336,15 +365,17 @@ def _validate_fields(raw, name: str, defaults: dict, grid: Grid) -> dict:
     return out
 
 
-def _validate_bounds(raw) -> dict:
-    """The acceptance bounds with their defaults. Every run fails a bound
-    whose window holds no value it can take, so each window must be
-    nonempty: [low, high] for a slope, [r_squared_min, 1] for R^2 and
-    [0, limit] for gamma and the *_max limits of nonnegative values."""
-    bounds = dict(DEFAULT_BOUNDS)
+def _validate_bounds(raw, mode: str) -> dict:
+    """The acceptance bounds the mode reads (``MODE_BOUNDS``) with their
+    defaults. Every run fails a bound whose window holds no value it can
+    take, so each window must be nonempty: [low, high] for a slope,
+    [r_squared_min, 1] for R^2 and [0, limit] for gamma and the *_max
+    limits of nonnegative values."""
+    bounds = {key: v for key, v in DEFAULT_BOUNDS.items() if key in MODE_BOUNDS[mode]}
     if raw is None:
         return bounds
-    for key, value in _object(raw, "bounds", DEFAULT_BOUNDS).items():
+    _require_read(_object(raw, "bounds", DEFAULT_BOUNDS), mode, MODE_BOUNDS, "bounds.{}")
+    for key, value in raw.items():
         name = f"bounds.{key}"
         if value is None:
             continue
@@ -371,24 +402,26 @@ def _require_finite(rows, names, field_name: str, message: str) -> None:
 def _admit(config: RunConfig) -> None:
     """ValidationError naming the field unless what the run starts from
     is finite, row by row, and positive where it must be: in every mode
-    the limit initial state, its t = 0 norm rows, limit closure, the
-    steps to t_end at dt_max and at either CFL bound (MAX_STEPS each),
-    and the configured shapes; in the solver modes one limit
-    right-hand side; in the closure check the size of the kinetic
-    tendency of every sigma pair; in the eps modes the prepared data,
-    its t = 0 error rows and one eps right-hand side. Floating-point
-    warnings are silenced; every result is checked instead."""
+    the limit initial state and its limit closure; in the closure check
+    the size of the kinetic tendency of every sigma pair; in the solver
+    modes the t = 0 norm rows, one limit right-hand side and the steps
+    to t_end at dt_max and at either CFL bound (MAX_STEPS each); in the
+    eps modes the prepared data, its shapes, its t = 0 error rows and
+    one eps right-hand side. Floating-point warnings are silenced; every
+    result is checked instead."""
     grid, n, params = config.grid, config.n_dims, config.params
     names = ["rho", *["u"] * n, "theta"]
     with np.errstate(all="ignore"):
         base = config.limit_initial
+        _require_finite([base.rad], ["theta"], "profiles.{}", "its limit closure is not finite")
+        if config.mode == "closure-check":
+            _admit_sigma_pairs(config, grid.inverse(base.rad[:, 0]))
+            return
         norms = sobolev_squares(grid, base.spectrum[:, 0], config.sobolev_indices).T
         message = "the H^s norms of the initial profile are not finite"
         _require_finite(norms, names, "profiles.{}", message)
-        _require_finite([base.rad], ["theta"], "profiles.{}", "its limit closure is not finite")
-        if config.mode != "closure-check":
-            tend = _rhs_common(grid, base.fluid, base.spectrum, params)
-            _require_finite(tend, names, "profiles.{}", "the limit right-hand side is not finite")
+        tend = _rhs_common(grid, base.fluid, base.spectrum, params)
+        _require_finite(tend, names, "profiles.{}", "the limit right-hand side is not finite")
         bounds = cfl_bounds(grid, base.fluid, params, config.cfl_advective, config.cfl_diffusive)
         for field_name, bound, dt in zip(
             ("dt_max", "profiles", "fluid"),
@@ -399,12 +432,8 @@ def _admit(config: RunConfig) -> None:
             if not steps <= MAX_STEPS:
                 message = f"{bound} = {dt:.3g} implies {steps:.3g} time steps"
                 _fail(field_name, f"{message}, over the budget of {MAX_STEPS:g}")
-        if config.perturbation_shapes is not None:
-            config.shapes  # the L^2 norms of the configured shapes
-        if config.mode == "closure-check":
-            _admit_sigma_pairs(config, grid.inverse(base.rad[:, 0]))
-        init = config.prepared
-        if init is None or len(init.eps) == 1:
+        init = config.prepared  # in the eps modes, the shapes' L^2 norms too
+        if len(init.eps) == 1:
             return
         eps_key = "eps_list" if config.mode == "convergence-study" else "eps"
         squares = batch_error_squares(init, config.sobolev_indices)
@@ -445,7 +474,7 @@ def parse_config(raw: dict, mode: str | None = None) -> RunConfig:
         mode: Mode requested on the command line; must agree with the
             config's own "mode" field when both are present.
     """
-    _object(raw, "configuration", _TOP_KEYS)
+    _object(raw, "configuration", set().union(*MODE_KEYS.values()))
     cfg_mode = raw.get("mode", mode)
     if cfg_mode is None:
         _fail("mode", "missing (give it in the config or as the subcommand)")
@@ -453,6 +482,7 @@ def parse_config(raw: dict, mode: str | None = None) -> RunConfig:
         _fail("mode", f"expected one of {MODES}, got {cfg_mode!r}")
     if mode is not None and cfg_mode != mode:
         _fail("mode", f"config says {cfg_mode!r} but the subcommand is {mode!r}")
+    _require_read(raw, cfg_mode, MODE_KEYS, "{}")
 
     grid_raw = _object(raw.get("grid", {}), "grid", {"n_dims", "points"})
     n_dims = grid_raw.get("n_dims", 1)
@@ -540,7 +570,7 @@ def parse_config(raw: dict, mode: str | None = None) -> RunConfig:
     ordinates = cfg["ordinates"] = raw.get("ordinates", 8)
     if not isinstance(ordinates, int) or ordinates < 4 or ordinates % 2 != 0:
         _fail("ordinates", "expected an even integer >= 4")
-    if cfg_mode == "closure-check" and n_dims == 2 and points**2 * ordinates > MAX_INTENSITY_VALUES:
+    if n_dims == 2 and points**2 * ordinates > MAX_INTENSITY_VALUES:
         budget = f"the budget of {MAX_INTENSITY_VALUES} intensity values"
         _fail("ordinates", f"{points}^2 grid cells x {ordinates} ordinates exceed {budget}")
     sigma_raw = raw.get("sigma_pairs", [[1.0, 0.0], [1.0, 1.0]])
@@ -553,7 +583,7 @@ def parse_config(raw: dict, mode: str | None = None) -> RunConfig:
             message = f"expected sigma_a > 0 and sigma_s >= 0, got {list(sigma_raw[i])}"
             _fail(f"sigma_pairs[{i}]", message)
 
-    cfg["bounds"] = _validate_bounds(raw.get("bounds"))
+    cfg["bounds"] = _validate_bounds(raw.get("bounds"), cfg_mode)
     config = RunConfig(**cfg)
     _admit(config)
     return config

@@ -32,10 +32,10 @@ def _base_state(grid):
 
 
 def _config_shapes(grid, **raw):
-    """The perturbation shapes of a config on grid: the defaults, or
-    those of the perturbation_shapes in raw."""
+    """The perturbation shapes of a simulate-eps config on grid: the
+    defaults, or those of the perturbation_shapes in raw."""
     grid_raw = {"n_dims": grid.n_dims, "points": grid.points_per_dim}
-    return parse_config({"mode": "simulate-limit", "grid": grid_raw, **raw}).shapes
+    return parse_config({"mode": "simulate-eps", "grid": grid_raw, **raw}).shapes
 
 
 def _offset_batch(grid, base, d_fluid=0.0, d_rad=0.0, eps=0.1):

@@ -15,6 +15,9 @@ from hypothesis import strategies as st
 import radhydro.cli
 from radhydro.cli import main
 from radhydro.config import (
+    DEFAULT_BOUNDS,
+    MODE_BOUNDS,
+    MODE_KEYS,
     MODES,
     RunConfig,
     load_config,
@@ -321,6 +324,16 @@ class TestParseTimeEvaluation:
             warnings.simplefilter("error")
             assert main(["closure-check", "--config", str(_write(tmp_path, raw))]) == 0
 
+    def test_closure_check_takes_any_rho_and_u(self, tmp_path):
+        # The check samples theta and its limit closure only, so rho and u
+        # whose norms and right-hand side overflow do not stop it; it used
+        # to fail on the H^s norms of rho, which it never takes.
+        huge = {"rho": {"base": 1e200}, "u": [{"base": 1e200}, {"base": 0.0}]}
+        raw = {"grid": {"n_dims": 2, "points": 16}, "profiles": huge, "out_dir": str(tmp_path)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["closure-check", "--config", str(_write(tmp_path, raw))]) == 0
+
     @pytest.mark.parametrize("mode", ["convergence-study", "simulate-eps"])
     def test_overflowing_error_rows_exit_2(self, mode):
         # Only u deviates, so the prepared data stays positive, but the
@@ -355,9 +368,14 @@ class TestParseTimeEvaluation:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_overflowing_shape_exits_2_in_every_mode(self, mode):
+        # The eps modes build the shapes with their prepared data; the
+        # other modes do not read them.
         huge = [{"amplitude": 1e308, "wavenumber": [1], "kind": k} for k in ("sin", "cos")]
         raw = {"mode": mode, "perturbation_shapes": {"I1": [{"base": 0.0, "modes": huge}]}}
-        with pytest.raises(ValidationError, match=r"'perturbation_shapes.I1\[0\]'.*not finite"):
+        message = r"'perturbation_shapes.I1\[0\]'.*not finite"
+        if "perturbation_shapes" not in MODE_KEYS[mode]:
+            message = rf"'perturbation_shapes': {mode} does not read it"
+        with pytest.raises(ValidationError, match=message):
             parse_config(raw)
 
     @pytest.mark.parametrize("mode", MODES)
@@ -448,7 +466,7 @@ class TestParseTimeEvaluation:
             "sigma_pairs": [[2, 0.5]],
             "sobolev_indices": [2, 1],
         }
-        cfg = parse_config(raw)
+        cfg = parse_config({k: v for k, v in raw.items() if k in MODE_KEYS[mode]})
         assert parse_config(json.loads(json.dumps(cfg.echo))) == cfg
 
 
@@ -559,15 +577,97 @@ class TestWorkBudget:
         parse_config({"mode": "closure-check", "grid": grid, "ordinates": 4096})
         with pytest.raises(ValidationError, match="'ordinates'"):
             parse_config({"mode": "closure-check", "grid": grid, "ordinates": 4098})
-        # 1D always uses two directions, and the other modes build no
-        # intensity.
+        # 1D always uses two directions, and the other modes do not read
+        # ordinates.
         parse_config({"mode": "closure-check", "ordinates": 2**40})
-        parse_config({"mode": "simulate-limit", "grid": grid, "ordinates": 2**20})
+        with pytest.raises(ValidationError, match="'ordinates': simulate-limit does not read it"):
+            parse_config({"mode": "simulate-limit", "grid": grid, "ordinates": 2**20})
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("n_dims,points", [(1, 8), (1, 128), (2, 8), (2, 128)])
     def test_default_configs_accepted(self, mode, n_dims, points):
         parse_config({"mode": mode, "grid": {"n_dims": n_dims, "points": points}})
+
+
+# A value each top-level key but mode accepts in every mode that reads it.
+_VALID = {
+    "grid": {"n_dims": 1, "points": 16}, "profiles": {"rho": {"base": 2.0}},
+    "out_dir": "out", "bounds": {}, "fluid": {"mu": 0.02}, "t_end": 0.1,
+    "output_interval": 0.05, "dt_max": 0.01, "cfl_advective": 0.5, "cfl_diffusive": 0.5,
+    "sobolev_indices": [0, 2], "eps": 0.5, "eps_list": [0.1, 0.05, 0.025],
+    "perturbation_amp": 0.5, "perturbation_shapes": {"rho": {"base": 1.0}}, "ordinates": 16,
+    "sigma_pairs": [[1.0, 0.5]],
+}
+_KEYS = sorted(set().union(*MODE_KEYS.values()))
+_FOREIGN_KEYS = [(mode, key) for mode in MODES for key in _KEYS if key not in MODE_KEYS[mode]]
+_FOREIGN_BOUNDS = [
+    (mode, key) for mode in MODES for key in DEFAULT_BOUNDS if key not in MODE_BOUNDS[mode]
+]
+
+
+class TestModeSchema:
+    # Each mode reads its own keys (MODE_KEYS, and MODE_BOUNDS under
+    # "bounds"); a key that only other modes read fails the parse.
+    def test_settable_values_per_mode(self):
+        assert set(_VALID) | {"mode"} == set(_KEYS) and len(_KEYS) == 18
+        counts = {mode: len(MODE_KEYS[mode]) + len(MODE_BOUNDS[mode]) for mode in MODES}
+        assert counts == {
+            "simulate-eps": 17, "simulate-limit": 14, "convergence-study": 23, "closure-check": 9,
+        }
+        assert (len(_FOREIGN_KEYS), len(_FOREIGN_BOUNDS)) == (22, 23)
+
+    @staticmethod
+    def _readers(raw: dict) -> list:
+        """The modes that accept raw."""
+        readers = []
+        for mode in MODES:
+            try:
+                parse_config(raw, mode=mode)
+            except ValidationError:
+                continue
+            readers.append(mode)
+        return readers
+
+    @pytest.mark.parametrize(
+        "mode,raw,field",
+        [(mode, {key: _VALID[key]}, key) for mode, key in _FOREIGN_KEYS]
+        + [(mode, {"bounds": {key: DEFAULT_BOUNDS[key]}}, f"bounds.{key}")
+           for mode, key in _FOREIGN_BOUNDS],
+    )
+    def test_foreign_key_exits_2_naming_its_readers(self, mode, raw, field, tmp_path,
+                                                    monkeypatch, capsys):
+        code, err = _exit_code_and_err(tmp_path, monkeypatch, capsys, mode, raw)
+        assert code == 2 and "Traceback" not in err
+        pattern = rf"field '{re.escape(field)}': {mode} does not read it \(read by (.*)\)"
+        found = re.search(pattern, err)
+        assert found, err
+        # The modes the message names are those that accept the key.
+        assert found.group(1).split(", ") == self._readers(raw)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_default_echo_holds_exactly_the_mode_keys(self, mode):
+        cfg = parse_config({"mode": mode})
+        echo = json.loads(json.dumps(cfg.echo))
+        assert set(echo) == MODE_KEYS[mode]
+        assert set(echo["bounds"]) == MODE_BOUNDS[mode]
+        assert parse_config(echo) == cfg
+
+    @pytest.mark.parametrize(
+        "mode,raw,field",
+        [
+            # Keys the run ignored: the configs parsed and ran.
+            ("simulate-eps", {"eps_list": [1e-200, 1e-201, 1e-202]}, "eps_list"),
+            ("convergence-study", {"eps": 1e-200}, "eps"),
+            # The check steps nothing; it used to fail naming profiles
+            # (the advective CFL bound against t_end).
+            ("closure-check", {"t_end": 1e6, "output_interval": 1e6}, "t_end"),
+            ("closure-check", {"grid": {"n_dims": 2, "points": 16}, "t_end": 1e6}, "t_end"),
+        ],
+    )
+    def test_ignored_key_exits_2(self, mode, raw, field, tmp_path, monkeypatch, capsys):
+        code, err = _exit_code_and_err(tmp_path, monkeypatch, capsys, mode, raw)
+        assert code == 2 and "Traceback" not in err
+        assert f"field '{field}': {mode} does not read it" in err
 
 
 def test_seed_key_is_rejected():
@@ -645,8 +745,9 @@ def _drop_nulls(value):
 
 # Property test: any config either parses to a RunConfig or is rejected
 # with a ConfigError (exit code 2), never with another exception. Keys
-# come from the schema; values from null, booleans, strings, non-finite
-# and extreme numbers, and nested lists and dicts.
+# come from the drawn mode's schema, and in about one config in twenty
+# a key only other modes read; values from null, booleans, strings,
+# non-finite and extreme numbers, and nested lists and dicts.
 _EXTREMES = [
     float("nan"), float("inf"), -float("inf"), 0, -0.0, -1, 1, 2, 3, 8, 64, 0.5,
     1e308, -1e308, 5e-324, 1e-300, 2**31, 2**62, -(2**62), 10**400, -(10**400),
@@ -696,14 +797,32 @@ _TOP_LEVEL = {
     "out_dir": st.text(max_size=4),
     "ordinates": st.sampled_from([4, 6, 8, 2**28]),
     "sigma_pairs": st.lists(st.lists(_SCALARS, max_size=3), max_size=2),
-    "bounds": _obj(gamma_limit=_SCALARS, fluid_slope=st.lists(_SCALARS, max_size=3)),
 }
-_CONFIGS = st.fixed_dictionaries({}, optional={k: v | _ANY for k, v in _TOP_LEVEL.items()})
+_BOUNDS = {
+    key: st.lists(_SCALARS | st.floats(0.0, 2.0), max_size=3) if key.endswith("_slope")
+    else _SCALARS | st.floats(0.0, 2.0)
+    for key in DEFAULT_BOUNDS
+}
+
+
+@st.composite
+def _mode_configs(draw):
+    """(mode, raw): raw holds keys the mode reads, and in one draw of ten
+    may hold a key that only other modes read."""
+    mode = draw(st.sampled_from(MODES))
+    bounds = _obj(**{key: _BOUNDS[key] for key in sorted(MODE_BOUNDS[mode])})
+    strategies = _TOP_LEVEL | {"bounds": bounds}
+    keys = sorted(MODE_KEYS[mode])
+    if draw(st.integers(0, 9)) == 0:
+        keys.append(draw(st.sampled_from([key for key in _KEYS if key not in MODE_KEYS[mode]])))
+    raw = draw(st.fixed_dictionaries({}, optional={k: strategies[k] | _ANY for k in keys}))
+    return mode, raw
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(raw=_CONFIGS, mode=st.sampled_from(MODES))
-def test_random_configs_parse_or_exit_2(raw, mode, tmp_path_factory):
+@given(case=_mode_configs())
+def test_random_configs_parse_or_exit_2(case, tmp_path_factory):
+    mode, raw = case
     try:
         config = parse_config(raw, mode=mode)
     except ConfigError:

@@ -12,7 +12,7 @@ import pytest
 import radhydro
 import radhydro.stepping
 from radhydro.analysis import batch_error_squares
-from radhydro.config import parse_config
+from radhydro.config import MODE_KEYS, parse_config
 from radhydro.errors import BlowUp, NonPositiveState
 from radhydro.fluid import POSITIVITY_FLOOR, FluidParams, _rhs_common
 from radhydro.runner import _sampled, run
@@ -322,14 +322,14 @@ def _top_level_names(tree):
 @pytest.mark.parametrize("n_dims,n", [(1, 32), (2, 16)])
 def test_solver_path_builds_no_field_objects(n_dims, n, tmp_path):
     # Every state is a stack of arrays: from prepared data to the error
-    # norms, and in every mode of runner.run (on a 16-point grid, the
-    # closure check on 8 ordinates, with configured perturbation
-    # shapes). The package has no per-field layer to build: no module of
-    # it imports the test helpers, binds a retired name (of the per-field
-    # layer, of the closure check's chunked array path, of the limit
-    # system's own state class, stepper and closure from temperatures, or
-    # of the hand-written default shapes and the prepared data's own
-    # positivity exception)
+    # norms, and in every mode of runner.run (on a 16-point grid, each
+    # mode given the keys it reads: the closure check on 8 ordinates, the
+    # eps modes with configured perturbation shapes). The package has no
+    # per-field layer to build: no module of it imports the test helpers,
+    # binds a retired name (of the per-field layer, of the closure
+    # check's chunked array path, of the limit system's own state class,
+    # stepper and closure from temperatures, or of the hand-written
+    # default shapes and the prepared data's own positivity exception)
     # at top level or defines a class of that name anywhere, and
     # kinetic_rhs takes no as_moments keyword, since it only returns
     # moments.
@@ -359,7 +359,11 @@ def test_solver_path_builds_no_field_objects(n_dims, n, tmp_path):
         "perturbation_shapes": {"rho": shape},
     }
     configs = {
-        mode: parse_config({**raw, "out_dir": str(tmp_path / mode)}, mode=mode)
+        mode: parse_config(
+            {k: v for k, v in raw.items() if k in MODE_KEYS[mode]}
+            | {"out_dir": str(tmp_path / mode)},
+            mode=mode,
+        )
         for mode in ("convergence-study", "simulate-eps", "simulate-limit", "closure-check")
     }
 

@@ -115,17 +115,17 @@ class TestSimulateModes:
 
         monkeypatch.setattr(radhydro.runner, "step_batch", overshoot)
         raw = {
-            "eps": 0.1,
             "grid": {"n_dims": 1, "points": 8},
             "t_end": 0.05,
             "output_interval": 0.05,
             "out_dir": str(tmp_path),
         }
-        for mode, name in [("simulate-eps", r"eps = 0\.1"), ("simulate-limit", "limit run"),
-                           ("convergence-study", "eps sweep")]:
+        for mode, extra, name in [("simulate-eps", {"eps": 0.1}, r"eps = 0\.1"),
+                                  ("simulate-limit", {}, "limit run"),
+                                  ("convergence-study", {}, "eps sweep")]:
             message = name + r": stepping to t = 0\.05 reached t = 1\.00"
             with pytest.raises(TimeMismatch, match=message):
-                run(parse_config({**raw, "mode": mode}))
+                run(parse_config({**raw, **extra, "mode": mode}))
 
     @pytest.mark.parametrize("t_end,interval", [(1e-10, 1e-12), (1e-13, 1e-13)])
     def test_tiny_output_interval_is_stepped(self, t_end, interval, tmp_path, monkeypatch):
@@ -309,6 +309,8 @@ class TestStreaming:
         # Ten times the samples may add only what the open files buffer:
         # the binary buffer of each file and the text layer's pending
         # chunk (8192 characters) with one more row.
+        sweep = _STREAM_SWEEP if mode == "convergence-study" else {}
+
         def peak(samples):
             cfg = parse_config(
                 {
@@ -317,7 +319,7 @@ class TestStreaming:
                     "t_end": 0.5,
                     "output_interval": 0.5 / samples,
                     "dt_max": 0.5 / samples,
-                    **_STREAM_SWEEP,
+                    **sweep,
                 }
             )
             tracemalloc.start()
@@ -327,7 +329,8 @@ class TestStreaming:
             finally:
                 tracemalloc.stop()
 
-        run(_fast_study(mode=mode, grid={"n_dims": 1, "points": 8}), out_dir=str(tmp_path / "warm"))
+        warm = {"grid": {"n_dims": 1, "points": 8}, "t_end": 0.1, "output_interval": 0.05}
+        run(parse_config({**warm, **sweep}, mode=mode), out_dir=str(tmp_path / "warm"))
         os.makedirs(tmp_path / "probe")
         blksize = os.stat(tmp_path / "probe").st_blksize
         buffers = files * (max(blksize, io.DEFAULT_BUFFER_SIZE) + 8192 + 1024)
