@@ -55,7 +55,7 @@ MAX_STEPS = 1e7
 MAX_CELLS = 2**20
 # Grid cells x ordinates of a closure check (2^26 values). The check
 # takes every ordinate sum on the (count, 1+n) basis of the P1 intensity
-# and works on its 1+n value fields, so its field work and memory do not
+# and works on its 1+n half spectra, so its field work and memory do not
 # grow with the ordinate count; its (count, k) matrices do, and on a
 # coarse grid the cap bounds them (1D uses two directions, so only 2D
 # grids can exceed it).

@@ -28,7 +28,9 @@ march, the files they write and the summary fields they fill.
 
 One routine gives every state-norm row (limit and eps), and
 ``limit_closure_residual`` the limit row's closure residual, from the
-half spectra the state carries, with no transform. Time series go to CSV
+half spectra the state carries, with no transform; the closure check
+takes the moment and theta^4 spectra of the limit state as they are and
+transforms nothing either. Time series go to CSV
 (one column per tracked quantity, 17 significant digits), run summaries
 to JSON with sorted keys. Identical configurations produce byte-identical files; wall
 time is therefore reported on the console only, never written to the
@@ -395,9 +397,8 @@ def _run_simulate_limit(config: RunConfig, out_dir: str):
 
 def _run_closure_check(config: RunConfig, out_dir: str):
     base = config.limit_initial
-    grid, theta = base.grid, base.fluid[-1, 0]
     ords = make_ordinates(config.n_dims, config.ordinates)
-    intensity = (p1_basis(ords), grid.inverse(base.rad[:, 0]))
+    intensity = (p1_basis(ords), base.rad[:, 0])
     eps = config.eps
 
     n = ords.n_dims
@@ -408,7 +409,7 @@ def _run_closure_check(config: RunConfig, out_dir: str):
     second_defect = float(np.abs(second - (measure / n) * np.eye(n)).max())
 
     residual, pair_residuals = moment_system_check(
-        grid, ords, intensity, theta, eps, config.sigma_pairs
+        base.grid, ords, intensity, base.source[0], eps, config.sigma_pairs
     )
     per_pair = {
         f"sigma_a={sigma_a:g},sigma_s={sigma_s:g}": {"r0": r0, "r1": r1}
@@ -423,7 +424,7 @@ def _run_closure_check(config: RunConfig, out_dir: str):
     worst = float(np.max(np.asarray(pair_residuals) / kappa[:, None]))  # NaN fails the bound
 
     closure = {
-        "ordinates": config.ordinates,
+        "ordinates": ords.count,
         "eps": eps,
         "quadrature": {
             "weight_sum_defect": weight_defect,

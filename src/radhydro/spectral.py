@@ -25,7 +25,9 @@ costs more than the transform on small grids: a forward transform of a
 virtual machine). The leading axes batch many fields into one transform
 call, with the same bits as one field per call. The forward transform
 divides by the total point count, so the k = 0 coefficient of a field
-equals its mean and symbols read off directly.
+equals its mean and symbols read off directly. The kinetic closure
+check's intensities hold half spectra too, so the check transforms
+nothing.
 
 Every field is such an array: values of shape (..., *grid.shape), a
 vector field stacking its n components on one axis. The symbols are
@@ -89,11 +91,6 @@ class Grid:
     def spacing(self) -> float:
         """Grid spacing h = 2pi / points_per_dim."""
         return 2.0 * np.pi / self.points_per_dim
-
-    @property
-    def cell_volume(self) -> float:
-        """Measure of one grid cell, h^n."""
-        return self.spacing**self.n_dims
 
     @property
     def volume(self) -> float:

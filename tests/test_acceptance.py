@@ -16,6 +16,7 @@ from radhydro.analysis import fit_rate, well_prepared_init
 from radhydro.config import parse_config
 from radhydro.fluid import FluidParams
 from radhydro.kinetic import make_ordinates, moment_system_check, p1_basis
+from radhydro.radiation import emission_spectrum
 from radhydro.runner import run
 from radhydro.spectral import Grid
 from radhydro.stepping import step_eps
@@ -154,9 +155,9 @@ def test_criterion_07_p1_closure_consistency():
         ords = make_ordinates(n_dims, count)
         i0 = 1.0 + smooth_field(grid, rng)
         i1 = smooth_vector(grid, rng)
-        field = (p1_basis(ords), stack(grid, i0, i1))
-        theta = 1.0 + smooth_field(grid, rng, amp=0.05)
-        _, pairs = moment_system_check(grid, ords, field, theta, 1.0, ((1.0, 0.0), (1.0, 1.0)))
+        field = (p1_basis(ords), grid.forward(stack(grid, i0, i1)))
+        source = emission_spectrum(grid, 1.0 + smooth_field(grid, rng, amp=0.05))
+        _, pairs = moment_system_check(grid, ords, field, source, 1.0, ((1.0, 0.0), (1.0, 1.0)))
         worst = max(worst, *(r for pair in pairs for r in pair))
     ok = worst < 1e-10
     _report(7, "kinetic moments match the two-moment system", ok, f"max residual={worst:.2e}")

@@ -179,7 +179,7 @@ class TestWellPreparedInit:
         assert norms == pytest.approx([1.0] * len(shapes), rel=1e-14)
         x = grid.coordinates()
         rho = np.sin(sum(x))
-        assert np.abs(shapes[0] - rho / np.sqrt(np.sum(rho**2) * grid.cell_volume)).max() < 1e-14
+        assert np.abs(shapes[0] - rho / np.sqrt(np.sum(rho**2) * grid.spacing ** grid.n_dims)).max() < 1e-14
         # The defaults are the table of profile specs below, written out
         # as a config, bit for bit.
         wave = lambda kind, *k: {"modes": [{"amplitude": 1.0, "wavenumber": list(k), "kind": kind}]}

@@ -393,6 +393,17 @@ class TestTransformBudget:
         assert steps > 0
         assert fft_calls == self._counts(n_dims, 9 * steps + 4, 12 * steps + 4)
 
+    @pytest.mark.parametrize("ordinates", [8, 512])
+    def test_closure_check_costs_no_transform(self, n_dims, ordinates, fft_calls, tmp_path):
+        # The parse builds the limit state, which carries the spectra of
+        # the moments and of theta^4; the check takes them as they are.
+        raw = {"grid": {"n_dims": n_dims, "points": 16}, "ordinates": ordinates}
+        config = parse_config(raw, mode="closure-check")
+        fft_calls.clear()
+        summary = run(config, out_dir=str(tmp_path))
+        assert summary.exit_status == 0
+        assert fft_calls == self._counts(n_dims, 0, 0)
+
     @pytest.mark.parametrize("members", [1, 4])
     def test_lockstep_step(self, n_dims, members, fft_calls):
         # Four right-hand sides over all members (2 + 2 calls each), four
@@ -469,14 +480,15 @@ class TestNoFullComplexTransform:
         assert limit_closure_residual(grid, source, limit_spectrum(grid, theta)[1:]) < 1e-12
         assert emission_spectrum(grid, theta).shape == grid.half_shape
         assert limit_spectrum(grid, theta).shape == (1 + n_dims, *grid.half_shape)
-        rad_values = grid.inverse(limit_spectrum(grid, theta))
+        rad_hat = limit_spectrum(grid, theta)
+        rad_values = grid.inverse(rad_hat)
 
         ords = make_ordinates(n_dims, 8)
-        kin = (p1_basis(ords), rad_values)
-        assert kinetic_rhs(grid, ords, kin, theta, 0.1, 1.0, 0.5).shape == rad_values.shape
-        assert moments(ords, kin).shape == (1 + n_dims, *grid.shape)
+        kin = (p1_basis(ords), rad_hat)
+        assert kinetic_rhs(grid, ords, kin, source, 0.1, 1.0, 0.5).shape == rad_hat.shape
+        assert moments(ords, kin).shape == (1 + n_dims, *grid.half_shape)
         assert p1_projection_residual(grid, ords, kin) < 1e-10
-        residual, [(r0, r1)] = moment_system_check(grid, ords, kin, theta, 0.1, [(1.0, 0.5)])
+        residual, [(r0, r1)] = moment_system_check(grid, ords, kin, source, 0.1, [(1.0, 0.5)])
         assert residual < 1e-10 and max(r0, r1) < 1e-8
 
         fluid = stack(grid, f, v, f)

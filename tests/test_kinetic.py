@@ -50,13 +50,20 @@ def _theta(grid, rng):
     return 1.0 + smooth_field(grid, rng)
 
 
+def _hat(grid, I):
+    """The (basis, values) pair I as the (basis, spectra) pair the
+    kinetic kernels take."""
+    basis, values = I
+    return basis, grid.forward(values)
+
+
 def _full_array_projection_residual(grid, ords, I):
     """The projection residual built from whole (count, *shape) arrays:
     reconstruction, difference and its square."""
     rad = _formula_moments(ords, I)
     recon = np.stack([rad[0] + sum(w * c for w, c in zip(om, rad[1:])) for om in ords.directions])
     per_node = np.tensordot(ords.weights, (I - recon) ** 2, axes=(0, 0))
-    return float(np.sqrt(per_node.sum() * grid.cell_volume))
+    return float(np.sqrt(per_node.sum() * grid.spacing**grid.n_dims))
 
 
 class TestOrdinates:
@@ -93,71 +100,73 @@ class TestKineticRhs:
     def test_isotropic_equilibrium(self, grid1d):
         one = np.ones(grid1d.shape)
         ords = make_ordinates(1, 4)
-        tend = kinetic_rhs(grid1d, ords, _isotropic(one, ords), one, 1.0, 1.0, 0.0)
-        assert tend.shape == (2, *grid1d.shape)
-        assert np.abs(tend).max() < 1e-14
+        field, source = _hat(grid1d, _isotropic(one, ords)), emission_spectrum(grid1d, one)
+        tend = kinetic_rhs(grid1d, ords, field, source, 1.0, 1.0, 0.0)
+        assert tend.shape == (2, *grid1d.half_shape)
+        assert np.abs(grid1d.inverse(tend)).max() < 1e-14
 
     def test_scattering_vanishes_for_isotropic_data(self, grid2d, rng):
         f = 2.0 + smooth_field(grid2d, rng)
         ords = make_ordinates(2, 8)
-        field = _isotropic(f, ords)
-        with_scatter = kinetic_rhs(grid2d, ords, field, f, 1.0, 1.0, 5.0)
-        without = kinetic_rhs(grid2d, ords, field, f, 1.0, 1.0, 0.0)
-        assert np.abs(with_scatter - without).max() < 1e-12
+        field, source = _hat(grid2d, _isotropic(f, ords)), emission_spectrum(grid2d, f)
+        with_scatter = kinetic_rhs(grid2d, ords, field, source, 1.0, 1.0, 5.0)
+        without = kinetic_rhs(grid2d, ords, field, source, 1.0, 1.0, 0.0)
+        assert np.abs(grid2d.inverse(with_scatter - without)).max() < 1e-12
 
     def test_scattering_conserves_photon_number(self, grid2d, rng):
         # zeroth moment of the scattering operator vanishes for any I
         ords = make_ordinates(2, 8)
-        field = np.eye(ords.count), rng.standard_normal((ords.count, *grid2d.shape))
-        theta = np.ones(grid2d.shape)
+        field = np.eye(ords.count), grid2d.forward(rng.standard_normal((ords.count, *grid2d.shape)))
+        source = emission_spectrum(grid2d, np.ones(grid2d.shape))
         eps, sigma_a = 1.0, 1.0
-        base = kinetic_rhs(grid2d, ords, field, theta, eps, sigma_a, 0.0)
-        scat = kinetic_rhs(grid2d, ords, field, theta, eps, sigma_a, 3.0)
-        assert sobolev_norm(grid2d, scat[0] - base[0], 0) < 1e-12
+        base = kinetic_rhs(grid2d, ords, field, source, eps, sigma_a, 0.0)
+        scat = kinetic_rhs(grid2d, ords, field, source, eps, sigma_a, 3.0)
+        assert sobolev_norm(grid2d, grid2d.inverse(scat[0] - base[0]), 0) < 1e-12
 
     def test_p1_field_tendency_matches_moment_system(self, grid1d):
         x = grid1d.coordinates()[0]
         ords = make_ordinates(1, 4)
-        field = _p1_field(ords, 1 + 0.1 * np.sin(x), [0.1 * np.cos(x)])
-        theta = 1 + 0.05 * np.cos(x)
-        _, [(r0, r1)] = moment_system_check(grid1d, ords, field, theta, 1.0, [(1.0, 0.0)])
+        field = _hat(grid1d, _p1_field(ords, 1 + 0.1 * np.sin(x), [0.1 * np.cos(x)]))
+        source = emission_spectrum(grid1d, 1 + 0.05 * np.cos(x))
+        _, [(r0, r1)] = moment_system_check(grid1d, ords, field, source, 1.0, [(1.0, 0.0)])
         assert r0 < 1e-10 and r1 < 1e-10
 
     @pytest.mark.parametrize("n_dims", [1, 2])
     def test_precomputed_transport_is_bitwise_equal(self, n_dims, rng):
         grid = Grid(n_dims, 16)
         ords = make_ordinates(n_dims, 8)
-        field = np.eye(ords.count), rng.standard_normal((ords.count, *grid.shape))
-        theta = _theta(grid, rng)
+        field = np.eye(ords.count), grid.forward(rng.standard_normal((ords.count, *grid.shape)))
+        source = emission_spectrum(grid, _theta(grid, rng))
         rows, derivatives = transport_term(grid, ords, field)
         assert rows.shape == (ords.count, n_dims * ords.count)
-        assert derivatives.shape == (n_dims * ords.count, *grid.shape)
-        given = kinetic_rhs(grid, ords, field, theta, 0.5, 1.0, 2.0, transport=(rows, derivatives))
-        computed = kinetic_rhs(grid, ords, field, theta, 0.5, 1.0, 2.0)
+        assert derivatives.shape == (n_dims * ords.count, *grid.half_shape)
+        given = kinetic_rhs(grid, ords, field, source, 0.5, 1.0, 2.0, transport=(rows, derivatives))
+        computed = kinetic_rhs(grid, ords, field, source, 0.5, 1.0, 2.0)
         assert np.array_equal(given, computed)
 
     def test_nonnegativity_over_short_run(self, grid1d):
         # explicit RK4 on the kinetic tendency from isotropic data. In 1D
         # the two ordinates make p1_basis invertible: the moments hold the
         # intensity, and p1_basis times the moments of the tendency is the
-        # tendency per ordinate.
+        # tendency per ordinate. The RK4 stages are taken on the spectra.
         x = grid1d.coordinates()[0]
         theta = 1 + 0.1 * np.cos(x)
+        source = emission_spectrum(grid1d, theta)
         ords = make_ordinates(1, 4)
         basis = p1_basis(ords)
         eps, dt = 0.5, 0.01
 
         def rhs(vals):
-            return kinetic_rhs(grid1d, ords, (basis, vals), theta, eps, 1.0, 0.5)
+            return kinetic_rhs(grid1d, ords, (basis, vals), source, eps, 1.0, 0.5)
 
-        vals = np.stack([theta**4, np.zeros_like(x)])
+        vals = grid1d.forward(np.stack([theta**4, np.zeros_like(x)]))
         for _ in range(10):
             k1 = rhs(vals)
             k2 = rhs(vals + 0.5 * dt * k1)
             k3 = rhs(vals + 0.5 * dt * k2)
             k4 = rhs(vals + dt * k3)
             vals = vals + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        assert np.tensordot(basis, vals, axes=1).min() >= -1e-10
+        assert grid1d.inverse(np.tensordot(basis, vals, axes=1)).min() >= -1e-10
 
 
 class TestMoments:
@@ -201,11 +210,12 @@ class TestProjectionResidual:
             2 + smooth_field(grid2d, rng),
             [smooth_field(grid2d, rng) for _ in range(2)],
         )
-        assert p1_projection_residual(grid2d, ords, field) < 1e-12
+        assert p1_projection_residual(grid2d, ords, _hat(grid2d, field)) < 1e-12
 
     def test_quadratic_component_detected(self, grid2d):
         ords = make_ordinates(2, 8)
-        residual = p1_projection_residual(grid2d, ords, _ordinate_field(ords, grid2d, lambda om: om[0] ** 2))
+        field = _hat(grid2d, _ordinate_field(ords, grid2d, lambda om: om[0] ** 2))
+        residual = p1_projection_residual(grid2d, ords, field)
         # Oracle: || omega_x^2 - 1/2 ||^2 = integral of cos^2(2 phi)/4 = pi/4
         # per grid node, times the domain measure (2 pi)^2.
         expected = np.sqrt(np.pi / 4 * (2 * np.pi) ** 2)
@@ -219,7 +229,7 @@ class TestProjectionResidual:
         field = rng.standard_normal((count, *grid2d.shape))
         want = _full_array_projection_residual(grid2d, ords, field)
         assert want > 1.0
-        got = p1_projection_residual(grid2d, ords, (np.eye(count), field))
+        got = p1_projection_residual(grid2d, ords, (np.eye(count), grid2d.forward(field)))
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_invariant_under_adding_p1_element(self, grid2d, rng):
@@ -231,9 +241,9 @@ class TestProjectionResidual:
             smooth_field(grid2d, rng),
             [smooth_field(grid2d, rng) for _ in range(2)],
         )
-        r_base = p1_projection_residual(grid2d, ords, (basis, vals))
+        r_base = p1_projection_residual(grid2d, ords, _hat(grid2d, (basis, vals)))
         combined = np.column_stack([basis, p1]), np.concatenate([vals, extra])
-        r_combined = p1_projection_residual(grid2d, ords, combined)
+        r_combined = p1_projection_residual(grid2d, ords, _hat(grid2d, combined))
         assert r_combined == pytest.approx(r_base, rel=1e-12)
 
     def test_p1_pair_at_the_ordinate_cap(self, rng):
@@ -245,8 +255,8 @@ class TestProjectionResidual:
         grid = Grid(2, 128)
         ords = make_ordinates(2, 4096)
         rad = _moment_pair(grid, rng)
-        norm = np.sqrt(np.vdot(rad, rad) * grid.cell_volume)
-        assert p1_projection_residual(grid, ords, (p1_basis(ords), rad)) < 1e-13 * norm
+        norm = np.sqrt(np.vdot(rad, rad) * grid.spacing**grid.n_dims)
+        assert p1_projection_residual(grid, ords, (p1_basis(ords), grid.forward(rad))) < 1e-13 * norm
 
 
 class TestMomentSystemCheck:
@@ -259,39 +269,42 @@ class TestMomentSystemCheck:
             1 + smooth_field(grid2d, rng),
             [smooth_field(grid2d, rng) for _ in range(2)],
         )
-        theta = _theta(grid2d, rng)
-        _, [(r0, r1)] = moment_system_check(grid2d, ords, field, theta, 1.0, [sigma])
+        source = emission_spectrum(grid2d, _theta(grid2d, rng))
+        _, [(r0, r1)] = moment_system_check(grid2d, ords, _hat(grid2d, field), source, 1.0, [sigma])
         assert r0 < 1e-10 and r1 < 1e-10
 
     def test_exactly_zero_at_constant_equilibrium(self, grid1d):
         one = np.ones(grid1d.shape)
         ords = make_ordinates(1, 4)
-        _, [(r0, r1)] = moment_system_check(grid1d, ords, _isotropic(one, ords), one, 1.0, [(1.0, 0.0)])
+        field, source = _hat(grid1d, _isotropic(one, ords)), emission_spectrum(grid1d, one)
+        _, [(r0, r1)] = moment_system_check(grid1d, ords, field, source, 1.0, [(1.0, 0.0)])
         assert r0 == 0.0 and r1 == 0.0
 
     def test_rejects_non_p1_data(self, grid2d):
         ords = make_ordinates(2, 8)
-        field = _ordinate_field(ords, grid2d, lambda om: om[0] ** 2)
-        theta = np.ones(grid2d.shape)
+        field = _hat(grid2d, _ordinate_field(ords, grid2d, lambda om: om[0] ** 2))
+        source = emission_spectrum(grid2d, np.ones(grid2d.shape))
         with pytest.raises(NotInP1Subspace):
-            moment_system_check(grid2d, ords, field, theta, 1.0, [(1.0, 0.0)])
+            moment_system_check(grid2d, ords, field, source, 1.0, [(1.0, 0.0)])
 
     def test_rejects_an_intensity_that_does_not_fit(self, grid1d, grid2d):
-        # The ordinate count, the grid's shape and the dimension of the
-        # ordinates and the grid must all match the intensity, and the
-        # basis its values.
+        # The ordinate count, the grid's half-spectrum shape and the
+        # dimension of the ordinates and the grid must all match the
+        # intensity, and the basis its spectra; values are refused.
         ords = make_ordinates(2, 8)
-        theta = np.ones(grid2d.shape)
-        basis, values = p1_basis(ords), np.ones((3, *grid2d.shape))
-        moment_system_check(grid2d, ords, (basis, values), theta, 1.0, [(1.0, 0.0)])
+        one = lambda grid: np.ones((3, *grid.shape))
+        source = lambda grid: emission_spectrum(grid, np.ones(grid.shape))
+        basis, spectra = p1_basis(ords), grid2d.forward(one(grid2d))
+        moment_system_check(grid2d, ords, (basis, spectra), source(grid2d), 1.0, [(1.0, 0.0)])
         for grid, bad in [
-            (grid2d, (basis[:-1], values)),
-            (grid2d, (basis[:, :-1], values)),
-            (grid2d, (basis, values[:, :-1])),
-            (grid1d, (basis, np.ones((3, *grid1d.shape)))),
+            (grid2d, (basis[:-1], spectra)),
+            (grid2d, (basis[:, :-1], spectra)),
+            (grid2d, (basis, spectra[:, :-1])),
+            (grid2d, (basis, one(grid2d))),
+            (grid1d, (basis, grid1d.forward(one(grid1d)))),
         ]:
             with pytest.raises(ValueError, match="does not fit"):
-                moment_system_check(grid, ords, bad, np.ones(grid.shape), 1.0, [(1.0, 0.0)])
+                moment_system_check(grid, ords, bad, source(grid), 1.0, [(1.0, 0.0)])
 
     def test_quadratic_defect_matches_analytic_oracle(self, grid2d):
         # I = g(x) omega_x^2 with g = sin x. Direction integrals on the
@@ -302,10 +315,10 @@ class TestMomentSystemCheck:
         ords = make_ordinates(2, 8)
         X, _ = grid2d.coordinates()
         gfun = np.sin(X)
-        field = ords.directions[:, :1] ** 2, gfun[None]
-        theta = np.ones(grid2d.shape)
+        field = ords.directions[:, :1] ** 2, grid2d.forward(gfun[None])
+        source = emission_spectrum(grid2d, np.ones(grid2d.shape))
         eps = 0.5
-        _, [(r0, r1)] = moment_system_check(grid2d, ords, field, theta, eps, [(1.0, 0.0)], enforce_p1=False)
+        _, [(r0, r1)] = moment_system_check(grid2d, ords, field, source, eps, [(1.0, 0.0)], enforce_p1=False)
         expected_r1 = 0.25 * sobolev_norm(grid2d, grad(grid2d, gfun), 0) / eps
         assert r0 < 1e-12
         assert r1 == pytest.approx(expected_r1, rel=1e-12)
@@ -315,9 +328,9 @@ class TestMomentSystemCheck:
         # times the sphere measure; a wrong rate shows up as an r1 defect.
         x = grid1d.coordinates()[0]
         ords = make_ordinates(1, 4)
-        field = _p1_field(ords, np.ones_like(x), [0.2 * np.sin(x)])
-        theta = np.ones(grid1d.shape)
-        _, [(r0, r1)] = moment_system_check(grid1d, ords, field, theta, 1.0, [(1.0, 2.0)])
+        field = _hat(grid1d, _p1_field(ords, np.ones_like(x), [0.2 * np.sin(x)]))
+        source = emission_spectrum(grid1d, np.ones(grid1d.shape))
+        _, [(r0, r1)] = moment_system_check(grid1d, ords, field, source, 1.0, [(1.0, 2.0)])
         assert r0 < 1e-12 and r1 < 1e-12
 
     def test_pairs_share_the_check(self, grid2d):
@@ -325,10 +338,11 @@ class TestMomentSystemCheck:
         # three pairs gives what three one-pair checks give, exactly.
         ords = make_ordinates(2, 8)
         X, Y = grid2d.coordinates()
-        field = np.eye(ords.count), np.stack([np.sin(X) * om[0] ** 2 + np.cos(Y) * om[1] for om in ords.directions])
-        theta = 1 + 0.1 * np.cos(X + Y)
+        array = np.stack([np.sin(X) * om[0] ** 2 + np.cos(Y) * om[1] for om in ords.directions])
+        field = np.eye(ords.count), grid2d.forward(array)
+        source = emission_spectrum(grid2d, 1 + 0.1 * np.cos(X + Y))
         pairs = [(1.0, 0.0), (1.0, 1.0), (2.0, 0.5)]
-        check = lambda pairs: moment_system_check(grid2d, ords, field, theta, 0.5, pairs, enforce_p1=False)
+        check = lambda pairs: moment_system_check(grid2d, ords, field, source, 0.5, pairs, enforce_p1=False)
         residual, got = check(pairs)
         singles = [check([p]) for p in pairs]
         assert got == [r for _, (r,) in singles]
@@ -337,26 +351,25 @@ class TestMomentSystemCheck:
         assert all(r1 > 0.1 for _, r1 in got)
         # The same intensity as a pair of two columns: the same residuals.
         basis = np.column_stack([ords.directions[:, 0] ** 2, ords.directions[:, 1]])
-        pair = (basis, np.stack([np.sin(X), np.cos(Y)]))
-        pair_residual, pair_got = moment_system_check(grid2d, ords, pair, theta, 0.5, pairs, enforce_p1=False)
+        pair = (basis, grid2d.forward(np.stack([np.sin(X), np.cos(Y)])))
+        pair_residual, pair_got = moment_system_check(grid2d, ords, pair, source, 0.5, pairs, enforce_p1=False)
         assert pair_residual == pytest.approx(residual, rel=1e-13)
         for g, w in zip(np.ravel(pair_got), np.ravel(got)):
             assert g == pytest.approx(w, rel=1e-13, abs=1e-13)
 
     @pytest.mark.parametrize("n_pairs", [1, 3])
     def test_transform_budget(self, n_pairs, rng, monkeypatch):
-        # The transport term: one forward transform of the values and one
-        # batched inverse of their derivatives (1 + 1), whatever the
-        # ordinate count. The rest: one forward transform of the stacked
-        # moments and theta^4 and one inverse of the dealiased theta^4,
-        # which kinetic_rhs shares (1 + 1); per pair, one forward
-        # transform of the tendency's moments (1 + 0). A 2D transform is a
-        # one-axis rfft (irfft) and an fft (ifft) along the other axis.
+        # None, whatever the ordinate and pair counts: the check takes the
+        # spectra of the intensity and of theta^4, every ordinate sum and
+        # the transport term are linear in the spectra, and the norms are
+        # Parseval sums.
         grid = Grid(2, 16)
-        rad = _moment_pair(grid, rng)
-        theta = _theta(grid, rng)
+        rad = grid.forward(_moment_pair(grid, rng))
+        source = emission_spectrum(grid, _theta(grid, rng))
         calls = Counter()
-        for name in ("rfft", "irfft", "fft", "ifft", "rfftn", "irfftn"):
+        for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
+                     "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn",
+                     "hfft", "ihfft"):
             original = getattr(np.fft, name)
 
             def counted(*args, _original=original, _name=name, **kwargs):
@@ -368,9 +381,8 @@ class TestMomentSystemCheck:
         for count in (8, 64):
             ords = make_ordinates(2, count)
             calls.clear()
-            moment_system_check(grid, ords, (p1_basis(ords), rad), theta, 0.5, pairs)
-            forward, inverse = 1 + 1 + n_pairs, 1 + 1
-            assert calls == Counter(rfft=forward, fft=forward, irfft=inverse, ifft=inverse)
+            moment_system_check(grid, ords, (p1_basis(ords), rad), source, 0.5, pairs)
+            assert calls == Counter()
 
 
 # Test-local per-ordinate references: one tensordot per moment, per
@@ -414,7 +426,7 @@ def _formula_residual(grid, ords, I, rows):
     for w, omega, slab in zip(ords.weights, ords.directions, I):
         diff = slab - (rows[0] + np.tensordot(omega, rows[1:], axes=1))
         total += w * np.vdot(diff, diff)
-    return float(np.sqrt(total * grid.cell_volume))
+    return float(np.sqrt(total * grid.spacing**grid.n_dims))
 
 
 def _relative_gap(got, want):
@@ -425,7 +437,8 @@ class TestKernelsAgainstFormulas:
     """The kernels, which take every ordinate sum on the basis, against
     the per-ordinate formulas, to 1e-13 of the reference's largest entry:
     on random data as the pair (eye, I), which is off the P1 subspace in
-    2D, and on the P1 pair against its sampled array."""
+    2D, and on the P1 pair against its sampled array. The kernels take
+    the spectra of the values; their results are compared as values."""
 
     @pytest.fixture(params=[(1, 256), (2, 16)], ids=["1d", "2d"])
     def data(self, request):
@@ -452,9 +465,9 @@ class TestKernelsAgainstFormulas:
             (np.eye(ords.count), field, field),
             (p1_basis(ords), rad, _formula_from_p1(rad, ords)),
         ]:
-            rows, derivatives = transport_term(grid, ords, (basis, values))
+            rows, derivatives = transport_term(grid, ords, (basis, grid.forward(values)))
             assert rows.shape == (ords.count, ords.n_dims * len(values))
-            got = np.tensordot(rows, derivatives, axes=1)
+            got = grid.inverse(np.tensordot(rows, derivatives, axes=1))
             assert _relative_gap(got, _formula_transport(grid, ords, array)) <= 1e-13
 
     @pytest.mark.parametrize("sigma", [(1.0, 0.0), (2.0, 0.5)])
@@ -462,15 +475,16 @@ class TestKernelsAgainstFormulas:
         # The moments of the tendency against the moments of the
         # per-slab tendency of the array.
         grid, ords, field, theta, rad = data
-        source = grid.inverse(emission_spectrum(grid, theta))
+        source = emission_spectrum(grid, theta)
         for basis, values, array in [
             (np.eye(ords.count), field, field),
             (p1_basis(ords), rad, _formula_from_p1(rad, ords)),
         ]:
-            want = _formula_rhs(ords, array, source, 0.3, *sigma, _formula_transport(grid, ords, array))
-            got = kinetic_rhs(grid, ords, (basis, values), theta, 0.3, *sigma)
-            assert got.shape == (1 + ords.n_dims, *grid.shape)
-            assert _relative_gap(got, _formula_moments(ords, want)) <= 1e-13
+            transport = _formula_transport(grid, ords, array)
+            want = _formula_rhs(ords, array, grid.inverse(source), 0.3, *sigma, transport)
+            got = kinetic_rhs(grid, ords, (basis, grid.forward(values)), source, 0.3, *sigma)
+            assert got.shape == (1 + ords.n_dims, *grid.half_shape)
+            assert _relative_gap(grid.inverse(got), _formula_moments(ords, want)) <= 1e-13
 
     def test_projection_residual(self, data):
         # In 1D every intensity is affine in the direction, so both
@@ -478,8 +492,8 @@ class TestKernelsAgainstFormulas:
         # weighted norm of the data, the residual's scale.
         grid, ords, field, _, rad = data
         want = _formula_residual(grid, ords, field, _formula_moments(ords, field))
-        scale = np.sqrt(np.tensordot(ords.weights, field**2, axes=(0, 0)).sum() * grid.cell_volume)
-        got = p1_projection_residual(grid, ords, (np.eye(ords.count), field))
+        scale = np.sqrt(np.tensordot(ords.weights, field**2, axes=(0, 0)).sum() * grid.spacing**grid.n_dims)
+        got = p1_projection_residual(grid, ords, (np.eye(ords.count), grid.forward(field)))
         assert abs(got - want) <= 1e-13 * scale
         if ords.n_dims == 2:
             assert want > 0.1 * scale
@@ -489,21 +503,22 @@ class TestKernelsAgainstFormulas:
         values = np.concatenate([rad, rad[:1]])
         array = np.tensordot(basis, values, axes=1)
         want = _formula_residual(grid, ords, array, _formula_moments(ords, array))
-        scale = np.sqrt(np.tensordot(ords.weights, array**2, axes=(0, 0)).sum() * grid.cell_volume)
-        assert abs(p1_projection_residual(grid, ords, (basis, values)) - want) <= 1e-13 * scale
+        scale = np.sqrt(np.tensordot(ords.weights, array**2, axes=(0, 0)).sum() * grid.spacing**grid.n_dims)
+        assert abs(p1_projection_residual(grid, ords, (basis, grid.forward(values))) - want) <= 1e-13 * scale
 
 
 class TestCheckPasses:
     def _check_input(self, rng, count=64):
         grid = Grid(2, 32)
         ords = make_ordinates(2, count)
-        return grid, ords, (p1_basis(ords), _moment_pair(grid, rng)), _theta(grid, rng)
+        rad, source = grid.forward(_moment_pair(grid, rng)), emission_spectrum(grid, _theta(grid, rng))
+        return grid, ords, (p1_basis(ords), rad), source
 
     def test_peak_memory(self, rng):
-        # Every field operation acts on the k value fields of the pair,
-        # and every ordinate sum on its (count, k) basis, so the peak does
-        # not grow with the ordinate count: at 8 and at 512 ordinates it
-        # stays within one budget of 48 fields (about 35 with numpy 2.4),
+        # Every field operation acts on the k spectra of the pair, and
+        # every ordinate sum on its (count, k) basis, so the peak does not
+        # grow with the ordinate count: at 8 and at 512 ordinates it stays
+        # within one budget of 48 fields (about 36 with numpy 2.4),
         # and the larger basis adds the size of a few fields (about 6
         # with numpy 2.4, allowed for as 8), where a (count, *shape) array
         # would add 512. A first, untraced call caches the grid's symbols
@@ -511,11 +526,11 @@ class TestCheckPasses:
         pairs = [(1.0, 0.0), (1.0, 1.0)]
         peaks = []
         for count in (8, 512):
-            grid, ords, field, theta = self._check_input(rng, count)
-            moment_system_check(grid, ords, field, theta, 0.5, pairs)
+            grid, ords, field, source = self._check_input(rng, count)
+            moment_system_check(grid, ords, field, source, 0.5, pairs)
             tracemalloc.start()
             try:
-                moment_system_check(grid, ords, field, theta, 0.5, pairs)
+                moment_system_check(grid, ords, field, source, 0.5, pairs)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -526,7 +541,7 @@ class TestCheckPasses:
 
     def test_one_whole_field_rhs_per_pair(self, rng, monkeypatch):
         # On the P1 pair and on the same intensity as (eye, array).
-        grid, ords, field, theta = self._check_input(rng)
+        grid, ords, field, source = self._check_input(rng)
         seen = []
         original = radhydro.kinetic.kinetic_rhs
 
@@ -538,5 +553,5 @@ class TestCheckPasses:
         array = np.eye(ords.count), np.tensordot(*field, axes=1)
         for intensity in (field, array):
             seen.clear()
-            moment_system_check(grid, ords, intensity, theta, 0.5, [(1.0, 0.0), (1.0, 1.0), (2.0, 0.5)])
+            moment_system_check(grid, ords, intensity, source, 0.5, [(1.0, 0.0), (1.0, 1.0), (2.0, 0.5)])
             assert len(seen) == 3 and all(I is intensity for I in seen)

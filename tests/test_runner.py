@@ -400,10 +400,20 @@ class TestClosureCheckMode:
         )
         summary = run(cfg)
         assert summary.exit_status == 0
-        assert summary.closure["ordinates"] == 8
+        assert summary.closure["ordinates"] == 2  # the default grid is 1D
         for pair in summary.closure["moment_residuals"].values():
             assert pair["r0"] < 1e-10
             assert pair["r1"] < 1e-10
+
+    @pytest.mark.parametrize("n_dims,used", [(1, 2), (2, 512)])
+    def test_reports_the_ordinates_it_used(self, tmp_path, n_dims, used):
+        # 1D always uses the two directions -1, +1: summary.json reports
+        # them, and its config echo the count the config asked for.
+        raw = {"grid": {"n_dims": n_dims, "points": 16}, "ordinates": 512, "out_dir": str(tmp_path)}
+        run(parse_config(raw, mode="closure-check"))
+        summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+        assert summary["closure"]["ordinates"] == used
+        assert summary["config"]["ordinates"] == 512
 
 
     def test_nan_pair_residual_fails_the_bound(self, tmp_path, monkeypatch):
@@ -426,8 +436,8 @@ class TestClosureCheckMode:
 class TestMomentResidualBound:
     """The bound scales with kappa = max(1, (sigma_a + sigma_s |S|) /
     (eps (1 + |S|))), the size of the damping term the residuals are
-    roundoff of, and each pair's tendency moments are transformed and
-    squared at a power-of-two scale."""
+    roundoff of, and each pair's tendency moments are squared at a
+    power-of-two scale."""
 
     def _closure(self, tmp_path, sigma_pairs=None):
         payload = {"mode": "closure-check", "grid": {"n_dims": 2, "points": 16}, "ordinates": 8}
@@ -436,9 +446,14 @@ class TestMomentResidualBound:
         return parse_config({**payload, "out_dir": str(tmp_path)})
 
     def test_large_sigma_passes(self, tmp_path):
-        # Its r0 is about 1.2e-10, over the absolute bound of 1e-10.
+        # At 1e6 the larger residual is about 6e-10, over the absolute
+        # bound of 1e-10.
         summary = run(self._closure(tmp_path, [[1e5, 0.0]]))
         assert summary.exit_status == 0
+        summary = run(self._closure(tmp_path, [[1e6, 0.0]]))
+        assert summary.exit_status == 0
+        (pair,) = summary.closure["moment_residuals"].values()
+        assert max(pair.values()) > 1e-10
 
     @pytest.mark.parametrize("sigma_a", [1e300, 1e307])
     def test_huge_sigma_residuals_are_finite(self, tmp_path, sigma_a):

@@ -1,7 +1,7 @@
 """Seeded defects the suite must catch: of the limit system (eps = 0),
 of the eps system's kernels and splitting, of the fluid kernel's
-viscous heating and pressure work, and of the one clock of the marched
-batch.
+viscous heating and pressure work, of the one clock of the marched
+batch, and of the kinetic tendency's transport and scattering terms.
 
 Each case applies a mutation of one line (two for (i)) to a copy of the
 package and runs one named test on it in a fresh interpreter; that test
@@ -15,7 +15,10 @@ also fail criteria: (a) 2, 4 and 5, (b) 9, (c) 1, 2, 4 and 5, (e) 1, 2,
 4, 5 and 8, (i) 4 and 9. Criterion 5 sees (c) and (e) in its
 right-hand-side check of the limit initial state. (d), (f), (g), (h),
 (j) and (k) pass all ten; only their named tests catch them ((j) and
-(k) also fail tests/test_fluid.py::TestStrain::test_1d_sin).
+(k) also fail tests/test_fluid.py::TestStrain::test_1d_sin). (l) and
+(m) fail criterion 7 alone, their named test: the closure check, which
+transforms nothing, still sees a flipped transport sign and a dropped
+scattering gain.
 """
 
 import os
@@ -118,6 +121,21 @@ MUTATIONS = {
         "    quotients[n] -= theta * div_u",
         "    quotients[n] -= 0.5 * theta * div_u",
         "tests/test_half_spectrum.py::TestRhsAgainstOperatorAssembly::test_limit_form[1-64]",
+    ),
+    # (l) The kinetic transport term omega . grad I with its sign flipped.
+    "kinetic-transport-sign": (
+        "kinetic.py",
+        "    coefficients = rows @ np.column_stack([scattered, -t_basis, np.ones(ords.count)])",
+        "    coefficients = rows @ np.column_stack([scattered, t_basis, np.ones(ords.count)])",
+        "tests/test_acceptance.py::test_criterion_07_p1_closure_consistency",
+    ),
+    # (m) The kinetic scattering gain sigma_s |S| <<I>> dropped: only the
+    # loss -sigma_s |S| I is left.
+    "kinetic-scattering-gain": (
+        "kinetic.py",
+        "    scattered = damping * basis + (sigma_s * measure) * (rows[0] @ basis)",
+        "    scattered = damping * basis",
+        "tests/test_acceptance.py::test_criterion_07_p1_closure_consistency",
     ),
 }
 

@@ -47,7 +47,7 @@ def test_parseval(grid, seed):
     f = _noise(grid, np.random.default_rng(seed))
     inner = l2_inner(grid, f, f)
     assert inner == pytest.approx(sobolev_norm(grid, f, 0) ** 2, rel=TOL)
-    assert inner == pytest.approx(np.sum(f**2) * grid.cell_volume, rel=TOL)
+    assert inner == pytest.approx(np.sum(f**2) * grid.spacing ** grid.n_dims, rel=TOL)
 
 
 @EXAMPLES
