@@ -30,12 +30,15 @@ whatever the ordinate count. With R the (1+n, count) weight rows w/|S|
 and (n/|S|) w omega:
 
 - ``moments`` is (R @ basis) @ spectra.
-- ``transport_term`` (T = omega . grad I) is the pair of the rows
-  omega_ja basis_jb over the n k derivative spectra i k_a spectra_b.
+- ``transport_term`` (T = omega . grad I) gives the (count, n k) rows
+  omega_ja basis_jb, which weigh the derivative spectra i k_a spectra_b.
 - ``kinetic_rhs`` returns the spectra of the moments of the tendency
-  (-(sigma_a + sigma_s |S|) I - T + theta^4 + sigma_s |S| <<I>>)/eps as
-  (R @ [damping basis + sigma_s |S| 1 (R[0] @ basis), -T rows, 1]) @
-  [spectra, derivatives, theta^4], divided by eps after the product.
+  (-(sigma_a + sigma_s |S|) I - T + theta^4 + sigma_s |S| <<I>>)/eps.
+  The coefficients R @ [damping basis + sigma_s |S| 1 (R[0] @ basis),
+  -T rows, 1] weigh [spectra, derivative spectra, theta^4]. Since i k_a
+  is diagonal, the derivative block of axis a is applied to the spectra
+  and the product multiplied by i k_a: no derivative spectrum and no
+  stack of fields is formed. The sum is divided by eps last.
 - ``p1_projection_residual`` is the weighted norm of B' @ spectra with
   B' = basis - p1_basis (R @ basis), the basis projected off P1 before
   any field is touched; sqrt(w) B' is reduced to its triangular factor
@@ -43,14 +46,18 @@ and (n/|S|) w omega:
   of norms, or a Gram form of the unprojected basis, would cancel to
   about 1e-8 of |I| on exact P1 data, the size of ``P1_RESIDUAL_LIMIT``.
 
-Every sum over the ordinates and the transport term are linear, so the
-moments of the tendency of the spectra are the spectra of the moments
-of the tendency, and every norm is a Parseval sum (``sobolev_squares``):
-nothing here is transformed. The transport term does not depend on
-(sigma_a, sigma_s), so one closure check evaluates it once, together
-with the moments of I, the P1 projection residual and the sigma-free
-parts of the predicted tendencies, and shares them across every pair;
-each pair costs one ``kinetic_rhs``.
+Every (small real matrix) x (spectra) product is one real GEMM on the
+contiguous (re, im) float view of the half spectra: a real matrix maps
+real and imaginary parts alike, and a complex product of the same
+matrix costs several times as much (numpy 2.4, 2D/128 at 512 ordinates:
+20-50 us against 180 us). Every sum over the ordinates and the
+transport term are linear, so the moments of the tendency of the
+spectra are the spectra of the moments of the tendency, and every norm
+is a Parseval sum (``sobolev_squares``): nothing here is transformed.
+One closure check evaluates the moments of I, the P1 projection
+residual and the sigma-free parts of the predicted tendencies once and
+shares them across every pair; each pair costs one ``kinetic_rhs``,
+whose result the predicted tendency is subtracted from in place.
 """
 
 from __future__ import annotations
@@ -138,16 +145,14 @@ def p1_basis(ords: OrdinateSet) -> np.ndarray:
     return np.column_stack([np.ones(ords.count), ords.directions])
 
 
-def transport_term(grid: Grid, ords: OrdinateSet, I) -> tuple[np.ndarray, np.ndarray]:
+def transport_term(ords: OrdinateSet, I) -> np.ndarray:
     """omega . grad I per ordinate of the (basis, spectra) pair I with k
-    spectra: the pair of the (count, n k) rows omega_ja basis_jb and the
-    (n k, *half_shape) derivative spectra i k_a spectra_b, whatever the
-    ordinate count.
+    spectra: the (count, n k) rows omega_ja basis_jb that weigh the
+    derivative spectra i k_a spectra_b, whatever the ordinate count.
+    Column a k + b goes with spectrum b differentiated along axis a.
     """
-    basis, spectra = I
-    rows = (ords.directions[:, :, None] * basis[:, None, :]).reshape(ords.count, -1)
-    derivatives = grid.half_ik[:, None] * spectra
-    return rows, derivatives.reshape(-1, *grid.half_shape)
+    basis, _ = I
+    return (ords.directions[:, :, None] * basis[:, None, :]).reshape(ords.count, -1)
 
 
 def kinetic_rhs(
@@ -158,7 +163,6 @@ def kinetic_rhs(
     eps: float,
     sigma_a: float,
     sigma_s: float,
-    transport=None,
 ) -> np.ndarray:
     """The (1+n, *half_shape) spectra of the ``moments`` of the transport
     tendency of the (basis, spectra) pair I,
@@ -168,12 +172,13 @@ def kinetic_rhs(
 
     with <<I>> the direction average and source the (*half_shape)
     dealiased spectrum of theta^4 (``emission_spectrum``). The emission
-    constant is one. ``transport`` is ``transport_term`` of I when the
-    caller already has it; it is computed here otherwise. Every ordinate
-    sum is taken on the basis: the weight rows times the
-    (count, k + n k + 1) rows (damping basis_j + sigma_s |S| <<basis>>,
-    -transport rows_j, 1) give the coefficients of the spectra of I, of
-    T and of theta^4.
+    constant is one. Every ordinate sum is taken on the basis: the weight
+    rows times the (count, k + n k + 1) rows (damping basis_j + sigma_s
+    |S| <<basis>>, -transport rows_j, 1) give the coefficients of the
+    spectra of I, of the derivative spectra and of theta^4. Since i k_a
+    is diagonal, block a of the derivative coefficients is applied to
+    the spectra first and the product is multiplied by i k_a, so no
+    derivative spectrum is formed.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -181,19 +186,38 @@ def kinetic_rhs(
         raise ValueError(f"sigma_a must be positive, got {sigma_a}")
     if sigma_s < 0.0:
         raise ValueError(f"sigma_s must be nonnegative, got {sigma_s}")
-    if transport is None:
-        transport = transport_term(grid, ords, I)
-    (basis, spectra), (t_basis, t_spectra) = I, transport
+    basis, spectra = I
+    t_basis = transport_term(ords, I)
     measure = ords.surface_measure
     rows = _moment_rows(ords)
     damping = -(sigma_a + sigma_s * measure)
     scattered = damping * basis + (sigma_s * measure) * (rows[0] @ basis)
     coefficients = rows @ np.column_stack([scattered, -t_basis, np.ones(ords.count)])
-    fields = np.concatenate([spectra, t_spectra, source[None]])
+    k = len(spectra)
+    tendency = _apply(coefficients[:, :k], spectra)
+    work = np.empty_like(tendency)
+    for a, ik in enumerate(grid.half_ik, start=1):
+        _apply(coefficients[:, a * k : (a + 1) * k], spectra, out=work)
+        for row in work:  # by rows: numpy copies a broadcast in-place operand
+            row *= ik
+        tendency += work
+    for row, c in zip(tendency, coefficients[:, -1]):
+        row += np.multiply(source, c, out=work[0])
     # Divided by eps last: the damping term times max|I| is finite
     # (config.py admits no pair otherwise), damping / eps may not be.
-    tendency = np.tensordot(coefficients, fields, axes=1)
     return np.divide(tendency, eps, out=tendency)
+
+
+def _apply(matrix: np.ndarray, fields: np.ndarray, out=None) -> np.ndarray:
+    """The real (m, k) matrix times the (k, ...) stack of fields, as one
+    real GEMM: complex fields are read as their contiguous (re, im) view,
+    whose columns the real matrix maps independently."""
+    fields = np.ascontiguousarray(fields)
+    if out is None:
+        out = np.empty((len(matrix), *fields.shape[1:]), fields.dtype)
+    flat = lambda a: a.view(float).reshape(len(a), -1)
+    np.matmul(matrix, flat(fields), out=flat(out))
+    return out
 
 
 def moments(ords: OrdinateSet, I) -> np.ndarray:
@@ -207,7 +231,7 @@ def moments(ords: OrdinateSet, I) -> np.ndarray:
     takes values to values as well.
     """
     basis, spectra = I
-    return np.tensordot(_moment_rows(ords) @ basis, spectra, axes=1)
+    return _apply(_moment_rows(ords) @ basis, spectra)
 
 
 def _moment_rows(ords: OrdinateSet) -> np.ndarray:
@@ -231,7 +255,7 @@ def p1_projection_residual(grid: Grid, ords: OrdinateSet, I) -> float:
     basis, spectra = I
     projected = basis - p1_basis(ords) @ (_moment_rows(ords) @ basis)
     factor = np.linalg.qr(np.sqrt(ords.weights)[:, None] * projected, mode="r")
-    difference = np.tensordot(factor, spectra, axes=1)
+    difference = _apply(factor, spectra)
     return float(np.sqrt(sobolev_squares(grid, difference, (0,)).sum()))
 
 
@@ -253,9 +277,9 @@ def moment_system_check(
     spectrum source of theta^4 (``emission_spectrum``); the L^2 norms of
     the differences are (r0, r1). Both vanish to quadrature precision
     for intensities in the P1 subspace on at least 4 ordinates. The
-    projection residual, the moments of I, the transport term and the
-    sigma-free parts of the prediction are computed once and shared by
-    every pair; nothing is transformed.
+    projection residual, the moments of I and the sigma-free parts of
+    the prediction are computed once and shared by every pair; each
+    pair costs one ``kinetic_rhs``, and nothing is transformed.
 
     Args:
         enforce_p1: When True (default), reject intensities whose
@@ -289,23 +313,30 @@ def moment_system_check(
         )
     n = ords.n_dims
     measure = ords.surface_measure
-    transport = transport_term(grid, ords, I)
     # eps times the predicted tendencies without their damping terms:
     # theta^4 - (1/n) div I1 and -grad I0.
     ik = grid.half_ik
     free = np.concatenate(
         [(source - np.sum(ik * rad_hat[1:], axis=0) * (1.0 / n))[None], -ik * rad_hat[0]]
     )
+    predicted = np.empty_like(source)
 
     pairs = []
     for sigma_a, sigma_s in sigma_pairs:
-        tend = kinetic_rhs(grid, ords, I, source, eps, sigma_a, sigma_s, transport)
-        # Squared at the power-of-two scale that brings the tendency below
-        # one, so no admitted sigma overflows; exact.
-        scale = np.ldexp(1.0, -max(0, int(np.frexp(np.abs(tend).max())[1])))
+        tend = kinetic_rhs(grid, ords, I, source, eps, sigma_a, sigma_s)
+        # Squared at the power-of-two scale that brings every real and
+        # imaginary part of the tendency below one, so no admitted sigma
+        # overflows; exact.
+        top = max(tend.view(float).max(), -tend.view(float).min())
+        scale = np.ldexp(1.0, -max(0, int(np.frexp(top)[1])))
         tend *= scale
-        tend[0] -= (free[0] - sigma_a * rad_hat[0]) * (scale / eps)
-        tend[1:] -= (free[1:] - (sigma_a + sigma_s * measure) * rad_hat[1:]) * (scale / eps)
+        # The predicted tendency, scaled alike, subtracted in place.
+        for i, damping in enumerate([sigma_a] + [sigma_a + sigma_s * measure] * n):
+            np.multiply(rad_hat[i], damping, out=predicted)
+            np.subtract(free[i], predicted, out=predicted)
+            predicted *= scale / eps
+            tend[i] -= predicted
         squares = sobolev_squares(grid, tend, (0,))[0]
+        del tend  # not alive while the next pair's tendency is built
         pairs.append(tuple(float(np.sqrt(q) / scale) for q in (squares[0], squares[1:].sum())))
     return residual, pairs

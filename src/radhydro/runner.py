@@ -87,9 +87,13 @@ class RunSummary:
     closure: dict | None = None
 
     def to_json_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d.pop("wall_time_s")
-        return d
+        """The fields but wall_time_s, by name; the values are shared,
+        not copied."""
+        return {
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(self)
+            if f.name != "wall_time_s"
+        }
 
 
 def _row(values) -> str:
@@ -106,9 +110,9 @@ def _open_series(stack: ExitStack, path, header: list[str]):
 
 def emit_summary(summary: RunSummary, path) -> None:
     """Write the run summary as sorted-key JSON (volatile fields dropped)."""
+    text = json.dumps(summary.to_json_dict(), indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(summary.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _output_times(t_end: float, interval: float):
@@ -124,7 +128,9 @@ def _sampled(state, stepper, params, config: RunConfig, name: str):
     """The states at every output time, including t = 0, one at a time.
 
     Between output times the run steps with the largest dt the CFL
-    bounds allow, spread evenly so that it lands on the output time.
+    bounds allow, spread evenly so that it lands on the output time. A
+    step that does not move the time forward raises TimeMismatch, so a
+    broken stepper cannot loop forever.
     """
     yield state
     tol = _LAND_TOL * config.output_interval
@@ -134,8 +140,13 @@ def _sampled(state, stepper, params, config: RunConfig, name: str):
                 state, params, config.dt_max, config.cfl_advective, config.cfl_diffusive
             )
             remaining = t_target - state.time
-            n_sub = max(1, math.ceil(remaining / dt_stable - 1e-9))
-            state = stepper(state, remaining / n_sub)
+            dt = remaining / max(1, math.ceil(remaining / dt_stable - 1e-9))
+            before = state.time
+            state = stepper(state, dt)
+            if not state.time > before:  # also NaN
+                raise TimeMismatch(
+                    f"{name}: a step of dt = {dt!r} from t = {before!r} reached t = {state.time!r}"
+                )
         if abs(state.time - t_target) >= 1e3 * tol:
             raise TimeMismatch(
                 f"{name}: stepping to t = {t_target!r} reached t = {state.time!r}"

@@ -153,6 +153,24 @@ class TestWellPreparedInit:
         assert rad_norm == pytest.approx(math.sqrt(eps) * shape_norm, rel=1e-12)
         assert math.sqrt(eps) * rad_norm == pytest.approx(eps * shape_norm, rel=1e-12)
 
+    @pytest.mark.parametrize("n_dims", [1, 2])
+    def test_deviations_have_the_sign_of_the_shapes(self, n_dims):
+        # Member e is the base plus eps*amp times the fluid shapes and the
+        # limit closure plus +sqrt(eps)*amp times the radiation shapes,
+        # entry by entry: a norm of the deviation cannot see its sign.
+        grid = Grid(n_dims, 16)
+        x = grid.coordinates()
+        u = np.stack([0.1 * np.cos(x[-1] + a) for a in range(n_dims)])
+        base = limit_state(grid, stack(grid, 1 + 0.1 * np.sin(x[0]), u, 1 + 0.1 * np.cos(sum(x))))
+        shapes, amp, sweep = _config_shapes(grid), 0.5, (0.04, 0.01)
+        batch = well_prepared_init(base, sweep, amp, shapes)
+        closure = stack(grid, *limit_pair(grid, base.fluid[-1, 0]))
+        for e, eps in enumerate(sweep, start=1):
+            fluid_gap = batch.fluid[:, e] - base.fluid[:, 0] - eps * amp * shapes[: n_dims + 2]
+            rad_gap = grid.inverse(batch.rad[:, e]) - closure - math.sqrt(eps) * amp * shapes[n_dims + 2 :]
+            assert np.abs(fluid_gap).max() < 1e-14
+            assert np.abs(rad_gap).max() < 1e-13
+
     @pytest.mark.parametrize("amp", [0.0, 1.0])
     def test_deviation_over_eps_is_eps_independent(self, grid1d, amp):
         base = _base_state(grid1d)

@@ -61,6 +61,26 @@ class TestEmitSeries:
         assert "e" in v  # 17-significant-digit scientific form
 
 
+class TestEmitSummary:
+    @pytest.mark.parametrize("mode", ["convergence-study", "closure-check"])
+    def test_bytes_match_a_deep_copy_dumped_in_chunks(self, tmp_path, mode):
+        # summary.json is one json.dumps of the fields by name: the same
+        # bytes as a deep copy of the summary (dataclasses.asdict) without
+        # wall_time_s, written chunk by chunk with json.dump.
+        if mode == "convergence-study":
+            cfg = _fast_study(out_dir=str(tmp_path))
+        else:
+            cfg = parse_config({"mode": mode, "grid": {"n_dims": 2, "points": 16}, "out_dir": str(tmp_path)})
+        summary = run(cfg)
+        reference = dataclasses.asdict(summary)
+        del reference["wall_time_s"]
+        buffer = io.StringIO()
+        json.dump(reference, buffer, indent=2, sort_keys=True)
+        buffer.write("\n")
+        assert (tmp_path / "summary.json").read_bytes() == buffer.getvalue().encode("utf-8")
+        assert summary.to_json_dict() == reference
+
+
 class TestSimulateModes:
     def test_equilibrium_eps_run_is_static(self, tmp_path):
         cfg = parse_config(
@@ -124,6 +144,24 @@ class TestSimulateModes:
                                   ("simulate-limit", {}, "limit run"),
                                   ("convergence-study", {}, "eps sweep")]:
             message = name + r": stepping to t = 0\.05 reached t = 1\.00"
+            with pytest.raises(TimeMismatch, match=message):
+                run(parse_config({**raw, **extra, "mode": mode}))
+
+    @pytest.mark.parametrize("shift", [0.0, -1.0], ids=["stalled", "backward"])
+    def test_step_that_does_not_advance_raises_time_mismatch(self, tmp_path, monkeypatch, shift):
+        # A stepper that leaves the time where it was, or moves it back,
+        # would step toward the output time forever; the first such step
+        # fails the run and names the batch, dt and both times.
+        def stuck(state, p, dt):
+            return dataclasses.replace(state, time=state.time + shift * dt)
+
+        monkeypatch.setattr(radhydro.runner, "step_batch", stuck)
+        raw = {"grid": {"n_dims": 1, "points": 8}, "t_end": 0.05, "output_interval": 0.05,
+               "out_dir": str(tmp_path)}
+        for mode, extra, name in [("simulate-eps", {"eps": 0.1}, r"eps = 0\.1"),
+                                  ("simulate-limit", {}, "limit run"),
+                                  ("convergence-study", {}, "eps sweep")]:
+            message = name + r": a step of dt = \S+ from t = 0\.0 reached t = "
             with pytest.raises(TimeMismatch, match=message):
                 run(parse_config({**raw, **extra, "mode": mode}))
 

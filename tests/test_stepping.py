@@ -13,6 +13,7 @@ from radhydro.spectral import Grid
 from radhydro.stepping import (
     RK4_IMAGINARY_STABILITY,
     RK4_REAL_STABILITY,
+    cfl_bounds,
     cfl_dt,
     step_eps,
 )
@@ -219,6 +220,19 @@ class TestCflDt:
         # interval 2 sqrt(2). The diffusive bound is huge.
         expected = 0.5 * 2 * np.sqrt(2) / (21 * np.sqrt(2))
         assert cfl_dt(state, PARAMS, math.inf, 0.5, 0.5) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("n_dims,points,u,k_max", [
+        (1, 64, [0.5], 21.0), (2, 32, [0.3, 0.4], 10.0 * math.sqrt(2.0)),
+    ])
+    def test_advective_bound_away_from_unit_temperature(self, n_dims, points, u, k_max):
+        # At theta = 4 the sound speed sqrt(2 theta) is 2 sqrt(2), so the
+        # speed is max|u| + 2 sqrt(2) with |u| = 0.5; at theta = 1 the
+        # sound speed cannot tell sqrt(2 theta) from sqrt(2 / theta).
+        grid = Grid(n_dims, points)
+        y = stack(grid, 1.0, np.multiply.outer(u, np.ones(grid.shape)), 4.0)
+        advective, _ = cfl_bounds(grid, y, PARAMS, 0.5, 0.5)
+        expected = 0.5 * RK4_IMAGINARY_STABILITY / (k_max * (0.5 + 2.0 * math.sqrt(2.0)))
+        assert advective == pytest.approx(expected, rel=1e-13)
 
     def test_diffusive_bound_dominates_for_large_kappa(self, grid1d):
         state = limit_state(grid1d, stack(grid1d, 1.0, 0.0, 1.0))
