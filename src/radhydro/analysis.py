@@ -26,6 +26,7 @@ Observed convergence orders come from a least-squares line through
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
@@ -33,6 +34,9 @@ from .errors import DegenerateFit
 from .fluid import require_positive
 from .spectral import Grid, sobolev_squares
 from .stepping import EpsBatch
+
+# numpy >= 1.25 keeps it in np.exceptions, and 2.0 dropped np.RankWarning.
+_RankWarning = getattr(np, "exceptions", np).RankWarning
 
 __all__ = [
     "unit_rows",
@@ -126,8 +130,9 @@ def fit_rate(pairs) -> dict:
         pairs: at least three (eps, error) tuples with positive errors.
 
     Raises:
-        DegenerateFit: nonpositive error, fewer than 3 pairs, or all eps
-            equal.
+        DegenerateFit: nonpositive error, fewer than 3 pairs, eps values
+            not distinct, or log(eps) values so close that numpy's
+            least squares is rank deficient (its RankWarning).
     """
     pairs = sorted(pairs, key=lambda p: -p[0])
     if len(pairs) < 3:
@@ -142,7 +147,12 @@ def fit_rate(pairs) -> dict:
         raise DegenerateFit("eps values must be distinct")
     x = np.log(eps_values)
     y = np.log(errors)
-    slope, intercept = np.polyfit(x, y, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", _RankWarning)
+        try:
+            slope, intercept = np.polyfit(x, y, 1)
+        except _RankWarning as exc:
+            raise DegenerateFit(f"log(eps) values too close for a fit: {exc}") from None
     fitted = slope * x + intercept
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))

@@ -260,9 +260,14 @@ def _is_finite_number(value) -> bool:
         return False
 
 
+def _given(d: dict, key: str, default):
+    """The value under key, or default when the key is absent or null."""
+    return default if d.get(key) is None else d[key]
+
+
 def _number(d: dict, key: str, default, context: str = "", positive=False):
     """The number under key, or default when the key is absent or null."""
-    value = default if d.get(key) is None else d[key]
+    value = _given(d, key, default)
     if value is None:
         return None
     name = f"{context}.{key}" if context else key
@@ -485,8 +490,8 @@ def parse_config(raw: dict, mode: str | None = None) -> RunConfig:
     _require_read(raw, cfg_mode, MODE_KEYS, "{}")
 
     grid_raw = _object(raw.get("grid", {}), "grid", {"n_dims", "points"})
-    n_dims = grid_raw.get("n_dims", 1)
-    points = grid_raw.get("points", 64)
+    n_dims = _given(grid_raw, "n_dims", 1)
+    points = _given(grid_raw, "points", 64)
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in (n_dims, points)):
         _fail("grid", "n_dims and points must be integers")
     try:
@@ -567,7 +572,7 @@ def parse_config(raw: dict, mode: str | None = None) -> RunConfig:
     if not (isinstance(out_dir, str) and out_dir and "\x00" not in out_dir):
         _fail("out_dir", "expected a nonempty string with no NUL character")
 
-    ordinates = cfg["ordinates"] = raw.get("ordinates", 8)
+    ordinates = cfg["ordinates"] = _given(raw, "ordinates", 8)
     if not isinstance(ordinates, int) or ordinates < 4 or ordinates % 2 != 0:
         _fail("ordinates", "expected an even integer >= 4")
     if n_dims == 2 and points**2 * ordinates > MAX_INTENSITY_VALUES:

@@ -1,17 +1,30 @@
 """Shared helpers: deterministic smooth random fields, stacked states,
-one-member calls of the array kernels and test-local oracles.
+one-member calls of the array kernels, test-local oracles, and the
+``exits`` fixture that runs the CLI on a config.
 
 Fields are numpy arrays of values, shape grid.shape; a vector field is
 an (n, *shape) stack of its components."""
 
+import json
+import warnings
+
 import numpy as np
 import pytest
 
+import radhydro.cli
 from radhydro.analysis import batch_error_squares
 from radhydro.fluid import _rhs_common, require_positive
 from radhydro.radiation import emission_spectrum, limit_closure
 from radhydro.spectral import Grid, sobolev_squares
 from radhydro.stepping import EpsBatch, _propagator, _substep
+
+# A study whose members' diffusive bound undercuts the limit run's: at
+# amp 1 their lower density does, so the limit run takes their dt.
+CFL_STUDY = {
+    "mode": "convergence-study", "grid": {"n_dims": 1, "points": 64},
+    "fluid": {"mu": 0.05, "lambda": 0.0, "kappa": 0.05}, "dt_max": 1, "t_end": 0.4,
+    "output_interval": 0.2, "perturbation_amp": 1,
+}
 
 
 def smooth_field(grid, rng, kmax=3, amp=0.1):
@@ -194,3 +207,27 @@ def grid2d():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def exits(tmp_path, monkeypatch, capsys):
+    """exits(code, mode, raw, *flags): the stderr of the CLI run in
+    process on the config raw, with every warning an error, writing to
+    tmp_path/out unless flags give another --out. The exit code must be
+    code and stderr must hold no Traceback; with code 2 the run is
+    stubbed out, so the parse must reject the config."""
+
+    def check(code, mode, raw, *flags):
+        if code == 2:
+            monkeypatch.setattr(radhydro.cli, "run", lambda *a, **k: pytest.fail("run started"))
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        argv = [mode, "--config", str(path), "--out", str(tmp_path / "out"), *flags]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = radhydro.cli.main(argv)
+        err = capsys.readouterr().err
+        assert got == code and "Traceback" not in err, err
+        return err
+
+    return check

@@ -261,3 +261,10 @@ class TestFitRate:
         with pytest.raises(DegenerateFit, match="distinct"):
             fit_rate([(0.1, 1.0), (0.05, 0.5), (0.05, 0.2)])
 
+    def test_eps_values_numpy_cannot_fit_are_degenerate(self):
+        # Distinct, but their logs agree to a few ulps: np.polyfit warns
+        # RankWarning and returned a slope for a line through one point.
+        eps = [0.1, 0.09999999999999999, 0.09999999999999998]
+        with pytest.raises(DegenerateFit, match="too close for a fit"):
+            fit_rate([(e, 0.0059) for e in eps])
+

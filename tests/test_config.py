@@ -100,11 +100,10 @@ class TestLoadConfig:
         assert explicit.dt_max == 0.004
 
     @pytest.mark.parametrize("field,value", [("cfl_advective", 1.5), ("cfl_diffusive", 0), ("dt_max", 0)])
-    def test_step_control_out_of_range_exits_2(self, field, value, tmp_path, monkeypatch, capsys):
+    def test_step_control_out_of_range_exits_2(self, field, value, exits):
         # Checked once, at parse: the runner hands these values to cfl_dt
         # as they are.
-        code, err = _exit_code_and_err(tmp_path, monkeypatch, capsys, "simulate-limit", {field: value})
-        assert code == 2 and f"field '{field}'" in err
+        assert f"field '{field}'" in exits(2, "simulate-limit", {field: value})
 
     def test_closure_check_eps_is_resolved(self):
         # The echo holds the default eps = 1 the check runs at, and parses
@@ -163,16 +162,13 @@ class TestProfiles:
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("name", ["rho", "theta"])
-    def test_nonpositive_profile_exits_2(self, mode, name, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(radhydro.cli, "run", lambda *a, **k: pytest.fail("run started"))
-        path = _write(tmp_path, {"profiles": {name: {"base": 0.0}}})
-        assert main([mode, "--config", str(path)]) == 2
-        assert f"'profiles.{name}': initial values must be positive" in capsys.readouterr().err
+    def test_nonpositive_profile_exits_2(self, mode, name, exits):
+        err = exits(2, mode, {"profiles": {name: {"base": 0.0}}})
+        assert f"'profiles.{name}': initial values must be positive" in err
 
-    def test_overflowing_shape_exits_2(self, tmp_path, monkeypatch, capsys):
+    def test_overflowing_shape_exits_2(self, exits):
         # Each value fits a float, but their sum and the L^2 norm that
         # RunConfig.shapes divides by overflow.
-        monkeypatch.setattr(radhydro.cli, "run", lambda *a, **k: pytest.fail("run started"))
         huge = [
             {"amplitude": 1e308, "wavenumber": [1], "kind": kind} for kind in ("sin", "cos")
         ]
@@ -185,15 +181,12 @@ class TestProfiles:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match=r"'perturbation_shapes.rho'.*not finite"):
                 parse_config(raw, mode="simulate-eps")
-            path = _write(tmp_path, raw)
-            assert main(["simulate-eps", "--config", str(path)]) == 2
-        assert "not finite" in capsys.readouterr().err
+        assert "not finite" in exits(2, "simulate-eps", raw)
 
     @pytest.mark.parametrize("n_dims", [1, 2])
-    def test_overflowing_velocity_exits_2(self, n_dims, tmp_path, monkeypatch, capsys):
+    def test_overflowing_velocity_exits_2(self, n_dims, exits):
         # Each value fits a float, but the squared velocity magnitude the
         # advective CFL bound takes does not.
-        monkeypatch.setattr(radhydro.cli, "run", lambda *a, **k: pytest.fail("run started"))
         k = lambda j: [j] + [0] * (n_dims - 1)
         huge = [
             {"amplitude": 1e308, "wavenumber": k(j), "kind": "sin"} for j in (1, 2)
@@ -207,9 +200,7 @@ class TestProfiles:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match=r"'profiles.u'.*not finite"):
                 parse_config(raw, mode="simulate-limit")
-            path = _write(tmp_path, raw)
-            assert main(["simulate-limit", "--config", str(path)]) == 2
-        assert "'profiles.u'" in capsys.readouterr().err
+        assert "'profiles.u'" in exits(2, "simulate-limit", raw)
 
     @pytest.mark.parametrize(
         "profiles,field",
@@ -228,19 +219,16 @@ class TestProfiles:
             ({"rho": {"base": 1e200}}, "profiles.rho"),
         ],
     )
-    def test_overflowing_product_exits_2(self, profiles, field, tmp_path, monkeypatch, capsys):
+    def test_overflowing_product_exits_2(self, profiles, field, exits):
         # Each value fits a float, but a product the right-hand side
         # forms, or a sum over the grid, does not; the run used to fail
         # at its first step.
-        monkeypatch.setattr(radhydro.cli, "run", lambda *a, **k: pytest.fail("run started"))
         raw = {"profiles": profiles}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match=rf"'{field}'.*not finite"):
                 parse_config(raw, mode="simulate-limit")
-            path = _write(tmp_path, raw)
-            assert main(["simulate-limit", "--config", str(path)]) == 2
-        assert f"'{field}'" in capsys.readouterr().err
+        assert f"'{field}'" in exits(2, "simulate-limit", raw)
 
     def test_shape_with_one_huge_mode_is_accepted(self):
         # A single mode of amplitude 1e150 overflows nowhere: its norm
@@ -273,26 +261,14 @@ class TestProfiles:
         assert not shapes[1:].any()
 
 
-def _exit_code_and_err(tmp_path, monkeypatch, capsys, mode, raw):
-    """Exit code and stderr of the CLI on raw, with the run stubbed out and
-    every warning an error."""
-    monkeypatch.setattr(radhydro.cli, "run", lambda *a, **k: pytest.fail("run started"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main([mode, "--config", str(_write(tmp_path, raw))])
-    return code, capsys.readouterr().err
-
-
 class TestParseTimeEvaluation:
     # parse_config evaluates what the run starts from once, with the run's
     # own builders and kernels; a failing row names its config field.
     @pytest.mark.parametrize("mode", ["convergence-study", "simulate-eps"])
-    def test_destructive_perturbation_amp_exits_2(self, mode, tmp_path, monkeypatch, capsys):
+    def test_destructive_perturbation_amp_exits_2(self, mode, exits):
         # The prepared data of the first eps (0.1) loses positivity: this
         # config used to pass the parse and fail its run with exit 3.
-        raw = {"perturbation_amp": 100}
-        code, err = _exit_code_and_err(tmp_path, monkeypatch, capsys, mode, raw)
-        assert code == 2
+        err = exits(2, mode, {"perturbation_amp": 100})
         assert re.search(r"'perturbation_amp': 100 .* min rho = -4\.74 at eps = 0\.1\b", err)
 
     @pytest.mark.parametrize(
@@ -302,13 +278,11 @@ class TestParseTimeEvaluation:
             ("convergence-study", "eps_list", {"eps_list": [0.1, 1e-100, 1e-200]}),
         ],
     )
-    def test_eps_whose_square_underflows_exits_2(self, mode, key, raw, tmp_path, monkeypatch,
-                                                  capsys):
+    def test_eps_whose_square_underflows_exits_2(self, mode, key, raw, exits):
         # eps^2 is 0.0: these runs marched to t_end, wrote every CSV and
         # then died dividing gamma by eps^2 (ZeroDivisionError, exit 1).
         raw = {"grid": {"n_dims": 1, "points": 16}, "t_end": 0.05, "output_interval": 0.025, **raw}
-        code, err = _exit_code_and_err(tmp_path, monkeypatch, capsys, mode, raw)
-        assert code == 2 and "Traceback" not in err
+        err = exits(2, mode, raw)
         bound = "1.4916681462400413e-154 = 2^-511, the smallest eps whose square is a normal float"
         assert f"field '{key}': 1e-200 is below {bound}" in err
         # The floor itself is accepted, the float below it is not.
@@ -317,22 +291,16 @@ class TestParseTimeEvaluation:
             low = math.nextafter(2.0**-511, 0.0)
             parse_config({**raw, key: low if key == "eps" else [0.1, 0.01, low]}, mode)
 
-    def test_closure_check_takes_any_positive_eps(self, tmp_path):
+    def test_closure_check_takes_any_positive_eps(self, exits):
         # The closure check marches nothing, so the floor does not apply.
-        raw = {"grid": {"n_dims": 2, "points": 16}, "eps": 1e-200, "out_dir": str(tmp_path)}
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["closure-check", "--config", str(_write(tmp_path, raw))]) == 0
+        exits(0, "closure-check", {"grid": {"n_dims": 2, "points": 16}, "eps": 1e-200})
 
-    def test_closure_check_takes_any_rho_and_u(self, tmp_path):
+    def test_closure_check_takes_any_rho_and_u(self, exits):
         # The check samples theta and its limit closure only, so rho and u
         # whose norms and right-hand side overflow do not stop it; it used
         # to fail on the H^s norms of rho, which it never takes.
         huge = {"rho": {"base": 1e200}, "u": [{"base": 1e200}, {"base": 0.0}]}
-        raw = {"grid": {"n_dims": 2, "points": 16}, "profiles": huge, "out_dir": str(tmp_path)}
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["closure-check", "--config", str(_write(tmp_path, raw))]) == 0
+        exits(0, "closure-check", {"grid": {"n_dims": 2, "points": 16}, "profiles": huge})
 
     @pytest.mark.parametrize("mode", ["convergence-study", "simulate-eps"])
     def test_overflowing_error_rows_exit_2(self, mode):
@@ -352,19 +320,17 @@ class TestParseTimeEvaluation:
             ("convergence-study", {"eps_list": [1e308, 1e307, 1e306]}, "eps_list"),
         ],
     )
-    def test_overflowing_eps_right_hand_side_exits_2(self, mode, raw, field, tmp_path, monkeypatch, capsys):
+    def test_overflowing_eps_right_hand_side_exits_2(self, mode, raw, field, exits):
         # The momentum source eps * I1 of the largest eps overflows; only
         # the eps right-hand side forms it.
-        code, err = _exit_code_and_err(tmp_path, monkeypatch, capsys, mode, raw)
-        assert code == 2
+        err = exits(2, mode, raw)
         assert f"'{field}': the right-hand side at eps = 1e+308 is not finite in its u row" in err
 
-    def test_overflowing_emission_exits_2_in_the_closure_check(self, tmp_path, monkeypatch, capsys):
+    def test_overflowing_emission_exits_2_in_the_closure_check(self, exits):
         # theta^4 overflows; the closure check samples its intensity from
         # the limit closure of theta, so it must not start either.
-        raw = {"profiles": {"theta": {"base": 1e80}}}
-        code, err = _exit_code_and_err(tmp_path, monkeypatch, capsys, "closure-check", raw)
-        assert code == 2 and "'profiles.theta'" in err and "not finite" in err
+        err = exits(2, "closure-check", {"profiles": {"theta": {"base": 1e80}}})
+        assert "'profiles.theta'" in err and "not finite" in err
 
     @pytest.mark.parametrize("mode", MODES)
     def test_overflowing_shape_exits_2_in_every_mode(self, mode):
@@ -379,12 +345,10 @@ class TestParseTimeEvaluation:
             parse_config(raw)
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_profile_below_the_positivity_floor_exits_2(self, mode, tmp_path, monkeypatch, capsys):
+    def test_profile_below_the_positivity_floor_exits_2(self, mode, exits):
         # Positive, but below the floor 1e-6 that the solver checks at its
         # first stage: the solver modes used to exit 3.
-        raw = {"profiles": {"rho": {"base": 1e-7}}}
-        code, err = _exit_code_and_err(tmp_path, monkeypatch, capsys, mode, raw)
-        assert code == 2
+        err = exits(2, mode, {"profiles": {"rho": {"base": 1e-7}}})
         assert "'profiles.rho': initial values must be positive, min is 1e-07" in err
 
     def test_wavenumber_of_the_wrong_length_is_named(self):
@@ -394,17 +358,14 @@ class TestParseTimeEvaluation:
             parse_config(raw)
 
     @pytest.mark.parametrize("indices", [[True, 3], [True, 1], [0, False]])
-    def test_boolean_sobolev_index_exits_2(self, indices, tmp_path, monkeypatch, capsys):
+    def test_boolean_sobolev_index_exits_2(self, indices, exits):
         # [true, 3] used to write a rho_hTrue column; [true, 1] collapsed to (True,).
-        raw = {"sobolev_indices": indices}
-        code, err = _exit_code_and_err(tmp_path, monkeypatch, capsys, "simulate-limit", raw)
-        assert code == 2 and "'sobolev_indices'" in err
+        assert "'sobolev_indices'" in exits(2, "simulate-limit", {"sobolev_indices": indices})
 
     @pytest.mark.parametrize("indices", [[7], [-1], [0, 3, 7]])
-    def test_sobolev_index_out_of_range_exits_2(self, indices, tmp_path, monkeypatch, capsys):
-        raw = {"sobolev_indices": indices}
-        code, err = _exit_code_and_err(tmp_path, monkeypatch, capsys, "simulate-limit", raw)
-        assert code == 2 and "'sobolev_indices': expected a nonempty list of integers in [0, 6]" in err
+    def test_sobolev_index_out_of_range_exits_2(self, indices, exits):
+        err = exits(2, "simulate-limit", {"sobolev_indices": indices})
+        assert "'sobolev_indices': expected a nonempty list of integers in [0, 6]" in err
 
     def test_initial_data_is_built_once_per_config(self):
         # The parse builds it; the run reuses it. A config made by
@@ -440,14 +401,13 @@ class TestParseTimeEvaluation:
         assert cfg.prepared is (cfg.limit_initial if mode == "simulate-limit" else None)
 
     @pytest.mark.parametrize("pair", [[1e308, 1e308], [0.0, 1.0], [1.0, -1.0]])
-    def test_sigma_pair_the_closure_check_cannot_take_exits_2(self, pair, tmp_path, monkeypatch, capsys):
+    def test_sigma_pair_the_closure_check_cannot_take_exits_2(self, pair, exits):
         # [1e308, 1e308] overflows the kinetic tendency: the check used to
         # pass on NaN residuals. The other two break the kernel's own
         # conditions sigma_a > 0, sigma_s >= 0: the run used to end in a
         # ValueError from kinetic_rhs (exit 1).
         raw = {"grid": {"n_dims": 2, "points": 16}, "ordinates": 8, "sigma_pairs": [[1.0, 0.0], pair]}
-        code, err = _exit_code_and_err(tmp_path, monkeypatch, capsys, "closure-check", raw)
-        assert code == 2 and "'sigma_pairs[1]'" in err
+        assert "'sigma_pairs[1]'" in exits(2, "closure-check", raw)
 
     def test_large_finite_sigma_is_accepted(self):
         # The overflow bound does not reject a large sigma whose tendency
@@ -475,8 +435,8 @@ _BAD_MODE = {"amplitude": _NAN, "wavenumber": [1], "kind": "sin"}
 
 
 class TestNonFiniteNumbers:
-    # Checked with parse_config only: a config that slipped through with
-    # t_end = Infinity would never finish.
+    # Checked with the run stubbed out: a config that slipped through
+    # with t_end = Infinity would never finish.
     @pytest.mark.parametrize(
         "overrides,field",
         [
@@ -501,14 +461,16 @@ class TestNonFiniteNumbers:
             ({"bounds": {"r_squared_min": 2.0}}, "bounds.r_squared_min"),
             ({"bounds": {"gamma_limit": -1}}, "bounds.gamma_limit"),
             ({"bounds": {"mass_drift_max": -1e-10}}, "bounds.mass_drift_max"),
-            ({"out_dir": "a\u0000b"}, "out_dir"),
+            ({"mode": "simulate-limit", "out_dir": "a\u0000b"}, "out_dir"),
             ({"out_dir": ""}, "out_dir"),
+            # 2^40 grid cells x ordinates, over the cap of 2^26.
+            ({"mode": "closure-check", "grid": {"n_dims": 2, "points": 1024}, "ordinates": 2**20},
+             "ordinates"),
         ],
     )
-    def test_rejected_and_named(self, overrides, field):
+    def test_rejected_and_named(self, overrides, field, exits):
         payload = {"mode": "convergence-study", **overrides}
-        with pytest.raises(ValidationError, match=re.escape(f"'{field}'")):
-            parse_config(payload)
+        assert f"field '{field}'" in exits(2, payload["mode"], payload)
 
     def test_json_literals_rejected_by_load_config(self, tmp_path):
         path = tmp_path / "run.json"
@@ -549,13 +511,10 @@ class TestWorkBudget:
         with pytest.raises(ValidationError, match=r"'profiles'.*advective CFL bound.*time steps"):
             parse_config(fast)
 
-    def test_cfl_limited_step_count_exits_2(self, tmp_path, monkeypatch, capsys):
+    def test_cfl_limited_step_count_exits_2(self, exits):
         # Should the check ever be lost, fail at once instead of starting
         # the 1.8e9-step run.
-        monkeypatch.setattr(radhydro.cli, "run", lambda *a, **k: pytest.fail("run started"))
-        path = _write(tmp_path, self.STIFF)
-        assert main(["convergence-study", "--config", str(path)]) == 2
-        err = capsys.readouterr().err
+        err = exits(2, "convergence-study", self.STIFF)
         assert "diffusive CFL bound" in err and "1.76e+09 time steps" in err
 
     def test_closure_check_intensity_budget(self):
@@ -634,10 +593,8 @@ class TestModeSchema:
         + [(mode, {"bounds": {key: DEFAULT_BOUNDS[key]}}, f"bounds.{key}")
            for mode, key in _FOREIGN_BOUNDS],
     )
-    def test_foreign_key_exits_2_naming_its_readers(self, mode, raw, field, tmp_path,
-                                                    monkeypatch, capsys):
-        code, err = _exit_code_and_err(tmp_path, monkeypatch, capsys, mode, raw)
-        assert code == 2 and "Traceback" not in err
+    def test_foreign_key_exits_2_naming_its_readers(self, mode, raw, field, exits):
+        err = exits(2, mode, raw)
         pattern = rf"field '{re.escape(field)}': {mode} does not read it \(read by (.*)\)"
         found = re.search(pattern, err)
         assert found, err
@@ -664,10 +621,8 @@ class TestModeSchema:
             ("closure-check", {"grid": {"n_dims": 2, "points": 16}, "t_end": 1e6}, "t_end"),
         ],
     )
-    def test_ignored_key_exits_2(self, mode, raw, field, tmp_path, monkeypatch, capsys):
-        code, err = _exit_code_and_err(tmp_path, monkeypatch, capsys, mode, raw)
-        assert code == 2 and "Traceback" not in err
-        assert f"field '{field}': {mode} does not read it" in err
+    def test_ignored_key_exits_2(self, mode, raw, field, exits):
+        assert f"field '{field}': {mode} does not read it" in exits(2, mode, raw)
 
 
 def test_seed_key_is_rejected():
@@ -679,7 +634,8 @@ def test_seed_key_is_rejected():
 
 
 class TestNullMeansDefault:
-    # JSON null for a numeric key is the same as leaving the key out.
+    # JSON null for a numeric key is the same as leaving the key out, in
+    # the mode the overrides name (convergence-study if none).
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -697,6 +653,9 @@ class TestNullMeansDefault:
             {"profiles": {"u": [{"base": None}]}},
             {"perturbation_shapes": {"I0": {"base": None}}},
             {"bounds": {"gamma_limit": None, "fluid_slope": None}},
+            {"grid": {"points": None}},
+            {"grid": {"n_dims": None, "points": 16}},
+            {"mode": "closure-check", "ordinates": None},
         ],
     )
     def test_same_as_absent(self, overrides):
@@ -723,12 +682,10 @@ class TestNullMeansDefault:
             main(["convergence-study", "--config", str(path)])
         assert seen[0].output_interval == 0.025 and seen[0].dt_max == 0.0025
 
-    def test_null_for_a_required_number_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(radhydro.cli, "run", lambda *a, **k: pytest.fail("run started"))
+    def test_null_for_a_required_number_exits_2(self, exits):
         mode = {"amplitude": None, "wavenumber": [1], "kind": "sin"}
-        path = _write(tmp_path, {"profiles": {"rho": {"base": 1.0, "modes": [mode]}}})
-        assert main(["convergence-study", "--config", str(path)]) == 2
-        assert "missing 'amplitude'" in capsys.readouterr().err
+        err = exits(2, "convergence-study", {"profiles": {"rho": {"base": 1.0, "modes": [mode]}}})
+        assert "missing 'amplitude'" in err
 
 
 class _RunRequested(Exception):

@@ -20,8 +20,8 @@ from radhydro.spectral import Grid
 from radhydro.stepping import EpsBatch, cfl_dt, step_batch, step_eps
 
 from conftest import (
-    eps_batch, limit_pair, limit_state, member, prepared_deviation, smooth_field, smooth_vector,
-    sobolev_norm, stack, with_limit,
+    CFL_STUDY, eps_batch, limit_pair, limit_state, member, prepared_deviation, smooth_field,
+    smooth_vector, sobolev_norm, stack, with_limit,
 )
 
 PARAMS = FluidParams(mu=0.01, lam=0.01, kappa=0.01)
@@ -216,20 +216,9 @@ def test_fast_member_sets_the_shared_dt():
 
 def test_limit_run_takes_the_sweeps_dt(tmp_path, monkeypatch):
     # One clock: the limit run is member 0 of the batch a study marches,
-    # so it steps with the sweep's dt. At amp 1 the members' lower
-    # density puts their diffusive bound below the limit run's own, which
-    # alone would reach t_end in 18 steps where the members take 20.
-    raw = {
-        "mode": "convergence-study",
-        "grid": {"n_dims": 1, "points": 64},
-        "fluid": {"mu": 0.05, "lambda": 0.0, "kappa": 0.05},
-        "dt_max": 1,
-        "t_end": 0.4,
-        "output_interval": 0.2,
-        "perturbation_amp": 1,
-        "out_dir": str(tmp_path),
-    }
-    cfg = parse_config(raw)
+    # so it steps with the sweep's dt. The limit run alone would reach
+    # t_end in 18 steps where the members take 20.
+    cfg = parse_config({**CFL_STUDY, "out_dir": str(tmp_path)})
     stable_dt = lambda b: cfl_dt(b, cfg.params, cfg.dt_max, cfg.cfl_advective, cfg.cfl_diffusive)
     assert stable_dt(cfg.prepared) < stable_dt(cfg.limit_initial)
     steps = {"limit": 0, "members": 0}
@@ -242,6 +231,18 @@ def test_limit_run_takes_the_sweeps_dt(tmp_path, monkeypatch):
     monkeypatch.setattr(radhydro.stepping, "step_eps", counting)
     run(cfg)
     assert steps == {"limit": 20, "members": 20}
+
+
+def test_study_writes_the_limit_series_of_simulate_limit(tmp_path):
+    # The limit run leads the batch the study marches and takes its
+    # smallest stable dt; on this config that is the dt cap, as in
+    # simulate-limit, so both take the same steps and write the same bytes.
+    short = {"grid": {"n_dims": 1, "points": 16}, "t_end": 0.05, "output_interval": 0.025}
+    run(parse_config({"mode": "simulate-limit", **short}), str(tmp_path / "limit"))
+    study = {"mode": "convergence-study", "eps_list": [0.1, 0.05, 0.025], **short}
+    run(parse_config(study), str(tmp_path / "study"))
+    series = [(tmp_path / name / "limit_series.csv").read_bytes() for name in ("limit", "study")]
+    assert series[0] == series[1]
 
 
 @pytest.mark.parametrize("n_dims,n", [(1, 64), (2, 32)])

@@ -27,7 +27,7 @@ from radhydro.runner import _open_series, _row, _sampled, _state_row, run
 from radhydro.stepping import step_batch
 from radhydro.spectral import Grid
 
-from conftest import prepared_deviation, sobolev_norm
+from conftest import CFL_STUDY, prepared_deviation, sobolev_norm
 
 
 def _fast_study(**overrides):
@@ -214,6 +214,18 @@ class TestConvergenceStudy:
         # a decade is 10^(1/log2 10) = 2 per halving; a ratio of 2 between
         # eps values 1e-15 apart is beyond float range per halving.
         assert radhydro.runner._halving_ratio(sweep, values) == pytest.approx(want, rel=1e-14)
+
+    def test_sweep_numpy_cannot_fit_fails_its_slope(self, tmp_path):
+        # Strictly decreasing, but the log(eps) values agree to a few ulps:
+        # np.polyfit warned RankWarning four times and the study passed a
+        # fluid_slope of 1.11 at R^2 = 1.
+        sweep = [0.1, 0.09999999999999999, 0.09999999999999998]
+        cfg = _fast_study(grid={"n_dims": 1, "points": 16}, t_end=0.05, output_interval=0.025,
+                          eps_list=sweep)
+        summary = run(cfg, out_dir=str(tmp_path))
+        assert all(set(fit) == {"error"} for fit in summary.rate_fits.values())
+        bound = next(b for b in summary.bounds_report if b["name"] == "fluid_slope")
+        assert bound["value"] is None and not bound["passed"] and summary.exit_status == 1
 
     def test_summary_excludes_wall_time(self, tmp_path):
         cfg = _fast_study()
@@ -502,6 +514,7 @@ class TestMomentResidualBound:
             summary = run(self._closure(tmp_path, [[sigma_a, 0.0]]))
         (pair,) = summary.closure["moment_residuals"].values()
         assert all(math.isfinite(r) for r in pair.values())
+        assert summary.exit_status == 0
 
     @pytest.mark.parametrize("sigma_pairs", [None, [[1e5, 0.0]]], ids=["defaults", "sigma-1e5"])
     def test_tendency_off_by_1e_6_fails(self, tmp_path, monkeypatch, sigma_pairs):
@@ -533,10 +546,8 @@ class TestCli:
         assert (tmp_path / "flag_out" / "summary.json").exists()
         assert not (tmp_path / "config_out").exists()
 
-    def test_bad_config_exits_2(self, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text('{"mode": "simulate-limit", "junk": 1}', encoding="utf-8")
-        assert main(["simulate-limit", "--config", str(cfg_path)]) == 2
+    def test_bad_config_exits_2(self, exits):
+        exits(2, "simulate-limit", {"mode": "simulate-limit", "junk": 1})
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf-8"])
     def test_unreadable_config_exits_2(self, kind, tmp_path, capsys):
@@ -549,20 +560,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("radhydro: ") and str(path) in err
 
-    def test_out_under_a_regular_file_exits_3(self, tmp_path, capsys):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text('{"t_end": 0.05, "output_interval": 0.05}', encoding="utf-8")
+    def test_out_under_a_regular_file_exits_3(self, tmp_path, exits):
         blocker = tmp_path / "file"
         blocker.write_text("", encoding="utf-8")
-        out = str(blocker / "out")
-        assert main(["simulate-limit", "--config", str(cfg_path), "--out", out]) == 3
-        assert "radhydro: run failed: " in capsys.readouterr().err
+        raw, out = {"t_end": 0.05, "output_interval": 0.05}, str(blocker / "out")
+        assert "radhydro: run failed: " in exits(3, "simulate-limit", raw, "--out", out)
 
-    def test_unbounded_sample_count_exits_2(self, tmp_path, capsys):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text('{"output_interval": 1e-300}', encoding="utf-8")
-        assert main(["convergence-study", "--config", str(cfg_path)]) == 2
-        assert "output_interval" in capsys.readouterr().err
+    def test_unbounded_sample_count_exits_2(self, exits):
+        assert "output_interval" in exits(2, "convergence-study", {"output_interval": 1e-300})
 
     def test_threads_flag_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(radhydro.cli, "run", lambda *a, **k: pytest.fail("run started"))
@@ -573,35 +578,36 @@ class TestCli:
         assert info.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
-    def test_strict_exit_reflects_bound_miss(self, tmp_path):
+    def test_strict_exit_reflects_bound_miss(self, exits):
         config = {
-            "mode": "simulate-limit",
             "t_end": 0.05,
             "output_interval": 0.05,
             "bounds": {"closure_residual_max": 1e-30},  # unsatisfiable
-            "out_dir": str(tmp_path / "out"),
         }
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(config), encoding="utf-8")
-        assert main(["simulate-limit", "--config", str(cfg_path)]) == 1
-        assert main(["simulate-limit", "--config", str(cfg_path), "--no-strict"]) == 0
+        exits(1, "simulate-limit", config)
+        exits(0, "simulate-limit", config, "--no-strict")
 
 
 _SHORT = {"t_end": 0.1, "output_interval": 0.05}
+# A config per mode, and under other names configs that set their mode.
 _MODE_CONFIGS = {
     "convergence-study": {"eps_list": [0.1, 0.05, 0.025], **_SHORT},
     "simulate-eps": {"perturbation_amp": 0.5, **_SHORT},
     "simulate-limit": _SHORT,
     "closure-check": {"ordinates": 8},
+    "closure-check-2d16": {"mode": "closure-check", "grid": {"n_dims": 2, "points": 16}, "ordinates": 8},
+    # The largest check a config admits: 128^2 grid cells x 4096 ordinates, the cap.
+    "closure-check-cap": {"mode": "closure-check", "grid": {"n_dims": 2, "points": 128}, "ordinates": 4096},
+    "convergence-study-cfl": CFL_STUDY,
 }
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("mode", sorted(_MODE_CONFIGS))
-    def test_repeat_runs_are_byte_identical(self, tmp_path, mode):
+    @pytest.mark.parametrize("name", sorted(_MODE_CONFIGS))
+    def test_repeat_runs_are_byte_identical(self, tmp_path, name):
         dir_a = tmp_path / "a"
         dir_b = tmp_path / "b"
-        cfg = parse_config({"mode": mode, **_MODE_CONFIGS[mode]})
+        cfg = parse_config({"mode": name, **_MODE_CONFIGS[name]})
         run(cfg, out_dir=str(dir_a))
         run(cfg, out_dir=str(dir_b))
         names = sorted(os.listdir(dir_a))
