@@ -67,17 +67,21 @@ MIN_EPS = math.sqrt(sys.float_info.min)
 # the (1 + |k|^2)^s weights of higher ones meaningfully.
 MAX_SOBOLEV_INDEX = 6
 
-DEFAULT_BOUNDS = {
-    "fluid_slope": [0.9, 1.3],
-    "radiation_slope": [0.45, 1.3],
-    "r_squared_min": 0.98,
-    "gamma_limit": 100.0,
-    "gamma_spread_max": 2.0,
-    "hypothesis_spread_max": 1.5,
-    "closure_residual_max": 1e-10,
-    "mass_drift_max": 1e-10,
-    "moment_residual_max": 1e-10,
+# Each acceptance bound, in bound report order: its default, the name of
+# the value it bounds in the report and the modes that check it.
+_STUDY, _EPS = ("convergence-study",), ("simulate-eps", "convergence-study")
+BOUNDS = {
+    "fluid_slope": ([0.9, 1.3], "fluid_slope", _STUDY),
+    "r_squared_min": (0.98, "fluid_r_squared", _STUDY),
+    "radiation_slope": ([0.45, 1.3], "radiation_slope", _STUDY),
+    "gamma_limit": (100.0, "gamma_over_eps2_max", _EPS),
+    "gamma_spread_max": (2.0, "gamma_halving_ratio", _STUDY),
+    "hypothesis_spread_max": (1.5, "hypothesis_spread", _STUDY),
+    "closure_residual_max": (1e-10, "closure_residual", ("simulate-limit", *_STUDY)),
+    "mass_drift_max": (1e-10, "mass_drift", ("simulate-limit", *_EPS)),
+    "moment_residual_max": (1e-10, "moment_residual", ("closure-check",)),
 }
+DEFAULT_BOUNDS = {key: default for key, (default, _, _) in BOUNDS.items()}
 
 # The keys each mode reads, at the top level and under "bounds".
 _COMMON = {"mode", "grid", "profiles", "out_dir", "bounds"}
@@ -92,12 +96,7 @@ MODE_KEYS = {
     "convergence-study": _LIMIT | _PREPARED | {"eps_list"},
     "closure-check": _COMMON | {"eps", "ordinates", "sigma_pairs"},
 }
-MODE_BOUNDS = {
-    "simulate-eps": {"gamma_limit", "mass_drift_max"},
-    "simulate-limit": {"closure_residual_max", "mass_drift_max"},
-    "convergence-study": set(DEFAULT_BOUNDS) - {"moment_residual_max"},
-    "closure-check": {"moment_residual_max"},
-}
+MODE_BOUNDS = {mode: {key for key, row in BOUNDS.items() if mode in row[2]} for mode in MODES}
 
 
 @dataclass(frozen=True)
@@ -370,12 +369,19 @@ def _validate_fields(raw, name: str, defaults: dict, grid: Grid) -> dict:
     return out
 
 
+def window(key: str, value) -> list:
+    """The window [low, high] the value of bound key sets: a slope's own
+    pair, [r_squared_min, 1] for R^2 and [0, value] for gamma and the
+    *_max limits of nonnegative values."""
+    if key.endswith("_slope"):
+        return list(value)
+    return [value, 1.0] if key == "r_squared_min" else [0.0, value]
+
+
 def _validate_bounds(raw, mode: str) -> dict:
     """The acceptance bounds the mode reads (``MODE_BOUNDS``) with their
     defaults. Every run fails a bound whose window holds no value it can
-    take, so each window must be nonempty: [low, high] for a slope,
-    [r_squared_min, 1] for R^2 and [0, limit] for gamma and the *_max
-    limits of nonnegative values."""
+    take, so each window must be nonempty."""
     bounds = {key: v for key, v in DEFAULT_BOUNDS.items() if key in MODE_BOUNDS[mode]}
     if raw is None:
         return bounds
@@ -386,10 +392,9 @@ def _validate_bounds(raw, mode: str) -> dict:
             continue
         if key.endswith("_slope"):
             value = list(_numbers(value, name, "expected [low, high] of finite numbers", size=2))
-            low, high = value
         else:
             value = _number(raw, key, None, "bounds")
-            low, high = (value, 1.0) if key == "r_squared_min" else (0.0, value)
+        low, high = window(key, value)
         if low > high:
             _fail(name, f"its window [{low}, {high}] is empty, so every run would fail it")
         bounds[key] = value
@@ -578,7 +583,7 @@ def parse_config(raw: dict, mode: str | None = None) -> RunConfig:
     if n_dims == 2 and points**2 * ordinates > MAX_INTENSITY_VALUES:
         budget = f"the budget of {MAX_INTENSITY_VALUES} intensity values"
         _fail("ordinates", f"{points}^2 grid cells x {ordinates} ordinates exceed {budget}")
-    sigma_raw = raw.get("sigma_pairs", [[1.0, 0.0], [1.0, 1.0]])
+    sigma_raw = _given(raw, "sigma_pairs", [[1.0, 0.0], [1.0, 1.0]])
     message = "expected a list of [sigma_a, sigma_s] pairs of finite numbers"
     if not (isinstance(sigma_raw, list) and sigma_raw):
         _fail("sigma_pairs", message)

@@ -45,8 +45,8 @@ class BlowUp(SolverFailure):
 
 
 class TimeMismatch(RadHydroError):
-    """Two states that must be simultaneous carry different times, or a
-    run did not land on the output time it was stepped to."""
+    """A step of a run did not move its time forward, or the run did not
+    land on the output time it was stepped to (``runner._sampled``)."""
 
 
 class DegenerateFit(RadHydroError):

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import batch_error_squares, fit_rate
-from .config import RunConfig
+from .config import BOUNDS, RunConfig, window
 from .errors import DegenerateFit, TimeMismatch
 from .fluid import limit_rhs_residual
 from .kinetic import make_ordinates, moment_system_check, p1_basis
@@ -282,13 +282,16 @@ def _march(
     )
 
 
+# Values below this count as zero in the ratios of _spread and _halving_ratio.
+_ZERO = 1e-12
+
+
 def _spread(values) -> float:
     """max/min ratio; values indistinguishable from zero count as equal."""
-    floor = 1e-12
-    if max(values) < floor:
+    if max(values) < _ZERO:
         return 1.0
     lo = min(values)
-    if lo < floor:
+    if lo < _ZERO:
         return math.inf
     return max(values) / lo
 
@@ -301,12 +304,11 @@ def _halving_ratio(sweep, values) -> float:
     power of eps, stability is judged per halving, not end to end, and
     not per step of a sweep whose steps are not halvings.
     """
-    floor = 1e-12
     worst = 1.0
     for eps_a, eps_b, a, b in zip(sweep, sweep[1:], values, values[1:]):
-        if a < floor and b < floor:
+        if a < _ZERO and b < _ZERO:
             continue
-        if min(a, b) < floor:
+        if min(a, b) < _ZERO:
             return math.inf
         r = a / b
         r = max(r, 1.0 / r)
@@ -340,44 +342,44 @@ def _run_convergence(config: RunConfig, out_dir: str):
             except DegenerateFit as exc:
                 rate_fits[f"{family}_s{s}"] = {"error": str(exc)}
 
-    b = config.bounds
     per_eps = lambda values: {_eps_tag(eps): v for eps, v in zip(sweep, values)}
     gammas = m.gamma_over_eps2
     gamma = {
         "per_eps": per_eps(gammas),
         "max_halving_ratio": _halving_ratio(sweep, gammas),
-        "limit": b["gamma_limit"],
+        "limit": config.bounds["gamma_limit"],
     }
     hypothesis = {"per_eps": per_eps(lhs), "spread": _spread(lhs), "amp": config.perturbation_amp}
     conservation = {"per_eps": per_eps(m.drift), "limit_run": m.limit_drift}
 
     fluid_fit = rate_fits[f"fluid_s{s_acc}"]
-    rad_fit = rate_fits[f"radiation_s{s_acc}"]
-    bounds_report = [
-        _bound("fluid_slope", fluid_fit.get("slope"), b["fluid_slope"]),
-        _bound("fluid_r_squared", fluid_fit.get("r_squared"), [b["r_squared_min"], math.inf]),
-        _bound("radiation_slope", rad_fit.get("slope"), b["radiation_slope"]),
-        _bound("gamma_over_eps2_max", max(gammas), [0.0, b["gamma_limit"]]),
-        _bound("gamma_halving_ratio", gamma["max_halving_ratio"], [0.0, b["gamma_spread_max"]]),
-        _bound("hypothesis_spread", hypothesis["spread"], [0.0, b["hypothesis_spread_max"]]),
-        _bound("closure_residual", m.closure_residual, [0.0, b["closure_residual_max"]]),
-        _bound("mass_drift", max(*m.drift, m.limit_drift), [0.0, b["mass_drift_max"]]),
-    ]
+    values = {
+        "fluid_slope": fluid_fit.get("slope"),
+        "r_squared_min": fluid_fit.get("r_squared"),
+        "radiation_slope": rate_fits[f"radiation_s{s_acc}"].get("slope"),
+        "gamma_limit": max(gammas),
+        "gamma_spread_max": gamma["max_halving_ratio"],
+        "hypothesis_spread_max": hypothesis["spread"],
+        "closure_residual_max": m.closure_residual,
+        "mass_drift_max": max(*m.drift, m.limit_drift),
+    }
     return dict(
         rate_fits=rate_fits, gamma=gamma, hypothesis=hypothesis,
-        conservation=conservation, bounds_report=bounds_report,
+        conservation=conservation, bounds_report=_report(config, values),
     )
 
 
 def _bound(name: str, value, window) -> dict:
+    """One bound report row; a value of None or NaN fails."""
     lo, hi = window
     passed = value is not None and lo <= value <= hi
-    return {
-        "name": name,
-        "value": value,
-        "window": [lo, None if hi == math.inf else hi],
-        "passed": bool(passed),
-    }
+    return {"name": name, "value": value, "window": window, "passed": bool(passed)}
+
+
+def _report(config: RunConfig, values: dict) -> list[dict]:
+    """One row per bound the config's mode reads, in ``BOUNDS`` order, of
+    the value values holds under its key; a missing value raises KeyError."""
+    return [_bound(BOUNDS[k][1], values[k], window(k, v)) for k, v in config.bounds.items()]
 
 
 def _run_simulate_eps(config: RunConfig, out_dir: str):
@@ -387,23 +389,14 @@ def _run_simulate_eps(config: RunConfig, out_dir: str):
     return dict(
         gamma={"per_eps": {_eps_tag(eps): gamma_worst}, "limit": config.bounds["gamma_limit"]},
         conservation={"per_eps": {_eps_tag(eps): drift}},
-        bounds_report=[
-            _bound("gamma_over_eps2_max", gamma_worst, [0.0, config.bounds["gamma_limit"]]),
-            _bound("mass_drift", drift, [0.0, config.bounds["mass_drift_max"]]),
-        ],
+        bounds_report=_report(config, {"gamma_limit": gamma_worst, "mass_drift_max": drift}),
     )
 
 
 def _run_simulate_limit(config: RunConfig, out_dir: str):
     m = _march(config, out_dir, limit_csv="limit_series.csv")
-    b = config.bounds
-    return dict(
-        conservation={"limit_run": m.limit_drift},
-        bounds_report=[
-            _bound("closure_residual", m.closure_residual, [0.0, b["closure_residual_max"]]),
-            _bound("mass_drift", m.limit_drift, [0.0, b["mass_drift_max"]]),
-        ],
-    )
+    values = {"closure_residual_max": m.closure_residual, "mass_drift_max": m.limit_drift}
+    return dict(conservation={"limit_run": m.limit_drift}, bounds_report=_report(config, values))
 
 
 def _run_closure_check(config: RunConfig, out_dir: str):
@@ -445,8 +438,7 @@ def _run_closure_check(config: RunConfig, out_dir: str):
         "p1_projection_residual": residual,
         "moment_residuals": per_pair,
     }
-    bounds_report = [
-        _bound("moment_residual", worst, [0.0, config.bounds["moment_residual_max"]]),
+    bounds_report = _report(config, {"moment_residual_max": worst}) + [
         _bound("quadrature_defect", max(weight_defect, odd_defect, second_defect), [0.0, 1e-12]),
     ]
     return dict(closure=closure, bounds_report=bounds_report)

@@ -15,7 +15,6 @@ import radhydro
 from conftest import CFL_STUDY
 
 _ENV = {**os.environ, "PYTHONPATH": str(Path(radhydro.__file__).parents[1])}
-_PYTHON = [sys.executable, *(["-O"] if sys.flags.optimize else [])]
 # Runs the CLI's main and prints the process's peak RSS in KB.
 _MAXRSS = (
     "import resource, sys; from radhydro.cli import main; code = main(sys.argv[1:]);"
@@ -28,7 +27,8 @@ def _cli(tmp_path, code, mode, raw, *flags, program=("-m", "radhydro.cli")):
     must exit with code and print no Traceback on stderr."""
     path = tmp_path / "run.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
-    argv = [*_PYTHON, *program, mode, "--config", str(path), "--out", str(tmp_path / "out"), *flags]
+    out = str(tmp_path / "out")
+    argv = [sys.executable, *program, mode, "--config", str(path), "--out", out, *flags]
     done = subprocess.run(argv, env=_ENV, capture_output=True, text=True, timeout=60)
     assert done.returncode == code and "Traceback" not in done.stderr, done.stderr
     return done.stdout

@@ -518,8 +518,9 @@ class TestWorkBudget:
         assert "diffusive CFL bound" in err and "1.76e+09 time steps" in err
 
     def test_closure_check_intensity_budget(self):
-        # 2^20 ordinates on a 1024 x 1024 grid would need 8 TiB per
-        # intensity array; rejected before anything is built.
+        # 2^20 ordinates on a 1024 x 1024 grid are 2^40 values, 2^14 times
+        # the cap on the check's (count, k) matrices; the parse rejects the
+        # config before it builds the ordinates or the initial state.
         tracemalloc.start()
         try:
             with pytest.raises(ValidationError, match=r"'ordinates'.*exceed the budget of 67108864"):
@@ -656,6 +657,7 @@ class TestNullMeansDefault:
             {"grid": {"points": None}},
             {"grid": {"n_dims": None, "points": 16}},
             {"mode": "closure-check", "ordinates": None},
+            {"mode": "closure-check", "sigma_pairs": None},
         ],
     )
     def test_same_as_absent(self, overrides):

@@ -20,7 +20,7 @@ import radhydro.kinetic
 import radhydro.runner
 from radhydro.cli import main
 from radhydro.analysis import well_prepared_init
-from radhydro.config import parse_config
+from radhydro.config import BOUNDS, MODE_BOUNDS, MODES, parse_config, window
 from radhydro.errors import BlowUp, TimeMismatch
 from radhydro.fluid import limit_rhs_residual
 from radhydro.runner import _open_series, _row, _sampled, _state_row, run
@@ -614,6 +614,20 @@ class TestDeterminism:
         assert names == sorted(os.listdir(dir_b))
         for name in names:
             assert filecmp.cmp(dir_a / name, dir_b / name, shallow=False), name
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_each_mode_reports_exactly_the_bounds_it_reads(tmp_path, mode):
+    # One row per bound the mode reads, in BOUNDS order, in the window
+    # the parse checks; the closure check adds its fixed quadrature row.
+    cfg = parse_config({"mode": mode, **_MODE_CONFIGS[mode]})
+    report = run(cfg, out_dir=str(tmp_path)).bounds_report
+    keys = [key for key in BOUNDS if key in MODE_BOUNDS[mode]]
+    names = [BOUNDS[key][1] for key in keys]
+    assert [b["name"] for b in report] == names + ["quadrature_defect"] * (mode == "closure-check")
+    assert [b["window"] for b in report[: len(keys)]] == [window(k, cfg.bounds[k]) for k in keys]
+    if mode == "convergence-study":  # R^2 is at most 1
+        assert (report[1]["name"], report[1]["window"]) == ("fluid_r_squared", [0.98, 1.0])
 
 
 @pytest.mark.parametrize("n_dims,n", [(1, 8), (1, 64), (2, 8), (2, 32)])
